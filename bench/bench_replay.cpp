@@ -30,9 +30,6 @@
 #include "BenchCommon.h"
 #include "eval/Evaluation.h"
 #include "mem/SizeClassAllocator.h"
-#include "runtime/ShardedReplay.h"
-#include "sim/Cache.h"
-#include "support/Executor.h"
 #include "support/Rng.h"
 #include "trace/EventTrace.h"
 #include "trace/TraceFile.h"
@@ -226,7 +223,7 @@ int main(int Argc, char **Argv) {
 
   //===--------------------------------------------------------------------===//
   // Out-of-core traces: a synthetic recording streamed straight to disk,
-  // then replayed mmap'd -- serially and sharded -- against the in-RAM
+  // then replayed mmap'd against the in-RAM
   // oracle. Bit-identity of every counter is asserted (a divergence is a
   // fatal bench failure); the rows measure record-to-disk throughput,
   // mapped vs in-RAM replay wall time, and the peak-RSS mark after each
@@ -305,8 +302,7 @@ int main(int Argc, char **Argv) {
     });
     uint64_t RecordRss = peakRssKb();
 
-    // Phase 2: mapped replay, serial and sharded, pages released as each
-    // block is left behind.
+    // Phase 2: mapped replay, pages released as each block is left behind.
     MappedTrace Mapped = MappedTrace::open(TracePath);
     unlink(TracePath); // The mapping pins the bytes; nothing leaks.
     uint64_t FileBytes = Mapped.fileBytes();
@@ -317,16 +313,6 @@ int main(int Argc, char **Argv) {
       Runtime RT(P, Jemalloc);
       RT.setMemory(&Memory);
       RT.replay(Mapped);
-      Guard += RT.timing().totalCycles();
-    });
-    int Hw = resolveJobs(0);
-    Executor Pool(Hw);
-    double ShardedMs = medianMs(Trials, [&] {
-      MemoryHierarchy Memory;
-      SizeClassAllocator Jemalloc;
-      Runtime RT(P, Jemalloc);
-      RT.setMemory(&Memory);
-      shardedReplay(RT, Mapped, Pool);
       Guard += RT.timing().totalCycles();
     });
     uint64_t MappedRss = peakRssKb();
@@ -353,8 +339,8 @@ int main(int Argc, char **Argv) {
     if (Guard == 0)
       return 1;
 
-    // Bit-identity: mapped serial, mapped sharded (one worker and all of
-    // them), and the in-RAM oracle must agree on every counter.
+    // Bit-identity: the mapped replay and the in-RAM oracle must agree on
+    // every counter.
     auto Counters = [&](auto Replay) {
       MemoryHierarchy Memory;
       SizeClassAllocator Jemalloc;
@@ -371,19 +357,6 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr, "FATAL: mapped replay diverged from in-RAM\n");
       return 1;
     }
-    for (int Jobs : {1, Hw}) {
-      Executor ShardPool(Jobs);
-      if (Counters([&](Runtime &RT) {
-            shardedReplay(RT, Mapped, ShardPool);
-          }) != Oracle) {
-        std::fprintf(stderr,
-                     "FATAL: sharded mapped replay (jobs=%d) diverged from "
-                     "in-RAM\n",
-                     Jobs);
-        return 1;
-      }
-    }
-
     auto Push = [&](const std::string &Bench, double WallMs, int RowTrials,
                     uint64_t RssKb) {
       char Line[256];
@@ -402,16 +375,13 @@ int main(int Argc, char **Argv) {
     };
     Push("trace_stream_record", RecordMs, 1, RecordRss);
     Push("trace_stream_replay_mapped", MappedMs, Trials, MappedRss);
-    Push("trace_stream_sharded_j" + std::to_string(Hw), ShardedMs, Trials,
-         MappedRss);
     Push("trace_stream_replay_ram", RamMs, Trials, RamRss);
 
     std::printf(
         "out-of-core (%llu events, %llu raw -> %llu disk bytes, %zu "
         "blocks):\n"
         "         record-to-disk %8.2f ms (%5.1f M ev/s), peak rss %llu KiB\n"
-        "         mapped replay  %8.2f ms (%5.1f M ev/s), sharded jobs=%-2d "
-        "%8.2f ms, peak rss %llu KiB\n"
+        "         mapped replay  %8.2f ms (%5.1f M ev/s), peak rss %llu KiB\n"
         "         in-RAM replay  %8.2f ms (%5.1f M ev/s), peak rss %llu "
         "KiB\n\n",
         static_cast<unsigned long long>(Events),
@@ -419,7 +389,7 @@ int main(int Argc, char **Argv) {
         static_cast<unsigned long long>(FileBytes), Mapped.numBlocks(),
         RecordMs, static_cast<double>(Events) / RecordMs / 1e3,
         static_cast<unsigned long long>(RecordRss), MappedMs,
-        static_cast<double>(Events) / MappedMs / 1e3, Hw, ShardedMs,
+        static_cast<double>(Events) / MappedMs / 1e3,
         static_cast<unsigned long long>(MappedRss), RamMs,
         static_cast<double>(Events) / RamMs / 1e3,
         static_cast<unsigned long long>(RamRss));
@@ -512,59 +482,6 @@ int main(int Argc, char **Argv) {
                 static_cast<double>(Events) / PerEventMs / 1e3, BatchedMs,
                 static_cast<double>(Events) / BatchedMs / 1e3,
                 PerEventMs / std::max(BatchedMs, 1e-6));
-
-    //===------------------------------------------------------------------===//
-    // Within-trace sharded replay at several worker counts, with the
-    // serial batched replay as the identity oracle: any counter or cycle
-    // divergence is a fatal bench failure ("sharded = serial" is a
-    // correctness contract, not a tolerance).
-    //===------------------------------------------------------------------===//
-
-    auto ReplayCounters = [&](Executor *Pool) {
-      MemoryHierarchy Memory;
-      SizeClassAllocator Jemalloc;
-      Runtime RT(P, Jemalloc);
-      RT.setMemory(&Memory);
-      if (Pool)
-        shardedReplay(RT, Trace, *Pool);
-      else
-        RT.replay(Trace);
-      const MemoryCounters C = Memory.counters();
-      return std::make_tuple(RT.timing().totalCycles(), C.Accesses,
-                             C.L1Misses, C.L2Misses, C.L3Misses, C.TlbMisses,
-                             C.StallCycles);
-    };
-    auto SerialCounters = ReplayCounters(nullptr);
-
-    std::vector<int> JobCounts = {1, 2, 4};
-    int Hw = resolveJobs(0);
-    if (std::find(JobCounts.begin(), JobCounts.end(), Hw) == JobCounts.end())
-      JobCounts.push_back(Hw);
-    for (int Jobs : JobCounts) {
-      Executor Pool(Jobs);
-      if (ReplayCounters(&Pool) != SerialCounters) {
-        std::fprintf(stderr,
-                     "FATAL: sharded replay (%s, jobs=%d) diverged from "
-                     "serial counters\n",
-                     Name.c_str(), Jobs);
-        return 1;
-      }
-      double ShardedMs = medianMs(Trials, [&] {
-        MemoryHierarchy Memory;
-        SizeClassAllocator Jemalloc;
-        Runtime RT(P, Jemalloc);
-        RT.setMemory(&Memory);
-        shardedReplay(RT, Trace, Pool);
-        Guard += RT.timing().totalCycles();
-      });
-      Rows.push_back({"replay_sharded_" + Name + "_j" + std::to_string(Jobs),
-                      Events, Bytes, ShardedMs, Trials});
-      std::printf("         sharded replay jobs=%-2d %8.2f ms (%5.1f M ev/s, "
-                  "%.2fx vs serial batched)\n",
-                  Jobs, ShardedMs,
-                  static_cast<double>(Events) / ShardedMs / 1e3,
-                  BatchedMs / std::max(ShardedMs, 1e-6));
-    }
   }
 
   //===--------------------------------------------------------------------===//
@@ -612,82 +529,6 @@ int main(int Argc, char **Argv) {
                 "%8.2f ms, shared-trace parallel %8.2f ms  (%.2fx)\n",
                 Name.c_str(), Kinds, Trials, DirectMs, TraceMs,
                 DirectMs / std::max(TraceMs, 1e-6));
-  }
-
-  //===--------------------------------------------------------------------===//
-  // MRU probe depth microbench: the fused TLB+L1 fast path's single-hint
-  // probe (Cache::mruHit) vs the two-deep variant (Cache::mruHit2), driven
-  // over one shared address stream with the trials interleaved A/B (same
-  // reason as above: warm-up and frequency drift land evenly on both).
-  // Decisions are bit-identical by construction; the bench asserts it and
-  // measures only the wall clock. The verdict -- whether the hierarchy's
-  // default path should adopt the second hint -- is recorded in ROADMAP.
-  //===--------------------------------------------------------------------===//
-
-  {
-    CacheConfig Cfg; // The default L1 geometry (32 KiB, 8-way, 64 B lines).
-    const size_t StreamLen = 1u << 21;
-    std::vector<uint64_t> Stream;
-    Stream.reserve(StreamLen);
-    Rng Random(42);
-    uint64_t Addr = 0;
-    for (size_t I = 0; I < StreamLen; ++I) {
-      // Mostly short strides (MRU/second-MRU territory) over a working set
-      // a few times the cache, with occasional far jumps forcing misses.
-      if (Random.nextBool(0.8))
-        Addr += Random.nextBelow(3) * 64;
-      else
-        Addr = Random.nextBelow(1u << 22);
-      Stream.push_back(Addr);
-    }
-
-    Cache One(Cfg), Two(Cfg);
-    uint64_t Guard = 0;
-    std::vector<double> OneTimes, TwoTimes;
-    for (int T = 0; T < Trials; ++T) {
-      One.reset();
-      Two.reset();
-      double Start = nowMs();
-      for (uint64_t A : Stream)
-        if (!One.mruHit(A))
-          One.accessSlow(A);
-      Guard += One.hits();
-      OneTimes.push_back(nowMs() - Start);
-      Start = nowMs();
-      for (uint64_t A : Stream)
-        if (!Two.mruHit2(A))
-          Two.accessSlow(A);
-      Guard += Two.hits();
-      TwoTimes.push_back(nowMs() - Start);
-      if (One.hits() != Two.hits() || One.misses() != Two.misses()) {
-        std::fprintf(stderr,
-                     "FATAL: mruHit2 decisions diverged from mruHit "
-                     "(hits %llu vs %llu, misses %llu vs %llu)\n",
-                     (unsigned long long)One.hits(),
-                     (unsigned long long)Two.hits(),
-                     (unsigned long long)One.misses(),
-                     (unsigned long long)Two.misses());
-        return 1;
-      }
-    }
-    if (Guard == 0)
-      return 1;
-    auto Median = [](std::vector<double> &Times) {
-      std::sort(Times.begin(), Times.end());
-      return Times[Times.size() / 2];
-    };
-    double OneMs = Median(OneTimes);
-    double TwoMs = Median(TwoTimes);
-    Rows.push_back({"mru_probe_single", StreamLen, One.misses(), OneMs,
-                    Trials});
-    Rows.push_back({"mru_probe_double", StreamLen, Two.misses(), TwoMs,
-                    Trials});
-    std::printf("\nmru probe (%zu accesses, %.1f%% miss): single-hint "
-                "%8.2f ms, two-deep %8.2f ms  (%.3fx)\n",
-                StreamLen,
-                100.0 * static_cast<double>(One.misses()) /
-                    static_cast<double>(StreamLen),
-                OneMs, TwoMs, OneMs / std::max(TwoMs, 1e-6));
   }
 
   writeJson(OutPath, Rows, ExtraRows, Append);

@@ -44,15 +44,15 @@
 // through the one plan scheduler (eval/Experiment.h): traces record once
 // per (benchmark, scale, seed), pipeline artifacts materialise once per
 // benchmark, and the requested cells replay across --jobs workers at
-// benchmark x machine x kind x trial granularity -- or, when there are
-// fewer cells than workers (--replay-mode auto) or on request
-// (--replay-mode sharded), across shards within each trace, so a single
-// run/baseline/hds cell fans out too. `sweep` measures
+// benchmark x machine x kind x trial granularity; each replay runs
+// serially on its worker. `sweep` measures
 // jemalloc/HDS/HALO on every preset (or just the one --machine names) and
 // writes the per-machine rows to BENCH_machines.json; `experiments` takes
 // the full matrix spec -- lists of benchmarks, machines, and allocator
 // kinds -- and writes the unified JSON keyed by the full measurement key.
-// --out redirects any JSON-emitting subcommand's document to a file.
+// --out redirects any JSON-emitting subcommand's document to a file
+// (written through a temp file and renamed into place, except for an
+// existing device or FIFO, which is written directly).
 //
 //===----------------------------------------------------------------------===//
 
@@ -74,6 +74,8 @@
 #include <string>
 #include <vector>
 
+#include <sys/stat.h>
+
 using namespace halo;
 
 namespace {
@@ -94,8 +96,6 @@ struct CliOptions {
   std::string StoreDir;  ///< --store-dir ("" = $HALO_STORE or off).
   std::string ClientVerb; ///< client: run / stats / shutdown.
   std::string SocketPath; ///< --socket (serve / client).
-  ReplayMode Mode = ReplayMode::Auto; ///< --replay-mode.
-  bool SawReplayMode = false;         ///< --replay-mode given explicitly.
   TraceMode Traces = TraceMode::Auto; ///< --trace-mode.
   bool SawTraceMode = false;          ///< --trace-mode given explicitly.
   std::string TraceFile; ///< trace info: the file to inspect.
@@ -125,11 +125,6 @@ struct CliOptions {
       "flags: --trials N  --jobs N  --machine NAME  --chunk-size BYTES\n"
       "       --max-spare-chunks N  --max-groups N  --affinity-distance BYTES\n"
       "       --out FILE (any JSON-emitting command)\n"
-      "       --replay-mode auto|serial|sharded: how --jobs workers split a\n"
-      "         replay -- across cells, or across shards within each trace\n"
-      "         (auto shards when cells alone would leave workers idle, so\n"
-      "         single-cell baseline/run/hds fan out too; results are\n"
-      "         bit-identical either way)\n"
       "       --trace-mode auto|memory|mapped: how measurement traces are\n"
       "         held -- in RAM (memory, the oracle), or recorded streaming\n"
       "         to disk and replayed mmap'd block by block in bounded\n"
@@ -326,13 +321,6 @@ CliOptions parseArgs(int Argc, char **Argv) {
       Opts.SeedBase = Args.unsignedValue(Arg, /*Min=*/0);
       Opts.SawSeedBase = true;
     }
-    else if (Arg == "--replay-mode") {
-      std::string Name = Args.value(Arg);
-      if (!parseReplayMode(Name, Opts.Mode))
-        usageError("unknown replay mode '" + Name + "' for " + Arg +
-                   " (available: auto serial sharded)");
-      Opts.SawReplayMode = true;
-    }
     else if (Arg == "--trace-mode") {
       std::string Name = Args.value(Arg);
       std::optional<TraceMode> M = parseTraceMode(Name);
@@ -396,11 +384,6 @@ CliOptions parseArgs(int Argc, char **Argv) {
   if (!Opts.OutPath.empty() && !emitsJson(Opts))
     usageError("--out is not supported by the " + Opts.Command +
                " command (it emits no JSON)");
-  if (Opts.SawReplayMode && Opts.Command != "baseline" &&
-      Opts.Command != "run" && Opts.Command != "hds" &&
-      Opts.Command != "sweep" && Opts.Command != "experiments")
-    usageError("--replay-mode is only valid with the measuring commands "
-               "(baseline run hds sweep experiments)");
   if (Opts.SawTraceMode && Opts.Command != "baseline" &&
       Opts.Command != "run" && Opts.Command != "hds" &&
       Opts.Command != "sweep" && Opts.Command != "experiments" &&
@@ -449,16 +432,25 @@ CliOptions parseArgs(int Argc, char **Argv) {
   return Opts;
 }
 
+/// True when \p Path names an existing file that is not a regular file (a
+/// device such as /dev/null, or a FIFO). Such a --out target is written in
+/// place: renaming a temp file over it would replace the node itself.
+bool writesInPlace(const std::string &Path) {
+  struct stat St;
+  return ::stat(Path.c_str(), &St) == 0 && !S_ISREG(St.st_mode);
+}
+
 /// Opens the --out path for one JSON document ("" = stdout). Callers
 /// open BEFORE measuring so an unwritable path fails fast instead of
 /// discarding an arbitrarily long run; the stream actually targets
 /// Path + ".tmp" so an interrupted or failed run never clobbers the
 /// previous file — closeOutput() renames it into place on success.
+/// Devices and FIFOs (writesInPlace) are opened directly instead.
 FILE *openOutput(const std::string &Path) {
   if (Path.empty())
     return stdout;
-  std::string TmpPath = Path + ".tmp";
-  FILE *Out = std::fopen(TmpPath.c_str(), "w");
+  std::string Target = writesInPlace(Path) ? Path : Path + ".tmp";
+  FILE *Out = std::fopen(Target.c_str(), "w");
   if (!Out) {
     std::fprintf(stderr, "halo_cli: cannot write %s\n", Path.c_str());
     std::exit(1);
@@ -475,7 +467,8 @@ void closeOutput(FILE *Out, const std::string &Path,
     return;
   std::fclose(Out);
   std::string TmpPath = Path + ".tmp";
-  if (std::rename(TmpPath.c_str(), Path.c_str()) != 0) {
+  if (!writesInPlace(Path) &&
+      std::rename(TmpPath.c_str(), Path.c_str()) != 0) {
     std::fprintf(stderr, "halo_cli: cannot move %s into place\n",
                  Path.c_str());
     std::exit(1);
@@ -617,7 +610,7 @@ int runSweep(const CliOptions &Opts) {
   std::optional<ArtifactStore> Store = openStore(Opts);
   FILE *Out = Opts.OutPath.empty() ? nullptr : openOutput(Opts.OutPath);
   ExperimentPlan Plan = buildPlan({Spec}, {}, Store ? &*Store : nullptr);
-  ResultSet Results = runPlan(Plan, Opts.Jobs, Opts.Mode, Opts.Traces);
+  ResultSet Results = runPlan(Plan, Opts.Jobs, Opts.Traces);
 
   std::vector<SweepRow> Rows = sweepRows(Results);
   sweepReport(Rows).print();
@@ -668,7 +661,7 @@ int runExperiments(const CliOptions &Opts) {
   std::optional<ArtifactStore> Store = openStore(Opts);
   FILE *Out = openOutput(Opts.OutPath);
   ExperimentPlan Plan = buildPlan({Spec}, {}, Store ? &*Store : nullptr);
-  ResultSet Results = runPlan(Plan, Opts.Jobs, Opts.Mode, Opts.Traces);
+  ResultSet Results = runPlan(Plan, Opts.Jobs, Opts.Traces);
   if (Out != stdout) {
     // With a file destination the console gets the human-readable view.
     experimentsReport(Results).print();
@@ -996,7 +989,8 @@ int runClient(const CliOptions &Opts) {
   if (Outcome.Status != PlanStatus::Ok) {
     if (Out != stdout) {
       std::fclose(Out);
-      std::remove((Opts.OutPath + ".tmp").c_str());
+      if (!writesInPlace(Opts.OutPath))
+        std::remove((Opts.OutPath + ".tmp").c_str());
     }
     if (Outcome.Status == PlanStatus::Failed)
       std::fprintf(stderr, "halo_cli: plan failed: %s\n",
@@ -1072,9 +1066,7 @@ static int runMain(const CliOptions &Opts) {
   else
     usage();
 
-  // A 1x1x1 plan: same scheduler and emitter as the big sweeps. With one
-  // cell the replay stage's auto mode shards within the trace, so --jobs
-  // speeds up even this single measurement.
+  // A 1x1x1 plan: same scheduler and emitter as the big sweeps.
   std::optional<ArtifactStore> Store = openStore(Opts);
   FILE *Out = openOutput(Opts.OutPath);
   ExperimentSpec Spec;
@@ -1086,7 +1078,7 @@ static int runMain(const CliOptions &Opts) {
     return setupFor(Opts, Name);
   };
   ExperimentPlan Plan = buildPlan({Spec}, {}, Store ? &*Store : nullptr);
-  ResultSet Results = runPlan(Plan, Opts.Jobs, Opts.Mode, Opts.Traces);
+  ResultSet Results = runPlan(Plan, Opts.Jobs, Opts.Traces);
 
   writeRunsJson(Out, Opts.Benchmark, Opts.Command,
                 Results.cells().front().Runs);

@@ -7,7 +7,8 @@
 # run must emit byte-identical JSON, verify must pass. And each build
 # smoke-tests the serve daemon: two concurrent clients against one
 # daemon on a temp socket, each byte-identical to a local run, then a
-# clean client-initiated shutdown (exit 0, socket file gone).
+# clean client-initiated shutdown (exit 0, socket file gone). And --out
+# aimed at a FIFO must write through it and leave it a FIFO.
 #
 # Usage: scripts/ci.sh [build-dir [sanitize-build-dir]]
 #   build dirs default to build/ and build-asan/ at the repo root;
@@ -55,6 +56,31 @@ store_smoke() {
   cmp "$out_mem" "$out_map_cold"
   cmp "$out_mem" "$out_map_warm"
   "$build/examples/halo_cli" store verify --store-dir "$map_store"
+}
+
+# --out aimed at an existing non-regular file: halo_cli must write the
+# FIFO in place (no temp file renamed over it), so afterwards it is still a
+# FIFO, and a reader sees exactly the bytes a regular-file --out gets.
+out_fifo_smoke() {
+  local build="$1"
+  local dir reader_pid
+  dir="$(mktemp -d)"
+  reader_pid=""
+  # shellcheck disable=SC2064
+  trap "if [[ -n \"\${reader_pid:-}\" ]]; then kill \"\$reader_pid\" 2>/dev/null || true; fi; rm -rf \"$dir\"" RETURN
+  mkfifo "$dir/out.fifo"
+  # The reader times out rather than hang CI if halo_cli never opens it.
+  timeout 120 cat "$dir/out.fifo" > "$dir/from_fifo.json" &
+  reader_pid=$!
+  "$build/examples/halo_cli" run health --trials 1 --out "$dir/out.fifo"
+  if [[ ! -p "$dir/out.fifo" ]]; then
+    echo "out_fifo_smoke: --out replaced the FIFO with a regular file" >&2
+    return 1
+  fi
+  wait "$reader_pid"
+  reader_pid=""
+  "$build/examples/halo_cli" run health --trials 1 --out "$dir/regular.json"
+  cmp "$dir/regular.json" "$dir/from_fifo.json"
 }
 
 # The serve daemon end to end through halo_cli: a daemon on a per-run
@@ -114,20 +140,22 @@ ctest --test-dir "$BUILD" --output-on-failure -j "$JOBS"
 echo "== tier-1: store warm/cold smoke =="
 store_smoke "$BUILD"
 
+echo "== tier-1: --out FIFO smoke =="
+out_fifo_smoke "$BUILD"
+
 echo "== tier-1: serve daemon smoke =="
 serve_smoke "$BUILD"
 
 echo "== sanitized: ASan+UBSan build + ctest ($SAN_BUILD) =="
 cmake -B "$SAN_BUILD" -S "$ROOT" -DHALO_SANITIZE=ON
 cmake --build "$SAN_BUILD" -j
-# Twice: the parallel-equivalence suites pin their "hardware" jobs count
-# to HALO_TEST_JOBS, so both replay/grouping axis choices (serial outer
-# vs sharded inner) soak under the sanitizers.
-HALO_TEST_JOBS=1 ctest --test-dir "$SAN_BUILD" --output-on-failure -j "$JOBS"
-HALO_TEST_JOBS="$(nproc)" ctest --test-dir "$SAN_BUILD" --output-on-failure -j "$JOBS"
+ctest --test-dir "$SAN_BUILD" --output-on-failure -j "$JOBS"
 
 echo "== sanitized: store warm/cold smoke =="
 store_smoke "$SAN_BUILD"
+
+echo "== sanitized: --out FIFO smoke =="
+out_fifo_smoke "$SAN_BUILD"
 
 echo "== sanitized: serve daemon smoke =="
 serve_smoke "$SAN_BUILD"

@@ -11,16 +11,16 @@ using namespace halo;
 HaloArtifacts
 halo::optimizeBinary(const Program &Prog, const EventTrace &Trace,
                      const HaloParameters &Params,
-                     const MachineConfig &Machine, Executor *Pool) {
+                     const MachineConfig &Machine) {
   return optimizeBinary(
-      Prog, [&](Runtime &RT) { RT.replay(Trace); }, Params, Machine, Pool);
+      Prog, [&](Runtime &RT) { RT.replay(Trace); }, Params, Machine);
 }
 
 HaloArtifacts
 halo::optimizeBinary(const Program &Prog,
                      const std::function<void(Runtime &)> &RunWorkload,
                      const HaloParameters &Params,
-                     const MachineConfig &Machine, Executor *Pool) {
+                     const MachineConfig &Machine) {
   HaloArtifacts Out;
 
   // Stage 1: profiling (Section 4.1). The profiled binary runs under the
@@ -36,10 +36,8 @@ halo::optimizeBinary(const Program &Prog,
     Out.ProfiledAccesses = Profiler.totalAccesses();
   }
 
-  // Stage 2: grouping (Section 4.2), sharded by connected component when a
-  // pool is available -- bit-identical either way.
-  Out.Groups = Pool ? buildGroupsParallel(Out.Graph, Params.Grouping, *Pool)
-                    : buildGroups(Out.Graph, Params.Grouping);
+  // Stage 2: grouping (Section 4.2).
+  Out.Groups = buildGroups(Out.Graph, Params.Grouping);
 
   // Stage 3: identification (Section 4.3).
   Out.Identification = identifyGroups(Out.Groups, Out.Contexts);

@@ -56,22 +56,17 @@ struct HaloArtifacts {
                           uint64_t MinEdgeWeight = 0) const;
 };
 
-class Executor;
-
 /// Runs the whole pipeline. \p RunWorkload executes the target program's
 /// profiling workload against the runtime it is handed (the paper uses the
 /// small test inputs for this); the runtime is wired to a default allocator
 /// and the heap profiler, standing in for the Pin tool. \p Machine supplies
 /// the profiling runtime's cost model; the artifacts themselves depend only
 /// on the event stream, never on the machine, so one pipeline run serves
-/// measurements on every machine. \p Pool, when non-null, parallelizes the
-/// grouping stage across connected components (buildGroupsParallel) --
-/// bit-identical artifacts at every jobs count.
+/// measurements on every machine.
 HaloArtifacts optimizeBinary(const Program &Prog,
                              const std::function<void(Runtime &)> &RunWorkload,
                              const HaloParameters &Params = HaloParameters(),
-                             const MachineConfig &Machine = defaultMachine(),
-                             Executor *Pool = nullptr);
+                             const MachineConfig &Machine = defaultMachine());
 
 /// Same pipeline, driven by a pre-recorded event trace instead of
 /// re-executing the workload: the profiling stage replays \p Trace into the
@@ -85,8 +80,7 @@ HaloArtifacts optimizeBinary(const Program &Prog,
 /// tasks.
 HaloArtifacts optimizeBinary(const Program &Prog, const EventTrace &Trace,
                              const HaloParameters &Params = HaloParameters(),
-                             const MachineConfig &Machine = defaultMachine(),
-                             Executor *Pool = nullptr);
+                             const MachineConfig &Machine = defaultMachine());
 
 /// Serializes the machine-independent core of \p Art (contexts, graph,
 /// groups, identification, profiled-access count) behind a versioned

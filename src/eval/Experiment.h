@@ -35,7 +35,6 @@
 
 #include "eval/Evaluation.h"
 #include "eval/Report.h"
-#include "runtime/ShardedReplay.h"
 
 #include <cstdio>
 #include <exception>
@@ -50,6 +49,7 @@
 namespace halo {
 
 class ArtifactStore;
+class Executor;
 
 /// The stable spelling of \p Kind used in JSON output and CLI flags.
 const char *allocatorKindName(AllocatorKind Kind);
@@ -278,14 +278,11 @@ public:
   /// runnable once they retire). Thread-safe.
   std::optional<size_t> next();
 
-  /// Runs one claimed task. \p NestedPool, when non-null, is handed to
-  /// the work that can use a pool internally -- the artifact stage's
-  /// grouping (haloArtifacts' GroupPool) and the replay stage's sharding
-  /// (measure's ShardPool) -- for drivers that walk tasks serially and
-  /// parallelise within them instead. A throwing task marks the whole
-  /// plan failed (remaining tasks are abandoned) and rethrows; claimed
-  /// tasks always retire, success or not.
-  void run(size_t Task, Executor *NestedPool = nullptr);
+  /// Runs one claimed task on the calling thread. A throwing task marks
+  /// the whole plan failed (remaining tasks are abandoned) and rethrows;
+  /// claimed tasks always retire, success or not. The pool parameter is
+  /// ignored; it stays so existing two-argument callers keep compiling.
+  void run(size_t Task, Executor * = nullptr);
 
   /// Stops handing out tasks; claimed ones finish normally. Idempotent.
   void cancel();
@@ -316,11 +313,11 @@ private:
     int Trial = 0;                                ///< Stage 3.
   };
 
-  void execute(const TaskData &T, Executor *NestedPool);
+  void execute(const TaskData &T);
   void obtainTrace(const ExperimentPlan::Benchmark &B, Scale S,
                    uint64_t Seed, bool Stored, bool Profile);
-  void runArtifact(const TaskData &T, Executor *GroupPool);
-  void runReplay(const TaskData &T, Executor *ShardPool);
+  void runArtifact(const TaskData &T);
+  void runReplay(const TaskData &T);
 
   ExperimentPlan &Plan;
   TraceMode Traces;
@@ -343,18 +340,10 @@ private:
 /// Executes \p Plan on one Executor pool (\p Jobs as resolveJobs()
 /// interprets it) in four stages -- profile recordings, pipeline
 /// artifacts, measurement recordings, cell replays -- each a flat task
-/// list spanning every benchmark and machine in the plan. Results are
-/// bit-identical to a serial run regardless of Jobs and of \p Mode.
-///
-/// \p Mode decides where the replay stage's parallelism lives. The pool
-/// runs one parallelFor batch at a time, so the stage must pick an axis:
-/// fan the (cell, trial) tasks out with each replaying serially, or walk
-/// them serially with each replay sharding its trace across the whole
-/// pool (Evaluation::measure's ShardPool overload). Auto shards within
-/// traces exactly when the task list alone cannot fill the pool -- the
-/// 1x1x1 plans behind halo_cli run/baseline/hds being the motivating
-/// case: task-level fan-out gives them nothing, intra-trace sharding
-/// scales them with --jobs.
+/// list spanning every benchmark and machine in the plan. One rule
+/// schedules every stage: its tasks fan out over the pool, each running
+/// serially on its worker. Results are bit-identical to a serial run
+/// regardless of Jobs.
 ///
 /// \p Traces decides how measurement recordings are held (profiling
 /// always replays the in-RAM trace). Memory is the historical in-RAM
@@ -370,7 +359,6 @@ private:
 /// CellCompletionFn) -- the serve daemon's streaming hook; the returned
 /// ResultSet is unchanged by it.
 ResultSet runPlan(ExperimentPlan &Plan, int Jobs = 0,
-                  ReplayMode Mode = ReplayMode::Auto,
                   TraceMode Traces = TraceMode::Auto,
                   CellCompletionFn OnCell = nullptr);
 

@@ -49,13 +49,6 @@ void Runtime::addObserver(RuntimeObserver *Observer) {
   SoleAccessHook = Observers.size() == 1 ? Observer->accessHook() : nullptr;
 }
 
-void Runtime::removeObserver(RuntimeObserver *Observer) {
-  Observers.erase(std::remove(Observers.begin(), Observers.end(), Observer),
-                  Observers.end());
-  SoleAccessHook =
-      Observers.size() == 1 ? Observers.front()->accessHook() : nullptr;
-}
-
 void Runtime::notifyAccess(uint64_t Addr, uint64_t Size, bool IsStore) {
   if (SoleAccessHook) {
     SoleAccessHook(*Observers.front(), Addr, Size, IsStore);

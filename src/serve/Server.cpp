@@ -425,24 +425,12 @@ void HaloDaemon::schedulerMain() {
     // catch keeps one plan's failure from abandoning the batch's other
     // plans (which Executor's own exception path would do).
     Lock.unlock();
-    if (Batch.size() < static_cast<size_t>(Pool->workers())) {
-      // Too few tasks to fill the pool: walk them here and hand the pool
-      // to the work that can use it internally (artifact grouping, trace
-      // sharding) -- the same axis choice runPlan makes.
-      for (const std::pair<PlanExecution *, size_t> &T : Batch) {
-        try {
-          T.first->run(T.second, Pool.get());
-        } catch (...) {
-        }
+    Pool->parallelFor(Batch.size(), [&](size_t I) {
+      try {
+        Batch[I].first->run(Batch[I].second);
+      } catch (...) {
       }
-    } else {
-      Pool->parallelFor(Batch.size(), [&](size_t I) {
-        try {
-          Batch[I].first->run(Batch[I].second, nullptr);
-        } catch (...) {
-        }
-      });
-    }
+    });
     TasksExecuted.fetch_add(Batch.size(), std::memory_order_relaxed);
     Lock.lock();
 

@@ -82,15 +82,6 @@ uint64_t MemoryHierarchy::accessLineSlow(uint64_t LineAddr, bool TlbDone) {
   return Cycles;
 }
 
-uint64_t MemoryHierarchy::accessBeyondL1(uint64_t LineAddr) {
-  const LatencyModel &Lat = Config.Latency;
-  if (L2.access(LineAddr))
-    return Lat.L2Hit;
-  if (L3.access(LineAddr))
-    return Lat.L3Hit;
-  return Lat.Memory;
-}
-
 MemoryCounters MemoryHierarchy::counters() const {
   MemoryCounters C;
   C.Accesses = L1.accesses();

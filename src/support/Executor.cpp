@@ -46,11 +46,7 @@ unsigned halo::resolveJobs(int Jobs) {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
-Executor::Executor(int Jobs) : NumWorkers(resolveJobs(Jobs)) {
-  Threads.reserve(NumWorkers - 1);
-  for (unsigned J = 1; J < NumWorkers; ++J)
-    Threads.emplace_back([this] { workerMain(); });
-}
+Executor::Executor(int Jobs) : NumWorkers(resolveJobs(Jobs)) {}
 
 Executor::~Executor() {
   {
@@ -74,11 +70,20 @@ void Executor::parallelFor(size_t TaskCount,
       TaskFn(I);
     return;
   }
-  if (Threads.empty()) {
+  if (NumWorkers == 1 || TaskCount == 1) {
     // Serial reference path: exceptions propagate straight to the caller.
+    // A one-task batch runs here too: the pool could add no parallelism.
     for (size_t I = 0; I < TaskCount; ++I)
       TaskFn(I);
     return;
+  }
+  // Workers start with the first batch that can use them, so a process
+  // whose batches are all single tasks (a 1x1x1 plan) stays one thread
+  // and keeps the C library's single-threaded fast paths.
+  if (Threads.empty()) {
+    Threads.reserve(NumWorkers - 1);
+    for (unsigned J = 1; J < NumWorkers; ++J)
+      Threads.emplace_back([this] { workerMain(); });
   }
 
   {

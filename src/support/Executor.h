@@ -6,9 +6,9 @@
 ///
 /// \file
 /// The one thread-pool implementation in the tree. Every parallel stage of
-/// the measurement stack -- trial fan-out, per-seed trace recording,
-/// benchmark sharding, the cross-machine sweep, and HALO/HDS pipeline
-/// materialisation -- routes through an Executor rather than hand-rolled
+/// the measurement stack -- trial fan-out, per-seed trace recording, the
+/// plan stages under runPlan, and HALO/HDS pipeline materialisation --
+/// routes through an Executor rather than hand-rolled
 /// std::thread code, so the concurrency semantics (deterministic
 /// task-to-slot ordering, exception propagation, a serial jobs=1 path)
 /// are defined in exactly one place.
@@ -47,11 +47,12 @@ unsigned resolveJobs(int Jobs);
 
 /// A fixed pool of worker threads driving index-based parallel loops.
 ///
-/// The pool holds workers() - 1 threads; the calling thread is the final
-/// worker, so Executor(1) spawns no threads at all and parallelFor
-/// degenerates to an inline serial loop (the deterministic reference the
-/// parallel paths are tested against). One Executor may run any number of
-/// parallelFor batches; workers persist across them.
+/// The pool holds workers() - 1 threads, started by the first batch of
+/// two or more tasks; the calling thread is the final worker, so
+/// Executor(1) spawns no threads at all and parallelFor degenerates to an
+/// inline serial loop (the deterministic reference the parallel paths are
+/// tested against). One Executor may run any number of parallelFor
+/// batches; workers persist across them.
 class Executor {
 public:
   /// \p Jobs as resolveJobs() interprets it.
@@ -65,14 +66,15 @@ public:
 
   /// Runs Fn(Index) for every Index in [0, Count). Indices are claimed in
   /// ascending order off a shared counter and the call returns only after
-  /// all of them finished. If any task throws, the remaining unclaimed
-  /// indices are abandoned and the first captured exception is rethrown
-  /// here after the batch drains (the pool stays usable). One batch runs
+  /// all of them finished; a one-task batch runs inline on the caller. If
+  /// any task throws, the remaining unclaimed indices are abandoned and
+  /// the first captured exception is rethrown here after the batch drains
+  /// (the pool stays usable). One batch runs
   /// at a time: a task that calls back into its own Executor gets an
   /// inline serial loop on its thread (the batch bookkeeping is a
   /// per-batch singleton, so nested dispatch cannot share the pool), which
-  /// keeps composed parallel stages -- e.g. a sharded replay inside a plan
-  /// task -- deadlock-free without a second scheduling policy.
+  /// keeps an accidental nested call deadlock-free. Callers fan their
+  /// tasks out over one batch rather than nesting pools.
   void parallelFor(size_t Count, const std::function<void(size_t)> &Fn);
 
 private:

@@ -64,9 +64,8 @@ enum class TraceOp : uint8_t {
   Realloc,   ///< old object id, site, new size; mints the next object id
 };
 
-/// Operand count of \p Op (every operand is one varint). Shared by the
-/// consumers that skip records without decoding them: the shard planner's
-/// boundary scan and the save-time block cutter.
+/// Operand count of \p Op (every operand is one varint), for consumers
+/// that skip records without decoding them: the save-time block cutter.
 inline unsigned traceOperandCount(TraceOp Op) {
   switch (Op) {
   case TraceOp::Return:
@@ -162,19 +161,8 @@ public:
     return Reader(Buffer.data(), Buffer.data() + Buffer.size());
   }
 
-  /// Decoder over the half-open byte range [\p Begin, \p End) of the
-  /// buffer. Both bounds must fall on record boundaries -- sharded replay
-  /// derives them from a record-skipping scan (see data()) and decodes
-  /// each shard's range with an ordinary Reader.
-  Reader reader(uint64_t Begin, uint64_t End) const {
-    assert(Begin <= End && End <= Buffer.size() && "shard range out of trace");
-    return Reader(Buffer.data() + Begin, Buffer.data() + End);
-  }
-
   /// Raw encoded bytes (byteSize() of them): a tag byte per record followed
-  /// by its varint operands. The shard-boundary scan walks this directly --
-  /// skipping operands needs no operand decoding, just the varint
-  /// continuation bit -- to cut the trace at record starts.
+  /// by its varint operands. The replay loop decodes straight from here.
   const uint8_t *data() const { return Buffer.data(); }
 
   /// Chunked batch decoder: decodes up to N records per fill() into a

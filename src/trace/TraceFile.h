@@ -32,13 +32,11 @@
 /// (support/Lz.h, with a raw fallback when compression does not pay), so
 /// any block decodes without touching its predecessors; the footer entry
 /// carries everything a decoder must seed -- the block's first event
-/// ordinal, first object id, and first realloc ordinal -- which is what
-/// lets shardedReplay cut shards at block boundaries with no serial
-/// prepass scan. The footer lives at the end (located through the
-/// fixed-size trailer, zip-style) because the writer streams blocks out
-/// before it can know their count. Checksums make corruption detection
-/// block-granular: the artifact store treats any validation failure as
-/// absence and re-records.
+/// ordinal, first object id, and first realloc ordinal. The footer lives
+/// at the end (located through the fixed-size trailer, zip-style) because
+/// the writer streams blocks out before it can know their count.
+/// Checksums make corruption detection block-granular: the artifact store
+/// treats any validation failure as absence and re-records.
 ///
 /// Blocks are cut by one deterministic rule -- the shortest record prefix
 /// of at least TraceBlockBytes encoded bytes -- applied identically by the

@@ -2,9 +2,10 @@
 #
 # The simulator is deterministic, so the full run JSON on the default
 # machine is a fixed byte string; tests/golden/run_health.json pins it.
-# Any refactor that claims "no behaviour change" must keep both the
-# machine-less invocation and the explicit --machine xeon-w2195 spelling
-# byte-identical to the committed golden.
+# Any refactor that claims "no behaviour change" must keep the
+# machine-less invocation, the explicit --machine xeon-w2195 spelling, and
+# the --jobs 1 / --jobs 4 spellings byte-identical to the committed golden
+# (the worker count only moves work between threads).
 #
 # Invoked as:
 #   cmake -DHALO_CLI=<path> -DGOLDEN=<path> -DWORK_DIR=<dir> -P this_file
@@ -17,11 +18,15 @@ endforeach()
 
 file(MAKE_DIRECTORY ${WORK_DIR})
 
-foreach(Spelling "default" "named")
+foreach(Spelling "default" "named" "jobs1" "jobs4")
   if(Spelling STREQUAL "default")
     set(Args run health --trials 2)
-  else()
+  elseif(Spelling STREQUAL "named")
     set(Args run health --trials 2 --machine xeon-w2195)
+  elseif(Spelling STREQUAL "jobs1")
+    set(Args run health --trials 2 --jobs 1)
+  else()
+    set(Args run health --trials 2 --jobs 4)
   endif()
   set(Out ${WORK_DIR}/run_health_${Spelling}.json)
   execute_process(COMMAND ${HALO_CLI} ${Args}

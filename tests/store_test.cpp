@@ -496,7 +496,7 @@ TEST(StoreTraceFiles, MappedPlansColdWarmAndHealBitIdentically) {
   ExperimentPlan ColdPlan = buildPlan({smallSpec()}, {}, &*Store);
   EXPECT_EQ(ColdPlan.numRecordings(), 2u);
   ResultSet Cold =
-      runPlan(ColdPlan, /*Jobs=*/2, ReplayMode::Auto, TraceMode::Mapped);
+      runPlan(ColdPlan, /*Jobs=*/2, TraceMode::Mapped);
 
   // No abandoned recorder temp files survive a clean cold run.
   for (const ArtifactStore::Entry &E : Store->entries())
@@ -508,10 +508,10 @@ TEST(StoreTraceFiles, MappedPlansColdWarmAndHealBitIdentically) {
   ExperimentPlan WarmPlan = buildPlan({smallSpec()}, {}, &*Store);
   EXPECT_EQ(WarmPlan.numRecordings(), 0u);
   ResultSet Warm =
-      runPlan(WarmPlan, /*Jobs=*/2, ReplayMode::Auto, TraceMode::Mapped);
+      runPlan(WarmPlan, /*Jobs=*/2, TraceMode::Mapped);
   ExperimentPlan OraclePlan = buildPlan({smallSpec()});
   ResultSet Oracle =
-      runPlan(OraclePlan, /*Jobs=*/1, ReplayMode::Auto, TraceMode::Memory);
+      runPlan(OraclePlan, /*Jobs=*/1, TraceMode::Memory);
   ASSERT_EQ(Warm.size(), Cold.size());
   ASSERT_EQ(Oracle.size(), Cold.size());
   for (size_t C = 0; C < Cold.size(); ++C) {
@@ -528,7 +528,7 @@ TEST(StoreTraceFiles, MappedPlansColdWarmAndHealBitIdentically) {
   StoreKey Lost = traceStoreKey("ft", Scale::Test, 100);
   flipByte(entryFile(*Store, Lost));
   ResultSet Healed =
-      runPlan(HealPlan, /*Jobs=*/2, ReplayMode::Auto, TraceMode::Mapped);
+      runPlan(HealPlan, /*Jobs=*/2, TraceMode::Mapped);
   for (size_t C = 0; C < Cold.size(); ++C) {
     SCOPED_TRACE("healed cell " + std::to_string(C));
     expectSameRuns(Cold.cells()[C].Runs, Healed.cells()[C].Runs);

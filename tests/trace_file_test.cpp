@@ -4,9 +4,9 @@
 // codec round-trips and rejects malformed streams; streaming a recording
 // to disk produces byte-for-byte the file save() writes; the footer index
 // describes exactly the blocks; corruption of any byte is detected at
-// open(); and -- the fifth equivalence contract -- a mapped trace replays
-// bit-identically to the in-RAM oracle under every allocator kind, jobs
-// count, and ReplayMode, from a raw Runtime up through runPlan.
+// open(); and -- the fourth equivalence contract -- a mapped trace replays
+// bit-identically to the in-RAM oracle under every allocator kind and
+// jobs count, from a raw Runtime up through runPlan.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,7 +16,6 @@
 #include "eval/Experiment.h"
 #include "mem/BoundaryTagAllocator.h"
 #include "mem/SizeClassAllocator.h"
-#include "support/Executor.h"
 #include "support/Lz.h"
 #include "trace/EventTrace.h"
 
@@ -410,10 +409,9 @@ TEST(MappedTraceDecode, CursorMatchesInRamCursorAcrossBlockBoundaries) {
   }
 }
 
-TEST(MappedTraceReplay, SerialAndShardedMatchTheInRamOracle) {
+TEST(MappedTraceReplay, MatchesTheInRamOracle) {
   // The raw Runtime level of "mapped = in-RAM": same trace, one replay
-  // through the buffer and one through the file, every counter equal --
-  // serial and sharded, one worker and several.
+  // through the buffer and one through the file, every counter equal.
   auto W = createWorkload("health");
   Program P;
   W->build(P);
@@ -438,12 +436,6 @@ TEST(MappedTraceReplay, SerialAndShardedMatchTheInRamOracle) {
 
   auto Oracle = Measure([&](Runtime &RT) { RT.replay(Trace); });
   EXPECT_EQ(Measure([&](Runtime &RT) { RT.replay(Mapped); }), Oracle);
-  for (int Jobs : {1, 4}) {
-    SCOPED_TRACE("jobs " + std::to_string(Jobs));
-    Executor Pool(Jobs);
-    EXPECT_EQ(Measure([&](Runtime &RT) { shardedReplay(RT, Mapped, Pool); }),
-              Oracle);
-  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -531,19 +523,16 @@ void expectSameCells(const ResultSet &A, const ResultSet &B) {
 
 } // namespace
 
-TEST(TraceModePlans, EveryModeAndReplayModeMatchesTheMemoryPlan) {
+TEST(TraceModePlans, EveryModeAndJobsCountMatchesTheMemoryPlan) {
   ExperimentPlan Oracle = buildPlan({planSpec()});
-  ResultSet Memory =
-      runPlan(Oracle, /*Jobs=*/1, ReplayMode::Auto, TraceMode::Memory);
+  ResultSet Memory = runPlan(Oracle, /*Jobs=*/1, TraceMode::Memory);
 
   for (TraceMode Traces : {TraceMode::Mapped, TraceMode::Auto}) {
-    for (ReplayMode Mode : {ReplayMode::Serial, ReplayMode::Sharded}) {
-      for (int Jobs : {1, 4}) {
-        SCOPED_TRACE(std::string(traceModeName(Traces)) + "/" +
-                     replayModeName(Mode) + "/jobs " + std::to_string(Jobs));
-        ExperimentPlan Plan = buildPlan({planSpec()});
-        expectSameCells(Memory, runPlan(Plan, Jobs, Mode, Traces));
-      }
+    for (int Jobs : {1, 4}) {
+      SCOPED_TRACE(std::string(traceModeName(Traces)) + "/jobs " +
+                   std::to_string(Jobs));
+      ExperimentPlan Plan = buildPlan({planSpec()});
+      expectSameCells(Memory, runPlan(Plan, Jobs, Traces));
     }
   }
 }
