@@ -6,15 +6,16 @@
 ///
 /// \file
 /// Helpers shared by the figure/table bench binaries: trial counts, the
-/// paper's approximate reference values (read off its figures) for
-/// side-by-side printing, and small formatting utilities.
+/// one plan-backed measurement call the figure drivers share, the paper's
+/// approximate reference values (read off its figures) for side-by-side
+/// printing, and small formatting utilities.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef HALO_BENCH_BENCHCOMMON_H
 #define HALO_BENCH_BENCHCOMMON_H
 
-#include "eval/Evaluation.h"
+#include "eval/Experiment.h"
 #include "eval/Report.h"
 #include "support/Format.h"
 #include "support/Stats.h"
@@ -22,7 +23,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace halo {
@@ -79,6 +82,39 @@ inline int trials() {
   if (const char *Env = std::getenv("HALO_BENCH_TRIALS"))
     return std::max(1, std::atoi(Env));
   return 3;
+}
+
+/// The figure drivers' measurement path: \p Kinds on every benchmark in
+/// \p Benchmarks at ref scale, trials() trials per cell, on the setup's
+/// machine (the default preset), as one plan over every core.
+/// \p MakeSetup replaces paperSetup() (see ExperimentSpec::MakeSetup).
+inline ResultSet
+measure(std::vector<std::string> Benchmarks, std::vector<AllocatorKind> Kinds,
+        std::function<BenchmarkSetup(const std::string &)> MakeSetup =
+            nullptr) {
+  ExperimentSpec Spec;
+  Spec.Benchmarks = std::move(Benchmarks);
+  Spec.Kinds = std::move(Kinds);
+  Spec.S = Scale::Ref;
+  Spec.Trials = trials();
+  Spec.MakeSetup = std::move(MakeSetup);
+  ExperimentPlan Plan = buildPlan({Spec});
+  return runPlan(Plan);
+}
+
+/// The per-trial runs of \p Benchmark under \p Kind in a measure() result;
+/// exits if the plan never measured that cell.
+inline const std::vector<RunMetrics> &runs(const ResultSet &Results,
+                                           const std::string &Benchmark,
+                                           AllocatorKind Kind) {
+  const ResultSet::Cell *Cell =
+      Results.find(Benchmark, defaultMachine().Name, Kind, Scale::Ref);
+  if (!Cell) {
+    std::fprintf(stderr, "no %s cell for %s\n", allocatorKindName(Kind),
+                 Benchmark.c_str());
+    std::exit(1);
+  }
+  return Cell->Runs;
 }
 
 /// Paper reference values, read off Figures 13/14 (approximate, in

@@ -18,12 +18,11 @@ int main() {
   R.setColumns({"benchmark", "L1D miss reduction", "time improvement"});
   double MaxMiss = 0.0;
   int Wins = 0, Total = 0;
+  ResultSet Results = bench::measure(
+      workloadNames(), {AllocatorKind::Ptmalloc, AllocatorKind::Jemalloc});
   for (const std::string &Name : workloadNames()) {
-    Evaluation Eval(paperSetup(Name));
-    auto Pt = Eval.measureTrials(AllocatorKind::Ptmalloc, Scale::Ref,
-                                 bench::trials());
-    auto Je = Eval.measureTrials(AllocatorKind::Jemalloc, Scale::Ref,
-                                 bench::trials());
+    const auto &Pt = bench::runs(Results, Name, AllocatorKind::Ptmalloc);
+    const auto &Je = bench::runs(Results, Name, AllocatorKind::Jemalloc);
     double Miss = percentImprovement(Evaluation::medianL1Misses(Pt),
                                      Evaluation::medianL1Misses(Je));
     double Time = percentImprovement(Evaluation::medianSeconds(Pt),

@@ -5,9 +5,9 @@
 //
 //   plan:       one buildPlan/runPlan call whose record and replay stages
 //               span every benchmark and machine at once, and
-//   sequential: the pre-plan shape, one sweepMachines call per benchmark
-//               back to back (each parallel internally, but the pool
-//               drains and refills at every benchmark boundary).
+//   sequential: one runPlan call per benchmark, back to back (each
+//               parallel internally, but the pool drains and refills at
+//               every benchmark boundary).
 //
 // Both produce bit-identical cells (asserted); the rows record the
 // wall-clock of each scheduling shape. On a single-core host the two
@@ -35,7 +35,6 @@
 #include "BenchCommon.h"
 #include "eval/Experiment.h"
 #include "store/ArtifactStore.h"
-#include "support/Executor.h"
 
 #include <chrono>
 #include <cstdio>
@@ -148,33 +147,39 @@ int main(int Argc, char **Argv) {
   ResultSet Results = runPlan(Plan, /*Jobs=*/0);
   double PlanMs = nowMs() - PlanStart;
 
-  // Sequential shape: one sweepMachines call per benchmark, back to back.
+  // Sequential shape: one plan per benchmark, back to back.
   double SeqStart = nowMs();
-  std::vector<std::vector<SweepCell>> Sequential;
+  std::vector<ResultSet> Sequential;
   for (const char *Name : Benchmarks) {
-    Evaluation Eval(paperSetup(Name));
-    Sequential.push_back(sweepMachines(Eval, MachinePtrs, Trials, Scale::Ref,
-                                       /*SeedBase=*/100, /*Jobs=*/0));
+    ExperimentSpec One = Spec;
+    One.Benchmarks = {Name};
+    ExperimentPlan OnePlan = buildPlan({One});
+    Sequential.push_back(runPlan(OnePlan, /*Jobs=*/0));
   }
   double SeqMs = nowMs() - SeqStart;
 
   // Scheduling must never change the numbers: every sequential cell has a
-  // bit-identical twin in the plan's ResultSet.
-  static const AllocatorKind Kinds[] = {
-      AllocatorKind::Jemalloc, AllocatorKind::Hds, AllocatorKind::Halo};
-  for (size_t B = 0; B < Sequential.size(); ++B)
-    for (size_t M = 0; M < MachinePtrs.size(); ++M)
-      for (size_t K = 0; K < 3; ++K) {
-        const SweepCell &Cell = Sequential[B][M * 3 + K];
-        const ResultSet::Cell *Twin = Results.find(
-            Benchmarks[B], MachinePtrs[M]->Name, Kinds[K], Scale::Ref);
-        if (!Twin || Twin->Runs.size() != Cell.Runs.size()) {
-          std::fprintf(stderr, "bench_experiments: missing plan cell\n");
-          return 1;
-        }
-        for (size_t T = 0; T < Cell.Runs.size(); ++T)
-          expectIdentical(Cell.Runs[T], Twin->Runs[T], Benchmarks[B]);
+  // bit-identical twin in the whole-matrix plan's ResultSet.
+  size_t SequentialCells = 0;
+  for (const ResultSet &One : Sequential)
+    SequentialCells += One.size();
+  if (SequentialCells != Results.size()) {
+    std::fprintf(stderr, "bench_experiments: sequential plans lost cells\n");
+    return 1;
+  }
+  for (const ResultSet &One : Sequential)
+    for (const ResultSet::Cell &Cell : One.cells()) {
+      const ResultSet::Cell *Twin =
+          Results.find(Cell.Key.Benchmark, Cell.Key.Machine, Cell.Key.Kind,
+                       Cell.Key.S);
+      if (!Twin || Twin->Runs.size() != Cell.Runs.size()) {
+        std::fprintf(stderr, "bench_experiments: missing plan cell\n");
+        return 1;
       }
+      for (size_t T = 0; T < Cell.Runs.size(); ++T)
+        expectIdentical(Cell.Runs[T], Twin->Runs[T],
+                        Cell.Key.Benchmark.c_str());
+    }
 
   // Store shape: the same plan twice against a fresh temp store -- the
   // first run records cold and publishes, the second must schedule zero

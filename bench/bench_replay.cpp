@@ -3,9 +3,10 @@
 // Measures the record-once/replay-many machinery: per-event throughput of
 // direct workload execution vs trace replay under the measurement
 // configuration (jemalloc model + full memory hierarchy), the cost of
-// recording, and the end-to-end effect on a compareTechniques-style sweep
+// recording, and the end-to-end effect on a Figure 13/14-style sweep
 // (every allocator kind x several trials) run the pre-trace way (direct,
-// serial) vs the trace way (shared per-seed recordings + parallel trials).
+// serial) vs the trace way (one plan: shared per-seed recordings, trials
+// fanned out by runPlan).
 //
 // Emits rows in the repo's stable trajectory schema
 //   {"bench", "nodes", "edges", "wall_ms", "trials"}
@@ -28,7 +29,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
-#include "eval/Evaluation.h"
+#include "eval/Experiment.h"
 #include "mem/SizeClassAllocator.h"
 #include "support/Rng.h"
 #include "trace/EventTrace.h"
@@ -487,9 +488,9 @@ int main(int Argc, char **Argv) {
   //===--------------------------------------------------------------------===//
   // End-to-end sweep: every allocator kind x Trials trials on one
   // benchmark, the pre-trace way (direct execution, serial) vs the trace
-  // way (per-seed recordings shared by all kinds + parallel trials).
-  // Pipeline artifacts are materialised up front on both sides so the
-  // rows compare pure measurement.
+  // way (one plan: per-seed recordings shared by all kinds, then every
+  // trial replayed across the pool). Pipeline artifacts are materialised
+  // up front on both sides so the rows compare pure measurement.
   //===--------------------------------------------------------------------===//
 
   {
@@ -510,12 +511,16 @@ int main(int Argc, char **Argv) {
     TraceEval.haloArtifacts();
     TraceEval.hdsArtifacts();
     double TraceStart = nowMs();
-    for (AllocatorKind Kind : SweepKinds) {
-      auto Runs = TraceEval.measureTrials(Kind, Scale::Ref, Trials, 100,
-                                          /*Jobs=*/0);
-      for (const RunMetrics &M : Runs)
+    ExperimentSpec Spec;
+    Spec.Benchmarks = {Name};
+    Spec.Kinds.assign(std::begin(SweepKinds), std::end(SweepKinds));
+    Spec.S = Scale::Ref;
+    Spec.Trials = Trials;
+    ExperimentPlan Plan = buildPlan({Spec}, {&TraceEval});
+    ResultSet Results = runPlan(Plan, /*Jobs=*/0);
+    for (const ResultSet::Cell &Cell : Results.cells())
+      for (const RunMetrics &M : Cell.Runs)
         Guard += M.Cycles;
-    }
     double TraceMs = nowMs() - TraceStart;
     if (Guard == 0)
       return 1;

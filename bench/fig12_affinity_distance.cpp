@@ -15,19 +15,20 @@ int main() {
   Report R("Figure 12: omnetpp execution time vs affinity distance");
   R.setColumns({"affinity distance", "median time (sim s)", "vs baseline"});
 
-  BenchmarkSetup Base = paperSetup("omnetpp");
-  Evaluation BaseEval(Base);
-  auto BaseRuns = BaseEval.measureTrials(AllocatorKind::Jemalloc, Scale::Ref,
-                                         bench::trials());
-  double BaseTime = Evaluation::medianSeconds(BaseRuns);
+  ResultSet Base = bench::measure({"omnetpp"}, {AllocatorKind::Jemalloc});
+  double BaseTime = Evaluation::medianSeconds(
+      bench::runs(Base, "omnetpp", AllocatorKind::Jemalloc));
 
+  // A plan holds one setup per benchmark name, so each distance is a plan.
   for (int Power = 3; Power <= 17; Power += 2) {
-    BenchmarkSetup Setup = paperSetup("omnetpp");
-    Setup.Halo.Profile.AffinityDistance = uint64_t(1) << Power;
-    Evaluation Eval(Setup);
-    auto Runs =
-        Eval.measureTrials(AllocatorKind::Halo, Scale::Ref, bench::trials());
-    double Time = Evaluation::medianSeconds(Runs);
+    ResultSet Halo = bench::measure(
+        {"omnetpp"}, {AllocatorKind::Halo}, [Power](const std::string &Name) {
+          BenchmarkSetup Setup = paperSetup(Name);
+          Setup.Halo.Profile.AffinityDistance = uint64_t(1) << Power;
+          return Setup;
+        });
+    double Time = Evaluation::medianSeconds(
+        bench::runs(Halo, "omnetpp", AllocatorKind::Halo));
     R.addRow({"2^" + std::to_string(Power), formatDouble(Time, 4),
               formatPercent(percentImprovement(BaseTime, Time))});
   }

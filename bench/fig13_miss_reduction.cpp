@@ -15,8 +15,11 @@ int main() {
            std::to_string(bench::trials()) + " trials)");
   R.setColumns({"benchmark", "Chilimbi et al.", "HALO", "paper HDS~",
                 "paper HALO~"});
+  ResultSet Results = bench::measure(
+      workloadNames(),
+      {AllocatorKind::Jemalloc, AllocatorKind::Hds, AllocatorKind::Halo});
   for (const std::string &Name : workloadNames()) {
-    ComparisonRow Row = compareTechniques(Name, bench::trials());
+    ComparisonRow Row = comparisonRow(Results, Name, defaultMachine().Name);
     bench::PaperRow Paper = bench::paperFigures(Name);
     R.addRow({Name, formatPercent(Row.HdsMissReduction),
               formatPercent(Row.HaloMissReduction),

@@ -16,12 +16,12 @@ int main() {
            "(median of " +
            std::to_string(bench::trials()) + " trials)");
   R.setColumns({"benchmark", "speedup", "sensitive?"});
+  ResultSet Results = bench::measure(
+      workloadNames(), {AllocatorKind::Jemalloc, AllocatorKind::RandomPools});
   for (const std::string &Name : workloadNames()) {
-    Evaluation Eval(paperSetup(Name));
-    auto Base = Eval.measureTrials(AllocatorKind::Jemalloc, Scale::Ref,
-                                   bench::trials());
-    auto Random = Eval.measureTrials(AllocatorKind::RandomPools, Scale::Ref,
-                                     bench::trials());
+    const auto &Base = bench::runs(Results, Name, AllocatorKind::Jemalloc);
+    const auto &Random =
+        bench::runs(Results, Name, AllocatorKind::RandomPools);
     double Speedup = percentImprovement(Evaluation::medianSeconds(Base),
                                         Evaluation::medianSeconds(Random));
     R.addRow({Name, formatPercent(Speedup),

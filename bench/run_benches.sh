@@ -15,7 +15,7 @@
 #     halo_cli cross-machine sweep: jemalloc/hds/halo medians on every
 #     machine preset. bench_experiments appends its experiments_mixed
 #     rows: the same mixed matrix scheduled as one experiment plan vs
-#     back-to-back sweepMachines calls (plan / sequential kinds).
+#     back-to-back per-benchmark plans (plan / sequential kinds).
 #     bench_serve appends its serve rows: the matrix run locally vs
 #     streamed through an in-process halo serve daemon, cold and warm
 #     (serve_local / serve_daemon / serve_daemon_warm kinds), all three

@@ -14,6 +14,8 @@
 //   halo_cli hds <benchmark> [--trials N] [--jobs N] [--machine NAME]
 //   halo_cli trace <benchmark>       # record an event trace, print counts
 //   halo_cli plot [benchmark...] [--trials N] [--jobs N] [--machine NAME]
+//            [--chunk-size BYTES] [--max-spare-chunks N] [--max-groups N]
+//            [--affinity-distance A]
 //   halo_cli machines                # list the machine presets
 //   halo_cli sweep [benchmark...] [--trials N] [--jobs N] [--out FILE]
 //   halo_cli experiments [benchmark...] [--machines NAME,...|all]
@@ -52,7 +54,10 @@
 // kinds -- and writes the unified JSON keyed by the full measurement key.
 // --out redirects any JSON-emitting subcommand's document to a file
 // (written through a temp file and renamed into place, except for an
-// existing device or FIFO, which is written directly).
+// existing device or FIFO, which is written directly); a failed write
+// exits 1 and leaves the previous file alone. The setup flags
+// (--chunk-size, --max-spare-chunks, --max-groups, --affinity-distance)
+// are usage errors on the commands that build no benchmark setup.
 //
 //===----------------------------------------------------------------------===//
 
@@ -71,6 +76,7 @@
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -390,6 +396,18 @@ CliOptions parseArgs(int Argc, char **Argv) {
       Opts.Command != "serve")
     usageError("--trace-mode is only valid with the measuring commands "
                "(baseline run hds sweep experiments serve)");
+  // The setup flags configure the BenchmarkSetup a measuring command
+  // builds; the commands that build none must not accept and drop them.
+  bool SetupCommand = Opts.Command == "baseline" || Opts.Command == "run" ||
+                      Opts.Command == "hds" || Opts.Command == "plot" ||
+                      Opts.Command == "sweep" ||
+                      Opts.Command == "experiments";
+  if (!SetupCommand && (Opts.ChunkSize || Opts.MaxSpareChunks >= 0 ||
+                        Opts.MaxGroups || Opts.AffinityDistance))
+    usageError("--chunk-size, --max-spare-chunks, --max-groups and "
+               "--affinity-distance are only valid with the commands that "
+               "build a benchmark setup (baseline run hds plot sweep "
+               "experiments)");
   if (Opts.Command == "trace" && Opts.Benchmark == "info") {
     if (Opts.TraceFile.empty())
       usageError("trace info needs a trace file to inspect");
@@ -460,15 +478,31 @@ FILE *openOutput(const std::string &Path) {
 
 /// Closes an openOutput() stream, moves the temp file into place, and
 /// acknowledges file writes; \p Detail is appended to the notice
-/// (e.g. " (12 rows)").
+/// (e.g. " (12 rows)"). A failed write (ENOSPC, EIO, ...) removes the
+/// temp file, leaving any previous document untouched, and exits 1.
 void closeOutput(FILE *Out, const std::string &Path,
                  const std::string &Detail = "") {
   if (Out == stdout)
     return;
-  std::fclose(Out);
+  bool InPlace = writesInPlace(Path);
   std::string TmpPath = Path + ".tmp";
-  if (!writesInPlace(Path) &&
-      std::rename(TmpPath.c_str(), Path.c_str()) != 0) {
+  // fflush surfaces an error a buffered write deferred, ferror one an
+  // earlier write already hit, and fclose can still fail on its own.
+  errno = 0;
+  bool Failed = std::fflush(Out) != 0 || std::ferror(Out);
+  int Errno = errno;
+  if (std::fclose(Out) != 0 && !Failed) {
+    Failed = true;
+    Errno = errno;
+  }
+  if (Failed) {
+    if (!InPlace)
+      std::remove(TmpPath.c_str());
+    std::fprintf(stderr, "halo_cli: cannot write %s: %s\n", Path.c_str(),
+                 Errno ? std::strerror(Errno) : "write error");
+    std::exit(1);
+  }
+  if (!InPlace && std::rename(TmpPath.c_str(), Path.c_str()) != 0) {
     std::fprintf(stderr, "halo_cli: cannot move %s into place\n",
                  Path.c_str());
     std::exit(1);
@@ -549,12 +583,22 @@ int runPlot(const CliOptions &Opts) {
   std::printf("HALO vs jemalloc on %s (top: L1D miss reduction, bottom: "
               "speedup), %d trial(s)\n\n",
               M.Name.c_str(), Opts.Trials);
-  // One plan behind the scenes: cells fan out at benchmark x kind x trial
-  // granularity; rows come back in request order and bit-identical to a
-  // serial run.
-  std::vector<ComparisonRow> Rows =
-      compareAcrossBenchmarks(Names, Opts.Trials, Scale::Ref, Opts.Jobs, M);
-  for (const ComparisonRow &Row : Rows) {
+  // One plan, its setups built like sweep's so the setup flags apply:
+  // cells fan out at benchmark x kind x trial granularity, and each row
+  // reduces its benchmark's three cells (repeated names repeat the row).
+  ExperimentSpec Spec;
+  Spec.Benchmarks = Names;
+  Spec.Kinds = {AllocatorKind::Jemalloc, AllocatorKind::Hds,
+                AllocatorKind::Halo};
+  Spec.S = Scale::Ref;
+  Spec.Trials = Opts.Trials;
+  Spec.MakeSetup = [&Opts](const std::string &Name) {
+    return setupFor(Opts, Name);
+  };
+  ExperimentPlan Plan = buildPlan({Spec});
+  ResultSet Results = runPlan(Plan, Opts.Jobs);
+  for (const std::string &Name : Names) {
+    ComparisonRow Row = comparisonRow(Results, Name, M.Name);
     std::printf("%s\n", Row.Benchmark.c_str());
     asciiBar("hds", Row.HdsMissReduction, 40.0);
     asciiBar("halo", Row.HaloMissReduction, 40.0);

@@ -10,6 +10,13 @@
 # clean client-initiated shutdown (exit 0, socket file gone). And --out
 # aimed at a FIFO must write through it and leave it a FIFO.
 #
+# Two source checks run first: no file under src/ other than runPlan's
+# (eval/Experiment.cpp) and the serve daemon's (serve/Server.cpp) may
+# construct an Executor -- the one-scheduler rule -- and the repository
+# benchmark (benchmark/, its own CMake project in build-bench/) must build
+# against the current library and pass its self-test, so an API change
+# that breaks it fails here rather than in a benchmark run.
+#
 # Usage: scripts/ci.sh [build-dir [sanitize-build-dir]]
 #   build dirs default to build/ and build-asan/ at the repo root;
 #   CTEST_PARALLEL overrides the ctest -j level.
@@ -131,6 +138,41 @@ serve_smoke() {
   daemon_pid=""
   [[ ! -e "$sock" ]]
 }
+
+# The one-scheduler rule, mechanically: a declaration that constructs an
+# Executor (a named variable, a temporary, make_unique/make_shared, new)
+# anywhere under src/ outside the allow-list fails CI. Comment lines are
+# skipped.
+executor_rule() {
+  local hits
+  hits="$(cd "$ROOT" &&
+    grep -rnE '\bExecutor([[:space:]]+[A-Za-z_][A-Za-z0-9_]*[[:space:]]*[({;]|[[:space:]]*[({])|(make_unique|make_shared)<Executor>|new[[:space:]]+Executor\b' \
+      src --include='*.h' --include='*.cpp' |
+    grep -vE '^[^:]+:[0-9]+:[[:space:]]*(//|\*)' |
+    grep -vE '^src/(eval/Experiment\.cpp|serve/Server\.cpp|support/Executor\.(h|cpp)):' ||
+    true)"
+  if [[ -n "$hits" ]]; then
+    echo "executor_rule: only eval/Experiment.cpp (runPlan) and" \
+         "serve/Server.cpp (the daemon) may construct an Executor:" >&2
+    echo "$hits" >&2
+    return 1
+  fi
+}
+
+# The repository benchmark builds from these sources with its own CMake
+# project; build both of its drivers and run its self-test.
+benchmark_build() {
+  cmake -S "$ROOT/benchmark" -B "$ROOT/build-bench" -DCMAKE_BUILD_TYPE=Release
+  cmake --build "$ROOT/build-bench" -j "$(nproc)" \
+      --target halo_bench halo_bench_layers
+  bash "$ROOT/benchmark/run.sh" --self-test
+}
+
+echo "== source: one-scheduler rule =="
+executor_rule
+
+echo "== source: benchmark/ builds and self-tests =="
+benchmark_build
 
 echo "== tier-1: Release build + ctest ($BUILD) =="
 cmake -B "$BUILD" -S "$ROOT"

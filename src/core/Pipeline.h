@@ -75,9 +75,8 @@ HaloArtifacts optimizeBinary(const Program &Prog,
 /// observer hook (RuntimeObserver::onAccessBatch) -- one dispatch per run
 /// of consecutive accesses. This lets one recording feed both the HALO and
 /// hot-data-streams pipelines (and any number of parameter or machine
-/// sweeps); the two pipelines share no mutable state, so
-/// Evaluation::prepareAllArtifacts materialises them as parallel executor
-/// tasks.
+/// sweeps); the two pipelines share no mutable state, so runPlan's
+/// artifact stage materialises them as two parallel tasks.
 HaloArtifacts optimizeBinary(const Program &Prog, const EventTrace &Trace,
                              const HaloParameters &Params = HaloParameters(),
                              const MachineConfig &Machine = defaultMachine());

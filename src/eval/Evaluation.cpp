@@ -5,11 +5,8 @@
 #include "mem/BoundaryTagAllocator.h"
 #include "mem/RandomPoolAllocator.h"
 #include "mem/SizeClassAllocator.h"
-#include "support/Executor.h"
 #include "support/Stats.h"
 
-#include <algorithm>
-#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -42,7 +39,8 @@ BenchmarkSetup halo::paperSetup(const std::string &Benchmark) {
 
 Evaluation::Evaluation(BenchmarkSetup SetupIn) : Setup(std::move(SetupIn)) {
   W = createWorkload(Setup.Name);
-  assert(W && "unknown benchmark");
+  if (!W)
+    throw std::invalid_argument("unknown benchmark '" + Setup.Name + "'");
   W->build(Prog);
 }
 
@@ -50,8 +48,8 @@ const HaloArtifacts &Evaluation::haloArtifacts() {
   // One mutex per artifact kind: concurrent plans sharing this Evaluation
   // (the serve daemon's steady state) materialise once and the losers
   // wait, while the HALO and HDS pipelines still profile in parallel
-  // (prepareAllArtifacts runs them as two tasks). Lock order is artifact
-  // mutex before TraceMutex (via trace()), nowhere the reverse.
+  // (runPlan's artifact stage runs them as two tasks). Lock order is
+  // artifact mutex before TraceMutex (via trace()), nowhere the reverse.
   std::lock_guard<std::mutex> Lock(HaloArtMutex);
   if (!HaloArt)
     HaloArt = optimizeBinary(Prog,
@@ -180,28 +178,6 @@ const MappedTrace &Evaluation::addMappedTrace(Scale S, uint64_t Seed,
       .first->second;
 }
 
-bool Evaluation::usesMappedReplay(Scale S, uint64_t Seed) {
-  switch (Mode.load(std::memory_order_relaxed)) {
-  case TraceMode::Memory:
-    return false;
-  case TraceMode::Mapped:
-    return true;
-  case TraceMode::Auto:
-    // Auto replays mapped exactly for keys someone (the store's warm
-    // path) already seeded mapped; everything else stays on the oracle
-    // in-RAM path.
-    return hasMappedTrace(S, Seed);
-  }
-  return false;
-}
-
-void Evaluation::obtainTrace(Scale S, uint64_t Seed) {
-  if (usesMappedReplay(S, Seed))
-    mappedTrace(S, Seed);
-  else
-    trace(S, Seed);
-}
-
 void Evaluation::setHaloArtifacts(HaloArtifacts Art) {
   std::lock_guard<std::mutex> Lock(HaloArtMutex);
   if (!HaloArt)
@@ -220,7 +196,10 @@ RunMetrics Evaluation::measure(AllocatorKind Kind, Scale S, uint64_t Seed) {
 
 RunMetrics Evaluation::measure(const MachineConfig &Machine,
                                AllocatorKind Kind, Scale S, uint64_t Seed) {
-  if (usesMappedReplay(S, Seed)) {
+  // Mapped traces are cached only where someone asked for one (runPlan's
+  // trace mode, or an explicit mappedTrace()/addMappedTrace() call), so
+  // this one check is the whole replay-path decision.
+  if (hasMappedTrace(S, Seed)) {
     const MappedTrace &Trace = mappedTrace(S, Seed);
     return measureWith(Machine, Kind, Seed,
                        [&](Runtime &RT) { RT.replay(Trace); });
@@ -324,70 +303,6 @@ Evaluation::measureWith(const MachineConfig &Machine, AllocatorKind Kind,
   return Out;
 }
 
-void Evaluation::prepareArtifacts(AllocatorKind Kind) {
-  if (Kind == AllocatorKind::Halo ||
-      Kind == AllocatorKind::HaloInstrumentedOnly)
-    haloArtifacts();
-  else if (Kind == AllocatorKind::Hds)
-    hdsArtifacts();
-}
-
-std::vector<RunMetrics> Evaluation::measureTrials(AllocatorKind Kind, Scale S,
-                                                  int Trials,
-                                                  uint64_t SeedBase,
-                                                  int Jobs) {
-  return measureTrials(Setup.Machine, Kind, S, Trials, SeedBase, Jobs);
-}
-
-void Evaluation::recordTraces(Scale S, int Trials, uint64_t SeedBase,
-                              int Jobs) {
-  if (Trials <= 0)
-    return;
-  Executor Pool(static_cast<int>(std::min<uint64_t>(
-      resolveJobs(Jobs), static_cast<uint64_t>(Trials))));
-  Pool.parallelFor(static_cast<size_t>(Trials),
-                   [&](size_t T) { obtainTrace(S, SeedBase + T); });
-}
-
-void Evaluation::prepareAllArtifacts(int Jobs) {
-  // Pre-record the shared profile trace so the two pipeline tasks replay
-  // it instead of racing to record it twice.
-  trace(Setup.ProfileScale, Setup.ProfileSeed);
-  Executor Pool(static_cast<int>(std::min(resolveJobs(Jobs), 2u)));
-  Pool.parallelFor(2, [&](size_t I) {
-    if (I == 0)
-      haloArtifacts();
-    else
-      hdsArtifacts();
-  });
-}
-
-std::vector<RunMetrics> Evaluation::measureTrials(const MachineConfig &Machine,
-                                                  AllocatorKind Kind, Scale S,
-                                                  int Trials,
-                                                  uint64_t SeedBase,
-                                                  int Jobs) {
-  prepareArtifacts(Kind);
-
-  std::vector<RunMetrics> Runs(std::max(Trials, 0));
-  if (Trials <= 0)
-    return Runs;
-
-  // Every trial is independent and deterministic, so the pool can claim
-  // them in any interleaving; slot T always holds seed SeedBase + T, and
-  // the result vector is bit-identical to the serial one. Recording (the
-  // expensive half) fans out first; the replay pass then finds every
-  // trace cached.
-  Executor Pool(static_cast<int>(std::min<uint64_t>(
-      resolveJobs(Jobs), static_cast<uint64_t>(Trials))));
-  Pool.parallelFor(static_cast<size_t>(Trials),
-                   [&](size_t T) { obtainTrace(S, SeedBase + T); });
-  Pool.parallelFor(static_cast<size_t>(Trials), [&](size_t T) {
-    Runs[T] = measure(Machine, Kind, S, SeedBase + T);
-  });
-  return Runs;
-}
-
 double Evaluation::medianSeconds(const std::vector<RunMetrics> &Runs) {
   std::vector<double> Values;
   for (const RunMetrics &R : Runs)
@@ -408,7 +323,3 @@ double Evaluation::medianTlbMisses(const std::vector<RunMetrics> &Runs) {
     Values.push_back(static_cast<double>(R.Mem.TlbMisses));
   return median(Values);
 }
-
-// sweepMachines, compareTechniques, and compareAcrossBenchmarks live in
-// eval/Experiment.cpp: they are thin wrappers that expand to an
-// ExperimentSpec and run through buildPlan/runPlan.

@@ -26,7 +26,6 @@
 #include "trace/TraceFile.h"
 #include "workloads/Workload.h"
 
-#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
@@ -83,15 +82,19 @@ struct BenchmarkSetup {
 /// xalanc: always-reuse; roms: at most 4 groups).
 BenchmarkSetup paperSetup(const std::string &Benchmark);
 
-/// One benchmark wired up for measurement.
+/// One benchmark wired up for measurement: a keyed cache of recorded
+/// traces and pipeline artifacts plus measure(), which replays one key.
 ///
 /// Workload runs are recorded once per (scale, seed) into an event trace
 /// and every allocator configuration is measured by replaying that trace
 /// (bit-identical to direct execution; tests/trace_replay_test.cpp holds
-/// the invariant). Trials are independent and deterministic, so
-/// measureTrials can fan them out across worker threads.
+/// the invariant). Scheduling is not this class's job: trials, kinds and
+/// machines fan out through runPlan (eval/Experiment.h), which fills these
+/// caches and then calls measure() once per trial.
 class Evaluation {
 public:
+  /// Builds \p Setup's workload model. Throws std::invalid_argument if no
+  /// benchmark of that name exists.
   explicit Evaluation(BenchmarkSetup Setup);
 
   /// The HALO pipeline output (profiled lazily, once, by replaying the
@@ -115,25 +118,6 @@ public:
   /// to one recorded here). First writer wins, exactly like trace();
   /// returns the cached instance. Thread-safe.
   const EventTrace &addTrace(Scale S, uint64_t Seed, EventTrace Trace);
-
-  /// How this evaluation holds and replays measurement traces. Memory (the
-  /// default) keeps every recording in RAM -- the oracle path. Mapped
-  /// records each measurement trace streaming to a temp file and replays
-  /// it mmap'd block by block, keeping resident memory bounded however
-  /// large the run; metrics are bit-identical ("mapped = in-RAM",
-  /// tests/trace_file_test.cpp). Auto replays mapped exactly for keys with
-  /// a mapped trace cached (the store's warm path seeds those for large
-  /// entries) and in RAM otherwise. Profiling always uses the in-RAM
-  /// trace: profile inputs are test-scale and the pipelines replay them
-  /// through observers.
-  /// The mode is atomic so concurrent plans sharing this Evaluation (the
-  /// serve daemon's steady state) read it safely; plans that disagree on
-  /// the mode race benignly (every mode measures bit-identically) but
-  /// the daemon pins one mode for all requests anyway.
-  void setTraceMode(TraceMode M) { Mode.store(M, std::memory_order_relaxed); }
-  TraceMode traceMode() const {
-    return Mode.load(std::memory_order_relaxed);
-  }
 
   /// Records (once) the workload run for (\p S, \p Seed) streaming to a
   /// private temp file and returns it mapped. The file is unlinked as soon
@@ -176,26 +160,14 @@ public:
   void setHaloArtifacts(HaloArtifacts Art);
   void setHdsArtifacts(HdsArtifacts Art);
 
-  /// Records the traces for \p Trials consecutive seeds starting at
-  /// \p SeedBase, fanned out across \p Jobs workers (0 = hardware
-  /// concurrency). Recording is the expensive half of a measurement
-  /// sweep; this is the explicit parallel warm-up measureTrials performs
-  /// before its (cheaper) replay fan-out. Already-cached keys cost one
-  /// map lookup.
-  void recordTraces(Scale S, int Trials, uint64_t SeedBase = 100,
-                    int Jobs = 0);
-
-  /// Materialises the HALO and HDS pipeline artifacts, profiling the two
-  /// pipelines as parallel executor tasks over the shared profile-scale
-  /// recording (they are independent and the trace cache is
-  /// thread-safe). After this, measure() is safe to call concurrently
-  /// for every allocator kind.
-  void prepareAllArtifacts(int Jobs = 0);
-
-  /// Measures one configuration on one input by replaying the cached
-  /// trace, on the setup's machine. Safe to call concurrently once the
-  /// pipeline artifacts the kind needs exist (measureTrials materialises
-  /// them before fanning out).
+  /// Measures one configuration on one input by replaying the recording
+  /// of (\p S, \p Seed), on the setup's machine. A cached mapped trace
+  /// for the key is replayed block by block off its mapping; otherwise the
+  /// in-RAM trace is replayed (recorded first if need be). Which form gets
+  /// cached is runPlan's trace-mode decision; the metrics are
+  /// bit-identical either way ("mapped = in-RAM",
+  /// tests/trace_file_test.cpp). Safe to call concurrently: the trace and
+  /// artifact caches synchronise.
   RunMetrics measure(AllocatorKind Kind, Scale S, uint64_t Seed);
 
   /// Same, on an explicit machine: the recorded trace is machine-
@@ -212,20 +184,6 @@ public:
   RunMetrics measureDirect(const MachineConfig &Machine, AllocatorKind Kind,
                            Scale S, uint64_t Seed);
 
-  /// Measures \p Trials runs with distinct seeds (the paper uses 11 trials
-  /// and reports medians; seeds stand in for run-to-run variation).
-  /// \p Jobs worker threads share the trials (0 = hardware concurrency);
-  /// results are bit-identical to the serial order regardless.
-  std::vector<RunMetrics> measureTrials(AllocatorKind Kind, Scale S,
-                                        int Trials, uint64_t SeedBase = 100,
-                                        int Jobs = 0);
-
-  /// Trial fan-out on an explicit machine.
-  std::vector<RunMetrics> measureTrials(const MachineConfig &Machine,
-                                        AllocatorKind Kind, Scale S,
-                                        int Trials, uint64_t SeedBase = 100,
-                                        int Jobs = 0);
-
   /// Median seconds / L1D misses / dTLB misses over a set of runs.
   static double medianSeconds(const std::vector<RunMetrics> &Runs);
   static double medianL1Misses(const std::vector<RunMetrics> &Runs);
@@ -239,15 +197,6 @@ private:
   RunMetrics measureWith(const MachineConfig &Machine, AllocatorKind Kind,
                          uint64_t Seed,
                          const std::function<void(Runtime &)> &Drive);
-  /// Materialises the artifacts \p Kind's measurement consults, so worker
-  /// threads only ever read them.
-  void prepareArtifacts(AllocatorKind Kind);
-  /// Whether measure() replays (\p S, \p Seed) through the mapped path
-  /// under the current trace mode.
-  bool usesMappedReplay(Scale S, uint64_t Seed);
-  /// Caches and returns the recording for (\p S, \p Seed) in whichever
-  /// form the current mode measures it (measureTrials' warm-up stage).
-  void obtainTrace(Scale S, uint64_t Seed);
 
   BenchmarkSetup Setup;
   std::unique_ptr<Workload> W;
@@ -259,63 +208,12 @@ private:
   /// materialisation replays the profile trace); never the reverse.
   mutable std::mutex HaloArtMutex;
   mutable std::mutex HdsArtMutex;
-  std::atomic<TraceMode> Mode{TraceMode::Memory};
   /// (scale, seed) -> recorded trace. std::map for reference stability.
   std::map<std::pair<int, uint64_t>, EventTrace> Traces;
   /// (scale, seed) -> mapped on-disk trace, same keying and stability.
   std::map<std::pair<int, uint64_t>, MappedTrace> MappedTraces;
   std::mutex TraceMutex;
 };
-
-/// One (machine, allocator kind) cell of a cross-machine sweep: all trial
-/// runs of one benchmark measured on one simulated machine.
-struct SweepCell {
-  const MachineConfig *Machine = nullptr;
-  AllocatorKind Kind = AllocatorKind::Jemalloc;
-  std::vector<RunMetrics> Runs;
-};
-
-/// Measures jemalloc / HDS / HALO trials for every machine in \p Machines
-/// against one Evaluation (halo_cli sweep's backing store). A thin
-/// wrapper over buildPlan/runPlan (eval/Experiment.h): the profile trace
-/// records once, the two pipelines materialise as parallel tasks,
-/// per-seed measurement traces record once across the pool, and the
-/// machine x kind cells replay at trial granularity over one executor.
-/// Cells come back machine-major in \p Machines order (kinds in
-/// jemalloc/hds/halo order), bit-identical to a serial sweep.
-std::vector<SweepCell>
-sweepMachines(Evaluation &Eval,
-              const std::vector<const MachineConfig *> &Machines, int Trials,
-              Scale S = Scale::Ref, uint64_t SeedBase = 100, int Jobs = 0);
-
-/// The data behind one bar pair of Figures 13/14.
-struct ComparisonRow {
-  std::string Benchmark;
-  double HdsMissReduction = 0.0;  ///< % L1D misses removed vs jemalloc.
-  double HaloMissReduction = 0.0;
-  double HdsSpeedup = 0.0;        ///< % execution time removed vs jemalloc.
-  double HaloSpeedup = 0.0;
-};
-
-/// Runs baseline, HDS, and HALO trials for \p Benchmark and reduces them to
-/// the paper's two headline percentages, measured on \p Machine. A thin
-/// wrapper over buildPlan/runPlan (eval/Experiment.h): every configuration
-/// replays the same once-recorded per-seed traces; \p Jobs fans the cells'
-/// trials out across worker threads (0 = hardware concurrency).
-ComparisonRow compareTechniques(const std::string &Benchmark, int Trials,
-                                Scale S = Scale::Ref, int Jobs = 0,
-                                const MachineConfig &Machine =
-                                    defaultMachine());
-
-/// compareTechniques over a benchmark list — halo_cli plot's backing
-/// store, a thin wrapper over one buildPlan/runPlan call whose replay
-/// stage spans benchmark x kind x trial tasks (finer than the old
-/// per-benchmark sharding, so short lists still fill the pool). Row order
-/// follows \p Benchmarks and every row is bit-identical to a serial run.
-std::vector<ComparisonRow>
-compareAcrossBenchmarks(const std::vector<std::string> &Benchmarks,
-                        int Trials, Scale S = Scale::Ref, int Jobs = 0,
-                        const MachineConfig &Machine = defaultMachine());
 
 } // namespace halo
 

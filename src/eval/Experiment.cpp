@@ -153,9 +153,6 @@ ExperimentPlan halo::buildPlan(const std::vector<ExperimentSpec> &Specs,
     for (size_t B = 0; B < Plan.Benchmarks.size(); ++B)
       if (Plan.Benchmarks[B].Name == Name)
         return B;
-    if (!createWorkload(Name))
-      throw std::invalid_argument("buildPlan: unknown benchmark '" + Name +
-                                  "'");
     ExperimentPlan::Benchmark B;
     B.Name = Name;
     for (Evaluation *E : External)
@@ -258,12 +255,6 @@ ResultSet ResultSet::fromCells(std::vector<Cell> CellsIn) {
 PlanExecution::PlanExecution(ExperimentPlan &PlanIn, TraceMode TracesIn,
                              CellCompletionFn OnCellIn)
     : Plan(PlanIn), Traces(TracesIn), OnCell(std::move(OnCellIn)) {
-  // Every benchmark's Evaluation measures under the plan's trace mode
-  // (Auto resolves per key: mapped exactly where a mapped trace was
-  // seeded by the recording tasks).
-  for (const ExperimentPlan::Benchmark &B : Plan.Benchmarks)
-    B.Eval->setTraceMode(Traces);
-
   Results.Cells.resize(Plan.Cells.size());
   CellsRemaining.resize(Plan.Cells.size(), 0);
   for (size_t C = 0; C < Plan.Cells.size(); ++C) {
@@ -611,130 +602,6 @@ ResultSet halo::runPlan(ExperimentPlan &Plan, int Jobs, TraceMode Traces,
 }
 
 //===----------------------------------------------------------------------===//
-// Wrappers: the pre-plan entry points, now thin spec builders.
-//===----------------------------------------------------------------------===//
-
-std::vector<SweepCell>
-halo::sweepMachines(Evaluation &Eval,
-                    const std::vector<const MachineConfig *> &Machines,
-                    int Trials, Scale S, uint64_t SeedBase, int Jobs) {
-  static const AllocatorKind Kinds[] = {
-      AllocatorKind::Jemalloc, AllocatorKind::Hds, AllocatorKind::Halo};
-  constexpr size_t NumKinds = 3;
-  std::vector<SweepCell> Cells(Machines.size() * NumKinds);
-  if (Machines.empty())
-    return Cells;
-  // A null entry would mean "the setup's machine" to the plan and then
-  // never match the pointer resolution below; fail at the fault site.
-  for (const MachineConfig *M : Machines)
-    if (!M)
-      throw std::invalid_argument("sweepMachines: null machine entry");
-
-  ExperimentSpec Spec;
-  Spec.Benchmarks = {Eval.setup().Name};
-  Spec.Machines = Machines;
-  Spec.Kinds.assign(Kinds, Kinds + NumKinds);
-  Spec.S = S;
-  Spec.Trials = Trials;
-  Spec.SeedBase = SeedBase;
-  // The caller's Evaluation backs the plan, so its cached traces and
-  // artifacts are shared and stay warm for later calls.
-  ExperimentPlan Plan = buildPlan({Spec}, {&Eval});
-  ResultSet Results = runPlan(Plan, Jobs);
-
-  // Resolve by machine POINTER, not name: distinct caller-owned configs
-  // may share a (possibly empty) Name, but each is its own plan cell.
-  for (size_t M = 0; M < Machines.size(); ++M)
-    for (size_t K = 0; K < NumKinds; ++K) {
-      SweepCell &Cell = Cells[M * NumKinds + K];
-      Cell.Machine = Machines[M];
-      Cell.Kind = Kinds[K];
-      for (const ResultSet::Cell &Found : Results.cells())
-        if (Found.Machine == Machines[M] && Found.Key.Kind == Kinds[K]) {
-          Cell.Runs = Found.Runs;
-          break;
-        }
-    }
-  return Cells;
-}
-
-/// Reduces one benchmark's three cells to the paper's headline row.
-static ComparisonRow rowFromResults(const ResultSet &Results,
-                                    const std::string &Benchmark,
-                                    const std::string &Machine, Scale S) {
-  const ResultSet::Cell *Base =
-      Results.find(Benchmark, Machine, AllocatorKind::Jemalloc, S);
-  const ResultSet::Cell *Hds =
-      Results.find(Benchmark, Machine, AllocatorKind::Hds, S);
-  const ResultSet::Cell *Halo =
-      Results.find(Benchmark, Machine, AllocatorKind::Halo, S);
-
-  ComparisonRow Row;
-  Row.Benchmark = Benchmark;
-  // A missing cell is a plan/lookup logic error; an all-zero row would
-  // read as a genuine "no improvement" measurement.
-  if (!Base || !Hds || !Halo)
-    throw std::logic_error("comparison plan missing a cell for " +
-                           Benchmark + " on " + Machine);
-  Row.HdsMissReduction =
-      percentImprovement(Evaluation::medianL1Misses(Base->Runs),
-                         Evaluation::medianL1Misses(Hds->Runs));
-  Row.HaloMissReduction =
-      percentImprovement(Evaluation::medianL1Misses(Base->Runs),
-                         Evaluation::medianL1Misses(Halo->Runs));
-  Row.HdsSpeedup = percentImprovement(Evaluation::medianSeconds(Base->Runs),
-                                      Evaluation::medianSeconds(Hds->Runs));
-  Row.HaloSpeedup = percentImprovement(Evaluation::medianSeconds(Base->Runs),
-                                       Evaluation::medianSeconds(Halo->Runs));
-  return Row;
-}
-
-/// The one spec both comparison entry points expand to.
-static ExperimentSpec comparisonSpec(std::vector<std::string> Benchmarks,
-                                     int Trials, Scale S,
-                                     const MachineConfig &Machine) {
-  ExperimentSpec Spec;
-  Spec.Benchmarks = std::move(Benchmarks);
-  Spec.Machines = {&Machine};
-  Spec.Kinds = {AllocatorKind::Jemalloc, AllocatorKind::Hds,
-                AllocatorKind::Halo};
-  Spec.S = S;
-  Spec.Trials = Trials;
-  // Pre-plan behaviour: the comparison's machine was the setup machine,
-  // so the pipelines materialised under it. Keep that exact wiring.
-  Spec.MakeSetup = [&Machine](const std::string &Name) {
-    BenchmarkSetup Setup = paperSetup(Name);
-    Setup.Machine = Machine;
-    return Setup;
-  };
-  return Spec;
-}
-
-ComparisonRow halo::compareTechniques(const std::string &Benchmark,
-                                      int Trials, Scale S, int Jobs,
-                                      const MachineConfig &Machine) {
-  ExperimentPlan Plan =
-      buildPlan({comparisonSpec({Benchmark}, Trials, S, Machine)});
-  ResultSet Results = runPlan(Plan, Jobs);
-  return rowFromResults(Results, Benchmark, Machine.Name, S);
-}
-
-std::vector<ComparisonRow>
-halo::compareAcrossBenchmarks(const std::vector<std::string> &Benchmarks,
-                              int Trials, Scale S, int Jobs,
-                              const MachineConfig &Machine) {
-  ExperimentPlan Plan =
-      buildPlan({comparisonSpec(Benchmarks, Trials, S, Machine)});
-  ResultSet Results = runPlan(Plan, Jobs);
-  std::vector<ComparisonRow> Rows;
-  Rows.reserve(Benchmarks.size());
-  // Row order follows the request; duplicate names share one cell block.
-  for (const std::string &Benchmark : Benchmarks)
-    Rows.push_back(rowFromResults(Results, Benchmark, Machine.Name, S));
-  return Rows;
-}
-
-//===----------------------------------------------------------------------===//
 // Emitters
 //===----------------------------------------------------------------------===//
 
@@ -855,6 +722,36 @@ Report halo::sweepReport(const std::vector<SweepRow> &Rows) {
   Table.addNote("wall_ms: median simulated run time on that machine; "
                 "speedup%: vs jemalloc on the same machine");
   return Table;
+}
+
+ComparisonRow halo::comparisonRow(const ResultSet &Results,
+                                  const std::string &Benchmark,
+                                  const std::string &Machine, Scale S) {
+  const ResultSet::Cell *Base =
+      Results.find(Benchmark, Machine, AllocatorKind::Jemalloc, S);
+  const ResultSet::Cell *Hds =
+      Results.find(Benchmark, Machine, AllocatorKind::Hds, S);
+  const ResultSet::Cell *Halo =
+      Results.find(Benchmark, Machine, AllocatorKind::Halo, S);
+  // A missing cell is a plan/lookup logic error; an all-zero row would
+  // read as a genuine "no improvement" measurement.
+  if (!Base || !Hds || !Halo)
+    throw std::logic_error("comparisonRow: no jemalloc/hds/halo cell for " +
+                           Benchmark + " on " + Machine);
+
+  ComparisonRow Row;
+  Row.Benchmark = Benchmark;
+  Row.HdsMissReduction =
+      percentImprovement(Evaluation::medianL1Misses(Base->Runs),
+                         Evaluation::medianL1Misses(Hds->Runs));
+  Row.HaloMissReduction =
+      percentImprovement(Evaluation::medianL1Misses(Base->Runs),
+                         Evaluation::medianL1Misses(Halo->Runs));
+  Row.HdsSpeedup = percentImprovement(Evaluation::medianSeconds(Base->Runs),
+                                      Evaluation::medianSeconds(Hds->Runs));
+  Row.HaloSpeedup = percentImprovement(Evaluation::medianSeconds(Base->Runs),
+                                       Evaluation::medianSeconds(Halo->Runs));
+  return Row;
 }
 
 void halo::writeExperimentsJson(FILE *Out, const ResultSet &Results) {

@@ -23,10 +23,11 @@
 /// function of its key, so runPlan's output is bit-identical no matter how
 /// many workers ran (tests/experiment_test.cpp holds the invariant).
 ///
-/// sweepMachines, compareTechniques, and compareAcrossBenchmarks
-/// (eval/Evaluation.h) are thin wrappers over plans; the JSON and table
-/// emitters here are the single output path shared by halo_cli's run,
-/// sweep, and experiments subcommands.
+/// Specs, buildPlan and runPlan are the one measurement path: every bench,
+/// figure driver, halo_cli subcommand and the serve daemon goes through
+/// them. SweepRow and ComparisonRow are reductions over a ResultSet; the
+/// JSON and table emitters here are the single output path shared by
+/// halo_cli's run, sweep, plot, and experiments subcommands.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -79,6 +80,8 @@ struct ExperimentSpec {
                                       AllocatorKind::Hds,
                                       AllocatorKind::Halo};
   Scale S = Scale::Ref;
+  /// Trial T of every cell runs seed SeedBase + T. The paper runs 11
+  /// trials and reports medians; seeds stand in for run-to-run variation.
   int Trials = 3;
   uint64_t SeedBase = 100;
   /// Per-benchmark configuration; null means paperSetup(). The first spec
@@ -258,9 +261,10 @@ class PlanExecution {
 public:
   /// Binds to \p Plan, which must outlive this object and not move (and
   /// must not back a second concurrent PlanExecution: claim state lives
-  /// here but results accumulate per plan). Sets every benchmark's trace
-  /// mode to \p Traces. \p OnCell fires immediately (on this thread) for
-  /// degenerate zero-trial cells.
+  /// here but results accumulate per plan). \p Traces decides which form
+  /// the recording tasks cache each measurement trace in (see runPlan).
+  /// \p OnCell fires immediately (on this thread) for degenerate
+  /// zero-trial cells.
   explicit PlanExecution(ExperimentPlan &Plan,
                          TraceMode Traces = TraceMode::Auto,
                          CellCompletionFn OnCell = nullptr);
@@ -397,6 +401,24 @@ void writeSweepJson(FILE *Out, const std::vector<SweepRow> &Rows);
 
 /// The `halo_cli sweep` table.
 Report sweepReport(const std::vector<SweepRow> &Rows);
+
+/// The data behind one bar pair of Figures 13/14.
+struct ComparisonRow {
+  std::string Benchmark;
+  double HdsMissReduction = 0.0;  ///< % L1D misses removed vs jemalloc.
+  double HaloMissReduction = 0.0;
+  double HdsSpeedup = 0.0;        ///< % execution time removed vs jemalloc.
+  double HaloSpeedup = 0.0;
+};
+
+/// Reduces \p Benchmark's jemalloc, HDS and HALO cells on \p Machine at
+/// scale \p S to the paper's two headline percentages (medians over each
+/// cell's trials). Throws std::logic_error if \p Results lacks one of the
+/// three cells rather than reading as a genuine "no improvement" row.
+ComparisonRow comparisonRow(const ResultSet &Results,
+                            const std::string &Benchmark,
+                            const std::string &Machine,
+                            Scale S = Scale::Ref);
 
 /// The unified experiments JSON: one object per cell, keyed by the full
 /// measurement key, with medians and the per-run metrics.

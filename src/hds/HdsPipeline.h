@@ -60,7 +60,7 @@ HdsArtifacts optimizeBinaryHds(const Program &Prog,
 /// optimizeBinary overload): HALO and HDS can share one recording, and
 /// replay delivers the profiler's accesses through the batched observer
 /// hook. Safe to run concurrently with the HALO pipeline on the same
-/// trace (Evaluation::prepareAllArtifacts does exactly that).
+/// trace (runPlan's artifact stage does exactly that).
 HdsArtifacts optimizeBinaryHds(const Program &Prog, const EventTrace &Trace,
                                const HdsParameters &Params = HdsParameters(),
                                const MachineConfig &Machine = defaultMachine());

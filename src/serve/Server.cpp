@@ -3,7 +3,6 @@
 #include "serve/Server.h"
 
 #include "sim/Machine.h"
-#include "workloads/Workload.h"
 
 #include <unistd.h>
 
@@ -234,12 +233,10 @@ void HaloDaemon::handleSubmit(const std::shared_ptr<ServeSession> &S,
     std::lock_guard<std::mutex> Lock(EvalsMu);
     for (const std::string &Name : R.Benchmarks) {
       auto It = Evals.find(Name);
-      if (It == Evals.end()) {
-        if (!createWorkload(Name))
-          throw std::invalid_argument("unknown benchmark '" + Name + "'");
+      // An unknown name throws std::invalid_argument from Evaluation.
+      if (It == Evals.end())
         It = Evals.emplace(Name, std::make_unique<Evaluation>(paperSetup(Name)))
                  .first;
-      }
       External.push_back(It->second.get());
     }
   } catch (const std::exception &E) {

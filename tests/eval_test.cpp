@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -122,43 +123,10 @@ TEST(PaperSetup, XalancAlwaysReuseKeepsDirtyChunksResident) {
   EXPECT_GT(PaperResident, DefaultResident);
 }
 
-TEST(Evaluation, RecordTracesParallelMatchesLazyRecording) {
-  // Pre-recording across the pool must yield byte-identical traces (and
-  // therefore bit-identical measurements) to the serial lazy path.
-  Evaluation Warm(paperSetup("ft"));
-  Warm.recordTraces(Scale::Test, /*Trials=*/4, /*SeedBase=*/100, /*Jobs=*/4);
-  Evaluation Lazy(paperSetup("ft"));
-  for (uint64_t Seed = 100; Seed < 104; ++Seed) {
-    const EventTrace &Pre = Warm.trace(Scale::Test, Seed);
-    const EventTrace &Direct = Lazy.trace(Scale::Test, Seed);
-    EXPECT_EQ(Pre.byteSize(), Direct.byteSize()) << "seed " << Seed;
-    EXPECT_EQ(Pre.numEvents(), Direct.numEvents()) << "seed " << Seed;
-    EXPECT_EQ(Pre.numObjects(), Direct.numObjects()) << "seed " << Seed;
-    RunMetrics A = Warm.measure(AllocatorKind::Jemalloc, Scale::Test, Seed);
-    RunMetrics B = Lazy.measure(AllocatorKind::Jemalloc, Scale::Test, Seed);
-    EXPECT_EQ(A.Cycles, B.Cycles) << "seed " << Seed;
-    EXPECT_EQ(A.Mem.L1Misses, B.Mem.L1Misses) << "seed " << Seed;
-  }
-  // Re-recording is a no-op: the cached buffer is returned by reference.
-  const EventTrace &First = Warm.trace(Scale::Test, 100);
-  Warm.recordTraces(Scale::Test, /*Trials=*/4, /*SeedBase=*/100, /*Jobs=*/4);
-  EXPECT_EQ(&Warm.trace(Scale::Test, 100), &First);
-}
-
-TEST(Evaluation, PrepareAllArtifactsMatchesLazyMaterialisation) {
-  Evaluation Parallel(paperSetup("health"));
-  Parallel.prepareAllArtifacts(/*Jobs=*/2);
-  Evaluation Serial(paperSetup("health"));
-  // Lazy order: HALO first, then HDS (shared recording either way).
-  const HaloArtifacts &A = Serial.haloArtifacts();
-  const HdsArtifacts &H = Serial.hdsArtifacts();
-  EXPECT_EQ(Parallel.haloArtifacts().ProfiledAccesses, A.ProfiledAccesses);
-  EXPECT_EQ(Parallel.haloArtifacts().Plan.sites(), A.Plan.sites());
-  ASSERT_EQ(Parallel.haloArtifacts().Groups.size(), A.Groups.size());
-  for (size_t G = 0; G < A.Groups.size(); ++G)
-    EXPECT_EQ(Parallel.haloArtifacts().Groups[G].Members, A.Groups[G].Members);
-  EXPECT_EQ(Parallel.hdsArtifacts().SiteToGroup, H.SiteToGroup);
-  EXPECT_EQ(Parallel.hdsArtifacts().Groups.size(), H.Groups.size());
+TEST(Evaluation, UnknownBenchmarkThrowsInvalidArgument) {
+  // The one place benchmark names are validated: every caller (buildPlan,
+  // the serve daemon) relies on this throwing, in every build type.
+  EXPECT_THROW(Evaluation(paperSetup("gcc")), std::invalid_argument);
 }
 
 TEST(Evaluation, BaselineMetricsPopulated) {
@@ -203,7 +171,9 @@ TEST(Evaluation, InstrumentedOnlyRunCostsAlmostNothing) {
 
 TEST(Evaluation, TrialsVaryBySeed) {
   Evaluation E(paperSetup("ft"));
-  auto Runs = E.measureTrials(AllocatorKind::Jemalloc, Scale::Test, 3);
+  std::vector<RunMetrics> Runs;
+  for (uint64_t Seed = 100; Seed < 103; ++Seed)
+    Runs.push_back(E.measure(AllocatorKind::Jemalloc, Scale::Test, Seed));
   ASSERT_EQ(Runs.size(), 3u);
   EXPECT_GT(Evaluation::medianSeconds(Runs), 0.0);
   EXPECT_GT(Evaluation::medianL1Misses(Runs), 0.0);

@@ -3,9 +3,9 @@
 // The plan contract: buildPlan expands specs into a deduplicated matrix
 // (benchmarks by name, cells by full key, recordings by (scale, seed)),
 // runPlan executes it bit-identically no matter how many workers ran, and
-// every cell equals what the pre-plan measureTrials path produces for the
-// same key -- which is what makes sweepMachines / compareTechniques /
-// compareAcrossBenchmarks safe as thin wrappers.
+// every cell equals a serial loop of Evaluation::measureDirect -- the
+// trace-free oracle -- for the same key. The comparison reduction built
+// on top (comparisonRow) is pinned against the same oracle.
 //
 //===----------------------------------------------------------------------===//
 
@@ -39,6 +39,18 @@ ExperimentSpec mixedSpec() {
   Spec.S = Scale::Test;
   Spec.Trials = 2;
   return Spec;
+}
+
+/// The trace-free oracle for one cell: \p Trials serial measureDirect runs
+/// on \p Machine, trial T using seed SeedBase + T as a plan cell does.
+std::vector<RunMetrics> directRuns(Evaluation &Oracle,
+                                   const MachineConfig &Machine,
+                                   AllocatorKind Kind, Scale S, int Trials,
+                                   uint64_t SeedBase = 100) {
+  std::vector<RunMetrics> Runs;
+  for (int T = 0; T < Trials; ++T)
+    Runs.push_back(Oracle.measureDirect(Machine, Kind, S, SeedBase + T));
+  return Runs;
 }
 
 void expectSameRuns(const std::vector<RunMetrics> &A,
@@ -169,9 +181,8 @@ TEST(RunPlan, SerialMatchesParallelBitIdentically) {
 }
 
 TEST(RunPlan, EveryCellMatchesTheMeasureTrialsOracle) {
-  // The plan must measure exactly what the per-benchmark measureTrials
-  // path measures for the same key: this is what makes the wrapper
-  // conversions bit-identical to the pre-plan API.
+  // The plan must measure exactly what executing the workload directly,
+  // one trial after another, measures for the same key.
   ExperimentPlan Plan = buildPlan({mixedSpec()});
   ResultSet Results = runPlan(Plan, /*Jobs=*/2);
 
@@ -185,8 +196,8 @@ TEST(RunPlan, EveryCellMatchesTheMeasureTrialsOracle) {
             Results.find(Name, MachineName, Kind, Scale::Test);
         ASSERT_NE(Cell, nullptr);
         expectSameRuns(Cell->Runs,
-                       Oracle.measureTrials(*findMachine(MachineName), Kind,
-                                            Scale::Test, 2));
+                       directRuns(Oracle, *findMachine(MachineName), Kind,
+                                  Scale::Test, 2));
       }
   }
 }
@@ -204,8 +215,8 @@ TEST(RunPlan, EmptyMachineListUsesTheSetupMachine) {
   EXPECT_EQ(Results.cells()[0].Key.Machine, defaultMachine().Name);
   Evaluation Oracle(paperSetup("ft"));
   expectSameRuns(Results.cells()[0].Runs,
-                 Oracle.measureTrials(AllocatorKind::Jemalloc, Scale::Test,
-                                      2));
+                 directRuns(Oracle, defaultMachine(), AllocatorKind::Jemalloc,
+                            Scale::Test, 2));
 }
 
 TEST(RunPlan, ExternalEvaluationBacksItsBenchmark) {
@@ -360,46 +371,55 @@ TEST(ResultSet, FindLocatesCellsByFullKey) {
 }
 
 //===----------------------------------------------------------------------===//
-// Wrappers
+// Wrappers: the shapes the pre-plan entry points ran, now plain plans plus
+// the comparisonRow reduction.
 //===----------------------------------------------------------------------===//
 
 TEST(Wrappers, SweepMachinesMatchesManualMeasureTrials) {
-  std::vector<const MachineConfig *> Machines = {findMachine("mobile"),
-                                                 findMachine("server")};
+  // One benchmark measured through the caller's Evaluation on several
+  // machines: cells come back machine-major in request order, kinds in
+  // spec order, each equal to the trace-free oracle.
+  std::vector<const MachineConfig *> Machines = {preset("mobile"),
+                                                 preset("server")};
   Evaluation Eval(paperSetup("ft"));
-  std::vector<SweepCell> Cells =
-      sweepMachines(Eval, Machines, /*Trials=*/2, Scale::Test,
-                    /*SeedBase=*/100, /*Jobs=*/2);
+  ExperimentSpec Spec;
+  Spec.Benchmarks = {"ft"};
+  Spec.Machines = Machines;
+  Spec.S = Scale::Test;
+  Spec.Trials = 2;
+  ExperimentPlan Plan = buildPlan({Spec}, {&Eval});
+  ResultSet Results = runPlan(Plan, /*Jobs=*/2);
 
-  ASSERT_EQ(Cells.size(), 6u);
-  const AllocatorKind KindOrder[] = {AllocatorKind::Jemalloc,
-                                     AllocatorKind::Hds,
-                                     AllocatorKind::Halo};
+  ASSERT_EQ(Results.size(), 6u);
   Evaluation Oracle(paperSetup("ft"));
-  for (size_t C = 0; C < Cells.size(); ++C) {
+  for (size_t C = 0; C < Results.size(); ++C) {
     SCOPED_TRACE("cell " + std::to_string(C));
-    EXPECT_EQ(Cells[C].Machine, Machines[C / 3]);
-    EXPECT_EQ(Cells[C].Kind, KindOrder[C % 3]);
-    expectSameRuns(Cells[C].Runs,
-                   Oracle.measureTrials(*Machines[C / 3], KindOrder[C % 3],
-                                        Scale::Test, 2));
+    const ResultSet::Cell &Cell = Results.cells()[C];
+    EXPECT_EQ(Cell.Machine, Machines[C / 3]);
+    EXPECT_EQ(Cell.Key.Kind, Spec.Kinds[C % 3]);
+    expectSameRuns(Cell.Runs, directRuns(Oracle, *Machines[C / 3],
+                                         Spec.Kinds[C % 3], Scale::Test, 2));
   }
 }
 
 TEST(Wrappers, CompareTechniquesMatchesManualComputation) {
-  const MachineConfig &Machine = *findMachine("mobile");
+  const MachineConfig &Machine = *preset("mobile");
+  ExperimentSpec Spec;
+  Spec.Benchmarks = {"health"};
+  Spec.Machines = {&Machine};
+  Spec.S = Scale::Test;
+  Spec.Trials = 2;
+  ExperimentPlan Plan = buildPlan({Spec});
+  ResultSet Results = runPlan(Plan, /*Jobs=*/2);
   ComparisonRow Row =
-      compareTechniques("health", /*Trials=*/2, Scale::Test, /*Jobs=*/2,
-                        Machine);
+      comparisonRow(Results, "health", Machine.Name, Scale::Test);
 
-  // The pre-plan construction, verbatim: one Evaluation whose setup
-  // machine is the comparison machine, three measureTrials blocks.
-  BenchmarkSetup Setup = paperSetup("health");
-  Setup.Machine = Machine;
-  Evaluation Eval(std::move(Setup));
-  auto Base = Eval.measureTrials(AllocatorKind::Jemalloc, Scale::Test, 2);
-  auto Hds = Eval.measureTrials(AllocatorKind::Hds, Scale::Test, 2);
-  auto Halo = Eval.measureTrials(AllocatorKind::Halo, Scale::Test, 2);
+  // The headline percentages, computed by hand from the oracle's runs.
+  Evaluation Oracle(paperSetup("health"));
+  auto Base = directRuns(Oracle, Machine, AllocatorKind::Jemalloc,
+                         Scale::Test, 2);
+  auto Hds = directRuns(Oracle, Machine, AllocatorKind::Hds, Scale::Test, 2);
+  auto Halo = directRuns(Oracle, Machine, AllocatorKind::Halo, Scale::Test, 2);
 
   EXPECT_EQ(Row.Benchmark, "health");
   EXPECT_DOUBLE_EQ(Row.HdsMissReduction,
@@ -414,11 +434,25 @@ TEST(Wrappers, CompareTechniquesMatchesManualComputation) {
   EXPECT_DOUBLE_EQ(Row.HaloSpeedup,
                    percentImprovement(Evaluation::medianSeconds(Base),
                                       Evaluation::medianSeconds(Halo)));
+  // A cell the plan never measured is an error, not an all-zero row.
+  EXPECT_THROW(comparisonRow(Results, "health", "server", Scale::Test),
+               std::logic_error);
 }
 
 TEST(Wrappers, CompareAcrossBenchmarksRepeatsDuplicateRows) {
-  auto Rows = compareAcrossBenchmarks({"ft", "ft"}, /*Trials=*/2,
-                                      Scale::Test, /*Jobs=*/1);
+  // A repeated name collapses into one cell block, and every listed name
+  // reduces to the same row.
+  ExperimentSpec Spec;
+  Spec.Benchmarks = {"ft", "ft"};
+  Spec.S = Scale::Test;
+  Spec.Trials = 2;
+  ExperimentPlan Plan = buildPlan({Spec});
+  EXPECT_EQ(Plan.cells().size(), 3u);
+  ResultSet Results = runPlan(Plan, /*Jobs=*/1);
+  std::vector<ComparisonRow> Rows;
+  for (const std::string &Name : Spec.Benchmarks)
+    Rows.push_back(
+        comparisonRow(Results, Name, defaultMachine().Name, Scale::Test));
   ASSERT_EQ(Rows.size(), 2u);
   EXPECT_EQ(Rows[0].Benchmark, "ft");
   EXPECT_DOUBLE_EQ(Rows[0].HaloSpeedup, Rows[1].HaloSpeedup);

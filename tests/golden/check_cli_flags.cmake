@@ -1,0 +1,62 @@
+# halo_cli flag and output checks (ctest: cli_flags).
+#
+# Three promises the CLI makes that no unit test sees:
+#   1. --out fails loudly: a write that hits ENOSPC (/dev/full) must exit
+#      non-zero instead of reporting "wrote ...";
+#   2. the setup flags (--chunk-size, ...) are usage errors on commands
+#      that build no benchmark setup, instead of being parsed and dropped;
+#   3. plot honours the setup flags: --affinity-distance 8 must change
+#      what it prints.
+#
+# Invoked as:
+#   cmake -DHALO_CLI=<path> -DWORK_DIR=<dir> -P this_file
+
+foreach(Var HALO_CLI WORK_DIR)
+  if(NOT DEFINED ${Var})
+    message(FATAL_ERROR "check_cli_flags.cmake needs -D${Var}=...")
+  endif()
+endforeach()
+
+file(MAKE_DIRECTORY ${WORK_DIR})
+
+# 1. A full device: every write fails with ENOSPC once the buffer flushes.
+if(EXISTS /dev/full)
+  execute_process(COMMAND ${HALO_CLI} run health --trials 1 --out /dev/full
+                  OUTPUT_VARIABLE Out ERROR_VARIABLE Err RESULT_VARIABLE Rc)
+  if(Rc EQUAL 0)
+    message(FATAL_ERROR
+            "halo_cli run --out /dev/full exited 0 (stdout: ${Out})")
+  endif()
+endif()
+
+# 2. machines builds no setup, so --chunk-size is a usage error.
+execute_process(COMMAND ${HALO_CLI} machines --chunk-size 4096
+                OUTPUT_QUIET ERROR_VARIABLE Err RESULT_VARIABLE Rc)
+if(Rc EQUAL 0)
+  message(FATAL_ERROR "halo_cli machines --chunk-size 4096 exited 0")
+endif()
+
+# 3. plot with and without a setup flag must print different bars.
+foreach(Variant default distance8)
+  set(Args plot health --trials 1)
+  if(Variant STREQUAL "distance8")
+    list(APPEND Args --affinity-distance 8)
+  endif()
+  execute_process(COMMAND ${HALO_CLI} ${Args}
+                  OUTPUT_FILE ${WORK_DIR}/plot_${Variant}.txt
+                  RESULT_VARIABLE Rc)
+  if(NOT Rc EQUAL 0)
+    message(FATAL_ERROR "halo_cli ${Args} failed (exit ${Rc})")
+  endif()
+endforeach()
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                        ${WORK_DIR}/plot_default.txt
+                        ${WORK_DIR}/plot_distance8.txt
+                RESULT_VARIABLE Same)
+if(Same EQUAL 0)
+  message(FATAL_ERROR
+          "halo_cli plot ignored --affinity-distance 8: its output equals "
+          "the default run's")
+endif()
+
+message(STATUS "halo_cli flag and output checks passed")

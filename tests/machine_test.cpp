@@ -4,12 +4,12 @@
 // the registry, and drives Tlb/Cache/TimingModel soundly; the default
 // preset is field-for-field the struct defaults (so machine-less code keeps
 // measuring exactly what it always did); distinct presets produce distinct
-// measurements from one machine-independent trace; and benchmark-sharded
-// comparisons are bit-identical to serial ones.
+// measurements from one machine-independent trace; and comparison rows
+// reduced from a plan are bit-identical at any jobs count.
 //
 //===----------------------------------------------------------------------===//
 
-#include "eval/Evaluation.h"
+#include "eval/Experiment.h"
 #include "sim/Machine.h"
 
 #include <gtest/gtest.h>
@@ -280,92 +280,57 @@ TEST(MachineMeasurement, SetupMachineIsTheMeasurementKey) {
   EXPECT_NE(OnMobile.Mem.StallCycles, OnDefault.Mem.StallCycles);
 }
 
-TEST(MachineMeasurement, TrialsFanOutPerMachineBitIdentically) {
-  Evaluation Eval(paperSetup("ft"));
-  const MachineConfig &Server = *findMachine("server");
-  auto Serial = Eval.measureTrials(Server, AllocatorKind::Jemalloc,
-                                   Scale::Test, 4, 100, /*Jobs=*/1);
-  auto Parallel = Eval.measureTrials(Server, AllocatorKind::Jemalloc,
-                                     Scale::Test, 4, 100, /*Jobs=*/3);
-  ASSERT_EQ(Serial.size(), Parallel.size());
-  for (size_t T = 0; T < Serial.size(); ++T) {
-    EXPECT_EQ(Serial[T].Cycles, Parallel[T].Cycles) << "trial " << T;
-    EXPECT_EQ(Serial[T].Mem.L1Misses, Parallel[T].Mem.L1Misses)
-        << "trial " << T;
-  }
+//===----------------------------------------------------------------------===//
+// Cross-benchmark comparisons (halo_cli plot's backing store): one plan,
+// reduced per benchmark by comparisonRow.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// jemalloc/HDS/HALO on \p Benchmarks at test scale, two trials each.
+ExperimentSpec comparisonSpec(std::vector<std::string> Benchmarks,
+                              std::vector<const MachineConfig *> Machines) {
+  ExperimentSpec Spec;
+  Spec.Benchmarks = std::move(Benchmarks);
+  Spec.Machines = std::move(Machines);
+  Spec.S = Scale::Test;
+  Spec.Trials = 2;
+  return Spec;
 }
 
-TEST(MachineMeasurement, SweepMachinesParallelMatchesSerial) {
-  // The cross-machine sweep (halo_cli sweep's backing store) fans the
-  // per-machine loop over the executor; every cell must be bit-identical
-  // to the serial sweep, machine-major in request order.
-  std::vector<const MachineConfig *> Machines = {findMachine("xeon-w2195"),
-                                                 findMachine("mobile"),
-                                                 findMachine("server")};
-  Evaluation SerialEval(paperSetup("health"));
-  auto Serial = sweepMachines(SerialEval, Machines, /*Trials=*/2,
-                              Scale::Test, /*SeedBase=*/100, /*Jobs=*/1);
-  Evaluation ParallelEval(paperSetup("health"));
-  auto Parallel = sweepMachines(ParallelEval, Machines, /*Trials=*/2,
-                                Scale::Test, /*SeedBase=*/100, /*Jobs=*/4);
-
-  ASSERT_EQ(Serial.size(), Machines.size() * 3);
-  ASSERT_EQ(Parallel.size(), Serial.size());
-  const AllocatorKind KindOrder[] = {AllocatorKind::Jemalloc,
-                                     AllocatorKind::Hds, AllocatorKind::Halo};
-  for (size_t C = 0; C < Serial.size(); ++C) {
-    SCOPED_TRACE("cell " + std::to_string(C));
-    EXPECT_EQ(Serial[C].Machine, Machines[C / 3]);
-    EXPECT_EQ(Parallel[C].Machine, Machines[C / 3]);
-    EXPECT_EQ(Serial[C].Kind, KindOrder[C % 3]);
-    ASSERT_EQ(Serial[C].Runs.size(), 2u);
-    ASSERT_EQ(Parallel[C].Runs.size(), 2u);
-    for (size_t T = 0; T < Serial[C].Runs.size(); ++T) {
-      EXPECT_EQ(Serial[C].Runs[T].Cycles, Parallel[C].Runs[T].Cycles);
-      EXPECT_EQ(Serial[C].Runs[T].Mem.L1Misses,
-                Parallel[C].Runs[T].Mem.L1Misses);
-      EXPECT_EQ(Serial[C].Runs[T].Mem.TlbMisses,
-                Parallel[C].Runs[T].Mem.TlbMisses);
-      EXPECT_DOUBLE_EQ(Serial[C].Runs[T].Seconds,
-                       Parallel[C].Runs[T].Seconds);
-    }
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Benchmark-sharded comparisons (halo_cli plot's backing store)
-//===----------------------------------------------------------------------===//
+} // namespace
 
 TEST(CompareAcrossBenchmarks, ShardedRowsMatchSerialRows) {
   const std::vector<std::string> Names = {"ft", "health"};
-  auto Serial =
-      compareAcrossBenchmarks(Names, /*Trials=*/2, Scale::Test, /*Jobs=*/1);
-  auto Sharded =
-      compareAcrossBenchmarks(Names, /*Trials=*/2, Scale::Test, /*Jobs=*/2);
-  ASSERT_EQ(Serial.size(), Names.size());
-  ASSERT_EQ(Sharded.size(), Names.size());
-  for (size_t B = 0; B < Names.size(); ++B) {
-    EXPECT_EQ(Serial[B].Benchmark, Names[B]);
-    EXPECT_EQ(Sharded[B].Benchmark, Names[B]);
-    EXPECT_DOUBLE_EQ(Serial[B].HaloMissReduction,
-                     Sharded[B].HaloMissReduction);
-    EXPECT_DOUBLE_EQ(Serial[B].HdsMissReduction,
-                     Sharded[B].HdsMissReduction);
-    EXPECT_DOUBLE_EQ(Serial[B].HaloSpeedup, Sharded[B].HaloSpeedup);
-    EXPECT_DOUBLE_EQ(Serial[B].HdsSpeedup, Sharded[B].HdsSpeedup);
+  const MachineConfig &M = defaultMachine();
+  ExperimentPlan SerialPlan = buildPlan({comparisonSpec(Names, {&M})});
+  ResultSet Serial = runPlan(SerialPlan, /*Jobs=*/1);
+  ExperimentPlan ParallelPlan = buildPlan({comparisonSpec(Names, {&M})});
+  ResultSet Parallel = runPlan(ParallelPlan, /*Jobs=*/2);
+  for (const std::string &Name : Names) {
+    SCOPED_TRACE(Name);
+    ComparisonRow A = comparisonRow(Serial, Name, M.Name, Scale::Test);
+    ComparisonRow B = comparisonRow(Parallel, Name, M.Name, Scale::Test);
+    EXPECT_EQ(A.Benchmark, Name);
+    EXPECT_EQ(B.Benchmark, Name);
+    EXPECT_DOUBLE_EQ(A.HaloMissReduction, B.HaloMissReduction);
+    EXPECT_DOUBLE_EQ(A.HdsMissReduction, B.HdsMissReduction);
+    EXPECT_DOUBLE_EQ(A.HaloSpeedup, B.HaloSpeedup);
+    EXPECT_DOUBLE_EQ(A.HdsSpeedup, B.HdsSpeedup);
   }
 }
 
 TEST(CompareAcrossBenchmarks, HonoursTheMachineArgument) {
-  auto OnMobile = compareAcrossBenchmarks({"health"}, /*Trials=*/2,
-                                          Scale::Test, /*Jobs=*/1,
-                                          *findMachine("mobile"));
-  auto OnDefault =
-      compareAcrossBenchmarks({"health"}, /*Trials=*/2, Scale::Test,
-                              /*Jobs=*/1);
-  ASSERT_EQ(OnMobile.size(), 1u);
-  ASSERT_EQ(OnDefault.size(), 1u);
+  const MachineConfig &Mobile = *findMachine("mobile");
+  const MachineConfig &Default = defaultMachine();
+  ExperimentPlan Plan =
+      buildPlan({comparisonSpec({"health"}, {&Mobile, &Default})});
+  ResultSet Results = runPlan(Plan, /*Jobs=*/1);
+  ComparisonRow OnMobile =
+      comparisonRow(Results, "health", Mobile.Name, Scale::Test);
+  ComparisonRow OnDefault =
+      comparisonRow(Results, "health", Default.Name, Scale::Test);
   // Different hardware, different headline numbers (the whole point of
   // cross-machine sweeps).
-  EXPECT_NE(OnMobile[0].HaloSpeedup, OnDefault[0].HaloSpeedup);
+  EXPECT_NE(OnMobile.HaloSpeedup, OnDefault.HaloSpeedup);
 }

@@ -454,37 +454,24 @@ TEST(TraceModeNames, RoundTripAndRejectUnknown) {
 }
 
 TEST(TraceModeEval, MappedMeasurementsMatchTheMemoryOracle) {
-  // Two Evaluations over the same setup, one per mode: every allocator
-  // kind must measure bit-identically whether the trace is replayed from
-  // RAM or streamed off disk.
+  // Two Evaluations over the same setup: one replays the in-RAM trace,
+  // the other has the key's trace cached mapped, which measure() then
+  // replays off disk. Every allocator kind must measure bit-identically
+  // both ways, and both must equal the trace-free oracle.
   Evaluation Memory(paperSetup("ft"));
   Evaluation Mapped(paperSetup("ft"));
-  Mapped.setTraceMode(TraceMode::Mapped);
-  EXPECT_EQ(Mapped.traceMode(), TraceMode::Mapped);
+  Mapped.mappedTrace(Scale::Test, 7);
   for (AllocatorKind Kind : AllKinds) {
-    RunMetrics A = Memory.measure(Kind, Scale::Test, 7);
-    RunMetrics B = Mapped.measure(Kind, Scale::Test, 7);
-    expectSameMetrics(A, B, std::string("kind ") + allocatorKindName(Kind));
+    std::string Where = std::string("kind ") + allocatorKindName(Kind);
+    RunMetrics Direct = Memory.measureDirect(Kind, Scale::Test, 7);
+    expectSameMetrics(Direct, Memory.measure(Kind, Scale::Test, 7), Where);
+    expectSameMetrics(Direct, Mapped.measure(Kind, Scale::Test, 7), Where);
   }
-  // The mapped Evaluation held no in-RAM copy of the measurement trace.
+  // The mapped Evaluation never recorded an in-RAM copy of the
+  // measurement trace: every replay went through the mapping.
   EXPECT_TRUE(Mapped.hasMappedTrace(Scale::Test, 7));
-}
-
-TEST(TraceModeEval, ParallelTrialsMatchSerialUnderMappedReplay) {
-  Evaluation Memory(paperSetup("health"));
-  Evaluation Mapped(paperSetup("health"));
-  Mapped.setTraceMode(TraceMode::Mapped);
-  auto Oracle = Memory.measureTrials(AllocatorKind::Jemalloc, Scale::Test, 4,
-                                     100, /*Jobs=*/1);
-  for (int Jobs : {1, 4}) {
-    auto Trials = Mapped.measureTrials(AllocatorKind::Jemalloc, Scale::Test,
-                                       4, 100, Jobs);
-    ASSERT_EQ(Trials.size(), Oracle.size());
-    for (size_t T = 0; T < Trials.size(); ++T)
-      expectSameMetrics(Oracle[T], Trials[T],
-                        "jobs " + std::to_string(Jobs) + " trial " +
-                            std::to_string(T));
-  }
+  EXPECT_FALSE(Mapped.hasTrace(Scale::Test, 7));
+  EXPECT_FALSE(Memory.hasMappedTrace(Scale::Test, 7));
 }
 
 TEST(TraceModeEval, RecordTraceFileWritesAValidImage) {

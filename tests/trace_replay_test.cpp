@@ -370,32 +370,3 @@ TEST(TraceReplay, TraceCacheRecordsOncePerScaleAndSeed) {
   const EventTrace &OtherSeed = Eval.trace(Scale::Test, 10);
   EXPECT_NE(&First, &OtherSeed);
 }
-
-TEST(TraceReplay, ParallelTrialsMatchSerialTrials) {
-  Evaluation Eval(paperSetup("ft"));
-  auto Serial =
-      Eval.measureTrials(AllocatorKind::Jemalloc, Scale::Test, 6, 100,
-                         /*Jobs=*/1);
-  auto Parallel =
-      Eval.measureTrials(AllocatorKind::Jemalloc, Scale::Test, 6, 100,
-                         /*Jobs=*/4);
-  ASSERT_EQ(Serial.size(), Parallel.size());
-  for (size_t T = 0; T < Serial.size(); ++T)
-    expectSameMetrics(Serial[T], Parallel[T],
-                      "trial " + std::to_string(T));
-  EXPECT_DOUBLE_EQ(Evaluation::medianSeconds(Serial),
-                   Evaluation::medianSeconds(Parallel));
-  EXPECT_DOUBLE_EQ(Evaluation::medianL1Misses(Serial),
-                   Evaluation::medianL1Misses(Parallel));
-
-  // The grouped kinds exercise artifact materialisation before fan-out.
-  auto HaloSerial =
-      Eval.measureTrials(AllocatorKind::Halo, Scale::Test, 4, 100,
-                         /*Jobs=*/1);
-  auto HaloParallel =
-      Eval.measureTrials(AllocatorKind::Halo, Scale::Test, 4, 100,
-                         /*Jobs=*/4);
-  for (size_t T = 0; T < HaloSerial.size(); ++T)
-    expectSameMetrics(HaloSerial[T], HaloParallel[T],
-                      "halo trial " + std::to_string(T));
-}
