@@ -939,10 +939,10 @@ int runServe(const CliOptions &Opts) {
   Config.SocketPath = Opts.SocketPath;
   Config.Jobs = Opts.Jobs;
   Config.Traces = Opts.Traces;
-  Config.StoreDir = Opts.StoreDir;
-  if (Config.StoreDir.empty())
-    if (const char *Env = std::getenv("HALO_STORE"))
-      Config.StoreDir = Env;
+  // Validate the store like every other command does, before anything
+  // is bound: a bad directory is a usage error, not a stale socket file.
+  if (std::optional<ArtifactStore> Store = openStore(Opts))
+    Config.StoreDir = Store->dir();
   // Resolve the pool size up front so a malformed HALO_JOBS fails here,
   // not after the socket is bound.
   unsigned Workers = resolveJobs(Opts.Jobs);

@@ -6,8 +6,9 @@
 # halo_cli against a per-run temp --store-dir: cold run populates, warm
 # run must emit byte-identical JSON, verify must pass. And each build
 # smoke-tests the serve daemon: two concurrent clients against one
-# daemon on a temp socket, each byte-identical to a local run, then a
-# clean client-initiated shutdown (exit 0, socket file gone). And --out
+# daemon on a temp socket, each byte-identical to a local run, a warm
+# resubmission that must match too and leave the store's files untouched,
+# then a clean client-initiated shutdown (exit 0, socket file gone). And --out
 # aimed at a FIFO must write through it and leave it a FIFO.
 #
 # Two source checks run first: no file under src/ other than runPlan's
@@ -93,8 +94,10 @@ out_fifo_smoke() {
 # The serve daemon end to end through halo_cli: a daemon on a per-run
 # temp socket serves two clients concurrently, each client's streamed
 # JSON must be byte-identical to a local `experiments` run of the same
-# spec ("served = local"), and a client-initiated shutdown must leave
-# exit 0 and no socket file behind.
+# spec ("served = local"), a warm resubmission of the first spec must
+# match as well without rewriting any store entry (the daemon already
+# holds every trace and artifact it needs), and a client-initiated
+# shutdown must leave exit 0 and no socket file behind.
 serve_smoke() {
   local build="$1"
   local dir daemon_pid sock
@@ -132,6 +135,21 @@ serve_smoke() {
   wait "$client_b"
   cmp "$dir/local_a.json" "$dir/served_a.json"
   cmp "$dir/local_b.json" "$dir/served_b.json"
+
+  # Warm resubmission: replays only, byte-identical, store untouched (a
+  # republished entry would show a new inode and mtime).
+  local store_before store_after
+  store_before="$(stat -c '%n %i %s %y' "$dir/store"/*)"
+  "$build/examples/halo_cli" client run health --socket "$sock" \
+      --kinds jemalloc,halo --scale test --trials 2 \
+      --out "$dir/served_a_warm.json"
+  cmp "$dir/local_a.json" "$dir/served_a_warm.json"
+  store_after="$(stat -c '%n %i %s %y' "$dir/store"/*)"
+  if [[ "$store_before" != "$store_after" ]]; then
+    echo "serve_smoke: a warm resubmission rewrote the store:" >&2
+    diff <(echo "$store_before") <(echo "$store_after") >&2 || true
+    return 1
+  fi
 
   "$build/examples/halo_cli" client shutdown --socket "$sock"
   wait "$daemon_pid"

@@ -104,17 +104,14 @@ size_t ExperimentPlan::numRecordings() const {
 size_t ExperimentPlan::numArtifactTasks() const {
   size_t N = 0;
   for (const Benchmark &B : Benchmarks)
-    N += ((B.NeedsHalo && !B.HaloStored) ? 1 : 0) +
-         ((B.NeedsHds && !B.HdsStored) ? 1 : 0);
+    N += (B.Halo == Source::Cold) + (B.Hds == Source::Cold);
   return N;
 }
 
 size_t ExperimentPlan::numProfileRecordings() const {
   size_t N = 0;
   for (const Benchmark &B : Benchmarks)
-    if (((B.NeedsHalo && !B.HaloStored) || (B.NeedsHds && !B.HdsStored)) &&
-        !B.ProfileStored)
-      ++N;
+    N += B.Profile == Source::Cold;
   return N;
 }
 
@@ -128,8 +125,7 @@ size_t ExperimentPlan::numStoredRecordings() const {
 size_t ExperimentPlan::numStoredArtifacts() const {
   size_t N = 0;
   for (const Benchmark &B : Benchmarks)
-    N += ((B.NeedsHalo && B.HaloStored) ? 1 : 0) +
-         ((B.NeedsHds && B.HdsStored) ? 1 : 0);
+    N += (B.Halo == Source::Stored) + (B.Hds == Source::Stored);
   return N;
 }
 
@@ -201,9 +197,9 @@ ExperimentPlan halo::buildPlan(const std::vector<ExperimentSpec> &Specs,
           Plan.Cells.push_back(C);
           if (Kind == AllocatorKind::Halo ||
               Kind == AllocatorKind::HaloInstrumentedOnly)
-            B.NeedsHalo = true;
+            B.Halo = ExperimentPlan::Source::Cold;
           else if (Kind == AllocatorKind::Hds)
-            B.NeedsHds = true;
+            B.Hds = ExperimentPlan::Source::Cold;
           for (int T = 0; T < Trials; ++T)
             Seeds[BI].emplace(Spec.S, Spec.SeedBase + T);
         }
@@ -211,32 +207,45 @@ ExperimentPlan halo::buildPlan(const std::vector<ExperimentSpec> &Specs,
     }
   }
 
-  for (size_t B = 0; B < Plan.Benchmarks.size(); ++B)
-    Plan.Benchmarks[B].Recordings.assign(Seeds[B].begin(), Seeds[B].end());
-
-  // Consult the store last, once the needs are final: every hit prunes a
-  // record/materialise task from the DAG before runPlan ever schedules
-  // it. contains() fully validates entries, so a truncated or bit-flipped
-  // file plans as a miss (cold path re-records and re-publishes it).
-  if (Store) {
-    for (ExperimentPlan::Benchmark &B : Plan.Benchmarks) {
-      const BenchmarkSetup &Setup = B.Eval->setup();
-      if (B.NeedsHalo)
-        B.HaloStored = Store->contains(haloStoreKey(
-            B.Name, Setup.ProfileScale, Setup.ProfileSeed, Setup.Halo));
-      if (B.NeedsHds)
-        B.HdsStored = Store->contains(hdsStoreKey(
-            B.Name, Setup.ProfileScale, Setup.ProfileSeed, Setup.Hds));
-      if (B.NeedsHalo || B.NeedsHds)
-        B.ProfileStored = Store->contains(
-            traceStoreKey(B.Name, Setup.ProfileScale, Setup.ProfileSeed));
-      std::vector<std::pair<Scale, uint64_t>> Cold;
-      for (const std::pair<Scale, uint64_t> &R : B.Recordings)
-        if (Store->contains(traceStoreKey(B.Name, R.first, R.second)))
-          B.StoredRecordings.push_back(R);
-        else
-          Cold.push_back(R);
-      B.Recordings = std::move(Cold);
+  // Resolve every needed value's source once the needs are final. What
+  // the Evaluation already holds is Resident: no task, no store lookup,
+  // and so no republish -- Evaluation caches never evict, so it cannot go
+  // missing before runPlan. Everything else consults the store, where a
+  // hit prunes a record/materialise task from the DAG. contains() fully
+  // validates entries, so a truncated or bit-flipped file plans as a miss
+  // (the cold path re-records and re-publishes it).
+  using Source = ExperimentPlan::Source;
+  for (size_t BI = 0; BI < Plan.Benchmarks.size(); ++BI) {
+    ExperimentPlan::Benchmark &B = Plan.Benchmarks[BI];
+    Evaluation &E = *B.Eval;
+    const BenchmarkSetup &Setup = E.setup();
+    auto Resolve = [&](Source &S, bool Resident, const StoreKey &Key) {
+      if (S != Source::Cold)
+        return;
+      if (Resident)
+        S = Source::Resident;
+      else if (Store && Store->contains(Key))
+        S = Source::Stored;
+    };
+    Resolve(B.Halo, E.hasHaloArtifacts(),
+            haloStoreKey(B.Name, Setup.ProfileScale, Setup.ProfileSeed,
+                         Setup.Halo));
+    Resolve(B.Hds, E.hasHdsArtifacts(),
+            hdsStoreKey(B.Name, Setup.ProfileScale, Setup.ProfileSeed,
+                        Setup.Hds));
+    if (B.Halo == Source::Cold || B.Hds == Source::Cold) {
+      B.Profile = Source::Cold;
+      Resolve(B.Profile, E.hasTrace(Setup.ProfileScale, Setup.ProfileSeed),
+              traceStoreKey(B.Name, Setup.ProfileScale, Setup.ProfileSeed));
+    }
+    for (const std::pair<Scale, uint64_t> &R : Seeds[BI]) {
+      if (E.hasTrace(R.first, R.second) ||
+          E.hasMappedTrace(R.first, R.second))
+        continue;
+      if (Store && Store->contains(traceStoreKey(B.Name, R.first, R.second)))
+        B.StoredRecordings.push_back(R);
+      else
+        B.Recordings.push_back(R);
     }
   }
   return Plan;
@@ -272,17 +281,26 @@ PlanExecution::PlanExecution(ExperimentPlan &PlanIn, TraceMode TracesIn,
     CellsRemaining[C] = PC.Trials;
   }
 
+  // Stages 0 and 1 hold one task per Stored or Cold value; resident ones
+  // cost nothing.
+  using Source = ExperimentPlan::Source;
+  auto AddTask = [&](unsigned Stage, const ExperimentPlan::Benchmark &B,
+                     Source S, bool Halo) {
+    if (S != Source::Stored && S != Source::Cold)
+      return;
+    TaskData T;
+    T.Stage = Stage;
+    T.B = &B;
+    T.Halo = Halo;
+    T.Stored = S == Source::Stored;
+    Tasks.push_back(T);
+  };
+
   // Stage 0: profile recordings (the input both pipelines profile). A
-  // benchmark whose needed artifact bundles are all stored skips its
-  // profile trace entirely -- the warm path never replays it.
+  // benchmark with no pipeline to run cold skips its profile trace
+  // entirely -- the warm path never replays it.
   for (const ExperimentPlan::Benchmark &B : Plan.Benchmarks)
-    if ((B.NeedsHalo && !B.HaloStored) || (B.NeedsHds && !B.HdsStored)) {
-      TaskData T;
-      T.Stage = 0;
-      T.B = &B;
-      T.Stored = B.ProfileStored;
-      Tasks.push_back(T);
-    }
+    AddTask(0, B, B.Profile, false);
   StageEnd[0] = Tasks.size();
 
   // Stage 1: pipeline artifacts, two independent tasks per benchmark --
@@ -290,22 +308,8 @@ PlanExecution::PlanExecution(ExperimentPlan &PlanIn, TraceMode TracesIn,
   // stored bundle falls back to materialising, which (via Evaluation's
   // lazy trace()) records the profile trace inline if stage 0 skipped it.
   for (const ExperimentPlan::Benchmark &B : Plan.Benchmarks) {
-    if (B.NeedsHalo) {
-      TaskData T;
-      T.Stage = 1;
-      T.B = &B;
-      T.Halo = true;
-      T.Stored = B.HaloStored;
-      Tasks.push_back(T);
-    }
-    if (B.NeedsHds) {
-      TaskData T;
-      T.Stage = 1;
-      T.B = &B;
-      T.Halo = false;
-      T.Stored = B.HdsStored;
-      Tasks.push_back(T);
-    }
+    AddTask(1, B, B.Halo, true);
+    AddTask(1, B, B.Hds, false);
   }
   StageEnd[1] = Tasks.size();
 
@@ -384,14 +388,17 @@ void PlanExecution::obtainTrace(const ExperimentPlan::Benchmark &B, Scale S,
   // Measurement recordings follow the plan's trace mode.
   ArtifactStore *Store = Plan.Store;
   Evaluation &E = *B.Eval;
+  // A trace that turned resident after buildPlan (a concurrent plan
+  // sharing this Evaluation got there first) was published by whoever
+  // recorded or loaded it; touching it again would only rewrite the store.
+  if (E.hasTrace(S, Seed) || (!Profile && E.hasMappedTrace(S, Seed)))
+    return;
   TraceMode M = Profile ? TraceMode::Memory : Traces;
   StoreKey Key;
   if (Store)
     Key = traceStoreKey(B.Name, S, Seed);
 
   if (M == TraceMode::Mapped) {
-    if (E.hasMappedTrace(S, Seed))
-      return;
     if (Store && Stored) {
       if (std::optional<MappedTrace> Mapped = openMappedTrace(*Store, Key)) {
         E.addMappedTrace(S, Seed, std::move(*Mapped));
@@ -422,7 +429,7 @@ void PlanExecution::obtainTrace(const ExperimentPlan::Benchmark &B, Scale S,
     return;
   }
 
-  if (Store && Stored && !E.hasTrace(S, Seed) && !E.hasMappedTrace(S, Seed)) {
+  if (Store && Stored) {
     if (M == TraceMode::Auto) {
       // A stored trace big enough that loading it whole would dominate
       // the run's footprint opens mapped off its entry instead.
@@ -443,15 +450,20 @@ void PlanExecution::obtainTrace(const ExperimentPlan::Benchmark &B, Scale S,
 }
 
 void PlanExecution::runArtifact(const TaskData &Task) {
+  // Same shape as obtainTrace: a bundle that turned resident after
+  // buildPlan is left alone, a stored one loads, and only a bundle this
+  // task materialised is published.
   ArtifactStore *Store = Plan.Store;
   Evaluation &E = *Task.B->Eval;
   const BenchmarkSetup &Setup = E.setup();
   if (Task.Halo) {
+    if (E.hasHaloArtifacts())
+      return;
     StoreKey Key;
     if (Store)
       Key = haloStoreKey(Task.B->Name, Setup.ProfileScale, Setup.ProfileSeed,
                          Setup.Halo);
-    if (Store && Task.Stored && !E.hasHaloArtifacts()) {
+    if (Store && Task.Stored) {
       if (std::optional<HaloArtifacts> Art =
               getHaloArtifacts(*Store, Key, E.program())) {
         E.setHaloArtifacts(std::move(*Art));
@@ -462,11 +474,13 @@ void PlanExecution::runArtifact(const TaskData &Task) {
     if (Store)
       putHaloArtifacts(*Store, Key, Art);
   } else {
+    if (E.hasHdsArtifacts())
+      return;
     StoreKey Key;
     if (Store)
       Key = hdsStoreKey(Task.B->Name, Setup.ProfileScale, Setup.ProfileSeed,
                         Setup.Hds);
-    if (Store && Task.Stored && !E.hasHdsArtifacts()) {
+    if (Store && Task.Stored) {
       if (std::optional<HdsArtifacts> Art = getHdsArtifacts(*Store, Key)) {
         E.setHdsArtifacts(std::move(*Art));
         return;

@@ -147,24 +147,32 @@ private:
 /// it to see what runPlan() will do; the counts are what the dedup saved.
 class ExperimentPlan {
 public:
+  /// Where the plan gets one value its cells need, resolved at buildPlan
+  /// time. Only Stored and Cold values cost a task.
+  enum class Source : uint8_t {
+    None,     ///< Nothing needs it.
+    Resident, ///< The Evaluation already holds it: no task, no lookup.
+    Stored,   ///< A store hit: a load task. runPlan still self-heals if
+              ///< the entry disappears or decodes corrupt, by recomputing
+              ///< (and re-publishing) inline.
+    Cold,     ///< A task records or materialises it, then publishes it.
+  };
+
   /// One benchmark's shared state: the Evaluation every cell of that
   /// benchmark measures through (owned by the plan, or borrowed from the
   /// caller), plus the work the cells imply.
   struct Benchmark {
     std::string Name;
     Evaluation *Eval = nullptr;
-    bool NeedsHalo = false; ///< Some cell needs the HALO artifacts.
-    bool NeedsHds = false;  ///< Some cell needs the HDS artifacts.
-    /// Store hits resolved at buildPlan time (always false without a
-    /// store). A stored trace/artifact becomes a load task instead of a
-    /// record/materialise task, pruning that work from the DAG; runPlan
-    /// still self-heals if an entry disappears or decodes corrupt by
-    /// recomputing (and re-publishing) inline.
-    bool HaloStored = false;
-    bool HdsStored = false;
-    bool ProfileStored = false; ///< The profile-scale trace is stored.
+    Source Halo = Source::None; ///< The HALO artifact bundle.
+    Source Hds = Source::None;  ///< The HDS artifact bundle.
+    /// The profile-scale trace: needed only by a pipeline that runs
+    /// Cold, and only in RAM (the pipelines replay it through observers).
+    Source Profile = Source::None;
     /// Deduplicated (scale, seed) measurement recordings the plan must
-    /// *record*, sorted. Store hits live in StoredRecordings instead.
+    /// *record*, sorted. Store hits live in StoredRecordings instead;
+    /// recordings the Evaluation already holds, in either form, in
+    /// neither list.
     std::vector<std::pair<Scale, uint64_t>> Recordings;
     /// Measurement recordings resolved from the store (load, not record).
     std::vector<std::pair<Scale, uint64_t>> StoredRecordings;
@@ -185,15 +193,17 @@ public:
   const std::vector<Cell> &cells() const { return Cells; }
 
   /// Total deduplicated measurement recordings the plan will *record*
-  /// (store hits are not counted: they are loads, not recordings).
+  /// (store hits are not counted: they are loads, not recordings; nor
+  /// are resident traces, which cost nothing).
   size_t numRecordings() const;
   /// HALO/HDS pipeline materialisations the plan will run (store hits
-  /// excluded for the same reason).
+  /// and resident bundles excluded for the same reasons).
   size_t numArtifactTasks() const;
   /// Total replay tasks (cells x their trials).
   size_t numReplays() const;
   /// Profile-scale recordings the plan will capture: benchmarks with at
-  /// least one cold pipeline whose profile trace is not stored.
+  /// least one Cold pipeline whose profile trace is neither resident nor
+  /// stored.
   size_t numProfileRecordings() const;
   /// Measurement recordings resolved from the artifact store.
   size_t numStoredRecordings() const;
@@ -217,10 +227,12 @@ private:
 /// specs (one Evaluation each); identical cells deduplicate entirely;
 /// each cell's seeds join its benchmark's recording set once. A benchmark
 /// named by an Evaluation in \p External is measured through that caller
-/// instance (its cached traces and artifacts are reused) instead of a
-/// plan-owned one. Throws std::invalid_argument for unknown benchmarks.
+/// instance instead of a plan-owned one: every trace (in either form) and
+/// artifact bundle it already holds is Resident -- no task, no store
+/// lookup, no publish -- so a plan over warm Evaluations is replay-only.
+/// Throws std::invalid_argument for unknown benchmarks.
 ///
-/// With \p Store, every recording and artifact key is first looked up in
+/// With \p Store, every other recording and artifact key is looked up in
 /// the content-addressed store: hits turn into load tasks (pruning the
 /// record/materialise work from the DAG -- a fully warm plan schedules
 /// zero of either), misses run cold and publish their results for the

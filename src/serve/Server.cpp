@@ -67,11 +67,16 @@ DaemonStats HaloDaemon::currentStats() const {
 }
 
 int HaloDaemon::serve() {
-  Listener = Socket::listenUnix(Config.SocketPath);
-  Pool = std::make_unique<Executor>(Config.Jobs);
+  // Everything that can fail on configuration precedes the bind, so a
+  // bad store directory leaves no socket file behind to block a retry.
   if (!Config.StoreDir.empty())
     Store = std::make_unique<ArtifactStore>(Config.StoreDir);
-  Scheduler = std::thread([this] { schedulerMain(); });
+  Pool = std::make_unique<Executor>(Config.Jobs);
+  Listener = Socket::listenUnix(Config.SocketPath);
+  // One claim loop per pool worker, until shutdown has drained.
+  Scheduler = std::thread([this] {
+    Pool->parallelFor(Pool->workers(), [this](size_t) { workerLoop(); });
+  });
 
   for (;;) {
     {
@@ -105,8 +110,9 @@ int HaloDaemon::serve() {
     S->Reader = std::thread([this, S] { readerMain(S); });
   }
 
-  // Shutdown: the scheduler exits once every admitted plan has drained
-  // (submissions are rejected from the moment ShuttingDown was set).
+  // Shutdown: the claim loops return once every admitted plan has
+  // drained (submissions are rejected from the moment ShuttingDown was
+  // set).
   SchedulerCv.notify_all();
   QueueCv.notify_all();
   Scheduler.join();
@@ -200,7 +206,6 @@ void HaloDaemon::readerMain(std::shared_ptr<ServeSession> S) {
     std::lock_guard<std::mutex> Lock(Mu);
     cancelSessionPlansLocked(*S);
   }
-  SchedulerCv.notify_all();
   S->markReaderDone();
 }
 
@@ -302,7 +307,7 @@ void HaloDaemon::handleSubmit(const std::shared_ptr<ServeSession> &S,
   {
     std::lock_guard<std::mutex> Lock(Mu);
     if (ShuttingDown) {
-      // The scheduler may already be gone; nothing will run this plan.
+      // The workers may already be gone; nothing will run this plan.
       PlanDoneMsg Done;
       Done.PlanId = PlanId;
       Done.Status = PlanStatus::Cancelled;
@@ -311,6 +316,8 @@ void HaloDaemon::handleSubmit(const std::shared_ptr<ServeSession> &S,
       return;
     }
     Plans.emplace(PlanId, std::move(P));
+    // A plan with no tasks at all is done on arrival.
+    retireIfFinishedLocked(PlanId);
   }
   SchedulerCv.notify_all();
 }
@@ -325,112 +332,104 @@ void HaloDaemon::handleCancel(const std::shared_ptr<ServeSession> &S,
   if (It == Plans.end() || It->second->Owner.get() != S.get())
     return;
   It->second->Exec->cancel();
+  retireIfFinishedLocked(PlanId);
 }
 
 void HaloDaemon::cancelSessionPlansLocked(const ServeSession &S) {
+  std::vector<uint64_t> Owned;
   for (auto &Entry : Plans)
-    if (Entry.second->Owner.get() == &S)
+    if (Entry.second->Owner.get() == &S) {
       Entry.second->Exec->cancel();
+      Owned.push_back(Entry.first);
+    }
+  for (uint64_t PlanId : Owned)
+    retireIfFinishedLocked(PlanId);
 }
 
 //===----------------------------------------------------------------------===//
 // Scheduler
 //===----------------------------------------------------------------------===//
 
-void HaloDaemon::finalizeFinishedLocked() {
-  for (auto It = Plans.begin(); It != Plans.end();) {
-    PlanState &P = *It->second;
-    if (!P.Exec->finished()) {
-      ++It;
-      continue;
-    }
-    if (!P.DoneSent) {
-      PlanDoneMsg Done;
-      Done.PlanId = P.Id;
-      if (P.Exec->failed()) {
-        Done.Status = PlanStatus::Failed;
-        Done.Message = P.Exec->failureMessage();
-        PlansFailed.fetch_add(1, std::memory_order_relaxed);
-      } else if (P.Exec->cancelled()) {
-        Done.Status = PlanStatus::Cancelled;
-        PlansCancelled.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        Done.Status = PlanStatus::Ok;
-        PlansCompleted.fetch_add(1, std::memory_order_relaxed);
-      }
-      P.Owner->send(MsgType::PlanDone, encodePlanDone(Done));
-      P.DoneSent = true;
-    }
-    It = Plans.erase(It);
+void HaloDaemon::retireIfFinishedLocked(uint64_t PlanId) {
+  auto It = Plans.find(PlanId);
+  if (It == Plans.end())
+    return;
+  PlanState &P = *It->second;
+  if (P.Running > 0 || !P.Exec->finished())
+    return;
+  PlanDoneMsg Done;
+  Done.PlanId = P.Id;
+  if (P.Exec->failed()) {
+    Done.Status = PlanStatus::Failed;
+    Done.Message = P.Exec->failureMessage();
+    PlansFailed.fetch_add(1, std::memory_order_relaxed);
+  } else if (P.Exec->cancelled()) {
+    Done.Status = PlanStatus::Cancelled;
+    PlansCancelled.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    Done.Status = PlanStatus::Ok;
+    PlansCompleted.fetch_add(1, std::memory_order_relaxed);
   }
+  P.Owner->send(MsgType::PlanDone, encodePlanDone(Done));
+  Plans.erase(It);
+  // A queue slot is free, and a shutdown may have just drained.
   QueueCv.notify_all();
+  SchedulerCv.notify_all();
 }
 
-void HaloDaemon::schedulerMain() {
+HaloDaemon::PlanState *HaloDaemon::claimLocked(size_t &Task) {
+  // Fairness is per client, not per plan, so one client's queue depth
+  // does not buy it pool share: the rotation starts one session past the
+  // previous claim's, and within a session plans run in submission order
+  // (the map iterates by ascending id).
+  for (size_t K = 0; K < Sessions.size(); ++K) {
+    size_t I = (RrCursor + K) % Sessions.size();
+    for (auto &Entry : Plans) {
+      PlanState &P = *Entry.second;
+      if (P.Owner != Sessions[I])
+        continue;
+      if (std::optional<size_t> T = P.Exec->next()) {
+        RrCursor = I + 1;
+        ++P.Running;
+        Task = *T;
+        return &P;
+      }
+    }
+  }
+  return nullptr;
+}
+
+void HaloDaemon::workerLoop() {
   std::unique_lock<std::mutex> Lock(Mu);
   for (;;) {
-    SchedulerCv.wait(Lock, [&] { return ShuttingDown || !Plans.empty(); });
-    if (Plans.empty()) {
-      if (ShuttingDown)
-        return;
-      continue;
-    }
-
-    // Assemble one bounded batch, visiting sessions round-robin and
-    // claiming at most one task per session per rotation -- fairness is
-    // per client, not per plan, so one client's queue depth does not buy
-    // it pool share. Within a session, plans run in submission order
-    // (the map iterates by ascending id).
-    const size_t Cap = Config.MaxBatchTasks
-                           ? Config.MaxBatchTasks
-                           : 2 * static_cast<size_t>(Pool->workers());
-    std::vector<std::pair<PlanExecution *, size_t>> Batch;
-    bool Progress = true;
-    while (Progress && Batch.size() < Cap && !Sessions.empty()) {
-      Progress = false;
-      for (size_t K = 0; K < Sessions.size() && Batch.size() < Cap; ++K) {
-        ServeSession *Sess =
-            Sessions[(RrCursor + K) % Sessions.size()].get();
-        for (auto &Entry : Plans) {
-          if (Entry.second->Owner.get() != Sess)
-            continue;
-          if (std::optional<size_t> T = Entry.second->Exec->next()) {
-            Batch.emplace_back(Entry.second->Exec.get(), *T);
-            Progress = true;
-            break;
-          }
-        }
-      }
-    }
-    if (!Sessions.empty())
-      RrCursor = (RrCursor + 1) % Sessions.size();
-
-    if (Batch.empty()) {
-      // Nothing claimable and nothing in flight: every remaining plan is
-      // finished (completed, cancelled, or failed). Finalize; if plans
-      // somehow remain, wait rather than spin.
-      finalizeFinishedLocked();
-      if (!Plans.empty())
-        SchedulerCv.wait(Lock);
-      continue;
-    }
-
-    // Run the batch off-lock. Tasks from different plans (and different
-    // stages of different plans) interleave freely; determinism holds
-    // because every task's output is a function of its key alone. A
-    // throwing task already marked its plan failed inside run() -- the
-    // catch keeps one plan's failure from abandoning the batch's other
-    // plans (which Executor's own exception path would do).
-    Lock.unlock();
-    Pool->parallelFor(Batch.size(), [&](size_t I) {
-      try {
-        Batch[I].first->run(Batch[I].second);
-      } catch (...) {
-      }
+    PlanState *P = nullptr;
+    size_t Task = 0;
+    // Admitted plans drain before shutdown completes.
+    SchedulerCv.wait(Lock, [&] {
+      P = claimLocked(Task);
+      return P || (ShuttingDown && Plans.empty());
     });
-    TasksExecuted.fetch_add(Batch.size(), std::memory_order_relaxed);
+    if (!P)
+      return;
+
+    // Run off-lock. Tasks from different plans (and different stages of
+    // different plans) interleave freely; determinism holds because every
+    // task's output is a function of its key alone. A throwing task
+    // already marked its plan failed inside run(); this worker just
+    // carries on claiming.
+    Lock.unlock();
+    try {
+      P->Exec->run(Task);
+    } catch (...) {
+    }
+    TasksExecuted.fetch_add(1, std::memory_order_relaxed);
     Lock.lock();
 
-    finalizeFinishedLocked();
+    const uint64_t PlanId = P->Id;
+    --P->Running;
+    retireIfFinishedLocked(PlanId);
+    // The retired task may have lifted its plan's stage barrier: idle
+    // workers look again.
+    SchedulerCv.notify_all();
   }
 }

@@ -18,14 +18,20 @@
 /// per-cell completion hook (CellCompletionFn) streams results back the
 /// moment each cell's last trial lands.
 ///
-/// Scheduling: one scheduler thread multiplexes every in-flight plan onto
-/// the one pool. Each round it assembles a bounded batch by visiting
-/// sessions round-robin -- one claimable task per session per rotation --
-/// so a client submitting a 100-cell sweep cannot starve one running a
-/// single cell; the batch cap keeps cancellation responsive (a Cancel
-/// takes effect at the next batch boundary). Plan admission is bounded
-/// too: past MaxQueuedPlans, submitting readers block (backpressure on
-/// that client alone) until a plan retires.
+/// Scheduling: every pool worker runs its own claim loop, so a worker
+/// that frees up claims the next task at once instead of waiting for its
+/// neighbours. A claim visits sessions round-robin -- one task per session
+/// per rotation, plans within a session in submission order -- so a
+/// client submitting a 100-cell sweep cannot starve one running a single
+/// cell. A worker with nothing to claim sleeps until a task retires or a
+/// plan arrives. The worker that retires a plan's last task sends its
+/// PlanDone; a Cancel takes effect at the next claim, and a plan
+/// cancelled with nothing in flight is done at once. A warm plan -- every
+/// trace and artifact already held by the daemon's Evaluations -- is
+/// replay-only: it schedules no load or record task and writes nothing
+/// to the store (buildPlan, eval/Experiment.h). Plan admission is
+/// bounded: past MaxQueuedPlans, submitting readers block (backpressure
+/// on that client alone) until a plan retires.
 ///
 /// Determinism ("served = local", README): a plan's results are a
 /// function of its cell keys only -- every interleaving of PlanExecution
@@ -70,9 +76,6 @@ struct DaemonConfig {
   TraceMode Traces = TraceMode::Auto;
   /// Plans admitted before submitting readers block (backpressure).
   size_t MaxQueuedPlans = 4;
-  /// Tasks per scheduler batch; 0 = twice the pool's workers. Smaller
-  /// batches react to Cancel faster, larger ones amortise scheduling.
-  size_t MaxBatchTasks = 0;
 };
 
 /// The daemon. Construct, then serve() until a client sends Shutdown (or
@@ -91,8 +94,10 @@ public:
   HaloDaemon(const HaloDaemon &) = delete;
   HaloDaemon &operator=(const HaloDaemon &) = delete;
 
-  /// Binds the socket and serves until shutdown. Throws std::runtime_error
-  /// if the socket cannot be bound (e.g. the path already exists).
+  /// Opens the store, binds the socket and serves until shutdown. Throws
+  /// std::runtime_error if the store directory is unusable (before
+  /// anything is bound) or the socket cannot be bound (e.g. the path
+  /// already exists).
   int serve();
 
   /// Asks a running serve() to wind down (idempotent, callable from any
@@ -110,16 +115,24 @@ private:
     std::shared_ptr<ServeSession> Owner;
     ExperimentPlan Plan;
     std::unique_ptr<PlanExecution> Exec;
-    bool DoneSent = false;
+    /// Claimed tasks whose worker has not yet come back for Mu; the plan
+    /// is erased only at zero, so no worker outlives its PlanState.
+    size_t Running = 0;
   };
 
   void readerMain(std::shared_ptr<ServeSession> S);
   void handleSubmit(const std::shared_ptr<ServeSession> &S,
                     const PlanRequest &R);
   void handleCancel(const std::shared_ptr<ServeSession> &S, uint64_t PlanId);
-  void schedulerMain();
-  /// Sends PlanDone for and erases every finished plan. Caller holds Mu.
-  void finalizeFinishedLocked();
+  /// One pool worker's claim loop: claims and runs tasks until shutdown
+  /// has drained every admitted plan.
+  void workerLoop();
+  /// Claims the next task by the round-robin rule, or returns null with
+  /// nothing claimable. Caller holds Mu.
+  PlanState *claimLocked(size_t &Task);
+  /// Sends PlanDone for and erases plan \p PlanId if it is finished with
+  /// nothing in flight. Caller holds Mu.
+  void retireIfFinishedLocked(uint64_t PlanId);
   /// Cancels every plan owned by \p S (its peer is gone). Caller holds Mu.
   void cancelSessionPlansLocked(const ServeSession &S);
 
@@ -136,10 +149,12 @@ private:
   std::map<std::string, std::unique_ptr<Evaluation>> Evals;
 
   mutable std::mutex Mu;
-  std::condition_variable SchedulerCv; ///< Plans queued, or shutting down.
+  /// Something may have become claimable (a plan arrived, a task
+  /// retired), or shutdown began.
+  std::condition_variable SchedulerCv;
   std::condition_variable QueueCv;     ///< A plan retired (backpressure).
   std::vector<std::shared_ptr<ServeSession>> Sessions;
-  size_t RrCursor = 0; ///< Round-robin start position over Sessions.
+  size_t RrCursor = 0; ///< Where the next claim's rotation starts.
   std::map<uint64_t, std::unique_ptr<PlanState>> Plans; ///< By plan id.
   uint64_t NextSessionId = 1;
   uint64_t NextPlanId = 1;

@@ -110,8 +110,9 @@ TEST(BuildPlan, DeduplicatesBenchmarksCellsAndRecordings) {
   ExperimentPlan Plan = buildPlan({First, Second});
   ASSERT_EQ(Plan.benchmarks().size(), 1u);
   EXPECT_EQ(Plan.benchmarks()[0].Name, "health");
-  EXPECT_TRUE(Plan.benchmarks()[0].NeedsHalo);
-  EXPECT_TRUE(Plan.benchmarks()[0].NeedsHds);
+  // A fresh Evaluation and no store: both bundles materialise cold.
+  EXPECT_EQ(Plan.benchmarks()[0].Halo, ExperimentPlan::Source::Cold);
+  EXPECT_EQ(Plan.benchmarks()[0].Hds, ExperimentPlan::Source::Cold);
   // 4 cells from First, 1 new from Second (its jemalloc cell collapses).
   EXPECT_EQ(Plan.cells().size(), 5u);
   // Seeds 100 and 101 record once, not once per cell.

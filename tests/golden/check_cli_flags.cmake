@@ -1,12 +1,14 @@
 # halo_cli flag and output checks (ctest: cli_flags).
 #
-# Three promises the CLI makes that no unit test sees:
+# Four promises the CLI makes that no unit test sees:
 #   1. --out fails loudly: a write that hits ENOSPC (/dev/full) must exit
 #      non-zero instead of reporting "wrote ...";
 #   2. the setup flags (--chunk-size, ...) are usage errors on commands
 #      that build no benchmark setup, instead of being parsed and dropped;
 #   3. plot honours the setup flags: --affinity-distance 8 must change
-#      what it prints.
+#      what it prints;
+#   4. serve rejects an unusable --store-dir before binding its socket,
+#      so the failure leaves no socket file to block the next serve.
 #
 # Invoked as:
 #   cmake -DHALO_CLI=<path> -DWORK_DIR=<dir> -P this_file
@@ -57,6 +59,23 @@ if(Same EQUAL 0)
   message(FATAL_ERROR
           "halo_cli plot ignored --affinity-distance 8: its output equals "
           "the default run's")
+endif()
+
+# 4. A regular file is no store. The timeout only matters if serve
+#    wrongly starts serving; it then leaves its socket, which fails below.
+file(WRITE ${WORK_DIR}/not_a_store "")
+set(Sock ${WORK_DIR}/serve.sock)
+file(REMOVE ${Sock})
+execute_process(COMMAND ${HALO_CLI} serve --socket ${Sock}
+                        --store-dir ${WORK_DIR}/not_a_store
+                OUTPUT_QUIET ERROR_QUIET RESULT_VARIABLE Rc TIMEOUT 30)
+if(Rc EQUAL 0)
+  message(FATAL_ERROR "halo_cli serve with a regular file as --store-dir "
+                      "exited 0")
+endif()
+if(EXISTS ${Sock})
+  message(FATAL_ERROR "halo_cli serve with a regular file as --store-dir "
+                      "left its socket file ${Sock} behind")
 endif()
 
 message(STATUS "halo_cli flag and output checks passed")

@@ -7,7 +7,8 @@
 // (README): the cells a client streams back from the daemon reassemble
 // byte-identical (through writeExperimentsJson) to a local runPlan of the
 // same spec -- across machines, all allocator kinds, concurrent clients,
-// a warm artifact store, and a cancel on a neighbouring client.
+// a warm artifact store, and a cancel on a neighbouring client. A warm
+// served plan runs only its replays and leaves the store untouched.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,14 +21,18 @@
 
 #include <gtest/gtest.h>
 
+#include <dirent.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 using namespace halo;
@@ -213,6 +218,30 @@ std::string localOracle(const PlanRequest &R) {
   return experimentsJson(Results);
 }
 
+/// (inode, size, mtime s, mtime ns) of every file in \p Dir, by name. A
+/// store entry republished with the same bytes still moves to a new
+/// inode with a new mtime.
+using FileStamps =
+    std::map<std::string, std::tuple<uint64_t, int64_t, int64_t, int64_t>>;
+FileStamps stampFiles(const std::string &Dir) {
+  FileStamps Stamps;
+  DIR *D = ::opendir(Dir.c_str());
+  EXPECT_NE(nullptr, D) << Dir;
+  if (!D)
+    return Stamps;
+  while (struct dirent *E = ::readdir(D)) {
+    std::string Name = E->d_name;
+    struct stat St;
+    if (Name == "." || Name == ".." ||
+        ::stat((Dir + "/" + Name).c_str(), &St) != 0)
+      continue;
+    Stamps[Name] = {St.st_ino, St.st_size, St.st_mtim.tv_sec,
+                    St.st_mtim.tv_nsec};
+  }
+  ::closedir(D);
+  return Stamps;
+}
+
 class ServeDaemonTest : public ::testing::Test {
 protected:
   void start(DaemonConfig Config = {}) {
@@ -312,9 +341,12 @@ TEST_F(ServeDaemonTest, SecondPlanServedWarmIsIdentical) {
     EXPECT_EQ(PlanStatus::Ok, Outcome.Status);
     EXPECT_EQ(Local, experimentsJson(Outcome.Results));
   }
+  FileStamps ColdStore = stampFiles(StoreDir);
+  EXPECT_FALSE(ColdStore.empty());
   // Warm: a new connection, served from the daemon's warm Evaluations.
   {
     HaloClient Client = connect();
+    uint64_t TasksBefore = Client.stats().TasksExecuted;
     PlanOutcome Outcome = Client.wait(Client.submit(R));
     EXPECT_EQ(PlanStatus::Ok, Outcome.Status);
     EXPECT_EQ(Local, experimentsJson(Outcome.Results));
@@ -322,7 +354,14 @@ TEST_F(ServeDaemonTest, SecondPlanServedWarmIsIdentical) {
     EXPECT_EQ(2u, St.WarmBenchmarks);
     EXPECT_TRUE(St.HasStore);
     EXPECT_EQ(2u, St.PlansCompleted);
+    // Replay-only: one task per (cell, trial), no loads or records...
+    uint64_t Replays = 0;
+    for (const ResultSet::Cell &C : Outcome.Results.cells())
+      Replays += static_cast<uint64_t>(C.Key.Trials);
+    EXPECT_EQ(TasksBefore + Replays, St.TasksExecuted);
   }
+  // ...and no entry rewritten or added.
+  EXPECT_EQ(ColdStore, stampFiles(StoreDir));
   std::string Cmd = "rm -rf '" + StoreDir + "'";
   (void)std::system(Cmd.c_str());
 }

@@ -5,7 +5,8 @@
 // invalidates everything), writes publish atomically, reads validate a
 // checksum so corruption reads as "absent", and a warm plan built against
 // a populated store schedules zero record/materialise tasks while staying
-// bit-identical to the cold run that populated it.
+// bit-identical to the cold run that populated it. Values the plan's
+// Evaluation already holds cost no task and are never republished.
 //
 //===----------------------------------------------------------------------===//
 
@@ -30,6 +31,20 @@ using namespace halo;
 
 namespace {
 
+/// The names of every file in \p Dir, temp files included.
+std::set<std::string> filesIn(const std::string &Dir) {
+  std::set<std::string> Names;
+  if (DIR *D = opendir(Dir.c_str())) {
+    while (struct dirent *E = readdir(D)) {
+      std::string Name = E->d_name;
+      if (Name != "." && Name != "..")
+        Names.insert(Name);
+    }
+    closedir(D);
+  }
+  return Names;
+}
+
 /// A store in a fresh private temp directory, removed on destruction.
 class TempStore {
 public:
@@ -42,14 +57,8 @@ public:
   }
 
   ~TempStore() {
-    if (DIR *D = opendir(Path.c_str())) {
-      while (struct dirent *E = readdir(D)) {
-        std::string Name = E->d_name;
-        if (Name != "." && Name != "..")
-          unlink((Path + "/" + Name).c_str());
-      }
-      closedir(D);
-    }
+    for (const std::string &Name : filesIn(Path))
+      unlink((Path + "/" + Name).c_str());
     rmdir(Path.c_str());
   }
 
@@ -634,4 +643,61 @@ TEST(StorePlans, RunPlanHealsEntriesLostAfterPlanning) {
   EXPECT_TRUE(Store->contains(traceStoreKey("ft", Scale::Test, 100)));
   EXPECT_TRUE(Store->contains(haloStoreKey(
       "ft", Setup.ProfileScale, Setup.ProfileSeed, Setup.Halo)));
+}
+
+TEST(StorePlans, ResidentValuesNeedNoTaskAndNoPublish) {
+  TempStore Store;
+  Evaluation Eval(paperSetup("ft"));
+  ExperimentPlan ColdPlan = buildPlan({smallSpec()}, {&Eval}, &*Store);
+  ResultSet Cold = runPlan(ColdPlan, /*Jobs=*/2);
+
+  // Empty the store: whatever the next plan needs, only Eval holds.
+  for (const std::string &Name : filesIn(Store.path()))
+    ASSERT_EQ(0, unlink((Store.path() + "/" + Name).c_str())) << Name;
+
+  // Every trace and bundle is resident, so nothing is recorded,
+  // materialised, looked up or loaded: the plan is replay-only.
+  ExperimentPlan WarmPlan = buildPlan({smallSpec()}, {&Eval}, &*Store);
+  EXPECT_EQ(WarmPlan.numRecordings(), 0u);
+  EXPECT_EQ(WarmPlan.numArtifactTasks(), 0u);
+  EXPECT_EQ(WarmPlan.numProfileRecordings(), 0u);
+  EXPECT_EQ(WarmPlan.numStoredRecordings(), 0u);
+  EXPECT_EQ(WarmPlan.numStoredArtifacts(), 0u);
+  ResultSet Warm = runPlan(WarmPlan, /*Jobs=*/2);
+
+  ASSERT_EQ(Warm.size(), Cold.size());
+  for (size_t C = 0; C < Cold.size(); ++C) {
+    SCOPED_TRACE("cell " + std::to_string(C));
+    expectSameRuns(Cold.cells()[C].Runs, Warm.cells()[C].Runs);
+  }
+  // Nothing the plan did not compute was published.
+  EXPECT_TRUE(filesIn(Store.path()).empty());
+}
+
+TEST(StorePlans, AutoPlanReplaysAResidentMappedTraceWithoutRecording) {
+  ExperimentSpec Spec = smallSpec();
+  Spec.Kinds = {AllocatorKind::Jemalloc};
+  Spec.Trials = 1;
+
+  // The Evaluation holds the cell's trace only mapped.
+  Evaluation Eval(paperSetup("ft"));
+  char Path[] = "/tmp/halo_store_test_trace.XXXXXX";
+  int Fd = mkstemp(Path);
+  ASSERT_GE(Fd, 0);
+  close(Fd);
+  Eval.recordTraceFile(Scale::Test, 100, Path);
+  Eval.addMappedTrace(Scale::Test, 100, MappedTrace::open(Path));
+  unlink(Path); // The mapping pins the inode.
+
+  ExperimentPlan Plan = buildPlan({Spec}, {&Eval});
+  EXPECT_EQ(Plan.numRecordings(), 0u);
+  ResultSet Mapped = runPlan(Plan, /*Jobs=*/1, TraceMode::Auto);
+  // Auto did not re-record an in-RAM copy beside the mapping.
+  EXPECT_FALSE(Eval.hasTrace(Scale::Test, 100));
+  EXPECT_TRUE(Eval.hasMappedTrace(Scale::Test, 100));
+
+  ExperimentPlan OraclePlan = buildPlan({Spec});
+  ResultSet Oracle = runPlan(OraclePlan, /*Jobs=*/1, TraceMode::Memory);
+  ASSERT_EQ(Mapped.size(), Oracle.size());
+  expectSameRuns(Oracle.cells()[0].Runs, Mapped.cells()[0].Runs);
 }
