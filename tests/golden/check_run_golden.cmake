@@ -1,36 +1,45 @@
-# Golden byte-identity check for `halo_cli run` (ctest: golden_run_json).
+# Golden byte-identity check for halo_cli JSON (ctest: golden_run_json,
+# golden_matrix_json).
 #
-# The simulator is deterministic, so the full run JSON on the default
-# machine is a fixed byte string; tests/golden/run_health.json pins it.
-# Any refactor that claims "no behaviour change" must keep the
-# machine-less invocation, the explicit --machine xeon-w2195 spelling, and
-# the --jobs 1 / --jobs 4 spellings byte-identical to the committed golden
-# (the worker count only moves work between threads).
+# The simulator is deterministic, so a command's JSON is a fixed byte
+# string; a committed golden file pins it. Any refactor that claims "no
+# behaviour change" must keep every listed spelling of the command
+# byte-identical to the golden (a spelling that only names a default, or
+# only moves work between threads, must not change a byte).
+#
+# SPELLINGS is a '|'-separated list of halo_cli argument lists, each split
+# like a shell command line. An argument @OUT@ stands for the output file
+# (the command writes its JSON there through --out); otherwise the
+# command's stdout is the output.
 #
 # Invoked as:
-#   cmake -DHALO_CLI=<path> -DGOLDEN=<path> -DWORK_DIR=<dir> -P this_file
+#   cmake -DHALO_CLI=<path> -DGOLDEN=<path> -DWORK_DIR=<dir>
+#         "-DSPELLINGS=<args>|<args>..." -P this_file
 
-foreach(Var HALO_CLI GOLDEN WORK_DIR)
+foreach(Var HALO_CLI GOLDEN WORK_DIR SPELLINGS)
   if(NOT DEFINED ${Var})
     message(FATAL_ERROR "check_run_golden.cmake needs -D${Var}=...")
   endif()
 endforeach()
 
 file(MAKE_DIRECTORY ${WORK_DIR})
+get_filename_component(Stem ${GOLDEN} NAME_WE)
 
-foreach(Spelling "default" "named" "jobs1" "jobs4")
-  if(Spelling STREQUAL "default")
-    set(Args run health --trials 2)
-  elseif(Spelling STREQUAL "named")
-    set(Args run health --trials 2 --machine xeon-w2195)
-  elseif(Spelling STREQUAL "jobs1")
-    set(Args run health --trials 2 --jobs 1)
-  else()
-    set(Args run health --trials 2 --jobs 4)
+string(REPLACE "|" ";" SpellingList "${SPELLINGS}")
+set(Index 0)
+foreach(Spelling IN LISTS SpellingList)
+  math(EXPR Index "${Index} + 1")
+  set(Out ${WORK_DIR}/${Stem}_${Index}.json)
+  file(REMOVE ${Out})
+  separate_arguments(Args UNIX_COMMAND "${Spelling}")
+  set(StdOut ${Out})
+  list(FIND Args "@OUT@" OutArg)
+  if(OutArg GREATER -1)
+    list(TRANSFORM Args REPLACE "^@OUT@$" "${Out}")
+    set(StdOut ${WORK_DIR}/${Stem}_${Index}.log)
   endif()
-  set(Out ${WORK_DIR}/run_health_${Spelling}.json)
   execute_process(COMMAND ${HALO_CLI} ${Args}
-                  OUTPUT_FILE ${Out}
+                  OUTPUT_FILE ${StdOut}
                   RESULT_VARIABLE Rc)
   if(NOT Rc EQUAL 0)
     message(FATAL_ERROR "halo_cli ${Args} failed (exit ${Rc})")
@@ -39,10 +48,10 @@ foreach(Spelling "default" "named" "jobs1" "jobs4")
                   RESULT_VARIABLE Diff)
   if(NOT Diff EQUAL 0)
     message(FATAL_ERROR
-            "halo_cli ${Args} JSON differs from ${GOLDEN}; the default "
-            "machine's output must stay byte-identical (see "
-            ".claude/skills/verify/SKILL.md for the golden recipe)")
+            "halo_cli ${Args} JSON differs from ${GOLDEN}; it must stay "
+            "byte-identical (see .claude/skills/verify/SKILL.md for the "
+            "golden recipe)")
   endif()
 endforeach()
 
-message(STATUS "halo_cli run JSON matches the committed golden")
+message(STATUS "halo_cli JSON matches the committed golden ${GOLDEN}")
