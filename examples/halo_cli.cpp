@@ -57,7 +57,8 @@
 // existing device or FIFO, which is written directly); a failed write
 // exits 1 and leaves the previous file alone. The setup flags
 // (--chunk-size, --max-spare-chunks, --max-groups, --affinity-distance)
-// are usage errors on the commands that build no benchmark setup.
+// are usage errors on the commands that build no benchmark setup, and
+// --trials, --machine and --jobs on the commands that would ignore them.
 //
 //===----------------------------------------------------------------------===//
 
@@ -106,8 +107,8 @@ struct CliOptions {
   bool SawTraceMode = false;          ///< --trace-mode given explicitly.
   std::string TraceFile; ///< trace info: the file to inspect.
   std::string SavePath;  ///< trace --save: stream the recording here.
-  int Trials = 3;
-  int Jobs = 0; ///< 0 = hardware concurrency.
+  int Trials = 0; ///< 0 = not given (3 trials).
+  int Jobs = -1;  ///< -1 = not given; 0 = hardware concurrency.
   uint64_t ChunkSize = 0;
   int MaxSpareChunks = -1;
   uint32_t MaxGroups = 0;
@@ -143,10 +144,11 @@ struct CliOptions {
       "         experiments/store/serve)\n"
       "       --socket PATH: the Unix-domain socket serve listens on and\n"
       "         client connects to. client run takes the experiments\n"
-      "         matrix flags (--machines --kinds --scale --seed-base\n"
-      "         --trials --out) and streams cells as the daemon finishes\n"
-      "         them; with --out the JSON is byte-identical to a local\n"
-      "         `experiments --out` of the same matrix\n"
+      "         matrix flags (--machine|--machines --kinds --scale\n"
+      "         --seed-base --trials --out) and streams cells as the\n"
+      "         daemon finishes them; with --out the JSON is\n"
+      "         byte-identical to a local `experiments --out` of the\n"
+      "         same matrix\n"
       "benchmarks:");
   for (const std::string &Name : workloadNames())
     std::fprintf(stderr, " %s", Name.c_str());
@@ -408,6 +410,23 @@ CliOptions parseArgs(int Argc, char **Argv) {
                "--affinity-distance are only valid with the commands that "
                "build a benchmark setup (baseline run hds plot sweep "
                "experiments)");
+  // Likewise --trials, --machine and --jobs, whose defaults read as "not
+  // given" until they resolve below: the commands that measure nothing
+  // (or, for --jobs, run no worker pool here) must not drop them.
+  bool ClientRun = Opts.Command == "client" && Opts.ClientVerb == "run";
+  if (Opts.Trials && !SetupCommand && !ClientRun)
+    usageError("--trials is only valid with the measuring commands "
+               "(baseline run hds plot sweep experiments client run)");
+  if (!Opts.Machine.empty() && !SetupCommand && !ClientRun)
+    usageError("--machine is only valid with the measuring commands "
+               "(baseline run hds plot sweep experiments client run)");
+  if (Opts.Jobs >= 0 && !SetupCommand && Opts.Command != "serve")
+    usageError("--jobs is only valid with the commands that run a worker "
+               "pool (baseline run hds plot sweep experiments serve)");
+  if (!Opts.Trials)
+    Opts.Trials = 3;
+  if (Opts.Jobs < 0)
+    Opts.Jobs = 0;
   if (Opts.Command == "trace" && Opts.Benchmark == "info") {
     if (Opts.TraceFile.empty())
       usageError("trace info needs a trace file to inspect");
@@ -425,9 +444,7 @@ CliOptions parseArgs(int Argc, char **Argv) {
       Opts.Command != "experiments" && Opts.Command != "serve")
     usageError("--store-dir is not supported by the " + Opts.Command +
                " command");
-  bool MatrixCommand = Opts.Command == "experiments" ||
-                       (Opts.Command == "client" && Opts.ClientVerb == "run");
-  if (!MatrixCommand) {
+  if (Opts.Command != "experiments" && !ClientRun) {
     if (!Opts.MachineList.empty())
       usageError("--machines is only valid with the experiments and "
                  "client run commands (use --machine)");
@@ -1004,6 +1021,10 @@ int runClient(const CliOptions &Opts) {
                  knownMachines() + " all)");
     R.Machines.push_back(Name);
   }
+  // Without --machines, --machine names the one measured machine, as in
+  // experiments.
+  if (R.Machines.empty() && !Opts.Machine.empty())
+    R.Machines.push_back(Opts.Machine);
   if (!Opts.KindList.empty()) {
     R.Kinds.clear();
     for (const std::string &Name : Opts.KindList) {

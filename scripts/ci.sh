@@ -94,7 +94,8 @@ out_fifo_smoke() {
 # The serve daemon end to end through halo_cli: a daemon on a per-run
 # temp socket serves two clients concurrently, each client's streamed
 # JSON must be byte-identical to a local `experiments` run of the same
-# spec ("served = local"), a warm resubmission of the first spec must
+# spec ("served = local"), as must a third client naming its machine
+# with --machine, a warm resubmission of the first spec must
 # match as well without rewriting any store entry (the daemon already
 # holds every trace and artifact it needs), and a client-initiated
 # shutdown must leave exit 0 and no socket file behind.
@@ -135,6 +136,15 @@ serve_smoke() {
   wait "$client_b"
   cmp "$dir/local_a.json" "$dir/served_a.json"
   cmp "$dir/local_b.json" "$dir/served_b.json"
+
+  # --machine names client run's one measured machine, as it does for a
+  # local experiments run.
+  "$build/examples/halo_cli" experiments health --machine mobile \
+      --kinds jemalloc,halo --scale test --trials 2 --out "$dir/local_m.json"
+  "$build/examples/halo_cli" client run health --socket "$sock" \
+      --machine mobile --kinds jemalloc,halo --scale test --trials 2 \
+      --out "$dir/served_m.json"
+  cmp "$dir/local_m.json" "$dir/served_m.json"
 
   # Warm resubmission: replays only, byte-identical, store untouched (a
   # republished entry would show a new inode and mtime).

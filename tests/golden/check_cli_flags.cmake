@@ -8,7 +8,10 @@
 #   3. plot honours the setup flags: --affinity-distance 8 must change
 #      what it prints;
 #   4. serve rejects an unusable --store-dir before binding its socket,
-#      so the failure leaves no socket file to block the next serve.
+#      so the failure leaves no socket file to block the next serve;
+#   5. --trials, --machine and --jobs are usage errors on the commands
+#      that would parse and drop them (machines, store, trace, serve's
+#      --trials/--machine, client's --jobs, client stats' --trials).
 #
 # Invoked as:
 #   cmake -DHALO_CLI=<path> -DWORK_DIR=<dir> -P this_file
@@ -77,5 +80,32 @@ if(EXISTS ${Sock})
   message(FATAL_ERROR "halo_cli serve with a regular file as --store-dir "
                       "left its socket file ${Sock} behind")
 endif()
+
+# 5. A usage error exits 1 and names the flag. The timeout only matters
+#    if a command wrongly runs instead: serve would start serving, and a
+#    client would fail to connect (exit 1, but without the flag's name).
+function(expect_usage_error Flag)
+  execute_process(COMMAND ${HALO_CLI} ${ARGN}
+                  OUTPUT_QUIET ERROR_VARIABLE Err RESULT_VARIABLE Rc
+                  TIMEOUT 20)
+  if(NOT Rc EQUAL 1 OR NOT Err MATCHES "error: ${Flag} is only valid")
+    message(FATAL_ERROR "halo_cli ${ARGN}: expected a usage error naming "
+                        "${Flag}, got exit ${Rc} (stderr: ${Err})")
+  endif()
+endfunction()
+
+file(MAKE_DIRECTORY ${WORK_DIR}/store)
+expect_usage_error(--trials machines --trials 5)
+expect_usage_error(--machine machines --machine mobile)
+expect_usage_error(--jobs machines --jobs 3)
+expect_usage_error(--trials store ls --trials 4 --store-dir ${WORK_DIR}/store)
+expect_usage_error(--trials trace health --trials 7)
+expect_usage_error(--machine trace health --machine mobile)
+expect_usage_error(--jobs trace health --jobs 2)
+expect_usage_error(--trials serve --socket ${Sock} --trials 2)
+expect_usage_error(--machine serve --socket ${Sock} --machine mobile)
+expect_usage_error(--jobs client run health --socket ${Sock} --jobs 2)
+expect_usage_error(--trials client stats --socket ${Sock} --trials 2)
+file(REMOVE ${Sock})
 
 message(STATUS "halo_cli flag and output checks passed")
