@@ -25,11 +25,21 @@
 #include <cstdlib>
 #include <functional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 namespace halo {
 namespace bench {
+
+/// The provenance fields of every BENCH_pipeline.json row, rendered to
+/// close a row object: the host's core count and the build type this
+/// bench was compiled as (HALO_BENCH_BUILD_TYPE, set by CMake).
+inline std::string hostFields() {
+  return ", \"host_cores\": " +
+         std::to_string(std::thread::hardware_concurrency()) +
+         ", \"build\": \"" HALO_BENCH_BUILD_TYPE "\"";
+}
 
 /// Writes pre-rendered JSON object rows (each "  {...}", no trailing
 /// comma or newline) as an array to \p Path; with \p Append, merges them

@@ -9,7 +9,8 @@
 //
 // Emits a machine-readable trajectory file (default: BENCH_pipeline.json,
 // override with argv[1]) as a JSON array of rows
-//   {"bench": ..., "nodes": ..., "edges": ..., "wall_ms": ..., "trials": ...}
+//   {"bench": ..., "nodes": ..., "edges": ..., "wall_ms": ..., "trials": ...,
+//    "host_cores": ..., "build": ...}
 // so subsequent PRs can track the perf trend. wall_ms is the median across
 // trials (HALO_BENCH_TRIALS overrides the trial count).
 //
@@ -122,9 +123,10 @@ void writeJson(const std::string &Path, const std::vector<BenchRow> &Rows) {
     int N = std::snprintf(
         Line, sizeof(Line),
         "  {\"bench\": \"%s\", \"nodes\": %llu, \"edges\": %llu, "
-        "\"wall_ms\": %.3f, \"trials\": %d}",
+        "\"wall_ms\": %.3f, \"trials\": %d%s}",
         R.Bench.c_str(), static_cast<unsigned long long>(R.Nodes),
-        static_cast<unsigned long long>(R.Edges), R.WallMs, R.Trials);
+        static_cast<unsigned long long>(R.Edges), R.WallMs, R.Trials,
+        bench::hostFields().c_str());
     if (N < 0 || N >= static_cast<int>(sizeof(Line))) {
       std::fprintf(stderr, "bench row for %s too long\n", R.Bench.c_str());
       std::exit(1);

@@ -103,10 +103,6 @@ struct CliOptions {
   std::string StoreDir;  ///< --store-dir ("" = $HALO_STORE or off).
   std::string ClientVerb; ///< client: run / stats / shutdown.
   std::string SocketPath; ///< --socket (serve / client).
-  TraceMode Traces = TraceMode::Auto; ///< --trace-mode.
-  bool SawTraceMode = false;          ///< --trace-mode given explicitly.
-  std::string TraceFile; ///< trace info: the file to inspect.
-  std::string SavePath;  ///< trace --save: stream the recording here.
   int Trials = 0; ///< 0 = not given (3 trials).
   int Jobs = -1;  ///< -1 = not given; 0 = hardware concurrency.
   uint64_t ChunkSize = 0;
@@ -119,8 +115,6 @@ struct CliOptions {
   std::fprintf(
       stderr,
       "usage: halo_cli <baseline|run|hds|trace> <benchmark> [flags]\n"
-      "       halo_cli trace <benchmark> --save FILE  # stream trace to disk\n"
-      "       halo_cli trace info <FILE>              # inspect an on-disk trace\n"
       "       halo_cli plot [benchmark...] [flags]\n"
       "       halo_cli sweep [benchmark...] [flags]   # all machines -> JSON\n"
       "       halo_cli experiments [benchmark...] [flags]  # matrix -> JSON\n"
@@ -132,11 +126,6 @@ struct CliOptions {
       "flags: --trials N  --jobs N  --machine NAME  --chunk-size BYTES\n"
       "       --max-spare-chunks N  --max-groups N  --affinity-distance BYTES\n"
       "       --out FILE (any JSON-emitting command)\n"
-      "       --trace-mode auto|memory|mapped: how measurement traces are\n"
-      "         held -- in RAM (memory, the oracle), or recorded streaming\n"
-      "         to disk and replayed mmap'd block by block in bounded\n"
-      "         memory (mapped); auto maps only large stored traces.\n"
-      "         Metrics are bit-identical under every mode\n"
       "       --machines NAME[,NAME...]|all  --kinds KIND[,KIND...]\n"
       "       --scale test|ref  --seed-base N  (experiments)\n"
       "       --store-dir DIR (or $HALO_STORE): content-addressed cache of\n"
@@ -329,19 +318,8 @@ CliOptions parseArgs(int Argc, char **Argv) {
       Opts.SeedBase = Args.unsignedValue(Arg, /*Min=*/0);
       Opts.SawSeedBase = true;
     }
-    else if (Arg == "--trace-mode") {
-      std::string Name = Args.value(Arg);
-      std::optional<TraceMode> M = parseTraceMode(Name);
-      if (!M)
-        usageError("unknown trace mode '" + Name + "' for " + Arg +
-                   " (available: auto memory mapped)");
-      Opts.Traces = *M;
-      Opts.SawTraceMode = true;
-    }
     else if (Arg == "--socket")
       Opts.SocketPath = Args.value(Arg);
-    else if (Arg == "--save")
-      Opts.SavePath = Args.value(Arg);
     else if (Arg == "--out")
       Opts.OutPath = Args.value(Arg);
     else if (Arg == "--store-dir")
@@ -360,9 +338,6 @@ CliOptions parseArgs(int Argc, char **Argv) {
       usageError("unknown flag '" + Arg + "'");
     else if (ListCommand && Opts.Command != "machines")
       Opts.Benchmarks.push_back(Arg);
-    else if (Opts.Command == "trace" && Opts.Benchmark == "info" &&
-             Opts.TraceFile.empty())
-      Opts.TraceFile = Arg;
     else
       usageError("unexpected argument '" + Arg + "'");
   }
@@ -392,12 +367,6 @@ CliOptions parseArgs(int Argc, char **Argv) {
   if (!Opts.OutPath.empty() && !emitsJson(Opts))
     usageError("--out is not supported by the " + Opts.Command +
                " command (it emits no JSON)");
-  if (Opts.SawTraceMode && Opts.Command != "baseline" &&
-      Opts.Command != "run" && Opts.Command != "hds" &&
-      Opts.Command != "sweep" && Opts.Command != "experiments" &&
-      Opts.Command != "serve")
-    usageError("--trace-mode is only valid with the measuring commands "
-               "(baseline run hds sweep experiments serve)");
   // The setup flags configure the BenchmarkSetup a measuring command
   // builds; the commands that build none must not accept and drop them.
   bool SetupCommand = Opts.Command == "baseline" || Opts.Command == "run" ||
@@ -427,17 +396,6 @@ CliOptions parseArgs(int Argc, char **Argv) {
     Opts.Trials = 3;
   if (Opts.Jobs < 0)
     Opts.Jobs = 0;
-  if (Opts.Command == "trace" && Opts.Benchmark == "info") {
-    if (Opts.TraceFile.empty())
-      usageError("trace info needs a trace file to inspect");
-    if (!Opts.SavePath.empty())
-      usageError("--save is not valid with trace info (it only inspects)");
-  } else if (Opts.Command == "trace") {
-    if (!Opts.TraceFile.empty())
-      usageError("unexpected argument '" + Opts.TraceFile + "'");
-  } else if (!Opts.SavePath.empty()) {
-    usageError("--save is only valid with the trace command");
-  }
   if (!Opts.StoreDir.empty() && Opts.Command != "store" &&
       Opts.Command != "baseline" && Opts.Command != "run" &&
       Opts.Command != "hds" && Opts.Command != "sweep" &&
@@ -671,7 +629,7 @@ int runSweep(const CliOptions &Opts) {
   std::optional<ArtifactStore> Store = openStore(Opts);
   FILE *Out = Opts.OutPath.empty() ? nullptr : openOutput(Opts.OutPath);
   ExperimentPlan Plan = buildPlan({Spec}, {}, Store ? &*Store : nullptr);
-  ResultSet Results = runPlan(Plan, Opts.Jobs, Opts.Traces);
+  ResultSet Results = runPlan(Plan, Opts.Jobs);
 
   std::vector<SweepRow> Rows = sweepRows(Results);
   sweepReport(Rows).print();
@@ -722,7 +680,7 @@ int runExperiments(const CliOptions &Opts) {
   std::optional<ArtifactStore> Store = openStore(Opts);
   FILE *Out = openOutput(Opts.OutPath);
   ExperimentPlan Plan = buildPlan({Spec}, {}, Store ? &*Store : nullptr);
-  ResultSet Results = runPlan(Plan, Opts.Jobs, Opts.Traces);
+  ResultSet Results = runPlan(Plan, Opts.Jobs);
   if (Out != stdout) {
     // With a file destination the console gets the human-readable view.
     experimentsReport(Results).print();
@@ -821,11 +779,11 @@ int runStore(const CliOptions &Opts) {
   return 0;
 }
 
-/// The shared trace-counts JSON body (no trailing "}\n": callers may
-/// append extra fields).
-void writeTraceCounts(FILE *Out, const std::string &Benchmark,
-                      uint64_t Events, uint64_t Bytes, uint64_t Objects,
-                      const TraceCounts &C) {
+int runTrace(const CliOptions &Opts) {
+  FILE *Out = openOutput(Opts.OutPath);
+  Evaluation Eval(setupFor(Opts));
+  const EventTrace &Trace = Eval.trace(Scale::Ref, /*Seed=*/100);
+  const TraceCounts &C = Trace.counts();
   std::fprintf(
       Out,
       "{\n  \"benchmark\": \"%s\",\n  \"scale\": \"ref\",\n"
@@ -834,119 +792,18 @@ void writeTraceCounts(FILE *Out, const std::string &Benchmark,
       "  \"counts\": {\"calls\": %llu, \"returns\": %llu, \"allocs\": %llu, "
       "\"frees\": %llu,\n             \"loads\": %llu, \"stores\": %llu, "
       "\"raw_loads\": %llu, \"raw_stores\": %llu,\n             "
-      "\"computes\": %llu, \"reallocs\": %llu}",
-      Benchmark.c_str(), (unsigned long long)Events,
-      (unsigned long long)Bytes, (unsigned long long)Objects,
-      Events ? static_cast<double>(Bytes) / static_cast<double>(Events) : 0.0,
+      "\"computes\": %llu, \"reallocs\": %llu}\n}\n",
+      Opts.Benchmark.c_str(), (unsigned long long)Trace.numEvents(),
+      (unsigned long long)Trace.byteSize(),
+      (unsigned long long)Trace.numObjects(),
+      Trace.numEvents() ? static_cast<double>(Trace.byteSize()) /
+                              static_cast<double>(Trace.numEvents())
+                        : 0.0,
       (unsigned long long)C.Calls, (unsigned long long)C.Returns,
       (unsigned long long)C.Allocs, (unsigned long long)C.Frees,
       (unsigned long long)C.Loads, (unsigned long long)C.Stores,
       (unsigned long long)C.RawLoads, (unsigned long long)C.RawStores,
       (unsigned long long)C.Computes, (unsigned long long)C.Reallocs);
-}
-
-int runTrace(const CliOptions &Opts) {
-  FILE *Out = openOutput(Opts.OutPath);
-  Evaluation Eval(setupFor(Opts));
-  if (!Opts.SavePath.empty()) {
-    // Stream the recording to disk (never resident in full), then map the
-    // file back: open() fully validates the image, so the counts below
-    // double as an integrity check of what was just written.
-    Eval.recordTraceFile(Scale::Ref, /*Seed=*/100, Opts.SavePath);
-    MappedTrace Trace = MappedTrace::open(Opts.SavePath);
-    uint64_t Comp = 0;
-    for (size_t B = 0; B < Trace.numBlocks(); ++B)
-      Comp += Trace.block(B).CompBytes;
-    writeTraceCounts(Out, Opts.Benchmark, Trace.numEvents(),
-                     Trace.rawBytes(), Trace.numObjects(), Trace.counts());
-    std::fprintf(Out,
-                 ",\n  \"file\": \"%s\",\n  \"file_bytes\": %llu,\n"
-                 "  \"blocks\": %llu,\n  \"compression_ratio\": %.3f\n}\n",
-                 Opts.SavePath.c_str(), (unsigned long long)Trace.fileBytes(),
-                 (unsigned long long)Trace.numBlocks(),
-                 Comp ? static_cast<double>(Trace.rawBytes()) /
-                            static_cast<double>(Comp)
-                      : 0.0);
-    closeOutput(Out, Opts.OutPath);
-    std::fprintf(stderr, "halo_cli: wrote %s (%llu bytes, %llu events)\n",
-                 Opts.SavePath.c_str(), (unsigned long long)Trace.fileBytes(),
-                 (unsigned long long)Trace.numEvents());
-    return 0;
-  }
-  const EventTrace &Trace = Eval.trace(Scale::Ref, /*Seed=*/100);
-  writeTraceCounts(Out, Opts.Benchmark, Trace.numEvents(), Trace.byteSize(),
-                   Trace.numObjects(), Trace.counts());
-  std::fprintf(Out, "\n}\n");
-  closeOutput(Out, Opts.OutPath);
-  return 0;
-}
-
-int runTraceInfo(const CliOptions &Opts) {
-  // Accept both forms a trace lives in on disk: a bare trace file
-  // (trace --save) and a store entry file wrapping one (putTraceFile).
-  std::optional<MappedTrace> Trace;
-  std::string Problem;
-  try {
-    Trace = MappedTrace::open(Opts.TraceFile);
-  } catch (const SerializationError &E) {
-    Problem = E.what();
-    Trace = openTraceEntryFile(Opts.TraceFile);
-  } catch (const std::runtime_error &E) {
-    Problem = E.what();
-  }
-  if (!Trace) {
-    std::fprintf(stderr, "halo_cli: trace info: %s: %s\n",
-                 Opts.TraceFile.c_str(), Problem.c_str());
-    return 1;
-  }
-
-  FILE *Out = openOutput(Opts.OutPath);
-  const TraceIndex &Idx = Trace->index();
-  uint64_t Comp = 0;
-  for (const TraceBlockInfo &B : Idx.Blocks)
-    Comp += B.CompBytes;
-  const TraceCounts &C = Idx.Counts;
-  // open() already re-validated the whole image -- index structure plus
-  // every block checksum -- so reaching this line IS the integrity check.
-  std::fprintf(
-      Out,
-      "{\n  \"file\": \"%s\",\n  \"format_version\": %u,\n"
-      "  \"integrity\": \"ok\",\n  \"file_bytes\": %llu,\n"
-      "  \"events\": %llu,\n  \"objects\": %llu,\n  \"raw_bytes\": %llu,\n"
-      "  \"compressed_bytes\": %llu,\n  \"compression_ratio\": %.3f,\n"
-      "  \"counts\": {\"calls\": %llu, \"returns\": %llu, \"allocs\": %llu, "
-      "\"frees\": %llu,\n             \"loads\": %llu, \"stores\": %llu, "
-      "\"raw_loads\": %llu, \"raw_stores\": %llu,\n             "
-      "\"computes\": %llu, \"reallocs\": %llu},\n"
-      "  \"blocks\": [\n",
-      Opts.TraceFile.c_str(), TraceFormatVersion,
-      (unsigned long long)Trace->fileBytes(),
-      (unsigned long long)Trace->numEvents(),
-      (unsigned long long)Trace->numObjects(),
-      (unsigned long long)Trace->rawBytes(), (unsigned long long)Comp,
-      Comp ? static_cast<double>(Trace->rawBytes()) /
-                 static_cast<double>(Comp)
-           : 0.0,
-      (unsigned long long)C.Calls, (unsigned long long)C.Returns,
-      (unsigned long long)C.Allocs, (unsigned long long)C.Frees,
-      (unsigned long long)C.Loads, (unsigned long long)C.Stores,
-      (unsigned long long)C.RawLoads, (unsigned long long)C.RawStores,
-      (unsigned long long)C.Computes, (unsigned long long)C.Reallocs);
-  for (size_t B = 0; B < Idx.Blocks.size(); ++B) {
-    const TraceBlockInfo &Blk = Idx.Blocks[B];
-    std::fprintf(Out,
-                 "    {\"block\": %zu, \"method\": \"%s\", \"events\": %llu, "
-                 "\"raw_bytes\": %llu, \"compressed_bytes\": %llu, "
-                 "\"first_event\": %llu, \"first_object\": %llu}%s\n",
-                 B, Blk.Method ? "lz" : "raw",
-                 (unsigned long long)Blk.Events,
-                 (unsigned long long)Blk.RawBytes,
-                 (unsigned long long)Blk.CompBytes,
-                 (unsigned long long)Blk.FirstEvent,
-                 (unsigned long long)Blk.FirstObject,
-                 B + 1 < Idx.Blocks.size() ? "," : "");
-  }
-  std::fprintf(Out, "  ]\n}\n");
   closeOutput(Out, Opts.OutPath);
   return 0;
 }
@@ -955,7 +812,6 @@ int runServe(const CliOptions &Opts) {
   DaemonConfig Config;
   Config.SocketPath = Opts.SocketPath;
   Config.Jobs = Opts.Jobs;
-  Config.Traces = Opts.Traces;
   // Validate the store like every other command does, before anything
   // is bound: a bad directory is a usage error, not a stale socket file.
   if (std::optional<ArtifactStore> Store = openStore(Opts))
@@ -1111,8 +967,6 @@ static int runMain(const CliOptions &Opts) {
     return runServe(Opts);
   if (Opts.Command == "client")
     return runClient(Opts);
-  if (Opts.Command == "trace" && Opts.Benchmark == "info")
-    return runTraceInfo(Opts);
 
   if (!createWorkload(Opts.Benchmark)) {
     std::fprintf(stderr, "unknown benchmark '%s'\n", Opts.Benchmark.c_str());
@@ -1143,7 +997,7 @@ static int runMain(const CliOptions &Opts) {
     return setupFor(Opts, Name);
   };
   ExperimentPlan Plan = buildPlan({Spec}, {}, Store ? &*Store : nullptr);
-  ResultSet Results = runPlan(Plan, Opts.Jobs, Opts.Traces);
+  ResultSet Results = runPlan(Plan, Opts.Jobs);
 
   writeRunsJson(Out, Opts.Benchmark, Opts.Command,
                 Results.cells().front().Runs);

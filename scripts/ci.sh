@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
 # One-command CI for the HALO reproduction: the tier-1 verify (Release
-# build + full ctest, including the golden_run_json byte check) followed
-# by the ASan+UBSan build (-DHALO_SANITIZE=ON) running the same suite.
-# Each build also smoke-tests the artifact store end to end through
-# halo_cli against a per-run temp --store-dir: cold run populates, warm
-# run must emit byte-identical JSON, verify must pass. And each build
-# smoke-tests the serve daemon: two concurrent clients against one
-# daemon on a temp socket, each byte-identical to a local run, a warm
-# resubmission that must match too and leave the store's files untouched,
-# then a clean client-initiated shutdown (exit 0, socket file gone). And --out
-# aimed at a FIFO must write through it and leave it a FIFO.
+# build + full ctest, including the golden_run_json and golden_matrix_json
+# byte checks) followed by the ASan+UBSan build (-DHALO_SANITIZE=ON)
+# running the same suite. Each build also smoke-tests the artifact store
+# end to end through halo_cli against a per-run temp --store-dir: cold run
+# populates, warm run must emit byte-identical JSON, verify and gc must
+# pass. And each build smoke-tests the serve daemon: two concurrent
+# clients against one daemon on a temp socket, each byte-identical to a
+# local run, a third client naming its machine with --machine, also
+# byte-identical to a local run, a warm resubmission that must match too
+# and leave the store's files untouched, then a clean client-initiated
+# shutdown (exit 0, socket file gone). And --out aimed at a FIFO must
+# write through it and leave it a FIFO.
 #
 # Two source checks run first: no file under src/ other than runPlan's
 # (eval/Experiment.cpp) and the serve daemon's (serve/Server.cpp) may
@@ -28,22 +30,15 @@ BUILD="${1:-$ROOT/build}"
 SAN_BUILD="${2:-$ROOT/build-asan}"
 JOBS="${CTEST_PARALLEL:-$(nproc)}"
 
-# Cold run, warm run, byte-compare, verify -- with a store directory that
-# lives only for this invocation, so runs never poison each other. The
-# same trace then round-trips through --trace-mode mapped (cold: record
-# streamed to disk; warm: replayed mmap'd off the store entry), and both
-# runs must emit JSON byte-identical to the in-RAM --trace-mode memory
-# oracle -- the "mapped = in-RAM" contract, end to end through the CLI.
+# Cold run, warm run, byte-compare, verify, gc -- with a store directory
+# that lives only for this invocation, so runs never poison each other.
 store_smoke() {
   local build="$1"
-  local store out_cold out_warm out_mem out_map_cold out_map_warm
+  local store out_cold out_warm
   store="$(mktemp -d)"
   out_cold="$(mktemp)"
   out_warm="$(mktemp)"
-  out_mem="$(mktemp)"
-  out_map_cold="$(mktemp)"
-  out_map_warm="$(mktemp)"
-  trap 'rm -rf "$store" "$out_cold" "$out_warm" "$out_mem" "$out_map_cold" "$out_map_warm"' RETURN
+  trap 'rm -rf "$store" "$out_cold" "$out_warm"' RETURN
   "$build/examples/halo_cli" run health --trials 2 \
       --store-dir "$store" --out "$out_cold"
   "$build/examples/halo_cli" run health --trials 2 \
@@ -51,19 +46,6 @@ store_smoke() {
   cmp "$out_cold" "$out_warm"
   "$build/examples/halo_cli" store verify --store-dir "$store"
   "$build/examples/halo_cli" store gc --store-dir "$store"
-
-  local map_store
-  map_store="$(mktemp -d)"
-  trap 'rm -rf "$store" "$out_cold" "$out_warm" "$out_mem" "$out_map_cold" "$out_map_warm" "$map_store"' RETURN
-  "$build/examples/halo_cli" run health --trials 2 \
-      --trace-mode mapped --store-dir "$map_store" --out "$out_map_cold"
-  "$build/examples/halo_cli" run health --trials 2 \
-      --trace-mode mapped --store-dir "$map_store" --out "$out_map_warm"
-  "$build/examples/halo_cli" run health --trials 2 \
-      --trace-mode memory --store-dir "$map_store" --out "$out_mem"
-  cmp "$out_mem" "$out_map_cold"
-  cmp "$out_mem" "$out_map_warm"
-  "$build/examples/halo_cli" store verify --store-dir "$map_store"
 }
 
 # --out aimed at an existing non-regular file: halo_cli must write the

@@ -7,11 +7,7 @@
 #include "mem/SizeClassAllocator.h"
 #include "support/Stats.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
-
-#include <unistd.h>
 
 using namespace halo;
 
@@ -107,77 +103,6 @@ const EventTrace &Evaluation::addTrace(Scale S, uint64_t Seed,
       .first->second;
 }
 
-void Evaluation::recordTraceFile(Scale S, uint64_t Seed,
-                                 const std::string &Path) {
-  std::FILE *F = std::fopen(Path.c_str(), "wb");
-  if (!F)
-    throw std::runtime_error("recordTraceFile: cannot open '" + Path + "'");
-  bool Ok;
-  {
-    // Same recording configuration as trace(), but the recorder's buffer
-    // flushes each finished block through the writer as it fills: the
-    // trace is never resident in full.
-    TraceFileWriter FW(F);
-    EventTrace Recorded;
-    Recorded.streamTo(FW);
-    RecordingArena RecordAlloc;
-    Runtime RT(Prog, RecordAlloc);
-    TraceRecorder Recorder(Recorded, RecordAlloc);
-    RT.addObserver(&Recorder);
-    W->run(RT, S, Seed);
-    Ok = Recorded.finishStream();
-  }
-  if (std::fclose(F) != 0)
-    Ok = false;
-  if (!Ok) {
-    ::unlink(Path.c_str());
-    throw std::runtime_error("recordTraceFile: I/O error writing '" + Path +
-                             "'");
-  }
-}
-
-const MappedTrace &Evaluation::mappedTrace(Scale S, uint64_t Seed) {
-  auto Key = std::make_pair(static_cast<int>(S), Seed);
-  {
-    std::lock_guard<std::mutex> Lock(TraceMutex);
-    auto It = MappedTraces.find(Key);
-    if (It != MappedTraces.end())
-      return It->second;
-  }
-  // Record outside the lock, like trace(): distinct seeds stream in
-  // parallel, each to its own temp file.
-  const char *Tmp = std::getenv("TMPDIR");
-  std::string Path =
-      std::string(Tmp && *Tmp ? Tmp : "/tmp") + "/halo-trace-XXXXXX";
-  int Fd = ::mkstemp(&Path[0]);
-  if (Fd < 0)
-    throw std::runtime_error("mappedTrace: cannot create a temp file near '" +
-                             Path + "'");
-  ::close(Fd);
-  recordTraceFile(S, Seed, Path);
-  MappedTrace Mapped = MappedTrace::open(Path);
-  // The mapping pins the inode, so unlink now: the bytes vanish with the
-  // last munmap no matter how this process exits.
-  ::unlink(Path.c_str());
-  std::lock_guard<std::mutex> Lock(TraceMutex);
-  // A racing recorder of the same key wins by arriving first; our copy
-  // unmaps (and thus frees) on return.
-  return MappedTraces.emplace(Key, std::move(Mapped)).first->second;
-}
-
-bool Evaluation::hasMappedTrace(Scale S, uint64_t Seed) {
-  std::lock_guard<std::mutex> Lock(TraceMutex);
-  return MappedTraces.count(std::make_pair(static_cast<int>(S), Seed)) != 0;
-}
-
-const MappedTrace &Evaluation::addMappedTrace(Scale S, uint64_t Seed,
-                                              MappedTrace Trace) {
-  std::lock_guard<std::mutex> Lock(TraceMutex);
-  return MappedTraces
-      .emplace(std::make_pair(static_cast<int>(S), Seed), std::move(Trace))
-      .first->second;
-}
-
 void Evaluation::setHaloArtifacts(HaloArtifacts Art) {
   std::lock_guard<std::mutex> Lock(HaloArtMutex);
   if (!HaloArt)
@@ -196,14 +121,6 @@ RunMetrics Evaluation::measure(AllocatorKind Kind, Scale S, uint64_t Seed) {
 
 RunMetrics Evaluation::measure(const MachineConfig &Machine,
                                AllocatorKind Kind, Scale S, uint64_t Seed) {
-  // Mapped traces are cached only where someone asked for one (runPlan's
-  // trace mode, or an explicit mappedTrace()/addMappedTrace() call), so
-  // this one check is the whole replay-path decision.
-  if (hasMappedTrace(S, Seed)) {
-    const MappedTrace &Trace = mappedTrace(S, Seed);
-    return measureWith(Machine, Kind, Seed,
-                       [&](Runtime &RT) { RT.replay(Trace); });
-  }
   const EventTrace &Trace = trace(S, Seed);
   return measureWith(Machine, Kind, Seed,
                      [&](Runtime &RT) { RT.replay(Trace); });

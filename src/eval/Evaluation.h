@@ -23,7 +23,6 @@
 #include "hds/HdsPipeline.h"
 #include "sim/Machine.h"
 #include "trace/EventTrace.h"
-#include "trace/TraceFile.h"
 #include "workloads/Workload.h"
 
 #include <functional>
@@ -119,28 +118,6 @@ public:
   /// returns the cached instance. Thread-safe.
   const EventTrace &addTrace(Scale S, uint64_t Seed, EventTrace Trace);
 
-  /// Records (once) the workload run for (\p S, \p Seed) streaming to a
-  /// private temp file and returns it mapped. The file is unlinked as soon
-  /// as it is mapped, so nothing leaks even on a crash. Thread-safe, same
-  /// contract as trace(). Throws std::runtime_error on I/O failure.
-  const MappedTrace &mappedTrace(Scale S, uint64_t Seed);
-
-  /// True if a mapped trace for (\p S, \p Seed) is cached. Thread-safe.
-  bool hasMappedTrace(Scale S, uint64_t Seed);
-
-  /// Seeds the mapped-trace cache (the store's warm path: an entry opened
-  /// with openMappedTrace replays bit-identically to a fresh recording).
-  /// First writer wins; returns the cached instance. Thread-safe.
-  const MappedTrace &addMappedTrace(Scale S, uint64_t Seed,
-                                    MappedTrace Trace);
-
-  /// Records the workload run for (\p S, \p Seed) streaming into the trace
-  /// file at \p Path (the on-disk format of trace/TraceFile.h), never
-  /// holding more than a block in memory. The store's cold mapped path
-  /// records through this and publishes the file with putTraceFile.
-  /// Throws std::runtime_error on I/O failure (removing the partial file).
-  void recordTraceFile(Scale S, uint64_t Seed, const std::string &Path);
-
   /// Whether the pipeline artifacts are already materialised (loaded or
   /// profiled). Thread-safe: each artifact kind is guarded by its own
   /// mutex, so concurrent plans sharing this Evaluation (the serve
@@ -161,13 +138,9 @@ public:
   void setHdsArtifacts(HdsArtifacts Art);
 
   /// Measures one configuration on one input by replaying the recording
-  /// of (\p S, \p Seed), on the setup's machine. A cached mapped trace
-  /// for the key is replayed block by block off its mapping; otherwise the
-  /// in-RAM trace is replayed (recorded first if need be). Which form gets
-  /// cached is runPlan's trace-mode decision; the metrics are
-  /// bit-identical either way ("mapped = in-RAM",
-  /// tests/trace_file_test.cpp). Safe to call concurrently: the trace and
-  /// artifact caches synchronise.
+  /// of (\p S, \p Seed) (recorded first if need be), on the setup's
+  /// machine. Safe to call concurrently: the trace and artifact caches
+  /// synchronise.
   RunMetrics measure(AllocatorKind Kind, Scale S, uint64_t Seed);
 
   /// Same, on an explicit machine: the recorded trace is machine-
@@ -210,8 +183,6 @@ private:
   mutable std::mutex HdsArtMutex;
   /// (scale, seed) -> recorded trace. std::map for reference stability.
   std::map<std::pair<int, uint64_t>, EventTrace> Traces;
-  /// (scale, seed) -> mapped on-disk trace, same keying and stability.
-  std::map<std::pair<int, uint64_t>, MappedTrace> MappedTraces;
   std::mutex TraceMutex;
 };
 

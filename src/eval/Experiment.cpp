@@ -5,7 +5,6 @@
 #include "store/ArtifactStore.h"
 #include "support/Executor.h"
 #include "support/Format.h"
-#include "support/Hash.h"
 #include "support/Stats.h"
 
 #include <algorithm>
@@ -14,14 +13,7 @@
 #include <stdexcept>
 #include <tuple>
 
-#include <unistd.h>
-
 using namespace halo;
-
-/// TraceMode::Auto's threshold: a stored trace whose decoded size reaches
-/// this opens mapped off its store entry instead of loading whole -- the
-/// point where the in-RAM copy would dominate the run's footprint.
-static constexpr uint64_t AutoMappedTraceBytes = 256ull << 20;
 
 //===----------------------------------------------------------------------===//
 // Names
@@ -239,8 +231,7 @@ ExperimentPlan halo::buildPlan(const std::vector<ExperimentSpec> &Specs,
               traceStoreKey(B.Name, Setup.ProfileScale, Setup.ProfileSeed));
     }
     for (const std::pair<Scale, uint64_t> &R : Seeds[BI]) {
-      if (E.hasTrace(R.first, R.second) ||
-          E.hasMappedTrace(R.first, R.second))
+      if (E.hasTrace(R.first, R.second))
         continue;
       if (Store && Store->contains(traceStoreKey(B.Name, R.first, R.second)))
         B.StoredRecordings.push_back(R);
@@ -261,9 +252,9 @@ ResultSet ResultSet::fromCells(std::vector<Cell> CellsIn) {
   return Results;
 }
 
-PlanExecution::PlanExecution(ExperimentPlan &PlanIn, TraceMode TracesIn,
+PlanExecution::PlanExecution(ExperimentPlan &PlanIn,
                              CellCompletionFn OnCellIn)
-    : Plan(PlanIn), Traces(TracesIn), OnCell(std::move(OnCellIn)) {
+    : Plan(PlanIn), OnCell(std::move(OnCellIn)) {
   Results.Cells.resize(Plan.Cells.size());
   CellsRemaining.resize(Plan.Cells.size(), 0);
   for (size_t C = 0; C < Plan.Cells.size(); ++C) {
@@ -375,70 +366,24 @@ std::optional<size_t> PlanExecution::next() {
 }
 
 void PlanExecution::obtainTrace(const ExperimentPlan::Benchmark &B, Scale S,
-                                uint64_t Seed, bool Stored, bool Profile) {
+                                uint64_t Seed, bool Stored) {
   // Loads a stored trace into the cache, or records it cold (publishing
   // to the store when one is attached). A stored entry that vanished or
   // decodes corrupt between buildPlan and here demotes to the cold path
   // inline -- re-record, re-publish -- so the run self-heals instead of
   // failing. Either way the cached trace is byte-identical to a fresh
   // recording, keeping warm results bit-identical to cold ones.
-  //
-  // Profile recordings always take the in-RAM path: the pipelines replay
-  // them through observers, and profile inputs are test-scale.
-  // Measurement recordings follow the plan's trace mode.
   ArtifactStore *Store = Plan.Store;
   Evaluation &E = *B.Eval;
   // A trace that turned resident after buildPlan (a concurrent plan
   // sharing this Evaluation got there first) was published by whoever
   // recorded or loaded it; touching it again would only rewrite the store.
-  if (E.hasTrace(S, Seed) || (!Profile && E.hasMappedTrace(S, Seed)))
+  if (E.hasTrace(S, Seed))
     return;
-  TraceMode M = Profile ? TraceMode::Memory : Traces;
   StoreKey Key;
   if (Store)
     Key = traceStoreKey(B.Name, S, Seed);
-
-  if (M == TraceMode::Mapped) {
-    if (Store && Stored) {
-      if (std::optional<MappedTrace> Mapped = openMappedTrace(*Store, Key)) {
-        E.addMappedTrace(S, Seed, std::move(*Mapped));
-        return;
-      }
-    }
-    if (Store) {
-      // Cold with a store: record streaming into the store directory,
-      // publish atomically, then map the published entry zero-copy --
-      // the trace's bytes exist on disk exactly once. The "tmp." name
-      // keeps a crashed recorder's leftovers visible to `store gc`.
-      std::string Temp = Store->dir() + "/tmp.rec." + hashHex(Key.Hash) +
-                         "." + std::to_string(::getpid());
-      E.recordTraceFile(S, Seed, Temp);
-      bool Published = putTraceFile(*Store, Key, Temp);
-      ::unlink(Temp.c_str());
-      if (Published) {
-        if (std::optional<MappedTrace> Mapped =
-                openMappedTrace(*Store, Key)) {
-          E.addMappedTrace(S, Seed, std::move(*Mapped));
-          return;
-        }
-      }
-    }
-    // No store (or the publish failed): the Evaluation's self-contained
-    // temp-file recording.
-    E.mappedTrace(S, Seed);
-    return;
-  }
-
   if (Store && Stored) {
-    if (M == TraceMode::Auto) {
-      // A stored trace big enough that loading it whole would dominate
-      // the run's footprint opens mapped off its entry instead.
-      if (std::optional<MappedTrace> Mapped = openMappedTrace(*Store, Key))
-        if (Mapped->rawBytes() >= AutoMappedTraceBytes) {
-          E.addMappedTrace(S, Seed, std::move(*Mapped));
-          return;
-        }
-    }
     if (std::optional<EventTrace> Loaded = getTrace(*Store, Key)) {
       E.addTrace(S, Seed, std::move(*Loaded));
       return;
@@ -505,15 +450,14 @@ void PlanExecution::execute(const TaskData &T) {
   switch (T.Stage) {
   case 0: {
     const BenchmarkSetup &Setup = T.B->Eval->setup();
-    obtainTrace(*T.B, Setup.ProfileScale, Setup.ProfileSeed, T.Stored,
-                /*Profile=*/true);
+    obtainTrace(*T.B, Setup.ProfileScale, Setup.ProfileSeed, T.Stored);
     break;
   }
   case 1:
     runArtifact(T);
     break;
   case 2:
-    obtainTrace(*T.B, T.S, T.Seed, T.Stored, /*Profile=*/false);
+    obtainTrace(*T.B, T.S, T.Seed, T.Stored);
     break;
   default:
     runReplay(T);
@@ -595,9 +539,9 @@ bool PlanExecution::finished() const {
 // runPlan
 //===----------------------------------------------------------------------===//
 
-ResultSet halo::runPlan(ExperimentPlan &Plan, int Jobs, TraceMode Traces,
+ResultSet halo::runPlan(ExperimentPlan &Plan, int Jobs,
                         CellCompletionFn OnCell) {
-  PlanExecution Exec(Plan, Traces, std::move(OnCell));
+  PlanExecution Exec(Plan, std::move(OnCell));
   // One pool drives all four stages; the stage task lists are flat across
   // every benchmark and machine, so a mixed sweep fills the pool at cell
   // granularity instead of sharding along a single axis.

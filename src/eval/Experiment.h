@@ -166,13 +166,11 @@ public:
     Evaluation *Eval = nullptr;
     Source Halo = Source::None; ///< The HALO artifact bundle.
     Source Hds = Source::None;  ///< The HDS artifact bundle.
-    /// The profile-scale trace: needed only by a pipeline that runs
-    /// Cold, and only in RAM (the pipelines replay it through observers).
+    /// The profile-scale trace: needed only by a pipeline that runs Cold.
     Source Profile = Source::None;
     /// Deduplicated (scale, seed) measurement recordings the plan must
     /// *record*, sorted. Store hits live in StoredRecordings instead;
-    /// recordings the Evaluation already holds, in either form, in
-    /// neither list.
+    /// recordings the Evaluation already holds, in neither list.
     std::vector<std::pair<Scale, uint64_t>> Recordings;
     /// Measurement recordings resolved from the store (load, not record).
     std::vector<std::pair<Scale, uint64_t>> StoredRecordings;
@@ -227,8 +225,8 @@ private:
 /// specs (one Evaluation each); identical cells deduplicate entirely;
 /// each cell's seeds join its benchmark's recording set once. A benchmark
 /// named by an Evaluation in \p External is measured through that caller
-/// instance instead of a plan-owned one: every trace (in either form) and
-/// artifact bundle it already holds is Resident -- no task, no store
+/// instance instead of a plan-owned one: every trace and artifact bundle
+/// it already holds is Resident -- no task, no store
 /// lookup, no publish -- so a plan over warm Evaluations is replay-only.
 /// Throws std::invalid_argument for unknown benchmarks.
 ///
@@ -273,12 +271,9 @@ class PlanExecution {
 public:
   /// Binds to \p Plan, which must outlive this object and not move (and
   /// must not back a second concurrent PlanExecution: claim state lives
-  /// here but results accumulate per plan). \p Traces decides which form
-  /// the recording tasks cache each measurement trace in (see runPlan).
-  /// \p OnCell fires immediately (on this thread) for degenerate
-  /// zero-trial cells.
+  /// here but results accumulate per plan). \p OnCell fires immediately
+  /// (on this thread) for degenerate zero-trial cells.
   explicit PlanExecution(ExperimentPlan &Plan,
-                         TraceMode Traces = TraceMode::Auto,
                          CellCompletionFn OnCell = nullptr);
 
   size_t numTasks() const { return Tasks.size(); }
@@ -331,12 +326,11 @@ private:
 
   void execute(const TaskData &T);
   void obtainTrace(const ExperimentPlan::Benchmark &B, Scale S,
-                   uint64_t Seed, bool Stored, bool Profile);
+                   uint64_t Seed, bool Stored);
   void runArtifact(const TaskData &T);
   void runReplay(const TaskData &T);
 
   ExperimentPlan &Plan;
-  TraceMode Traces;
   CellCompletionFn OnCell;
   ResultSet Results;
   std::vector<TaskData> Tasks;
@@ -361,21 +355,10 @@ private:
 /// serially on its worker. Results are bit-identical to a serial run
 /// regardless of Jobs.
 ///
-/// \p Traces decides how measurement recordings are held (profiling
-/// always replays the in-RAM trace). Memory is the historical in-RAM
-/// path. Mapped records cold traces streaming to disk (into the store
-/// when one is attached, so the bytes exist exactly once) and replays
-/// every measurement mmap'd block by block in bounded memory. Auto stays
-/// in RAM except for stored traces whose decoded size is large enough
-/// that loading them whole would dominate the run's footprint -- those
-/// open mapped straight off their store entry, zero-copy. Results are
-/// bit-identical under every mode ("mapped = in-RAM", README).
-///
 /// \p OnCell, when given, fires as each cell's last trial lands (see
 /// CellCompletionFn) -- the serve daemon's streaming hook; the returned
 /// ResultSet is unchanged by it.
 ResultSet runPlan(ExperimentPlan &Plan, int Jobs = 0,
-                  TraceMode Traces = TraceMode::Auto,
                   CellCompletionFn OnCell = nullptr);
 
 //===----------------------------------------------------------------------===//

@@ -3,7 +3,6 @@
 #include "runtime/Runtime.h"
 
 #include "trace/EventTrace.h"
-#include "trace/TraceFile.h"
 
 #include <algorithm>
 #include <cassert>
@@ -167,10 +166,7 @@ void Runtime::replayAccessRun(const MemAccess *Batch, size_t N,
     Obs->onAccessBatch(Batch, N);
 }
 
-/// Replay state shared across decoded ranges (see Runtime.h). A mapped
-/// replay feeds many ranges -- one per block -- through one state, so the
-/// pending batch rides across block boundaries untouched and the counters
-/// come out bit-identical to the single-range in-RAM replay.
+/// Replay state (see Runtime.h).
 struct Runtime::ReplayState {
   static constexpr size_t BatchCap = 512;
 
@@ -337,26 +333,8 @@ void Runtime::replayRange(ReplayState &St, const uint8_t *Begin,
 }
 
 void Runtime::replay(const EventTrace &Trace) {
-  assert(!Trace.streaming() && "a streaming trace has left RAM; replay it "
-                               "through its MappedTrace");
   ReplayState St(Trace.numObjects(), !Observers.empty());
   replayRange(St, Trace.data(), Trace.data() + Trace.byteSize());
-  if (St.Run)
-    replayAccessRun(St.Batch.data(), St.Run, St.RunStores);
-}
-
-void Runtime::replay(const MappedTrace &Trace) {
-  ReplayState St(Trace.numObjects(), !Observers.empty());
-  // One decoded block resident at a time; the pending batch carries
-  // across block boundaries (blocks are whole records, and batch growth
-  // only regroups commutative additions), so the counters match the
-  // in-RAM replay bit for bit.
-  std::vector<uint8_t> Scratch;
-  for (size_t B = 0, N = Trace.numBlocks(); B < N; ++B) {
-    Trace.decodeBlock(B, Scratch);
-    replayRange(St, Scratch.data(), Scratch.data() + Scratch.size());
-    Trace.releaseBlock(B);
-  }
   if (St.Run)
     replayAccessRun(St.Batch.data(), St.Run, St.RunStores);
 }

@@ -36,7 +36,6 @@
 namespace halo {
 
 class EventTrace;
-class MappedTrace;
 
 /// Receives the raw event stream of a run (the Pin-tool role).
 class RuntimeObserver {
@@ -187,16 +186,6 @@ public:
   /// events against their dependencies (see the comment in replay()).
   void replay(const EventTrace &Trace);
 
-  /// Same, over an on-disk mapped trace (trace/TraceFile.h), decoding one
-  /// compressed block at a time into a reused scratch buffer and dropping
-  /// each block's file pages as it passes -- resident memory stays bounded
-  /// by a couple of blocks however large the trace. Blocks hold whole
-  /// records and the batch state carries straight across block boundaries
-  /// (no flush: batching only regroups commutative additions), so the
-  /// result is bit-identical to in-RAM replay of the same recording --
-  /// the "mapped = in-RAM" contract (tests/trace_file_test.cpp).
-  void replay(const MappedTrace &Trace);
-
   // -- State -------------------------------------------------------------
   const Program &program() const { return Prog; }
   Allocator &allocator() { return *Alloc; }
@@ -231,11 +220,9 @@ private:
   /// batch), then observers (whole batch).
   void replayAccessRun(const MemAccess *Batch, size_t N, uint64_t Stores);
 
-  /// Replay state that survives across decoded ranges: the object table,
-  /// the pending access batch, and the strictness policy. Both replay
-  /// overloads drive the same fused decode loop, replayRange, over it --
-  /// one range for an in-RAM trace, one per decoded block for a mapped
-  /// one (defined in Runtime.cpp).
+  /// Replay state: the object table, the pending access batch, and the
+  /// strictness policy, which replay() hands to the fused decode loop,
+  /// replayRange (defined in Runtime.cpp).
   struct ReplayState;
   void replayRange(ReplayState &St, const uint8_t *Begin, const uint8_t *End);
 

@@ -293,7 +293,7 @@ void HaloDaemon::handleSubmit(const std::shared_ptr<ServeSession> &S,
   const uint64_t PlanId = P->Id;
   std::shared_ptr<ServeSession> Owner = S;
   P->Exec = std::make_unique<PlanExecution>(
-      P->Plan, Config.Traces,
+      P->Plan,
       [this, Owner, PlanId](size_t CellIndex, const ResultSet::Cell &Cell) {
         CellResultMsg M;
         M.PlanId = PlanId;

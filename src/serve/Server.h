@@ -71,9 +71,6 @@ struct DaemonConfig {
   int Jobs = 0;
   /// Artifact store directory; empty = serve without a store.
   std::string StoreDir;
-  /// Trace mode for every plan (clients do not choose; the daemon's
-  /// memory budget is the daemon's to manage).
-  TraceMode Traces = TraceMode::Auto;
   /// Plans admitted before submitting readers block (backpressure).
   size_t MaxQueuedPlans = 4;
 };

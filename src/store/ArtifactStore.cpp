@@ -421,145 +421,6 @@ bool halo::putTrace(ArtifactStore &Store, const StoreKey &Key,
   return Store.put(Key, W.buffer());
 }
 
-namespace {
-
-bool writeAll(int Fd, const void *Data, size_t Size) {
-  const uint8_t *P = static_cast<const uint8_t *>(Data);
-  size_t Done = 0;
-  while (Done < Size) {
-    ssize_t N = ::write(Fd, P + Done, Size - Done);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    Done += static_cast<size_t>(N);
-  }
-  return true;
-}
-
-/// Opens the trace entry file at \p Path as a zero-copy MappedTrace over
-/// its payload region. \p Key, when given, must match the entry header.
-std::optional<MappedTrace> openEntryTrace(const std::string &Path,
-                                          const StoreKey *Key) {
-  std::vector<uint8_t> Prefix;
-  uint64_t FileSize = 0;
-  if (!readFilePrefix(Path, 4096, Prefix, FileSize))
-    return std::nullopt;
-  try {
-    ArtifactStore::Entry Header;
-    uint64_t Checksum = 0;
-    size_t HeaderBytes =
-        decodeEntryHeader(Prefix.data(), Prefix.size(), Header, Checksum);
-    if (Header.Type != ArtifactType::Trace)
-      return std::nullopt;
-    if (Key && (Header.Hash != Key->Hash || Header.Type != Key->Type))
-      return std::nullopt;
-    if (HeaderBytes + Header.PayloadSize != FileSize)
-      return std::nullopt;
-    // The entry-level payload checksum is deliberately not recomputed:
-    // MappedTrace::open verifies the footer checksum and every per-block
-    // checksum over the very same bytes, so a second whole-file pass here
-    // would only duplicate that coverage.
-    return MappedTrace::open(Path, HeaderBytes, Header.PayloadSize);
-  } catch (const std::runtime_error &) {
-    // SerializationError (corrupt) or I/O failure: absence either way.
-    return std::nullopt;
-  }
-}
-
-} // namespace
-
-bool halo::putTraceFile(ArtifactStore &Store, const StoreKey &Key,
-                        const std::string &Path) {
-  int In = ::open(Path.c_str(), O_RDONLY);
-  if (In < 0)
-    return false;
-  struct stat St;
-  if (::fstat(In, &St) != 0 || !S_ISREG(St.st_mode)) {
-    ::close(In);
-    return false;
-  }
-  uint64_t PayloadSize = static_cast<uint64_t>(St.st_size);
-
-  // Pass 1: stream the payload checksum. The file is the recorder's own
-  // finished output, so its size is stable across the two passes.
-  std::vector<uint8_t> Buf(1 << 20);
-  uint64_t Checksum = 0xcbf29ce484222325ull; // FNV-1a offset basis.
-  uint64_t Seen = 0;
-  for (;;) {
-    ssize_t N = ::read(In, Buf.data(), Buf.size());
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      ::close(In);
-      return false;
-    }
-    if (N == 0)
-      break;
-    Checksum = fnv1a(Buf.data(), static_cast<size_t>(N), Checksum);
-    Seen += static_cast<uint64_t>(N);
-  }
-  if (Seen != PayloadSize || ::lseek(In, 0, SEEK_SET) != 0) {
-    ::close(In);
-    return false;
-  }
-
-  BinaryWriter W;
-  W.u32(EntryMagic);
-  W.u32(StoreSchemaVersion);
-  W.u8(static_cast<uint8_t>(Key.Type));
-  W.u64(Key.Hash);
-  W.str(Key.Label);
-  W.varint(PayloadSize);
-  W.u64(Checksum);
-
-  std::string Temp = Store.dir() + "/tmp." + hashHex(Key.Hash) + "." +
-                     std::to_string(::getpid()) + "." +
-                     std::to_string(TempSerial.fetch_add(1));
-  int Out = ::open(Temp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (Out < 0) {
-    ::close(In);
-    return false;
-  }
-  // Pass 2: header, then the payload bytes, never all in memory at once.
-  bool Good = writeAll(Out, W.buffer().data(), W.buffer().size());
-  while (Good) {
-    ssize_t N = ::read(In, Buf.data(), Buf.size());
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      Good = false;
-      break;
-    }
-    if (N == 0)
-      break;
-    Good = writeAll(Out, Buf.data(), static_cast<size_t>(N));
-  }
-  ::close(In);
-  if (::close(Out) != 0)
-    Good = false;
-  if (!Good) {
-    ::unlink(Temp.c_str());
-    return false;
-  }
-  std::string Final = Store.dir() + "/" + entryFileName(Key);
-  if (::rename(Temp.c_str(), Final.c_str()) != 0) {
-    ::unlink(Temp.c_str());
-    return false;
-  }
-  return true;
-}
-
-std::optional<MappedTrace> halo::openMappedTrace(const ArtifactStore &Store,
-                                                 const StoreKey &Key) {
-  return openEntryTrace(Store.dir() + "/" + entryFileName(Key), &Key);
-}
-
-std::optional<MappedTrace> halo::openTraceEntryFile(const std::string &Path) {
-  return openEntryTrace(Path, nullptr);
-}
-
 std::optional<EventTrace> halo::getTrace(const ArtifactStore &Store,
                                          const StoreKey &Key) {
   std::optional<std::vector<uint8_t>> Payload = Store.get(Key);

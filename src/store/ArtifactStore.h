@@ -35,7 +35,6 @@
 
 #include "core/Pipeline.h"
 #include "hds/HdsPipeline.h"
-#include "trace/TraceFile.h"
 #include "workloads/Workload.h"
 
 #include <cstdint>
@@ -96,10 +95,7 @@ StoreKey hdsStoreKey(const std::string &Benchmark, Scale ProfileScale,
 /// publish is temp-file + atomic rename, and entries are content-keyed,
 /// so a same-key republish writes identical bytes. A long-lived owner
 /// -- the serve daemon keeps one store open for its whole lifetime,
-/// serving every plan from it -- needs no refresh or reopen; and because
-/// rename replaces the directory entry but not the inode, MappedTrace
-/// mappings opened off an entry stay valid even across a concurrent
-/// republish of the same key.
+/// serving every plan from it -- needs no refresh or reopen.
 class ArtifactStore {
 public:
   /// One entry as `store ls` / `store verify` see it.
@@ -163,29 +159,6 @@ bool putTrace(ArtifactStore &Store, const StoreKey &Key,
 /// Loads and decodes a trace; nullopt on miss or any decode failure.
 std::optional<EventTrace> getTrace(const ArtifactStore &Store,
                                    const StoreKey &Key);
-
-/// Publishes the trace file at \p Path (written by a streaming
-/// TraceFileWriter) under \p Key without ever materialising the payload in
-/// memory: one streaming pass computes the entry checksum, a second copies
-/// the bytes behind the entry header into a temp file, then the usual
-/// atomic rename. Returns false on any I/O failure.
-bool putTraceFile(ArtifactStore &Store, const StoreKey &Key,
-                  const std::string &Path);
-
-/// Opens the trace entry for \p Key as a zero-copy MappedTrace over the
-/// entry file's payload region. The entry header is validated but the
-/// entry-level payload checksum is *not* recomputed -- in the v2 trace
-/// format every payload byte is already covered by a per-block or footer
-/// checksum that MappedTrace::open verifies, so a second whole-file pass
-/// would only repeat that work. Missing, corrupt, or mismatched entries
-/// return nullopt (corruption is absence, as everywhere in the store).
-std::optional<MappedTrace> openMappedTrace(const ArtifactStore &Store,
-                                           const StoreKey &Key);
-
-/// Same, by entry file path instead of key: lets `halo_cli trace info`
-/// inspect a trace entry inside a store directory without knowing how its
-/// key was derived. The file must be a valid trace-type entry.
-std::optional<MappedTrace> openTraceEntryFile(const std::string &Path);
 
 /// Publishes \p Art under \p Key (Key.Type must be Halo).
 bool putHaloArtifacts(ArtifactStore &Store, const StoreKey &Key,

@@ -5,13 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small, dependency-free LZ77 codec for on-disk trace blocks
+/// A small, dependency-free LZ77 codec for saved trace blocks
 /// (trace/TraceFile.h). Varint event streams are highly repetitive --
 /// access runs repeat (op, object, offset-delta) shapes for thousands of
 /// records -- so a byte-oriented match coder recovers most of the easy
-/// redundancy at memcpy-like decode speed, which is what the streamed
-/// replay path needs: decompression must not dominate the fused decode
-/// loop it feeds.
+/// redundancy at memcpy-like decode speed, which keeps loading a stored
+/// trace cheap next to replaying it.
 ///
 /// The format is the classic token stream (LZ4-style): each sequence is a
 /// token byte whose high nibble is the literal length and low nibble the

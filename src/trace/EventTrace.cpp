@@ -147,50 +147,16 @@ void TraceRecorder::onReallocBegin(uint64_t OldAddr, uint64_t NewSize,
 void TraceRecorder::onReallocEnd(uint64_t) { InRealloc = false; }
 
 //===----------------------------------------------------------------------===//
-// Streaming recording
-//===----------------------------------------------------------------------===//
-
-void EventTrace::streamTo(TraceFileWriter &NewSink, uint64_t BlockBytes) {
-  assert(Buffer.empty() && Counts.total() == 0 &&
-         "streaming must start from an empty trace");
-  Sink = &NewSink;
-  SinkBlockBytes = BlockBytes ? BlockBytes : TraceBlockBytes;
-}
-
-void EventTrace::flushSinkBlock() {
-  // record* methods count a record only after emit() returns, and the
-  // flush runs before emit() appends, so the buffer here is exactly the
-  // whole records the counters describe.
-  Sink->addBlock(Buffer.data(), Buffer.size(), Counts.total(), Objects,
-                 Counts.Reallocs);
-  StreamedBytes += Buffer.size();
-  Buffer.clear();
-}
-
-bool EventTrace::finishStream() {
-  assert(Sink && "finishStream without streamTo");
-  if (!Buffer.empty())
-    flushSinkBlock();
-  TraceFileWriter *S = Sink;
-  Sink = nullptr;
-  SinkBlockBytes = 0;
-  return S->finish(Counts, Objects);
-}
-
-//===----------------------------------------------------------------------===//
 // Serialization (the block format of trace/TraceFile.h)
 //===----------------------------------------------------------------------===//
 
 void EventTrace::save(BinaryWriter &W, uint64_t BlockBytes) const {
-  assert(!Sink && "a streaming trace has already left RAM");
   if (BlockBytes == 0)
     BlockBytes = TraceBlockBytes;
   TraceFileWriter FW(W);
-  // Cut the buffer into blocks of whole records by the same rule the
-  // streaming flush applies -- the shortest record prefix of at least
-  // BlockBytes -- so saving after the fact reproduces a streamed file
-  // byte for byte. Skipping a record needs no operand decoding, just
-  // the varint continuation bit.
+  // Cut the buffer into blocks of whole records, each the shortest record
+  // prefix of at least BlockBytes. Skipping a record needs no operand
+  // decoding, just the varint continuation bit.
   const uint8_t *P = Buffer.data(), *End = P + Buffer.size();
   const uint8_t *BlockStart = P;
   uint64_t Events = 0, Minted = 0, Reallocs = 0;

@@ -43,7 +43,6 @@ namespace halo {
 
 class BinaryWriter;
 class BinaryReader;
-class TraceFileWriter;
 
 /// Tag byte of each trace record. Operands are LEB128 varints. Every
 /// consumer dispatches on this with a fully-enumerated switch (no
@@ -157,7 +156,6 @@ public:
   };
 
   Reader reader() const {
-    assert(!Sink && "a streaming trace has no in-RAM buffer to read");
     return Reader(Buffer.data(), Buffer.data() + Buffer.size());
   }
 
@@ -234,27 +232,9 @@ public:
   uint64_t numEvents() const { return Counts.total(); }
   /// Objects ever minted (Alloc + Realloc records).
   uint32_t numObjects() const { return Objects; }
-  /// Encoded record bytes, including any already streamed to a sink.
-  uint64_t byteSize() const { return StreamedBytes + Buffer.size(); }
-  bool empty() const { return StreamedBytes == 0 && Buffer.empty(); }
-  /// True between streamTo() and finishStream(): records are leaving RAM
-  /// as they flush, so the trace is write-only (no reader()/save()).
-  bool streaming() const { return Sink != nullptr; }
-
-  // -- Streaming recording -----------------------------------------------
-  /// Switches this (empty) trace into streaming mode: from now on, every
-  /// time the buffer reaches \p BlockBytes whole records (0 = the default
-  /// TraceBlockBytes), they flush to \p Sink as one compressed block and
-  /// leave RAM. The trace becomes write-only -- reader()/save() are out,
-  /// counts stay live -- and the block cut rule is the very one save()
-  /// applies, so the streamed file is byte-identical to recording in RAM
-  /// and saving afterwards (tests/trace_file_test.cpp pins this).
-  void streamTo(TraceFileWriter &Sink, uint64_t BlockBytes = 0);
-
-  /// Flushes the tail block and seals the sink's footer. Returns the
-  /// sink's ok() (false = an I/O error was latched). The trace leaves
-  /// streaming mode; its buffer is empty.
-  bool finishStream();
+  /// Encoded record bytes.
+  uint64_t byteSize() const { return Buffer.size(); }
+  bool empty() const { return Buffer.empty(); }
 
   // -- Serialization -----------------------------------------------------
   /// Writes the trace to \p W in the on-disk block format
@@ -285,14 +265,8 @@ private:
   }
 
   /// Encodes one record into a stack scratch and appends it with a single
-  /// insert (one growth check per record, not per byte). In streaming
-  /// mode the flush check runs *before* the append: record* methods count
-  /// a record only after emitting it, so at this point the buffer holds
-  /// exactly the whole records the counters describe -- the invariant
-  /// that makes each flushed block a counted record prefix.
+  /// insert (one growth check per record, not per byte).
   template <typename... OperandTs> void emit(TraceOp Op, OperandTs... Ops) {
-    if (Sink && Buffer.size() >= SinkBlockBytes)
-      flushSinkBlock();
     uint8_t Tmp[1 + sizeof...(OperandTs) * 10];
     size_t N = 0;
     Tmp[N++] = static_cast<uint8_t>(Op);
@@ -300,18 +274,9 @@ private:
     Buffer.insert(Buffer.end(), Tmp, Tmp + N);
   }
 
-  /// Compresses the buffered records into one sink block and empties the
-  /// buffer (out-of-line: needs TraceFileWriter's definition).
-  void flushSinkBlock();
-
   std::vector<uint8_t> Buffer;
   TraceCounts Counts;
   ObjectId Objects = 0;
-  /// Streaming mode (streamTo/finishStream); null when fully in RAM.
-  TraceFileWriter *Sink = nullptr;
-  uint64_t SinkBlockBytes = 0;
-  /// Record bytes already flushed out of Buffer.
-  uint64_t StreamedBytes = 0;
 };
 
 /// Decodes the operands of one record whose tag \p Op was already

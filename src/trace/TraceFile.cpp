@@ -1,4 +1,4 @@
-//===- trace/TraceFile.cpp - Out-of-core block-compressed traces ----------===//
+//===- trace/TraceFile.cpp - Block-compressed trace format -----------------===//
 //
 // Part of the HALO reproduction. Distributed under the BSD 3-clause licence.
 //
@@ -24,27 +24,9 @@ using namespace halo;
 // TraceFileWriter
 //===----------------------------------------------------------------------===//
 
-TraceFileWriter::TraceFileWriter(BinaryWriter &W) : BufOut(&W) {
-  BinaryWriter H;
-  H.u32(TraceMagic);
-  H.u32(TraceFormatVersion);
-  sink(H.buffer().data(), H.size());
-}
-
-TraceFileWriter::TraceFileWriter(std::FILE *F) : FileOut(F) {
-  BinaryWriter H;
-  H.u32(TraceMagic);
-  H.u32(TraceFormatVersion);
-  sink(H.buffer().data(), H.size());
-}
-
-void TraceFileWriter::sink(const void *Data, size_t Size) {
-  if (BufOut) {
-    BufOut->bytes(Data, Size);
-    return;
-  }
-  if (Ok && std::fwrite(Data, 1, Size, FileOut) != Size)
-    Ok = false;
+TraceFileWriter::TraceFileWriter(BinaryWriter &W) : Out(W) {
+  Out.u32(TraceMagic);
+  Out.u32(TraceFormatVersion);
 }
 
 void TraceFileWriter::addBlock(const uint8_t *Raw, size_t RawN,
@@ -68,21 +50,20 @@ void TraceFileWriter::addBlock(const uint8_t *Raw, size_t RawN,
   Info.FirstObject = PrevObjects;
   Info.FirstRealloc = PrevReallocs;
   Info.Checksum = fnv1a(Payload, PayloadN);
-  sink(Payload, PayloadN);
+  Out.bytes(Payload, PayloadN);
   Table.push_back(Info);
   PrevEvents = EventsAfter;
   PrevObjects = ObjectsAfter;
   PrevReallocs = ReallocsAfter;
   RawTotal += RawN;
-  CompTotal += PayloadN;
 }
 
-bool TraceFileWriter::finish(const TraceCounts &Counts, uint64_t Objects) {
+void TraceFileWriter::finish(const TraceCounts &Counts, uint64_t Objects) {
   assert(!Finished && "finish() twice");
   assert(Counts.total() == PrevEvents &&
-         "unflushed records at finish (counts disagree with the blocks)");
+         "unwritten records at finish (counts disagree with the blocks)");
   assert(Objects == PrevObjects && Counts.Reallocs == PrevReallocs &&
-         "unflushed records at finish (counts disagree with the blocks)");
+         "unwritten records at finish (counts disagree with the blocks)");
   Finished = true;
   BinaryWriter FW;
   FW.varint(Table.size());
@@ -107,13 +88,10 @@ bool TraceFileWriter::finish(const TraceCounts &Counts, uint64_t Objects) {
     FW.varint(B.FirstRealloc);
     FW.u64(B.Checksum);
   }
-  sink(FW.buffer().data(), FW.size());
-  BinaryWriter TW;
-  TW.u64(fnv1a(FW.buffer().data(), FW.size()));
-  TW.u64(FW.size());
-  TW.u32(TraceEndMagic);
-  sink(TW.buffer().data(), TW.size());
-  return Ok;
+  Out.bytes(FW.buffer().data(), FW.size());
+  Out.u64(fnv1a(FW.buffer().data(), FW.size()));
+  Out.u64(FW.size());
+  Out.u32(TraceEndMagic);
 }
 
 //===----------------------------------------------------------------------===//
@@ -224,16 +202,12 @@ TraceIndex halo::parseTraceIndex(const uint8_t *Data, size_t Size) {
 MappedTrace &MappedTrace::operator=(MappedTrace &&Other) noexcept {
   if (this != &Other) {
     if (Map)
-      ::munmap(Map, MapLen);
+      ::munmap(Map, Size);
     Map = Other.Map;
-    MapLen = Other.MapLen;
-    Data = Other.Data;
     Size = Other.Size;
     Blocks = Other.Blocks;
     Idx = std::move(Other.Idx);
     Other.Map = nullptr;
-    Other.MapLen = 0;
-    Other.Data = nullptr;
     Other.Size = 0;
     Other.Blocks = nullptr;
   }
@@ -242,49 +216,40 @@ MappedTrace &MappedTrace::operator=(MappedTrace &&Other) noexcept {
 
 MappedTrace::~MappedTrace() {
   if (Map)
-    ::munmap(Map, MapLen);
+    ::munmap(Map, Size);
 }
 
 MappedTrace MappedTrace::open(const std::string &Path) {
-  struct stat St;
-  if (::stat(Path.c_str(), &St) != 0 || !S_ISREG(St.st_mode))
-    throw std::runtime_error("trace file: cannot stat " + Path);
-  return open(Path, 0, static_cast<uint64_t>(St.st_size));
-}
-
-MappedTrace MappedTrace::open(const std::string &Path, uint64_t Offset,
-                              uint64_t Length) {
   int Fd = ::open(Path.c_str(), O_RDONLY);
   if (Fd < 0)
     throw std::runtime_error("trace file: cannot open " + Path);
-  // mmap offsets must be page-aligned; round down and keep the delta.
-  uint64_t Page = static_cast<uint64_t>(::sysconf(_SC_PAGESIZE));
-  uint64_t MapOff = Offset & ~(Page - 1);
-  uint64_t Delta = Offset - MapOff;
-  size_t Len = static_cast<size_t>(Length + Delta);
-  if (Len == 0) {
+  struct stat St;
+  if (::fstat(Fd, &St) != 0 || !S_ISREG(St.st_mode)) {
+    ::close(Fd);
+    throw std::runtime_error("trace file: cannot stat " + Path);
+  }
+  size_t Size = static_cast<size_t>(St.st_size);
+  if (Size == 0) {
     ::close(Fd);
     throw SerializationError("trace file: empty image");
   }
-  void *Base = ::mmap(nullptr, Len, PROT_READ, MAP_PRIVATE, Fd,
-                      static_cast<off_t>(MapOff));
+  void *Base = ::mmap(nullptr, Size, PROT_READ, MAP_PRIVATE, Fd, 0);
   ::close(Fd);
   if (Base == MAP_FAILED)
     throw std::runtime_error("trace file: mmap failed for " + Path + ": " +
                              std::strerror(errno));
   MappedTrace T;
   T.Map = Base;
-  T.MapLen = Len;
-  T.Data = static_cast<const uint8_t *>(Base) + Delta;
-  T.Size = static_cast<size_t>(Length);
-  ::madvise(Base, Len, MADV_SEQUENTIAL);
+  T.Size = Size;
+  ::madvise(Base, Size, MADV_SEQUENTIAL);
   // The destructor unmaps on any validation throw below.
-  T.Idx = parseTraceIndex(T.Data, T.Size);
-  T.Blocks = T.Data + TraceHeaderBytes;
+  const uint8_t *Data = static_cast<const uint8_t *>(Base);
+  T.Idx = parseTraceIndex(Data, Size);
+  T.Blocks = Data + TraceHeaderBytes;
   // One streaming pass verifies every payload byte against its block
   // checksum, so later decodes need no re-verification. Consumed pages
   // are dropped as the pass advances past each block (they re-fault from
-  // the page cache if replay follows), keeping the pass itself bounded.
+  // the page cache if decoding follows), keeping the pass itself bounded.
   for (const TraceBlockInfo &B : T.Idx.Blocks) {
     if (fnv1a(T.Blocks + B.FileOffset, static_cast<size_t>(B.CompBytes)) !=
         B.Checksum)
@@ -335,30 +300,4 @@ size_t MappedTrace::Cursor::fill(TraceEvent *Out, size_t MaxN) {
     decodeTraceOperands(R, E.Op, E);
   }
   return N;
-}
-
-//===----------------------------------------------------------------------===//
-// TraceMode
-//===----------------------------------------------------------------------===//
-
-const char *halo::traceModeName(TraceMode M) {
-  switch (M) {
-  case TraceMode::Auto:
-    return "auto";
-  case TraceMode::Memory:
-    return "memory";
-  case TraceMode::Mapped:
-    return "mapped";
-  }
-  return "?";
-}
-
-std::optional<TraceMode> halo::parseTraceMode(const std::string &Name) {
-  if (Name == "auto")
-    return TraceMode::Auto;
-  if (Name == "memory")
-    return TraceMode::Memory;
-  if (Name == "mapped")
-    return TraceMode::Mapped;
-  return std::nullopt;
 }

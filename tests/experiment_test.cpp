@@ -337,7 +337,7 @@ TEST(RunPlan, OnCellFiresExactlyOncePerCellWithFinalContents) {
   std::vector<int> Fired(NumCells, 0);
   std::vector<std::vector<RunMetrics>> Seen(NumCells);
   ResultSet Results = runPlan(
-      Plan, /*Jobs=*/2, TraceMode::Auto,
+      Plan, /*Jobs=*/2,
       [&](size_t Cell, const ResultSet::Cell &C) {
         std::lock_guard<std::mutex> Lock(Mu);
         ASSERT_LT(Cell, NumCells);

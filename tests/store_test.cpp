@@ -373,55 +373,8 @@ TEST(StoreCorruption, GcKeepsValidEntries) {
 }
 
 //===----------------------------------------------------------------------===//
-// On-disk trace entries (putTraceFile / openMappedTrace)
+// Trace entries (the block format as a store payload)
 //===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Streams one recording of ("ft", Test, \p Seed) to \p Path.
-void recordTraceTo(Evaluation &Eval, uint64_t Seed, const std::string &Path) {
-  Eval.recordTraceFile(Scale::Test, Seed, Path);
-}
-
-} // namespace
-
-TEST(StoreTraceFiles, PutTraceFileRoundTripsThroughMappedOpen) {
-  Evaluation Eval(paperSetup("ft"));
-  TempStore Store;
-  StoreKey Key = traceStoreKey("ft", Scale::Test, 1);
-  std::string Temp = Store.path() + "/tmp.recording";
-  recordTraceTo(Eval, 1, Temp);
-
-  ASSERT_TRUE(putTraceFile(*Store, Key, Temp));
-  EXPECT_TRUE(Store->contains(Key));
-
-  // The published payload is byte-identical to the recorded file, so the
-  // streamed entry is interchangeable with putTrace of the same trace.
-  std::optional<std::vector<uint8_t>> Payload = Store->get(Key);
-  ASSERT_TRUE(Payload.has_value());
-  BinaryWriter Saved;
-  Eval.trace(Scale::Test, 1).save(Saved);
-  EXPECT_EQ(*Payload, Saved.buffer());
-
-  // Every read path agrees: mmap'd straight off the entry, decoded whole
-  // via getTrace, and `trace info`'s entry-file form.
-  std::optional<MappedTrace> Mapped = openMappedTrace(*Store, Key);
-  ASSERT_TRUE(Mapped.has_value());
-  EXPECT_EQ(Mapped->numEvents(), Eval.trace(Scale::Test, 1).numEvents());
-  EXPECT_EQ(Mapped->numObjects(), Eval.trace(Scale::Test, 1).numObjects());
-  std::optional<EventTrace> Loaded = getTrace(*Store, Key);
-  ASSERT_TRUE(Loaded.has_value());
-  EXPECT_EQ(Loaded->numEvents(), Mapped->numEvents());
-  std::optional<MappedTrace> ByPath =
-      openTraceEntryFile(entryFile(*Store, Key));
-  ASSERT_TRUE(ByPath.has_value());
-  EXPECT_EQ(ByPath->numEvents(), Mapped->numEvents());
-
-  // Key discipline holds for the mapped reader too.
-  EXPECT_FALSE(
-      openMappedTrace(*Store, traceStoreKey("ft", Scale::Test, 2)).has_value());
-  unlink(Temp.c_str());
-}
 
 TEST(StoreTraceFiles, HeaderOnlyListingStillReportsSizes) {
   // `store ls` must show per-entry payload sizes without paying a full
@@ -430,10 +383,7 @@ TEST(StoreTraceFiles, HeaderOnlyListingStillReportsSizes) {
   Evaluation Eval(paperSetup("ft"));
   TempStore Store;
   StoreKey Key = traceStoreKey("ft", Scale::Test, 1);
-  std::string Temp = Store.path() + "/tmp.recording";
-  recordTraceTo(Eval, 1, Temp);
-  ASSERT_TRUE(putTraceFile(*Store, Key, Temp));
-  unlink(Temp.c_str());
+  ASSERT_TRUE(putTrace(*Store, Key, Eval.trace(Scale::Test, 1)));
 
   std::vector<ArtifactStore::Entry> Checked = Store->entries();
   std::vector<ArtifactStore::Entry> Listed = Store->entries(/*Validate=*/false);
@@ -464,12 +414,8 @@ TEST(StoreTraceFiles, CorruptTraceEntriesReadAsAbsent) {
   for (const auto &P :
        {std::make_pair(Flipped, uint64_t(1)),
         std::make_pair(Truncated, uint64_t(2)),
-        std::make_pair(Mismatched, uint64_t(3))}) {
-    std::string Temp = Store.path() + "/tmp.recording";
-    recordTraceTo(Eval, P.second, Temp);
-    ASSERT_TRUE(putTraceFile(*Store, P.first, Temp));
-    unlink(Temp.c_str());
-  }
+        std::make_pair(Mismatched, uint64_t(3))})
+    ASSERT_TRUE(putTrace(*Store, P.first, Eval.trace(Scale::Test, P.second)));
 
   flipByte(entryFile(*Store, Flipped));
   truncateFile(entryFile(*Store, Truncated));
@@ -489,61 +435,12 @@ TEST(StoreTraceFiles, CorruptTraceEntriesReadAsAbsent) {
 
   for (const StoreKey &Key : {Flipped, Truncated, Mismatched}) {
     SCOPED_TRACE(Key.Label);
-    EXPECT_FALSE(openMappedTrace(*Store, Key).has_value());
     EXPECT_FALSE(getTrace(*Store, Key).has_value());
     EXPECT_FALSE(Store->contains(Key));
   }
   // gc sweeps all three.
   EXPECT_EQ(Store->gc(), 3u);
   EXPECT_TRUE(Store->entries().empty());
-}
-
-TEST(StoreTraceFiles, MappedPlansColdWarmAndHealBitIdentically) {
-  TempStore Store;
-
-  // Cold mapped run: measurement traces stream into the store.
-  ExperimentPlan ColdPlan = buildPlan({smallSpec()}, {}, &*Store);
-  EXPECT_EQ(ColdPlan.numRecordings(), 2u);
-  ResultSet Cold =
-      runPlan(ColdPlan, /*Jobs=*/2, TraceMode::Mapped);
-
-  // No abandoned recorder temp files survive a clean cold run.
-  for (const ArtifactStore::Entry &E : Store->entries())
-    EXPECT_TRUE(E.Valid) << E.File << ": " << E.Problem;
-  EXPECT_EQ(Store->gc(), 0u);
-
-  // Warm mapped run: zero recordings scheduled, entries open mmap'd,
-  // results bit-identical to cold and to the in-RAM oracle.
-  ExperimentPlan WarmPlan = buildPlan({smallSpec()}, {}, &*Store);
-  EXPECT_EQ(WarmPlan.numRecordings(), 0u);
-  ResultSet Warm =
-      runPlan(WarmPlan, /*Jobs=*/2, TraceMode::Mapped);
-  ExperimentPlan OraclePlan = buildPlan({smallSpec()});
-  ResultSet Oracle =
-      runPlan(OraclePlan, /*Jobs=*/1, TraceMode::Memory);
-  ASSERT_EQ(Warm.size(), Cold.size());
-  ASSERT_EQ(Oracle.size(), Cold.size());
-  for (size_t C = 0; C < Cold.size(); ++C) {
-    SCOPED_TRACE("cell " + std::to_string(C));
-    expectSameRuns(Cold.cells()[C].Runs, Warm.cells()[C].Runs);
-    expectSameRuns(Cold.cells()[C].Runs, Oracle.cells()[C].Runs);
-  }
-
-  // Corrupt one trace entry *after* planning: the mapped open fails, the
-  // run re-records streaming and re-publishes -- cold fallback, healed
-  // store, identical results.
-  ExperimentPlan HealPlan = buildPlan({smallSpec()}, {}, &*Store);
-  EXPECT_EQ(HealPlan.numRecordings(), 0u);
-  StoreKey Lost = traceStoreKey("ft", Scale::Test, 100);
-  flipByte(entryFile(*Store, Lost));
-  ResultSet Healed =
-      runPlan(HealPlan, /*Jobs=*/2, TraceMode::Mapped);
-  for (size_t C = 0; C < Cold.size(); ++C) {
-    SCOPED_TRACE("healed cell " + std::to_string(C));
-    expectSameRuns(Cold.cells()[C].Runs, Healed.cells()[C].Runs);
-  }
-  EXPECT_TRUE(Store->contains(Lost));
-  EXPECT_EQ(Store->gc(), 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -672,32 +569,4 @@ TEST(StorePlans, ResidentValuesNeedNoTaskAndNoPublish) {
   }
   // Nothing the plan did not compute was published.
   EXPECT_TRUE(filesIn(Store.path()).empty());
-}
-
-TEST(StorePlans, AutoPlanReplaysAResidentMappedTraceWithoutRecording) {
-  ExperimentSpec Spec = smallSpec();
-  Spec.Kinds = {AllocatorKind::Jemalloc};
-  Spec.Trials = 1;
-
-  // The Evaluation holds the cell's trace only mapped.
-  Evaluation Eval(paperSetup("ft"));
-  char Path[] = "/tmp/halo_store_test_trace.XXXXXX";
-  int Fd = mkstemp(Path);
-  ASSERT_GE(Fd, 0);
-  close(Fd);
-  Eval.recordTraceFile(Scale::Test, 100, Path);
-  Eval.addMappedTrace(Scale::Test, 100, MappedTrace::open(Path));
-  unlink(Path); // The mapping pins the inode.
-
-  ExperimentPlan Plan = buildPlan({Spec}, {&Eval});
-  EXPECT_EQ(Plan.numRecordings(), 0u);
-  ResultSet Mapped = runPlan(Plan, /*Jobs=*/1, TraceMode::Auto);
-  // Auto did not re-record an in-RAM copy beside the mapping.
-  EXPECT_FALSE(Eval.hasTrace(Scale::Test, 100));
-  EXPECT_TRUE(Eval.hasMappedTrace(Scale::Test, 100));
-
-  ExperimentPlan OraclePlan = buildPlan({Spec});
-  ResultSet Oracle = runPlan(OraclePlan, /*Jobs=*/1, TraceMode::Memory);
-  ASSERT_EQ(Mapped.size(), Oracle.size());
-  expectSameRuns(Oracle.cells()[0].Runs, Mapped.cells()[0].Runs);
 }

@@ -1,30 +1,24 @@
-//===- tests/trace_file_test.cpp - Out-of-core trace format ------------------===//
+//===- tests/trace_file_test.cpp - Saved trace format ------------------------===//
 //
-// The on-disk trace contract, pinned from the bottom up: the LZ block
-// codec round-trips and rejects malformed streams; streaming a recording
-// to disk produces byte-for-byte the file save() writes; the footer index
-// describes exactly the blocks; corruption of any byte is detected at
-// open(); and -- the fourth equivalence contract -- a mapped trace replays
-// bit-identically to the in-RAM oracle under every allocator kind and
-// jobs count, from a raw Runtime up through runPlan.
+// The saved-trace contract, pinned from the bottom up: the LZ block codec
+// round-trips and rejects malformed streams; save/load round-trips and
+// re-saving reproduces the bytes; the footer index describes exactly the
+// blocks; corruption of any byte is detected at open(); and the mapped
+// cursor decodes record-for-record what the in-RAM cursor decodes.
 //
 //===----------------------------------------------------------------------===//
 
 #include "trace/TraceFile.h"
 
-#include "eval/Evaluation.h"
-#include "eval/Experiment.h"
-#include "mem/BoundaryTagAllocator.h"
-#include "mem/SizeClassAllocator.h"
 #include "support/Lz.h"
 #include "trace/EventTrace.h"
+#include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <random>
-#include <tuple>
 
 #include <unistd.h>
 
@@ -77,43 +71,6 @@ void writeFile(const std::string &Path, const std::vector<uint8_t> &Bytes) {
   ASSERT_NE(F, nullptr);
   ASSERT_EQ(std::fwrite(Bytes.data(), 1, Bytes.size(), F), Bytes.size());
   ASSERT_EQ(std::fclose(F), 0);
-}
-
-/// Reads \p Path back whole.
-std::vector<uint8_t> readFile(const std::string &Path) {
-  FILE *F = std::fopen(Path.c_str(), "rb");
-  EXPECT_NE(F, nullptr);
-  std::fseek(F, 0, SEEK_END);
-  long Size = std::ftell(F);
-  std::fseek(F, 0, SEEK_SET);
-  std::vector<uint8_t> Bytes(static_cast<size_t>(Size));
-  EXPECT_EQ(std::fread(Bytes.data(), 1, Bytes.size(), F), Bytes.size());
-  std::fclose(F);
-  return Bytes;
-}
-
-const AllocatorKind AllKinds[] = {
-    AllocatorKind::Jemalloc,    AllocatorKind::Ptmalloc,
-    AllocatorKind::Halo,        AllocatorKind::Hds,
-    AllocatorKind::RandomPools, AllocatorKind::HaloInstrumentedOnly,
-};
-
-/// Field-by-field bit-identity of everything a run measures.
-void expectSameMetrics(const RunMetrics &A, const RunMetrics &B,
-                       const std::string &Where) {
-  SCOPED_TRACE(Where);
-  EXPECT_EQ(A.Cycles, B.Cycles);
-  EXPECT_DOUBLE_EQ(A.Seconds, B.Seconds);
-  EXPECT_EQ(A.Mem.Accesses, B.Mem.Accesses);
-  EXPECT_EQ(A.Mem.L1Misses, B.Mem.L1Misses);
-  EXPECT_EQ(A.Mem.L2Misses, B.Mem.L2Misses);
-  EXPECT_EQ(A.Mem.L3Misses, B.Mem.L3Misses);
-  EXPECT_EQ(A.Mem.TlbMisses, B.Mem.TlbMisses);
-  EXPECT_EQ(A.Mem.StallCycles, B.Mem.StallCycles);
-  EXPECT_EQ(A.Frag.PeakResident, B.Frag.PeakResident);
-  EXPECT_EQ(A.GroupedAllocs, B.GroupedAllocs);
-  EXPECT_EQ(A.ForwardedAllocs, B.ForwardedAllocs);
-  EXPECT_EQ(A.InstrumentationOps, B.InstrumentationOps);
 }
 
 } // namespace
@@ -202,52 +159,8 @@ TEST(LzCodec, RejectsMalformedStreams) {
 }
 
 //===----------------------------------------------------------------------===//
-// Format: streaming, save/load, the index
+// Format: save/load, the index
 //===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Streams one recording of (\p Benchmark, \p S, \p Seed) straight to
-/// \p Path with streamTo/finishStream -- the recording never resident.
-void streamRecordingToFile(const std::string &Benchmark, Scale S,
-                           uint64_t Seed, const std::string &Path,
-                           uint64_t BlockBytes = 0) {
-  FILE *F = std::fopen(Path.c_str(), "wb");
-  ASSERT_NE(F, nullptr);
-  {
-    TraceFileWriter FW(F);
-    auto W = createWorkload(Benchmark);
-    Program P;
-    W->build(P);
-    EventTrace Trace;
-    Trace.streamTo(FW, BlockBytes);
-    EXPECT_TRUE(Trace.streaming());
-    RecordingArena Arena;
-    Runtime RT(P, Arena);
-    TraceRecorder Recorder(Trace, Arena);
-    RT.addObserver(&Recorder);
-    W->run(RT, S, Seed);
-    EXPECT_TRUE(Trace.finishStream());
-    EXPECT_FALSE(Trace.streaming());
-  }
-  ASSERT_EQ(std::fclose(F), 0);
-}
-
-} // namespace
-
-TEST(TraceFileFormat, StreamedFileMatchesSaveByteForByte) {
-  // The block cut rule is one deterministic function of the record bytes,
-  // applied identically by the streaming flush and by save()'s scan -- so
-  // the two paths must agree on every byte, at the default block size and
-  // at a tiny one that forces many cuts.
-  EventTrace InRam = recordTrace("health", Scale::Test, 3);
-  for (uint64_t BlockBytes : {uint64_t(0), uint64_t(4096)}) {
-    SCOPED_TRACE("block bytes " + std::to_string(BlockBytes));
-    TempFile File;
-    streamRecordingToFile("health", Scale::Test, 3, File.path(), BlockBytes);
-    EXPECT_EQ(readFile(File.path()), saveBytes(InRam, BlockBytes));
-  }
-}
 
 TEST(TraceFileFormat, SaveLoadRoundTripsAcrossBlockCounts) {
   EventTrace Original = recordTrace("ft", Scale::Test, 1);
@@ -340,7 +253,7 @@ TEST(TraceFileFormat, OpenRejectsEveryCorruption) {
 }
 
 //===----------------------------------------------------------------------===//
-// Mapped decode and replay equivalence
+// Mapped decode
 //===----------------------------------------------------------------------===//
 
 TEST(MappedTraceDecode, CursorMatchesInRamCursorAcrossBlockBoundaries) {
@@ -406,120 +319,5 @@ TEST(MappedTraceDecode, CursorMatchesInRamCursorAcrossBlockBoundaries) {
     EXPECT_TRUE(InRam.atEnd());
     EXPECT_TRUE(OnDisk.atEnd());
     EXPECT_EQ(Total, Trace.numEvents());
-  }
-}
-
-TEST(MappedTraceReplay, MatchesTheInRamOracle) {
-  // The raw Runtime level of "mapped = in-RAM": same trace, one replay
-  // through the buffer and one through the file, every counter equal.
-  auto W = createWorkload("health");
-  Program P;
-  W->build(P);
-  EventTrace Trace = recordTrace("health", Scale::Test, 5);
-  TempFile File;
-  writeFile(File.path(), saveBytes(Trace, /*BlockBytes=*/8192));
-  MappedTrace Mapped = MappedTrace::open(File.path());
-  ASSERT_GT(Mapped.numBlocks(), 2u);
-
-  auto Measure = [&](auto Replay) {
-    MemoryHierarchy Memory;
-    BoundaryTagAllocator Alloc;
-    Runtime RT(P, Alloc);
-    RT.setMemory(&Memory);
-    Replay(RT);
-    return std::make_tuple(RT.timing().totalCycles(), RT.stats().Loads,
-                           RT.stats().Stores, RT.stats().Allocs,
-                           RT.stats().Frees, Memory.counters().L1Misses,
-                           Memory.counters().TlbMisses,
-                           Memory.counters().Accesses);
-  };
-
-  auto Oracle = Measure([&](Runtime &RT) { RT.replay(Trace); });
-  EXPECT_EQ(Measure([&](Runtime &RT) { RT.replay(Mapped); }), Oracle);
-}
-
-//===----------------------------------------------------------------------===//
-// TraceMode: the Evaluation and plan levels
-//===----------------------------------------------------------------------===//
-
-TEST(TraceModeNames, RoundTripAndRejectUnknown) {
-  for (TraceMode M : {TraceMode::Auto, TraceMode::Memory, TraceMode::Mapped}) {
-    std::optional<TraceMode> Parsed = parseTraceMode(traceModeName(M));
-    ASSERT_TRUE(Parsed.has_value());
-    EXPECT_EQ(*Parsed, M);
-  }
-  EXPECT_FALSE(parseTraceMode("").has_value());
-  EXPECT_FALSE(parseTraceMode("disk").has_value());
-  EXPECT_FALSE(parseTraceMode("Mapped").has_value());
-}
-
-TEST(TraceModeEval, MappedMeasurementsMatchTheMemoryOracle) {
-  // Two Evaluations over the same setup: one replays the in-RAM trace,
-  // the other has the key's trace cached mapped, which measure() then
-  // replays off disk. Every allocator kind must measure bit-identically
-  // both ways, and both must equal the trace-free oracle.
-  Evaluation Memory(paperSetup("ft"));
-  Evaluation Mapped(paperSetup("ft"));
-  Mapped.mappedTrace(Scale::Test, 7);
-  for (AllocatorKind Kind : AllKinds) {
-    std::string Where = std::string("kind ") + allocatorKindName(Kind);
-    RunMetrics Direct = Memory.measureDirect(Kind, Scale::Test, 7);
-    expectSameMetrics(Direct, Memory.measure(Kind, Scale::Test, 7), Where);
-    expectSameMetrics(Direct, Mapped.measure(Kind, Scale::Test, 7), Where);
-  }
-  // The mapped Evaluation never recorded an in-RAM copy of the
-  // measurement trace: every replay went through the mapping.
-  EXPECT_TRUE(Mapped.hasMappedTrace(Scale::Test, 7));
-  EXPECT_FALSE(Mapped.hasTrace(Scale::Test, 7));
-  EXPECT_FALSE(Memory.hasMappedTrace(Scale::Test, 7));
-}
-
-TEST(TraceModeEval, RecordTraceFileWritesAValidImage) {
-  Evaluation Eval(paperSetup("ft"));
-  TempFile File;
-  Eval.recordTraceFile(Scale::Test, 8, File.path());
-  MappedTrace Mapped = MappedTrace::open(File.path());
-  // The streamed file is byte-identical to saving the in-RAM recording.
-  EXPECT_EQ(readFile(File.path()), saveBytes(Eval.trace(Scale::Test, 8)));
-  EXPECT_EQ(Mapped.numEvents(), Eval.trace(Scale::Test, 8).numEvents());
-}
-
-namespace {
-
-/// One-benchmark spec over every kind, small and deterministic.
-ExperimentSpec planSpec() {
-  ExperimentSpec Spec;
-  Spec.Benchmarks = {"ft"};
-  Spec.Kinds = {AllocatorKind::Jemalloc, AllocatorKind::Halo,
-                AllocatorKind::Hds};
-  Spec.S = Scale::Test;
-  Spec.Trials = 2;
-  return Spec;
-}
-
-void expectSameCells(const ResultSet &A, const ResultSet &B) {
-  ASSERT_EQ(A.size(), B.size());
-  for (size_t C = 0; C < A.size(); ++C) {
-    ASSERT_EQ(A.cells()[C].Runs.size(), B.cells()[C].Runs.size());
-    for (size_t T = 0; T < A.cells()[C].Runs.size(); ++T)
-      expectSameMetrics(A.cells()[C].Runs[T], B.cells()[C].Runs[T],
-                        "cell " + std::to_string(C) + " trial " +
-                            std::to_string(T));
-  }
-}
-
-} // namespace
-
-TEST(TraceModePlans, EveryModeAndJobsCountMatchesTheMemoryPlan) {
-  ExperimentPlan Oracle = buildPlan({planSpec()});
-  ResultSet Memory = runPlan(Oracle, /*Jobs=*/1, TraceMode::Memory);
-
-  for (TraceMode Traces : {TraceMode::Mapped, TraceMode::Auto}) {
-    for (int Jobs : {1, 4}) {
-      SCOPED_TRACE(std::string(traceModeName(Traces)) + "/jobs " +
-                   std::to_string(Jobs));
-      ExperimentPlan Plan = buildPlan({planSpec()});
-      expectSameCells(Memory, runPlan(Plan, Jobs, Traces));
-    }
   }
 }
