@@ -32,8 +32,9 @@ int main() {
     Setup.Halo.Allocator.MaxSpareChunks = C.Spares;
     Setup.Halo.Allocator.PurgeEmptyChunks = C.Purge;
     Evaluation Eval(Setup);
-    RunMetrics Base = Eval.measure(AllocatorKind::Jemalloc, Scale::Ref, 100);
-    RunMetrics Halo = Eval.measure(AllocatorKind::Halo, Scale::Ref, 100);
+    RunMetrics Base =
+        Eval.measureDirect(AllocatorKind::Jemalloc, Scale::Ref, 100);
+    RunMetrics Halo = Eval.measureDirect(AllocatorKind::Halo, Scale::Ref, 100);
     R.addRow({formatBytes(double(C.Chunk)), std::to_string(C.Spares),
               C.Purge ? "yes" : "no",
               formatPercent(percentImprovement(Base.Seconds, Halo.Seconds)),

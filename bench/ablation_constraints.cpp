@@ -22,8 +22,9 @@ double haloSpeedup(const std::string &Name, bool Dedup, bool NoDouble,
   Setup.Halo.Profile.CoAllocatability = CoAlloc;
   Evaluation Eval(Setup);
   GroupCount = Eval.haloArtifacts().Groups.size();
-  RunMetrics Base = Eval.measure(AllocatorKind::Jemalloc, Scale::Ref, 100);
-  RunMetrics Halo = Eval.measure(AllocatorKind::Halo, Scale::Ref, 100);
+  RunMetrics Base =
+      Eval.measureDirect(AllocatorKind::Jemalloc, Scale::Ref, 100);
+  RunMetrics Halo = Eval.measureDirect(AllocatorKind::Halo, Scale::Ref, 100);
   return percentImprovement(Base.Seconds, Halo.Seconds);
 }
 

@@ -36,7 +36,8 @@ double speedupWithGroups(Evaluation &Eval, const std::vector<Group> &Groups) {
   Eval.workload().run(RT, Scale::Ref, 100);
   double HaloSeconds = RT.timing().seconds();
 
-  RunMetrics BaseRun = Eval.measure(AllocatorKind::Jemalloc, Scale::Ref, 100);
+  RunMetrics BaseRun =
+      Eval.measureDirect(AllocatorKind::Jemalloc, Scale::Ref, 100);
   return percentImprovement(BaseRun.Seconds, HaloSeconds);
 }
 

@@ -18,9 +18,11 @@ int main() {
   R.setColumns({"benchmark", "instr ops", "time overhead", "L1D misses"});
   for (const std::string &Name : workloadNames()) {
     Evaluation Eval(paperSetup(Name));
-    RunMetrics Base = Eval.measure(AllocatorKind::Jemalloc, Scale::Ref, 100);
+    RunMetrics Base =
+        Eval.measureDirect(AllocatorKind::Jemalloc, Scale::Ref, 100);
     RunMetrics Instr =
-        Eval.measure(AllocatorKind::HaloInstrumentedOnly, Scale::Ref, 100);
+        Eval.measureDirect(AllocatorKind::HaloInstrumentedOnly,
+                           Scale::Ref, 100);
     double Overhead = -percentImprovement(Base.Seconds, Instr.Seconds);
     R.addRow({Name, std::to_string(Instr.InstrumentationOps),
               formatPercent(Overhead, 4),

@@ -1,12 +1,12 @@
 //===- bench/bench_replay.cpp - Record/replay throughput bench -----------------===//
 //
-// Measures the record-once/replay-many machinery: per-event throughput of
-// direct workload execution vs trace replay under the measurement
-// configuration (jemalloc model + full memory hierarchy), the cost of
-// recording, and the end-to-end effect on a Figure 13/14-style sweep
-// (every allocator kind x several trials) run the pre-trace way (direct,
-// serial) vs the trace way (one plan: shared per-seed recordings, trials
-// fanned out by runPlan).
+// Measures the record/replay machinery against direct execution: per-event
+// throughput of direct workload execution vs trace replay under the
+// measurement configuration (jemalloc model + full memory hierarchy) and
+// the cost of recording; plus the end-to-end effect on a Figure
+// 13/14-style sweep (every allocator kind x several trials) run as a
+// serial loop of direct measurements vs one plan (the same direct
+// measurements, trials fanned out by runPlan).
 //
 // Emits rows in the repo's stable trajectory schema
 //   {"bench", "nodes", "edges", "wall_ms", "trials", "host_cores", "build"}
@@ -289,10 +289,10 @@ int main(int Argc, char **Argv) {
 
   //===--------------------------------------------------------------------===//
   // End-to-end sweep: every allocator kind x Trials trials on one
-  // benchmark, the pre-trace way (direct execution, serial) vs the trace
-  // way (one plan: per-seed recordings shared by all kinds, then every
-  // trial replayed across the pool). Pipeline artifacts are materialised
-  // up front on both sides so the rows compare pure measurement.
+  // benchmark, as a serial loop of direct measurements vs one plan (every
+  // trial a direct measurement, fanned out across the pool). Pipeline
+  // artifacts are materialised up front on both sides so the rows compare
+  // pure measurement.
   //===--------------------------------------------------------------------===//
 
   {
@@ -309,33 +309,33 @@ int main(int Argc, char **Argv) {
         Guard += DirectEval.measureDirect(Kind, Scale::Ref, 100 + T).Cycles;
     double DirectMs = nowMs() - DirectStart;
 
-    Evaluation TraceEval(paperSetup(Name));
-    TraceEval.haloArtifacts();
-    TraceEval.hdsArtifacts();
-    double TraceStart = nowMs();
+    Evaluation PlanEval(paperSetup(Name));
+    PlanEval.haloArtifacts();
+    PlanEval.hdsArtifacts();
+    double PlanStart = nowMs();
     ExperimentSpec Spec;
     Spec.Benchmarks = {Name};
     Spec.Kinds.assign(std::begin(SweepKinds), std::end(SweepKinds));
     Spec.S = Scale::Ref;
     Spec.Trials = Trials;
-    ExperimentPlan Plan = buildPlan({Spec}, {&TraceEval});
+    ExperimentPlan Plan = buildPlan({Spec}, {&PlanEval});
     ResultSet Results = runPlan(Plan, /*Jobs=*/0);
     for (const ResultSet::Cell &Cell : Results.cells())
       for (const RunMetrics &M : Cell.Runs)
         Guard += M.Cycles;
-    double TraceMs = nowMs() - TraceStart;
+    double PlanMs = nowMs() - PlanStart;
     if (Guard == 0)
       return 1;
 
     uint64_t SweepRuns = static_cast<uint64_t>(Kinds) * Trials;
     Rows.push_back({"sweep_direct_serial", SweepRuns,
                     static_cast<uint64_t>(Kinds), DirectMs, Trials});
-    Rows.push_back({"sweep_trace_parallel", SweepRuns,
-                    static_cast<uint64_t>(Kinds), TraceMs, Trials});
+    Rows.push_back({"sweep_plan_parallel", SweepRuns,
+                    static_cast<uint64_t>(Kinds), PlanMs, Trials});
     std::printf("\nsweep (%s, %d kinds x %d trials): direct serial "
-                "%8.2f ms, shared-trace parallel %8.2f ms  (%.2fx)\n",
-                Name.c_str(), Kinds, Trials, DirectMs, TraceMs,
-                DirectMs / std::max(TraceMs, 1e-6));
+                "%8.2f ms, plan parallel %8.2f ms  (%.2fx)\n",
+                Name.c_str(), Kinds, Trials, DirectMs, PlanMs,
+                DirectMs / std::max(PlanMs, 1e-6));
   }
 
   writeJson(OutPath, Rows, Append);

@@ -8,7 +8,9 @@
 #     replay_replay_* (a per-event replay loop kept in the bench as the
 #     baseline) / replay_batched_* (the in-tree batched Runtime::replay --
 #     the row set that tracks the batching win per PR) and the sweep_*
-#     pair.
+#     pair: sweep_direct_serial (a serial loop of direct measurements)
+#     and sweep_plan_parallel (the same measurements as one plan, trials
+#     fanned out by runPlan).
 #   BENCH_machines.json  simulated time. Rows {"bench", "machine", "kind",
 #     "wall_ms", "trials"} (+ l1d_misses / tlb_misses / speedup_percent
 #     detail fields), the halo_cli cross-machine sweep: jemalloc/hds/halo
@@ -42,8 +44,9 @@ TRIALS="${HALO_BENCH_TRIALS:-3}"
 echo "BENCH_pipeline.json updated:"
 cat "$ROOT/BENCH_pipeline.json"
 
-# Cross-machine sweep over every benchmark: one experiment plan, so
-# traces record once per benchmark and replay on every machine preset.
+# Cross-machine sweep over every benchmark: one experiment plan, so each
+# benchmark's pipelines run once and every machine preset measures
+# against the same artifacts.
 "$BUILD/examples/halo_cli" sweep --trials "$TRIALS" \
     --out "$ROOT/BENCH_machines.json"
 echo "BENCH_machines.json updated:"

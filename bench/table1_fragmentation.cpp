@@ -19,7 +19,7 @@ int main() {
   // in the same order, with measured values alongside.
   for (const bench::PaperFragRow &Paper : bench::paperTable1()) {
     Evaluation Eval(paperSetup(Paper.Benchmark));
-    RunMetrics M = Eval.measure(AllocatorKind::Halo, Scale::Ref, 100);
+    RunMetrics M = Eval.measureDirect(AllocatorKind::Halo, Scale::Ref, 100);
     R.addRow({Paper.Benchmark, formatPercent(M.Frag.wastedPercent()),
               formatBytes(static_cast<double>(M.Frag.wastedBytes())),
               formatPercent(Paper.Percent), Paper.Bytes});

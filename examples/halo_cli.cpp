@@ -33,9 +33,9 @@
 // "served = local" contract.
 //
 // --store-dir DIR (or $HALO_STORE) attaches a content-addressed artifact
-// store (store/ArtifactStore.h) to the measuring subcommands: recordings
-// and pipeline artifacts hit in the store load instead of re-running, and
-// cold results publish for the next invocation. Warm results are
+// store (store/ArtifactStore.h) to the measuring subcommands: HALO/HDS
+// pipeline artifacts hit in the store load instead of re-profiling, and
+// cold ones publish for the next invocation. Warm results are
 // bit-identical to cold ones. `store ls` lists entries, `store verify`
 // exits non-zero if any entry is corrupt, `store gc` removes corrupt
 // entries and abandoned temp files.
@@ -43,11 +43,11 @@
 // Measurements run on a simulated machine model (sim/Machine.h); --machine
 // selects a preset (default: xeon-w2195, the paper's evaluation machine).
 // Every measuring subcommand expands to an ExperimentSpec and executes
-// through the one plan scheduler (eval/Experiment.h): traces record once
-// per (benchmark, scale, seed), pipeline artifacts materialise once per
-// benchmark, and the requested cells replay across --jobs workers at
-// benchmark x machine x kind x trial granularity; each replay runs
-// serially on its worker. `sweep` measures
+// through the one plan scheduler (eval/Experiment.h): pipeline artifacts
+// materialise once per benchmark, and the requested cells run across
+// --jobs workers at benchmark x machine x kind x trial granularity; each
+// measurement is one direct run of the workload model, serial on its
+// worker. `sweep` measures
 // jemalloc/HDS/HALO on every preset (or just the one --machine names) and
 // writes the per-machine rows to BENCH_machines.json; `experiments` takes
 // the full matrix spec -- lists of benchmarks, machines, and allocator
@@ -129,7 +129,7 @@ struct CliOptions {
       "       --machines NAME[,NAME...]|all  --kinds KIND[,KIND...]\n"
       "       --scale test|ref  --seed-base N  (experiments)\n"
       "       --store-dir DIR (or $HALO_STORE): content-addressed cache of\n"
-      "         recordings + pipeline artifacts (baseline/run/hds/sweep/\n"
+      "         pipeline artifacts (baseline/run/hds/sweep/\n"
       "         experiments/store/serve)\n"
       "       --socket PATH: the Unix-domain socket serve listens on and\n"
       "         client connects to. client run takes the experiments\n"
@@ -611,8 +611,8 @@ int runSweep(const CliOptions &Opts) {
     Machines.push_back(&machineFor(Opts));
 
   // One plan across the whole benchmark x machine matrix: each benchmark
-  // records its traces and materialises its pipelines once, and the
-  // replay stage spans every (benchmark, machine, kind, trial) cell, so
+  // materialises its pipelines once, and the measurement stage spans
+  // every (benchmark, machine, kind, trial) cell, so
   // mixed sweeps keep all --jobs workers busy. Cells come back
   // benchmark-major, machine-major inside, kinds in jemalloc/hds/halo
   // order -- bit-identical to a serial sweep.
@@ -684,13 +684,12 @@ int runExperiments(const CliOptions &Opts) {
   if (Out != stdout) {
     // With a file destination the console gets the human-readable view.
     experimentsReport(Results).print();
-    std::printf("plan: %zu cell(s), %zu recording(s), %zu artifact "
-                "task(s), %zu replay(s)",
-                Plan.cells().size(), Plan.numRecordings(),
-                Plan.numArtifactTasks(), Plan.numReplays());
+    std::printf("plan: %zu cell(s), %zu artifact task(s), %zu "
+                "measurement(s)",
+                Plan.cells().size(), Plan.numArtifactTasks(),
+                Plan.numMeasurements());
     if (Plan.store())
-      std::printf(", %zu stored recording(s), %zu stored artifact(s)",
-                  Plan.numStoredRecordings(), Plan.numStoredArtifacts());
+      std::printf(", %zu stored artifact(s)", Plan.numStoredArtifacts());
     std::printf("\n");
   }
   writeExperimentsJson(Out, Results);

@@ -4,8 +4,10 @@
 # byte checks) followed by the ASan+UBSan build (-DHALO_SANITIZE=ON)
 # running the same suite. Each build also smoke-tests the artifact store
 # end to end through halo_cli against a per-run temp --store-dir: cold run
-# populates, warm run must emit byte-identical JSON, verify and gc must
-# pass. And each build smoke-tests the serve daemon: two concurrent
+# populates it with HALO/HDS bundles only (no trace entry), warm run must
+# emit byte-identical JSON and leave every entry's inode, size and mtime
+# unchanged, verify and gc must pass. And each build smoke-tests the serve
+# daemon: two concurrent
 # clients against one daemon on a temp socket, each byte-identical to a
 # local run, a third client naming its machine with --machine, also
 # byte-identical to a local run, a warm resubmission that must match too
@@ -30,20 +32,39 @@ BUILD="${1:-$ROOT/build}"
 SAN_BUILD="${2:-$ROOT/build-asan}"
 JOBS="${CTEST_PARALLEL:-$(nproc)}"
 
-# Cold run, warm run, byte-compare, verify, gc -- with a store directory
-# that lives only for this invocation, so runs never poison each other.
+# Cold run, bundles-only listing, warm run, byte-compare, untouched
+# entries, verify, gc -- with a store directory that lives only for this
+# invocation, so runs never poison each other.
 store_smoke() {
   local build="$1"
-  local store out_cold out_warm
+  local store out_cold out_warm listing
   store="$(mktemp -d)"
   out_cold="$(mktemp)"
   out_warm="$(mktemp)"
-  trap 'rm -rf "$store" "$out_cold" "$out_warm"' RETURN
+  listing="$(mktemp)"
+  trap 'rm -rf "$store" "$out_cold" "$out_warm" "$listing"' RETURN
   "$build/examples/halo_cli" run health --trials 2 \
       --store-dir "$store" --out "$out_cold"
+  # Plans publish HALO/HDS bundles only: no trace entry.
+  "$build/examples/halo_cli" store ls --store-dir "$store" --out "$listing"
+  if grep -q '"type": "trace"' "$listing"; then
+    echo "store_smoke: the cold run published a trace entry:" >&2
+    cat "$listing" >&2
+    return 1
+  fi
+  # The warm run must load, not republish: a rewritten entry would show
+  # a new inode and mtime.
+  local store_before store_after
+  store_before="$(stat -c '%n %i %s %y' "$store"/*)"
   "$build/examples/halo_cli" run health --trials 2 \
       --store-dir "$store" --out "$out_warm"
   cmp "$out_cold" "$out_warm"
+  store_after="$(stat -c '%n %i %s %y' "$store"/*)"
+  if [[ "$store_before" != "$store_after" ]]; then
+    echo "store_smoke: the warm run rewrote the store:" >&2
+    diff <(echo "$store_before") <(echo "$store_after") >&2 || true
+    return 1
+  fi
   "$build/examples/halo_cli" store verify --store-dir "$store"
   "$build/examples/halo_cli" store gc --store-dir "$store"
 }
@@ -79,7 +100,7 @@ out_fifo_smoke() {
 # spec ("served = local"), as must a third client naming its machine
 # with --machine, a warm resubmission of the first spec must
 # match as well without rewriting any store entry (the daemon already
-# holds every trace and artifact it needs), and a client-initiated
+# holds every artifact bundle it needs), and a client-initiated
 # shutdown must leave exit 0 and no socket file behind.
 serve_smoke() {
   local build="$1"
@@ -128,8 +149,8 @@ serve_smoke() {
       --out "$dir/served_m.json"
   cmp "$dir/local_m.json" "$dir/served_m.json"
 
-  # Warm resubmission: replays only, byte-identical, store untouched (a
-  # republished entry would show a new inode and mtime).
+  # Warm resubmission: measurements only, byte-identical, store untouched
+  # (a republished entry would show a new inode and mtime).
   local store_before store_after
   store_before="$(stat -c '%n %i %s %y' "$dir/store"/*)"
   "$build/examples/halo_cli" client run health --socket "$sock" \

@@ -69,14 +69,13 @@ HaloArtifacts optimizeBinary(const Program &Prog,
                              const MachineConfig &Machine = defaultMachine());
 
 /// Same pipeline, driven by a pre-recorded event trace instead of
-/// re-executing the workload: the profiling stage replays \p Trace into the
-/// heap profiler, producing artifacts bit-identical to profiling the
-/// recorded run directly. Replay feeds the profiler through its batched
-/// observer hook (RuntimeObserver::onAccessBatch) -- one dispatch per run
-/// of consecutive accesses. This lets one recording feed both the HALO and
-/// hot-data-streams pipelines (and any number of parameter or machine
-/// sweeps); the two pipelines share no mutable state, so runPlan's
-/// artifact stage materialises them as two parallel tasks.
+/// re-executing the workload: the replay path. The profiling stage replays
+/// \p Trace into the heap profiler, producing artifacts bit-identical to
+/// profiling the recorded run directly (plans use the overload above).
+/// Replay feeds the profiler through its batched observer hook
+/// (RuntimeObserver::onAccessBatch) -- one dispatch per run of consecutive
+/// accesses. One recording can feed both the HALO and hot-data-streams
+/// pipelines; the two share no mutable state and may run concurrently.
 HaloArtifacts optimizeBinary(const Program &Prog, const EventTrace &Trace,
                              const HaloParameters &Params = HaloParameters(),
                              const MachineConfig &Machine = defaultMachine());

@@ -44,22 +44,23 @@ const HaloArtifacts &Evaluation::haloArtifacts() {
   // One mutex per artifact kind: concurrent plans sharing this Evaluation
   // (the serve daemon's steady state) materialise once and the losers
   // wait, while the HALO and HDS pipelines still profile in parallel
-  // (runPlan's artifact stage runs them as two tasks). Lock order is
-  // artifact mutex before TraceMutex (via trace()), nowhere the reverse.
+  // (runPlan's artifact stage runs them as two tasks).
   std::lock_guard<std::mutex> Lock(HaloArtMutex);
   if (!HaloArt)
-    HaloArt = optimizeBinary(Prog,
-                             trace(Setup.ProfileScale, Setup.ProfileSeed),
-                             Setup.Halo, Setup.Machine);
+    HaloArt = optimizeBinary(
+        Prog,
+        [&](Runtime &RT) { W->run(RT, Setup.ProfileScale, Setup.ProfileSeed); },
+        Setup.Halo, Setup.Machine);
   return *HaloArt;
 }
 
 const HdsArtifacts &Evaluation::hdsArtifacts() {
   std::lock_guard<std::mutex> Lock(HdsArtMutex);
   if (!HdsArt)
-    HdsArt = optimizeBinaryHds(Prog,
-                               trace(Setup.ProfileScale, Setup.ProfileSeed),
-                               Setup.Hds, Setup.Machine);
+    HdsArt = optimizeBinaryHds(
+        Prog,
+        [&](Runtime &RT) { W->run(RT, Setup.ProfileScale, Setup.ProfileSeed); },
+        Setup.Hds, Setup.Machine);
   return *HdsArt;
 }
 
@@ -88,11 +89,6 @@ const EventTrace &Evaluation::trace(Scale S, uint64_t Seed) {
   // If another thread recorded the same key first, its copy wins (the
   // recordings are identical anyway).
   return Traces.emplace(Key, std::move(Recorded)).first->second;
-}
-
-bool Evaluation::hasTrace(Scale S, uint64_t Seed) {
-  std::lock_guard<std::mutex> Lock(TraceMutex);
-  return Traces.count(std::make_pair(static_cast<int>(S), Seed)) != 0;
 }
 
 const EventTrace &Evaluation::addTrace(Scale S, uint64_t Seed,

@@ -66,9 +66,9 @@ struct BenchmarkSetup {
   HdsParameters Hds;
   /// The simulated hardware measurements run on. Part of the measurement
   /// key: the same benchmark measured under two machines is two different
-  /// experiments. Cached traces and pipeline artifacts are machine-
-  /// independent, so the explicit-machine measure() overloads can sweep
-  /// machines against one Evaluation without re-recording or re-profiling.
+  /// experiments. Pipeline artifacts are machine-independent, so the
+  /// explicit-machine measureDirect() overloads sweep machines against one
+  /// Evaluation without re-profiling.
   MachineConfig Machine = defaultMachine();
   Scale ProfileScale = Scale::Test; ///< "Workloads are profiled on small
                                     ///< test inputs" (Section 5.1).
@@ -81,41 +81,44 @@ struct BenchmarkSetup {
 /// xalanc: always-reuse; roms: at most 4 groups).
 BenchmarkSetup paperSetup(const std::string &Benchmark);
 
-/// One benchmark wired up for measurement: a keyed cache of recorded
-/// traces and pipeline artifacts plus measure(), which replays one key.
+/// One benchmark wired up for measurement: a cache of the two pipeline
+/// artifact bundles plus measureDirect(), which runs one key.
 ///
-/// Workload runs are recorded once per (scale, seed) into an event trace
-/// and every allocator configuration is measured by replaying that trace
-/// (bit-identical to direct execution; tests/trace_replay_test.cpp holds
-/// the invariant). Scheduling is not this class's job: trials, kinds and
-/// machines fan out through runPlan (eval/Experiment.h), which fills these
-/// caches and then calls measure() once per trial.
+/// Plans profile and measure by executing the workload model directly:
+/// the HALO and HDS pipelines each profile one run of the profile-scale
+/// input, and every (cell, trial) is one measureDirect() call. Scheduling
+/// is not this class's job: trials, kinds and machines fan out through
+/// runPlan (eval/Experiment.h), which fills the artifact cache and then
+/// calls measureDirect() once per trial.
+///
+/// trace(), addTrace() and measure() are the replay path: record a run
+/// once into an EventTrace and replay it under any configuration, bit-
+/// identical to direct execution (tests/trace_replay_test.cpp). No plan
+/// uses it; it stays for the per-layer benchmark driver and for
+/// `halo_cli trace`.
 class Evaluation {
 public:
   /// Builds \p Setup's workload model. Throws std::invalid_argument if no
   /// benchmark of that name exists.
   explicit Evaluation(BenchmarkSetup Setup);
 
-  /// The HALO pipeline output (profiled lazily, once, by replaying the
-  /// profile-scale trace).
+  /// The HALO pipeline output (profiled lazily, once, by running the
+  /// profile-scale input under the heap profiler).
   const HaloArtifacts &haloArtifacts();
 
-  /// The hot-data-streams pipeline output (profiled lazily, once, from the
-  /// same recording the HALO pipeline uses).
+  /// The hot-data-streams pipeline output (profiled lazily, once, from
+  /// its own run of the same input).
   const HdsArtifacts &hdsArtifacts();
 
-  /// Records (once) and returns the event trace of the workload run for
-  /// (\p S, \p Seed). Thread-safe; recordings of distinct keys proceed in
-  /// parallel.
+  /// Replay path: records (once) and returns the event trace of the
+  /// workload run for (\p S, \p Seed). Thread-safe; recordings of distinct
+  /// keys proceed in parallel.
   const EventTrace &trace(Scale S, uint64_t Seed);
 
-  /// True if the trace for (\p S, \p Seed) is already cached. Thread-safe.
-  bool hasTrace(Scale S, uint64_t Seed);
-
-  /// Seeds the trace cache with an externally obtained recording (the
-  /// artifact store's warm path: a loaded trace replays bit-identically
-  /// to one recorded here). First writer wins, exactly like trace();
-  /// returns the cached instance. Thread-safe.
+  /// Replay path: seeds the trace cache with an externally obtained
+  /// recording, which replays bit-identically to one recorded here. First
+  /// writer wins, exactly like trace(); returns the cached instance.
+  /// Thread-safe.
   const EventTrace &addTrace(Scale S, uint64_t Seed, EventTrace Trace);
 
   /// Whether the pipeline artifacts are already materialised (loaded or
@@ -137,23 +140,23 @@ public:
   void setHaloArtifacts(HaloArtifacts Art);
   void setHdsArtifacts(HdsArtifacts Art);
 
-  /// Measures one configuration on one input by replaying the recording
-  /// of (\p S, \p Seed) (recorded first if need be), on the setup's
-  /// machine. Safe to call concurrently: the trace and artifact caches
-  /// synchronise.
+  /// Replay path: measures one configuration on one input by replaying
+  /// the recording of (\p S, \p Seed) (recorded first if need be), on the
+  /// setup's machine. Bit-identical to measureDirect(). Safe to call
+  /// concurrently: the trace and artifact caches synchronise.
   RunMetrics measure(AllocatorKind Kind, Scale S, uint64_t Seed);
 
-  /// Same, on an explicit machine: the recorded trace is machine-
-  /// independent and replays under \p Machine's hierarchy and costs. This
-  /// is the cross-machine sweep primitive (halo_cli sweep).
+  /// Replay path on an explicit machine: the recorded trace is machine-
+  /// independent and replays under \p Machine's hierarchy and costs.
   RunMetrics measure(const MachineConfig &Machine, AllocatorKind Kind,
                      Scale S, uint64_t Seed);
 
-  /// Reference path: measures by executing the workload model directly,
-  /// without any trace. Kept as the oracle replay is tested against.
+  /// The measurement: runs the workload model for (\p S, \p Seed) under
+  /// one configuration on the setup's machine. Safe to call concurrently.
   RunMetrics measureDirect(AllocatorKind Kind, Scale S, uint64_t Seed);
 
-  /// Reference path on an explicit machine.
+  /// Same, on an explicit machine: the artifacts are machine-independent,
+  /// so one Evaluation measures every machine of a sweep.
   RunMetrics measureDirect(const MachineConfig &Machine, AllocatorKind Kind,
                            Scale S, uint64_t Seed);
 
@@ -177,11 +180,11 @@ private:
   std::optional<HaloArtifacts> HaloArt;
   std::optional<HdsArtifacts> HdsArt;
   /// One mutex per artifact kind, so the two pipelines still profile in
-  /// parallel. Lock order: artifact mutex before TraceMutex (the lazy
-  /// materialisation replays the profile trace); never the reverse.
+  /// parallel.
   mutable std::mutex HaloArtMutex;
   mutable std::mutex HdsArtMutex;
-  /// (scale, seed) -> recorded trace. std::map for reference stability.
+  /// Replay path: (scale, seed) -> recorded trace. std::map for reference
+  /// stability.
   std::map<std::pair<int, uint64_t>, EventTrace> Traces;
   std::mutex TraceMutex;
 };

@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 #include <stdexcept>
 #include <tuple>
 
@@ -86,31 +85,10 @@ const ResultSet::Cell *ResultSet::find(const std::string &Benchmark,
 // buildPlan
 //===----------------------------------------------------------------------===//
 
-size_t ExperimentPlan::numRecordings() const {
-  size_t N = 0;
-  for (const Benchmark &B : Benchmarks)
-    N += B.Recordings.size();
-  return N;
-}
-
 size_t ExperimentPlan::numArtifactTasks() const {
   size_t N = 0;
   for (const Benchmark &B : Benchmarks)
     N += (B.Halo == Source::Cold) + (B.Hds == Source::Cold);
-  return N;
-}
-
-size_t ExperimentPlan::numProfileRecordings() const {
-  size_t N = 0;
-  for (const Benchmark &B : Benchmarks)
-    N += B.Profile == Source::Cold;
-  return N;
-}
-
-size_t ExperimentPlan::numStoredRecordings() const {
-  size_t N = 0;
-  for (const Benchmark &B : Benchmarks)
-    N += B.StoredRecordings.size();
   return N;
 }
 
@@ -121,7 +99,7 @@ size_t ExperimentPlan::numStoredArtifacts() const {
   return N;
 }
 
-size_t ExperimentPlan::numReplays() const {
+size_t ExperimentPlan::numMeasurements() const {
   size_t N = 0;
   for (const Cell &C : Cells)
     N += static_cast<size_t>(std::max(C.Trials, 0));
@@ -133,8 +111,6 @@ ExperimentPlan halo::buildPlan(const std::vector<ExperimentSpec> &Specs,
                                ArtifactStore *Store) {
   ExperimentPlan Plan;
   Plan.Store = Store;
-  // Per-benchmark seed sets, kept outside the plan until sorted.
-  std::vector<std::set<std::pair<Scale, uint64_t>>> Seeds;
 
   auto FindBenchmark = [&](const std::string &Name,
                            const ExperimentSpec &Spec) -> size_t {
@@ -152,7 +128,6 @@ ExperimentPlan halo::buildPlan(const std::vector<ExperimentSpec> &Specs,
       B.Eval = Plan.Owned.back().get();
     }
     Plan.Benchmarks.push_back(std::move(B));
-    Seeds.emplace_back();
     return Plan.Benchmarks.size() - 1;
   };
 
@@ -192,23 +167,20 @@ ExperimentPlan halo::buildPlan(const std::vector<ExperimentSpec> &Specs,
             B.Halo = ExperimentPlan::Source::Cold;
           else if (Kind == AllocatorKind::Hds)
             B.Hds = ExperimentPlan::Source::Cold;
-          for (int T = 0; T < Trials; ++T)
-            Seeds[BI].emplace(Spec.S, Spec.SeedBase + T);
         }
       }
     }
   }
 
-  // Resolve every needed value's source once the needs are final. What
+  // Resolve every needed bundle's source once the needs are final. What
   // the Evaluation already holds is Resident: no task, no store lookup,
   // and so no republish -- Evaluation caches never evict, so it cannot go
   // missing before runPlan. Everything else consults the store, where a
-  // hit prunes a record/materialise task from the DAG. contains() fully
+  // hit prunes a materialise task from the DAG. contains() fully
   // validates entries, so a truncated or bit-flipped file plans as a miss
-  // (the cold path re-records and re-publishes it).
+  // (the cold path re-profiles and re-publishes it).
   using Source = ExperimentPlan::Source;
-  for (size_t BI = 0; BI < Plan.Benchmarks.size(); ++BI) {
-    ExperimentPlan::Benchmark &B = Plan.Benchmarks[BI];
+  for (ExperimentPlan::Benchmark &B : Plan.Benchmarks) {
     Evaluation &E = *B.Eval;
     const BenchmarkSetup &Setup = E.setup();
     auto Resolve = [&](Source &S, bool Resident, const StoreKey &Key) {
@@ -225,19 +197,6 @@ ExperimentPlan halo::buildPlan(const std::vector<ExperimentSpec> &Specs,
     Resolve(B.Hds, E.hasHdsArtifacts(),
             hdsStoreKey(B.Name, Setup.ProfileScale, Setup.ProfileSeed,
                         Setup.Hds));
-    if (B.Halo == Source::Cold || B.Hds == Source::Cold) {
-      B.Profile = Source::Cold;
-      Resolve(B.Profile, E.hasTrace(Setup.ProfileScale, Setup.ProfileSeed),
-              traceStoreKey(B.Name, Setup.ProfileScale, Setup.ProfileSeed));
-    }
-    for (const std::pair<Scale, uint64_t> &R : Seeds[BI]) {
-      if (E.hasTrace(R.first, R.second))
-        continue;
-      if (Store && Store->contains(traceStoreKey(B.Name, R.first, R.second)))
-        B.StoredRecordings.push_back(R);
-      else
-        B.Recordings.push_back(R);
-    }
   }
   return Plan;
 }
@@ -272,78 +231,40 @@ PlanExecution::PlanExecution(ExperimentPlan &PlanIn,
     CellsRemaining[C] = PC.Trials;
   }
 
-  // Stages 0 and 1 hold one task per Stored or Cold value; resident ones
-  // cost nothing.
+  // Stage 0: pipeline artifacts, two independent tasks per benchmark --
+  // each either a store load or a cold materialise-and-publish (a corrupt
+  // stored bundle falls back to materialising). Resident bundles cost
+  // nothing.
   using Source = ExperimentPlan::Source;
-  auto AddTask = [&](unsigned Stage, const ExperimentPlan::Benchmark &B,
-                     Source S, bool Halo) {
-    if (S != Source::Stored && S != Source::Cold)
-      return;
-    TaskData T;
-    T.Stage = Stage;
-    T.B = &B;
-    T.Halo = Halo;
-    T.Stored = S == Source::Stored;
-    Tasks.push_back(T);
-  };
-
-  // Stage 0: profile recordings (the input both pipelines profile). A
-  // benchmark with no pipeline to run cold skips its profile trace
-  // entirely -- the warm path never replays it.
   for (const ExperimentPlan::Benchmark &B : Plan.Benchmarks)
-    AddTask(0, B, B.Profile, false);
+    for (bool Halo : {true, false}) {
+      Source S = Halo ? B.Halo : B.Hds;
+      if (S != Source::Stored && S != Source::Cold)
+        continue;
+      TaskData T;
+      T.B = &B;
+      T.Halo = Halo;
+      T.Stored = S == Source::Stored;
+      Tasks.push_back(T);
+    }
   StageEnd[0] = Tasks.size();
 
-  // Stage 1: pipeline artifacts, two independent tasks per benchmark --
-  // each either a store load or a cold materialise-and-publish. A corrupt
-  // stored bundle falls back to materialising, which (via Evaluation's
-  // lazy trace()) records the profile trace inline if stage 0 skipped it.
-  for (const ExperimentPlan::Benchmark &B : Plan.Benchmarks) {
-    AddTask(1, B, B.Halo, true);
-    AddTask(1, B, B.Hds, false);
-  }
-  StageEnd[1] = Tasks.size();
-
-  // Stage 2: measurement recordings -- the expensive half of a sweep --
-  // deduplicated per benchmark, flat across all benchmarks at once.
-  // Store hits load instead of recording.
-  for (const ExperimentPlan::Benchmark &B : Plan.Benchmarks) {
-    for (const std::pair<Scale, uint64_t> &R : B.Recordings) {
-      TaskData T;
-      T.Stage = 2;
-      T.B = &B;
-      T.S = R.first;
-      T.Seed = R.second;
-      T.Stored = false;
-      Tasks.push_back(T);
-    }
-    for (const std::pair<Scale, uint64_t> &R : B.StoredRecordings) {
-      TaskData T;
-      T.Stage = 2;
-      T.B = &B;
-      T.S = R.first;
-      T.Seed = R.second;
-      T.Stored = true;
-      Tasks.push_back(T);
-    }
-  }
-  StageEnd[2] = Tasks.size();
-
-  // Stage 3: replays, one task per (cell, trial). Every trace and
-  // artifact is cached by then, so tasks only read shared state; slot
-  // (C, T) always holds seed SeedBase + T, making the ResultSet
-  // bit-identical to a serial run no matter the interleaving.
+  // Stage 1: measurements, one task per (cell, trial), each a direct run
+  // of the workload model. Every artifact is cached by then, so tasks
+  // only read shared state; slot (C, T) always holds seed SeedBase + T,
+  // making the ResultSet bit-identical to a serial run no matter the
+  // interleaving.
   for (size_t C = 0; C < Plan.Cells.size(); ++C)
     for (int Trial = 0; Trial < Plan.Cells[C].Trials; ++Trial) {
       TaskData T;
-      T.Stage = 3;
+      T.Stage = 1;
       T.Cell = C;
       T.Trial = Trial;
       Tasks.push_back(T);
     }
-  StageEnd[3] = Tasks.size();
+  StageEnd[1] = Tasks.size();
 
-  // Zero-trial cells have no replay task to complete them; they are
+  // Zero-trial cells have no measurement task to complete them; they are
   // complete (empty) from the start.
   if (OnCell)
     for (size_t C = 0; C < CellsRemaining.size(); ++C)
@@ -358,46 +279,20 @@ std::optional<size_t> PlanExecution::next() {
   // The current stage is the first whose tasks have not all retired; its
   // unclaimed tasks are runnable, later stages wait behind the barrier.
   unsigned Stage = 0;
-  while (Stage < 4 && Retired >= StageEnd[Stage])
+  while (Stage < 2 && Retired >= StageEnd[Stage])
     ++Stage;
-  if (Stage == 4 || NextTask >= StageEnd[Stage])
+  if (Stage == 2 || NextTask >= StageEnd[Stage])
     return std::nullopt;
   return NextTask++;
 }
 
-void PlanExecution::obtainTrace(const ExperimentPlan::Benchmark &B, Scale S,
-                                uint64_t Seed, bool Stored) {
-  // Loads a stored trace into the cache, or records it cold (publishing
-  // to the store when one is attached). A stored entry that vanished or
-  // decodes corrupt between buildPlan and here demotes to the cold path
-  // inline -- re-record, re-publish -- so the run self-heals instead of
-  // failing. Either way the cached trace is byte-identical to a fresh
-  // recording, keeping warm results bit-identical to cold ones.
-  ArtifactStore *Store = Plan.Store;
-  Evaluation &E = *B.Eval;
-  // A trace that turned resident after buildPlan (a concurrent plan
-  // sharing this Evaluation got there first) was published by whoever
-  // recorded or loaded it; touching it again would only rewrite the store.
-  if (E.hasTrace(S, Seed))
-    return;
-  StoreKey Key;
-  if (Store)
-    Key = traceStoreKey(B.Name, S, Seed);
-  if (Store && Stored) {
-    if (std::optional<EventTrace> Loaded = getTrace(*Store, Key)) {
-      E.addTrace(S, Seed, std::move(*Loaded));
-      return;
-    }
-  }
-  const EventTrace &Trace = E.trace(S, Seed);
-  if (Store)
-    putTrace(*Store, Key, Trace);
-}
-
 void PlanExecution::runArtifact(const TaskData &Task) {
-  // Same shape as obtainTrace: a bundle that turned resident after
-  // buildPlan is left alone, a stored one loads, and only a bundle this
-  // task materialised is published.
+  // A bundle that turned resident after buildPlan (a concurrent plan
+  // sharing this Evaluation got there first) was published by whoever
+  // materialised or loaded it, so it is left alone. A stored bundle loads;
+  // one that vanished or decodes corrupt since buildPlan falls back to
+  // materialising inline, so the run self-heals instead of failing. Only
+  // a bundle this task materialised is published.
   ArtifactStore *Store = Plan.Store;
   Evaluation &E = *Task.B->Eval;
   const BenchmarkSetup &Setup = E.setup();
@@ -437,39 +332,22 @@ void PlanExecution::runArtifact(const TaskData &Task) {
   }
 }
 
-void PlanExecution::runReplay(const TaskData &Task) {
+void PlanExecution::runMeasurement(const TaskData &Task) {
   const ExperimentPlan::Cell &PC = Plan.Cells[Task.Cell];
   Evaluation &E = *Plan.Benchmarks[PC.Bench].Eval;
   uint64_t Seed = PC.SeedBase + static_cast<uint64_t>(Task.Trial);
   const MachineConfig &M = PC.Machine ? *PC.Machine : E.setup().Machine;
   Results.Cells[Task.Cell].Runs[static_cast<size_t>(Task.Trial)] =
-      E.measure(M, PC.Kind, PC.S, Seed);
-}
-
-void PlanExecution::execute(const TaskData &T) {
-  switch (T.Stage) {
-  case 0: {
-    const BenchmarkSetup &Setup = T.B->Eval->setup();
-    obtainTrace(*T.B, Setup.ProfileScale, Setup.ProfileSeed, T.Stored);
-    break;
-  }
-  case 1:
-    runArtifact(T);
-    break;
-  case 2:
-    obtainTrace(*T.B, T.S, T.Seed, T.Stored);
-    break;
-  default:
-    runReplay(T);
-    break;
-  }
+      E.measureDirect(M, PC.Kind, PC.S, Seed);
 }
 
 void PlanExecution::run(size_t Task, Executor *) {
   const TaskData &T = Tasks[Task];
   try {
-    execute(T);
-    if (T.Stage == 3) {
+    if (T.Stage == 0) {
+      runArtifact(T);
+    } else {
+      runMeasurement(T);
       bool CellDone;
       {
         std::lock_guard<std::mutex> Lock(Mu);
@@ -542,7 +420,7 @@ bool PlanExecution::finished() const {
 ResultSet halo::runPlan(ExperimentPlan &Plan, int Jobs,
                         CellCompletionFn OnCell) {
   PlanExecution Exec(Plan, std::move(OnCell));
-  // One pool drives all four stages; the stage task lists are flat across
+  // One pool drives both stages; the stage task lists are flat across
   // every benchmark and machine, so a mixed sweep fills the pool at cell
   // granularity instead of sharding along a single axis.
   Executor Pool(Jobs);

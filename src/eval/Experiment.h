@@ -11,13 +11,13 @@
 /// directly instead of going through a bespoke driver per figure.
 ///
 /// buildPlan() expands specs into a deduplicated task DAG over one
-/// Evaluation per benchmark: each (benchmark, scale, seed) workload run is
-/// recorded once, each benchmark's HALO/HDS pipeline artifacts materialise
-/// once, and every requested cell then replays the shared recordings.
-/// runPlan() executes that DAG on a single support/Executor pool in four
-/// deterministic stages (profile recordings, artifacts, measurement
-/// recordings, replays) whose task lists span *all* benchmarks and
-/// machines -- so a mixed sweep keeps every worker busy instead of
+/// Evaluation per benchmark: each benchmark's HALO/HDS pipeline artifacts
+/// materialise once (profiled by running the profile-scale input), and
+/// every requested (cell, trial) is then one direct run of the workload
+/// model (Evaluation::measureDirect). runPlan() executes that DAG on a
+/// single support/Executor pool in two deterministic stages (pipeline
+/// artifacts, then measurements) whose task lists span *all* benchmarks
+/// and machines -- so a mixed sweep keeps every worker busy instead of
 /// sharding along only one axis -- and lands the results in a ResultSet
 /// keyed by the full measurement key. Every value is a deterministic
 /// function of its key, so runPlan's output is bit-identical no matter how
@@ -70,7 +70,7 @@ std::optional<Scale> parseScale(const std::string &Name);
 /// One axis-product block of the evaluation matrix: every benchmark in
 /// \p Benchmarks measured under every machine in \p Machines with every
 /// allocator kind in \p Kinds, \p Trials trials each. Specs are purely
-/// declarative -- nothing records or replays until runPlan().
+/// declarative -- nothing profiles or runs until runPlan().
 struct ExperimentSpec {
   std::vector<std::string> Benchmarks;
   /// Machines to measure under. Empty means "the benchmark setup's own
@@ -93,7 +93,7 @@ struct ExperimentSpec {
 /// The full key of one measured cell: what was measured, on what, how.
 struct MeasurementKey {
   std::string Benchmark;
-  std::string Machine; ///< MachineConfig::Name the cell replayed under.
+  std::string Machine; ///< MachineConfig::Name the cell ran under.
   AllocatorKind Kind = AllocatorKind::Jemalloc;
   Scale S = Scale::Ref;
   uint64_t SeedBase = 100;
@@ -147,33 +147,25 @@ private:
 /// it to see what runPlan() will do; the counts are what the dedup saved.
 class ExperimentPlan {
 public:
-  /// Where the plan gets one value its cells need, resolved at buildPlan
-  /// time. Only Stored and Cold values cost a task.
+  /// Where the plan gets one artifact bundle its cells need, resolved at
+  /// buildPlan time. Only Stored and Cold bundles cost a task.
   enum class Source : uint8_t {
     None,     ///< Nothing needs it.
     Resident, ///< The Evaluation already holds it: no task, no lookup.
     Stored,   ///< A store hit: a load task. runPlan still self-heals if
               ///< the entry disappears or decodes corrupt, by recomputing
               ///< (and re-publishing) inline.
-    Cold,     ///< A task records or materialises it, then publishes it.
+    Cold,     ///< A task materialises it, then publishes it.
   };
 
   /// One benchmark's shared state: the Evaluation every cell of that
   /// benchmark measures through (owned by the plan, or borrowed from the
-  /// caller), plus the work the cells imply.
+  /// caller), plus the artifact work the cells imply.
   struct Benchmark {
     std::string Name;
     Evaluation *Eval = nullptr;
     Source Halo = Source::None; ///< The HALO artifact bundle.
     Source Hds = Source::None;  ///< The HDS artifact bundle.
-    /// The profile-scale trace: needed only by a pipeline that runs Cold.
-    Source Profile = Source::None;
-    /// Deduplicated (scale, seed) measurement recordings the plan must
-    /// *record*, sorted. Store hits live in StoredRecordings instead;
-    /// recordings the Evaluation already holds, in neither list.
-    std::vector<std::pair<Scale, uint64_t>> Recordings;
-    /// Measurement recordings resolved from the store (load, not record).
-    std::vector<std::pair<Scale, uint64_t>> StoredRecordings;
   };
 
   /// One cell: a (benchmark, machine, kind) coordinate plus its trial
@@ -190,23 +182,20 @@ public:
   const std::vector<Benchmark> &benchmarks() const { return Benchmarks; }
   const std::vector<Cell> &cells() const { return Cells; }
 
-  /// Total deduplicated measurement recordings the plan will *record*
-  /// (store hits are not counted: they are loads, not recordings; nor
-  /// are resident traces, which cost nothing).
-  size_t numRecordings() const;
   /// HALO/HDS pipeline materialisations the plan will run (store hits
-  /// and resident bundles excluded for the same reasons).
+  /// are loads, and resident bundles cost nothing: neither is counted).
   size_t numArtifactTasks() const;
-  /// Total replay tasks (cells x their trials).
-  size_t numReplays() const;
-  /// Profile-scale recordings the plan will capture: benchmarks with at
-  /// least one Cold pipeline whose profile trace is neither resident nor
-  /// stored.
-  size_t numProfileRecordings() const;
-  /// Measurement recordings resolved from the artifact store.
-  size_t numStoredRecordings() const;
+  /// Total measurement tasks (cells x their trials), one direct run each.
+  size_t numMeasurements() const;
   /// Pipeline artifact bundles resolved from the artifact store.
   size_t numStoredArtifacts() const;
+  /// Always 0: plans record no traces. Kept only for callers that still
+  /// count recordings (benchmark/halo_bench_layers.cpp).
+  size_t numRecordings() const { return 0; }
+  /// Always 0, like numRecordings().
+  size_t numProfileRecordings() const { return 0; }
+  /// Always 0, like numRecordings(): plans never load a stored trace.
+  size_t numStoredRecordings() const { return 0; }
   /// The store consulted at build time and published to at run time.
   ArtifactStore *store() const { return Store; }
 
@@ -222,27 +211,25 @@ private:
 };
 
 /// Expands \p Specs into a plan. Benchmarks deduplicate by name across
-/// specs (one Evaluation each); identical cells deduplicate entirely;
-/// each cell's seeds join its benchmark's recording set once. A benchmark
-/// named by an Evaluation in \p External is measured through that caller
-/// instance instead of a plan-owned one: every trace and artifact bundle
-/// it already holds is Resident -- no task, no store
-/// lookup, no publish -- so a plan over warm Evaluations is replay-only.
+/// specs (one Evaluation each); identical cells deduplicate entirely. A
+/// benchmark named by an Evaluation in \p External is measured through
+/// that caller instance instead of a plan-owned one: every artifact
+/// bundle it already holds is Resident -- no task, no store lookup, no
+/// publish -- so a plan over warm Evaluations runs measurements only.
 /// Throws std::invalid_argument for unknown benchmarks.
 ///
-/// With \p Store, every other recording and artifact key is looked up in
-/// the content-addressed store: hits turn into load tasks (pruning the
-/// record/materialise work from the DAG -- a fully warm plan schedules
-/// zero of either), misses run cold and publish their results for the
-/// next plan. Results are bit-identical either way: loaded traces replay
-/// exactly as recorded ones and loaded artifacts rebuild their derived
+/// With \p Store, every other HALO/HDS bundle key is looked up in the
+/// content-addressed store: hits turn into load tasks (pruning the
+/// materialise work from the DAG -- a fully warm plan schedules none),
+/// misses run cold and publish their bundles for the next plan. Results
+/// are bit-identical either way: loaded artifacts rebuild their derived
 /// state deterministically.
 ExperimentPlan buildPlan(const std::vector<ExperimentSpec> &Specs,
                          const std::vector<Evaluation *> &External = {},
                          ArtifactStore *Store = nullptr);
 
 /// Invoked as soon as every trial of one cell has been measured (from
-/// whichever worker thread finished the cell's last replay): the index is
+/// whichever worker thread finished the cell's last measurement): the index is
 /// the cell's position in ExperimentPlan::cells() order, the reference is
 /// into the eventual ResultSet and stays valid until take()/return. This
 /// is how serve streams per-cell results while the plan is still running,
@@ -259,14 +246,13 @@ using CellCompletionFn =
 /// to start (ROADMAP: no bespoke scheduling semantics outside the plan
 /// scheduler).
 ///
-/// The tasks are the same four stages runPlan always ran -- profile
-/// recordings, pipeline artifacts, measurement recordings, replays --
-/// and next() enforces the stage barrier: a task of stage k becomes
-/// claimable only once every task of stages < k retired. Distinct tasks
-/// of one stage are safe to run from concurrent threads (the trace and
-/// artifact caches synchronise; each replay writes only its own slot),
-/// and every interleaving yields bit-identical results because every
-/// value is a deterministic function of its task's key.
+/// The tasks come in two stages -- pipeline artifacts, then measurements
+/// -- and next() enforces the stage barrier: a measurement becomes
+/// claimable only once every artifact task retired. Distinct tasks of one
+/// stage are safe to run from concurrent threads (the artifact caches
+/// synchronise; each measurement writes only its own slot), and every
+/// interleaving yields bit-identical results because every value is a
+/// deterministic function of its task's key.
 class PlanExecution {
 public:
   /// Binds to \p Plan, which must outlive this object and not move (and
@@ -278,8 +264,7 @@ public:
 
   size_t numTasks() const { return Tasks.size(); }
 
-  /// The stage of task \p Task: 0 profile recordings, 1 pipeline
-  /// artifacts, 2 measurement recordings, 3 replays.
+  /// The stage of task \p Task: 0 pipeline artifacts, 1 measurements.
   unsigned stage(size_t Task) const { return Tasks[Task].Stage; }
 
   /// Claims the next runnable task id, in deterministic ascending order;
@@ -308,33 +293,28 @@ public:
   bool finished() const;
 
   /// Moves the results out (call once, after finished()). Cells whose
-  /// replays never ran -- cancelled or failed plans -- keep
+  /// measurements never ran -- cancelled or failed plans -- keep
   /// default-constructed RunMetrics in their slots.
   ResultSet take() { return std::move(Results); }
 
 private:
   struct TaskData {
     unsigned Stage = 0;
-    const ExperimentPlan::Benchmark *B = nullptr; ///< Stages 0-2.
-    bool Halo = false;                            ///< Stage 1.
-    bool Stored = false;                          ///< Stages 0-2.
-    Scale S = Scale::Ref;                         ///< Stage 2.
-    uint64_t Seed = 0;                            ///< Stage 2.
-    size_t Cell = 0;                              ///< Stage 3.
-    int Trial = 0;                                ///< Stage 3.
+    const ExperimentPlan::Benchmark *B = nullptr; ///< Stage 0.
+    bool Halo = false;                            ///< Stage 0.
+    bool Stored = false;                          ///< Stage 0.
+    size_t Cell = 0;                              ///< Stage 1.
+    int Trial = 0;                                ///< Stage 1.
   };
 
-  void execute(const TaskData &T);
-  void obtainTrace(const ExperimentPlan::Benchmark &B, Scale S,
-                   uint64_t Seed, bool Stored);
   void runArtifact(const TaskData &T);
-  void runReplay(const TaskData &T);
+  void runMeasurement(const TaskData &T);
 
   ExperimentPlan &Plan;
   CellCompletionFn OnCell;
   ResultSet Results;
   std::vector<TaskData> Tasks;
-  size_t StageEnd[4] = {0, 0, 0, 0}; ///< Cumulative task counts.
+  size_t StageEnd[2] = {0, 0}; ///< Cumulative task counts.
   /// Trials still unmeasured per cell; the task that takes a cell's count
   /// to zero fires OnCell.
   std::vector<int> CellsRemaining;
@@ -348,9 +328,9 @@ private:
 };
 
 /// Executes \p Plan on one Executor pool (\p Jobs as resolveJobs()
-/// interprets it) in four stages -- profile recordings, pipeline
-/// artifacts, measurement recordings, cell replays -- each a flat task
-/// list spanning every benchmark and machine in the plan. One rule
+/// interprets it) in two stages -- pipeline artifacts, then measurements
+/// -- each a flat task list spanning every benchmark and machine in the
+/// plan. One rule
 /// schedules every stage: its tasks fan out over the pool, each running
 /// serially on its worker. Results are bit-identical to a serial run
 /// regardless of Jobs.

@@ -57,10 +57,11 @@ HdsArtifacts optimizeBinaryHds(const Program &Prog,
                                const MachineConfig &Machine = defaultMachine());
 
 /// Same pipeline, driven by a pre-recorded event trace (see the matching
-/// optimizeBinary overload): HALO and HDS can share one recording, and
-/// replay delivers the profiler's accesses through the batched observer
-/// hook. Safe to run concurrently with the HALO pipeline on the same
-/// trace (runPlan's artifact stage does exactly that).
+/// optimizeBinary overload): the replay path. Replay delivers the
+/// profiler's accesses through the batched observer hook, and the
+/// artifacts save to the same bytes as profiling the recorded run
+/// directly. Safe to run concurrently with the HALO pipeline on the same
+/// trace.
 HdsArtifacts optimizeBinaryHds(const Program &Prog, const EventTrace &Trace,
                                const HdsParameters &Params = HdsParameters(),
                                const MachineConfig &Machine = defaultMachine());

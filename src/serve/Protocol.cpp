@@ -322,7 +322,7 @@ std::vector<uint8_t> halo::encodePlanQueued(const PlanQueuedMsg &M) {
   BinaryWriter W;
   W.u64(M.PlanId);
   W.varint(M.NumCells);
-  W.varint(M.NumReplays);
+  W.varint(M.NumMeasurements);
   return W.take();
 }
 
@@ -332,7 +332,7 @@ PlanQueuedMsg halo::decodePlanQueued(const std::vector<uint8_t> &Payload) {
     PlanQueuedMsg M;
     M.PlanId = R.u64();
     M.NumCells = R.varint();
-    M.NumReplays = R.varint();
+    M.NumMeasurements = R.varint();
     R.expectEnd("PlanQueued");
     return M;
   });

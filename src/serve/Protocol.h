@@ -27,9 +27,9 @@
 ///     Hello {version}          ->
 ///                              <-  HelloAck {version, workers, store}
 ///     SubmitPlan {request}     ->
-///                              <-  PlanQueued {plan, cells, replays}
+///                              <-  PlanQueued {plan, cells, measurements}
 ///                              <-  CellResult {plan, cell, key, runs}
-///                              <-  CellResult ...   (as replays finish)
+///                              <-  CellResult ...   (as cells finish)
 ///     Cancel {plan}            ->          (optional, any time)
 ///                              <-  PlanDone {plan, status, message}
 ///     Stats {}                 ->
@@ -184,7 +184,7 @@ HelloAckMsg decodeHelloAck(const std::vector<uint8_t> &Payload);
 struct PlanQueuedMsg {
   uint64_t PlanId = 0;
   uint64_t NumCells = 0;
-  uint64_t NumReplays = 0;
+  uint64_t NumMeasurements = 0;
 };
 std::vector<uint8_t> encodePlanQueued(const PlanQueuedMsg &M);
 PlanQueuedMsg decodePlanQueued(const std::vector<uint8_t> &Payload);

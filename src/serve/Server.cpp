@@ -232,7 +232,7 @@ void HaloDaemon::handleSubmit(const std::shared_ptr<ServeSession> &S,
   // Warm benchmark cache: reuse (or create) the daemon's Evaluation for
   // every requested benchmark and hand them to buildPlan as external
   // instances. This is the whole point of the daemon -- the second plan
-  // naming a benchmark starts from its cached traces and artifacts.
+  // naming a benchmark starts from its cached artifact bundles.
   std::vector<Evaluation *> External;
   try {
     std::lock_guard<std::mutex> Lock(EvalsMu);
@@ -286,7 +286,7 @@ void HaloDaemon::handleSubmit(const std::shared_ptr<ServeSession> &S,
   PlanQueuedMsg Queued;
   Queued.PlanId = P->Id;
   Queued.NumCells = P->Plan.cells().size();
-  Queued.NumReplays = P->Plan.numReplays();
+  Queued.NumMeasurements = P->Plan.numMeasurements();
   S->send(MsgType::PlanQueued, encodePlanQueued(Queued));
   PlansSubmitted.fetch_add(1, std::memory_order_relaxed);
 

@@ -10,13 +10,14 @@
 /// across requests, and serves ExperimentSpec-shaped plans to concurrent
 /// clients over the serve/Protocol.h wire format on a Unix-domain socket.
 ///
-/// A local `runPlan` pays the whole pipeline on every invocation: record
-/// the profile trace, materialise artifacts, record the measurement
-/// traces, replay. The daemon pays each of those once per benchmark and
-/// then answers every later plan from its warm caches -- the process-level
-/// analogue of what the artifact store does on disk -- while the
-/// per-cell completion hook (CellCompletionFn) streams results back the
-/// moment each cell's last trial lands.
+/// A local `runPlan` pays the whole pipeline on every invocation:
+/// materialise (or load) the HALO/HDS artifacts, then run every
+/// measurement. The daemon materialises each benchmark's artifacts once
+/// and then answers every later plan from its warm Evaluations, which
+/// hold only those bundles -- the process-level analogue of what the
+/// artifact store does on disk -- while the per-cell completion hook
+/// (CellCompletionFn) streams results back the moment each cell's last
+/// trial lands.
 ///
 /// Scheduling: every pool worker runs its own claim loop, so a worker
 /// that frees up claims the next task at once instead of waiting for its
@@ -27,9 +28,9 @@
 /// plan arrives. The worker that retires a plan's last task sends its
 /// PlanDone; a Cancel takes effect at the next claim, and a plan
 /// cancelled with nothing in flight is done at once. A warm plan -- every
-/// trace and artifact already held by the daemon's Evaluations -- is
-/// replay-only: it schedules no load or record task and writes nothing
-/// to the store (buildPlan, eval/Experiment.h). Plan admission is
+/// artifact bundle already held by the daemon's Evaluations -- runs
+/// measurements only: it schedules no load or materialise task and writes
+/// nothing to the store (buildPlan, eval/Experiment.h). Plan admission is
 /// bounded: past MaxQueuedPlans, submitting readers block (backpressure
 /// on that client alone) until a plan retires.
 ///
@@ -139,7 +140,7 @@ private:
 
   /// The warm benchmark cache: one Evaluation per benchmark name, created
   /// on first use, passed to every buildPlan as an external instance so
-  /// its traces and artifacts persist across plans and clients. Guarded
+  /// its artifact bundles persist across plans and clients. Guarded
   /// by EvalsMu (creation only; the Evaluations themselves synchronise
   /// their caches internally).
   mutable std::mutex EvalsMu;

@@ -6,27 +6,31 @@
 ///
 /// \file
 /// A content-addressed on-disk store for the expensive, machine-independent
-/// halves of an experiment plan: recorded event traces and HALO/HDS
-/// pipeline artifacts. The design follows Nix's libstore discipline:
+/// half of an experiment plan: the HALO/HDS pipeline artifact bundles.
+/// Plans publish and read nothing else. The store can also hold recorded
+/// event traces (putTrace/getTrace), which only the replay path's callers
+/// write; a store populated when plans still recorded keeps its trace
+/// entries, valid and unread, beside the bundles it serves. The design
+/// follows Nix's libstore discipline:
 ///
 ///  * Entries are addressed by a stable content hash of their *inputs* --
 ///    (domain tag, schema version, benchmark, scale, seed, every
 ///    machine-independent pipeline option) -- never by mtime or file name
-///    conventions. The machine config is deliberately absent: recordings
-///    and artifacts are machine-independent (eval/Evaluation.h), so one
-///    entry serves sweeps over every machine.
+///    conventions. The machine config is deliberately absent: artifacts
+///    are machine-independent (eval/Evaluation.h), so one entry serves
+///    sweeps over every machine.
 ///  * Writes go to a temp file in the store directory and are published
 ///    with a single atomic rename(); readers never observe partial
 ///    entries, and concurrent writers racing one key both succeed (last
 ///    rename wins; the payloads are identical by construction).
 ///  * Entries are never mutated. Invalidation is a key change: bumping
 ///    StoreSchemaVersion (or any key component changing) produces a new
-///    hash, and stale entries are simply never addressed again until
-///    `halo_cli store gc` removes them.
+///    hash, and stale entries are simply never addressed again.
+///    `halo_cli store gc` removes those of another schema (see gc()).
 ///  * Every read validates the entry header and a payload checksum;
 ///    truncated or bit-flipped entries read as "absent" so callers fall
-///    back to re-recording instead of crashing or silently replaying
-///    garbage.
+///    back to recomputing instead of crashing or silently measuring
+///    with garbage.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -138,8 +142,12 @@ public:
   /// can always report per-entry sizes.
   std::vector<Entry> entries(bool Validate = true) const;
 
-  /// Removes invalid entries and abandoned temp files; returns how many
-  /// files were deleted. Valid entries are never touched.
+  /// Removes abandoned temp files and every entry that fails validation
+  /// -- corrupt ones, and entries written under another
+  /// StoreSchemaVersion -- and returns how many files were deleted. Valid
+  /// entries are never touched, even ones no key reaches any more (a
+  /// store's trace entries from when plans still recorded stay until
+  /// removed by hand).
   size_t gc();
 
 private:

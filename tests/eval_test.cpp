@@ -69,8 +69,8 @@ TEST(PaperSetup, OmnetppChunkConfigurationChangesTheMeasurement) {
   Reverted.Hds.Allocator = Reverted.Halo.Allocator;
   Evaluation Defaults(std::move(Reverted));
 
-  RunMetrics A = Paper.measure(AllocatorKind::Halo, Scale::Ref, 1);
-  RunMetrics B = Defaults.measure(AllocatorKind::Halo, Scale::Ref, 1);
+  RunMetrics A = Paper.measureDirect(AllocatorKind::Halo, Scale::Ref, 1);
+  RunMetrics B = Defaults.measureDirect(AllocatorKind::Halo, Scale::Ref, 1);
   // Same allocation stream either way...
   EXPECT_EQ(A.Events.Allocs, B.Events.Allocs);
   EXPECT_EQ(A.GroupedAllocs, B.GroupedAllocs);
@@ -131,7 +131,7 @@ TEST(Evaluation, UnknownBenchmarkThrowsInvalidArgument) {
 
 TEST(Evaluation, BaselineMetricsPopulated) {
   Evaluation E(paperSetup("ft"));
-  RunMetrics M = E.measure(AllocatorKind::Jemalloc, Scale::Test, 1);
+  RunMetrics M = E.measureDirect(AllocatorKind::Jemalloc, Scale::Test, 1);
   EXPECT_GT(M.Seconds, 0.0);
   EXPECT_GT(M.Cycles, 0u);
   EXPECT_GT(M.Mem.Accesses, 0u);
@@ -142,7 +142,7 @@ TEST(Evaluation, BaselineMetricsPopulated) {
 
 TEST(Evaluation, HaloRunGroupsAllocations) {
   Evaluation E(paperSetup("health"));
-  RunMetrics M = E.measure(AllocatorKind::Halo, Scale::Test, 1);
+  RunMetrics M = E.measureDirect(AllocatorKind::Halo, Scale::Test, 1);
   EXPECT_GT(M.GroupedAllocs, 0u);
   EXPECT_GT(M.ForwardedAllocs, 0u);
   EXPECT_GT(M.InstrumentationOps, 0u);
@@ -152,16 +152,16 @@ TEST(Evaluation, HaloRunGroupsAllocations) {
 TEST(Evaluation, HaloBeatsBaselineOnHealth) {
   // The paper's headline case, at test scale: HALO must reduce L1D misses.
   Evaluation E(paperSetup("health"));
-  RunMetrics Base = E.measure(AllocatorKind::Jemalloc, Scale::Test, 1);
-  RunMetrics Halo = E.measure(AllocatorKind::Halo, Scale::Test, 1);
+  RunMetrics Base = E.measureDirect(AllocatorKind::Jemalloc, Scale::Test, 1);
+  RunMetrics Halo = E.measureDirect(AllocatorKind::Halo, Scale::Test, 1);
   EXPECT_LT(Halo.Mem.L1Misses, Base.Mem.L1Misses);
 }
 
 TEST(Evaluation, InstrumentedOnlyRunCostsAlmostNothing) {
   Evaluation E(paperSetup("ft"));
-  RunMetrics Base = E.measure(AllocatorKind::Jemalloc, Scale::Test, 1);
+  RunMetrics Base = E.measureDirect(AllocatorKind::Jemalloc, Scale::Test, 1);
   RunMetrics Instr =
-      E.measure(AllocatorKind::HaloInstrumentedOnly, Scale::Test, 1);
+      E.measureDirect(AllocatorKind::HaloInstrumentedOnly, Scale::Test, 1);
   EXPECT_GT(Instr.InstrumentationOps, 0u);
   // Identical memory behaviour, tiny cycle delta (Section 5.2: noise
   // dwarfs instrumentation overhead).
@@ -173,7 +173,7 @@ TEST(Evaluation, TrialsVaryBySeed) {
   Evaluation E(paperSetup("ft"));
   std::vector<RunMetrics> Runs;
   for (uint64_t Seed = 100; Seed < 103; ++Seed)
-    Runs.push_back(E.measure(AllocatorKind::Jemalloc, Scale::Test, Seed));
+    Runs.push_back(E.measureDirect(AllocatorKind::Jemalloc, Scale::Test, Seed));
   ASSERT_EQ(Runs.size(), 3u);
   EXPECT_GT(Evaluation::medianSeconds(Runs), 0.0);
   EXPECT_GT(Evaluation::medianL1Misses(Runs), 0.0);
@@ -181,15 +181,15 @@ TEST(Evaluation, TrialsVaryBySeed) {
 
 TEST(Evaluation, RandomPoolsMeasurable) {
   Evaluation E(paperSetup("art"));
-  RunMetrics M = E.measure(AllocatorKind::RandomPools, Scale::Test, 1);
+  RunMetrics M = E.measureDirect(AllocatorKind::RandomPools, Scale::Test, 1);
   EXPECT_GT(M.Mem.L1Misses, 0u);
 }
 
 TEST(Evaluation, PtmallocWorseThanJemallocOnListWorkloads) {
   // Section 5.1: jemalloc universally outperforms ptmalloc2 as a baseline.
   Evaluation E(paperSetup("health"));
-  RunMetrics Je = E.measure(AllocatorKind::Jemalloc, Scale::Test, 1);
-  RunMetrics Pt = E.measure(AllocatorKind::Ptmalloc, Scale::Test, 1);
+  RunMetrics Je = E.measureDirect(AllocatorKind::Jemalloc, Scale::Test, 1);
+  RunMetrics Pt = E.measureDirect(AllocatorKind::Ptmalloc, Scale::Test, 1);
   EXPECT_GT(Pt.Mem.L1Misses, Je.Mem.L1Misses);
 }
 

@@ -1,10 +1,11 @@
 //===- tests/experiment_test.cpp - Declarative experiment plans --------------===//
 //
 // The plan contract: buildPlan expands specs into a deduplicated matrix
-// (benchmarks by name, cells by full key, recordings by (scale, seed)),
-// runPlan executes it bit-identically no matter how many workers ran, and
-// every cell equals a serial loop of Evaluation::measureDirect -- the
-// trace-free oracle -- for the same key. The comparison reduction built
+// (benchmarks by name, cells by full key) with two task stages (artifact
+// bundles, then one direct measurement per (cell, trial)), runPlan
+// executes it bit-identically no matter how many workers ran, and every
+// cell equals a serial loop of Evaluation::measureDirect for the same
+// key. The comparison reduction built
 // on top (comparisonRow) is pinned against the same oracle.
 //
 //===----------------------------------------------------------------------===//
@@ -41,7 +42,7 @@ ExperimentSpec mixedSpec() {
   return Spec;
 }
 
-/// The trace-free oracle for one cell: \p Trials serial measureDirect runs
+/// The serial oracle for one cell: \p Trials measureDirect runs
 /// on \p Machine, trial T using seed SeedBase + T as a plan cell does.
 std::vector<RunMetrics> directRuns(Evaluation &Oracle,
                                    const MachineConfig &Machine,
@@ -115,10 +116,14 @@ TEST(BuildPlan, DeduplicatesBenchmarksCellsAndRecordings) {
   EXPECT_EQ(Plan.benchmarks()[0].Hds, ExperimentPlan::Source::Cold);
   // 4 cells from First, 1 new from Second (its jemalloc cell collapses).
   EXPECT_EQ(Plan.cells().size(), 5u);
-  // Seeds 100 and 101 record once, not once per cell.
-  EXPECT_EQ(Plan.numRecordings(), 2u);
   EXPECT_EQ(Plan.numArtifactTasks(), 2u);
-  EXPECT_EQ(Plan.numReplays(), 10u);
+  EXPECT_EQ(Plan.numMeasurements(), 10u);
+  // Two stages and nothing else: the two bundles, then one direct
+  // measurement per (cell, trial).
+  PlanExecution Exec(Plan);
+  ASSERT_EQ(Exec.numTasks(), 12u);
+  for (size_t T = 0; T < Exec.numTasks(); ++T)
+    EXPECT_EQ(Exec.stage(T), T < 2 ? 0u : 1u) << "task " << T;
 }
 
 TEST(BuildPlan, DistinctSeedBlocksStayDistinct) {
@@ -132,7 +137,8 @@ TEST(BuildPlan, DistinctSeedBlocksStayDistinct) {
 
   ExperimentPlan Plan = buildPlan({Spec, Shifted});
   EXPECT_EQ(Plan.cells().size(), 2u);
-  EXPECT_EQ(Plan.numRecordings(), 3u); // 100, 101, 102.
+  // Each block measures its own trials: seed 101 runs once per block.
+  EXPECT_EQ(Plan.numMeasurements(), 4u);
   EXPECT_EQ(Plan.numArtifactTasks(), 0u); // jemalloc needs no pipelines.
 
   // find() disambiguates same-coordinate cells by seed block.
@@ -231,10 +237,13 @@ TEST(RunPlan, ExternalEvaluationBacksItsBenchmark) {
   ASSERT_EQ(Plan.benchmarks().size(), 1u);
   // The caller's instance, not a plan-owned copy...
   EXPECT_EQ(Plan.benchmarks()[0].Eval, &Eval);
+  EXPECT_FALSE(Eval.hasHaloArtifacts());
   ResultSet Results = runPlan(Plan, /*Jobs=*/1);
-  // ...so its caches are warm afterwards: measuring again replays the
-  // trace the plan recorded and reads the artifacts it materialised.
-  RunMetrics Again = Eval.measure(AllocatorKind::Halo, Scale::Test, 100);
+  // ...so it holds the bundle the plan materialised afterwards, and
+  // measuring again through it reads that bundle.
+  EXPECT_TRUE(Eval.hasHaloArtifacts());
+  RunMetrics Again =
+      Eval.measureDirect(AllocatorKind::Halo, Scale::Test, 100);
   ASSERT_EQ(Results.cells()[0].Runs.size(), 1u);
   EXPECT_EQ(Again.Cycles, Results.cells()[0].Runs[0].Cycles);
   EXPECT_EQ(Again.Mem.L1Misses, Results.cells()[0].Runs[0].Mem.L1Misses);
@@ -243,7 +252,7 @@ TEST(RunPlan, ExternalEvaluationBacksItsBenchmark) {
 TEST(RunPlan, ConcurrentRunPlansMatchTheSerialOracle) {
   // Two runPlan calls racing in one process -- the serve daemon's steady
   // state -- must produce exactly what each would serially: the workload
-  // registry, trace caches, and ResultSet writes are all either
+  // registry, artifact caches, and ResultSet writes are all either
   // thread-confined or locked.
   ExperimentSpec SpecA = mixedSpec();
   ExperimentSpec SpecB;
@@ -285,8 +294,8 @@ TEST(RunPlan, ConcurrentRunPlansMatchTheSerialOracle) {
 TEST(RunPlan, ConcurrentRunPlansMayShareAnExternalEvaluation) {
   // Harder still: both racing plans measure through the SAME warm
   // Evaluation (the daemon's warm cache hands one instance to every
-  // in-flight plan). Its trace and artifact caches are internally locked,
-  // so the race must be invisible in the results.
+  // in-flight plan). Its artifact caches are internally locked, so the
+  // race must be invisible in the results.
   Evaluation Shared(paperSetup("health"));
   ExperimentSpec SpecA;
   SpecA.Benchmarks = {"health"};
@@ -379,7 +388,7 @@ TEST(ResultSet, FindLocatesCellsByFullKey) {
 TEST(Wrappers, SweepMachinesMatchesManualMeasureTrials) {
   // One benchmark measured through the caller's Evaluation on several
   // machines: cells come back machine-major in request order, kinds in
-  // spec order, each equal to the trace-free oracle.
+  // spec order, each equal to the serial oracle.
   std::vector<const MachineConfig *> Machines = {preset("mobile"),
                                                  preset("server")};
   Evaluation Eval(paperSetup("ft"));

@@ -266,14 +266,15 @@ TEST(MachineMeasurement, SetupMachineIsTheMeasurementKey) {
   Evaluation Mobile(std::move(Setup));
   Evaluation Default(paperSetup("ft"));
 
-  RunMetrics OnMobile = Mobile.measure(AllocatorKind::Jemalloc, Scale::Test, 5);
+  RunMetrics OnMobile =
+      Mobile.measureDirect(AllocatorKind::Jemalloc, Scale::Test, 5);
   RunMetrics OnDefault =
-      Default.measure(AllocatorKind::Jemalloc, Scale::Test, 5);
+      Default.measureDirect(AllocatorKind::Jemalloc, Scale::Test, 5);
   // The implicit-machine overload must route through Setup.Machine: the
   // same measurement via the explicit overload is bit-identical.
   RunMetrics Explicit =
-      Mobile.measure(*findMachine("mobile"), AllocatorKind::Jemalloc,
-                     Scale::Test, 5);
+      Mobile.measureDirect(*findMachine("mobile"), AllocatorKind::Jemalloc,
+                           Scale::Test, 5);
   EXPECT_EQ(OnMobile.Cycles, Explicit.Cycles);
   EXPECT_EQ(OnMobile.Mem.StallCycles, Explicit.Mem.StallCycles);
   // And a different machine is a different experiment.

@@ -8,7 +8,7 @@
 // byte-identical (through writeExperimentsJson) to a local runPlan of the
 // same spec -- across machines, all allocator kinds, concurrent clients,
 // a warm artifact store, and a cancel on a neighbouring client. A warm
-// served plan runs only its replays and leaves the store untouched.
+// served plan runs only its measurements and leaves the store untouched.
 //
 //===----------------------------------------------------------------------===//
 
@@ -354,11 +354,12 @@ TEST_F(ServeDaemonTest, SecondPlanServedWarmIsIdentical) {
     EXPECT_EQ(2u, St.WarmBenchmarks);
     EXPECT_TRUE(St.HasStore);
     EXPECT_EQ(2u, St.PlansCompleted);
-    // Replay-only: one task per (cell, trial), no loads or records...
-    uint64_t Replays = 0;
+    // Measurements only: one task per (cell, trial), no bundle loads or
+    // materialisations...
+    uint64_t Measurements = 0;
     for (const ResultSet::Cell &C : Outcome.Results.cells())
-      Replays += static_cast<uint64_t>(C.Key.Trials);
-    EXPECT_EQ(TasksBefore + Replays, St.TasksExecuted);
+      Measurements += static_cast<uint64_t>(C.Key.Trials);
+    EXPECT_EQ(TasksBefore + Measurements, St.TasksExecuted);
   }
   // ...and no entry rewritten or added.
   EXPECT_EQ(ColdStore, stampFiles(StoreDir));

@@ -3,10 +3,12 @@
 // The store contract: entries are addressed by a stable content hash of
 // their inputs (any key component change re-keys; a schema bump
 // invalidates everything), writes publish atomically, reads validate a
-// checksum so corruption reads as "absent", and a warm plan built against
-// a populated store schedules zero record/materialise tasks while staying
-// bit-identical to the cold run that populated it. Values the plan's
-// Evaluation already holds cost no task and are never republished.
+// checksum so corruption reads as "absent", plans publish HALO/HDS bundles
+// only, and a warm plan built against a populated store schedules zero
+// materialise tasks while staying bit-identical to the cold run that
+// populated it. Bundles the plan's Evaluation already holds cost no task
+// and are never republished, and trace entries (which plans no longer
+// read) are left exactly as they were.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,8 +25,10 @@
 #include <cstdlib>
 #include <set>
 #include <thread>
+#include <tuple>
 
 #include <dirent.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 using namespace halo;
@@ -282,8 +286,8 @@ TEST(StoreRoundTrip, PipelineArtifactsDriveBitIdenticalMeasurements) {
   // from the loaded bundles, and match the cold ones bit for bit.
   for (AllocatorKind Kind : {AllocatorKind::Halo, AllocatorKind::Hds}) {
     SCOPED_TRACE(allocatorKindName(Kind));
-    RunMetrics A = Cold.measure(Kind, Scale::Test, 5);
-    RunMetrics B = Warm.measure(Kind, Scale::Test, 5);
+    RunMetrics A = Cold.measureDirect(Kind, Scale::Test, 5);
+    RunMetrics B = Warm.measureDirect(Kind, Scale::Test, 5);
     EXPECT_EQ(A.Cycles, B.Cycles);
     EXPECT_EQ(A.Mem.L1Misses, B.Mem.L1Misses);
     EXPECT_EQ(A.GroupedAllocs, B.GroupedAllocs);
@@ -485,19 +489,23 @@ TEST(StorePlans, WarmPlanSchedulesNothingAndMatchesColdBitIdentically) {
   // Cold: an empty store prunes nothing; the run populates it.
   ExperimentPlan ColdPlan = buildPlan({smallSpec()}, {}, &*Store);
   EXPECT_EQ(ColdPlan.store(), &*Store);
-  EXPECT_EQ(ColdPlan.numStoredRecordings(), 0u);
   EXPECT_EQ(ColdPlan.numStoredArtifacts(), 0u);
-  EXPECT_EQ(ColdPlan.numRecordings(), 2u);
   EXPECT_EQ(ColdPlan.numArtifactTasks(), 2u);
-  EXPECT_EQ(ColdPlan.numProfileRecordings(), 1u);
   ResultSet Cold = runPlan(ColdPlan, /*Jobs=*/2);
 
-  // Warm: every record/materialise stage is deleted from the DAG.
+  // The cold run published the two bundles and nothing else: no trace.
+  std::vector<ArtifactStore::Entry> Published = Store->entries();
+  ASSERT_EQ(Published.size(), 2u);
+  for (const ArtifactStore::Entry &E : Published) {
+    SCOPED_TRACE(E.Label);
+    EXPECT_TRUE(E.Type == ArtifactType::Halo || E.Type == ArtifactType::Hds);
+    EXPECT_TRUE(E.Valid);
+  }
+
+  // Warm: the materialise tasks are deleted from the DAG; only the two
+  // bundle loads remain.
   ExperimentPlan WarmPlan = buildPlan({smallSpec()}, {}, &*Store);
-  EXPECT_EQ(WarmPlan.numRecordings(), 0u);
   EXPECT_EQ(WarmPlan.numArtifactTasks(), 0u);
-  EXPECT_EQ(WarmPlan.numProfileRecordings(), 0u);
-  EXPECT_EQ(WarmPlan.numStoredRecordings(), 2u);
   EXPECT_EQ(WarmPlan.numStoredArtifacts(), 2u);
   ResultSet Warm = runPlan(WarmPlan, /*Jobs=*/2);
 
@@ -519,16 +527,19 @@ TEST(StorePlans, RunPlanHealsEntriesLostAfterPlanning) {
   ExperimentPlan ColdPlan = buildPlan({smallSpec()}, {}, &*Store);
   ResultSet Cold = runPlan(ColdPlan, /*Jobs=*/1);
 
-  // Plan warm, then corrupt one trace and one artifact bundle *after*
+  // Plan warm, then corrupt one bundle and delete the other *after*
   // buildPlan consulted the store: the load tasks now miss and must fall
-  // back to recording/profiling inline, bit-identically.
+  // back to profiling inline, bit-identically.
   ExperimentPlan WarmPlan = buildPlan({smallSpec()}, {}, &*Store);
-  EXPECT_EQ(WarmPlan.numRecordings(), 0u);
-  flipByte(entryFile(*Store, traceStoreKey("ft", Scale::Test, 100)));
+  EXPECT_EQ(WarmPlan.numArtifactTasks(), 0u);
+  EXPECT_EQ(WarmPlan.numStoredArtifacts(), 2u);
   BenchmarkSetup Setup = paperSetup("ft");
-  flipByte(entryFile(
-      *Store, haloStoreKey("ft", Setup.ProfileScale, Setup.ProfileSeed,
-                           Setup.Halo)));
+  StoreKey HaloKey =
+      haloStoreKey("ft", Setup.ProfileScale, Setup.ProfileSeed, Setup.Halo);
+  StoreKey HdsKey =
+      hdsStoreKey("ft", Setup.ProfileScale, Setup.ProfileSeed, Setup.Hds);
+  flipByte(entryFile(*Store, HaloKey));
+  ASSERT_EQ(0, unlink(entryFile(*Store, HdsKey).c_str()));
 
   ResultSet Healed = runPlan(WarmPlan, /*Jobs=*/2);
   ASSERT_EQ(Healed.size(), Cold.size());
@@ -537,9 +548,8 @@ TEST(StorePlans, RunPlanHealsEntriesLostAfterPlanning) {
     expectSameRuns(Cold.cells()[C].Runs, Healed.cells()[C].Runs);
   }
   // The fallback re-published: the store is whole again.
-  EXPECT_TRUE(Store->contains(traceStoreKey("ft", Scale::Test, 100)));
-  EXPECT_TRUE(Store->contains(haloStoreKey(
-      "ft", Setup.ProfileScale, Setup.ProfileSeed, Setup.Halo)));
+  EXPECT_TRUE(Store->contains(HaloKey));
+  EXPECT_TRUE(Store->contains(HdsKey));
 }
 
 TEST(StorePlans, ResidentValuesNeedNoTaskAndNoPublish) {
@@ -552,13 +562,10 @@ TEST(StorePlans, ResidentValuesNeedNoTaskAndNoPublish) {
   for (const std::string &Name : filesIn(Store.path()))
     ASSERT_EQ(0, unlink((Store.path() + "/" + Name).c_str())) << Name;
 
-  // Every trace and bundle is resident, so nothing is recorded,
-  // materialised, looked up or loaded: the plan is replay-only.
+  // Every bundle is resident, so nothing is materialised, looked up or
+  // loaded: the plan runs measurements only.
   ExperimentPlan WarmPlan = buildPlan({smallSpec()}, {&Eval}, &*Store);
-  EXPECT_EQ(WarmPlan.numRecordings(), 0u);
   EXPECT_EQ(WarmPlan.numArtifactTasks(), 0u);
-  EXPECT_EQ(WarmPlan.numProfileRecordings(), 0u);
-  EXPECT_EQ(WarmPlan.numStoredRecordings(), 0u);
   EXPECT_EQ(WarmPlan.numStoredArtifacts(), 0u);
   ResultSet Warm = runPlan(WarmPlan, /*Jobs=*/2);
 
@@ -569,4 +576,46 @@ TEST(StorePlans, ResidentValuesNeedNoTaskAndNoPublish) {
   }
   // Nothing the plan did not compute was published.
   EXPECT_TRUE(filesIn(Store.path()).empty());
+}
+
+TEST(StorePlans, TraceEntriesOfRecordingPlansStayUntouched) {
+  // A store as plans that still recorded left it: the two bundles plus
+  // trace entries for the profile input and every measured seed, written
+  // by putTrace. It serves a warm plan (bundle keys and bytes are
+  // unchanged), and the plan neither reads nor rewrites a trace entry.
+  TempStore Store;
+  ExperimentPlan ColdPlan = buildPlan({smallSpec()}, {}, &*Store);
+  ResultSet Cold = runPlan(ColdPlan, /*Jobs=*/2);
+  Evaluation Recorder(paperSetup("ft"));
+  std::vector<StoreKey> TraceKeys;
+  for (uint64_t Seed : {1, 100, 101}) {
+    TraceKeys.push_back(traceStoreKey("ft", Scale::Test, Seed));
+    ASSERT_TRUE(putTrace(*Store, TraceKeys.back(),
+                         Recorder.trace(Scale::Test, Seed)));
+  }
+  auto Stamp = [&](const StoreKey &Key) {
+    struct stat St;
+    EXPECT_EQ(0, ::stat(entryFile(*Store, Key).c_str(), &St));
+    return std::make_tuple(St.st_ino, St.st_size, St.st_mtim.tv_sec,
+                           St.st_mtim.tv_nsec);
+  };
+  std::vector<decltype(Stamp(TraceKeys[0]))> Before;
+  for (const StoreKey &Key : TraceKeys)
+    Before.push_back(Stamp(Key));
+
+  ExperimentPlan WarmPlan = buildPlan({smallSpec()}, {}, &*Store);
+  EXPECT_EQ(WarmPlan.numArtifactTasks(), 0u);
+  EXPECT_EQ(WarmPlan.numStoredArtifacts(), 2u);
+  ResultSet Warm = runPlan(WarmPlan, /*Jobs=*/2);
+
+  ASSERT_EQ(Warm.size(), Cold.size());
+  for (size_t C = 0; C < Cold.size(); ++C) {
+    SCOPED_TRACE("cell " + std::to_string(C));
+    expectSameRuns(Cold.cells()[C].Runs, Warm.cells()[C].Runs);
+  }
+  for (size_t K = 0; K < TraceKeys.size(); ++K) {
+    SCOPED_TRACE(TraceKeys[K].Label);
+    EXPECT_EQ(Before[K], Stamp(TraceKeys[K]));
+  }
+  EXPECT_EQ(Store->entries().size(), 5u);
 }
