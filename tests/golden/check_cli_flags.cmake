@@ -1,6 +1,6 @@
 # halo_cli flag and output checks (ctest: cli_flags).
 #
-# Four promises the CLI makes that no unit test sees:
+# Five promises the CLI makes that no unit test sees:
 #   1. --out fails loudly: a write that hits ENOSPC (/dev/full) must exit
 #      non-zero instead of reporting "wrote ...";
 #   2. the setup flags (--chunk-size, ...) are usage errors on commands
@@ -9,9 +9,11 @@
 #      what it prints;
 #   4. serve rejects an unusable --store-dir before binding its socket,
 #      so the failure leaves no socket file to block the next serve;
-#   5. --trials, --machine and --jobs are usage errors on the commands
-#      that would parse and drop them (machines, store, trace, serve's
-#      --trials/--machine, client's --jobs, client stats' --trials).
+#   5. every command accepts exactly the flags and positionals of its
+#      row: for each row and each flag the row does not list, the command
+#      exits 1 with a usage error naming that flag, and a positional the
+#      row has no room for (a second benchmark, or any benchmark for a
+#      command that takes none) exits 1 with a usage error too.
 #
 # Invoked as:
 #   cmake -DHALO_CLI=<path> -DWORK_DIR=<dir> -P this_file
@@ -81,31 +83,99 @@ if(EXISTS ${Sock})
                       "left its socket file ${Sock} behind")
 endif()
 
-# 5. A usage error exits 1 and names the flag. The timeout only matters
-#    if a command wrongly runs instead: serve would start serving, and a
-#    client would fail to connect (exit 1, but without the flag's name).
-function(expect_usage_error Flag)
-  execute_process(COMMAND ${HALO_CLI} ${ARGN}
-                  OUTPUT_QUIET ERROR_VARIABLE Err RESULT_VARIABLE Rc
-                  TIMEOUT 20)
-  if(NOT Rc EQUAL 1 OR NOT Err MATCHES "error: ${Flag} is only valid")
-    message(FATAL_ERROR "halo_cli ${ARGN}: expected a usage error naming "
-                        "${Flag}, got exit ${Rc} (stderr: ${Err})")
-  endif()
+# 5. The accept matrix. Each row passes the command's required arguments
+#    (and `health` wherever benchmarks are allowed), so the flag under test
+#    is the only error. The timeout only matters if a command wrongly runs
+#    instead: serve would start serving, and a client would fail to
+#    connect (exit 1, but without the flag's name).
+set(Store ${WORK_DIR}/store)
+file(MAKE_DIRECTORY ${Store})
+set(AllFlags --trials --jobs --machine --machines --kinds --scale --seed-base
+             --out --store-dir --socket --chunk-size --max-spare-chunks
+             --max-groups --affinity-distance)
+set(Value--trials 2)
+set(Value--jobs 2)
+set(Value--machine mobile)
+set(Value--machines mobile)
+set(Value--kinds halo)
+set(Value--scale test)
+set(Value--seed-base 5)
+set(Value--out ${WORK_DIR}/matrix_out.json)
+set(Value--store-dir ${Store})
+set(Value--socket ${Sock})
+set(Value--chunk-size 4096)
+set(Value--max-spare-chunks 2)
+set(Value--max-groups 4)
+set(Value--affinity-distance 8)
+set(Failures "")
+
+# expect_rejects(<accepted flags> <command and required arguments>...)
+function(expect_rejects Accepted)
+  foreach(Flag IN LISTS AllFlags)
+    list(FIND Accepted ${Flag} Found)
+    if(Found GREATER -1)
+      continue()
+    endif()
+    execute_process(COMMAND ${HALO_CLI} ${ARGN} ${Flag} ${Value${Flag}}
+                    OUTPUT_QUIET ERROR_VARIABLE Err RESULT_VARIABLE Rc
+                    TIMEOUT 10)
+    if(NOT Rc EQUAL 1 OR NOT Err MATCHES "error: [^\n]*${Flag}")
+      list(JOIN ARGN " " Command)
+      string(REGEX REPLACE "[\n;]" " " Err "${Err}")
+      list(APPEND Failures "halo_cli ${Command} ${Flag}: exit ${Rc}, stderr: ${Err}")
+    endif()
+  endforeach()
+  set(Failures "${Failures}" PARENT_SCOPE)
 endfunction()
 
-file(MAKE_DIRECTORY ${WORK_DIR}/store)
-expect_usage_error(--trials machines --trials 5)
-expect_usage_error(--machine machines --machine mobile)
-expect_usage_error(--jobs machines --jobs 3)
-expect_usage_error(--trials store ls --trials 4 --store-dir ${WORK_DIR}/store)
-expect_usage_error(--trials trace health --trials 7)
-expect_usage_error(--machine trace health --machine mobile)
-expect_usage_error(--jobs trace health --jobs 2)
-expect_usage_error(--trials serve --socket ${Sock} --trials 2)
-expect_usage_error(--machine serve --socket ${Sock} --machine mobile)
-expect_usage_error(--jobs client run health --socket ${Sock} --jobs 2)
-expect_usage_error(--trials client stats --socket ${Sock} --trials 2)
+# expect_positional_error(<command line with one positional too many>...)
+function(expect_positional_error)
+  execute_process(COMMAND ${HALO_CLI} ${ARGN}
+                  OUTPUT_QUIET ERROR_VARIABLE Err RESULT_VARIABLE Rc
+                  TIMEOUT 10)
+  if(NOT Rc EQUAL 1 OR NOT Err MATCHES "error: ")
+    list(JOIN ARGN " " Command)
+    string(REGEX REPLACE "[\n;]" " " Err "${Err}")
+    list(APPEND Failures "halo_cli ${Command}: exit ${Rc}, stderr: ${Err}")
+  endif()
+  set(Failures "${Failures}" PARENT_SCOPE)
+endfunction()
+
+set(Setup --chunk-size --max-spare-chunks --max-groups --affinity-distance)
+set(Measuring --trials --jobs --machine ${Setup})
+foreach(Command baseline run hds)
+  expect_rejects("${Measuring};--out;--store-dir" ${Command} health)
+endforeach()
+expect_rejects("--out" trace health)
+expect_rejects("${Measuring}" plot health)
+expect_rejects("${Measuring};--out;--store-dir" sweep health)
+expect_rejects("${Measuring};--out;--store-dir;--machines;--kinds;--scale;--seed-base"
+               experiments health)
+expect_rejects("" machines)
+expect_rejects("--store-dir;--out" store ls --store-dir ${Store})
+expect_rejects("--store-dir" store gc --store-dir ${Store})
+expect_rejects("--store-dir" store verify --store-dir ${Store})
+expect_rejects("--socket;--jobs;--store-dir" serve --socket ${Sock})
+expect_rejects("--socket;--trials;--machine;--machines;--kinds;--scale;--seed-base;--out"
+               client run health --socket ${Sock})
+expect_rejects("--socket" client stats --socket ${Sock})
+expect_rejects("--socket" client shutdown --socket ${Sock})
+
+foreach(Command baseline run hds trace)
+  expect_positional_error(${Command} health xalanc)
+endforeach()
+expect_positional_error(machines health)
+foreach(Verb ls gc verify)
+  expect_positional_error(store ${Verb} --store-dir ${Store} health)
+endforeach()
+foreach(Verb stats shutdown)
+  expect_positional_error(client ${Verb} --socket ${Sock} health)
+endforeach()
 file(REMOVE ${Sock})
+
+if(Failures)
+  list(JOIN Failures "\n  " Report)
+  message(FATAL_ERROR "expected a usage error (exit 1) from each of:\n  ${Report}")
+endif()
 
 message(STATUS "halo_cli flag and output checks passed")

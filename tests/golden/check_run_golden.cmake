@@ -1,5 +1,5 @@
-# Golden byte-identity check for halo_cli JSON (ctest: golden_run_json,
-# golden_matrix_json).
+# Golden byte-identity check for halo_cli output (ctest: golden_*; the
+# goldens and their spellings are listed in the top-level CMakeLists.txt).
 #
 # The simulator is deterministic, so a command's JSON is a fixed byte
 # string; a committed golden file pins it. Any refactor that claims "no
