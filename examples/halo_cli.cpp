@@ -698,16 +698,30 @@ int runExperiments(const CliOptions &Opts) {
   return 0;
 }
 
-/// Minimal JSON string escaping for file names and store labels.
+/// JSON string escaping for file names and store labels: a file name may
+/// hold any byte but '/' and NUL, control characters included.
 std::string jsonEscaped(const std::string &Text) {
   std::string Escaped;
   Escaped.reserve(Text.size());
   for (char C : Text) {
+    if (static_cast<unsigned char>(C) < 0x20) {
+      char Code[8];
+      std::snprintf(Code, sizeof(Code), "\\u%04x",
+                    static_cast<unsigned>(C));
+      Escaped += Code;
+      continue;
+    }
     if (C == '"' || C == '\\')
       Escaped += '\\';
     Escaped += C;
   }
   return Escaped;
+}
+
+/// An entry's type as listed: "unknown" for a file whose header does not
+/// decode.
+const char *typeName(const ArtifactStore::Entry &E) {
+  return E.Type ? artifactTypeName(*E.Type) : "unknown";
 }
 
 int runStore(const CliOptions &Opts) {
@@ -725,20 +739,17 @@ int runStore(const CliOptions &Opts) {
     return 0;
   }
 
-  // ls and verify share the listing. ls parses only headers -- payload
-  // sizes always appear, however large the entries, so oversized traces
-  // are visible before gc decisions -- while verify reads and checksums
-  // every payload and fails the exit code on any invalid entry so
-  // scripts can gate on store health.
-  std::vector<ArtifactStore::Entry> Entries =
-      Store->entries(/*Validate=*/Opts.StoreVerb == "verify");
+  // ls and verify print the same validated listing; verify also fails
+  // the exit code on any invalid entry so scripts can gate on store
+  // health.
+  std::vector<ArtifactStore::Entry> Entries = Store->entries();
   Report Table("Artifact store " + Store->dir());
   Table.setColumns({"file", "type", "label", "payload bytes", "status"});
   size_t Invalid = 0;
   for (const ArtifactStore::Entry &E : Entries) {
     if (!E.Valid)
       ++Invalid;
-    Table.addRow({E.File, artifactTypeName(E.Type), E.Label,
+    Table.addRow({E.File, typeName(E), E.Label,
                   std::to_string(E.PayloadSize),
                   E.Valid ? "ok" : "CORRUPT: " + E.Problem});
   }
@@ -757,7 +768,7 @@ int runStore(const CliOptions &Opts) {
                    "  {\"file\": \"%s\", \"type\": \"%s\", \"label\": "
                    "\"%s\", \"payload_bytes\": %llu, \"valid\": %s, "
                    "\"problem\": \"%s\"}%s\n",
-                   jsonEscaped(E.File).c_str(), artifactTypeName(E.Type),
+                   jsonEscaped(E.File).c_str(), typeName(E),
                    jsonEscaped(E.Label).c_str(),
                    (unsigned long long)E.PayloadSize,
                    E.Valid ? "true" : "false",

@@ -188,44 +188,14 @@ bool readWholeFile(const std::string &Path, std::vector<uint8_t> &Out) {
   return true;
 }
 
-/// Reads at most \p MaxN bytes from the front of \p Path (less if the file
-/// is shorter) and reports the full file size. Enough to parse an entry
-/// header without pulling a multi-gigabyte payload into memory.
-bool readFilePrefix(const std::string &Path, size_t MaxN,
-                    std::vector<uint8_t> &Out, uint64_t &FileSize) {
-  int Fd = ::open(Path.c_str(), O_RDONLY);
-  if (Fd < 0)
-    return false;
-  struct stat St;
-  if (::fstat(Fd, &St) != 0 || !S_ISREG(St.st_mode)) {
-    ::close(Fd);
-    return false;
-  }
-  FileSize = static_cast<uint64_t>(St.st_size);
-  Out.resize(static_cast<size_t>(std::min<uint64_t>(FileSize, MaxN)));
-  size_t Done = 0;
-  while (Done < Out.size()) {
-    ssize_t N = ::read(Fd, Out.data() + Done, Out.size() - Done);
-    if (N < 0 && errno == EINTR)
-      continue;
-    if (N <= 0) {
-      ::close(Fd);
-      return false;
-    }
-    Done += static_cast<size_t>(N);
-  }
-  ::close(Fd);
-  return true;
-}
-
-/// Parses one entry header (magic through payload checksum) from the
-/// first \p N bytes of an entry file, filling \p Header (Type, Hash,
-/// Label, PayloadSize) and \p Checksum. Returns the header's byte count;
-/// the payload follows immediately. Throws SerializationError on any
-/// inconsistency.
-size_t decodeEntryHeader(const uint8_t *Data, size_t N,
-                         ArtifactStore::Entry &Header, uint64_t &Checksum) {
-  BinaryReader R(Data, N);
+/// Decodes one entry file into (header fields, payload), filling \p
+/// Header's Type, Hash, Label and PayloadSize. Type is set only once the
+/// whole header decodes. Throws SerializationError on any inconsistency;
+/// callers translate that into "absent" (get/contains) or a listing
+/// diagnostic (entries).
+std::vector<uint8_t> decodeEntry(const std::vector<uint8_t> &Raw,
+                                 ArtifactStore::Entry &Header) {
+  BinaryReader R(Raw);
   if (R.u32() != EntryMagic)
     throw SerializationError("store entry: bad magic");
   uint32_t Schema = R.u32();
@@ -236,22 +206,12 @@ size_t decodeEntryHeader(const uint8_t *Data, size_t N,
   uint8_t Type = R.u8();
   if (Type > static_cast<uint8_t>(ArtifactType::Hds))
     throw SerializationError("store entry: unknown artifact type");
-  Header.Type = static_cast<ArtifactType>(Type);
   Header.Hash = R.u64();
   Header.Label = R.str();
   Header.PayloadSize = R.varint();
-  Checksum = R.u64();
-  return N - R.remaining();
-}
-
-/// Decodes one entry file into (header fields, payload). Throws
-/// SerializationError on any inconsistency; callers translate that into
-/// "absent" (get/contains) or a verify diagnostic (entries).
-std::vector<uint8_t> decodeEntry(const std::vector<uint8_t> &Raw,
-                                 ArtifactStore::Entry &Header) {
-  uint64_t Checksum = 0;
-  size_t HeaderBytes =
-      decodeEntryHeader(Raw.data(), Raw.size(), Header, Checksum);
+  uint64_t Checksum = R.u64();
+  Header.Type = static_cast<ArtifactType>(Type);
+  size_t HeaderBytes = Raw.size() - R.remaining();
   if (Header.PayloadSize != Raw.size() - HeaderBytes)
     throw SerializationError("store entry: truncated payload");
   std::vector<uint8_t> Payload(Raw.begin() + static_cast<long>(HeaderBytes),
@@ -339,7 +299,7 @@ bool ArtifactStore::contains(const StoreKey &Key) const {
   return get(Key).has_value();
 }
 
-std::vector<ArtifactStore::Entry> ArtifactStore::entries(bool Validate) const {
+std::vector<ArtifactStore::Entry> ArtifactStore::entries() const {
   std::vector<Entry> Result;
   DIR *D = ::opendir(Dir.c_str());
   if (!D)
@@ -352,27 +312,12 @@ std::vector<ArtifactStore::Entry> ArtifactStore::entries(bool Validate) const {
     Entry E;
     E.File = Name;
     try {
-      if (Validate) {
-        std::vector<uint8_t> Raw;
-        if (!readWholeFile(Dir + "/" + Name, Raw))
-          throw SerializationError("unreadable");
-        decodeEntry(Raw, E);
-      } else {
-        // Listing mode: parse the header and check the payload extent
-        // against the file size, but skip the whole-payload checksum pass
-        // -- sizes stay reported even for entries gigabytes long.
-        std::vector<uint8_t> Prefix;
-        uint64_t FileSize = 0;
-        if (!readFilePrefix(Dir + "/" + Name, 4096, Prefix, FileSize))
-          throw SerializationError("unreadable");
-        uint64_t Checksum = 0;
-        size_t HeaderBytes =
-            decodeEntryHeader(Prefix.data(), Prefix.size(), E, Checksum);
-        if (HeaderBytes + E.PayloadSize != FileSize)
-          throw SerializationError("store entry: truncated payload");
-      }
+      std::vector<uint8_t> Raw;
+      if (!readWholeFile(Dir + "/" + Name, Raw))
+        throw SerializationError("unreadable");
+      decodeEntry(Raw, E);
       // The file name must agree with the header it carries.
-      if (Name != hashHex(E.Hash) + "." + artifactTypeName(E.Type))
+      if (Name != hashHex(E.Hash) + "." + artifactTypeName(*E.Type))
         E.Problem = "file name does not match entry key";
       else
         E.Valid = true;

@@ -106,7 +106,9 @@ public:
   struct Entry {
     std::string File; ///< File name within the store directory.
     uint64_t Hash = 0;
-    ArtifactType Type = ArtifactType::Trace;
+    /// Empty when the file's entry header does not decode: a junk file
+    /// in the store directory has no type.
+    std::optional<ArtifactType> Type;
     std::string Label;
     uint64_t PayloadSize = 0;
     bool Valid = false;
@@ -135,12 +137,10 @@ public:
   /// checksums it; plan building uses this to prune tasks).
   bool contains(const StoreKey &Key) const;
 
-  /// Every entry file in the store, sorted by file name. With \p Validate
-  /// the whole payload is read and checksummed (`store verify` / gc); without
-  /// it only the header is parsed and PayloadSize comes from the header, so
-  /// listing a store of multi-gigabyte traces stays cheap and `store ls`
-  /// can always report per-entry sizes.
-  std::vector<Entry> entries(bool Validate = true) const;
+  /// Every entry file in the store, sorted by file name, each read whole
+  /// and checksummed: the one listing behind `store ls`, `store verify`
+  /// and gc.
+  std::vector<Entry> entries() const;
 
   /// Removes abandoned temp files and every entry that fails validation
   /// -- corrupt ones, and entries written under another

@@ -1,6 +1,6 @@
 # halo_cli flag and output checks (ctest: cli_flags).
 #
-# Five promises the CLI makes that no unit test sees:
+# Six promises the CLI makes that no unit test sees:
 #   1. --out fails loudly: a write that hits ENOSPC (/dev/full) must exit
 #      non-zero instead of reporting "wrote ...";
 #   2. the setup flags (--chunk-size, ...) are usage errors on commands
@@ -13,7 +13,10 @@
 #      row: for each row and each flag the row does not list, the command
 #      exits 1 with a usage error naming that flag, and a positional the
 #      row has no room for (a second benchmark, or any benchmark for a
-#      command that takes none) exits 1 with a usage error too.
+#      command that takes none) exits 1 with a usage error too;
+#   6. `store ls --out` writes valid JSON whatever the store directory
+#      holds, and a file whose entry header does not decode is not listed
+#      as a trace.
 #
 # Invoked as:
 #   cmake -DHALO_CLI=<path> -DWORK_DIR=<dir> -P this_file
@@ -177,5 +180,35 @@ if(Failures)
   list(JOIN Failures "\n  " Report)
   message(FATAL_ERROR "expected a usage error (exit 1) from each of:\n  ${Report}")
 endif()
+
+# 6. Junk files named with a newline and a tab, listed as JSON.
+set(JunkStore ${WORK_DIR}/junk_store)
+file(REMOVE_RECURSE ${JunkStore})
+file(MAKE_DIRECTORY ${JunkStore})
+file(WRITE "${JunkStore}/bad\nname" "not a store entry")
+file(WRITE "${JunkStore}/tab\tx" "not a store entry")
+set(Listing ${WORK_DIR}/junk_listing.json)
+execute_process(COMMAND ${HALO_CLI} store ls --store-dir ${JunkStore}
+                        --out ${Listing}
+                OUTPUT_QUIET ERROR_VARIABLE Err RESULT_VARIABLE Rc)
+if(NOT Rc EQUAL 0)
+  message(FATAL_ERROR "halo_cli store ls --out failed (exit ${Rc}): ${Err}")
+endif()
+file(READ ${Listing} Json)
+string(JSON Count ERROR_VARIABLE JsonErr LENGTH "${Json}")
+if(JsonErr)
+  message(FATAL_ERROR "store ls --out wrote invalid JSON (${JsonErr}):\n${Json}")
+endif()
+if(NOT Count EQUAL 2)
+  message(FATAL_ERROR "store ls --out listed ${Count} entries, not 2:\n${Json}")
+endif()
+foreach(I 0 1)
+  string(JSON File GET "${Json}" ${I} file)
+  string(JSON Type GET "${Json}" ${I} type)
+  if(NOT File MATCHES "^(bad\nname|tab\tx)$" OR Type STREQUAL "trace")
+    message(FATAL_ERROR "store ls --out listed junk file '${File}' as "
+                        "type '${Type}':\n${Json}")
+  endif()
+endforeach()
 
 message(STATUS "halo_cli flag and output checks passed")

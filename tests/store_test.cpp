@@ -363,6 +363,34 @@ TEST(StoreCorruption, BitFlipsAndTruncationReadAsAbsent) {
   EXPECT_TRUE(Store->entries().empty());
 }
 
+TEST(StoreCorruption, JunkFilesListWithoutAType) {
+  // A file whose entry header does not decode has no type: listing it as
+  // any artifact type would make `store ls` claim the store holds one.
+  // A valid header over a corrupt payload keeps its type.
+  TempStore Store;
+  StoreKey Key = traceStoreKey("ft", Scale::Test, 1);
+  ASSERT_TRUE(Store->put(Key, std::vector<uint8_t>(64, 7)));
+  flipByte(entryFile(*Store, Key));
+  for (const char *Junk : {"bad\nname", "tab\tx"}) {
+    FILE *F = std::fopen((Store.path() + "/" + Junk).c_str(), "wb");
+    ASSERT_NE(F, nullptr);
+    std::fputs("not a store entry", F);
+    std::fclose(F);
+  }
+
+  std::vector<ArtifactStore::Entry> Entries = Store->entries();
+  ASSERT_EQ(Entries.size(), 3u);
+  for (const ArtifactStore::Entry &E : Entries) {
+    SCOPED_TRACE(E.File);
+    EXPECT_FALSE(E.Valid);
+    EXPECT_FALSE(E.Problem.empty());
+    if (E.Hash == Key.Hash)
+      EXPECT_EQ(E.Type, ArtifactType::Trace);
+    else
+      EXPECT_FALSE(E.Type.has_value());
+  }
+}
+
 TEST(StoreCorruption, GcKeepsValidEntries) {
   TempStore Store;
   StoreKey Good = traceStoreKey("ft", Scale::Test, 1);
@@ -379,32 +407,6 @@ TEST(StoreCorruption, GcKeepsValidEntries) {
 //===----------------------------------------------------------------------===//
 // Trace entries (the block format as a store payload)
 //===----------------------------------------------------------------------===//
-
-TEST(StoreTraceFiles, HeaderOnlyListingStillReportsSizes) {
-  // `store ls` must show per-entry payload sizes without paying a full
-  // checksum pass -- oversized trace entries stay visible before gc
-  // decisions -- while still catching the cheap structural lies.
-  Evaluation Eval(paperSetup("ft"));
-  TempStore Store;
-  StoreKey Key = traceStoreKey("ft", Scale::Test, 1);
-  ASSERT_TRUE(putTrace(*Store, Key, Eval.trace(Scale::Test, 1)));
-
-  std::vector<ArtifactStore::Entry> Checked = Store->entries();
-  std::vector<ArtifactStore::Entry> Listed = Store->entries(/*Validate=*/false);
-  ASSERT_EQ(Checked.size(), 1u);
-  ASSERT_EQ(Listed.size(), 1u);
-  EXPECT_EQ(Listed[0].PayloadSize, Checked[0].PayloadSize);
-  EXPECT_EQ(Listed[0].Label, Checked[0].Label);
-  EXPECT_TRUE(Listed[0].Valid);
-
-  // A payload bit flip passes the header-only listing (by design) but
-  // fails validation; truncation fails both (the extent check is cheap).
-  flipByte(entryFile(*Store, Key));
-  EXPECT_TRUE(Store->entries(/*Validate=*/false)[0].Valid);
-  EXPECT_FALSE(Store->entries()[0].Valid);
-  truncateFile(entryFile(*Store, Key));
-  EXPECT_FALSE(Store->entries(/*Validate=*/false)[0].Valid);
-}
 
 TEST(StoreTraceFiles, CorruptTraceEntriesReadAsAbsent) {
   // The store discipline extends to the block format: a truncated,
