@@ -63,6 +63,22 @@ std::optional<Scale> halo::parseScale(const std::string &Name) {
   return std::nullopt;
 }
 
+ExperimentSpec halo::specFor(const PlanRequest &R) {
+  ExperimentSpec Spec;
+  Spec.Benchmarks = R.Benchmarks;
+  for (const std::string &Name : R.Machines) {
+    const MachineConfig *M = findMachine(Name);
+    if (!M)
+      throw std::invalid_argument("unknown machine '" + Name + "'");
+    Spec.Machines.push_back(M);
+  }
+  Spec.Kinds = R.Kinds;
+  Spec.S = R.S;
+  Spec.Trials = R.Trials;
+  Spec.SeedBase = R.SeedBase;
+  return Spec;
+}
+
 //===----------------------------------------------------------------------===//
 // ResultSet
 //===----------------------------------------------------------------------===//

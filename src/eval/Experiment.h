@@ -90,6 +90,29 @@ struct ExperimentSpec {
   std::function<BenchmarkSetup(const std::string &)> MakeSetup;
 };
 
+/// An ExperimentSpec by name: benchmark names, machine *preset* names,
+/// kinds, scale, trials, seed base. halo_cli's measuring commands build
+/// one from their flags, and a serve client sends one to the daemon
+/// (serve/Protocol.h encodes it). Setups stay implicit: specFor() leaves
+/// MakeSetup to the caller.
+struct PlanRequest {
+  std::vector<std::string> Benchmarks;
+  std::vector<std::string> Machines; ///< Preset names; empty = setup machine.
+  std::vector<AllocatorKind> Kinds = {AllocatorKind::Jemalloc,
+                                      AllocatorKind::Hds,
+                                      AllocatorKind::Halo};
+  Scale S = Scale::Ref;
+  int Trials = 3;
+  uint64_t SeedBase = 100;
+};
+
+/// The one PlanRequest -> ExperimentSpec conversion, shared by halo_cli,
+/// the serve daemon and the "served = local" oracle, so a request means
+/// the same plan everywhere. Machine names resolve through findMachine();
+/// throws std::invalid_argument naming an unknown preset. MakeSetup stays
+/// null (paperSetup()).
+ExperimentSpec specFor(const PlanRequest &R);
+
 /// The full key of one measured cell: what was measured, on what, how.
 struct MeasurementKey {
   std::string Benchmark;

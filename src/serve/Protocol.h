@@ -38,11 +38,12 @@
 ///                              <-  ShutdownAck {}
 ///                              <-  Error {plan | 0, message}  (any time)
 ///
-/// A PlanRequest is the wire form of an ExperimentSpec: benchmark names,
-/// machine *preset* names, kinds, scale, trials, seed base. Setups are
-/// not transported -- the daemon measures every benchmark under
-/// paperSetup(), which is exactly what makes "served = local" checkable:
-/// the same names must produce byte-identical results either way.
+/// A SubmitPlan carries a PlanRequest (eval/Experiment.h, beside the
+/// ExperimentSpec that specFor() turns it into): benchmark names, machine
+/// *preset* names, kinds, scale, trials, seed base. Setups are not
+/// transported -- the daemon measures every benchmark under paperSetup(),
+/// which is exactly what makes "served = local" checkable: the same names
+/// must produce byte-identical results either way.
 /// RunMetrics cross the wire with every double as its bit pattern, so
 /// streamed cells reassemble bit-identical to the daemon's ResultSet.
 ///
@@ -124,19 +125,8 @@ std::optional<Frame> readFrame(Socket &S);
 // Payloads
 //===----------------------------------------------------------------------===//
 
-/// The wire form of an ExperimentSpec (see the file comment for why the
-/// setup stays implicit). Decoding validates every field's domain.
-struct PlanRequest {
-  std::vector<std::string> Benchmarks;
-  std::vector<std::string> Machines; ///< Preset names; empty = setup machine.
-  std::vector<AllocatorKind> Kinds = {AllocatorKind::Jemalloc,
-                                      AllocatorKind::Hds,
-                                      AllocatorKind::Halo};
-  Scale S = Scale::Ref;
-  int Trials = 3;
-  uint64_t SeedBase = 100;
-};
-
+/// The SubmitPlan payload; PlanRequest itself lives in eval/Experiment.h.
+/// Decoding validates every field's domain.
 std::vector<uint8_t> encodePlanRequest(const PlanRequest &R);
 PlanRequest decodePlanRequest(const std::vector<uint8_t> &Payload);
 

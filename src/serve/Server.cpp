@@ -2,7 +2,6 @@
 
 #include "serve/Server.h"
 
-#include "sim/Machine.h"
 
 #include <unistd.h>
 
@@ -216,25 +215,18 @@ void HaloDaemon::handleSubmit(const std::shared_ptr<ServeSession> &S,
     return;
   }
 
-  // Resolve machine preset names. The daemon measures under its own
-  // presets -- the same table the client's local runPlan would use -- so
-  // an unknown name is the client's error, reported before any work.
-  std::vector<const MachineConfig *> Machines;
-  for (const std::string &Name : R.Machines) {
-    const MachineConfig *M = findMachine(Name);
-    if (!M) {
-      S->sendError(0, "submit: unknown machine '" + Name + "'");
-      return;
-    }
-    Machines.push_back(M);
-  }
-
+  // The request converts exactly as a local run's does (specFor), so
+  // served = local holds by construction. An unknown machine preset is
+  // the client's error, reported before any work.
+  //
   // Warm benchmark cache: reuse (or create) the daemon's Evaluation for
   // every requested benchmark and hand them to buildPlan as external
   // instances. This is the whole point of the daemon -- the second plan
   // naming a benchmark starts from its cached artifact bundles.
+  ExperimentSpec Spec;
   std::vector<Evaluation *> External;
   try {
+    Spec = specFor(R);
     std::lock_guard<std::mutex> Lock(EvalsMu);
     for (const std::string &Name : R.Benchmarks) {
       auto It = Evals.find(Name);
@@ -248,14 +240,6 @@ void HaloDaemon::handleSubmit(const std::shared_ptr<ServeSession> &S,
     S->sendError(0, std::string("submit: ") + E.what());
     return;
   }
-
-  ExperimentSpec Spec;
-  Spec.Benchmarks = R.Benchmarks;
-  Spec.Machines = Machines;
-  Spec.Kinds = R.Kinds;
-  Spec.S = R.S;
-  Spec.Trials = R.Trials;
-  Spec.SeedBase = R.SeedBase;
 
   auto P = std::make_unique<PlanState>();
   P->Owner = S;

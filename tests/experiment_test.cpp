@@ -90,6 +90,30 @@ TEST(ExperimentNames, ScalesRoundTrip) {
   EXPECT_FALSE(parseScale("train").has_value());
 }
 
+TEST(ExperimentNames, SpecForResolvesPresetNames) {
+  PlanRequest R;
+  R.Benchmarks = {"health", "ft"};
+  R.Machines = {"mobile", "xeon-w2195"};
+  R.Kinds = {AllocatorKind::Halo};
+  R.S = Scale::Test;
+  R.Trials = 2;
+  R.SeedBase = 7;
+  ExperimentSpec Spec = specFor(R);
+  EXPECT_EQ(Spec.Benchmarks, R.Benchmarks);
+  EXPECT_EQ(Spec.Machines, (std::vector<const MachineConfig *>{
+                               findMachine("mobile"),
+                               findMachine("xeon-w2195")}));
+  EXPECT_EQ(Spec.Kinds, R.Kinds);
+  EXPECT_EQ(Spec.S, Scale::Test);
+  EXPECT_EQ(Spec.Trials, 2);
+  EXPECT_EQ(Spec.SeedBase, 7u);
+  EXPECT_FALSE(Spec.MakeSetup);
+  // No machine names: the setup's own machine, as in an ExperimentSpec.
+  EXPECT_TRUE(specFor(PlanRequest{}).Machines.empty());
+  R.Machines = {"mobile", "cray-1"};
+  EXPECT_THROW(specFor(R), std::invalid_argument);
+}
+
 //===----------------------------------------------------------------------===//
 // buildPlan
 //===----------------------------------------------------------------------===//

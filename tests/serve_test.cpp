@@ -202,18 +202,7 @@ std::string experimentsJson(const ResultSet &Results) {
 /// Runs \p R locally, serially, through the same buildPlan/runPlan path
 /// the daemon uses -- the oracle for every served comparison.
 std::string localOracle(const PlanRequest &R) {
-  ExperimentSpec Spec;
-  Spec.Benchmarks = R.Benchmarks;
-  for (const std::string &Name : R.Machines) {
-    const MachineConfig *M = findMachine(Name);
-    EXPECT_NE(nullptr, M) << Name;
-    Spec.Machines.push_back(M);
-  }
-  Spec.Kinds = R.Kinds;
-  Spec.S = R.S;
-  Spec.Trials = R.Trials;
-  Spec.SeedBase = R.SeedBase;
-  ExperimentPlan Plan = buildPlan({Spec});
+  ExperimentPlan Plan = buildPlan({specFor(R)});
   ResultSet Results = runPlan(Plan, /*Jobs=*/1);
   return experimentsJson(Results);
 }
