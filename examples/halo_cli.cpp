@@ -7,58 +7,28 @@
 // `plot` renders ASCII bar charts of the Figure 13/14 series. The
 // artefact's per-benchmark flags (A.8) are accepted too.
 //
-//   halo_cli baseline <benchmark> [--trials N] [--jobs N] [--machine NAME]
-//   halo_cli run <benchmark> [--trials N] [--jobs N] [--machine NAME]
-//            [--chunk-size BYTES] [--max-spare-chunks N] [--max-groups N]
-//            [--affinity-distance A]
-//   halo_cli hds <benchmark> [--trials N] [--jobs N] [--machine NAME]
-//   halo_cli trace <benchmark>       # record an event trace, print counts
-//   halo_cli plot [benchmark...] [--trials N] [--jobs N] [--machine NAME]
-//            [--chunk-size BYTES] [--max-spare-chunks N] [--max-groups N]
-//            [--affinity-distance A]
-//   halo_cli machines                # list the machine presets
-//   halo_cli sweep [benchmark...] [--trials N] [--jobs N] [--out FILE]
-//   halo_cli experiments [benchmark...] [--machines NAME,...|all]
-//            [--kinds KIND,...] [--scale test|ref] [--seed-base N]
-//            [--trials N] [--jobs N] [--out FILE]
-//   halo_cli store <ls|gc|verify> [--store-dir DIR]
-//   halo_cli serve --socket PATH [--jobs N] [--store-dir DIR]
-//   halo_cli client <run|stats|shutdown> [benchmark...] --socket PATH
+// Every command is one row of the Commands table below: the benchmarks
+// it takes, the flags it accepts, and its handler. Parsing, usage() and
+// dispatch all read that table, so a flag or positional outside a row is
+// a usage error naming the commands that take it. `halo_cli` with no
+// arguments prints the table.
 //
-// `serve` runs the plan daemon (serve/Server.h): one warm Executor pool,
-// one open artifact store, and every benchmark's Evaluation cached across
-// requests; `client run` submits the same matrix `experiments` takes and
-// streams the cells back as they complete, writing (with --out) the very
-// JSON document a local `experiments --out` would -- byte-identical, the
-// "served = local" contract.
+// Every measuring command turns its flags into one PlanRequest
+// (requestFor) and measures the ExperimentSpec specFor() makes of it
+// through the one plan scheduler (eval/Experiment.h) -- the conversion
+// the serve daemon (serve/Server.h) applies to a `client run` request, so
+// a served plan's JSON is byte-identical to a local `experiments` run of
+// the same flags ("served = local"). Measurements run on a simulated
+// machine model (sim/Machine.h); the default preset is xeon-w2195, the
+// paper's evaluation machine.
 //
-// --store-dir DIR (or $HALO_STORE) attaches a content-addressed artifact
-// store (store/ArtifactStore.h) to the measuring subcommands: HALO/HDS
-// pipeline artifacts hit in the store load instead of re-profiling, and
-// cold ones publish for the next invocation. Warm results are
-// bit-identical to cold ones. `store ls` lists entries, `store verify`
-// exits non-zero if any entry is corrupt, `store gc` removes corrupt
-// entries and abandoned temp files.
-//
-// Measurements run on a simulated machine model (sim/Machine.h); --machine
-// selects a preset (default: xeon-w2195, the paper's evaluation machine).
-// Every measuring subcommand expands to an ExperimentSpec and executes
-// through the one plan scheduler (eval/Experiment.h): pipeline artifacts
-// materialise once per benchmark, and the requested cells run across
-// --jobs workers at benchmark x machine x kind x trial granularity; each
-// measurement is one direct run of the workload model, serial on its
-// worker. `sweep` measures
-// jemalloc/HDS/HALO on every preset (or just the one --machine names) and
-// writes the per-machine rows to BENCH_machines.json; `experiments` takes
-// the full matrix spec -- lists of benchmarks, machines, and allocator
-// kinds -- and writes the unified JSON keyed by the full measurement key.
-// --out redirects any JSON-emitting subcommand's document to a file
-// (written through a temp file and renamed into place, except for an
-// existing device or FIFO, which is written directly); a failed write
-// exits 1 and leaves the previous file alone. The setup flags
-// (--chunk-size, --max-spare-chunks, --max-groups, --affinity-distance)
-// are usage errors on the commands that build no benchmark setup, and
-// --trials, --machine and --jobs on the commands that would ignore them.
+// --store-dir DIR (or $HALO_STORE) attaches the content-addressed artifact
+// store (store/ArtifactStore.h): HALO/HDS bundles hit in the store load
+// instead of re-profiling, and cold ones publish for the next invocation;
+// warm results are bit-identical to cold ones. --out writes a command's
+// JSON document through FILE.tmp renamed into place (an existing device
+// or FIFO is written directly); a failed write exits 1 and leaves the
+// previous file alone.
 //
 //===----------------------------------------------------------------------===//
 
@@ -69,15 +39,17 @@
 #include "serve/Server.h"
 #include "store/ArtifactStore.h"
 #include "support/Executor.h"
-#include "support/Format.h"
-#include "support/Stats.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -87,81 +59,122 @@ using namespace halo;
 
 namespace {
 
-struct CliOptions {
-  std::string Command;
-  std::string Benchmark;
-  std::vector<std::string> Benchmarks;
-  std::string Machine; ///< Empty = default preset.
-  std::vector<std::string> MachineList; ///< experiments: --machines.
-  std::vector<std::string> KindList;    ///< experiments: --kinds.
-  Scale S = Scale::Ref;                 ///< experiments: --scale.
-  uint64_t SeedBase = 100;              ///< experiments: --seed-base.
-  bool SawScale = false;                ///< --scale given explicitly.
-  bool SawSeedBase = false;             ///< --seed-base given explicitly.
-  std::string OutPath; ///< JSON output file ("" = stdout).
-  std::string StoreVerb; ///< store: ls / gc / verify.
-  std::string StoreDir;  ///< --store-dir ("" = $HALO_STORE or off).
-  std::string ClientVerb; ///< client: run / stats / shutdown.
-  std::string SocketPath; ///< --socket (serve / client).
-  int Trials = 0; ///< 0 = not given (3 trials).
-  int Jobs = -1;  ///< -1 = not given; 0 = hardware concurrency.
-  uint64_t ChunkSize = 0;
-  int MaxSpareChunks = -1;
-  uint32_t MaxGroups = 0;
-  uint64_t AffinityDistance = 0;
+/// Flag bits: each command row accepts a mask of these.
+namespace flag {
+enum : unsigned {
+  Trials = 1u << 0,
+  Jobs = 1u << 1,
+  Machine = 1u << 2,
+  Machines = 1u << 3,
+  Kinds = 1u << 4,
+  Scale = 1u << 5,
+  SeedBase = 1u << 6,
+  Out = 1u << 7,
+  StoreDir = 1u << 8,
+  Socket = 1u << 9,
+  ChunkSize = 1u << 10,
+  MaxSpareChunks = 1u << 11,
+  MaxGroups = 1u << 12,
+  AffinityDistance = 1u << 13,
+  /// The BenchmarkSetup knobs of the artefact's per-benchmark flags.
+  Setup = ChunkSize | MaxSpareChunks | MaxGroups | AffinityDistance,
+  /// What every local measuring command takes.
+  Measure = Trials | Jobs | Machine | Setup,
+  /// The matrix axes beyond one machine and the compared kinds.
+  Matrix = Machines | Kinds | Scale | SeedBase,
+};
+} // namespace flag
+
+/// One flag: its spelling, its value, and for a numeric flag the range
+/// the value must fit (Max == 0 marks a text flag).
+struct FlagInfo {
+  unsigned Bit;
+  const char *Name;
+  const char *Value; ///< The value's placeholder in usage().
+  uint64_t Min, Max;
+  const char *Help;
 };
 
-[[noreturn]] void usage() {
-  std::fprintf(
-      stderr,
-      "usage: halo_cli <baseline|run|hds|trace> <benchmark> [flags]\n"
-      "       halo_cli plot [benchmark...] [flags]\n"
-      "       halo_cli sweep [benchmark...] [flags]   # all machines -> JSON\n"
-      "       halo_cli experiments [benchmark...] [flags]  # matrix -> JSON\n"
-      "       halo_cli machines                       # list machine presets\n"
-      "       halo_cli store <ls|gc|verify> [--store-dir DIR]\n"
-      "       halo_cli serve --socket PATH [--jobs N] [--store-dir DIR]\n"
-      "       halo_cli client run [benchmark...] --socket PATH [flags]\n"
-      "       halo_cli client <stats|shutdown> --socket PATH\n"
-      "flags: --trials N  --jobs N  --machine NAME  --chunk-size BYTES\n"
-      "       --max-spare-chunks N  --max-groups N  --affinity-distance BYTES\n"
-      "       --out FILE (any JSON-emitting command)\n"
-      "       --machines NAME[,NAME...]|all  --kinds KIND[,KIND...]\n"
-      "       --scale test|ref  --seed-base N  (experiments)\n"
-      "       --store-dir DIR (or $HALO_STORE): content-addressed cache of\n"
-      "         pipeline artifacts (baseline/run/hds/sweep/\n"
-      "         experiments/store/serve)\n"
-      "       --socket PATH: the Unix-domain socket serve listens on and\n"
-      "         client connects to. client run takes the experiments\n"
-      "         matrix flags (--machine|--machines --kinds --scale\n"
-      "         --seed-base --trials --out) and streams cells as the\n"
-      "         daemon finishes them; with --out the JSON is\n"
-      "         byte-identical to a local `experiments --out` of the\n"
-      "         same matrix\n"
-      "benchmarks:");
-  for (const std::string &Name : workloadNames())
-    std::fprintf(stderr, " %s", Name.c_str());
-  std::fprintf(stderr, "\nmachines:");
-  for (const std::string &Name : machineNames())
-    std::fprintf(stderr, " %s", Name.c_str());
-  std::fprintf(stderr, "\nkinds:");
-  for (AllocatorKind Kind : allAllocatorKinds())
-    std::fprintf(stderr, " %s", allocatorKindName(Kind));
-  std::fprintf(stderr, "\n");
-  std::exit(1);
-}
+const FlagInfo Flags[] = {
+    {flag::Trials, "--trials", "N", 1, INT_MAX, "trials per cell (default 3)"},
+    {flag::Jobs, "--jobs", "N", 0, INT_MAX,
+     "workers (0, the default: $HALO_JOBS, else all cores)"},
+    {flag::Machine, "--machine", "NAME", 0, 0, "measure on this machine"},
+    {flag::Machines, "--machines", "NAME,...|all", 0, 0,
+     "measure on these machines"},
+    {flag::Kinds, "--kinds", "KIND,...", 0, 0, "allocator kinds to measure"},
+    {flag::Scale, "--scale", "test|ref", 0, 0, "input scale (default ref)"},
+    {flag::SeedBase, "--seed-base", "N", 0, UINT64_MAX,
+     "trial T runs seed N+T (default 100)"},
+    {flag::Out, "--out", "FILE", 0, 0, "write the JSON document to FILE"},
+    {flag::StoreDir, "--store-dir", "DIR", 0, 0,
+     "artifact store (default $HALO_STORE)"},
+    {flag::Socket, "--socket", "PATH", 0, 0, "the daemon's Unix socket"},
+    {flag::ChunkSize, "--chunk-size", "BYTES", 1, UINT64_MAX,
+     "group allocator chunk size"},
+    {flag::MaxSpareChunks, "--max-spare-chunks", "N", 0, INT_MAX,
+     "empty chunks kept for reuse"},
+    {flag::MaxGroups, "--max-groups", "N", 1, UINT32_MAX,
+     "at most N HALO groups"},
+    {flag::AffinityDistance, "--affinity-distance", "BYTES", 1, UINT64_MAX,
+     "HALO affinity distance"},
+};
+
+struct Command;
+
+/// A parsed command line: the row it names and the flags it gave.
+struct CliOptions {
+  const Command *Cmd = nullptr;
+  std::vector<std::string> Benchmarks;
+  std::map<unsigned, std::string> Texts; ///< Given text flags, by bit.
+  std::map<unsigned, uint64_t> Numbers;  ///< Given numeric flags, by bit.
+
+  bool has(unsigned Flag) const {
+    return Texts.count(Flag) || Numbers.count(Flag);
+  }
+  /// A text flag's value; "" when not given.
+  std::string text(unsigned Flag) const {
+    auto It = Texts.find(Flag);
+    return It == Texts.end() ? "" : It->second;
+  }
+  /// A numeric flag's value; \p Default when not given.
+  uint64_t number(unsigned Flag, uint64_t Default) const {
+    auto It = Numbers.find(Flag);
+    return It == Numbers.end() ? Default : It->second;
+  }
+  std::string outPath() const { return text(flag::Out); } ///< "" = stdout.
+  std::string socketPath() const { return text(flag::Socket); }
+  /// --jobs; 0, the default, explicitly requests "pick for me", which
+  /// halo::resolveJobs (support/Executor.h) alone decides.
+  int jobs() const { return static_cast<int>(number(flag::Jobs, 0)); }
+};
+
+/// The benchmarks a command takes after its name.
+enum Positionals { NoBenchmark, OneBenchmark, BenchmarkList };
+
+/// One row of the command table.
+struct Command {
+  const char *Name; ///< "run", or a verb row such as "store ls".
+  Positionals Takes;
+  unsigned Accepts;  ///< Flag bits.
+  unsigned Requires; ///< Flag bits it cannot run without.
+  int (*Run)(const CliOptions &);
+  const char *Help;
+};
+
+[[noreturn]] void usage();
 
 [[noreturn]] void usageError(const std::string &Message) {
   std::fprintf(stderr, "halo_cli: error: %s\n", Message.c_str());
   usage();
 }
 
-/// Space-joined machine preset names for error messages.
-std::string knownMachines() {
-  std::string Known;
-  for (const std::string &Name : machineNames())
-    Known += (Known.empty() ? "" : " ") + Name;
-  return Known;
+/// \p Names joined by spaces, for listings and error messages.
+std::string joined(const std::vector<std::string> &Names) {
+  std::string Text;
+  for (const std::string &Name : Names)
+    Text += (Text.empty() ? "" : " ") + Name;
+  return Text;
 }
 
 /// Space-joined allocator kind names for error messages.
@@ -172,11 +185,8 @@ std::string knownKinds() {
   return Known;
 }
 
-/// Strict argument cursor shared by every subcommand's flag handling:
-/// yields arguments in order and owns the error-checked value parsing --
-/// raw values, bounded numbers, worker counts, machine names, comma
-/// lists -- so each new subcommand composes its flags from these helpers
-/// instead of re-rolling the parse loop.
+/// Strict argument cursor: yields arguments in order and owns the
+/// error-checked value parsing.
 class FlagParser {
 public:
   FlagParser(int Argc, char **Argv, int First)
@@ -199,13 +209,12 @@ public:
   uint64_t unsignedValue(const std::string &Flag, uint64_t Min,
                          uint64_t Max = UINT64_MAX) {
     const char *Text = value(Flag);
-    if (*Text == '\0' || !std::isdigit(static_cast<unsigned char>(*Text)))
-      usageError("invalid value for " + Flag + ": '" + Text +
-                 "' (expected a number)");
     errno = 0;
     char *End = nullptr;
     unsigned long long Parsed = std::strtoull(Text, &End, 10);
-    if (*End != '\0')
+    // The digit check comes first: strtoull itself would accept (and
+    // negate) a leading sign or skip leading blanks.
+    if (!std::isdigit(static_cast<unsigned char>(*Text)) || *End != '\0')
       usageError("invalid value for " + Flag + ": '" + Text +
                  "' (expected a number)");
     if (errno == ERANGE || Parsed > Max)
@@ -215,215 +224,11 @@ public:
     return Parsed;
   }
 
-  /// The one --jobs handler: a strict numeric worker count, where 0
-  /// explicitly requests the "pick for me" default. What that default
-  /// means -- hardware concurrency, never less than one -- is decided in
-  /// exactly one place, halo::resolveJobs (support/Executor.h), which
-  /// every parallel path in the library consults too.
-  int jobsValue(const std::string &Flag) {
-    return static_cast<int>(unsignedValue(Flag, /*Min=*/0, INT_MAX));
-  }
-
-  /// A validated machine-preset lookup, listing the presets on error.
-  const MachineConfig *machineValue(const std::string &Flag) {
-    std::string Name = value(Flag);
-    const MachineConfig *Machine = findMachine(Name);
-    if (!Machine)
-      usageError("unknown machine '" + Name + "' for " + Flag +
-                 " (available: " + knownMachines() + ")");
-    return Machine;
-  }
-
-  /// A comma-separated list; empty items are rejected.
-  std::vector<std::string> listValue(const std::string &Flag) {
-    std::string Text = value(Flag);
-    std::vector<std::string> Items;
-    size_t Start = 0;
-    while (Start <= Text.size()) {
-      size_t Comma = Text.find(',', Start);
-      if (Comma == std::string::npos)
-        Comma = Text.size();
-      if (Comma == Start)
-        usageError("empty item in " + Flag + " list '" + Text + "'");
-      Items.push_back(Text.substr(Start, Comma - Start));
-      Start = Comma + 1;
-    }
-    return Items;
-  }
-
 private:
   int Argc;
   char **Argv;
   int I;
 };
-
-/// True when the invocation writes a JSON document (and thus honours
-/// --out). For store and client the verb decides: `store ls --out` emits
-/// the entry listing as JSON, `client run --out` the experiments
-/// document.
-bool emitsJson(const CliOptions &Opts) {
-  return Opts.Command == "baseline" || Opts.Command == "run" ||
-         Opts.Command == "hds" || Opts.Command == "trace" ||
-         Opts.Command == "sweep" || Opts.Command == "experiments" ||
-         (Opts.Command == "store" && Opts.StoreVerb == "ls") ||
-         (Opts.Command == "client" && Opts.ClientVerb == "run");
-}
-
-CliOptions parseArgs(int Argc, char **Argv) {
-  CliOptions Opts;
-  if (Argc < 2)
-    usage();
-  Opts.Command = Argv[1];
-  bool ListCommand = Opts.Command == "plot" || Opts.Command == "sweep" ||
-                     Opts.Command == "experiments" ||
-                     Opts.Command == "machines" || Opts.Command == "serve";
-  int First = 2;
-  if (Opts.Command == "client") {
-    // The verb comes first; any later positionals are benchmarks
-    // (meaningful for `client run` only, validated below).
-    if (Argc < 3 || Argv[2][0] == '-')
-      usage();
-    Opts.ClientVerb = Argv[2];
-    First = 3;
-    ListCommand = true;
-  } else if (!ListCommand) {
-    if (Argc < 3 || Argv[2][0] == '-')
-      usage();
-    Opts.Benchmark = Argv[2];
-    First = 3;
-  }
-  FlagParser Args(Argc, Argv, First);
-  while (!Args.done()) {
-    std::string Arg = Args.next();
-    if (Arg == "--trials")
-      Opts.Trials =
-          static_cast<int>(Args.unsignedValue(Arg, /*Min=*/1, INT_MAX));
-    else if (Arg == "--jobs")
-      Opts.Jobs = Args.jobsValue(Arg);
-    else if (Arg == "--machine")
-      Opts.Machine = Args.machineValue(Arg)->Name;
-    else if (Arg == "--machines")
-      Opts.MachineList = Args.listValue(Arg);
-    else if (Arg == "--kinds")
-      Opts.KindList = Args.listValue(Arg);
-    else if (Arg == "--scale") {
-      std::string Name = Args.value(Arg);
-      std::optional<Scale> S = parseScale(Name);
-      if (!S)
-        usageError("unknown scale '" + Name + "' for " + Arg +
-                   " (available: test ref)");
-      Opts.S = *S;
-      Opts.SawScale = true;
-    } else if (Arg == "--seed-base") {
-      Opts.SeedBase = Args.unsignedValue(Arg, /*Min=*/0);
-      Opts.SawSeedBase = true;
-    }
-    else if (Arg == "--socket")
-      Opts.SocketPath = Args.value(Arg);
-    else if (Arg == "--out")
-      Opts.OutPath = Args.value(Arg);
-    else if (Arg == "--store-dir")
-      Opts.StoreDir = Args.value(Arg);
-    else if (Arg == "--chunk-size")
-      Opts.ChunkSize = Args.unsignedValue(Arg, /*Min=*/1);
-    else if (Arg == "--max-spare-chunks")
-      Opts.MaxSpareChunks =
-          static_cast<int>(Args.unsignedValue(Arg, /*Min=*/0, INT_MAX));
-    else if (Arg == "--max-groups")
-      Opts.MaxGroups = static_cast<uint32_t>(
-          Args.unsignedValue(Arg, /*Min=*/1, UINT32_MAX));
-    else if (Arg == "--affinity-distance")
-      Opts.AffinityDistance = Args.unsignedValue(Arg, /*Min=*/1);
-    else if (Arg[0] == '-')
-      usageError("unknown flag '" + Arg + "'");
-    else if (ListCommand && Opts.Command != "machines")
-      Opts.Benchmarks.push_back(Arg);
-    else
-      usageError("unexpected argument '" + Arg + "'");
-  }
-  if (Opts.Command == "store") {
-    // The verb parsed into the benchmark slot; validate it strictly.
-    Opts.StoreVerb = Opts.Benchmark;
-    Opts.Benchmark.clear();
-    if (Opts.StoreVerb != "ls" && Opts.StoreVerb != "gc" &&
-        Opts.StoreVerb != "verify")
-      usageError("unknown store verb '" + Opts.StoreVerb +
-                 "' (available: ls gc verify)");
-  }
-  if (Opts.Command == "client") {
-    if (Opts.ClientVerb != "run" && Opts.ClientVerb != "stats" &&
-        Opts.ClientVerb != "shutdown")
-      usageError("unknown client verb '" + Opts.ClientVerb +
-                 "' (available: run stats shutdown)");
-    if (Opts.ClientVerb != "run" && !Opts.Benchmarks.empty())
-      usageError("client " + Opts.ClientVerb + " takes no benchmarks");
-  }
-  if ((Opts.Command == "serve" || Opts.Command == "client") &&
-      Opts.SocketPath.empty())
-    usageError(Opts.Command + " needs --socket PATH");
-  if (!Opts.SocketPath.empty() && Opts.Command != "serve" &&
-      Opts.Command != "client")
-    usageError("--socket is only valid with the serve and client commands");
-  if (!Opts.OutPath.empty() && !emitsJson(Opts))
-    usageError("--out is not supported by the " + Opts.Command +
-               " command (it emits no JSON)");
-  // The setup flags configure the BenchmarkSetup a measuring command
-  // builds; the commands that build none must not accept and drop them.
-  bool SetupCommand = Opts.Command == "baseline" || Opts.Command == "run" ||
-                      Opts.Command == "hds" || Opts.Command == "plot" ||
-                      Opts.Command == "sweep" ||
-                      Opts.Command == "experiments";
-  if (!SetupCommand && (Opts.ChunkSize || Opts.MaxSpareChunks >= 0 ||
-                        Opts.MaxGroups || Opts.AffinityDistance))
-    usageError("--chunk-size, --max-spare-chunks, --max-groups and "
-               "--affinity-distance are only valid with the commands that "
-               "build a benchmark setup (baseline run hds plot sweep "
-               "experiments)");
-  // Likewise --trials, --machine and --jobs, whose defaults read as "not
-  // given" until they resolve below: the commands that measure nothing
-  // (or, for --jobs, run no worker pool here) must not drop them.
-  bool ClientRun = Opts.Command == "client" && Opts.ClientVerb == "run";
-  if (Opts.Trials && !SetupCommand && !ClientRun)
-    usageError("--trials is only valid with the measuring commands "
-               "(baseline run hds plot sweep experiments client run)");
-  if (!Opts.Machine.empty() && !SetupCommand && !ClientRun)
-    usageError("--machine is only valid with the measuring commands "
-               "(baseline run hds plot sweep experiments client run)");
-  if (Opts.Jobs >= 0 && !SetupCommand && Opts.Command != "serve")
-    usageError("--jobs is only valid with the commands that run a worker "
-               "pool (baseline run hds plot sweep experiments serve)");
-  if (!Opts.Trials)
-    Opts.Trials = 3;
-  if (Opts.Jobs < 0)
-    Opts.Jobs = 0;
-  if (!Opts.StoreDir.empty() && Opts.Command != "store" &&
-      Opts.Command != "baseline" && Opts.Command != "run" &&
-      Opts.Command != "hds" && Opts.Command != "sweep" &&
-      Opts.Command != "experiments" && Opts.Command != "serve")
-    usageError("--store-dir is not supported by the " + Opts.Command +
-               " command");
-  if (Opts.Command != "experiments" && !ClientRun) {
-    if (!Opts.MachineList.empty())
-      usageError("--machines is only valid with the experiments and "
-                 "client run commands (use --machine)");
-    if (!Opts.KindList.empty())
-      usageError("--kinds is only valid with the experiments and "
-                 "client run commands");
-    if (Opts.SawScale)
-      usageError("--scale is only valid with the experiments and "
-                 "client run commands");
-    if (Opts.SawSeedBase)
-      usageError("--seed-base is only valid with the experiments and "
-                 "client run commands");
-  } else if (!Opts.MachineList.empty() && !Opts.Machine.empty()) {
-    // --machine would only set the setup machine (which cannot affect
-    // the machine-independent artifacts) while --machines names the
-    // measured cells; accepting both would silently drop one.
-    usageError("--machine and --machines cannot be combined (list every "
-               "measured machine in --machines)");
-  }
-  return Opts;
-}
 
 /// True when \p Path names an existing file that is not a regular file (a
 /// device such as /dev/null, or a FIFO). Such a --out target is written in
@@ -490,7 +295,7 @@ void closeOutput(FILE *Out, const std::string &Path,
 /// bad or unwritable directory fails fast with the usage message instead
 /// of silently turning every warm run cold.
 std::optional<ArtifactStore> openStore(const CliOptions &Opts) {
-  std::string Dir = Opts.StoreDir;
+  std::string Dir = Opts.text(flag::StoreDir);
   if (Dir.empty())
     if (const char *Env = std::getenv("HALO_STORE"))
       Dir = Env;
@@ -503,34 +308,110 @@ std::optional<ArtifactStore> openStore(const CliOptions &Opts) {
   }
 }
 
-/// The machine the options name (parseArgs already rejected unknown names).
-const MachineConfig &machineFor(const CliOptions &Opts) {
-  if (Opts.Machine.empty())
-    return defaultMachine();
-  return *findMachine(Opts.Machine);
-}
-
-BenchmarkSetup setupFor(const CliOptions &Opts,
-                        const std::string &Benchmark) {
+/// The paper's setup for \p Benchmark with the setup flags applied.
+BenchmarkSetup setupFor(const CliOptions &Opts, const std::string &Benchmark) {
   BenchmarkSetup Setup = paperSetup(Benchmark);
-  Setup.Machine = machineFor(Opts);
-  if (Opts.ChunkSize) {
-    Setup.Halo.Allocator.ChunkSize = Opts.ChunkSize;
-    Setup.Hds.Allocator.ChunkSize = Opts.ChunkSize;
+  for (GroupAllocatorOptions *A :
+       {&Setup.Halo.Allocator, &Setup.Hds.Allocator}) {
+    A->ChunkSize = Opts.number(flag::ChunkSize, A->ChunkSize);
+    A->MaxSpareChunks = static_cast<uint32_t>(
+        Opts.number(flag::MaxSpareChunks, A->MaxSpareChunks));
   }
-  if (Opts.MaxSpareChunks >= 0) {
-    Setup.Halo.Allocator.MaxSpareChunks = Opts.MaxSpareChunks;
-    Setup.Hds.Allocator.MaxSpareChunks = Opts.MaxSpareChunks;
-  }
-  if (Opts.MaxGroups)
-    Setup.Halo.Grouping.MaxGroups = Opts.MaxGroups;
-  if (Opts.AffinityDistance)
-    Setup.Halo.Profile.AffinityDistance = Opts.AffinityDistance;
+  Setup.Halo.Grouping.MaxGroups = static_cast<uint32_t>(
+      Opts.number(flag::MaxGroups, Setup.Halo.Grouping.MaxGroups));
+  Setup.Halo.Profile.AffinityDistance = Opts.number(
+      flag::AffinityDistance, Setup.Halo.Profile.AffinityDistance);
   return Setup;
 }
 
-BenchmarkSetup setupFor(const CliOptions &Opts) {
-  return setupFor(Opts, Opts.Benchmark);
+/// A comma-list flag's items (none when not given); empty items are
+/// rejected.
+std::vector<std::string> listOf(const CliOptions &Opts, unsigned Flag,
+                                const std::string &Name) {
+  std::vector<std::string> Items;
+  std::string Text = Opts.text(Flag);
+  for (size_t Start = 0; Opts.has(Flag) && Start <= Text.size();) {
+    size_t Comma = std::min(Text.find(',', Start), Text.size());
+    if (Comma == Start)
+      usageError("empty item in " + Name + " list '" + Text + "'");
+    Items.push_back(Text.substr(Start, Comma - Start));
+    Start = Comma + 1;
+  }
+  return Items;
+}
+
+/// The one request builder: a measuring command's flags as a PlanRequest
+/// -- its benchmarks (none = all), machines (--machines names or `all`,
+/// else the --machine preset, else the setup's default machine), kinds,
+/// scale, trials and seed base. A flag outside the command's row keeps
+/// its default here; commands override only the fields they fix.
+PlanRequest requestFor(const CliOptions &Opts) {
+  // Both would name the measured machines; accepting both would silently
+  // drop one.
+  if (Opts.has(flag::Machine) && Opts.has(flag::Machines))
+    usageError("--machine and --machines cannot be combined (list every "
+               "measured machine in --machines)");
+  PlanRequest R;
+  R.Benchmarks = Opts.Benchmarks.empty() ? workloadNames() : Opts.Benchmarks;
+  for (const std::string &Name : listOf(Opts, flag::Machines, "--machines")) {
+    if (Name == "all")
+      R.Machines.insert(R.Machines.end(), machineNames().begin(),
+                        machineNames().end());
+    else if (findMachine(Name))
+      R.Machines.push_back(Name);
+    else
+      usageError("unknown machine '" + Name + "' in --machines (available: " +
+                 joined(machineNames()) + " all)");
+  }
+  if (Opts.has(flag::Machine)) {
+    R.Machines = {Opts.text(flag::Machine)};
+    if (!findMachine(R.Machines.front()))
+      usageError("unknown machine '" + R.Machines.front() +
+                 "' for --machine (available: " + joined(machineNames()) + ")");
+  }
+  if (Opts.has(flag::Kinds))
+    R.Kinds.clear();
+  for (const std::string &Name : listOf(Opts, flag::Kinds, "--kinds")) {
+    std::optional<AllocatorKind> Kind = parseAllocatorKind(Name);
+    if (!Kind)
+      usageError("unknown allocator kind '" + Name +
+                 "' in --kinds (available: " + knownKinds() + ")");
+    R.Kinds.push_back(*Kind);
+  }
+  std::optional<Scale> S = parseScale(Opts.text(flag::Scale));
+  if (Opts.has(flag::Scale) && !S)
+    usageError("unknown scale '" + Opts.text(flag::Scale) +
+               "' for --scale (available: test ref)");
+  R.S = S.value_or(R.S);
+  R.Trials = static_cast<int>(Opts.number(flag::Trials, R.Trials));
+  R.SeedBase = Opts.number(flag::SeedBase, R.SeedBase);
+  return R;
+}
+
+/// The local plan for \p R: specFor's spec, each benchmark set up with the
+/// command's setup flags, against \p Store (which must outlive the run).
+ExperimentPlan planFor(const CliOptions &Opts, const PlanRequest &R,
+                       ArtifactStore *Store) {
+  ExperimentSpec Spec = specFor(R);
+  Spec.MakeSetup = [&Opts](const std::string &Name) {
+    return setupFor(Opts, Name);
+  };
+  return buildPlan({Spec}, {}, Store);
+}
+
+/// baseline, run and hds: a 1x1x1 plan, same scheduler and emitter as the
+/// big sweeps.
+template <AllocatorKind Kind> int runSingle(const CliOptions &Opts) {
+  PlanRequest R = requestFor(Opts);
+  R.Kinds = {Kind};
+  std::optional<ArtifactStore> Store = openStore(Opts);
+  FILE *Out = openOutput(Opts.outPath());
+  ExperimentPlan Plan = planFor(Opts, R, Store ? &*Store : nullptr);
+  ResultSet Results = runPlan(Plan, Opts.jobs());
+  writeRunsJson(Out, R.Benchmarks.front(), Opts.Cmd->Name,
+                Results.cells().front().Runs);
+  closeOutput(Out, Opts.outPath());
+  return 0;
 }
 
 void asciiBar(const char *Label, double Percent, double FullScale) {
@@ -542,38 +423,21 @@ void asciiBar(const char *Label, double Percent, double FullScale) {
               "########################################");
 }
 
-/// Expands the requested benchmark list (empty = all) and validates names.
-std::vector<std::string> benchmarkList(const CliOptions &Opts) {
-  std::vector<std::string> Names =
-      Opts.Benchmarks.empty() ? workloadNames() : Opts.Benchmarks;
-  for (const std::string &Name : Names)
-    if (!createWorkload(Name))
-      usageError("unknown benchmark '" + Name + "'");
-  return Names;
-}
-
 int runPlot(const CliOptions &Opts) {
-  std::vector<std::string> Names = benchmarkList(Opts);
-  const MachineConfig &M = machineFor(Opts);
+  // plot takes no --kinds: the request's default kinds are the three the
+  // figure compares.
+  PlanRequest R = requestFor(Opts);
+  std::string Machine =
+      R.Machines.empty() ? defaultMachine().Name : R.Machines.front();
   std::printf("HALO vs jemalloc on %s (top: L1D miss reduction, bottom: "
               "speedup), %d trial(s)\n\n",
-              M.Name.c_str(), Opts.Trials);
-  // One plan, its setups built like sweep's so the setup flags apply:
-  // cells fan out at benchmark x kind x trial granularity, and each row
+              Machine.c_str(), R.Trials);
+  // Cells fan out at benchmark x kind x trial granularity, and each row
   // reduces its benchmark's three cells (repeated names repeat the row).
-  ExperimentSpec Spec;
-  Spec.Benchmarks = Names;
-  Spec.Kinds = {AllocatorKind::Jemalloc, AllocatorKind::Hds,
-                AllocatorKind::Halo};
-  Spec.S = Scale::Ref;
-  Spec.Trials = Opts.Trials;
-  Spec.MakeSetup = [&Opts](const std::string &Name) {
-    return setupFor(Opts, Name);
-  };
-  ExperimentPlan Plan = buildPlan({Spec});
-  ResultSet Results = runPlan(Plan, Opts.Jobs);
-  for (const std::string &Name : Names) {
-    ComparisonRow Row = comparisonRow(Results, Name, M.Name);
+  ExperimentPlan Plan = planFor(Opts, R, /*Store=*/nullptr);
+  ResultSet Results = runPlan(Plan, Opts.jobs());
+  for (const std::string &Name : R.Benchmarks) {
+    ComparisonRow Row = comparisonRow(Results, Name, Machine);
     std::printf("%s\n", Row.Benchmark.c_str());
     asciiBar("hds", Row.HdsMissReduction, 40.0);
     asciiBar("halo", Row.HaloMissReduction, 40.0);
@@ -583,7 +447,7 @@ int runPlot(const CliOptions &Opts) {
   return 0;
 }
 
-int runMachines() {
+int runMachines(const CliOptions &) {
   Report Table("Machine presets (sim/Machine.h)");
   Table.setColumns({"machine", "geometry", "lat L1/L2/L3/mem/TLB",
                     "description"});
@@ -601,86 +465,36 @@ int runMachines() {
 }
 
 int runSweep(const CliOptions &Opts) {
-  std::vector<std::string> Names = benchmarkList(Opts);
-  // Default: every preset; --machine narrows the sweep to one.
-  std::vector<const MachineConfig *> Machines;
-  if (Opts.Machine.empty())
-    for (const MachineConfig &M : machinePresets())
-      Machines.push_back(&M);
-  else
-    Machines.push_back(&machineFor(Opts));
-
+  PlanRequest R = requestFor(Opts);
+  // Default: every preset; --machine narrows the sweep to one. sweep takes
+  // no --kinds, so it measures the request's default jemalloc/HDS/HALO.
+  if (R.Machines.empty())
+    R.Machines = machineNames();
   // One plan across the whole benchmark x machine matrix: each benchmark
   // materialises its pipelines once, and the measurement stage spans
-  // every (benchmark, machine, kind, trial) cell, so
-  // mixed sweeps keep all --jobs workers busy. Cells come back
-  // benchmark-major, machine-major inside, kinds in jemalloc/hds/halo
-  // order -- bit-identical to a serial sweep.
-  ExperimentSpec Spec;
-  Spec.Benchmarks = Names;
-  Spec.Machines = Machines;
-  Spec.Kinds = {AllocatorKind::Jemalloc, AllocatorKind::Hds,
-                AllocatorKind::Halo};
-  Spec.S = Scale::Ref;
-  Spec.Trials = Opts.Trials;
-  Spec.MakeSetup = [&Opts](const std::string &Name) {
-    return setupFor(Opts, Name);
-  };
+  // every (benchmark, machine, kind, trial) cell, so mixed sweeps keep
+  // all --jobs workers busy.
   std::optional<ArtifactStore> Store = openStore(Opts);
-  FILE *Out = Opts.OutPath.empty() ? nullptr : openOutput(Opts.OutPath);
-  ExperimentPlan Plan = buildPlan({Spec}, {}, Store ? &*Store : nullptr);
-  ResultSet Results = runPlan(Plan, Opts.Jobs);
+  FILE *Out = Opts.outPath().empty() ? nullptr : openOutput(Opts.outPath());
+  ExperimentPlan Plan = planFor(Opts, R, Store ? &*Store : nullptr);
+  ResultSet Results = runPlan(Plan, Opts.jobs());
 
   std::vector<SweepRow> Rows = sweepRows(Results);
   sweepReport(Rows).print();
   if (Out) {
     writeSweepJson(Out, Rows);
-    closeOutput(Out, Opts.OutPath,
+    closeOutput(Out, Opts.outPath(),
                 " (" + std::to_string(Rows.size()) + " rows)");
   }
   return 0;
 }
 
 int runExperiments(const CliOptions &Opts) {
-  ExperimentSpec Spec;
-  Spec.Benchmarks = benchmarkList(Opts);
-  // --machines: preset names or "all"; default is the --machine preset
-  // (or the setup default) as a single-machine matrix.
-  for (const std::string &Name : Opts.MachineList) {
-    if (Name == "all") {
-      for (const MachineConfig &M : machinePresets())
-        Spec.Machines.push_back(&M);
-      continue;
-    }
-    const MachineConfig *M = findMachine(Name);
-    if (!M)
-      usageError("unknown machine '" + Name + "' in --machines (available: " +
-                 knownMachines() + " all)");
-    Spec.Machines.push_back(M);
-  }
-  if (Spec.Machines.empty() && !Opts.Machine.empty())
-    Spec.Machines.push_back(&machineFor(Opts));
-  if (!Opts.KindList.empty()) {
-    Spec.Kinds.clear();
-    for (const std::string &Name : Opts.KindList) {
-      std::optional<AllocatorKind> Kind = parseAllocatorKind(Name);
-      if (!Kind)
-        usageError("unknown allocator kind '" + Name +
-                   "' in --kinds (available: " + knownKinds() + ")");
-      Spec.Kinds.push_back(*Kind);
-    }
-  }
-  Spec.S = Opts.S;
-  Spec.Trials = Opts.Trials;
-  Spec.SeedBase = Opts.SeedBase;
-  Spec.MakeSetup = [&Opts](const std::string &Name) {
-    return setupFor(Opts, Name);
-  };
-
+  PlanRequest R = requestFor(Opts);
   std::optional<ArtifactStore> Store = openStore(Opts);
-  FILE *Out = openOutput(Opts.OutPath);
-  ExperimentPlan Plan = buildPlan({Spec}, {}, Store ? &*Store : nullptr);
-  ResultSet Results = runPlan(Plan, Opts.Jobs);
+  FILE *Out = openOutput(Opts.outPath());
+  ExperimentPlan Plan = planFor(Opts, R, Store ? &*Store : nullptr);
+  ResultSet Results = runPlan(Plan, Opts.jobs());
   if (Out != stdout) {
     // With a file destination the console gets the human-readable view.
     experimentsReport(Results).print();
@@ -693,7 +507,7 @@ int runExperiments(const CliOptions &Opts) {
     std::printf("\n");
   }
   writeExperimentsJson(Out, Results);
-  closeOutput(Out, Opts.OutPath,
+  closeOutput(Out, Opts.outPath(),
               " (" + std::to_string(Results.size()) + " cells)");
   return 0;
 }
@@ -702,18 +516,13 @@ int runExperiments(const CliOptions &Opts) {
 /// hold any byte but '/' and NUL, control characters included.
 std::string jsonEscaped(const std::string &Text) {
   std::string Escaped;
-  Escaped.reserve(Text.size());
   for (char C : Text) {
-    if (static_cast<unsigned char>(C) < 0x20) {
-      char Code[8];
-      std::snprintf(Code, sizeof(Code), "\\u%04x",
-                    static_cast<unsigned>(C));
-      Escaped += Code;
-      continue;
-    }
-    if (C == '"' || C == '\\')
+    char Code[8] = {C, '\0'};
+    if (static_cast<unsigned char>(C) < 0x20)
+      std::snprintf(Code, sizeof(Code), "\\u%04x", static_cast<unsigned>(C));
+    else if (C == '"' || C == '\\')
       Escaped += '\\';
-    Escaped += C;
+    Escaped += Code;
   }
   return Escaped;
 }
@@ -724,26 +533,30 @@ const char *typeName(const ArtifactStore::Entry &E) {
   return E.Type ? artifactTypeName(*E.Type) : "unknown";
 }
 
-int runStore(const CliOptions &Opts) {
-  // The store commands refuse to guess a directory: inspecting or
-  // collecting "no store" is always a mistake.
-  if (Opts.StoreDir.empty() && !std::getenv("HALO_STORE"))
-    usageError("the store command needs a directory (--store-dir DIR or "
-               "$HALO_STORE)");
+/// The store a store command works on. These commands refuse to guess a
+/// directory: inspecting or collecting "no store" is always a mistake.
+ArtifactStore requiredStore(const CliOptions &Opts) {
   std::optional<ArtifactStore> Store = openStore(Opts);
+  if (!Store)
+    usageError("the store commands need a directory (--store-dir DIR or "
+               "$HALO_STORE)");
+  return std::move(*Store);
+}
 
-  if (Opts.StoreVerb == "gc") {
-    size_t Removed = Store->gc();
-    std::printf("removed %zu file(s) from %s\n", Removed,
-                Store->dir().c_str());
-    return 0;
-  }
+int runStoreGc(const CliOptions &Opts) {
+  ArtifactStore Store = requiredStore(Opts);
+  size_t Removed = Store.gc();
+  std::printf("removed %zu file(s) from %s\n", Removed, Store.dir().c_str());
+  return 0;
+}
 
-  // ls and verify print the same validated listing; verify also fails
-  // the exit code on any invalid entry so scripts can gate on store
-  // health.
-  std::vector<ArtifactStore::Entry> Entries = Store->entries();
-  Report Table("Artifact store " + Store->dir());
+/// store ls and store verify: one validated listing, printed as a table
+/// and, with --out, as JSON. \p FailOnInvalid (verify) exits 1 on any
+/// invalid entry so scripts can gate on store health.
+template <bool FailOnInvalid> int listStore(const CliOptions &Opts) {
+  ArtifactStore Store = requiredStore(Opts);
+  std::vector<ArtifactStore::Entry> Entries = Store.entries();
+  Report Table("Artifact store " + Store.dir());
   Table.setColumns({"file", "type", "label", "payload bytes", "status"});
   size_t Invalid = 0;
   for (const ArtifactStore::Entry &E : Entries) {
@@ -757,10 +570,8 @@ int runStore(const CliOptions &Opts) {
                 (Entries.size() == 1 ? "y" : "ies") + ", " +
                 std::to_string(Invalid) + " invalid");
   Table.print();
-  if (Opts.StoreVerb == "ls" && !Opts.OutPath.empty()) {
-    // The machine-readable listing, through the same tmp+rename output
-    // path every JSON-emitting subcommand uses.
-    FILE *Out = openOutput(Opts.OutPath);
+  if (!Opts.outPath().empty()) {
+    FILE *Out = openOutput(Opts.outPath());
     std::fprintf(Out, "[\n");
     for (size_t I = 0; I < Entries.size(); ++I) {
       const ArtifactStore::Entry &E = Entries[I];
@@ -776,10 +587,10 @@ int runStore(const CliOptions &Opts) {
                    I + 1 < Entries.size() ? "," : "");
     }
     std::fprintf(Out, "]\n");
-    closeOutput(Out, Opts.OutPath,
+    closeOutput(Out, Opts.outPath(),
                 " (" + std::to_string(Entries.size()) + " entries)");
   }
-  if (Opts.StoreVerb == "verify" && Invalid) {
+  if (FailOnInvalid && Invalid) {
     std::fprintf(stderr,
                  "halo_cli: store verify: %zu corrupt entr%s (run "
                  "`halo_cli store gc` to remove)\n",
@@ -790,8 +601,9 @@ int runStore(const CliOptions &Opts) {
 }
 
 int runTrace(const CliOptions &Opts) {
-  FILE *Out = openOutput(Opts.OutPath);
-  Evaluation Eval(setupFor(Opts));
+  const std::string &Benchmark = Opts.Benchmarks.front();
+  FILE *Out = openOutput(Opts.outPath());
+  Evaluation Eval(paperSetup(Benchmark));
   const EventTrace &Trace = Eval.trace(Scale::Ref, /*Seed=*/100);
   const TraceCounts &C = Trace.counts();
   std::fprintf(
@@ -803,7 +615,7 @@ int runTrace(const CliOptions &Opts) {
       "\"frees\": %llu,\n             \"loads\": %llu, \"stores\": %llu, "
       "\"raw_loads\": %llu, \"raw_stores\": %llu,\n             "
       "\"computes\": %llu, \"reallocs\": %llu}\n}\n",
-      Opts.Benchmark.c_str(), (unsigned long long)Trace.numEvents(),
+      Benchmark.c_str(), (unsigned long long)Trace.numEvents(),
       (unsigned long long)Trace.byteSize(),
       (unsigned long long)Trace.numObjects(),
       Trace.numEvents() ? static_cast<double>(Trace.byteSize()) /
@@ -814,36 +626,37 @@ int runTrace(const CliOptions &Opts) {
       (unsigned long long)C.Loads, (unsigned long long)C.Stores,
       (unsigned long long)C.RawLoads, (unsigned long long)C.RawStores,
       (unsigned long long)C.Computes, (unsigned long long)C.Reallocs);
-  closeOutput(Out, Opts.OutPath);
+  closeOutput(Out, Opts.outPath());
   return 0;
 }
 
 int runServe(const CliOptions &Opts) {
   DaemonConfig Config;
-  Config.SocketPath = Opts.SocketPath;
-  Config.Jobs = Opts.Jobs;
+  Config.SocketPath = Opts.socketPath();
+  Config.Jobs = Opts.jobs();
   // Validate the store like every other command does, before anything
   // is bound: a bad directory is a usage error, not a stale socket file.
   if (std::optional<ArtifactStore> Store = openStore(Opts))
     Config.StoreDir = Store->dir();
   // Resolve the pool size up front so a malformed HALO_JOBS fails here,
   // not after the socket is bound.
-  unsigned Workers = resolveJobs(Opts.Jobs);
+  unsigned Workers = resolveJobs(Opts.jobs());
   std::string StoreNote =
       Config.StoreDir.empty() ? std::string(", no store")
                               : ", store " + Config.StoreDir;
   std::fprintf(stderr, "halo_cli: serving on %s (%u worker(s)%s)\n",
-               Opts.SocketPath.c_str(), Workers, StoreNote.c_str());
+               Opts.socketPath().c_str(), Workers, StoreNote.c_str());
   HaloDaemon Daemon(Config);
   int Exit = Daemon.serve();
   std::fprintf(stderr, "halo_cli: daemon on %s shut down\n",
-               Opts.SocketPath.c_str());
+               Opts.socketPath().c_str());
   return Exit;
 }
 
-int runClientStats(HaloClient &Client, const CliOptions &Opts) {
+int runClientStats(const CliOptions &Opts) {
+  HaloClient Client(Opts.socketPath());
   DaemonStats St = Client.stats();
-  Report Table("halo serve on " + Opts.SocketPath);
+  Report Table("halo serve on " + Opts.socketPath());
   Table.setColumns({"counter", "value"});
   Table.addRow({"active sessions", std::to_string(St.ActiveSessions)});
   Table.addRow({"sessions served", std::to_string(St.SessionsServed)});
@@ -860,55 +673,24 @@ int runClientStats(HaloClient &Client, const CliOptions &Opts) {
   return 0;
 }
 
-int runClient(const CliOptions &Opts) {
-  HaloClient Client(Opts.SocketPath);
-  if (Opts.ClientVerb == "stats")
-    return runClientStats(Client, Opts);
-  if (Opts.ClientVerb == "shutdown") {
-    Client.shutdownServer();
-    std::printf("daemon on %s acknowledged shutdown\n",
-                Opts.SocketPath.c_str());
-    return 0;
-  }
+int runClientShutdown(const CliOptions &Opts) {
+  HaloClient Client(Opts.socketPath());
+  Client.shutdownServer();
+  std::printf("daemon on %s acknowledged shutdown\n",
+              Opts.socketPath().c_str());
+  return 0;
+}
 
-  // client run: the experiments matrix, measured by the daemon. Names are
-  // validated locally first (same registries) so typos fail with the
-  // usage message instead of a protocol round trip.
-  PlanRequest R;
-  R.Benchmarks = benchmarkList(Opts);
-  for (const std::string &Name : Opts.MachineList) {
-    if (Name == "all") {
-      for (const MachineConfig &M : machinePresets())
-        R.Machines.push_back(M.Name);
-      continue;
-    }
-    if (!findMachine(Name))
-      usageError("unknown machine '" + Name + "' in --machines (available: " +
-                 knownMachines() + " all)");
-    R.Machines.push_back(Name);
-  }
-  // Without --machines, --machine names the one measured machine, as in
-  // experiments.
-  if (R.Machines.empty() && !Opts.Machine.empty())
-    R.Machines.push_back(Opts.Machine);
-  if (!Opts.KindList.empty()) {
-    R.Kinds.clear();
-    for (const std::string &Name : Opts.KindList) {
-      std::optional<AllocatorKind> Kind = parseAllocatorKind(Name);
-      if (!Kind)
-        usageError("unknown allocator kind '" + Name +
-                   "' in --kinds (available: " + knownKinds() + ")");
-      R.Kinds.push_back(*Kind);
-    }
-  }
-  R.S = Opts.S;
-  R.Trials = Opts.Trials;
-  R.SeedBase = Opts.SeedBase;
-
+/// client run: the experiments matrix, measured by the daemon. The request
+/// is built (and its names validated) before connecting, so typos fail
+/// with the usage message instead of a protocol round trip.
+int runClientRun(const CliOptions &Opts) {
+  PlanRequest R = requestFor(Opts);
+  HaloClient Client(Opts.socketPath());
   // Open --out before submitting (fail fast on an unwritable path), but
   // only rename into place for a completed plan -- a cancelled or failed
   // plan must not overwrite a previous good document with a partial one.
-  FILE *Out = openOutput(Opts.OutPath);
+  FILE *Out = openOutput(Opts.outPath());
   uint64_t PlanId = Client.submit(R);
   PlanOutcome Outcome =
       Client.wait(PlanId, [&](const CellResultMsg &M) {
@@ -920,8 +702,8 @@ int runClient(const CliOptions &Opts) {
   if (Outcome.Status != PlanStatus::Ok) {
     if (Out != stdout) {
       std::fclose(Out);
-      if (!writesInPlace(Opts.OutPath))
-        std::remove((Opts.OutPath + ".tmp").c_str());
+      if (!writesInPlace(Opts.outPath()))
+        std::remove((Opts.outPath() + ".tmp").c_str());
     }
     if (Outcome.Status == PlanStatus::Failed)
       std::fprintf(stderr, "halo_cli: plan failed: %s\n",
@@ -938,79 +720,153 @@ int runClient(const CliOptions &Opts) {
     experimentsReport(Outcome.Results).print();
     std::printf("served: %llu cell(s) streamed from %s\n",
                 (unsigned long long)Outcome.CellsReceived,
-                Opts.SocketPath.c_str());
+                Opts.socketPath().c_str());
   }
   writeExperimentsJson(Out, Outcome.Results);
-  closeOutput(Out, Opts.OutPath,
+  closeOutput(Out, Opts.outPath(),
               " (" + std::to_string(Outcome.Results.size()) + " cells)");
   return 0;
 }
 
-} // namespace
+/// The command table: every command's positionals, flags and handler.
+const Command Commands[] = {
+    {"baseline", OneBenchmark, flag::Measure | flag::Out | flag::StoreDir, 0,
+     runSingle<AllocatorKind::Jemalloc>, "measure jemalloc: per-run JSON"},
+    {"run", OneBenchmark, flag::Measure | flag::Out | flag::StoreDir, 0,
+     runSingle<AllocatorKind::Halo>, "measure HALO: per-run JSON"},
+    {"hds", OneBenchmark, flag::Measure | flag::Out | flag::StoreDir, 0,
+     runSingle<AllocatorKind::Hds>, "measure hot data streams: per-run JSON"},
+    {"trace", OneBenchmark, flag::Out, 0, runTrace,
+     "record the ref input's trace; its counts as JSON"},
+    {"plot", BenchmarkList, flag::Measure, 0, runPlot,
+     "Fig. 13/14 bars: HDS and HALO against jemalloc"},
+    {"sweep", BenchmarkList, flag::Measure | flag::Out | flag::StoreDir, 0,
+     runSweep, "jemalloc/HDS/HALO on every machine preset"},
+    {"experiments", BenchmarkList,
+     flag::Measure | flag::Matrix | flag::Out | flag::StoreDir, 0,
+     runExperiments, "any benchmark x machine x kind matrix"},
+    {"machines", NoBenchmark, 0, 0, runMachines, "list the machine presets"},
+    {"store ls", NoBenchmark, flag::StoreDir | flag::Out, 0, listStore<false>,
+     "list the store's entries"},
+    {"store gc", NoBenchmark, flag::StoreDir, 0, runStoreGc,
+     "remove invalid entries and temp files"},
+    {"store verify", NoBenchmark, flag::StoreDir, 0, listStore<true>,
+     "list; exit 1 if any entry is invalid"},
+    {"serve", NoBenchmark, flag::Socket | flag::Jobs | flag::StoreDir,
+     flag::Socket, runServe, "run the plan daemon"},
+    {"client run", BenchmarkList,
+     flag::Socket | flag::Trials | flag::Machine | flag::Matrix | flag::Out,
+     flag::Socket, runClientRun, "measure a matrix on the daemon"},
+    {"client stats", NoBenchmark, flag::Socket, flag::Socket, runClientStats,
+     "print the daemon's counters"},
+    {"client shutdown", NoBenchmark, flag::Socket, flag::Socket,
+     runClientShutdown, "stop the daemon"},
+};
 
-static int runMain(const CliOptions &Opts);
+/// The names of the rows \p Selects picks, comma-separated.
+template <typename Pred> std::string commandNames(Pred Selects) {
+  std::string Names;
+  for (const Command &C : Commands)
+    if (Selects(C))
+      Names += (Names.empty() ? "" : ", ") + std::string(C.Name);
+  return Names;
+}
+
+/// The commands whose rows accept flag \p Bit.
+std::string takersOf(unsigned Bit) {
+  return commandNames(
+      [Bit](const Command &C) { return (C.Accepts & Bit) != 0; });
+}
+
+void usage() {
+  static const char *const Shapes[] = {"", " <benchmark>", " [benchmark...]"};
+  std::fprintf(stderr, "usage: halo_cli <command> [flags]\ncommands:\n");
+  for (const Command &C : Commands) {
+    std::string Line = std::string(C.Name) + Shapes[C.Takes];
+    std::fprintf(stderr, "  %-27s %s\n", Line.c_str(), C.Help);
+  }
+  std::fprintf(stderr, "flags, each taken only by the commands under it:\n");
+  for (const FlagInfo &F : Flags) {
+    std::string Line = std::string(F.Name) + " " + F.Value;
+    std::fprintf(stderr, "  %-27s %s\n      %s\n", Line.c_str(), F.Help,
+                 takersOf(F.Bit).c_str());
+  }
+  std::fprintf(stderr, "benchmarks: %s\nmachines: %s\nkinds: %s\n",
+               joined(workloadNames()).c_str(),
+               joined(machineNames()).c_str(), knownKinds().c_str());
+  std::exit(1);
+}
+
+/// Parses the command line against the Commands table. Every accept or
+/// reject decision reads the named row: a flag it does not accept, a
+/// benchmark it has no room for, or a flag it requires left out is a
+/// usage error.
+CliOptions parseArgs(int Argc, char **Argv) {
+  if (Argc < 2)
+    usage();
+  // A verb row ("store ls") is named by the first two words.
+  std::string Word = Argv[1];
+  std::string Verb = Argc > 2 ? Word + " " + Argv[2] : "";
+  CliOptions Opts;
+  for (const Command &C : Commands)
+    if (C.Name == Word || C.Name == Verb)
+      Opts.Cmd = &C;
+  if (!Opts.Cmd)
+    usageError("unknown command '" + Word + "'");
+  const Command &Cmd = *Opts.Cmd;
+  const std::string Name = Cmd.Name;
+  int First = Name == Verb ? 3 : 2;
+
+  if (Cmd.Takes == OneBenchmark) {
+    if (First >= Argc || Argv[First][0] == '-')
+      usageError(Name + " needs a benchmark");
+    Opts.Benchmarks.push_back(Argv[First++]);
+  }
+  FlagParser Args(Argc, Argv, First);
+  while (!Args.done()) {
+    std::string Arg = Args.next();
+    if (Arg[0] != '-') {
+      if (Cmd.Takes != BenchmarkList)
+        usageError("unexpected argument '" + Arg + "' (only " +
+                   commandNames([](const Command &C) {
+                     return C.Takes == BenchmarkList;
+                   }) +
+                   " take a benchmark list)");
+      Opts.Benchmarks.push_back(Arg);
+      continue;
+    }
+    const FlagInfo *F =
+        std::find_if(std::begin(Flags), std::end(Flags),
+                     [&](const FlagInfo &Info) { return Arg == Info.Name; });
+    if (F == std::end(Flags))
+      usageError("unknown flag '" + Arg + "'");
+    if (!(Cmd.Accepts & F->Bit))
+      usageError(Arg + " is not accepted by " + Name + " (only by " +
+                 takersOf(F->Bit) + ")");
+    if (F->Max)
+      Opts.Numbers[F->Bit] = Args.unsignedValue(Arg, F->Min, F->Max);
+    else
+      Opts.Texts[F->Bit] = Args.value(Arg);
+  }
+  for (const FlagInfo &F : Flags)
+    if ((Cmd.Requires & F.Bit) && !Opts.has(F.Bit))
+      usageError(Name + " needs " + F.Name + " " + F.Value);
+  for (const std::string &Benchmark : Opts.Benchmarks)
+    if (!createWorkload(Benchmark))
+      usageError("unknown benchmark '" + Benchmark + "'");
+  return Opts;
+}
+
+} // namespace
 
 int main(int Argc, char **Argv) {
   CliOptions Opts = parseArgs(Argc, Argv);
   try {
-    return runMain(Opts);
+    return Opts.Cmd->Run(Opts);
   } catch (const std::exception &E) {
-    // One catch for everything the library throws past a subcommand:
+    // One catch for everything the library throws past a command:
     // connection failures, protocol errors, a malformed HALO_JOBS.
     std::fprintf(stderr, "halo_cli: error: %s\n", E.what());
     return 1;
   }
-}
-
-static int runMain(const CliOptions &Opts) {
-  if (Opts.Command == "machines")
-    return runMachines();
-  if (Opts.Command == "plot")
-    return runPlot(Opts);
-  if (Opts.Command == "sweep")
-    return runSweep(Opts);
-  if (Opts.Command == "experiments")
-    return runExperiments(Opts);
-  if (Opts.Command == "store")
-    return runStore(Opts);
-  if (Opts.Command == "serve")
-    return runServe(Opts);
-  if (Opts.Command == "client")
-    return runClient(Opts);
-
-  if (!createWorkload(Opts.Benchmark)) {
-    std::fprintf(stderr, "unknown benchmark '%s'\n", Opts.Benchmark.c_str());
-    return 1;
-  }
-  if (Opts.Command == "trace")
-    return runTrace(Opts);
-
-  AllocatorKind Kind;
-  if (Opts.Command == "baseline")
-    Kind = AllocatorKind::Jemalloc;
-  else if (Opts.Command == "run")
-    Kind = AllocatorKind::Halo;
-  else if (Opts.Command == "hds")
-    Kind = AllocatorKind::Hds;
-  else
-    usage();
-
-  // A 1x1x1 plan: same scheduler and emitter as the big sweeps.
-  std::optional<ArtifactStore> Store = openStore(Opts);
-  FILE *Out = openOutput(Opts.OutPath);
-  ExperimentSpec Spec;
-  Spec.Benchmarks = {Opts.Benchmark};
-  Spec.Kinds = {Kind};
-  Spec.S = Scale::Ref;
-  Spec.Trials = Opts.Trials;
-  Spec.MakeSetup = [&Opts](const std::string &Name) {
-    return setupFor(Opts, Name);
-  };
-  ExperimentPlan Plan = buildPlan({Spec}, {}, Store ? &*Store : nullptr);
-  ResultSet Results = runPlan(Plan, Opts.Jobs);
-
-  writeRunsJson(Out, Opts.Benchmark, Opts.Command,
-                Results.cells().front().Runs);
-  closeOutput(Out, Opts.OutPath);
-  return 0;
 }

@@ -171,6 +171,7 @@ expect_positional_error(machines health)
 foreach(Verb ls gc verify)
   expect_positional_error(store ${Verb} --store-dir ${Store} health)
 endforeach()
+expect_positional_error(serve --socket ${Sock} health xalanc)
 foreach(Verb stats shutdown)
   expect_positional_error(client ${Verb} --socket ${Sock} health)
 endforeach()
