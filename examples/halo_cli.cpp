@@ -329,8 +329,10 @@ BenchmarkSetup setupFor(const CliOptions &Opts, const std::string &Benchmark) {
 std::vector<std::string> listOf(const CliOptions &Opts, unsigned Flag,
                                 const std::string &Name) {
   std::vector<std::string> Items;
+  if (!Opts.has(Flag))
+    return Items;
   std::string Text = Opts.text(Flag);
-  for (size_t Start = 0; Opts.has(Flag) && Start <= Text.size();) {
+  for (size_t Start = 0; Start <= Text.size();) {
     size_t Comma = std::min(Text.find(',', Start), Text.size());
     if (Comma == Start)
       usageError("empty item in " + Name + " list '" + Text + "'");
@@ -684,7 +686,7 @@ int runClientShutdown(const CliOptions &Opts) {
 /// client run: the experiments matrix, measured by the daemon. The request
 /// is built (and its names validated) before connecting, so typos fail
 /// with the usage message instead of a protocol round trip.
-int runClientRun(const CliOptions &Opts) {
+int runClientPlan(const CliOptions &Opts) {
   PlanRequest R = requestFor(Opts);
   HaloClient Client(Opts.socketPath());
   // Open --out before submitting (fail fast on an unwritable path), but
@@ -756,7 +758,7 @@ const Command Commands[] = {
      flag::Socket, runServe, "run the plan daemon"},
     {"client run", BenchmarkList,
      flag::Socket | flag::Trials | flag::Machine | flag::Matrix | flag::Out,
-     flag::Socket, runClientRun, "measure a matrix on the daemon"},
+     flag::Socket, runClientPlan, "measure a matrix on the daemon"},
     {"client stats", NoBenchmark, flag::Socket, flag::Socket, runClientStats,
      "print the daemon's counters"},
     {"client shutdown", NoBenchmark, flag::Socket, flag::Socket,
@@ -783,7 +785,10 @@ void usage() {
   std::fprintf(stderr, "usage: halo_cli <command> [flags]\ncommands:\n");
   for (const Command &C : Commands) {
     std::string Line = std::string(C.Name) + Shapes[C.Takes];
-    std::fprintf(stderr, "  %-27s %s\n", Line.c_str(), C.Help);
+    for (const FlagInfo &F : Flags)
+      if (C.Requires & F.Bit)
+        Line += std::string(" ") + F.Name + " " + F.Value;
+    std::fprintf(stderr, "  %s\n      %s\n", Line.c_str(), C.Help);
   }
   std::fprintf(stderr, "flags, each taken only by the commands under it:\n");
   for (const FlagInfo &F : Flags) {

@@ -207,7 +207,7 @@ benchmark_build
 
 echo "== tier-1: Release build + ctest ($BUILD) =="
 cmake -B "$BUILD" -S "$ROOT"
-cmake --build "$BUILD" -j
+cmake --build "$BUILD" -j "$(nproc)"
 ctest --test-dir "$BUILD" --output-on-failure -j "$JOBS"
 
 echo "== tier-1: store warm/cold smoke =="
@@ -221,7 +221,7 @@ serve_smoke "$BUILD"
 
 echo "== sanitized: ASan+UBSan build + ctest ($SAN_BUILD) =="
 cmake -B "$SAN_BUILD" -S "$ROOT" -DHALO_SANITIZE=ON
-cmake --build "$SAN_BUILD" -j
+cmake --build "$SAN_BUILD" -j "$(nproc)"
 ctest --test-dir "$SAN_BUILD" --output-on-failure -j "$JOBS"
 
 echo "== sanitized: store warm/cold smoke =="

@@ -2,7 +2,6 @@
 
 #include "serve/Server.h"
 
-
 #include <unistd.h>
 
 #include <algorithm>

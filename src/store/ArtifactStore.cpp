@@ -188,8 +188,8 @@ bool readWholeFile(const std::string &Path, std::vector<uint8_t> &Out) {
   return true;
 }
 
-/// Decodes one entry file into (header fields, payload), filling \p
-/// Header's Type, Hash, Label and PayloadSize. Type is set only once the
+/// Decodes one entry file into (header fields, payload), filling the Type,
+/// Hash, Label and PayloadSize of \p Header; Type is set only once the
 /// whole header decodes. Throws SerializationError on any inconsistency;
 /// callers translate that into "absent" (get/contains) or a listing
 /// diagnostic (entries).

@@ -6,12 +6,11 @@
 ///
 /// \file
 /// The one thread-pool implementation in the tree. Every parallel stage of
-/// the measurement stack -- trial fan-out, per-seed trace recording, the
-/// plan stages under runPlan, and HALO/HDS pipeline materialisation --
-/// routes through an Executor rather than hand-rolled
-/// std::thread code, so the concurrency semantics (deterministic
-/// task-to-slot ordering, exception propagation, a serial jobs=1 path)
-/// are defined in exactly one place.
+/// the measurement stack -- trial fan-out, the plan stages under runPlan,
+/// and HALO/HDS pipeline materialisation -- routes through an Executor
+/// rather than hand-rolled std::thread code, so the concurrency semantics
+/// (deterministic task-to-slot ordering, exception propagation, a serial
+/// jobs=1 path) are defined in exactly one place.
 ///
 /// Determinism contract: parallelFor(Count, Fn) calls Fn(Index) exactly
 /// once for every Index in [0, Count). Tasks are independent by

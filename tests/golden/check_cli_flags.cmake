@@ -1,20 +1,19 @@
 # halo_cli flag and output checks (ctest: cli_flags).
 #
-# Six promises the CLI makes that no unit test sees:
+# Five promises the CLI makes that no unit test sees:
 #   1. --out fails loudly: a write that hits ENOSPC (/dev/full) must exit
 #      non-zero instead of reporting "wrote ...";
-#   2. the setup flags (--chunk-size, ...) are usage errors on commands
-#      that build no benchmark setup, instead of being parsed and dropped;
-#   3. plot honours the setup flags: --affinity-distance 8 must change
+#   2. plot honours the setup flags: --affinity-distance 8 must change
 #      what it prints;
-#   4. serve rejects an unusable --store-dir before binding its socket,
+#   3. serve rejects an unusable --store-dir before binding its socket,
 #      so the failure leaves no socket file to block the next serve;
-#   5. every command accepts exactly the flags and positionals of its
+#   4. every command accepts exactly the flags and positionals of its
 #      row: for each row and each flag the row does not list, the command
-#      exits 1 with a usage error naming that flag, and a positional the
-#      row has no room for (a second benchmark, or any benchmark for a
-#      command that takes none) exits 1 with a usage error too;
-#   6. `store ls --out` writes valid JSON whatever the store directory
+#      exits 1 with a usage error naming that flag (so no command parses
+#      a flag only to drop it), and a positional the row has no room for
+#      (a second benchmark, or any benchmark for a command that takes
+#      none) exits 1 with a usage error too;
+#   5. `store ls --out` writes valid JSON whatever the store directory
 #      holds, and a file whose entry header does not decode is not listed
 #      as a trace.
 #
@@ -39,14 +38,7 @@ if(EXISTS /dev/full)
   endif()
 endif()
 
-# 2. machines builds no setup, so --chunk-size is a usage error.
-execute_process(COMMAND ${HALO_CLI} machines --chunk-size 4096
-                OUTPUT_QUIET ERROR_VARIABLE Err RESULT_VARIABLE Rc)
-if(Rc EQUAL 0)
-  message(FATAL_ERROR "halo_cli machines --chunk-size 4096 exited 0")
-endif()
-
-# 3. plot with and without a setup flag must print different bars.
+# 2. plot with and without a setup flag must print different bars.
 foreach(Variant default distance8)
   set(Args plot health --trials 1)
   if(Variant STREQUAL "distance8")
@@ -69,7 +61,7 @@ if(Same EQUAL 0)
           "the default run's")
 endif()
 
-# 4. A regular file is no store. The timeout only matters if serve
+# 3. A regular file is no store. The timeout only matters if serve
 #    wrongly starts serving; it then leaves its socket, which fails below.
 file(WRITE ${WORK_DIR}/not_a_store "")
 set(Sock ${WORK_DIR}/serve.sock)
@@ -86,7 +78,7 @@ if(EXISTS ${Sock})
                       "left its socket file ${Sock} behind")
 endif()
 
-# 5. The accept matrix. Each row passes the command's required arguments
+# 4. The accept matrix. Each row passes the command's required arguments
 #    (and `health` wherever benchmarks are allowed), so the flag under test
 #    is the only error. The timeout only matters if a command wrongly runs
 #    instead: serve would start serving, and a client would fail to
@@ -182,7 +174,7 @@ if(Failures)
   message(FATAL_ERROR "expected a usage error (exit 1) from each of:\n  ${Report}")
 endif()
 
-# 6. Junk files named with a newline and a tab, listed as JSON.
+# 5. Junk files named with a newline and a tab, listed as JSON.
 set(JunkStore ${WORK_DIR}/junk_store)
 file(REMOVE_RECURSE ${JunkStore})
 file(MAKE_DIRECTORY ${JunkStore})
