@@ -59,7 +59,8 @@ using namespace halo;
 
 namespace {
 
-/// Flag bits: each command row accepts a mask of these.
+/// Flag bits: each command row accepts a mask of these, positionals
+/// included.
 namespace flag {
 enum : unsigned {
   Trials = 1u << 0,
@@ -76,6 +77,9 @@ enum : unsigned {
   MaxSpareChunks = 1u << 11,
   MaxGroups = 1u << 12,
   AffinityDistance = 1u << 13,
+  /// Positionals: one benchmark right after the command, or a list.
+  Benchmark = 1u << 14,
+  BenchmarkList = 1u << 15,
   /// The BenchmarkSetup knobs of the artefact's per-benchmark flags.
   Setup = ChunkSize | MaxSpareChunks | MaxGroups | AffinityDistance,
   /// What every local measuring command takes.
@@ -99,9 +103,8 @@ const FlagInfo Flags[] = {
     {flag::Trials, "--trials", "N", 1, INT_MAX, "trials per cell (default 3)"},
     {flag::Jobs, "--jobs", "N", 0, INT_MAX,
      "workers (0, the default: $HALO_JOBS, else all cores)"},
-    {flag::Machine, "--machine", "NAME", 0, 0, "measure on this machine"},
-    {flag::Machines, "--machines", "NAME,...|all", 0, 0,
-     "measure on these machines"},
+    {flag::Machine, "--machine", "NAME", 0, 0, "machine to measure"},
+    {flag::Machines, "--machines", "NAME,...|all", 0, 0, "machines to measure"},
     {flag::Kinds, "--kinds", "KIND,...", 0, 0, "allocator kinds to measure"},
     {flag::Scale, "--scale", "test|ref", 0, 0, "input scale (default ref)"},
     {flag::SeedBase, "--seed-base", "N", 0, UINT64_MAX,
@@ -114,8 +117,7 @@ const FlagInfo Flags[] = {
      "group allocator chunk size"},
     {flag::MaxSpareChunks, "--max-spare-chunks", "N", 0, INT_MAX,
      "empty chunks kept for reuse"},
-    {flag::MaxGroups, "--max-groups", "N", 1, UINT32_MAX,
-     "at most N HALO groups"},
+    {flag::MaxGroups, "--max-groups", "N", 1, UINT32_MAX, "max HALO groups"},
     {flag::AffinityDistance, "--affinity-distance", "BYTES", 1, UINT64_MAX,
      "HALO affinity distance"},
 };
@@ -149,14 +151,10 @@ struct CliOptions {
   int jobs() const { return static_cast<int>(number(flag::Jobs, 0)); }
 };
 
-/// The benchmarks a command takes after its name.
-enum Positionals { NoBenchmark, OneBenchmark, BenchmarkList };
-
 /// One row of the command table.
 struct Command {
   const char *Name; ///< "run", or a verb row such as "store ls".
-  Positionals Takes;
-  unsigned Accepts;  ///< Flag bits.
+  unsigned Accepts;  ///< Flag and positional bits.
   unsigned Requires; ///< Flag bits it cannot run without.
   int (*Run)(const CliOptions &);
   const char *Help;
@@ -342,6 +340,22 @@ std::vector<std::string> listOf(const CliOptions &Opts, unsigned Flag,
   return Items;
 }
 
+/// Rejects a malformed --machine, --scale, --machines or --kinds value as
+/// the parser meets it, as unsignedValue does for numbers, so a repeated
+/// flag cannot hide a bad earlier value. (Names inside --machines and
+/// --kinds are checked where requestFor resolves them.)
+void checkText(const CliOptions &Opts, const FlagInfo &F) {
+  std::string Value = Opts.text(F.Bit);
+  if (F.Bit == flag::Machine && !findMachine(Value))
+    usageError("unknown machine '" + Value + "' for --machine (available: " +
+               joined(machineNames()) + ")");
+  if (F.Bit == flag::Scale && !parseScale(Value))
+    usageError("unknown scale '" + Value +
+               "' for --scale (available: test ref)");
+  if (F.Bit == flag::Machines || F.Bit == flag::Kinds)
+    listOf(Opts, F.Bit, F.Name);
+}
+
 /// The one request builder: a measuring command's flags as a PlanRequest
 /// -- its benchmarks (none = all), machines (--machines names or `all`,
 /// else the --machine preset, else the setup's default machine), kinds,
@@ -365,12 +379,8 @@ PlanRequest requestFor(const CliOptions &Opts) {
       usageError("unknown machine '" + Name + "' in --machines (available: " +
                  joined(machineNames()) + " all)");
   }
-  if (Opts.has(flag::Machine)) {
+  if (Opts.has(flag::Machine))
     R.Machines = {Opts.text(flag::Machine)};
-    if (!findMachine(R.Machines.front()))
-      usageError("unknown machine '" + R.Machines.front() +
-                 "' for --machine (available: " + joined(machineNames()) + ")");
-  }
   if (Opts.has(flag::Kinds))
     R.Kinds.clear();
   for (const std::string &Name : listOf(Opts, flag::Kinds, "--kinds")) {
@@ -380,11 +390,7 @@ PlanRequest requestFor(const CliOptions &Opts) {
                  "' in --kinds (available: " + knownKinds() + ")");
     R.Kinds.push_back(*Kind);
   }
-  std::optional<Scale> S = parseScale(Opts.text(flag::Scale));
-  if (Opts.has(flag::Scale) && !S)
-    usageError("unknown scale '" + Opts.text(flag::Scale) +
-               "' for --scale (available: test ref)");
-  R.S = S.value_or(R.S);
+  R.S = parseScale(Opts.text(flag::Scale)).value_or(R.S);
   R.Trials = static_cast<int>(Opts.number(flag::Trials, R.Trials));
   R.SeedBase = Opts.number(flag::SeedBase, R.SeedBase);
   return R;
@@ -732,59 +738,57 @@ int runClientPlan(const CliOptions &Opts) {
 
 /// The command table: every command's positionals, flags and handler.
 const Command Commands[] = {
-    {"baseline", OneBenchmark, flag::Measure | flag::Out | flag::StoreDir, 0,
-     runSingle<AllocatorKind::Jemalloc>, "measure jemalloc: per-run JSON"},
-    {"run", OneBenchmark, flag::Measure | flag::Out | flag::StoreDir, 0,
+    {"baseline", flag::Benchmark | flag::Measure | flag::Out | flag::StoreDir,
+     0, runSingle<AllocatorKind::Jemalloc>, "measure jemalloc: per-run JSON"},
+    {"run", flag::Benchmark | flag::Measure | flag::Out | flag::StoreDir, 0,
      runSingle<AllocatorKind::Halo>, "measure HALO: per-run JSON"},
-    {"hds", OneBenchmark, flag::Measure | flag::Out | flag::StoreDir, 0,
+    {"hds", flag::Benchmark | flag::Measure | flag::Out | flag::StoreDir, 0,
      runSingle<AllocatorKind::Hds>, "measure hot data streams: per-run JSON"},
-    {"trace", OneBenchmark, flag::Out, 0, runTrace,
+    {"trace", flag::Benchmark | flag::Out, 0, runTrace,
      "record the ref input's trace; its counts as JSON"},
-    {"plot", BenchmarkList, flag::Measure, 0, runPlot,
+    {"plot", flag::BenchmarkList | flag::Measure, 0, runPlot,
      "Fig. 13/14 bars: HDS and HALO against jemalloc"},
-    {"sweep", BenchmarkList, flag::Measure | flag::Out | flag::StoreDir, 0,
-     runSweep, "jemalloc/HDS/HALO on every machine preset"},
-    {"experiments", BenchmarkList,
-     flag::Measure | flag::Matrix | flag::Out | flag::StoreDir, 0,
-     runExperiments, "any benchmark x machine x kind matrix"},
-    {"machines", NoBenchmark, 0, 0, runMachines, "list the machine presets"},
-    {"store ls", NoBenchmark, flag::StoreDir | flag::Out, 0, listStore<false>,
+    {"sweep", flag::BenchmarkList | flag::Measure | flag::Out | flag::StoreDir,
+     0, runSweep, "jemalloc/HDS/HALO on every machine preset"},
+    {"experiments",
+     flag::BenchmarkList | flag::Measure | flag::Matrix | flag::Out |
+         flag::StoreDir,
+     0, runExperiments, "any benchmark x machine x kind matrix"},
+    {"machines", 0, 0, runMachines, "list the machine presets"},
+    {"store ls", flag::StoreDir | flag::Out, 0, listStore<false>,
      "list the store's entries"},
-    {"store gc", NoBenchmark, flag::StoreDir, 0, runStoreGc,
+    {"store gc", flag::StoreDir, 0, runStoreGc,
      "remove invalid entries and temp files"},
-    {"store verify", NoBenchmark, flag::StoreDir, 0, listStore<true>,
+    {"store verify", flag::StoreDir, 0, listStore<true>,
      "list; exit 1 if any entry is invalid"},
-    {"serve", NoBenchmark, flag::Socket | flag::Jobs | flag::StoreDir,
-     flag::Socket, runServe, "run the plan daemon"},
-    {"client run", BenchmarkList,
-     flag::Socket | flag::Trials | flag::Machine | flag::Matrix | flag::Out,
+    {"serve", flag::Socket | flag::Jobs | flag::StoreDir, flag::Socket,
+     runServe, "run the plan daemon"},
+    {"client run",
+     flag::BenchmarkList | flag::Socket | flag::Trials | flag::Machine |
+         flag::Matrix | flag::Out,
      flag::Socket, runClientPlan, "measure a matrix on the daemon"},
-    {"client stats", NoBenchmark, flag::Socket, flag::Socket, runClientStats,
+    {"client stats", flag::Socket, flag::Socket, runClientStats,
      "print the daemon's counters"},
-    {"client shutdown", NoBenchmark, flag::Socket, flag::Socket,
-     runClientShutdown, "stop the daemon"},
+    {"client shutdown", flag::Socket, flag::Socket, runClientShutdown,
+     "stop the daemon"},
 };
 
-/// The names of the rows \p Selects picks, comma-separated.
-template <typename Pred> std::string commandNames(Pred Selects) {
+/// The commands whose rows accept \p Bit, comma-separated.
+std::string takersOf(unsigned Bit) {
   std::string Names;
   for (const Command &C : Commands)
-    if (Selects(C))
+    if (C.Accepts & Bit)
       Names += (Names.empty() ? "" : ", ") + std::string(C.Name);
   return Names;
 }
 
-/// The commands whose rows accept flag \p Bit.
-std::string takersOf(unsigned Bit) {
-  return commandNames(
-      [Bit](const Command &C) { return (C.Accepts & Bit) != 0; });
-}
-
 void usage() {
-  static const char *const Shapes[] = {"", " <benchmark>", " [benchmark...]"};
   std::fprintf(stderr, "usage: halo_cli <command> [flags]\ncommands:\n");
   for (const Command &C : Commands) {
-    std::string Line = std::string(C.Name) + Shapes[C.Takes];
+    std::string Line =
+        std::string(C.Name) +
+        (C.Accepts & flag::Benchmark ? " <benchmark>" : "") +
+        (C.Accepts & flag::BenchmarkList ? " [benchmark...]" : "");
     for (const FlagInfo &F : Flags)
       if (C.Requires & F.Bit)
         Line += std::string(" ") + F.Name + " " + F.Value;
@@ -822,7 +826,7 @@ CliOptions parseArgs(int Argc, char **Argv) {
   const std::string Name = Cmd.Name;
   int First = Name == Verb ? 3 : 2;
 
-  if (Cmd.Takes == OneBenchmark) {
+  if (Cmd.Accepts & flag::Benchmark) {
     if (First >= Argc || Argv[First][0] == '-')
       usageError(Name + " needs a benchmark");
     Opts.Benchmarks.push_back(Argv[First++]);
@@ -831,12 +835,9 @@ CliOptions parseArgs(int Argc, char **Argv) {
   while (!Args.done()) {
     std::string Arg = Args.next();
     if (Arg[0] != '-') {
-      if (Cmd.Takes != BenchmarkList)
+      if (!(Cmd.Accepts & flag::BenchmarkList))
         usageError("unexpected argument '" + Arg + "' (only " +
-                   commandNames([](const Command &C) {
-                     return C.Takes == BenchmarkList;
-                   }) +
-                   " take a benchmark list)");
+                   takersOf(flag::BenchmarkList) + " take a benchmark list)");
       Opts.Benchmarks.push_back(Arg);
       continue;
     }
@@ -852,6 +853,7 @@ CliOptions parseArgs(int Argc, char **Argv) {
       Opts.Numbers[F->Bit] = Args.unsignedValue(Arg, F->Min, F->Max);
     else
       Opts.Texts[F->Bit] = Args.value(Arg);
+    checkText(Opts, *F);
   }
   for (const FlagInfo &F : Flags)
     if ((Cmd.Requires & F.Bit) && !Opts.has(F.Bit))
