@@ -356,7 +356,7 @@ void checkText(const CliOptions &Opts, const FlagInfo &F) {
     listOf(Opts, F.Bit, F.Name);
 }
 
-/// The one request builder: a measuring command's flags as a PlanRequest
+/// Where every measuring command's flags become its one PlanRequest
 /// -- its benchmarks (none = all), machines (--machines names or `all`,
 /// else the --machine preset, else the setup's default machine), kinds,
 /// scale, trials and seed base. A flag outside the command's row keeps
