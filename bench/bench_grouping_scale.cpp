@@ -5,7 +5,14 @@
 // degree and weight distributions), comparing the incremental buildGroups
 // against the Figure 6 reference transliteration and timing the supporting
 // hot paths (CSR snapshot construction, affinity-queue pushes, live-object
-// lookups).
+// lookups). It also times the stages a cold test-scale plan pays for on
+// the real workload models, each summed over all 11 benchmarks' profile
+// inputs: the HALO profiling run (profile_halo_test; edges = profiled
+// macro accesses), the HDS profiling run (profile_hds_test; edges =
+// reference-trace length) and hot-stream extraction from that trace
+// (sequitur_hds_test; edges = symbols appended), plus constructing each
+// machine preset's memory hierarchy (hierarchy_setup_<preset>; nodes =
+// sets, edges = tag slots over all levels and the dTLB).
 //
 // Emits a machine-readable trajectory file (default: BENCH_pipeline.json,
 // override with argv[1]) as a JSON array of rows
@@ -19,15 +26,21 @@
 #include "BenchCommon.h"
 #include "graph/Adjacency.h"
 #include "group/Grouping.h"
+#include "hds/HdsPipeline.h"
+#include "mem/SizeClassAllocator.h"
 #include "profile/AffinityQueue.h"
+#include "profile/HeapProfiler.h"
 #include "profile/LiveObjectMap.h"
+#include "sim/Machine.h"
 #include "support/Rng.h"
+#include "workloads/Workload.h"
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -270,6 +283,96 @@ int main(int Argc, char **Argv) {
     std::printf("live-object map: %llu lookups over %u objects: %.2f ms\n",
                 static_cast<unsigned long long>(Lookups), Objects, Ms);
     if (Hits == 0)
+      return 1;
+  }
+
+  //===--------------------------------------------------------------------===//
+  // Cold-plan stages on the workload models: profiling for each pipeline
+  // and hot-stream extraction, summed over the 11 benchmarks' test inputs
+  // (the paper profiles on test), then hierarchy construction per preset.
+  //===--------------------------------------------------------------------===//
+
+  {
+    struct Model {
+      std::unique_ptr<Workload> W;
+      Program Prog;
+      BenchmarkSetup Setup;
+      std::vector<ObjectId> Trace;
+    };
+    std::vector<Model> Models(workloadNames().size());
+    for (size_t I = 0; I < Models.size(); ++I) {
+      Models[I].W = createWorkload(workloadNames()[I]);
+      Models[I].W->build(Models[I].Prog);
+      Models[I].Setup = paperSetup(workloadNames()[I]);
+    }
+    const uint64_t Benchmarks = Models.size();
+
+    uint64_t Profiled = 0;
+    double HaloMs = medianMs(Trials, [&] {
+      Profiled = 0;
+      for (Model &M : Models) {
+        SizeClassAllocator Alloc;
+        Runtime RT(M.Prog, Alloc, M.Setup.Machine.Costs);
+        HeapProfiler Profiler(M.Prog, M.Setup.Halo.Profile);
+        RT.addObserver(&Profiler);
+        M.W->run(RT, M.Setup.ProfileScale, M.Setup.ProfileSeed);
+        Profiler.takeGraph();
+        Profiled += Profiler.totalAccesses();
+      }
+    });
+    Rows.push_back({"profile_halo_test", Benchmarks, Profiled, HaloMs, Trials});
+
+    uint64_t TraceLength = 0;
+    double HdsMs = medianMs(Trials, [&] {
+      TraceLength = 0;
+      for (Model &M : Models) {
+        SizeClassAllocator Alloc;
+        Runtime RT(M.Prog, Alloc, M.Setup.Machine.Costs);
+        ReferenceTraceRecorder Recorder;
+        RT.addObserver(&Recorder);
+        M.W->run(RT, M.Setup.ProfileScale, M.Setup.ProfileSeed);
+        M.Trace = Recorder.trace();
+        TraceLength += M.Trace.size();
+      }
+    });
+    Rows.push_back({"profile_hds_test", Benchmarks, TraceLength, HdsMs, Trials});
+
+    uint64_t Streams = 0;
+    double SequiturMs = medianMs(Trials, [&] {
+      for (const Model &M : Models)
+        Streams += findHotStreams(M.Trace, M.Setup.Hds.Streams).Streams.size();
+    });
+    Rows.push_back(
+        {"sequitur_hds_test", Benchmarks, TraceLength, SequiturMs, Trials});
+    std::printf("\n11 benchmarks, test inputs: HALO profiling %.1f ms (%llu "
+                "accesses), HDS profiling %.1f ms, hot streams %.1f ms (%llu "
+                "trace symbols)\n",
+                HaloMs, static_cast<unsigned long long>(Profiled), HdsMs,
+                SequiturMs, static_cast<unsigned long long>(TraceLength));
+    if (Profiled == 0 || Streams == 0)
+      return 1;
+  }
+
+  for (const MachineConfig &M : machinePresets()) {
+    // One construction is well under a millisecond on the small presets:
+    // take the median over more repetitions than the other rows.
+    const int Reps = std::max(Trials, 25);
+    const HierarchyConfig &H = M.Hierarchy;
+    uint64_t Sets = H.TlbEntries / H.TlbWays, Slots = H.TlbEntries;
+    for (const CacheConfig *Level : {&H.L1, &H.L2, &H.L3}) {
+      Sets += Level->SizeBytes / (uint64_t(Level->Ways) * Level->LineSize);
+      Slots += Level->SizeBytes / Level->LineSize;
+    }
+    uint64_t Built = 0;
+    double Ms = medianMs(Reps, [&] {
+      MemoryHierarchy Hierarchy(H);
+      Built += Hierarchy.l3().numSets();
+    });
+    Rows.push_back({"hierarchy_setup_" + M.Name, Sets, Slots, Ms, Reps});
+    std::printf("hierarchy setup %-16s %8llu sets %9llu slots: %.3f ms\n",
+                M.Name.c_str(), static_cast<unsigned long long>(Sets),
+                static_cast<unsigned long long>(Slots), Ms);
+    if (Built == 0)
       return 1;
   }
 

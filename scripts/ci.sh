@@ -19,8 +19,11 @@
 # (eval/Experiment.cpp) and the serve daemon's (serve/Server.cpp) may
 # construct an Executor -- the one-scheduler rule -- and the repository
 # benchmark (benchmark/, its own CMake project in build-bench/) must build
-# against the current library and pass its self-test, so an API change
-# that breaks it fails here rather than in a benchmark run.
+# against the current library, pass its self-test, and run all four
+# workloads at smoke size with every correctness check on (byte-equal
+# repeats, the direct-measurement oracle, no store rewrite when warm), so
+# an API or behaviour change that breaks it fails here rather than in a
+# benchmark run.
 #
 # Usage: scripts/ci.sh [build-dir [sanitize-build-dir]]
 #   build dirs default to build/ and build-asan/ at the repo root;
@@ -191,12 +194,14 @@ executor_rule() {
 }
 
 # The repository benchmark builds from these sources with its own CMake
-# project; build both of its drivers and run its self-test.
+# project; build both of its drivers, run its self-test, then its four
+# workloads at a tenth of the time (any failed check exits non-zero).
 benchmark_build() {
   cmake -S "$ROOT/benchmark" -B "$ROOT/build-bench" -DCMAKE_BUILD_TYPE=Release
   cmake --build "$ROOT/build-bench" -j "$(nproc)" \
       --target halo_bench halo_bench_layers
   bash "$ROOT/benchmark/run.sh" --self-test
+  bash "$ROOT/benchmark/run.sh" --smoke
 }
 
 echo "== source: one-scheduler rule =="

@@ -8,6 +8,37 @@
 
 using namespace halo;
 
+void ReferenceTraceRecorder::onAlloc(uint64_t Addr, uint64_t Size,
+                                     CallSiteId MallocSite) {
+  Objects.insert(Addr, Size, InvalidId, MallocSite);
+}
+
+void ReferenceTraceRecorder::onFree(uint64_t Addr) { Objects.erase(Addr); }
+
+void ReferenceTraceRecorder::onAccess(uint64_t Addr, uint64_t, bool) {
+  record(Addr);
+}
+
+void ReferenceTraceRecorder::onAccessBatch(const MemAccess *Batch,
+                                           size_t N) {
+  for (size_t I = 0; I < N; ++I)
+    record(Batch[I].Addr);
+}
+
+RuntimeObserver::AccessHookFn ReferenceTraceRecorder::accessHook() {
+  return [](RuntimeObserver &Self, uint64_t Addr, uint64_t, bool) {
+    static_cast<ReferenceTraceRecorder &>(Self).record(Addr);
+  };
+}
+
+void ReferenceTraceRecorder::record(uint64_t Addr) {
+  ObjectId Obj = Objects.find(Addr);
+  if (Obj == ~0u)
+    return; // Not a (live) heap object: stack/global traffic.
+  if (Trace.empty() || Trace.back() != Obj)
+    Trace.push_back(Obj);
+}
+
 HdsArtifacts
 halo::optimizeBinaryHds(const Program &Prog, const EventTrace &Trace,
                         const HdsParameters &Params,
@@ -23,18 +54,15 @@ halo::optimizeBinaryHds(const Program &Prog,
                         const MachineConfig &Machine) {
   HdsArtifacts Out;
 
-  ProfileOptions ProfOpts = Params.Profile;
-  ProfOpts.RecordReferenceTrace = true;
-
   SizeClassAllocator ProfileAlloc;
   Runtime RT(Prog, ProfileAlloc, Machine.Costs);
-  HeapProfiler Profiler(Prog, ProfOpts);
-  RT.addObserver(&Profiler);
+  ReferenceTraceRecorder Recorder;
+  RT.addObserver(&Recorder);
   RunWorkload(RT);
 
-  Out.Analysis = findHotStreams(Profiler.referenceTrace(), Params.Streams);
+  Out.Analysis = findHotStreams(Recorder.trace(), Params.Streams);
   std::vector<CoAllocationSet> Candidates = buildCoAllocationSets(
-      Out.Analysis.Streams, Profiler.objects(), Params.CoAllocation);
+      Out.Analysis.Streams, Recorder.objects(), Params.CoAllocation);
   CoAllocationOptions Packing = Params.CoAllocation;
   Packing.MinBenefit = Packing.MinBenefitFraction *
                        static_cast<double>(Out.Analysis.TraceLength);

@@ -6,12 +6,12 @@
 ///
 /// \file
 /// The comparison technique of Section 5.1: hot-data-stream-based
-/// co-allocation [11], replicated end to end. It shares HALO's profiler
-/// (for the object-level reference trace) and specialised allocator, but
-/// derives groups from SEQUITUR-compressed streams and identifies them at
-/// runtime by the immediate call site of the allocation procedure -- the
-/// fixed-size context that Section 5.2 shows failing on wrapper-function
-/// and deep-abstraction programs.
+/// co-allocation [11], replicated end to end. It shares HALO's live-object
+/// tracking and specialised allocator, but derives groups from
+/// SEQUITUR-compressed streams of the object-level reference trace and
+/// identifies them at runtime by the immediate call site of the allocation
+/// procedure -- the fixed-size context that Section 5.2 shows failing on
+/// wrapper-function and deep-abstraction programs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +22,7 @@
 #include "hds/CoAllocation.h"
 #include "hds/HotStreams.h"
 #include "profile/HeapProfiler.h"
+#include "profile/LiveObjectMap.h"
 #include "runtime/Runtime.h"
 #include "sim/Machine.h"
 
@@ -35,10 +36,37 @@ class BinaryWriter;
 class BinaryReader;
 
 struct HdsParameters {
-  ProfileOptions Profile; ///< RecordReferenceTrace is forced on.
+  /// Part of the store key only: the reference trace HDS mines reads no
+  /// profiling knob.
+  ProfileOptions Profile;
   HotStreamOptions Streams;
   CoAllocationOptions CoAllocation;
   GroupAllocatorOptions Allocator;
+};
+
+/// HDS's profiler: records the object-level data reference trace (every
+/// access to a live heap object, consecutive accesses to one object merged)
+/// and nothing else -- no shadow stack, contexts or affinity analysis, as
+/// co-allocation sets read only the trace and each object's size and
+/// malloc site.
+class ReferenceTraceRecorder final : public RuntimeObserver {
+public:
+  void onAlloc(uint64_t Addr, uint64_t Size, CallSiteId MallocSite) override;
+  void onFree(uint64_t Addr) override;
+  void onAccess(uint64_t Addr, uint64_t Size, bool IsStore) override;
+  void onAccessBatch(const MemAccess *Batch, size_t N) override;
+  AccessHookFn accessHook() override;
+
+  /// All object metadata, indexed by ObjectId (no contexts: Ctx is unset).
+  const LiveObjectMap &objects() const { return Objects; }
+  /// The reference trace, as object ids.
+  const std::vector<ObjectId> &trace() const { return Trace; }
+
+private:
+  void record(uint64_t Addr);
+
+  LiveObjectMap Objects;
+  std::vector<ObjectId> Trace;
 };
 
 struct HdsArtifacts {

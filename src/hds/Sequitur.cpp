@@ -38,23 +38,86 @@ struct Sequitur::Rule {
   Symbol *last() const { return Guard.Prev; }
 };
 
+//===----------------------------------------------------------------------===//
+// Digram table
+//===----------------------------------------------------------------------===//
+
+Sequitur::DigramTable::DigramTable() : Slots(1024, Slot{0, 0, nullptr}) {
+  Mask = Slots.size() - 1;
+}
+
+size_t Sequitur::DigramTable::home(uint64_t First, uint64_t Second) const {
+  // Terminals are dense object ids and rule ids are sequential: mix both
+  // halves through a multiply-xorshift before masking.
+  uint64_t H = (First * 0x9E3779B97F4A7C15ull) ^ Second;
+  H ^= H >> 32;
+  H *= 0xD6E8FEB86659FD93ull;
+  H ^= H >> 32;
+  return static_cast<size_t>(H) & Mask;
+}
+
+size_t Sequitur::DigramTable::find(uint64_t First, uint64_t Second) const {
+  size_t I = home(First, Second);
+  while (Slots[I].Sym &&
+         (Slots[I].First != First || Slots[I].Second != Second))
+    I = (I + 1) & Mask;
+  return I;
+}
+
+Sequitur::Symbol *&Sequitur::DigramTable::at(const Symbol *Sym) {
+  if ((Count + 1) * 2 > Slots.size()) // Load factor at most 1/2.
+    grow();
+  uint64_t First = encode(Sym), Second = encode(Sym->Next);
+  Slot &S = Slots[find(First, Second)];
+  if (!S.Sym) {
+    S.First = First;
+    S.Second = Second;
+    ++Count;
+  }
+  return S.Sym;
+}
+
+void Sequitur::DigramTable::eraseIfRecorded(const Symbol *Sym) {
+  size_t Hole = find(encode(Sym), encode(Sym->Next));
+  if (Slots[Hole].Sym != Sym)
+    return;
+  for (size_t Probe = Hole;;) {
+    Probe = (Probe + 1) & Mask;
+    if (!Slots[Probe].Sym)
+      break;
+    size_t Home = home(Slots[Probe].First, Slots[Probe].Second);
+    // Move the probed entry into the hole unless its home lies in the
+    // cyclic interval (Hole, Probe] (then it is still reachable).
+    bool Reachable = Hole < Probe ? (Home > Hole && Home <= Probe)
+                                  : (Home > Hole || Home <= Probe);
+    if (!Reachable) {
+      Slots[Hole] = Slots[Probe];
+      Hole = Probe;
+    }
+  }
+  Slots[Hole].Sym = nullptr;
+  --Count;
+}
+
+void Sequitur::DigramTable::grow() {
+  std::vector<Slot> Old(Slots.size() * 2, Slot{0, 0, nullptr});
+  Old.swap(Slots);
+  Mask = Slots.size() - 1;
+  for (const Slot &S : Old)
+    if (S.Sym)
+      Slots[find(S.First, S.Second)] = S;
+}
+
+//===----------------------------------------------------------------------===//
+// Grammar
+//===----------------------------------------------------------------------===//
+
 Sequitur::Sequitur() {
   Start = newRule();
 }
 
-Sequitur::~Sequitur() {
-  // Free every symbol still linked into a live rule.
-  for (const std::unique_ptr<Rule> &R : Rules) {
-    if (R->Dead)
-      continue;
-    Symbol *Sym = R->first();
-    while (!Sym->isGuard()) {
-      Symbol *Next = Sym->Next;
-      delete Sym;
-      Sym = Next;
-    }
-  }
-}
+// Symbols live in SymbolBlocks and rules in Rules: both free themselves.
+Sequitur::~Sequitur() = default;
 
 Sequitur::Rule *Sequitur::newRule() {
   auto R = std::make_unique<Rule>();
@@ -66,14 +129,36 @@ Sequitur::Rule *Sequitur::newRule() {
   return Rules.back().get();
 }
 
+Sequitur::Symbol *Sequitur::newSymbol() {
+  constexpr size_t BlockSize = 4096;
+  Symbol *Sym;
+  if (FreeSymbols) {
+    Sym = FreeSymbols;
+    FreeSymbols = Sym->Next;
+  } else {
+    if (SymbolBlocks.empty() || BlockUsed == BlockSize) {
+      SymbolBlocks.push_back(std::make_unique<Symbol[]>(BlockSize));
+      BlockUsed = 0;
+    }
+    Sym = &SymbolBlocks.back()[BlockUsed++];
+  }
+  *Sym = Symbol();
+  return Sym;
+}
+
+void Sequitur::freeSymbol(Symbol *Sym) {
+  Sym->Next = FreeSymbols;
+  FreeSymbols = Sym;
+}
+
 Sequitur::Symbol *Sequitur::newTerminal(uint32_t Terminal) {
-  Symbol *Sym = new Symbol();
+  Symbol *Sym = newSymbol();
   Sym->Terminal = Terminal;
   return Sym;
 }
 
 Sequitur::Symbol *Sequitur::newNonTerminal(Rule *R) {
-  Symbol *Sym = new Symbol();
+  Symbol *Sym = newSymbol();
   Sym->Ref = R;
   ++R->UseCount;
   return Sym;
@@ -86,16 +171,10 @@ uint64_t Sequitur::encode(const Symbol *Sym) {
   return uint64_t(Sym->Terminal) << 1;
 }
 
-uint64_t Sequitur::digramKey(const Symbol *First) const {
-  return (encode(First) << 32) ^ encode(First->Next);
-}
-
 void Sequitur::removeDigram(Symbol *First) {
   if (First->isGuard() || First->Next->isGuard())
     return;
-  auto It = Digrams.find(digramKey(First));
-  if (It != Digrams.end() && It->second == First)
-    Digrams.erase(It);
+  Digrams.eraseIfRecorded(First);
 }
 
 void Sequitur::join(Symbol *Left, Symbol *Right) {
@@ -118,7 +197,7 @@ void Sequitur::deleteSymbol(Symbol *Sym) {
     assert(Sym->Ref->UseCount > 0 && "use count underflow");
     --Sym->Ref->UseCount;
   }
-  delete Sym;
+  freeSymbol(Sym);
 }
 
 void Sequitur::append(uint32_t Terminal) {
@@ -131,11 +210,12 @@ void Sequitur::append(uint32_t Terminal) {
 bool Sequitur::check(Symbol *First) {
   if (First->isGuard() || First->Next->isGuard())
     return false;
-  uint64_t Key = digramKey(First);
-  auto [It, Inserted] = Digrams.emplace(Key, First);
-  if (Inserted)
+  Symbol *&Recorded = Digrams.at(First);
+  if (!Recorded) {
+    Recorded = First;
     return false;
-  Symbol *Found = It->second;
+  }
+  Symbol *Found = Recorded;
   if (Found->Next != First) // Non-overlapping occurrence: enforce uniqueness.
     match(First, Found);
   return true;
@@ -158,7 +238,7 @@ void Sequitur::match(Symbol *New, Symbol *Found) {
     insertAfter(R->last(), B);
     substitute(Found, R);
     substitute(New, R);
-    Digrams[digramKey(R->first())] = R->first();
+    Digrams.at(R->first()) = R->first();
   }
   // Rule utility: if the rule's first symbol is a nonterminal whose rule is
   // now used only once, inline it.
@@ -191,7 +271,7 @@ void Sequitur::expandSoleUse(Symbol *NonTerminal) {
   // Unlink the nonterminal without touching the rule's body.
   removeDigram(NonTerminal);
   --R->UseCount;
-  delete NonTerminal;
+  freeSymbol(NonTerminal);
 
   Left->Next = First;
   First->Prev = Left;
@@ -199,7 +279,7 @@ void Sequitur::expandSoleUse(Symbol *NonTerminal) {
   Right->Prev = Last;
 
   if (!Right->isGuard())
-    Digrams[digramKey(Last)] = Last;
+    Digrams.at(Last) = Last;
 
   R->Dead = true;
   R->Guard.Next = &R->Guard;

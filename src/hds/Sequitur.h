@@ -13,14 +13,19 @@
 /// least twice). Repeated access sequences therefore condense into rules,
 /// whose expansions are the candidate hot data streams.
 ///
+/// Appending is the HDS pipeline's hot loop (one call per reference-trace
+/// entry), so the digram index is a flat open-addressed table keyed on
+/// both symbols exactly, and symbols come from a free-listed pool rather
+/// than one heap allocation each.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef HALO_HDS_SEQUITUR_H
 #define HALO_HDS_SEQUITUR_H
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 namespace halo {
@@ -80,15 +85,51 @@ private:
   void expandSoleUse(Symbol *NonTerminal);
 
   static uint64_t encode(const Symbol *Sym);
-  uint64_t digramKey(const Symbol *First) const;
 
+  /// The digram index: (encoding of the first symbol, encoding of the
+  /// second) -> the occurrence on record. Linear probing over a
+  /// power-of-two array with backward-shift deletion, so no tombstones.
+  class DigramTable {
+  public:
+    DigramTable();
+    /// The occurrence recorded for the digram starting at \p Sym,
+    /// inserting an empty (nullptr) entry when there is none --
+    /// operator[] semantics. The reference is valid until the next call.
+    Symbol *&at(const Symbol *Sym);
+    /// Drops the digram starting at \p Sym when \p Sym is its occurrence
+    /// on record.
+    void eraseIfRecorded(const Symbol *Sym);
+
+  private:
+    struct Slot {
+      uint64_t First;
+      uint64_t Second;
+      Symbol *Sym; ///< nullptr: empty slot.
+    };
+    size_t home(uint64_t First, uint64_t Second) const;
+    /// The slot holding the key, or the empty slot ending its probe chain.
+    size_t find(uint64_t First, uint64_t Second) const;
+    void grow();
+
+    std::vector<Slot> Slots;
+    size_t Mask = 0;
+    size_t Count = 0;
+  };
+
+  Symbol *newSymbol();
+  void freeSymbol(Symbol *Sym);
   Symbol *newTerminal(uint32_t Terminal);
   Symbol *newNonTerminal(Rule *R);
   Rule *newRule();
 
   std::vector<std::unique_ptr<Rule>> Rules;
-  std::unordered_map<uint64_t, Symbol *> Digrams;
+  DigramTable Digrams;
   Rule *Start = nullptr;
+  /// Symbol pool: fixed-size blocks carved in order; freed symbols are
+  /// chained through Next and reused first.
+  std::vector<std::unique_ptr<Symbol[]>> SymbolBlocks;
+  size_t BlockUsed = 0;
+  Symbol *FreeSymbols = nullptr;
 };
 
 } // namespace halo

@@ -2,7 +2,6 @@
 
 #include "profile/HeapProfiler.h"
 
-#include <algorithm>
 #include <cassert>
 
 using namespace halo;
@@ -20,32 +19,36 @@ void HeapProfiler::onAlloc(uint64_t Addr, uint64_t Size,
   ContextId Ctx = Contexts.intern(Shadow.allocationContext(MallocSite));
   ++Contexts.info(Ctx).Allocations;
   ObjectId Obj = Objects.insert(Addr, Size, Ctx, MallocSite);
-  if (Ctx >= AllocSeqsByCtx.size())
-    AllocSeqsByCtx.resize(Ctx + 1);
-  AllocSeqsByCtx[Ctx].push_back(Objects.record(Obj).AllocSeq);
+  uint64_t Seq = Objects.record(Obj).AllocSeq;
+  if (Ctx >= LastOfContext.size())
+    LastOfContext.resize(Ctx + 1, ~0u);
+  ContextNeighbours Mine{0, NoNext};
+  if (ObjectId Last = LastOfContext[Ctx]; Last != ~0u) {
+    Mine.Prev = Objects.record(Last).AllocSeq;
+    Neighbours[Last].Next = Seq;
+  }
+  LastOfContext[Ctx] = Obj;
+  assert(Neighbours.size() == Obj && "object ids are dense");
+  Neighbours.push_back(Mine);
 }
 
 void HeapProfiler::onFree(uint64_t Addr) { Objects.erase(Addr); }
 
 bool HeapProfiler::coAllocatable(const AffinityQueue::Entry &New,
-                                 const AffinityQueue::Entry &Old,
-                                 ContextId NewCtx) const {
+                                 const AffinityQueue::Entry &Old) const {
   // Co-allocatability: no allocation made chronologically between u and v
   // may originate from either of their contexts; otherwise placing all
   // allocations of the two contexts contiguously in one pool could not
-  // have put u and v next to each other.
-  uint64_t Lo = std::min(New.AllocSeq, Old.AllocSeq);
-  uint64_t Hi = std::max(New.AllocSeq, Old.AllocSeq);
-  for (ContextId Ctx : {NewCtx, static_cast<ContextId>(Old.Node)}) {
-    if (Ctx >= AllocSeqsByCtx.size())
-      continue;
-    const std::vector<uint64_t> &Seqs = AllocSeqsByCtx[Ctx];
-    // Any sequence number strictly inside (Lo, Hi)?
-    auto It = std::upper_bound(Seqs.begin(), Seqs.end(), Lo);
-    if (It != Seqs.end() && *It < Hi)
-      return false;
-  }
-  return true;
+  // have put u and v next to each other. With A the older object and B
+  // the newer, the nearest candidates are A's successor within A's
+  // context and B's predecessor within B's: some allocation of either
+  // context lies strictly between A and B exactly when one of those two
+  // does.
+  bool NewIsOlder = New.AllocSeq < Old.AllocSeq;
+  const AffinityQueue::Entry &A = NewIsOlder ? New : Old;
+  const AffinityQueue::Entry &B = NewIsOlder ? Old : New;
+  return Neighbours[A.Object].Next >= B.AllocSeq &&
+         Neighbours[B.Object].Prev <= A.AllocSeq;
 }
 
 void HeapProfiler::onAccess(uint64_t Addr, uint64_t Size, bool IsStore) {
@@ -70,10 +73,6 @@ void HeapProfiler::handleAccess(uint64_t Addr, uint64_t Size, bool) {
     return; // Not a (live) heap object: stack/global traffic.
   const ObjectRecord &Rec = Objects.record(Obj);
 
-  if (Options.RecordReferenceTrace &&
-      (RefTrace.empty() || RefTrace.back() != Obj))
-    RefTrace.push_back(Obj);
-
   // The affinity analysis only considers groupable objects.
   if (Rec.Size > Options.MaxObjectSize)
     return;
@@ -84,7 +83,7 @@ void HeapProfiler::handleAccess(uint64_t Addr, uint64_t Size, bool) {
   AffinityQueue::Entry New{Obj, Rec.Ctx, Rec.AllocSeq, Size, 0};
   bool NewAccess = Queue.access(
       Obj, Rec.Ctx, Rec.AllocSeq, Size, [&](const AffinityQueue::Entry &Old) {
-        if (Options.CoAllocatability && !coAllocatable(New, Old, Rec.Ctx))
+        if (Options.CoAllocatability && !coAllocatable(New, Old))
           return;
         Graph.addEdgeWeight(Rec.Ctx, Old.Node);
       });

@@ -13,9 +13,6 @@
 /// co-allocatability). After the run the graph's coldest nodes are filtered
 /// so the surviving nodes cover 90% of observed accesses.
 ///
-/// It can additionally record the object-level reference trace that the
-/// hot-data-streams comparison technique (hds/) consumes.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef HALO_PROFILE_HEAPPROFILER_H
@@ -46,11 +43,9 @@ struct ProfileOptions {
   bool Dedup = true;
   bool NoDoubleCount = true;
   bool CoAllocatability = true;
-  /// Record the object-level reference trace (needed by hds/).
-  bool RecordReferenceTrace = false;
 };
 
-/// Builds the affinity graph (and optional reference trace) from a run.
+/// Builds the affinity graph from a run.
 class HeapProfiler final : public RuntimeObserver {
 public:
   HeapProfiler(const Program &Prog, const ProfileOptions &Options);
@@ -81,17 +76,24 @@ public:
   /// All object metadata, indexed by ObjectId.
   const LiveObjectMap &objects() const { return Objects; }
 
-  /// The object-level reference trace (consecutive duplicates merged);
-  /// empty unless RecordReferenceTrace was set.
-  const std::vector<ObjectId> &referenceTrace() const { return RefTrace; }
-
   /// Total macro-level heap accesses observed.
   uint64_t totalAccesses() const { return MacroAccesses; }
 
 private:
   void handleAccess(uint64_t Addr, uint64_t Size, bool IsStore);
   bool coAllocatable(const AffinityQueue::Entry &New,
-                     const AffinityQueue::Entry &Old, ContextId NewCtx) const;
+                     const AffinityQueue::Entry &Old) const;
+
+  /// An object's allocation-sequence neighbours within its own context:
+  /// the sequence numbers of the context's previous allocation (0 when
+  /// there is none: 0 never lies above another object's number, so it
+  /// never blocks a pair) and of its next one (NoNext until that
+  /// allocation happens).
+  struct ContextNeighbours {
+    uint64_t Prev;
+    uint64_t Next;
+  };
+  static constexpr uint64_t NoNext = ~0ull;
 
   const Program &Prog;
   ProfileOptions Options;
@@ -100,10 +102,10 @@ private:
   LiveObjectMap Objects;
   AffinityQueue Queue;
   AffinityGraph Graph;
-  /// Per-context allocation sequence numbers (sorted by construction), used
-  /// for the co-allocatability test.
-  std::vector<std::vector<uint64_t>> AllocSeqsByCtx;
-  std::vector<ObjectId> RefTrace;
+  /// By ObjectId: the co-allocatability test's O(1) input.
+  std::vector<ContextNeighbours> Neighbours;
+  /// By ContextId: the context's latest allocation (~0u before its first).
+  std::vector<ObjectId> LastOfContext;
   uint64_t MacroAccesses = 0;
   bool Taken = false;
 };

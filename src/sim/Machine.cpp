@@ -19,8 +19,11 @@ std::string checkLevel(const char *Level, const CacheConfig &C) {
     return Where + ": line size must be a non-zero power of two";
   if (C.Ways == 0)
     return Where + ": needs at least one way";
+  // Every access past a set's MRU way scans and shifts the set's
+  // recency-ordered tags, so its cost grows with the way count; 256 ways
+  // (2 KiB of tags per set) is far beyond any modelled part.
   if (C.Ways > 256)
-    return Where + ": way count exceeds the 8-bit MRU hint";
+    return Where + ": way count must be at most 256";
   if (C.SizeBytes == 0 ||
       C.SizeBytes % (uint64_t(C.Ways) * C.LineSize) != 0)
     return Where + ": size must be a non-zero multiple of ways * line size";

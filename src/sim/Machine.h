@@ -40,8 +40,8 @@ struct MachineConfig {
   CostModel Costs;
 
   /// Checks every invariant the simulator relies on (power-of-two line and
-  /// page sizes, way spans dividing the level size, way counts fitting the
-  /// MRU hint, a TLB whose entries split evenly into ways, positive
+  /// page sizes, way spans dividing the level size, at most 256 ways per
+  /// set, a TLB whose entries split evenly into ways, positive
   /// latencies and clock). Returns an empty string when the config is sane,
   /// else a description of the first violation.
   std::string validate() const;

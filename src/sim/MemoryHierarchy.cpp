@@ -28,7 +28,7 @@ uint64_t MemoryHierarchy::accessLine(uint64_t LineAddr) {
 
 uint64_t MemoryHierarchy::accessBatch(const MemAccess *Batch, size_t N) {
   // The lookahead is what the batch form enables: the simulator's own
-  // stalls come from its set metadata (megabytes of slot array for the
+  // stalls come from its set metadata (megabytes of tag array for the
   // L3) missing the *host* caches, so each iteration prefetches the L3
   // set a few accesses ahead and the walks overlap. The smaller levels
   // stay host-resident on their own and a hint for them costs more than

@@ -39,7 +39,9 @@ const char *halo::artifactTypeName(ArtifactType Type) {
 namespace {
 
 /// Feeds the sub-option structs shared by both pipeline keys. Every field
-/// participates: any knob change must re-key the artifact.
+/// participates: any knob change must re-key the artifact. The trailing
+/// `false` stands for a retired reference-trace flag that was always off
+/// in keys; it stays so that no key moves.
 void hashProfile(HashBuilder &H, const ProfileOptions &P) {
   H.u64(P.AffinityDistance)
       .f64(P.NodeCoverage)
@@ -47,7 +49,7 @@ void hashProfile(HashBuilder &H, const ProfileOptions &P) {
       .boolean(P.Dedup)
       .boolean(P.NoDoubleCount)
       .boolean(P.CoAllocatability)
-      .boolean(P.RecordReferenceTrace);
+      .boolean(false);
 }
 
 void hashAllocator(HashBuilder &H, const GroupAllocatorOptions &A) {

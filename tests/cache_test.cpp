@@ -1,9 +1,16 @@
 //===- tests/cache_test.cpp - Cache / TLB / hierarchy tests -------------------===//
 
+#include "sim/Machine.h"
 #include "sim/MemoryHierarchy.h"
 #include "sim/TimingModel.h"
+#include "support/Rng.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <list>
+#include <string>
+#include <vector>
 
 using namespace halo;
 
@@ -70,6 +77,121 @@ TEST(Cache, NonPowerOfTwoSetCount) {
   EXPECT_EQ(C.numSets(), 36864u);
   EXPECT_FALSE(C.access(1234567));
   EXPECT_TRUE(C.access(1234567));
+}
+
+namespace {
+
+/// The obviously-correct LRU: one std::list of tags per set, most recent
+/// first, searched linearly, the back dropped when a set overflows.
+class ListLru {
+public:
+  explicit ListLru(const CacheConfig &C)
+      : Ways(C.Ways), LineSize(C.LineSize),
+        Sets(C.SizeBytes / (uint64_t(C.Ways) * C.LineSize)), Lists(Sets) {}
+
+  bool access(uint64_t Addr) {
+    uint64_t Line = Addr / LineSize;
+    std::list<uint64_t> &Set = Lists[Line % Sets];
+    uint64_t Tag = Line / Sets;
+    auto It = std::find(Set.begin(), Set.end(), Tag);
+    if (It != Set.end()) {
+      Set.splice(Set.begin(), Set, It);
+      return true;
+    }
+    Set.push_front(Tag);
+    if (Set.size() > Ways)
+      Set.pop_back();
+    return false;
+  }
+
+  uint64_t sets() const { return Sets; }
+
+private:
+  uint64_t Ways, LineSize, Sets;
+  std::vector<std::list<uint64_t>> Lists;
+};
+
+/// A seeded stream that exercises every replacement path: a few hot sets
+/// each cycling through a pool of half again as many lines as it has
+/// ways (hits at every recency depth, then evictions), immediate repeats
+/// (the MRU probe), and scattered cold lines anywhere.
+std::vector<uint64_t> lruStream(const CacheConfig &C, uint64_t Seed) {
+  Rng R(Seed);
+  uint64_t Sets = C.SizeBytes / (uint64_t(C.Ways) * C.LineSize);
+  std::vector<uint64_t> HotSets;
+  for (int I = 0; I < 4; ++I)
+    HotSets.push_back(R.nextBelow(Sets));
+  uint64_t Pool = C.Ways + C.Ways / 2 + 1;
+  std::vector<uint64_t> Stream;
+  for (int I = 0; I < 20000; ++I) {
+    uint64_t Roll = R.nextBelow(100);
+    if (!Stream.empty() && Roll < 20) {
+      Stream.push_back(Stream.back());
+    } else if (Roll < 90) {
+      uint64_t Line = R.nextBelow(Pool) * Sets + HotSets[R.nextBelow(4)];
+      Stream.push_back(Line * C.LineSize + R.nextBelow(C.LineSize));
+    } else {
+      Stream.push_back(R.nextBelow(uint64_t(1) << 40));
+    }
+  }
+  return Stream;
+}
+
+/// Every cache geometry the oracle covers: each preset's L1, L2 and L3
+/// (Tlb.MatchesListLruOracle covers the dTLBs), a direct-mapped level, a
+/// 256-way level, and the two non-power-of-two set counts outright.
+std::vector<std::pair<std::string, CacheConfig>> oracleGeometries() {
+  std::vector<std::pair<std::string, CacheConfig>> Out;
+  for (const MachineConfig &M : machinePresets()) {
+    Out.push_back({M.Name + " L1", M.Hierarchy.L1});
+    Out.push_back({M.Name + " L2", M.Hierarchy.L2});
+    Out.push_back({M.Name + " L3", M.Hierarchy.L3});
+  }
+  Out.push_back({"1-way", CacheConfig{16 * 1024, 1, 64}});
+  Out.push_back({"256-way", CacheConfig{256 * 64 * 4, 256, 64}});
+  Out.push_back({"36864 sets", CacheConfig{25344 * 1024, 11, 64}});
+  Out.push_back({"49152 sets", CacheConfig{36 * 1024 * 1024, 12, 64}});
+  return Out;
+}
+
+} // namespace
+
+TEST(Cache, MatchesListLruOracle) {
+  for (const auto &[Name, Config] : oracleGeometries()) {
+    Cache C(Config);
+    ListLru Oracle(Config);
+    ASSERT_EQ(C.numSets(), Oracle.sets()) << Name;
+    std::vector<uint64_t> Stream = lruStream(Config, C.numSets() + 17);
+    uint64_t Hits = 0;
+    for (size_t I = 0; I < Stream.size(); ++I) {
+      bool Expected = Oracle.access(Stream[I]);
+      ASSERT_EQ(C.access(Stream[I]), Expected)
+          << Name << ": access " << I << " of " << Stream.size();
+      Hits += Expected;
+    }
+    EXPECT_EQ(C.hits(), Hits) << Name;
+    EXPECT_EQ(C.misses(), Stream.size() - Hits) << Name;
+    // The stream must reach both outcomes, or it proves little.
+    EXPECT_GT(Hits, Stream.size() / 4) << Name;
+    EXPECT_GT(C.misses(), Stream.size() / 20) << Name;
+  }
+}
+
+TEST(Tlb, MatchesListLruOracle) {
+  // Each preset's dTLB (entries x 4 KiB pages), driven through the fused
+  // probe path (mruHit, then accessSlow on a mismatch) as MemoryHierarchy
+  // drives it.
+  for (const MachineConfig &M : machinePresets()) {
+    const HierarchyConfig &H = M.Hierarchy;
+    CacheConfig Geometry{uint64_t(H.TlbEntries) * 4096, H.TlbWays, 4096};
+    Tlb T(H.TlbEntries, H.TlbWays);
+    ListLru Oracle(Geometry);
+    std::vector<uint64_t> Stream = lruStream(Geometry, 7);
+    for (size_t I = 0; I < Stream.size(); ++I) {
+      bool Hit = T.mruHit(Stream[I]) || T.accessSlow(Stream[I]);
+      ASSERT_EQ(Hit, Oracle.access(Stream[I])) << M.Name << ": access " << I;
+    }
+  }
 }
 
 TEST(Tlb, PageGranularity) {

@@ -115,7 +115,7 @@ TEST(MachineValidation, RejectsBrokenGeometries) {
   EXPECT_NE(ZeroWays.validate(), "");
 
   MachineConfig TooManyWays = M;
-  TooManyWays.Hierarchy.L3.Ways = 512; // Exceeds the uint8_t MRU hint.
+  TooManyWays.Hierarchy.L3.Ways = 512; // Past the 256-way scan bound.
   TooManyWays.Hierarchy.L3.SizeBytes = 512 * 64 * 8;
   EXPECT_NE(TooManyWays.validate(), "");
 

@@ -1,10 +1,17 @@
 //===- tests/profiler_test.cpp - HeapProfiler behaviour -----------------------===//
 
+#include "hds/HdsPipeline.h"
 #include "mem/SizeClassAllocator.h"
 #include "profile/HeapProfiler.h"
 #include "profile/LiveObjectMap.h"
+#include "support/Rng.h"
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 using namespace halo;
 
@@ -182,6 +189,89 @@ TEST(Profiler, CoAllocatabilityAllowsAdjacentAllocations) {
   EXPECT_EQ(G.edgeWeight(N[0], N[1]), 1u);
 }
 
+TEST(Profiler, CoAllocatabilityMatchesBruteForce) {
+  // Oracle: with 8-byte accesses and an affinity distance of 16 bytes the
+  // window admits only the previous macro access, so each new macro access
+  // pairs with exactly one object. The pair adds one to its contexts' edge
+  // iff no allocation of either context lies strictly between the two
+  // objects in allocation order -- found here by scanning every allocation
+  // in between.
+  for (uint64_t Seed = 1; Seed <= 6; ++Seed) {
+    Program P;
+    FunctionId Main = P.addFunction("main");
+    FunctionId F = P.addFunction("f");
+    CallSiteId MainToF = P.addCallSite(Main, F, "main>f");
+    std::vector<CallSiteId> Sites;
+    for (int I = 0; I < 4; ++I)
+      Sites.push_back(P.addMallocSite(F, "f>malloc" + std::to_string(I)));
+    SizeClassAllocator Alloc;
+    ProfileOptions Options;
+    Options.AffinityDistance = 16;
+    Options.NodeCoverage = 1.0;
+    HeapProfiler Prof(P, Options);
+    Runtime RT(P, Alloc);
+    RT.addObserver(&Prof);
+
+    Rng R(Seed);
+    std::vector<uint64_t> Addr; // By ObjectId: ids follow allocation order.
+    std::vector<ObjectId> Live;
+    std::vector<std::pair<ObjectId, ObjectId>> Pairs; // (newer access, previous)
+    uint64_t MacroAccesses = 0;
+    ObjectId Last = ~0u;
+    {
+      Runtime::Scope S(RT, MainToF);
+      for (int Step = 0; Step < 4000; ++Step) {
+        uint64_t Roll = R.nextBelow(100);
+        if (Live.empty() || Roll < 25) {
+          Addr.push_back(RT.malloc(16, Sites[R.nextBelow(Sites.size())]));
+          Live.push_back(static_cast<ObjectId>(Addr.size() - 1));
+        } else if (Roll < 30) {
+          size_t I = R.nextBelow(Live.size());
+          RT.free(Addr[Live[I]]);
+          Live[I] = Live.back();
+          Live.pop_back();
+        } else {
+          ObjectId Obj = Live[R.nextBelow(Live.size())];
+          RT.load(Addr[Obj] + R.nextBelow(9), 8);
+          if (Obj == Last)
+            continue; // Merges into the previous macro access.
+          ++MacroAccesses;
+          if (Last != ~0u)
+            Pairs.emplace_back(Obj, Last);
+          Last = Obj;
+        }
+      }
+    }
+
+    auto CtxOf = [&](ObjectId Obj) { return Prof.objects().record(Obj).Ctx; };
+    std::map<std::pair<ContextId, ContextId>, uint64_t> Expected;
+    uint64_t Accepted = 0, Rejected = 0;
+    for (auto [New, Old] : Pairs) {
+      ContextId A = CtxOf(New), B = CtxOf(Old);
+      bool CoAllocatable = true;
+      for (ObjectId Between = std::min(New, Old) + 1;
+           Between < std::max(New, Old); ++Between)
+        if (CtxOf(Between) == A || CtxOf(Between) == B)
+          CoAllocatable = false;
+      if (CoAllocatable)
+        ++Expected[{std::min(A, B), std::max(A, B)}];
+      ++(CoAllocatable ? Accepted : Rejected);
+    }
+    ASSERT_GT(Accepted, 50u) << "seed " << Seed;
+    ASSERT_GT(Rejected, 50u) << "seed " << Seed;
+
+    EXPECT_EQ(Prof.totalAccesses(), MacroAccesses) << "seed " << Seed;
+    AffinityGraph G = Prof.takeGraph();
+    ASSERT_EQ(Prof.contexts().size(), Sites.size());
+    for (ContextId A = 0; A < Sites.size(); ++A)
+      for (ContextId B = A; B < Sites.size(); ++B) {
+        uint64_t Want = Expected[{A, B}];
+        EXPECT_EQ(G.edgeWeight(A, B), Want)
+            << "seed " << Seed << ": contexts " << A << ", " << B;
+      }
+  }
+}
+
 TEST(Profiler, CoAllocatabilityCanBeDisabled) {
   ProfilerHarness H;
   H.Options.CoAllocatability = false;
@@ -236,11 +326,11 @@ TEST(Profiler, StackAccessesIgnored) {
 }
 
 TEST(Profiler, ReferenceTraceDeduplicatesConsecutive) {
+  // HDS's profiler: object tracking plus the merged reference trace.
   ProfilerHarness H;
-  H.Options.RecordReferenceTrace = true;
-  HeapProfiler Prof(H.P, H.Options);
+  ReferenceTraceRecorder Recorder;
   Runtime RT(H.P, H.Alloc);
-  RT.addObserver(&Prof);
+  RT.addObserver(&Recorder);
 
   uint64_t A, B;
   {
@@ -251,8 +341,11 @@ TEST(Profiler, ReferenceTraceDeduplicatesConsecutive) {
   RT.load(A, 8);
   RT.load(A, 8);
   RT.load(B, 8);
+  RT.load(0xdead0000, 8); // Never allocated: not in the trace.
   RT.load(A, 8);
-  EXPECT_EQ(Prof.referenceTrace().size(), 3u); // A, B, A.
+  EXPECT_EQ(Recorder.trace(), (std::vector<ObjectId>{0, 1, 0})); // A, B, A.
+  EXPECT_EQ(Recorder.objects().record(1).ImmediateSite, H.SiteB);
+  EXPECT_EQ(Recorder.objects().record(1).Size, 16u);
 }
 
 TEST(Profiler, FreedObjectAccessesIgnored) {

@@ -1,6 +1,7 @@
 //===- tests/sequitur_test.cpp - SEQUITUR grammar inference -------------------===//
 
 #include "hds/Sequitur.h"
+#include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
@@ -165,4 +166,63 @@ TEST(Sequitur, NumRulesMatchesExtraction) {
   for (char C : std::string("abcdbcabcdbc"))
     S.append(C);
   EXPECT_EQ(S.numRules(), S.extractRules().size());
+}
+
+TEST(Sequitur, LargeTerminalsRoundTrip) {
+  // Terminals at and above 2^31 must stay distinct from the small ones
+  // they equal modulo 2^31: 2147483648 5 is a different digram from 0 5.
+  const std::vector<uint32_t> In{0, 5, 2147483648u, 5};
+  Sequitur S;
+  for (uint32_t T : In)
+    S.append(T);
+  auto Rules = S.extractRules();
+  EXPECT_EQ(Sequitur::expandRule(Rules, 0, 100), In);
+  EXPECT_EQ(Rules.size(), 1u); // No digram repeats: nothing to factor.
+}
+
+TEST(Sequitur, RandomInputsKeepTheGrammarInvariants) {
+  // Oracle for the digram table and the symbol pool: on seeded random
+  // inputs the start rule must expand back to the input, no digram may
+  // occur twice (overlapping runs aside), and every other rule must be
+  // used at least twice. Small alphabets make deep, heavily rewritten
+  // grammars; the large ones put every terminal at or above 2^31, up to
+  // the top of uint32_t.
+  const std::vector<std::vector<uint32_t>> Alphabets{
+      {1, 2},
+      {1, 2, 3, 4, 5},
+      {2147483649u, 2147483650u},
+      {2147483648u, 2147483659u, 3000000000u, 4294967295u},
+  };
+  for (uint64_t Seed = 1; Seed <= 12; ++Seed) {
+    const std::vector<uint32_t> &Alphabet =
+        Alphabets[Seed % Alphabets.size()];
+    Rng R(Seed);
+    std::vector<uint32_t> In;
+    size_t Length = 200 + R.nextBelow(4000);
+    while (In.size() < Length) {
+      // Bursts of one repeated phrase give the grammar real structure.
+      if (In.size() >= 16 && R.nextBool(0.3)) {
+        size_t From = R.nextBelow(In.size() - 8);
+        for (size_t I = 0, N = 2 + R.nextBelow(7); I < N; ++I)
+          In.push_back(In[From + I]);
+      } else {
+        In.push_back(Alphabet[R.nextBelow(Alphabet.size())]);
+      }
+    }
+    Sequitur S;
+    for (uint32_t T : In)
+      S.append(T);
+    auto Rules = S.extractRules();
+    ASSERT_EQ(Sequitur::expandRule(Rules, 0, In.size() + 1), In)
+        << "seed " << Seed;
+    EXPECT_EQ(Rules[0].ExpansionLength, In.size()) << "seed " << Seed;
+    expectDigramUniqueness(Rules);
+    std::vector<uint32_t> Uses(Rules.size(), 0);
+    for (const auto &Rule : Rules)
+      for (const auto &B : Rule.Body)
+        if (B.IsRule)
+          ++Uses[B.Value];
+    for (uint32_t Rule = 1; Rule < Rules.size(); ++Rule)
+      EXPECT_GE(Uses[Rule], 2u) << "seed " << Seed << ": rule " << Rule;
+  }
 }
