@@ -246,7 +246,7 @@ int main(int Argc, char **Argv) {
     double Ms = medianMs(Trials, [&] {
       AffinityQueue Queue(128);
       for (uint64_t I = 0; I < Accesses; ++I)
-        Queue.access(Stream[I], Stream[I] & 63, I, 8,
+        Queue.access(Stream[I], Stream[I] & 63, 8,
                      [&](const AffinityQueue::Entry &) { ++Partners; });
     });
     Rows.push_back({"affinity_queue_access", Objects, Accesses, Ms, Trials});

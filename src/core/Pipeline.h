@@ -72,10 +72,8 @@ HaloArtifacts optimizeBinary(const Program &Prog,
 /// re-executing the workload: the replay path. The profiling stage replays
 /// \p Trace into the heap profiler, producing artifacts bit-identical to
 /// profiling the recorded run directly (plans use the overload above).
-/// Replay feeds the profiler through its batched observer hook
-/// (RuntimeObserver::onAccessBatch) -- one dispatch per run of consecutive
-/// accesses. One recording can feed both the HALO and hot-data-streams
-/// pipelines; the two share no mutable state and may run concurrently.
+/// One recording can feed both the HALO and hot-data-streams pipelines;
+/// the two share no mutable state and may run concurrently.
 HaloArtifacts optimizeBinary(const Program &Prog, const EventTrace &Trace,
                              const HaloParameters &Params = HaloParameters(),
                              const MachineConfig &Machine = defaultMachine());

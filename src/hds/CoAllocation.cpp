@@ -58,7 +58,10 @@ halo::buildCoAllocationSets(const std::vector<HotStream> &Streams,
 
 std::vector<CoAllocationSet>
 halo::packCoAllocationSets(std::vector<CoAllocationSet> Candidates,
+                           uint64_t TraceLength,
                            const CoAllocationOptions &Options) {
+  const double MinBenefit =
+      Options.MinBenefitFraction * static_cast<double>(TraceLength);
   // Greedy approximation to weighted set packing: order by
   // Benefit / sqrt(|S|) and take sets disjoint from everything chosen.
   std::sort(Candidates.begin(), Candidates.end(),
@@ -75,7 +78,7 @@ halo::packCoAllocationSets(std::vector<CoAllocationSet> Candidates,
   for (CoAllocationSet &Candidate : Candidates) {
     if (Options.MaxGroups && Chosen.size() >= Options.MaxGroups)
       break;
-    if (Candidate.Benefit < Options.MinBenefit)
+    if (Candidate.Benefit < MinBenefit)
       continue; // Not profitable enough to enact.
     bool Disjoint = true;
     for (uint32_t Site : Candidate.Sites)

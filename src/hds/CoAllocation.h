@@ -37,12 +37,10 @@ struct CoAllocationOptions {
   uint32_t CacheLineSize = 64;
   /// Upper bound on chosen sets (the artefact's --max-groups); 0 = no cap.
   uint32_t MaxGroups = 0;
-  /// Profitability floor: candidate sets whose projected benefit falls
-  /// below this many saved lines are rejected ([11] only enacts placement
-  /// policies its analysis projects to be profitable). The HDS pipeline
-  /// derives this from MinBenefitFraction and the trace length.
-  double MinBenefit = 0.0;
-  /// Fraction of the trace length used to derive MinBenefit.
+  /// Profitability floor, as a fraction of the trace length: candidate
+  /// sets projected to save fewer lines than this share of the trace are
+  /// rejected ([11] only enacts placement policies its analysis projects
+  /// to be profitable).
   double MinBenefitFraction = 0.0005;
 };
 
@@ -57,10 +55,12 @@ buildCoAllocationSets(const std::vector<HotStream> &Streams,
                       const CoAllocationOptions &Options);
 
 /// Greedy weighted set packing: repeatedly picks the candidate maximising
-/// Benefit / sqrt(|Sites|) among those disjoint from the already chosen.
+/// Benefit / sqrt(|Sites|) among those disjoint from the already chosen,
+/// skipping any whose benefit falls below MinBenefitFraction of
+/// \p TraceLength.
 std::vector<CoAllocationSet>
 packCoAllocationSets(std::vector<CoAllocationSet> Candidates,
-                     const CoAllocationOptions &Options);
+                     uint64_t TraceLength, const CoAllocationOptions &Options);
 
 /// Flattens chosen sets into the site -> group map the runtime policy uses.
 std::unordered_map<uint32_t, uint32_t>

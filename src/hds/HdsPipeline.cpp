@@ -16,22 +16,6 @@ void ReferenceTraceRecorder::onAlloc(uint64_t Addr, uint64_t Size,
 void ReferenceTraceRecorder::onFree(uint64_t Addr) { Objects.erase(Addr); }
 
 void ReferenceTraceRecorder::onAccess(uint64_t Addr, uint64_t, bool) {
-  record(Addr);
-}
-
-void ReferenceTraceRecorder::onAccessBatch(const MemAccess *Batch,
-                                           size_t N) {
-  for (size_t I = 0; I < N; ++I)
-    record(Batch[I].Addr);
-}
-
-RuntimeObserver::AccessHookFn ReferenceTraceRecorder::accessHook() {
-  return [](RuntimeObserver &Self, uint64_t Addr, uint64_t, bool) {
-    static_cast<ReferenceTraceRecorder &>(Self).record(Addr);
-  };
-}
-
-void ReferenceTraceRecorder::record(uint64_t Addr) {
   ObjectId Obj = Objects.find(Addr);
   if (Obj == ~0u)
     return; // Not a (live) heap object: stack/global traffic.
@@ -63,10 +47,9 @@ halo::optimizeBinaryHds(const Program &Prog,
   Out.Analysis = findHotStreams(Recorder.trace(), Params.Streams);
   std::vector<CoAllocationSet> Candidates = buildCoAllocationSets(
       Out.Analysis.Streams, Recorder.objects(), Params.CoAllocation);
-  CoAllocationOptions Packing = Params.CoAllocation;
-  Packing.MinBenefit = Packing.MinBenefitFraction *
-                       static_cast<double>(Out.Analysis.TraceLength);
-  Out.Groups = packCoAllocationSets(std::move(Candidates), Packing);
+  Out.Groups = packCoAllocationSets(std::move(Candidates),
+                                    Out.Analysis.TraceLength,
+                                    Params.CoAllocation);
   Out.SiteToGroup = siteGroupMap(Out.Groups);
   return Out;
 }

@@ -21,7 +21,6 @@
 #include "core/GroupAllocator.h"
 #include "hds/CoAllocation.h"
 #include "hds/HotStreams.h"
-#include "profile/HeapProfiler.h"
 #include "profile/LiveObjectMap.h"
 #include "runtime/Runtime.h"
 #include "sim/Machine.h"
@@ -36,9 +35,6 @@ class BinaryWriter;
 class BinaryReader;
 
 struct HdsParameters {
-  /// Part of the store key only: the reference trace HDS mines reads no
-  /// profiling knob.
-  ProfileOptions Profile;
   HotStreamOptions Streams;
   CoAllocationOptions CoAllocation;
   GroupAllocatorOptions Allocator;
@@ -54,8 +50,6 @@ public:
   void onAlloc(uint64_t Addr, uint64_t Size, CallSiteId MallocSite) override;
   void onFree(uint64_t Addr) override;
   void onAccess(uint64_t Addr, uint64_t Size, bool IsStore) override;
-  void onAccessBatch(const MemAccess *Batch, size_t N) override;
-  AccessHookFn accessHook() override;
 
   /// All object metadata, indexed by ObjectId (no contexts: Ctx is unset).
   const LiveObjectMap &objects() const { return Objects; }
@@ -63,8 +57,6 @@ public:
   const std::vector<ObjectId> &trace() const { return Trace; }
 
 private:
-  void record(uint64_t Addr);
-
   LiveObjectMap Objects;
   std::vector<ObjectId> Trace;
 };
@@ -85,11 +77,9 @@ HdsArtifacts optimizeBinaryHds(const Program &Prog,
                                const MachineConfig &Machine = defaultMachine());
 
 /// Same pipeline, driven by a pre-recorded event trace (see the matching
-/// optimizeBinary overload): the replay path. Replay delivers the
-/// profiler's accesses through the batched observer hook, and the
-/// artifacts save to the same bytes as profiling the recorded run
-/// directly. Safe to run concurrently with the HALO pipeline on the same
-/// trace.
+/// optimizeBinary overload): the replay path. The artifacts save to the
+/// same bytes as profiling the recorded run directly. Safe to run
+/// concurrently with the HALO pipeline on the same trace.
 HdsArtifacts optimizeBinaryHds(const Program &Prog, const EventTrace &Trace,
                                const HdsParameters &Params = HdsParameters(),
                                const MachineConfig &Machine = defaultMachine());

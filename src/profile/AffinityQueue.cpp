@@ -5,10 +5,9 @@
 using namespace halo;
 
 const std::vector<AffinityQueue::Entry> &
-AffinityQueue::push(uint32_t Object, uint32_t Node, uint64_t AllocSeq,
-                    uint64_t Bytes) {
+AffinityQueue::push(uint32_t Object, uint32_t Node, uint64_t Bytes) {
   Candidates.clear();
-  access(Object, Node, AllocSeq, Bytes,
+  access(Object, Node, Bytes,
          [this](const Entry &Partner) { Candidates.push_back(Partner); });
   return Candidates;
 }

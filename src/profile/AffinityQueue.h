@@ -44,7 +44,6 @@ public:
   struct Entry {
     uint32_t Object;
     uint32_t Node;     ///< The object's allocation context.
-    uint64_t AllocSeq; ///< The object's allocation sequence number.
     uint64_t Bytes;    ///< Macro-access size (merged machine accesses).
     uint64_t CumStart; ///< Byte position of this entry's start.
   };
@@ -65,8 +64,8 @@ public:
   /// zero-copy fast path; push() wraps it when a materialised vector is
   /// more convenient.
   template <typename Callback>
-  bool access(uint32_t Object, uint32_t Node, uint64_t AllocSeq,
-              uint64_t Bytes, Callback &&Visit) {
+  bool access(uint32_t Object, uint32_t Node, uint64_t Bytes,
+              Callback &&Visit) {
     if (Bytes == 0)
       Bytes = 1;
 
@@ -132,7 +131,7 @@ public:
       Visit(*It);
     }
 
-    Window.push_back(Entry{Object, Node, AllocSeq, Bytes, NewStart});
+    Window.push_back(Entry{Object, Node, Bytes, NewStart});
     NextCum = NewEnd;
     return true;
   }
@@ -143,7 +142,7 @@ public:
   /// previous macro access. The returned reference is valid until the next
   /// push.
   const std::vector<Entry> &push(uint32_t Object, uint32_t Node,
-                                 uint64_t AllocSeq, uint64_t Bytes);
+                                 uint64_t Bytes);
 
   /// True if the most recent push merged into the previous macro access
   /// (and therefore was not a new access at all).

@@ -2,6 +2,7 @@
 
 #include "profile/HeapProfiler.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace halo;
@@ -19,13 +20,12 @@ void HeapProfiler::onAlloc(uint64_t Addr, uint64_t Size,
   ContextId Ctx = Contexts.intern(Shadow.allocationContext(MallocSite));
   ++Contexts.info(Ctx).Allocations;
   ObjectId Obj = Objects.insert(Addr, Size, Ctx, MallocSite);
-  uint64_t Seq = Objects.record(Obj).AllocSeq;
   if (Ctx >= LastOfContext.size())
     LastOfContext.resize(Ctx + 1, ~0u);
   ContextNeighbours Mine{0, NoNext};
   if (ObjectId Last = LastOfContext[Ctx]; Last != ~0u) {
-    Mine.Prev = Objects.record(Last).AllocSeq;
-    Neighbours[Last].Next = Seq;
+    Mine.Prev = Last;
+    Neighbours[Last].Next = Obj;
   }
   LastOfContext[Ctx] = Obj;
   assert(Neighbours.size() == Obj && "object ids are dense");
@@ -34,8 +34,7 @@ void HeapProfiler::onAlloc(uint64_t Addr, uint64_t Size,
 
 void HeapProfiler::onFree(uint64_t Addr) { Objects.erase(Addr); }
 
-bool HeapProfiler::coAllocatable(const AffinityQueue::Entry &New,
-                                 const AffinityQueue::Entry &Old) const {
+bool HeapProfiler::coAllocatable(ObjectId New, ObjectId Old) const {
   // Co-allocatability: no allocation made chronologically between u and v
   // may originate from either of their contexts; otherwise placing all
   // allocations of the two contexts contiguously in one pool could not
@@ -43,31 +42,13 @@ bool HeapProfiler::coAllocatable(const AffinityQueue::Entry &New,
   // the newer, the nearest candidates are A's successor within A's
   // context and B's predecessor within B's: some allocation of either
   // context lies strictly between A and B exactly when one of those two
-  // does.
-  bool NewIsOlder = New.AllocSeq < Old.AllocSeq;
-  const AffinityQueue::Entry &A = NewIsOlder ? New : Old;
-  const AffinityQueue::Entry &B = NewIsOlder ? Old : New;
-  return Neighbours[A.Object].Next >= B.AllocSeq &&
-         Neighbours[B.Object].Prev <= A.AllocSeq;
+  // does. Object ids are the allocation order.
+  ObjectId A = std::min(New, Old);
+  ObjectId B = std::max(New, Old);
+  return Neighbours[A].Next >= B && Neighbours[B].Prev <= A;
 }
 
-void HeapProfiler::onAccess(uint64_t Addr, uint64_t Size, bool IsStore) {
-  handleAccess(Addr, Size, IsStore);
-}
-
-void HeapProfiler::onAccessBatch(const MemAccess *Batch, size_t N) {
-  for (size_t I = 0; I < N; ++I)
-    handleAccess(Batch[I].Addr, Batch[I].Size, Batch[I].IsStore);
-}
-
-RuntimeObserver::AccessHookFn HeapProfiler::accessHook() {
-  return [](RuntimeObserver &Self, uint64_t Addr, uint64_t Size,
-            bool IsStore) {
-    static_cast<HeapProfiler &>(Self).handleAccess(Addr, Size, IsStore);
-  };
-}
-
-void HeapProfiler::handleAccess(uint64_t Addr, uint64_t Size, bool) {
+void HeapProfiler::onAccess(uint64_t Addr, uint64_t Size, bool) {
   ObjectId Obj = Objects.find(Addr);
   if (Obj == ~0u)
     return; // Not a (live) heap object: stack/global traffic.
@@ -80,10 +61,9 @@ void HeapProfiler::handleAccess(uint64_t Addr, uint64_t Size, bool) {
   // Visit partners straight off the window (no candidate vector copy). A
   // merged (deduplicated) access extends the previous macro access and
   // contributes nothing further.
-  AffinityQueue::Entry New{Obj, Rec.Ctx, Rec.AllocSeq, Size, 0};
-  bool NewAccess = Queue.access(
-      Obj, Rec.Ctx, Rec.AllocSeq, Size, [&](const AffinityQueue::Entry &Old) {
-        if (Options.CoAllocatability && !coAllocatable(New, Old))
+  bool NewAccess =
+      Queue.access(Obj, Rec.Ctx, Size, [&](const AffinityQueue::Entry &Old) {
+        if (Options.CoAllocatability && !coAllocatable(Obj, Old.Object))
           return;
         Graph.addEdgeWeight(Rec.Ctx, Old.Node);
       });

@@ -55,15 +55,9 @@ public:
   void onReturn(CallSiteId Site) override;
   void onAlloc(uint64_t Addr, uint64_t Size, CallSiteId MallocSite) override;
   void onFree(uint64_t Addr) override;
+  /// Runs once per access of the profiled run: Section 4.1's 500x
+  /// profiling slowdown lives on this edge.
   void onAccess(uint64_t Addr, uint64_t Size, bool IsStore) override;
-  /// Batched replay path: one virtual dispatch per run of consecutive
-  /// accesses, then the non-virtual handler in a tight loop (this is how
-  /// the profiling pipelines consume a recorded trace).
-  void onAccessBatch(const MemAccess *Batch, size_t N) override;
-  /// Devirtualized per-access fast path: profiling attaches exactly one
-  /// observer, so the runtime calls the non-virtual handler directly
-  /// (Section 4.1's 500x profiling slowdown lives on this edge).
-  AccessHookFn accessHook() override;
 
   /// Finalises and returns the affinity graph: cold nodes filtered per
   /// NodeCoverage. Call once, after the profiled run.
@@ -80,20 +74,18 @@ public:
   uint64_t totalAccesses() const { return MacroAccesses; }
 
 private:
-  void handleAccess(uint64_t Addr, uint64_t Size, bool IsStore);
-  bool coAllocatable(const AffinityQueue::Entry &New,
-                     const AffinityQueue::Entry &Old) const;
+  bool coAllocatable(ObjectId New, ObjectId Old) const;
 
-  /// An object's allocation-sequence neighbours within its own context:
-  /// the sequence numbers of the context's previous allocation (0 when
-  /// there is none: 0 never lies above another object's number, so it
-  /// never blocks a pair) and of its next one (NoNext until that
-  /// allocation happens).
+  /// An object's allocation-order neighbours within its own context
+  /// (object ids are the allocation order): the id of the context's
+  /// previous allocation (0 when there is none: 0 never lies above another
+  /// object's id, so it never blocks a pair) and of its next one (NoNext
+  /// until that allocation happens).
   struct ContextNeighbours {
-    uint64_t Prev;
-    uint64_t Next;
+    ObjectId Prev;
+    ObjectId Next;
   };
-  static constexpr uint64_t NoNext = ~0ull;
+  static constexpr ObjectId NoNext = ~0u;
 
   const Program &Prog;
   ProfileOptions Options;

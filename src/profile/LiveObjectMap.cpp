@@ -7,8 +7,7 @@ using namespace halo;
 ObjectId LiveObjectMap::insert(uint64_t Addr, uint64_t Size, ContextId Ctx,
                                CallSiteId ImmediateSite) {
   ObjectId Id = static_cast<ObjectId>(Records.size());
-  Records.push_back(ObjectRecord{Addr, Size ? Size : 1, Ctx, ImmediateSite,
-                                 NextSeq++});
+  Records.push_back(ObjectRecord{Addr, Size ? Size : 1, Ctx, ImmediateSite});
   [[maybe_unused]] auto [It, Inserted] = ByAddr.emplace(Addr, Id);
   assert(Inserted && "object overlaps a live allocation");
   return Id;

@@ -22,6 +22,7 @@
 
 namespace halo {
 
+/// Objects are numbered in allocation order: the Nth insert gets id N.
 using ObjectId = uint32_t;
 
 /// Immutable per-object metadata, kept for the lifetime of the profile so
@@ -31,14 +32,13 @@ struct ObjectRecord {
   uint64_t Size = 0;
   ContextId Ctx = InvalidId;
   CallSiteId ImmediateSite = InvalidId; ///< malloc call site (for HDS).
-  uint64_t AllocSeq = 0; ///< Global allocation sequence number.
 };
 
 /// Interval map from addresses to live heap objects.
 class LiveObjectMap {
 public:
-  /// Registers a new live object; returns its id. \p Addr must not overlap
-  /// any live object.
+  /// Registers a new live object; returns its id, the number of objects
+  /// inserted before it. \p Addr must not overlap any live object.
   ObjectId insert(uint64_t Addr, uint64_t Size, ContextId Ctx,
                   CallSiteId ImmediateSite);
 
@@ -59,12 +59,10 @@ public:
 
   uint64_t liveCount() const { return ByAddr.size(); }
   uint64_t totalAllocated() const { return Records.size(); }
-  uint64_t nextSequence() const { return NextSeq; }
 
 private:
   std::map<uint64_t, ObjectId> ByAddr; ///< start addr -> live object.
   std::vector<ObjectRecord> Records;   ///< by ObjectId, never shrinks.
-  uint64_t NextSeq = 0;
   /// Last object find() returned; invalidated when that object is freed.
   /// Inserts never overlap live objects, so a cached hit stays valid.
   mutable ObjectId LastFound = ~0u;

@@ -25,11 +25,6 @@ void RuntimeObserver::onAccessBatch(const MemAccess *Batch, size_t N) {
     onAccess(Batch[I].Addr, Batch[I].Size, Batch[I].IsStore);
 }
 
-RuntimeObserver::AccessHookFn RuntimeObserver::accessHook() {
-  return [](RuntimeObserver &Self, uint64_t Addr, uint64_t Size,
-            bool IsStore) { Self.onAccess(Addr, Size, IsStore); };
-}
-
 Runtime::Runtime(const Program &Prog, Allocator &Alloc)
     : Prog(Prog), Alloc(&Alloc) {}
 
@@ -45,14 +40,9 @@ void Runtime::setInstrumentation(const InstrumentationPlan *NewPlan) {
 void Runtime::addObserver(RuntimeObserver *Observer) {
   assert(Observer && "null observer");
   Observers.push_back(Observer);
-  SoleAccessHook = Observers.size() == 1 ? Observer->accessHook() : nullptr;
 }
 
 void Runtime::notifyAccess(uint64_t Addr, uint64_t Size, bool IsStore) {
-  if (SoleAccessHook) {
-    SoleAccessHook(*Observers.front(), Addr, Size, IsStore);
-    return;
-  }
   for (RuntimeObserver *Obs : Observers)
     Obs->onAccess(Addr, Size, IsStore);
 }

@@ -37,7 +37,8 @@ namespace halo {
 
 class EventTrace;
 
-/// Receives the raw event stream of a run (the Pin-tool role).
+/// Receives the raw event stream of a run (the Pin-tool role). Each
+/// observer handles an access in one place, onAccess.
 class RuntimeObserver {
 public:
   virtual ~RuntimeObserver();
@@ -49,12 +50,8 @@ public:
   /// Pure-compute cycles reported through Runtime::compute (needed by trace
   /// recording; cycle totals are part of a run's metrics).
   virtual void onCompute(uint64_t Cycles);
-  /// Batched form of onAccess: trace replay hands observers whole runs of
-  /// consecutive data accesses in one call. The default forwards
-  /// element-wise to onAccess, so observers that only implement the
-  /// per-event hook keep working; hot observers (HeapProfiler,
-  /// TraceRecorder) override it to loop their non-virtual handler -- one
-  /// dispatch per run instead of per event.
+  /// Trace replay hands observers whole runs of consecutive data accesses
+  /// in one call. The default forwards element by element to onAccess.
   virtual void onAccessBatch(const MemAccess *Batch, size_t N);
   /// Brackets a composite realloc (Addr != 0): the primitive alloc, copy
   /// accesses, and free in between belong to the realloc. Observers that
@@ -62,16 +59,6 @@ public:
   virtual void onReallocBegin(uint64_t OldAddr, uint64_t NewSize,
                               CallSiteId MallocSite);
   virtual void onReallocEnd(uint64_t NewAddr);
-
-  /// Signature of the devirtualized per-access fast path.
-  using AccessHookFn = void (*)(RuntimeObserver &Self, uint64_t Addr,
-                                uint64_t Size, bool IsStore);
-  /// Hook the runtime calls for every access when this is the *only*
-  /// attached observer (the profiling configuration). Concrete observers
-  /// return a thunk onto their non-virtual handler so the hot access path
-  /// pays one direct call instead of a virtual dispatch; the default
-  /// forwards to the virtual onAccess.
-  virtual AccessHookFn accessHook();
 };
 
 /// Aggregate event counters for a run.
@@ -210,9 +197,8 @@ private:
     int32_t Bit; ///< Group-state bit set on entry, or -1.
   };
 
-  /// Out-of-line observer dispatch for accesses: a single observer goes
-  /// through its devirtualized hook, multiple observers through the
-  /// virtual interface.
+  /// Out-of-line observer dispatch for accesses, keeping load() and
+  /// store() small.
   void notifyAccess(uint64_t Addr, uint64_t Size, bool IsStore);
 
   /// Executes one run of consecutive replayed data accesses (of which
@@ -235,9 +221,6 @@ private:
   RuntimeStats Stats;
   std::vector<FrameRecord> Stack;
   std::vector<RuntimeObserver *> Observers;
-  /// Cached devirtualized access hook; non-null iff exactly one observer
-  /// is attached.
-  RuntimeObserver::AccessHookFn SoleAccessHook = nullptr;
 };
 
 } // namespace halo

@@ -32,93 +32,86 @@ Frame HaloClient::readExpected() {
   return std::move(*F);
 }
 
-uint64_t HaloClient::submit(const PlanRequest &R) {
-  writeFrame(Conn, MsgType::SubmitPlan, encodePlanRequest(R));
-  // Results of earlier still-running plans may arrive between the
-  // submit and its PlanQueued; buffer them for their own wait().
-  for (;;) {
-    Frame F = readExpected();
-    switch (F.Type) {
-    case MsgType::PlanQueued: {
-      PlanQueuedMsg Q = decodePlanQueued(F.Payload);
-      PromisedCells[Q.PlanId] = Q.NumCells;
-      return Q.PlanId;
-    }
-    case MsgType::CellResult: {
-      CellResultMsg M = decodeCellResult(F.Payload);
-      PendingCells[M.PlanId].push_back(std::move(M));
-      break;
-    }
-    case MsgType::PlanDone: {
-      PlanDoneMsg D = decodePlanDone(F.Payload);
-      PendingDone.emplace(D.PlanId, D);
-      break;
-    }
-    case MsgType::Error:
-      throw std::runtime_error("serve: " + decodeError(F.Payload).Message);
-    default:
-      throw ProtocolError("serve: unexpected frame during submit");
-    }
+void HaloClient::bufferPlanFrame(const Frame &F, const char *During) {
+  if (F.Type == MsgType::CellResult) {
+    CellResultMsg M = decodeCellResult(F.Payload);
+    PendingCells[M.PlanId].push_back(std::move(M));
+  } else if (F.Type == MsgType::PlanDone) {
+    PlanDoneMsg D = decodePlanDone(F.Payload);
+    PendingDone.emplace(D.PlanId, D);
+  } else if (F.Type == MsgType::Error) {
+    throw std::runtime_error("serve: " + decodeError(F.Payload).Message);
+  } else {
+    throw ProtocolError(std::string("serve: unexpected frame during ") +
+                        During);
   }
 }
 
-PlanOutcome HaloClient::wait(uint64_t PlanId, const CellFn &OnCell) {
-  std::vector<CellResultMsg> Cells;
-
-  // Anything that raced in during an earlier submit()/wait() first.
-  auto Buffered = PendingCells.find(PlanId);
-  if (Buffered != PendingCells.end()) {
-    Cells = std::move(Buffered->second);
-    PendingCells.erase(Buffered);
-  }
-  if (OnCell)
-    for (const CellResultMsg &M : Cells)
-      OnCell(M);
-
-  std::optional<PlanDoneMsg> Done;
-  auto BufferedDone = PendingDone.find(PlanId);
-  if (BufferedDone != PendingDone.end()) {
-    Done = BufferedDone->second;
-    PendingDone.erase(BufferedDone);
-  }
-
-  while (!Done) {
+Frame HaloClient::awaitReply(MsgType Reply, const char *During) {
+  for (;;) {
     Frame F = readExpected();
-    switch (F.Type) {
-    case MsgType::CellResult: {
-      CellResultMsg M = decodeCellResult(F.Payload);
-      if (M.PlanId == PlanId) {
-        if (OnCell)
-          OnCell(M);
-        Cells.push_back(std::move(M));
-      } else {
-        PendingCells[M.PlanId].push_back(std::move(M));
-      }
-      break;
-    }
-    case MsgType::PlanDone: {
-      PlanDoneMsg D = decodePlanDone(F.Payload);
-      if (D.PlanId == PlanId)
-        Done = D;
-      else
-        PendingDone.emplace(D.PlanId, D);
-      break;
-    }
-    case MsgType::Error: {
-      ErrorMsg E = decodeError(F.Payload);
-      throw std::runtime_error("serve: " + E.Message);
-    }
-    default:
-      throw ProtocolError("serve: unexpected frame during wait");
-    }
+    if (F.Type == Reply)
+      return F;
+    bufferPlanFrame(F, During);
   }
+}
+
+uint64_t HaloClient::submit(const PlanRequest &R) {
+  writeFrame(Conn, MsgType::SubmitPlan, encodePlanRequest(R));
+  PlanQueuedMsg Q =
+      decodePlanQueued(awaitReply(MsgType::PlanQueued, "submit").Payload);
+  PromisedCells[Q.PlanId] = Q.NumCells;
+  return Q.PlanId;
+}
+
+PlanOutcome HaloClient::wait(uint64_t PlanId, const CellFn &OnCell) {
+  auto Promised = PromisedCells.find(PlanId);
+  if (Promised == PromisedCells.end())
+    throw std::invalid_argument("serve: wait on plan " +
+                                std::to_string(PlanId) +
+                                ", which this client did not submit");
+  PlanOutcome Outcome;
+  Outcome.NumCells = Promised->second;
+  PromisedCells.erase(Promised);
+
+  // Cells that raced in during an earlier call are delivered first, then
+  // each one as it arrives, until the plan's PlanDone. Every cell must be
+  // one PlanQueued promised.
+  size_t Delivered = 0;
+  auto Deliver = [&] {
+    std::vector<CellResultMsg> &Arrived = PendingCells[PlanId];
+    for (; Delivered < Arrived.size(); ++Delivered) {
+      if (Arrived[Delivered].CellIndex >= Outcome.NumCells)
+        throw ProtocolError("serve: cell index out of range");
+      if (OnCell)
+        OnCell(Arrived[Delivered]);
+    }
+  };
+  Deliver();
+  while (!PendingDone.count(PlanId)) {
+    bufferPlanFrame(readExpected(), "wait");
+    Deliver();
+  }
+  PlanDoneMsg Done = PendingDone.at(PlanId);
+  PendingDone.erase(PlanId);
+  std::vector<CellResultMsg> Cells = std::move(PendingCells[PlanId]);
+  PendingCells.erase(PlanId);
 
   // Reassemble in the daemon's plan cell order: completed plans come back
-  // byte-identical to a local runPlan of the same spec.
+  // byte-identical to a local runPlan of the same spec. No cell may arrive
+  // twice, and an Ok plan must deliver every promised cell.
   std::sort(Cells.begin(), Cells.end(),
             [](const CellResultMsg &A, const CellResultMsg &B) {
               return A.CellIndex < B.CellIndex;
             });
+  for (size_t I = 1; I < Cells.size(); ++I)
+    if (Cells[I].CellIndex == Cells[I - 1].CellIndex)
+      throw ProtocolError("serve: cell streamed twice");
+  if (Done.Status == PlanStatus::Ok && Cells.size() != Outcome.NumCells)
+    throw ProtocolError("serve: plan completed with " +
+                        std::to_string(Cells.size()) + " of " +
+                        std::to_string(Outcome.NumCells) + " cells");
+
   std::vector<ResultSet::Cell> Reassembled;
   Reassembled.reserve(Cells.size());
   for (CellResultMsg &M : Cells) {
@@ -129,15 +122,9 @@ PlanOutcome HaloClient::wait(uint64_t PlanId, const CellFn &OnCell) {
     Reassembled.push_back(std::move(C));
   }
 
-  PlanOutcome Outcome;
-  Outcome.Status = Done->Status;
-  Outcome.Message = Done->Message;
+  Outcome.Status = Done.Status;
+  Outcome.Message = Done.Message;
   Outcome.CellsReceived = Cells.size();
-  auto Promised = PromisedCells.find(PlanId);
-  if (Promised != PromisedCells.end()) {
-    Outcome.NumCells = Promised->second;
-    PromisedCells.erase(Promised);
-  }
   Outcome.Results = ResultSet::fromCells(std::move(Reassembled));
   return Outcome;
 }
@@ -148,38 +135,10 @@ void HaloClient::cancel(uint64_t PlanId) {
 
 DaemonStats HaloClient::stats() {
   writeFrame(Conn, MsgType::Stats, {});
-  for (;;) {
-    Frame F = readExpected();
-    if (F.Type == MsgType::StatsReply)
-      return decodeStatsReply(F.Payload);
-    // Cells of still-running plans may interleave with the reply.
-    if (F.Type == MsgType::CellResult) {
-      CellResultMsg M = decodeCellResult(F.Payload);
-      PendingCells[M.PlanId].push_back(std::move(M));
-      continue;
-    }
-    if (F.Type == MsgType::PlanDone) {
-      PlanDoneMsg D = decodePlanDone(F.Payload);
-      PendingDone.emplace(D.PlanId, D);
-      continue;
-    }
-    if (F.Type == MsgType::Error)
-      throw std::runtime_error("serve: " + decodeError(F.Payload).Message);
-    throw ProtocolError("serve: unexpected frame during stats");
-  }
+  return decodeStatsReply(awaitReply(MsgType::StatsReply, "stats").Payload);
 }
 
 void HaloClient::shutdownServer() {
   writeFrame(Conn, MsgType::Shutdown, {});
-  for (;;) {
-    Frame F = readExpected();
-    if (F.Type == MsgType::ShutdownAck)
-      return;
-    if (F.Type == MsgType::Error)
-      throw std::runtime_error("serve: " + decodeError(F.Payload).Message);
-    // Drain whatever was still streaming.
-    if (F.Type == MsgType::CellResult || F.Type == MsgType::PlanDone)
-      continue;
-    throw ProtocolError("serve: unexpected frame during shutdown");
-  }
+  awaitReply(MsgType::ShutdownAck, "shutdown");
 }

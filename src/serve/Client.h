@@ -71,7 +71,10 @@ public:
 
   /// Blocks until \p PlanId's PlanDone, collecting its cells (and
   /// invoking \p OnCell per arrival -- cancel() from inside the callback
-  /// is allowed). Throws on protocol or connection errors.
+  /// is allowed). Throws on connection errors, and ProtocolError when a
+  /// cell index is out of the promised range or repeats, or when an Ok
+  /// plan delivered fewer or more cells than PlanQueued promised. Throws
+  /// std::invalid_argument for a plan this client did not submit.
   PlanOutcome wait(uint64_t PlanId, const CellFn &OnCell = nullptr);
 
   /// Asks the daemon to stop handing out further tasks of \p PlanId.
@@ -82,19 +85,27 @@ public:
   DaemonStats stats();
 
   /// Asks the daemon to shut down; returns once ShutdownAck arrives.
+  /// Frames of plans still in flight are kept for their wait().
   void shutdownServer();
 
 private:
-  /// Reads one frame; throws if the daemon hung up mid-conversation or
-  /// sent a session-level Error.
+  /// Reads one frame; throws if the daemon hung up mid-conversation.
   Frame readExpected();
+
+  /// Buffers a CellResult or PlanDone for its plan's wait(). Throws on an
+  /// Error frame, and ProtocolError naming \p During on any other type.
+  void bufferPlanFrame(const Frame &F, const char *During);
+
+  /// Reads frames until one of type \p Reply arrives and returns it,
+  /// buffering the frames of plans in flight on the way.
+  Frame awaitReply(MsgType Reply, const char *During);
 
   Socket Conn;
   HelloAckMsg Ack;
   /// NumCells per submitted plan, from PlanQueued, for PlanOutcome.
   std::map<uint64_t, uint64_t> PromisedCells;
-  /// Frames for other plans that arrived while reading for one (several
-  /// plans may be in flight on one connection).
+  /// Frames of plans not yet collected by wait() (several plans may be in
+  /// flight on one connection).
   std::map<uint64_t, std::vector<CellResultMsg>> PendingCells;
   std::map<uint64_t, PlanDoneMsg> PendingDone;
 };

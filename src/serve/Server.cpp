@@ -10,6 +10,9 @@
 
 using namespace halo;
 
+/// Plans admitted before submitting readers block (backpressure).
+static constexpr size_t MaxQueuedPlans = 4;
+
 HaloDaemon::HaloDaemon(DaemonConfig ConfigIn) : Config(std::move(ConfigIn)) {}
 
 HaloDaemon::~HaloDaemon() {
@@ -254,7 +257,7 @@ void HaloDaemon::handleSubmit(const std::shared_ptr<ServeSession> &S,
   {
     std::unique_lock<std::mutex> Lock(Mu);
     QueueCv.wait(Lock, [&] {
-      return ShuttingDown || Plans.size() < Config.MaxQueuedPlans;
+      return ShuttingDown || Plans.size() < MaxQueuedPlans;
     });
     if (ShuttingDown) {
       Lock.unlock();

@@ -31,7 +31,7 @@
 /// artifact bundle already held by the daemon's Evaluations -- runs
 /// measurements only: it schedules no load or materialise task and writes
 /// nothing to the store (buildPlan, eval/Experiment.h). Plan admission is
-/// bounded: past MaxQueuedPlans, submitting readers block (backpressure
+/// bounded: past four queued plans, submitting readers block (backpressure
 /// on that client alone) until a plan retires.
 ///
 /// Determinism ("served = local", README): a plan's results are a
@@ -72,8 +72,6 @@ struct DaemonConfig {
   int Jobs = 0;
   /// Artifact store directory; empty = serve without a store.
   std::string StoreDir;
-  /// Plans admitted before submitting readers block (backpressure).
-  size_t MaxQueuedPlans = 4;
 };
 
 /// The daemon. Construct, then serve() until a client sends Shutdown (or

@@ -113,13 +113,15 @@ StoreKey halo::hdsStoreKey(const std::string &Benchmark, Scale ProfileScale,
   HashBuilder H =
       keyPrefix("halo.store.hds", Schema, Benchmark, ProfileScale,
                 ProfileSeed);
-  hashProfile(H, Params.Profile);
+  // HDS reads no profiling knob and no absolute benefit floor; the
+  // defaults and 0.0 hold their places so existing keys stay valid.
+  hashProfile(H, ProfileOptions());
   H.u32(Params.Streams.MinLength)
       .u32(Params.Streams.MaxLength)
       .f64(Params.Streams.Coverage);
   H.u32(Params.CoAllocation.CacheLineSize)
       .u32(Params.CoAllocation.MaxGroups)
-      .f64(Params.CoAllocation.MinBenefit)
+      .f64(0.0)
       .f64(Params.CoAllocation.MinBenefitFraction);
   hashAllocator(H, Params.Allocator);
   Key.Hash = H.hash();

@@ -26,105 +26,36 @@ void TraceRecorder::onCall(CallSiteId Site) { Trace.recordCall(Site); }
 
 void TraceRecorder::onReturn(CallSiteId) { Trace.recordReturn(); }
 
-void TraceRecorder::onAlloc(uint64_t Addr, uint64_t Size,
+void TraceRecorder::onAlloc([[maybe_unused]] uint64_t Addr, uint64_t Size,
                             CallSiteId MallocSite) {
-  // Sequential id assignment and the trace's implicit minting advance in
-  // lockstep: every allocation lands here, and every allocation is minted
-  // either by recordAlloc below or by the enclosing composite's
-  // recordRealloc.
-  if (Arena) {
-    assert(Arena->idOf(Addr) ==
-               Trace.numObjects() - (InRealloc ? 1 : 0) &&
-           "arena ids diverged from the trace's minting order");
-    if (!InRealloc)
-      Trace.recordAlloc(MallocSite, Size);
-    return;
-  }
-  ObjectId Id = static_cast<ObjectId>(Spans.size());
-  Spans.push_back(ObjectSpan{Addr, Size ? Size : 1});
-  ByBase.insert(Addr, Id);
-  Pending.push_back(IntervalOp{Addr, Id});
-  if (InRealloc)
-    return;
-  [[maybe_unused]] ObjectId Minted = Trace.recordAlloc(MallocSite, Size);
-  assert(Minted == Id && "trace object ids diverged from the recorder's");
+  // The arena's ids and the trace's implicit minting advance in lockstep:
+  // every allocation lands here, and every allocation is minted either by
+  // recordAlloc below or by the enclosing composite's recordRealloc.
+  assert(Arena.idOf(Addr) == Trace.numObjects() - (InRealloc ? 1 : 0) &&
+         "arena ids diverged from the trace's minting order");
+  if (!InRealloc)
+    Trace.recordAlloc(MallocSite, Size);
 }
 
 void TraceRecorder::onFree(uint64_t Addr) {
-  if (Arena) {
-    // The runtime notifies before the arena retires the object, so the id
-    // still resolves here.
-    ObjectId Id = Arena->idOf(Addr);
-    assert(Id != ~0u && Arena->liveId(Id) && "freeing a dead object");
-    if (!InRealloc)
-      Trace.recordFree(Id);
-    return;
-  }
-  const uint32_t *Id = ByBase.find(Addr);
-  assert(Id && "freeing an address no live object starts at");
-  ObjectId Freed = *Id;
-  ByBase.erase(Addr);
-  Pending.push_back(IntervalOp{Addr, ~0u});
+  // The runtime notifies before the arena retires the object, so the id
+  // still resolves here.
+  ObjectId Id = Arena.idOf(Addr);
+  assert(Id != ~0u && Arena.liveId(Id) && "freeing a dead object");
   if (!InRealloc)
-    Trace.recordFree(Freed);
-}
-
-/// Slow path: resolve an interior pointer (or report a non-heap address)
-/// through the ordered interval map, synchronising it first.
-ObjectId TraceRecorder::findInterior(uint64_t Addr) {
-  for (const IntervalOp &Op : Pending) {
-    if (Op.Id == ~0u)
-      Intervals.erase(Op.Addr);
-    else
-      Intervals[Op.Addr] = Op.Id;
-  }
-  Pending.clear();
-  auto It = Intervals.upper_bound(Addr);
-  if (It == Intervals.begin())
-    return ~0u;
-  --It;
-  const ObjectSpan &Span = Spans[It->second];
-  return Addr < Span.Addr + Span.Size ? It->second : ~0u;
-}
-
-void TraceRecorder::handleAccess(uint64_t Addr, uint64_t Size, bool IsStore) {
-  if (InRealloc)
-    return; // The copy loop's length is allocator-dependent; replay
-            // re-derives it from the composite Realloc record.
-  if (Arena) {
-    ObjectId Id = Arena->idOf(Addr);
-    if (Id != ~0u && Arena->liveId(Id))
-      Trace.recordAccess(Id, Addr & ((1ull << RecordingArena::IdShift) - 1),
-                         Size, IsStore);
-    else
-      Trace.recordRawAccess(Addr, Size, IsStore);
-    return;
-  }
-  if (const uint32_t *Id = ByBase.find(Addr)) {
-    Trace.recordAccess(*Id, 0, Size, IsStore);
-    return;
-  }
-  ObjectId Id = findInterior(Addr);
-  if (Id != ~0u)
-    Trace.recordAccess(Id, Addr - Spans[Id].Addr, Size, IsStore);
-  else
-    Trace.recordRawAccess(Addr, Size, IsStore);
+    Trace.recordFree(Id);
 }
 
 void TraceRecorder::onAccess(uint64_t Addr, uint64_t Size, bool IsStore) {
-  handleAccess(Addr, Size, IsStore);
-}
-
-void TraceRecorder::onAccessBatch(const MemAccess *Batch, size_t N) {
-  for (size_t I = 0; I < N; ++I)
-    handleAccess(Batch[I].Addr, Batch[I].Size, Batch[I].IsStore);
-}
-
-RuntimeObserver::AccessHookFn TraceRecorder::accessHook() {
-  return [](RuntimeObserver &Self, uint64_t Addr, uint64_t Size,
-            bool IsStore) {
-    static_cast<TraceRecorder &>(Self).handleAccess(Addr, Size, IsStore);
-  };
+  if (InRealloc)
+    return; // The copy loop's length is allocator-dependent; replay
+            // re-derives it from the composite Realloc record.
+  ObjectId Id = Arena.idOf(Addr);
+  if (Id != ~0u && Arena.liveId(Id))
+    Trace.recordAccess(Id, Addr & ((1ull << RecordingArena::IdShift) - 1),
+                       Size, IsStore);
+  else
+    Trace.recordRawAccess(Addr, Size, IsStore);
 }
 
 void TraceRecorder::onCompute(uint64_t Cycles) { Trace.recordCompute(Cycles); }
@@ -132,13 +63,7 @@ void TraceRecorder::onCompute(uint64_t Cycles) { Trace.recordCompute(Cycles); }
 void TraceRecorder::onReallocBegin(uint64_t OldAddr, uint64_t NewSize,
                                    CallSiteId MallocSite) {
   assert(!InRealloc && "realloc cannot nest");
-  ObjectId OldId;
-  if (Arena) {
-    OldId = Arena->idOf(OldAddr);
-  } else {
-    const uint32_t *Found = ByBase.find(OldAddr);
-    OldId = Found ? *Found : ~0u;
-  }
+  ObjectId OldId = Arena.idOf(OldAddr);
   assert(OldId != ~0u && "realloc of an address no live object starts at");
   Trace.recordRealloc(OldId, MallocSite, NewSize);
   InRealloc = true;

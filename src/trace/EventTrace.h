@@ -17,8 +17,8 @@
 ///
 /// Allocator independence is what makes the trace replayable: allocations
 /// are recorded as (site, size) with an implicit sequential object id, and
-/// heap accesses as (object id, offset) resolved through a recording-time
-/// LiveObjectMap -- so replay reconstructs the exact addresses *its*
+/// heap accesses as (object id, offset), which the recording arena's
+/// addresses encode -- so replay reconstructs the exact addresses *its*
 /// allocator assigns, not the recorder's. Accesses outside any live heap
 /// object (stack/global traffic) keep their raw address. realloc is
 /// recorded as a single composite record because its internal copy length
@@ -31,12 +31,10 @@
 
 #include "profile/LiveObjectMap.h"
 #include "runtime/Runtime.h"
-#include "support/AddrMap.h"
 
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 namespace halo {
@@ -355,8 +353,7 @@ public:
 
   /// The object id \p Addr points into, or ~0u for foreign addresses.
   /// Interior pointers resolve to their object as long as the offset is
-  /// within the requested size (the same containment rule the generic
-  /// recording path applies).
+  /// within the requested size (LiveObjectMap's containment rule).
   uint32_t idOf(uint64_t Addr) const {
     if (Addr < ArenaBase)
       return ~0u;
@@ -375,60 +372,30 @@ private:
   uint64_t Live = 0;
 };
 
-/// Observer that records a run into an EventTrace. Attach to the recording
-/// runtime (any allocator; addresses are translated to object-relative
-/// form and never enter the trace, except for non-heap traffic). When the
-/// recording runtime is served by a RecordingArena, pass it too: access
-/// attribution then degenerates to arithmetic on the encoded addresses.
+/// Observer that records a run into an EventTrace. The recording runtime
+/// is served by \p Arena, whose addresses encode (object id, offset), so
+/// attributing an access is arithmetic; addresses never enter the trace,
+/// except for non-heap traffic.
 class TraceRecorder final : public RuntimeObserver {
 public:
-  explicit TraceRecorder(EventTrace &Trace) : Trace(Trace) {}
   TraceRecorder(EventTrace &Trace, const RecordingArena &Arena)
-      : Trace(Trace), Arena(&Arena) {}
+      : Trace(Trace), Arena(Arena) {}
 
   void onCall(CallSiteId Site) override;
   void onReturn(CallSiteId Site) override;
   void onAlloc(uint64_t Addr, uint64_t Size, CallSiteId MallocSite) override;
   void onFree(uint64_t Addr) override;
   void onAccess(uint64_t Addr, uint64_t Size, bool IsStore) override;
-  void onAccessBatch(const MemAccess *Batch, size_t N) override;
   void onCompute(uint64_t Cycles) override;
   void onReallocBegin(uint64_t OldAddr, uint64_t NewSize,
                       CallSiteId MallocSite) override;
   void onReallocEnd(uint64_t NewAddr) override;
-  AccessHookFn accessHook() override;
 
 private:
-  void handleAccess(uint64_t Addr, uint64_t Size, bool IsStore);
-  ObjectId findInterior(uint64_t Addr);
-
-  /// Recording-time metadata of one minted object.
-  struct ObjectSpan {
-    uint64_t Addr = 0;
-    uint64_t Size = 0;
-  };
-  /// Interval-map maintenance op, applied lazily (see Intervals).
-  struct IntervalOp {
-    uint64_t Addr = 0;
-    ObjectId Id = 0; ///< ~0u encodes an erase.
-  };
-
   EventTrace &Trace;
-  /// Bound recording arena (arithmetic attribution), or null for the
-  /// generic map-based attribution below.
-  const RecordingArena *Arena = nullptr;
-  std::vector<ObjectSpan> Spans; ///< By object id; survives frees.
-  /// Exact-base fast path: workloads overwhelmingly access objects at
-  /// their base address, which one flat-table probe resolves.
-  AddrMap ByBase;
-  /// Interior pointers fall back to an ordered start-address map. It is
-  /// synchronised lazily from Pending: recordings without interior
-  /// accesses never pay the ordered-map insert/erase per allocation, and
-  /// each op is applied at most once, so the lazy path is never slower.
-  std::map<uint64_t, ObjectId> Intervals;
-  std::vector<IntervalOp> Pending;
-  /// Inside a composite realloc: primitives are live-map-maintained but not
-  /// recorded (replay re-derives them via the replay allocator).
+  const RecordingArena &Arena;
+  /// Inside a composite realloc: primitives are not recorded (replay
+  /// re-derives them via the replay allocator).
   bool InRealloc = false;
 };
 

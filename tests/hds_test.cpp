@@ -121,7 +121,7 @@ TEST(CoAllocation, PackingKeepsDisjointSets) {
       {{4, 5}, 50.0},  // Disjoint: chosen.
   };
   std::vector<CoAllocationSet> Chosen =
-      packCoAllocationSets(Candidates, Opts);
+      packCoAllocationSets(Candidates, /*TraceLength=*/0, Opts);
   ASSERT_EQ(Chosen.size(), 2u);
   EXPECT_EQ(Chosen[0].Sites, (std::vector<uint32_t>{1, 2}));
   EXPECT_EQ(Chosen[1].Sites, (std::vector<uint32_t>{4, 5}));
@@ -135,7 +135,7 @@ TEST(CoAllocation, PackingWeighsBenefitAgainstSize) {
       {{1, 2}, 70.0},                       // 70/1.41 ~ 49.5: wins.
   };
   std::vector<CoAllocationSet> Chosen =
-      packCoAllocationSets(Candidates, Opts);
+      packCoAllocationSets(Candidates, /*TraceLength=*/0, Opts);
   ASSERT_EQ(Chosen.size(), 1u);
   EXPECT_EQ(Chosen[0].Sites.size(), 2u);
 }
@@ -144,7 +144,21 @@ TEST(CoAllocation, MaxGroupsCap) {
   CoAllocationOptions Opts;
   Opts.MaxGroups = 1;
   std::vector<CoAllocationSet> Candidates = {{{1}, 10.0}, {{2}, 5.0}};
-  EXPECT_EQ(packCoAllocationSets(Candidates, Opts).size(), 1u);
+  EXPECT_EQ(packCoAllocationSets(Candidates, /*TraceLength=*/0, Opts).size(),
+            1u);
+}
+
+TEST(CoAllocation, BenefitFloorScalesWithTheTraceLength) {
+  // The floor is MinBenefitFraction of the trace length: 0.0005 * 20000
+  // = 10 saved lines keeps the set worth 10 and drops the one worth 9.
+  CoAllocationOptions Opts;
+  std::vector<CoAllocationSet> Candidates = {{{1}, 10.0}, {{2}, 9.0}};
+  std::vector<CoAllocationSet> Chosen =
+      packCoAllocationSets(Candidates, /*TraceLength=*/20000, Opts);
+  ASSERT_EQ(Chosen.size(), 1u);
+  EXPECT_EQ(Chosen[0].Sites, (std::vector<uint32_t>{1}));
+  EXPECT_EQ(packCoAllocationSets(Candidates, /*TraceLength=*/0, Opts).size(),
+            2u);
 }
 
 TEST(CoAllocation, SiteGroupMapFlattens) {

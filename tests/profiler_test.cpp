@@ -54,11 +54,15 @@ TEST(LiveObjectMap, InsertFindErase) {
   EXPECT_EQ(M.totalAllocated(), 2u); // Records persist after free.
 }
 
-TEST(LiveObjectMap, SequenceNumbersMonotonic) {
+TEST(LiveObjectMap, IdsAreTheAllocationOrder) {
+  // Co-allocatability compares object ids as allocation times, so the Nth
+  // insert must get id N, and a freed object's id is never handed out
+  // again.
   LiveObjectMap M;
-  ObjectId A = M.insert(1000, 8, 0, 0);
-  ObjectId B = M.insert(2000, 8, 0, 0);
-  EXPECT_LT(M.record(A).AllocSeq, M.record(B).AllocSeq);
+  EXPECT_EQ(M.insert(1000, 8, 0, 0), 0u);
+  EXPECT_EQ(M.insert(2000, 8, 0, 0), 1u);
+  M.erase(1000);
+  EXPECT_EQ(M.insert(1000, 8, 0, 0), 2u);
 }
 
 TEST(LiveObjectMap, ZeroSizeObjectOccupiesOneByte) {

@@ -38,7 +38,7 @@ TEST_P(AffinityDistanceSweep, WindowInvariants) {
   for (int I = 0; I < 5000; ++I) {
     uint32_t Object = static_cast<uint32_t>(Random.nextBelow(64));
     uint64_t Bytes = 1 + Random.nextBelow(32);
-    const auto &Partners = Queue.push(Object, Object % 8, I, Bytes);
+    const auto &Partners = Queue.push(Object, Object % 8, Bytes);
     // Never a self-partner; never a duplicate partner.
     std::set<uint32_t> Seen;
     for (const AffinityQueue::Entry &E : Partners) {

@@ -9,6 +9,10 @@
 // same spec -- across machines, all allocator kinds, concurrent clients,
 // a warm artifact store, and a cancel on a neighbouring client. A warm
 // served plan runs only its measurements and leaves the store untouched.
+// Client layer, against a scripted daemon: whatever reply the client is
+// reading for, an in-flight plan's frames are kept for its wait(), and
+// wait() rejects cells the plan never promised and an Ok plan that comes
+// back short.
 //
 //===----------------------------------------------------------------------===//
 
@@ -29,7 +33,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <map>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -506,6 +513,175 @@ TEST_F(ServeDaemonTest, ClientShutdownStopsTheDaemon) {
   std::string Cmd = "rm -rf '" + Dir + "'";
   (void)std::system(Cmd.c_str());
   Dir.clear();
+}
+
+//===----------------------------------------------------------------------===//
+// Client layer against a scripted daemon: exact frame sequences a real
+// daemon produces only by timing luck (or never), to pin the client's
+// reply loop and wait()'s checks.
+//===----------------------------------------------------------------------===//
+
+/// A one-connection stand-in for the daemon: listens on a temp socket,
+/// answers the handshake, then runs \p Script over the connection on its
+/// own thread. A client that hangs up early just ends the script.
+class ScriptedDaemon {
+public:
+  explicit ScriptedDaemon(std::function<void(Socket &)> Script) {
+    char Template[] = "/tmp/halo_scripted_XXXXXX";
+    EXPECT_NE(nullptr, ::mkdtemp(Template));
+    Dir = Template;
+    SocketPath = Dir + "/halo.sock";
+    Listener = Socket::listenUnix(SocketPath);
+    Thread = std::thread([this, Script = std::move(Script)] {
+      try {
+        std::optional<Socket> Conn = Listener.accept(10000);
+        if (!Conn || !nextFrameIs(*Conn, MsgType::Hello))
+          return;
+        writeFrame(*Conn, MsgType::HelloAck, encodeHelloAck(HelloAckMsg()));
+        Script(*Conn);
+      } catch (const std::exception &) {
+      }
+    });
+  }
+
+  ~ScriptedDaemon() {
+    Thread.join();
+    Listener.close();
+    ::unlink(SocketPath.c_str());
+    ::rmdir(Dir.c_str());
+  }
+
+  /// True when the next frame from the client has type \p Type.
+  static bool nextFrameIs(Socket &Conn, MsgType Type) {
+    std::optional<Frame> F = readFrame(Conn);
+    return F && F->Type == Type;
+  }
+
+  std::string SocketPath;
+
+private:
+  std::string Dir;
+  Socket Listener;
+  std::thread Thread;
+};
+
+PlanRequest scriptedRequest() {
+  PlanRequest R;
+  R.Benchmarks = {"health"};
+  R.S = Scale::Test;
+  R.Trials = 1;
+  return R;
+}
+
+void sendCell(Socket &Conn, uint64_t PlanId, uint64_t CellIndex) {
+  CellResultMsg M;
+  M.PlanId = PlanId;
+  M.CellIndex = CellIndex;
+  M.Key = {"health", "xeon-w2195", AllocatorKind::Jemalloc, Scale::Test, 100,
+           1};
+  M.Runs.resize(1);
+  writeFrame(Conn, MsgType::CellResult, encodeCellResult(M));
+}
+
+void sendQueued(Socket &Conn, uint64_t PlanId, uint64_t NumCells) {
+  writeFrame(Conn, MsgType::PlanQueued,
+             encodePlanQueued(PlanQueuedMsg{PlanId, NumCells, NumCells}));
+}
+
+void sendDone(Socket &Conn, uint64_t PlanId, PlanStatus Status) {
+  writeFrame(Conn, MsgType::PlanDone,
+             encodePlanDone(PlanDoneMsg{PlanId, Status, ""}));
+}
+
+TEST(ServeClient, ShutdownKeepsAnInFlightPlansFrames) {
+  // The daemon answers Shutdown with the tail of a running plan before
+  // its ShutdownAck; that plan's wait() must still collect all of it.
+  ScriptedDaemon Daemon([](Socket &Conn) {
+    if (!ScriptedDaemon::nextFrameIs(Conn, MsgType::SubmitPlan))
+      return;
+    sendQueued(Conn, 7, 1);
+    if (!ScriptedDaemon::nextFrameIs(Conn, MsgType::Shutdown))
+      return;
+    sendCell(Conn, 7, 0);
+    sendDone(Conn, 7, PlanStatus::Ok);
+    writeFrame(Conn, MsgType::ShutdownAck, {});
+  });
+  HaloClient Client(Daemon.SocketPath);
+  uint64_t PlanId = Client.submit(scriptedRequest());
+  Client.shutdownServer();
+  uint64_t Streamed = 0;
+  PlanOutcome Outcome =
+      Client.wait(PlanId, [&](const CellResultMsg &) { ++Streamed; });
+  EXPECT_EQ(PlanStatus::Ok, Outcome.Status);
+  EXPECT_EQ(1u, Outcome.CellsReceived);
+  EXPECT_EQ(1u, Streamed);
+  EXPECT_EQ(1u, Outcome.Results.size());
+  // A plan's outcome is collected once.
+  EXPECT_THROW(Client.wait(PlanId), std::invalid_argument);
+}
+
+TEST(ServeClient, WaitRejectsAnOkPlanMissingCells) {
+  // PlanQueued promised two cells, one streamed, then an Ok PlanDone: a
+  // one-cell document written as complete would be a silently wrong
+  // result.
+  ScriptedDaemon Daemon([](Socket &Conn) {
+    if (!ScriptedDaemon::nextFrameIs(Conn, MsgType::SubmitPlan))
+      return;
+    sendQueued(Conn, 7, 2);
+    sendCell(Conn, 7, 0);
+    sendDone(Conn, 7, PlanStatus::Ok);
+  });
+  HaloClient Client(Daemon.SocketPath);
+  uint64_t PlanId = Client.submit(scriptedRequest());
+  EXPECT_THROW(Client.wait(PlanId), ProtocolError);
+}
+
+TEST(ServeClient, WaitRejectsOutOfRangeAndRepeatedCells) {
+  // Whatever the plan's status, every cell must be one PlanQueued promised,
+  // and each may arrive once.
+  for (PlanStatus Status : {PlanStatus::Ok, PlanStatus::Cancelled}) {
+    ScriptedDaemon OutOfRange([&](Socket &Conn) {
+      if (!ScriptedDaemon::nextFrameIs(Conn, MsgType::SubmitPlan))
+        return;
+      sendQueued(Conn, 7, 2);
+      sendCell(Conn, 7, 2);
+      sendDone(Conn, 7, Status);
+    });
+    HaloClient Client(OutOfRange.SocketPath);
+    uint64_t PlanId = Client.submit(scriptedRequest());
+    EXPECT_THROW(Client.wait(PlanId), ProtocolError);
+  }
+  for (PlanStatus Status : {PlanStatus::Ok, PlanStatus::Cancelled}) {
+    ScriptedDaemon Repeated([&](Socket &Conn) {
+      if (!ScriptedDaemon::nextFrameIs(Conn, MsgType::SubmitPlan))
+        return;
+      sendQueued(Conn, 7, 2);
+      sendCell(Conn, 7, 0);
+      sendCell(Conn, 7, 0);
+      sendDone(Conn, 7, Status);
+    });
+    HaloClient Client(Repeated.SocketPath);
+    uint64_t PlanId = Client.submit(scriptedRequest());
+    EXPECT_THROW(Client.wait(PlanId), ProtocolError);
+  }
+}
+
+TEST(ServeClient, CancelledAndFailedPlansKeepTheirPartialCells) {
+  for (PlanStatus Status : {PlanStatus::Cancelled, PlanStatus::Failed}) {
+    ScriptedDaemon Daemon([&](Socket &Conn) {
+      if (!ScriptedDaemon::nextFrameIs(Conn, MsgType::SubmitPlan))
+        return;
+      sendQueued(Conn, 7, 2);
+      sendCell(Conn, 7, 1);
+      sendDone(Conn, 7, Status);
+    });
+    HaloClient Client(Daemon.SocketPath);
+    PlanOutcome Outcome = Client.wait(Client.submit(scriptedRequest()));
+    EXPECT_EQ(Status, Outcome.Status);
+    EXPECT_EQ(1u, Outcome.CellsReceived);
+    EXPECT_EQ(2u, Outcome.NumCells);
+    EXPECT_EQ(1u, Outcome.Results.size());
+  }
 }
 
 } // namespace

@@ -98,9 +98,9 @@ TEST(TraceReplay, CountsMatchTheRecordedRunsStats) {
   W->build(P);
 
   EventTrace Trace;
-  SizeClassAllocator Alloc;
-  Runtime RT(P, Alloc);
-  TraceRecorder Recorder(Trace);
+  RecordingArena Arena;
+  Runtime RT(P, Arena);
+  TraceRecorder Recorder(Trace, Arena);
   RT.addObserver(&Recorder);
   W->run(RT, Scale::Test, 5);
 
@@ -121,8 +121,8 @@ TEST(TraceReplay, CountsMatchTheRecordedRunsStats) {
 TEST(TraceReplay, ReallocCallocAndRawAccessesRoundTrip) {
   // A hand-driven program exercising the paths no workload model hits:
   // calloc's zeroing stores, realloc's allocator-dependent copy loop (the
-  // usable size under a boundary-tag allocator differs from the recording
-  // allocator's size class), and raw non-heap accesses.
+  // recording arena's usable size is the requested size; a boundary-tag
+  // allocator's is not), and raw non-heap accesses.
   Program P;
   FunctionId Main = P.addFunction("main");
   CallSiteId Site = P.addMallocSite(Main, "main>malloc");
@@ -143,9 +143,9 @@ TEST(TraceReplay, ReallocCallocAndRawAccessesRoundTrip) {
 
   EventTrace Trace;
   {
-    SizeClassAllocator RecordAlloc;
-    Runtime RT(P, RecordAlloc);
-    TraceRecorder Recorder(Trace);
+    RecordingArena Arena;
+    Runtime RT(P, Arena);
+    TraceRecorder Recorder(Trace, Arena);
     RT.addObserver(&Recorder);
     Drive(RT);
   }
@@ -156,6 +156,10 @@ TEST(TraceReplay, ReallocCallocAndRawAccessesRoundTrip) {
   EXPECT_EQ(Trace.numObjects(), 4u);
 
   // Direct vs replayed under an allocator with different usable sizes.
+  {
+    BoundaryTagAllocator Probe;
+    EXPECT_NE(Probe.usableSize(Probe.allocate(AllocRequest{40, Site})), 40u);
+  }
   auto Measure = [&](bool Replay) {
     MemoryHierarchy Memory;
     BoundaryTagAllocator Ptmalloc;
