@@ -24,6 +24,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
+#include "eval/Evaluation.h"
 #include "graph/Adjacency.h"
 #include "group/Grouping.h"
 #include "hds/HdsPipeline.h"
@@ -36,51 +37,16 @@
 #include "workloads/Workload.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
 using namespace halo;
+using namespace halo::bench;
 
 namespace {
-
-struct BenchRow {
-  std::string Bench;
-  uint64_t Nodes;
-  uint64_t Edges;
-  double WallMs;
-  int Trials;
-};
-
-int trials() {
-  if (const char *Env = std::getenv("HALO_BENCH_TRIALS"))
-    return std::max(1, std::atoi(Env));
-  return 3;
-}
-
-double nowMs() {
-  using Clock = std::chrono::steady_clock;
-  return std::chrono::duration<double, std::milli>(
-             Clock::now().time_since_epoch())
-      .count();
-}
-
-/// Runs \p Fn \p Trials times and returns the median wall-clock ms.
-template <typename Fn> double medianMs(int Trials, Fn &&Run) {
-  std::vector<double> Times;
-  Times.reserve(Trials);
-  for (int T = 0; T < Trials; ++T) {
-    double Start = nowMs();
-    Run();
-    Times.push_back(nowMs() - Start);
-  }
-  std::sort(Times.begin(), Times.end());
-  return Times[Times.size() / 2];
-}
 
 /// A synthetic affinity graph with power-law structure: hub nodes attract
 /// most edges (preferential attachment to low ids), access counts and edge
@@ -124,29 +90,6 @@ bool sameGroups(const std::vector<Group> &A, const std::vector<Group> &B) {
         A[I].Accesses != B[I].Accesses)
       return false;
   return true;
-}
-
-/// Renders the rows and hands them to the shared writer (fresh write: this
-/// bench owns BENCH_pipeline.json's array; bench_replay appends after).
-void writeJson(const std::string &Path, const std::vector<BenchRow> &Rows) {
-  std::vector<std::string> Lines;
-  Lines.reserve(Rows.size());
-  for (const BenchRow &R : Rows) {
-    char Line[256];
-    int N = std::snprintf(
-        Line, sizeof(Line),
-        "  {\"bench\": \"%s\", \"nodes\": %llu, \"edges\": %llu, "
-        "\"wall_ms\": %.3f, \"trials\": %d%s}",
-        R.Bench.c_str(), static_cast<unsigned long long>(R.Nodes),
-        static_cast<unsigned long long>(R.Edges), R.WallMs, R.Trials,
-        bench::hostFields().c_str());
-    if (N < 0 || N >= static_cast<int>(sizeof(Line))) {
-      std::fprintf(stderr, "bench row for %s too long\n", R.Bench.c_str());
-      std::exit(1);
-    }
-    Lines.push_back(Line);
-  }
-  bench::writeJsonRows(Path, Lines, /*Append=*/false);
 }
 
 } // namespace
@@ -376,7 +319,7 @@ int main(int Argc, char **Argv) {
       return 1;
   }
 
-  writeJson(OutPath, Rows);
+  writeRows(OutPath, Rows, /*Append=*/false);
   std::printf("\nwrote %s (%zu rows)\n", OutPath.c_str(), Rows.size());
   return 0;
 }

@@ -26,77 +26,15 @@
 #include "trace/EventTrace.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <iterator>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 using namespace halo;
+using namespace halo::bench;
 
 namespace {
-
-struct BenchRow {
-  std::string Bench;
-  uint64_t Nodes;
-  uint64_t Edges;
-  double WallMs;
-  int Trials;
-};
-
-int trials() {
-  if (const char *Env = std::getenv("HALO_BENCH_TRIALS"))
-    return std::max(1, std::atoi(Env));
-  return 3;
-}
-
-double nowMs() {
-  using Clock = std::chrono::steady_clock;
-  return std::chrono::duration<double, std::milli>(
-             Clock::now().time_since_epoch())
-      .count();
-}
-
-/// Runs \p Fn \p Trials times and returns the median wall-clock ms.
-template <typename Fn> double medianMs(int Trials, Fn &&Run) {
-  std::vector<double> Times;
-  Times.reserve(Trials);
-  for (int T = 0; T < Trials; ++T) {
-    double Start = nowMs();
-    Run();
-    Times.push_back(nowMs() - Start);
-  }
-  std::sort(Times.begin(), Times.end());
-  return Times[Times.size() / 2];
-}
-
-/// Writes \p Rows as a JSON array to \p Path; with \p Append, merges them
-/// into the existing array instead (the grouping bench owns the file's
-/// fresh write). The merge itself is the shared bench::writeJsonRows.
-void writeJson(const std::string &Path, const std::vector<BenchRow> &Rows,
-               bool Append) {
-  std::vector<std::string> Lines;
-  Lines.reserve(Rows.size());
-  for (const BenchRow &R : Rows) {
-    char Line[256];
-    int N = std::snprintf(
-        Line, sizeof(Line),
-        "  {\"bench\": \"%s\", \"nodes\": %llu, \"edges\": %llu, "
-        "\"wall_ms\": %.3f, \"trials\": %d%s}",
-        R.Bench.c_str(), static_cast<unsigned long long>(R.Nodes),
-        static_cast<unsigned long long>(R.Edges), R.WallMs, R.Trials,
-        bench::hostFields().c_str());
-    if (N < 0 || N >= static_cast<int>(sizeof(Line))) {
-      // A truncated fragment would merge into the trajectory file as
-      // malformed JSON with no error.
-      std::fprintf(stderr, "bench row for %s too long\n", R.Bench.c_str());
-      std::exit(1);
-    }
-    Lines.push_back(Line);
-  }
-  bench::writeJsonRows(Path, Lines, Append);
-}
 
 const AllocatorKind SweepKinds[] = {
     AllocatorKind::Jemalloc,     AllocatorKind::Ptmalloc,
@@ -338,7 +276,7 @@ int main(int Argc, char **Argv) {
                 DirectMs / std::max(PlanMs, 1e-6));
   }
 
-  writeJson(OutPath, Rows, Append);
+  writeRows(OutPath, Rows, Append);
   std::printf("\n%s %s (%zu rows)\n", Append ? "appended to" : "wrote",
               OutPath.c_str(), Rows.size());
   return 0;

@@ -42,14 +42,23 @@ halo::optimizeBinary(const Program &Prog,
   // Stage 3: identification (Section 4.3).
   Out.Identification = identifyGroups(Out.Groups, Out.Contexts);
 
+  // Stages 4-5: BOLT rewriting and allocator synthesis.
+  deriveSelectors(Out, Prog);
+  return Out;
+}
+
+void halo::deriveSelectors(HaloArtifacts &Art, const Program &Prog) {
   // Stage 4: BOLT rewriting -- instrument the union of selector sites.
-  Out.Plan = InstrumentationPlan(Prog, Out.Identification.Sites);
+  // Bit assignment follows Sites order and mask compilation follows
+  // selector order, so equal identification results derive equal plans
+  // and masks.
+  Art.Plan = InstrumentationPlan(Prog, Art.Identification.Sites);
 
   // Stage 5: allocator synthesis -- compile selectors to state masks.
-  for (const Selector &Sel : Out.Identification.Selectors)
-    Out.CompiledSelectors.push_back(compileSelector(Sel, Out.Plan));
-
-  return Out;
+  Art.CompiledSelectors.clear();
+  Art.CompiledSelectors.reserve(Art.Identification.Selectors.size());
+  for (const Selector &Sel : Art.Identification.Selectors)
+    Art.CompiledSelectors.push_back(compileSelector(Sel, Art.Plan));
 }
 
 std::string HaloArtifacts::groupsAsDot(const Program &Prog,
@@ -99,12 +108,8 @@ HaloArtifacts halo::loadHaloArtifacts(BinaryReader &R, const Program &Prog) {
   Art.Groups = loadGroups(R);
   Art.Identification = loadIdentification(R);
   Art.ProfiledAccesses = R.varint();
-  // Rebuild the derived members exactly as optimizeBinary does: bit
-  // assignment follows Sites order and mask compilation follows selector
-  // order, so the rebuilt plan and masks are identical to the saved run's.
-  Art.Plan = InstrumentationPlan(Prog, Art.Identification.Sites);
-  Art.CompiledSelectors.reserve(Art.Identification.Selectors.size());
-  for (const Selector &Sel : Art.Identification.Selectors)
-    Art.CompiledSelectors.push_back(compileSelector(Sel, Art.Plan));
+  // Rebuild the derived members exactly as optimizeBinary does, so they
+  // are identical to the saved run's.
+  deriveSelectors(Art, Prog);
   return Art;
 }

@@ -78,6 +78,13 @@ HaloArtifacts optimizeBinary(const Program &Prog, const EventTrace &Trace,
                              const HaloParameters &Params = HaloParameters(),
                              const MachineConfig &Machine = defaultMachine());
 
+/// Stages 4-5 of the pipeline: derives \p Art's instrumentation plan and
+/// compiled selectors from its identification result against \p Prog,
+/// replacing any it held. optimizeBinary and loadHaloArtifacts both end
+/// here, and a caller that swaps in groups of its own (re-identified with
+/// identifyGroups) calls it to get a measurable bundle.
+void deriveSelectors(HaloArtifacts &Art, const Program &Prog);
+
 /// Serializes the machine-independent core of \p Art (contexts, graph,
 /// groups, identification, profiled-access count) behind a versioned
 /// header. The instrumentation plan and compiled selectors are *not*
