@@ -381,7 +381,7 @@ void ablationConstraints() {
                                   std::string("omnetpp"),
                                   std::string("roms")}) {
     Report R("Affinity constraint ablation: " + Name);
-    R.setColumns({"configuration", "groups", "HALO speedup"});
+    R.setColumns({"configuration", "groups", "edge weight", "HALO speedup"});
     for (const Config &C : Configs) {
       BenchmarkSetup Setup = paperSetup(Name);
       Setup.Halo.Profile.Dedup = C.Dedup;
@@ -390,12 +390,19 @@ void ablationConstraints() {
       Evaluation Eval(Setup);
       ResultSet Results = measure(
           {Name}, {AllocatorKind::Jemalloc, AllocatorKind::Halo}, 1, {&Eval});
-      R.addRow({C.Label, std::to_string(Eval.haloArtifacts().Groups.size()),
+      const HaloArtifacts &Art = Eval.haloArtifacts();
+      uint64_t EdgeWeight = 0;
+      for (const AffinityGraph::Edge &E : Art.Graph.edges())
+        EdgeWeight += E.Weight;
+      R.addRow({C.Label, std::to_string(Art.Groups.size()),
+                std::to_string(EdgeWeight),
                 formatPercent(haloSpeedup(Results, Name))});
     }
     R.addNote("dropping co-allocatability admits groups whose members "
               "cannot actually be placed together (e.g. randomly-accessed "
               "persistent pools), diluting or reversing gains");
+    R.addNote("edge weight: the affinity graph's total after the 90% "
+              "coverage filter");
     R.print();
     std::printf("\n");
   }
