@@ -126,7 +126,10 @@ void decompress(const uint8_t *Src, size_t SrcN, uint8_t *Dst, size_t DstN) {
     if (LitN > static_cast<size_t>(SEnd - S) ||
         LitN > static_cast<size_t>(DEnd - D))
       corrupt("literal run out of bounds");
-    std::memcpy(D, S, LitN);
+    // An empty output buffer may be null, and memcpy's pointers must not
+    // be, even for a zero-length copy.
+    if (LitN)
+      std::memcpy(D, S, LitN);
     S += LitN;
     D += LitN;
     if (S == SEnd)
