@@ -52,6 +52,8 @@ void hashProfile(HashBuilder &H, const ProfileOptions &P) {
       .boolean(false);
 }
 
+/// The allocator options' place in both pipeline keys. Keys hash the
+/// defaults there, whatever the setup measures with.
 void hashAllocator(HashBuilder &H, const GroupAllocatorOptions &A) {
   H.u64(A.ChunkSize)
       .u64(A.SlabSize)
@@ -98,7 +100,9 @@ StoreKey halo::haloStoreKey(const std::string &Benchmark, Scale ProfileScale,
       .f64(Params.Grouping.GroupWeightThreshold)
       .u32(Params.Grouping.MaxGroupMembers)
       .u32(Params.Grouping.MaxGroups);
-  hashAllocator(H, Params.Allocator);
+  // Only measurement reads the allocator options, so they do not key the
+  // bundle; the defaults hold their place, so default-setup keys stay put.
+  hashAllocator(H, GroupAllocatorOptions());
   Key.Hash = H.hash();
   Key.Label = "halo/" + Benchmark + "/" + scaleLabel(ProfileScale) + "/s" +
               std::to_string(ProfileSeed);
@@ -123,7 +127,7 @@ StoreKey halo::hdsStoreKey(const std::string &Benchmark, Scale ProfileScale,
       .u32(Params.CoAllocation.MaxGroups)
       .f64(0.0)
       .f64(Params.CoAllocation.MinBenefitFraction);
-  hashAllocator(H, Params.Allocator);
+  hashAllocator(H, GroupAllocatorOptions()); // As in haloStoreKey.
   Key.Hash = H.hash();
   Key.Label = "hds/" + Benchmark + "/" + scaleLabel(ProfileScale) + "/s" +
               std::to_string(ProfileSeed);

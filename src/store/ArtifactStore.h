@@ -81,13 +81,15 @@ StoreKey traceStoreKey(const std::string &Benchmark, Scale S, uint64_t Seed,
                        uint32_t Schema = StoreSchemaVersion);
 
 /// Key of a HALO pipeline artifact bundle: (halo tag, schema, benchmark,
-/// profile scale/seed, every HaloParameters field). Any tuning knob change
-/// re-keys the entry.
+/// profile scale/seed, every profiling and grouping knob). Any knob a
+/// pipeline stage reads re-keys the entry; the allocator options, which
+/// only measurement reads, do not.
 StoreKey haloStoreKey(const std::string &Benchmark, Scale ProfileScale,
                       uint64_t ProfileSeed, const HaloParameters &Params,
                       uint32_t Schema = StoreSchemaVersion);
 
-/// Key of an HDS pipeline artifact bundle (same shape, HdsParameters).
+/// Key of an HDS pipeline artifact bundle (same shape: the stream and
+/// co-allocation knobs of HdsParameters, not its allocator options).
 StoreKey hdsStoreKey(const std::string &Benchmark, Scale ProfileScale,
                      uint64_t ProfileSeed, const HdsParameters &Params,
                      uint32_t Schema = StoreSchemaVersion);
