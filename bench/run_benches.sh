@@ -17,9 +17,12 @@
 #     medians for every benchmark on every machine preset at ref scale.
 # so successive PRs can track the perf trajectory. The harness-clock
 # end-to-end numbers (halo_cli run, experiment matrices, the serve
-# daemon) belong to the repository benchmark in benchmark/.
+# daemon) belong to the repository benchmark in benchmark/. Section 5's
+# figures and tables are build/bench/figures, pinned by the
+# golden_figures_* ctests rather than written here.
 #
 # Usage: bench/run_benches.sh [build-dir]   (default: build)
+# `cmake --build build --target bench` runs this script on its build dir.
 # HALO_BENCH_TRIALS overrides the per-config trial count.
 set -euo pipefail
 

@@ -11,7 +11,8 @@
 /// (Figure 7) and the merge-benefit function m(A,B) = Sc - (1-T) max(Sa,Sb)
 /// (Figure 8). The paper finds these clusters more amenable to region-based
 /// co-allocation than modularity, HCS, or cut-based clustering;
-/// bench/ablation_grouping compares against such baselines.
+/// the ablation_grouping row of bench/figures compares against such
+/// baselines.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -77,9 +78,10 @@ std::vector<Group> buildGroups(const AffinityGraph &Graph,
 std::vector<Group> buildGroupsReference(const AffinityGraph &Graph,
                                         const GroupingOptions &Options);
 
-/// Naive comparison clusterer for the ablation bench: connected components
-/// of the thresholded graph, split to MaxGroupMembers in id order. Roughly
-/// what a cut-based scheme with no density objective produces.
+/// Naive comparison clusterer for the grouping ablation (bench/figures):
+/// connected components of the thresholded graph, split to MaxGroupMembers
+/// in id order. Roughly what a cut-based scheme with no density objective
+/// produces.
 std::vector<Group> buildComponentGroups(const AffinityGraph &Graph,
                                         const GroupingOptions &Options);
 

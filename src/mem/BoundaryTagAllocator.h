@@ -11,7 +11,8 @@
 /// splitting. The inline headers space payloads apart and splitting mixes
 /// sizes in the address space, which is why the paper finds jemalloc a more
 /// aggressive baseline ("reducing L1 data-cache misses by as much as 32%",
-/// Section 5.1) -- bench/baseline_allocators reproduces that comparison.
+/// Section 5.1) -- the baseline_allocators row of bench/figures reproduces
+/// that comparison.
 ///
 //===----------------------------------------------------------------------===//
 

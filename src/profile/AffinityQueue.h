@@ -49,7 +49,7 @@ public:
   };
 
   /// \p Distance is the affinity distance A. \p Dedup / \p NoDoubleCount
-  /// allow the ablation benches to disable those constraints.
+  /// let the ablation_constraints row of bench/figures disable them.
   explicit AffinityQueue(uint64_t Distance, bool Dedup = true,
                          bool NoDoubleCount = true)
       : Distance(Distance), Dedup(Dedup), NoDoubleCount(NoDoubleCount) {

@@ -39,7 +39,7 @@ struct ProfileOptions {
   /// Maximum grouped-object size: accesses to larger objects do not enter
   /// the affinity analysis (4 KiB in the evaluation).
   uint64_t MaxObjectSize = 4096;
-  /// Constraint toggles for bench/ablation_constraints.
+  /// Constraint toggles for the ablation_constraints row of bench/figures.
   bool Dedup = true;
   bool NoDoubleCount = true;
   bool CoAllocatability = true;

@@ -9,8 +9,9 @@
 /// compute cycles (the part of the program that is not memory-bound),
 /// memory access cycles from the cache hierarchy, small fixed costs for
 /// allocator calls, and the cost of the set/unset instructions HALO's BOLT
-/// pass inserts (so bench/ablation_instrumentation can measure their
-/// overhead, which the paper finds to be below system noise).
+/// pass inserts (so the ablation_instrumentation row of bench/figures can
+/// measure their overhead, which the paper finds to be below system
+/// noise).
 ///
 //===----------------------------------------------------------------------===//
 
