@@ -25,7 +25,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -72,8 +72,9 @@ double haloSpeedup(const ResultSet &Results, const std::string &Benchmark) {
       runs(Results, Benchmark, AllocatorKind::Halo)[0].Seconds);
 }
 
+/// The title suffix of the rows that report medians over \p Trials.
 std::string mediansOf(int Trials) {
-  return "(median of " + std::to_string(Trials) + " trials)";
+  return " (median of " + std::to_string(Trials) + " trials)";
 }
 
 /// Paper reference values, read off Figures 13/14 (approximate, in
@@ -203,7 +204,7 @@ struct Comparison {
 };
 
 const Comparison Fig13 = {
-    "Figure 13: L1D cache miss reduction vs jemalloc ",
+    "Figure 13: L1D cache miss reduction vs jemalloc",
     &ComparisonRow::HdsMissReduction,
     &ComparisonRow::HaloMissReduction,
     &PaperRow::HdsMiss,
@@ -214,7 +215,7 @@ const Comparison Fig13 = {
      "degrades roms/omnetpp"}};
 
 const Comparison Fig14 = {
-    "Figure 14: execution time improvement vs jemalloc ",
+    "Figure 14: execution time improvement vs jemalloc",
     &ComparisonRow::HdsSpeedup,
     &ComparisonRow::HaloSpeedup,
     &PaperRow::HdsSpeed,
@@ -250,7 +251,7 @@ void comparisonFigure(const Comparison &Fig) {
 /// placement-sensitive ones HALO helps.
 void fig15RandomPools() {
   const int Trials = bench::trials();
-  Report R("Figure 15: speedup under the random four-pool allocator " +
+  Report R("Figure 15: speedup under the random four-pool allocator" +
            mediansOf(Trials));
   R.setColumns({"benchmark", "speedup", "sensitive?"});
   ResultSet Results = measure(
@@ -296,7 +297,7 @@ void table1Fragmentation() {
 /// 2.27, reducing L1 data-cache misses by as much as 32%".
 void baselineAllocators() {
   const int Trials = bench::trials();
-  Report R("Section 5.1: jemalloc vs ptmalloc2 baselines " +
+  Report R("Section 5.1: jemalloc vs ptmalloc2 baselines" +
            mediansOf(Trials));
   R.setColumns({"benchmark", "L1D miss reduction", "time improvement"});
   double MaxMiss = 0.0;
@@ -419,12 +420,10 @@ void ablationGrouping() {
                 "connected components", "groups"});
   const std::vector<std::string> Names = {"health", "povray", "xalanc",
                                           "omnetpp"};
-  std::vector<std::unique_ptr<Evaluation>> Paper, Components;
-  for (const std::string &Name : Names)
-    Paper.push_back(std::make_unique<Evaluation>(paperSetup(Name)));
+  std::deque<Evaluation> Paper, Components; // Evaluations do not move.
   std::vector<Evaluation *> PaperEvals, ComponentEvals;
-  for (auto &E : Paper)
-    PaperEvals.push_back(E.get());
+  for (const std::string &Name : Names)
+    PaperEvals.push_back(&Paper.emplace_back(paperSetup(Name)));
   ResultSet PaperResults =
       measure(Names, {AllocatorKind::Jemalloc, AllocatorKind::Halo}, 1,
               PaperEvals);
@@ -436,9 +435,8 @@ void ablationGrouping() {
     Art.Groups = buildComponentGroups(Art.Graph, E->setup().Halo.Grouping);
     Art.Identification = identifyGroups(Art.Groups, Art.Contexts);
     deriveSelectors(Art, E->program());
-    Components.push_back(std::make_unique<Evaluation>(E->setup()));
-    Components.back()->setHaloArtifacts(std::move(Art));
-    ComponentEvals.push_back(Components.back().get());
+    ComponentEvals.push_back(&Components.emplace_back(E->setup()));
+    ComponentEvals.back()->setHaloArtifacts(std::move(Art));
   }
   ResultSet ComponentResults =
       measure(Names, {AllocatorKind::Halo}, 1, ComponentEvals);
