@@ -44,7 +44,6 @@ ResultSet measure(std::vector<std::string> Benchmarks,
   ExperimentSpec Spec;
   Spec.Benchmarks = std::move(Benchmarks);
   Spec.Kinds = std::move(Kinds);
-  Spec.S = Scale::Ref;
   Spec.Trials = Trials;
   ExperimentPlan Plan = buildPlan({Spec}, External);
   return runPlan(Plan);

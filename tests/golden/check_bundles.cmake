@@ -59,7 +59,8 @@ if(NOT Listing STREQUAL Expected)
   message(FATAL_ERROR
           "the store's bundles differ from ${GOLDEN} (listing written to "
           "${WORK_DIR}/bundles.txt); keys and bundle bytes must stay "
-          "byte-identical unless StoreSchemaVersion moves")
+          "byte-identical unless a change means to move them, and then "
+          "CHANGES.md says which entries moved and why")
 endif()
 
 message(STATUS "every bundle in ${Store} matches the committed golden ${GOLDEN}")
