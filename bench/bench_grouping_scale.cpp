@@ -5,11 +5,12 @@
 // degree and weight distributions), comparing the incremental buildGroups
 // against the Figure 6 reference transliteration and timing the supporting
 // hot paths (CSR snapshot construction, affinity-queue pushes, live-object
-// lookups). It also times the stages a cold test-scale plan pays for on
-// the real workload models, each summed over all 11 benchmarks' profile
-// inputs: the HALO profiling run (profile_halo_test; edges = profiled
-// macro accesses), the HDS profiling run (profile_hds_test; edges =
-// reference-trace length) and hot-stream extraction from that trace
+// lookups of arena addresses). It also times the stages a cold test-scale
+// plan pays for on the real workload models, each summed over all 11
+// benchmarks' profile inputs and served by the id-encoding arena as the
+// pipelines serve them: the HALO profiling run (profile_halo_test; edges =
+// profiled macro accesses), the HDS profiling run (profile_hds_test; edges
+// = reference-trace length) and hot-stream extraction from that trace
 // (sequitur_hds_test; edges = symbols appended), plus constructing each
 // machine preset's memory hierarchy (hierarchy_setup_<preset>; nodes =
 // sets, edges = tag slots over all levels and the dTLB).
@@ -28,10 +29,10 @@
 #include "graph/Adjacency.h"
 #include "group/Grouping.h"
 #include "hds/HdsPipeline.h"
-#include "mem/SizeClassAllocator.h"
 #include "profile/AffinityQueue.h"
 #include "profile/HeapProfiler.h"
 #include "profile/LiveObjectMap.h"
+#include "profile/RecordingArena.h"
 #include "sim/Machine.h"
 #include "support/Rng.h"
 #include "workloads/Workload.h"
@@ -175,7 +176,7 @@ int main(int Argc, char **Argv) {
 
   //===--------------------------------------------------------------------===//
   // Profiler layer: affinity-queue pushes (the per-access hot path) and
-  // live-object lookups.
+  // live-object lookups of arena addresses.
   //===--------------------------------------------------------------------===//
 
   {
@@ -202,17 +203,19 @@ int main(int Argc, char **Argv) {
   }
 
   {
+    // Objects at their arena addresses, as every profiling run places
+    // them: each lookup decodes the id from the address.
     const uint32_t Objects = 100000;
     const uint64_t Lookups = 2000000;
     LiveObjectMap Map;
     for (uint32_t I = 0; I < Objects; ++I)
-      Map.insert(4096 + uint64_t(I) * 64, 48, I & 255, 0);
+      Map.insert(RecordingArena::encode(I), 48, I & 255, 0);
     Rng Random(99);
     std::vector<uint64_t> Addrs(Lookups);
     for (uint64_t I = 0; I < Lookups;) {
       // Bursts of hits on one object model real access locality (the same
       // locality the affinity queue's dedup constraint exists for).
-      uint64_t Base = 4096 + Random.nextBelow(Objects) * 64;
+      uint64_t Base = RecordingArena::encode(Random.nextBelow(Objects));
       uint64_t Burst = 1 + Random.nextBelow(16);
       for (uint64_t B = 0; B < Burst && I < Lookups; ++B, ++I)
         Addrs[I] = Base + Random.nextBelow(48);
@@ -222,8 +225,9 @@ int main(int Argc, char **Argv) {
       for (uint64_t I = 0; I < Lookups; ++I)
         Hits += Map.find(Addrs[I]) != ~0u;
     });
-    Rows.push_back({"live_object_find", Objects, Lookups, Ms, Trials});
-    std::printf("live-object map: %llu lookups over %u objects: %.2f ms\n",
+    Rows.push_back({"live_object_find_arena", Objects, Lookups, Ms, Trials});
+    std::printf("live-object map, arena addresses: %llu lookups over %u "
+                "objects: %.2f ms\n",
                 static_cast<unsigned long long>(Lookups), Objects, Ms);
     if (Hits == 0)
       return 1;
@@ -254,7 +258,7 @@ int main(int Argc, char **Argv) {
     double HaloMs = medianMs(Trials, [&] {
       Profiled = 0;
       for (Model &M : Models) {
-        SizeClassAllocator Alloc;
+        RecordingArena Alloc;
         Runtime RT(M.Prog, Alloc, M.Setup.Machine.Costs);
         HeapProfiler Profiler(M.Prog, M.Setup.Halo.Profile);
         RT.addObserver(&Profiler);
@@ -269,7 +273,7 @@ int main(int Argc, char **Argv) {
     double HdsMs = medianMs(Trials, [&] {
       TraceLength = 0;
       for (Model &M : Models) {
-        SizeClassAllocator Alloc;
+        RecordingArena Alloc;
         Runtime RT(M.Prog, Alloc, M.Setup.Machine.Costs);
         ReferenceTraceRecorder Recorder;
         RT.addObserver(&Recorder);

@@ -2,7 +2,7 @@
 
 #include "core/Pipeline.h"
 
-#include "mem/SizeClassAllocator.h"
+#include "profile/RecordingArena.h"
 #include "support/BinaryIO.h"
 #include "trace/EventTrace.h"
 
@@ -23,10 +23,12 @@ halo::optimizeBinary(const Program &Prog,
                      const MachineConfig &Machine) {
   HaloArtifacts Out;
 
-  // Stage 1: profiling (Section 4.1). The profiled binary runs under the
-  // default allocator; only the event stream matters here.
+  // Stage 1: profiling (Section 4.1). A profile depends only on which
+  // object each access touches and on the allocation order, never on
+  // addresses, so the id-encoding arena serves the profiled run and the
+  // profiler attributes every access by arithmetic.
   {
-    SizeClassAllocator ProfileAlloc;
+    RecordingArena ProfileAlloc;
     Runtime RT(Prog, ProfileAlloc, Machine.Costs);
     HeapProfiler Profiler(Prog, Params.Profile);
     RT.addObserver(&Profiler);

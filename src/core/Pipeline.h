@@ -58,8 +58,9 @@ struct HaloArtifacts {
 
 /// Runs the whole pipeline. \p RunWorkload executes the target program's
 /// profiling workload against the runtime it is handed (the paper uses the
-/// small test inputs for this); the runtime is wired to a default allocator
-/// and the heap profiler, standing in for the Pin tool. \p Machine supplies
+/// small test inputs for this); the runtime is served by the id-encoding
+/// RecordingArena, since a profile reads no address, and wired to the heap
+/// profiler, standing in for the Pin tool. \p Machine supplies
 /// the profiling runtime's cost model; the artifacts themselves depend only
 /// on the event stream, never on the machine, so one pipeline run serves
 /// measurements on every machine.

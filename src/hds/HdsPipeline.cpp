@@ -2,7 +2,7 @@
 
 #include "hds/HdsPipeline.h"
 
-#include "mem/SizeClassAllocator.h"
+#include "profile/RecordingArena.h"
 #include "support/BinaryIO.h"
 #include "trace/EventTrace.h"
 
@@ -38,7 +38,10 @@ halo::optimizeBinaryHds(const Program &Prog,
                         const MachineConfig &Machine) {
   HdsArtifacts Out;
 
-  SizeClassAllocator ProfileAlloc;
+  // Profiling: the reference trace names objects, never addresses, so the
+  // id-encoding arena serves the run, as it does HALO's, and the recorder
+  // attributes every access by arithmetic.
+  RecordingArena ProfileAlloc;
   Runtime RT(Prog, ProfileAlloc, Machine.Costs);
   ReferenceTraceRecorder Recorder;
   RT.addObserver(&Recorder);

@@ -67,7 +67,8 @@ struct HdsArtifacts {
   std::unordered_map<uint32_t, uint32_t> SiteToGroup;
 };
 
-/// Profiles \p RunWorkload and derives the hot-data-streams placement
+/// Profiles \p RunWorkload, served by the id-encoding RecordingArena as in
+/// HALO's pipeline, and derives the hot-data-streams placement
 /// policy (groups of malloc call sites). \p Machine supplies the profiling
 /// runtime's cost model; like HALO's pipeline, the artifacts depend only on
 /// the event stream, never on the machine.

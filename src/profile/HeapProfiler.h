@@ -45,7 +45,10 @@ struct ProfileOptions {
   bool CoAllocatability = true;
 };
 
-/// Builds the affinity graph from a run.
+/// Builds the affinity graph from a run. The pipelines serve that run from
+/// the id-encoding RecordingArena, so LiveObjectMap resolves each access
+/// by arithmetic; over any other allocator the profiler works unchanged,
+/// through LiveObjectMap's interval map, and builds the same graph.
 class HeapProfiler final : public RuntimeObserver {
 public:
   HeapProfiler(const Program &Prog, const ProfileOptions &Options);

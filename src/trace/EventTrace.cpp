@@ -52,8 +52,7 @@ void TraceRecorder::onAccess(uint64_t Addr, uint64_t Size, bool IsStore) {
             // re-derives it from the composite Realloc record.
   ObjectId Id = Arena.idOf(Addr);
   if (Id != ~0u && Arena.liveId(Id))
-    Trace.recordAccess(Id, Addr & ((1ull << RecordingArena::IdShift) - 1),
-                       Size, IsStore);
+    Trace.recordAccess(Id, RecordingArena::decodeOffset(Addr), Size, IsStore);
   else
     Trace.recordRawAccess(Addr, Size, IsStore);
 }

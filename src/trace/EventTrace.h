@@ -30,6 +30,7 @@
 #define HALO_TRACE_EVENTTRACE_H
 
 #include "profile/LiveObjectMap.h"
+#include "profile/RecordingArena.h"
 #include "runtime/Runtime.h"
 
 #include <cassert>
@@ -308,69 +309,6 @@ inline void decodeTraceOperands(EventTrace::Reader &R, TraceOp Op,
     break;
   }
 }
-
-/// The allocator recording runs are served by: object ids are encoded in
-/// the returned addresses (Base + id * 2^32), so the recorder resolves
-/// every access to (id, offset) with two arithmetic operations instead of
-/// hash or interval lookups. Recording runs attach no memory hierarchy, so
-/// the unrealistic address layout costs nothing -- addresses never enter
-/// the trace.
-class RecordingArena final : public Allocator {
-public:
-  static constexpr uint64_t ArenaBase = 0x500000000000ull;
-  static constexpr uint32_t IdShift = 32;
-
-  uint64_t allocate(const AllocRequest &Request) override {
-    uint64_t Size = Request.Size ? Request.Size : 1;
-    assert(Size < (1ull << IdShift) && "object exceeds the id encoding");
-    uint32_t Id = static_cast<uint32_t>(Sizes.size());
-    Sizes.push_back(Size);
-    Freed.push_back(false);
-    Live += Size;
-    return ArenaBase + (static_cast<uint64_t>(Id) << IdShift);
-  }
-  void deallocate(uint64_t Addr) override {
-    uint32_t Id = idOf(Addr);
-    assert(Id != ~0u && !Freed[Id] && "bad free");
-    Freed[Id] = true;
-    Live -= Sizes[Id];
-  }
-  bool owns(uint64_t Addr) const override {
-    uint32_t Id = idOf(Addr);
-    return Id != ~0u && !Freed[Id];
-  }
-  uint64_t usableSize(uint64_t Addr) const override {
-    uint32_t Id = idOf(Addr);
-    assert(Id != ~0u && "usableSize of a foreign address");
-    return Sizes[Id];
-  }
-  uint64_t liveBytes() const override { return Live; }
-  uint64_t residentBytes() const override { return Live; }
-  std::string name() const override { return "recording-arena"; }
-
-  /// True while object \p Id has not been freed.
-  bool liveId(uint32_t Id) const { return !Freed[Id]; }
-
-  /// The object id \p Addr points into, or ~0u for foreign addresses.
-  /// Interior pointers resolve to their object as long as the offset is
-  /// within the requested size (LiveObjectMap's containment rule).
-  uint32_t idOf(uint64_t Addr) const {
-    if (Addr < ArenaBase)
-      return ~0u;
-    uint64_t Id = (Addr - ArenaBase) >> IdShift;
-    if (Id >= Sizes.size())
-      return ~0u;
-    uint64_t Offset = Addr & ((1ull << IdShift) - 1);
-    return Offset < Sizes[static_cast<size_t>(Id)]
-               ? static_cast<uint32_t>(Id)
-               : ~0u;
-  }
-
-private:
-  std::vector<uint64_t> Sizes; ///< By id; ids are never reused.
-  std::vector<uint8_t> Freed;  ///< By id.
-  uint64_t Live = 0;
-};
 
 /// Observer that records a run into an EventTrace. The recording runtime
 /// is served by \p Arena, whose addresses encode (object id, offset), so

@@ -1,15 +1,22 @@
 //===- tests/profiler_test.cpp - HeapProfiler behaviour -----------------------===//
 
+#include "core/Pipeline.h"
+#include "eval/Evaluation.h"
 #include "hds/HdsPipeline.h"
 #include "mem/SizeClassAllocator.h"
 #include "profile/HeapProfiler.h"
 #include "profile/LiveObjectMap.h"
+#include "profile/RecordingArena.h"
+#include "support/BinaryIO.h"
 #include "support/Rng.h"
+#include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -38,38 +45,121 @@ struct ProfilerHarness {
   }
 };
 
+/// LiveObjectMap picks its lookup per object: an object at the arena
+/// encoding of its own id is found by arithmetic, any other through the
+/// interval map. The LiveObjectMap tests run every case on both: \p Arena
+/// places object \p Id at its encoding, otherwise at \p Addr.
+uint64_t placeAt(bool Arena, ObjectId Id, uint64_t Addr) {
+  return Arena ? RecordingArena::encode(Id) : Addr;
+}
+
 } // namespace
 
 TEST(LiveObjectMap, InsertFindErase) {
-  LiveObjectMap M;
-  ObjectId A = M.insert(1000, 64, 0, 0);
-  ObjectId B = M.insert(2000, 32, 1, 1);
-  EXPECT_EQ(M.find(1000), A);
-  EXPECT_EQ(M.find(1063), A);
-  EXPECT_EQ(M.find(1064), ~0u);
-  EXPECT_EQ(M.find(2031), B);
-  EXPECT_EQ(M.liveCount(), 2u);
-  EXPECT_EQ(M.erase(1000), A);
-  EXPECT_EQ(M.find(1000), ~0u);
-  EXPECT_EQ(M.totalAllocated(), 2u); // Records persist after free.
+  for (bool Arena : {false, true}) {
+    SCOPED_TRACE(Arena ? "arena lookup" : "interval lookup");
+    LiveObjectMap M;
+    uint64_t AddrA = placeAt(Arena, 0, 1000), AddrB = placeAt(Arena, 1, 2000);
+    ObjectId A = M.insert(AddrA, 64, 0, 0);
+    ObjectId B = M.insert(AddrB, 32, 1, 1);
+    EXPECT_EQ(M.record(A).InArena, Arena);
+    EXPECT_EQ(M.find(AddrA), A);
+    EXPECT_EQ(M.find(AddrA + 37), A); // Interior offset.
+    EXPECT_EQ(M.find(AddrA + 63), A);
+    EXPECT_EQ(M.find(AddrA + 64), ~0u); // Offset == size.
+    EXPECT_EQ(M.find(AddrA - 1), ~0u); // Arena: below the arena base.
+    EXPECT_EQ(M.find(AddrB + 31), B);
+    EXPECT_EQ(M.liveCount(), 2u);
+    EXPECT_EQ(M.erase(AddrA), A);
+    EXPECT_EQ(M.find(AddrA), ~0u); // A freed object.
+    EXPECT_EQ(M.find(AddrA + 37), ~0u);
+    EXPECT_EQ(M.find(AddrB), B);
+    EXPECT_EQ(M.liveCount(), 1u);
+    EXPECT_EQ(M.totalAllocated(), 2u); // Records persist after free.
+    EXPECT_FALSE(M.record(A).Live);
+  }
 }
 
 TEST(LiveObjectMap, IdsAreTheAllocationOrder) {
   // Co-allocatability compares object ids as allocation times, so the Nth
   // insert must get id N, and a freed object's id is never handed out
   // again.
-  LiveObjectMap M;
-  EXPECT_EQ(M.insert(1000, 8, 0, 0), 0u);
-  EXPECT_EQ(M.insert(2000, 8, 0, 0), 1u);
-  M.erase(1000);
-  EXPECT_EQ(M.insert(1000, 8, 0, 0), 2u);
+  for (bool Arena : {false, true}) {
+    SCOPED_TRACE(Arena ? "arena lookup" : "interval lookup");
+    LiveObjectMap M;
+    EXPECT_EQ(M.insert(placeAt(Arena, 0, 1000), 8, 0, 0), 0u);
+    EXPECT_EQ(M.insert(placeAt(Arena, 1, 2000), 8, 0, 0), 1u);
+    M.erase(placeAt(Arena, 0, 1000));
+    EXPECT_EQ(M.insert(placeAt(Arena, 2, 1000), 8, 0, 0), 2u);
+  }
 }
 
 TEST(LiveObjectMap, ZeroSizeObjectOccupiesOneByte) {
+  for (bool Arena : {false, true}) {
+    SCOPED_TRACE(Arena ? "arena lookup" : "interval lookup");
+    LiveObjectMap M;
+    uint64_t Addr = placeAt(Arena, 0, 1000);
+    ObjectId A = M.insert(Addr, 0, 0, 0);
+    EXPECT_EQ(M.record(A).Size, 1u);
+    EXPECT_EQ(M.find(Addr), A);
+    EXPECT_EQ(M.find(Addr + 1), ~0u);
+  }
+}
+
+TEST(LiveObjectMap, LookupIsChosenPerObject) {
+  // Only an object at the encoding of its *own* id takes the arena path;
+  // one at another id's encoding, or too large for its slot, goes through
+  // the interval map, and lookups of both kinds mix in one map.
   LiveObjectMap M;
-  ObjectId A = M.insert(1000, 0, 0, 0);
-  EXPECT_EQ(M.find(1000), A);
-  EXPECT_EQ(M.find(1001), ~0u);
+  ObjectId InArena = M.insert(RecordingArena::encode(0), 16, 0, 0);
+  ObjectId Foreign = M.insert(RecordingArena::encode(7), 16, 0, 0);
+  ObjectId Low = M.insert(5000, 16, 0, 0);
+  ObjectId Huge = M.insert(RecordingArena::encode(3),
+                           RecordingArena::SlotBytes + 16, 0, 0);
+  EXPECT_TRUE(M.record(InArena).InArena);
+  EXPECT_FALSE(M.record(Foreign).InArena);
+  EXPECT_FALSE(M.record(Low).InArena);
+  EXPECT_FALSE(M.record(Huge).InArena);
+  EXPECT_EQ(M.find(RecordingArena::encode(0) + 15), InArena);
+  EXPECT_EQ(M.find(RecordingArena::encode(7) + 15), Foreign);
+  EXPECT_EQ(M.find(5015), Low);
+  EXPECT_EQ(M.find(RecordingArena::encode(4) + 8), Huge); // Past its slot.
+  EXPECT_EQ(M.find(RecordingArena::encode(1)), ~0u);
+  EXPECT_EQ(M.liveCount(), 4u);
+  EXPECT_EQ(M.erase(RecordingArena::encode(7)), Foreign);
+  EXPECT_EQ(M.erase(RecordingArena::encode(0)), InArena);
+  EXPECT_EQ(M.find(RecordingArena::encode(0)), ~0u);
+  EXPECT_EQ(M.find(RecordingArena::encode(7)), ~0u);
+  EXPECT_EQ(M.liveCount(), 2u);
+}
+
+TEST(RecordingArena, ObjectsTheEncodingCannotHoldThrow) {
+  // In every build: a 4 GiB object would run into the next id's slot.
+  // The id limit shares the branch; reaching it would take 4G objects.
+  RecordingArena Arena;
+  EXPECT_THROW(Arena.allocate(AllocRequest{RecordingArena::SlotBytes, 0}),
+               std::length_error);
+  EXPECT_THROW(Arena.allocate(AllocRequest{~0ull, 0}), std::length_error);
+  // A failed request mints no id, and the largest object that fits its
+  // slot is served.
+  uint64_t A = Arena.allocate(AllocRequest{RecordingArena::SlotBytes - 1, 0});
+  uint64_t B = Arena.allocate(AllocRequest{8, 0});
+  EXPECT_EQ(A, RecordingArena::encode(0));
+  EXPECT_EQ(B, RecordingArena::encode(1));
+  EXPECT_EQ(Arena.idOf(A + RecordingArena::SlotBytes - 2), 0u);
+  EXPECT_EQ(Arena.idOf(B + 8), ~0u);
+  EXPECT_FALSE(RecordingArena::encodable(RecordingArena::MaxObjects, 8));
+  EXPECT_EQ(RecordingArena::encode(RecordingArena::MaxObjects - 1) +
+                (RecordingArena::SlotBytes - 1),
+            ~0ull);
+
+  // Both pipelines profile on the arena, so such a run fails loudly.
+  Program P;
+  FunctionId Main = P.addFunction("main");
+  CallSiteId Site = P.addMallocSite(Main, "main>malloc");
+  auto Huge = [&](Runtime &RT) { RT.malloc(RecordingArena::SlotBytes, Site); };
+  EXPECT_THROW(optimizeBinary(P, Huge), std::length_error);
+  EXPECT_THROW(optimizeBinaryHds(P, Huge), std::length_error);
 }
 
 TEST(Profiler, BuildsEdgeBetweenInterleavedContexts) {
@@ -381,3 +471,94 @@ TEST(Profiler, AllocationCountsPerContext) {
   ASSERT_EQ(Prof.contexts().size(), 1u);
   EXPECT_EQ(Prof.contexts().info(0).Allocations, 5u);
 }
+
+//===----------------------------------------------------------------------===//
+// Oracle: the arena lookup against the interval map, on every workload.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// What the two pipelines read from a profiling run: HALO's graph (as
+/// saved), contexts and macro-access count, HDS's reference trace, and
+/// every object's size, context and malloc site.
+struct ProfileRun {
+  std::vector<uint8_t> Graph, Contexts;
+  uint64_t Accesses = 0;
+  std::vector<ObjectId> Trace;
+  std::vector<std::tuple<uint64_t, ContextId, CallSiteId>> HaloObjects,
+      HdsObjects;
+  uint64_t ArenaObjects = 0; ///< Objects the arena lookup resolved.
+};
+
+void collectObjects(
+    const LiveObjectMap &Objects,
+    std::vector<std::tuple<uint64_t, ContextId, CallSiteId>> &Out,
+    uint64_t &ArenaObjects) {
+  for (ObjectId Id = 0; Id < Objects.totalAllocated(); ++Id) {
+    const ObjectRecord &Rec = Objects.record(Id);
+    Out.emplace_back(Rec.Size, Rec.Ctx, Rec.ImmediateSite);
+    ArenaObjects += Rec.InArena;
+  }
+}
+
+/// Profiles \p Name's profile input, as the pipelines do, over a fresh
+/// \p AllocT for each profiler.
+template <typename AllocT> ProfileRun profileOver(const std::string &Name) {
+  BenchmarkSetup Setup = paperSetup(Name);
+  std::unique_ptr<Workload> W = createWorkload(Name);
+  Program Prog;
+  W->build(Prog);
+  ProfileRun Out;
+  {
+    AllocT Alloc;
+    Runtime RT(Prog, Alloc);
+    HeapProfiler Profiler(Prog, Setup.Halo.Profile);
+    RT.addObserver(&Profiler);
+    W->run(RT, Setup.ProfileScale, Setup.ProfileSeed);
+    BinaryWriter Graph, Contexts;
+    Profiler.takeGraph().save(Graph);
+    Profiler.contexts().save(Contexts);
+    Out.Graph = Graph.take();
+    Out.Contexts = Contexts.take();
+    Out.Accesses = Profiler.totalAccesses();
+    collectObjects(Profiler.objects(), Out.HaloObjects, Out.ArenaObjects);
+  }
+  {
+    AllocT Alloc;
+    Runtime RT(Prog, Alloc);
+    ReferenceTraceRecorder Recorder;
+    RT.addObserver(&Recorder);
+    W->run(RT, Setup.ProfileScale, Setup.ProfileSeed);
+    Out.Trace = Recorder.trace();
+    collectObjects(Recorder.objects(), Out.HdsObjects, Out.ArenaObjects);
+  }
+  return Out;
+}
+
+class ProfileOracle : public ::testing::TestWithParam<std::string> {};
+
+} // namespace
+
+TEST_P(ProfileOracle, ArenaLookupMatchesTheIntervalMap) {
+  // A profile depends on which object each access touches and on the
+  // allocation order, never on addresses: over SizeClassAllocator every
+  // object goes through the interval map, over the arena through the
+  // arithmetic lookup, and both must see the same run.
+  ProfileRun Interval = profileOver<SizeClassAllocator>(GetParam());
+  ProfileRun Arena = profileOver<RecordingArena>(GetParam());
+  EXPECT_EQ(Interval.ArenaObjects, 0u);
+  EXPECT_EQ(Arena.ArenaObjects,
+            Arena.HaloObjects.size() + Arena.HdsObjects.size());
+  EXPECT_GT(Arena.Accesses, 0u);
+  EXPECT_FALSE(Arena.Trace.empty());
+  EXPECT_EQ(Interval.Accesses, Arena.Accesses);
+  EXPECT_TRUE(Interval.Graph == Arena.Graph) << "affinity graphs differ";
+  EXPECT_TRUE(Interval.Contexts == Arena.Contexts) << "contexts differ";
+  EXPECT_TRUE(Interval.HaloObjects == Arena.HaloObjects);
+  EXPECT_TRUE(Interval.Trace == Arena.Trace) << "reference traces differ";
+  EXPECT_TRUE(Interval.HdsObjects == Arena.HdsObjects);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBenchmarks, ProfileOracle,
+                         ::testing::ValuesIn(workloadNames()),
+                         [](const auto &Info) { return Info.param; });
