@@ -339,22 +339,32 @@ void ablationChunkSize() {
       {128 * 1024, 1, true},  {512 * 1024, 0, false},
       {1024 * 1024, 0, false}, {1024 * 1024, 1, true}, // Global defaults.
   };
+  // No profile reads the allocator options, and jemalloc reads none of
+  // the setup: the first setup's plan profiles omnetpp and measures
+  // jemalloc, and every later setup gets that bundle and measures HALO.
+  std::deque<Evaluation> Evals; // Evaluations do not move.
+  double Jemalloc = 0;
   for (const Config &C : Configs) {
     BenchmarkSetup Setup = paperSetup("omnetpp");
     Setup.Halo.Allocator.ChunkSize = C.Chunk;
     Setup.Halo.Allocator.MaxSpareChunks = C.Spares;
     Setup.Halo.Allocator.PurgeEmptyChunks = C.Purge;
-    Evaluation Eval(Setup);
-    ResultSet Results = measure(
-        {"omnetpp"}, {AllocatorKind::Jemalloc, AllocatorKind::Halo}, 1,
-        {&Eval});
-    const FragmentationStats &Frag =
-        runs(Results, "omnetpp", AllocatorKind::Halo)[0].Frag;
+    bool First = Evals.empty();
+    Evaluation &Eval = Evals.emplace_back(Setup);
+    std::vector<AllocatorKind> Kinds = {AllocatorKind::Halo};
+    if (First)
+      Kinds.insert(Kinds.begin(), AllocatorKind::Jemalloc);
+    else
+      Eval.setHaloArtifacts(Evals.front().haloArtifacts());
+    ResultSet Results = measure({"omnetpp"}, Kinds, 1, {&Eval});
+    if (First)
+      Jemalloc = runs(Results, "omnetpp", AllocatorKind::Jemalloc)[0].Seconds;
+    const RunMetrics &Halo = runs(Results, "omnetpp", AllocatorKind::Halo)[0];
     R.addRow({formatBytes(double(C.Chunk)), std::to_string(C.Spares),
               C.Purge ? "yes" : "no",
-              formatPercent(haloSpeedup(Results, "omnetpp")),
-              formatPercent(Frag.wastedPercent()),
-              formatBytes(double(Frag.wastedBytes()))});
+              formatPercent(percentImprovement(Jemalloc, Halo.Seconds)),
+              formatPercent(Halo.Frag.wastedPercent()),
+              formatBytes(double(Halo.Frag.wastedBytes()))});
   }
   R.addNote("smaller chunks recycle faster under omnetpp's event churn; "
             "always-reuse avoids repeatedly faulting purged pages back in "
@@ -377,26 +387,40 @@ void ablationConstraints() {
       {"no double-count guard", true, false, true},
       {"no co-allocatability", true, true, false},
   };
-  for (const std::string &Name : {std::string("health"),
-                                  std::string("omnetpp"),
-                                  std::string("roms")}) {
-    Report R("Affinity constraint ablation: " + Name);
-    R.setColumns({"configuration", "groups", "edge weight", "HALO speedup"});
-    for (const Config &C : Configs) {
+  const std::vector<std::string> Names = {"health", "omnetpp", "roms"};
+  // One plan per configuration over the three benchmarks. jemalloc reads
+  // no profile option, so only the first plan measures it.
+  std::deque<Evaluation> Evals; // Config-major; Evaluations do not move.
+  std::vector<ResultSet> Results;
+  for (const Config &C : Configs) {
+    std::vector<Evaluation *> Setups;
+    for (const std::string &Name : Names) {
       BenchmarkSetup Setup = paperSetup(Name);
       Setup.Halo.Profile.Dedup = C.Dedup;
       Setup.Halo.Profile.NoDoubleCount = C.NoDouble;
       Setup.Halo.Profile.CoAllocatability = C.CoAlloc;
-      Evaluation Eval(Setup);
-      ResultSet Results = measure(
-          {Name}, {AllocatorKind::Jemalloc, AllocatorKind::Halo}, 1, {&Eval});
-      const HaloArtifacts &Art = Eval.haloArtifacts();
+      Setups.push_back(&Evals.emplace_back(Setup));
+    }
+    std::vector<AllocatorKind> Kinds = {AllocatorKind::Halo};
+    if (Results.empty())
+      Kinds.insert(Kinds.begin(), AllocatorKind::Jemalloc);
+    Results.push_back(measure(Names, Kinds, 1, Setups));
+  }
+  for (size_t B = 0; B < Names.size(); ++B) {
+    Report R("Affinity constraint ablation: " + Names[B]);
+    R.setColumns({"configuration", "groups", "edge weight", "HALO speedup"});
+    double Jemalloc =
+        runs(Results[0], Names[B], AllocatorKind::Jemalloc)[0].Seconds;
+    for (size_t I = 0; I < Results.size(); ++I) {
+      const HaloArtifacts &Art = Evals[I * Names.size() + B].haloArtifacts();
       uint64_t EdgeWeight = 0;
       for (const AffinityGraph::Edge &E : Art.Graph.edges())
         EdgeWeight += E.Weight;
-      R.addRow({C.Label, std::to_string(Art.Groups.size()),
+      double Halo =
+          runs(Results[I], Names[B], AllocatorKind::Halo)[0].Seconds;
+      R.addRow({Configs[I].Label, std::to_string(Art.Groups.size()),
                 std::to_string(EdgeWeight),
-                formatPercent(haloSpeedup(Results, Name))});
+                formatPercent(percentImprovement(Jemalloc, Halo))});
     }
     R.addNote("dropping co-allocatability admits groups whose members "
               "cannot actually be placed together (e.g. randomly-accessed "
