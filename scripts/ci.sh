@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # One-command CI for the HALO reproduction: the tier-1 verify (Release
 # build + full ctest, including the golden_run_json and golden_matrix_json
-# byte checks) followed by the ASan+UBSan build (-DHALO_SANITIZE=ON)
+# byte checks) followed by the ASan+UBSan build (-DHALO_SANITIZE=ON, with
+# libstdc++'s container assertions)
 # running the same suite. Each build also smoke-tests the artifact store
 # end to end through halo_cli against a per-run temp --store-dir: cold run
 # populates it with HALO/HDS bundles only (no trace entry), warm run must
