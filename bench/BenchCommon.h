@@ -5,8 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Helpers shared by the bench binaries: the trial count, wall-clock
-/// medians, and the BENCH_pipeline.json row and its writer.
+/// Helpers shared by the bench binaries: the trial count (figures and
+/// bench_grouping_scale), wall-clock medians, and the BENCH_pipeline.json
+/// row and its writer (bench_grouping_scale writes the whole file).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,41 +66,15 @@ struct BenchRow {
 
 /// Writes \p Rows as a JSON array to \p Path, each closed by the
 /// provenance fields: the host's core count and the build type this bench
-/// was compiled as (HALO_BENCH_BUILD_TYPE, set by CMake). With \p Append,
-/// merges them into the file's existing array instead (whichever bench
-/// owns the file's fresh write runs first; appenders follow).
+/// was compiled as (HALO_BENCH_BUILD_TYPE, set by CMake).
 inline void writeRows(const std::string &Path,
-                      const std::vector<BenchRow> &Rows, bool Append) {
-  std::string Prefix = "[\n";
-  if (Append) {
-    if (FILE *In = std::fopen(Path.c_str(), "r")) {
-      std::string Existing;
-      char Buf[4096];
-      size_t N;
-      while ((N = std::fread(Buf, 1, sizeof(Buf), In)) > 0)
-        Existing.append(Buf, N);
-      std::fclose(In);
-      size_t Close = Existing.find_last_of(']');
-      if (Close != std::string::npos) {
-        Prefix = Existing.substr(0, Close);
-        while (!Prefix.empty() &&
-               (Prefix.back() == '\n' || Prefix.back() == ' '))
-          Prefix.pop_back();
-        // An empty existing array must not gain a leading comma (and a
-        // degenerate file still needs its opening bracket).
-        if (Prefix.empty())
-          Prefix = "[\n";
-        else
-          Prefix += Prefix.back() == '[' ? "\n" : ",\n";
-      }
-    }
-  }
+                      const std::vector<BenchRow> &Rows) {
   FILE *Out = std::fopen(Path.c_str(), "w");
   if (!Out) {
     std::fprintf(stderr, "cannot write %s\n", Path.c_str());
     std::exit(1);
   }
-  std::fputs(Prefix.c_str(), Out);
+  std::fputs("[\n", Out);
   const unsigned Cores = std::thread::hardware_concurrency();
   for (size_t I = 0; I < Rows.size(); ++I) {
     const BenchRow &R = Rows[I];

@@ -323,7 +323,7 @@ int main(int Argc, char **Argv) {
       return 1;
   }
 
-  writeRows(OutPath, Rows, /*Append=*/false);
+  writeRows(OutPath, Rows);
   std::printf("\nwrote %s (%zu rows)\n", OutPath.c_str(), Rows.size());
   return 0;
 }

@@ -346,9 +346,9 @@ void ablationChunkSize() {
   double Jemalloc = 0;
   for (const Config &C : Configs) {
     BenchmarkSetup Setup = paperSetup("omnetpp");
-    Setup.Halo.Allocator.ChunkSize = C.Chunk;
-    Setup.Halo.Allocator.MaxSpareChunks = C.Spares;
-    Setup.Halo.Allocator.PurgeEmptyChunks = C.Purge;
+    Setup.Allocator.ChunkSize = C.Chunk;
+    Setup.Allocator.MaxSpareChunks = C.Spares;
+    Setup.Allocator.PurgeEmptyChunks = C.Purge;
     bool First = Evals.empty();
     Evaluation &Eval = Evals.emplace_back(Setup);
     std::vector<AllocatorKind> Kinds = {AllocatorKind::Halo};

@@ -309,12 +309,10 @@ std::optional<ArtifactStore> openStore(const CliOptions &Opts) {
 /// The paper's setup for \p Benchmark with the setup flags applied.
 BenchmarkSetup setupFor(const CliOptions &Opts, const std::string &Benchmark) {
   BenchmarkSetup Setup = paperSetup(Benchmark);
-  for (GroupAllocatorOptions *A :
-       {&Setup.Halo.Allocator, &Setup.Hds.Allocator}) {
-    A->ChunkSize = Opts.number(flag::ChunkSize, A->ChunkSize);
-    A->MaxSpareChunks = static_cast<uint32_t>(
-        Opts.number(flag::MaxSpareChunks, A->MaxSpareChunks));
-  }
+  GroupAllocatorOptions &A = Setup.Allocator;
+  A.ChunkSize = Opts.number(flag::ChunkSize, A.ChunkSize);
+  A.MaxSpareChunks = static_cast<uint32_t>(
+      Opts.number(flag::MaxSpareChunks, A.MaxSpareChunks));
   Setup.Halo.Grouping.MaxGroups = static_cast<uint32_t>(
       Opts.number(flag::MaxGroups, Setup.Halo.Grouping.MaxGroups));
   Setup.Halo.Profile.AffinityDistance = Opts.number(

@@ -18,13 +18,18 @@
 #
 # Two source checks run first: no file under src/ other than runPlan's
 # (eval/Experiment.cpp) and the serve daemon's (serve/Server.cpp) may
-# construct an Executor -- the one-scheduler rule -- and the repository
-# benchmark (benchmark/, its own CMake project in build-bench/) must build
-# against the current library, pass its self-test, and run all four
-# workloads at smoke size with every correctness check on (byte-equal
-# repeats, the direct-measurement oracle, no store rewrite when warm), so
-# an API or behaviour change that breaks it fails here rather than in a
-# benchmark run.
+# construct an Executor, and none outside the Executor itself and the
+# daemon's scheduler and session readers (serve/Server.*, serve/Session.h)
+# may start a std::thread or std::async -- the one-scheduler rule -- and
+# the repository benchmark (benchmark/, its own CMake project in
+# build-bench/) must build against the current library, pass its
+# self-test, run all four workloads at smoke size with every correctness
+# check on (byte-equal repeats, the direct-measurement oracle, no store
+# rewrite when warm), and run its traced per-layer benchmark on
+# matrix_cold_test (its step-by-step pipeline byte-equal to
+# optimizeBinary, replay equal to direct execution, spans covering the
+# wall time), so an API or behaviour change that breaks it fails here
+# rather than in a benchmark run.
 #
 # Usage: scripts/ci.sh [build-dir [sanitize-build-dir]]
 #   build dirs default to build/ and build-asan/ at the repo root;
@@ -176,10 +181,11 @@ serve_smoke() {
 
 # The one-scheduler rule, mechanically: a declaration that constructs an
 # Executor (a named variable, a temporary, make_unique/make_shared, new)
-# anywhere under src/ outside the allow-list fails CI. Comment lines are
-# skipped.
+# anywhere under src/ outside the allow-list fails CI, and so does a raw
+# std::thread or std::async outside the Executor and the daemon's own
+# scheduler and session threads. Comment lines are skipped.
 executor_rule() {
-  local hits
+  local hits threads
   hits="$(cd "$ROOT" &&
     grep -rnE '\bExecutor([[:space:]]+[A-Za-z_][A-Za-z0-9_]*[[:space:]]*[({;]|[[:space:]]*[({])|(make_unique|make_shared)<Executor>|new[[:space:]]+Executor\b' \
       src --include='*.h' --include='*.cpp' |
@@ -192,17 +198,31 @@ executor_rule() {
     echo "$hits" >&2
     return 1
   fi
+  threads="$(cd "$ROOT" &&
+    grep -rnE '\bstd::(thread|async)\b' src --include='*.h' --include='*.cpp' |
+    grep -vE '^[^:]+:[0-9]+:[[:space:]]*(//|\*)' |
+    grep -vE '^src/(support/Executor\.(h|cpp)|serve/Server\.(h|cpp)|serve/Session\.h):' ||
+    true)"
+  if [[ -n "$threads" ]]; then
+    echo "executor_rule: parallel work goes through the Executor; only" \
+         "support/Executor.*, serve/Server.* and serve/Session.h may" \
+         "start a std::thread or std::async:" >&2
+    echo "$threads" >&2
+    return 1
+  fi
 }
 
 # The repository benchmark builds from these sources with its own CMake
 # project; build both of its drivers, run its self-test, then its four
-# workloads at a tenth of the time (any failed check exits non-zero).
+# workloads at a tenth of the time, then the traced per-layer benchmark
+# on the cold matrix (any failed check exits non-zero).
 benchmark_build() {
   cmake -S "$ROOT/benchmark" -B "$ROOT/build-bench" -DCMAKE_BUILD_TYPE=Release
   cmake --build "$ROOT/build-bench" -j "$(nproc)" \
       --target halo_bench halo_bench_layers
   bash "$ROOT/benchmark/run.sh" --self-test
   bash "$ROOT/benchmark/run.sh" --smoke
+  bash "$ROOT/benchmark/run.sh" --trace 1 --smoke --workload matrix_cold_test
 }
 
 echo "== source: one-scheduler rule =="

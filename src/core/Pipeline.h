@@ -34,11 +34,12 @@ namespace halo {
 
 class EventTrace;
 
-/// All tunables of the pipeline (defaults follow Section 5.1).
+/// All tunables of the pipeline (defaults follow Section 5.1). The
+/// specialised allocator's options are not among them: only measurement
+/// reads those (BenchmarkSetup::Allocator).
 struct HaloParameters {
   ProfileOptions Profile;
   GroupingOptions Grouping;
-  GroupAllocatorOptions Allocator;
 };
 
 /// Everything the pipeline produces for one target program.

@@ -18,18 +18,15 @@ BenchmarkSetup halo::paperSetup(const std::string &Benchmark) {
   // distance 128 (Fig. 12), merge tolerance 5%, 1 MiB chunks, one spare
   // chunk, maximum grouped object size 4 KiB (Section 5.1).
   if (Benchmark == "omnetpp") {
-    Setup.Halo.Allocator.ChunkSize = 128 * 1024;
-    Setup.Halo.Allocator.MaxSpareChunks = 0;
-    Setup.Halo.Allocator.PurgeEmptyChunks = false; // Always reuse chunks.
+    Setup.Allocator.ChunkSize = 128 * 1024;
+    Setup.Allocator.MaxSpareChunks = 0;
+    Setup.Allocator.PurgeEmptyChunks = false; // Always reuse chunks.
   } else if (Benchmark == "xalanc") {
-    Setup.Halo.Allocator.MaxSpareChunks = 0;
-    Setup.Halo.Allocator.PurgeEmptyChunks = false; // Always reuse chunks.
+    Setup.Allocator.MaxSpareChunks = 0;
+    Setup.Allocator.PurgeEmptyChunks = false; // Always reuse chunks.
   } else if (Benchmark == "roms") {
     Setup.Halo.Grouping.MaxGroups = 4; // Artefact: --max-groups 4.
   }
-  // The comparison technique shares the specialised allocator and its
-  // per-benchmark settings (Section 5.1).
-  Setup.Hds.Allocator = Setup.Halo.Allocator;
   return Setup;
 }
 
@@ -185,7 +182,7 @@ Evaluation::measureWith(const MachineConfig &Machine, AllocatorKind Kind,
     Runtime RT(Prog, Jemalloc, Machine.Costs);
     RT.setInstrumentation(&Art.Plan);
     SelectorGroupPolicy Policy(RT.groupState(), Art.CompiledSelectors);
-    GroupAllocator Halo(Jemalloc, Policy, Setup.Halo.Allocator);
+    GroupAllocator Halo(Jemalloc, Policy, Setup.Allocator);
     RT.setAllocator(Halo);
     RT.setMemory(&Memory);
     Drive(RT);
@@ -196,7 +193,7 @@ Evaluation::measureWith(const MachineConfig &Machine, AllocatorKind Kind,
     const HdsArtifacts &Art = hdsArtifacts();
     SiteGroupPolicy Policy(Art.SiteToGroup,
                            static_cast<uint32_t>(Art.Groups.size()));
-    GroupAllocator Hds(Jemalloc, Policy, Setup.Hds.Allocator);
+    GroupAllocator Hds(Jemalloc, Policy, Setup.Allocator);
     Runtime RT(Prog, Hds, Machine.Costs);
     RT.setMemory(&Memory);
     Drive(RT);

@@ -19,6 +19,7 @@
 #ifndef HALO_EVAL_EVALUATION_H
 #define HALO_EVAL_EVALUATION_H
 
+#include "core/GroupAllocator.h"
 #include "core/Pipeline.h"
 #include "hds/HdsPipeline.h"
 #include "sim/Machine.h"
@@ -64,15 +65,21 @@ struct BenchmarkSetup {
   std::string Name;
   HaloParameters Halo;
   HdsParameters Hds;
+  /// The specialised group allocator both HALO and HDS measure with:
+  /// hot-data-stream co-allocation shares HALO's allocator and its
+  /// per-benchmark settings (Section 5.1). No pipeline stage reads it, so
+  /// it keys no store entry.
+  GroupAllocatorOptions Allocator;
   /// The simulated hardware measurements run on. Part of the measurement
   /// key: the same benchmark measured under two machines is two different
   /// experiments. Pipeline artifacts are machine-independent, so the
   /// explicit-machine measureDirect() overloads sweep machines against one
   /// Evaluation without re-profiling.
   MachineConfig Machine = defaultMachine();
-  Scale ProfileScale = Scale::Test; ///< "Workloads are profiled on small
-                                    ///< test inputs" (Section 5.1).
-  uint64_t ProfileSeed = 1;
+  /// "Workloads are profiled on small test inputs" (Section 5.1): one run
+  /// of the test input at one seed, the same for every setup.
+  static constexpr Scale ProfileScale = Scale::Test;
+  static constexpr uint64_t ProfileSeed = 1;
 };
 
 /// Returns the paper's configuration for \p Benchmark: affinity distance

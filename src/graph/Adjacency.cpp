@@ -13,65 +13,6 @@ uint32_t AdjacencySnapshot::denseOf(GraphNodeId Node) const {
   return static_cast<uint32_t>(It - Ids.begin());
 }
 
-uint32_t
-AdjacencySnapshot::markMembers(const std::vector<GraphNodeId> &Nodes) const {
-  if (MemberEpoch.size() < Ids.size())
-    MemberEpoch.assign(Ids.size(), 0);
-  ++Epoch;
-  uint32_t Present = 0;
-  for (GraphNodeId Node : Nodes) {
-    uint32_t Dense = denseOf(Node);
-    if (Dense == InvalidDense)
-      continue;
-    MemberEpoch[Dense] = Epoch;
-    ++Present;
-  }
-  return Present;
-}
-
-uint64_t AdjacencySnapshot::subgraphWeight(
-    const std::vector<GraphNodeId> &Nodes) const {
-  markMembers(Nodes);
-  uint64_t Weight = 0;
-  for (GraphNodeId Node : Nodes) {
-    uint32_t Dense = denseOf(Node);
-    if (Dense == InvalidDense)
-      continue;
-    Weight += LoopWeights[Dense];
-    Span<uint32_t> Row = neighbors(Dense);
-    Span<uint64_t> RowWeights = neighborWeights(Dense);
-    for (size_t I = 0; I < Row.size(); ++I)
-      // Count each undirected member-member edge from its lower endpoint.
-      if (Row[I] > Dense && MemberEpoch[Row[I]] == Epoch)
-        Weight += RowWeights[I];
-  }
-  return Weight;
-}
-
-double AdjacencySnapshot::score(const std::vector<GraphNodeId> &Nodes) const {
-  markMembers(Nodes);
-  uint64_t WeightSum = 0;
-  uint64_t Loops = 0;
-  for (GraphNodeId Node : Nodes) {
-    uint32_t Dense = denseOf(Node);
-    if (Dense == InvalidDense)
-      continue;
-    uint64_t Loop = LoopWeights[Dense];
-    WeightSum += Loop;
-    if (Loop > 0)
-      ++Loops;
-    Span<uint32_t> Row = neighbors(Dense);
-    Span<uint64_t> RowWeights = neighborWeights(Dense);
-    for (size_t I = 0; I < Row.size(); ++I)
-      if (Row[I] > Dense && MemberEpoch[Row[I]] == Epoch)
-        WeightSum += RowWeights[I];
-  }
-  // Like AffinityGraph::score, the pair denominator counts the requested
-  // node list (absent nodes contribute pairs of weight zero).
-  uint64_t Pairs = Nodes.size() * (Nodes.size() - 1) / 2;
-  return affinityScoreFrom(WeightSum, Loops, Pairs);
-}
-
 AdjacencySnapshot AffinityGraph::buildAdjacency() const {
   AdjacencySnapshot Snap;
   Snap.Total = TotalAccesses;
@@ -126,15 +67,5 @@ AdjacencySnapshot AffinityGraph::buildAdjacency() const {
     Snap.NeighborDense[Fill[V]] = U;
     Snap.NeighborWeights[Fill[V]++] = E.Weight;
   }
-
-  Snap.DegreeOrder.resize(N);
-  for (uint32_t Dense = 0; Dense < N; ++Dense)
-    Snap.DegreeOrder[Dense] = Dense;
-  std::sort(Snap.DegreeOrder.begin(), Snap.DegreeOrder.end(),
-            [&](uint32_t A, uint32_t B) {
-              if (Degree[A] != Degree[B])
-                return Degree[A] > Degree[B];
-              return A < B;
-            });
   return Snap;
 }

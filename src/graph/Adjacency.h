@@ -7,13 +7,12 @@
 /// \file
 /// A frozen compressed-sparse-row view of an AffinityGraph, built once via
 /// AffinityGraph::buildAdjacency() and then read-only. Nodes are renumbered
-/// into dense indices [0, N) in ascending id order so grouping and scoring
-/// can use flat arrays instead of probing the packed-key hash map: each
-/// node's non-loop neighbours and edge weights are contiguous spans, loop
-/// weights live in a parallel array, and a degree-descending permutation is
-/// precomputed for hub-first iteration. Dense indices compare the same way
-/// as the original node ids, so ordering-sensitive algorithms (tie-breaks
-/// in the Figure 6 grouping) behave identically on either numbering.
+/// into dense indices [0, N) in ascending id order so grouping can use flat
+/// arrays instead of probing the packed-key hash map: each node's non-loop
+/// neighbours and edge weights are contiguous spans, and loop weights live
+/// in a parallel array. Dense indices compare the same way as the original
+/// node ids, so ordering-sensitive algorithms (tie-breaks in the Figure 6
+/// grouping) behave identically on either numbering.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,9 +66,6 @@ public:
 
   uint64_t accesses(uint32_t Dense) const { return NodeAccesses[Dense]; }
   uint64_t loopWeight(uint32_t Dense) const { return LoopWeights[Dense]; }
-  uint32_t degree(uint32_t Dense) const {
-    return RowStart[Dense + 1] - RowStart[Dense];
-  }
 
   /// Non-loop neighbours of \p Dense as dense indices, ascending.
   Span<uint32_t> neighbors(uint32_t Dense) const {
@@ -83,28 +79,8 @@ public:
             NeighborWeights.data() + RowStart[Dense + 1]};
   }
 
-  /// Dense indices ordered by degree (descending, ties by index) for
-  /// hub-first traversals.
-  Span<uint32_t> nodesByDegree() const {
-    return {DegreeOrder.data(), DegreeOrder.data() + DegreeOrder.size()};
-  }
-
-  /// The Figure 7 score of the subgraph induced by \p Nodes (original ids,
-  /// assumed distinct); identical to AffinityGraph::score but O(sum of
-  /// member degrees) instead of O(|Nodes|^2) hash probes.
-  double score(const std::vector<GraphNodeId> &Nodes) const;
-
-  /// Sum of edge weights (loops included) within the subgraph induced by
-  /// \p Nodes (original ids, assumed distinct); identical to
-  /// AffinityGraph::subgraphWeight.
-  uint64_t subgraphWeight(const std::vector<GraphNodeId> &Nodes) const;
-
 private:
   friend class AffinityGraph;
-
-  /// Marks \p Nodes in the scratch epoch array; returns how many were
-  /// present in the snapshot.
-  uint32_t markMembers(const std::vector<GraphNodeId> &Nodes) const;
 
   std::vector<GraphNodeId> Ids;          ///< Dense -> original id, ascending.
   std::vector<uint64_t> NodeAccesses;    ///< Per dense node.
@@ -112,14 +88,8 @@ private:
   std::vector<uint32_t> RowStart;        ///< CSR row offsets, size N + 1.
   std::vector<uint32_t> NeighborDense;   ///< Concatenated neighbour rows.
   std::vector<uint64_t> NeighborWeights; ///< Parallel to NeighborDense.
-  std::vector<uint32_t> DegreeOrder;     ///< Degree-descending permutation.
   uint64_t Total = 0;
   uint64_t EdgeCount = 0;
-
-  /// Scratch for score/subgraphWeight subset marking: MemberEpoch[d] ==
-  /// Epoch means dense node d is in the subset of the current query.
-  mutable std::vector<uint64_t> MemberEpoch;
-  mutable uint64_t Epoch = 0;
 };
 
 } // namespace halo

@@ -183,7 +183,7 @@ void AffinityGraph::save(BinaryWriter &W) const {
 
 AffinityGraph AffinityGraph::load(BinaryReader &R) {
   AffinityGraph Graph;
-  uint64_t NumNodes = R.varint();
+  uint64_t NumNodes = R.count();
   for (uint64_t I = 0; I < NumNodes; ++I) {
     uint64_t Node = R.varint();
     if (Node > UINT32_MAX)
@@ -192,7 +192,7 @@ AffinityGraph AffinityGraph::load(BinaryReader &R) {
     Graph.Accesses[static_cast<GraphNodeId>(Node)] = Count;
     Graph.TotalAccesses += Count;
   }
-  uint64_t NumEdges = R.varint();
+  uint64_t NumEdges = R.count();
   for (uint64_t I = 0; I < NumEdges; ++I) {
     uint64_t U = R.varint();
     uint64_t V = R.varint();

@@ -35,10 +35,9 @@ using GraphNodeId = uint32_t;
 /// The Figure 7 score from a subgraph's aggregates:
 ///   s(G) = WeightSum / (Loops + Pairs)
 /// with 0 for an empty denominator. The single definition is shared by
-/// AffinityGraph::score, AdjacencySnapshot::score, and both grouping
-/// implementations: the incremental buildGroups' bit-identical-output
-/// contract with buildGroupsReference depends on every path computing this
-/// division identically.
+/// AffinityGraph::score and both grouping implementations: the incremental
+/// buildGroups' bit-identical-output contract with buildGroupsReference
+/// depends on every path computing this division identically.
 inline double affinityScoreFrom(uint64_t WeightSum, uint64_t Loops,
                                 uint64_t Pairs) {
   uint64_t Denominator = Loops + Pairs;
@@ -99,10 +98,9 @@ public:
   uint64_t subgraphWeight(const std::vector<GraphNodeId> &Nodes) const;
 
   /// Freezes the current graph into a CSR adjacency snapshot (see
-  /// graph/Adjacency.h): per-node neighbour/weight spans, loop weights, and
-  /// a degree-ordered permutation. The snapshot is an independent copy; it
-  /// is not invalidated by later mutation of this graph (but does not see
-  /// it either).
+  /// graph/Adjacency.h): per-node neighbour/weight spans and loop weights.
+  /// The snapshot is an independent copy; it is not invalidated by later
+  /// mutation of this graph (but does not see it either).
   AdjacencySnapshot buildAdjacency() const;
 
   /// Renders the graph as DOT (Figure 9 style). \p LabelOf supplies node

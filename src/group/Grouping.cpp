@@ -402,11 +402,11 @@ void halo::saveGroups(const std::vector<Group> &Groups, BinaryWriter &W) {
 
 std::vector<Group> halo::loadGroups(BinaryReader &R) {
   std::vector<Group> Groups;
-  uint64_t Count = R.varint();
+  uint64_t Count = R.count();
   Groups.reserve(static_cast<size_t>(Count));
   for (uint64_t I = 0; I < Count; ++I) {
     Group G;
-    uint64_t Members = R.varint();
+    uint64_t Members = R.count();
     G.Members.reserve(static_cast<size_t>(Members));
     for (uint64_t J = 0; J < Members; ++J) {
       uint64_t Member = R.varint();

@@ -18,7 +18,6 @@
 #ifndef HALO_HDS_HDSPIPELINE_H
 #define HALO_HDS_HDSPIPELINE_H
 
-#include "core/GroupAllocator.h"
 #include "hds/CoAllocation.h"
 #include "hds/HotStreams.h"
 #include "profile/LiveObjectMap.h"
@@ -34,10 +33,11 @@ class EventTrace;
 class BinaryWriter;
 class BinaryReader;
 
+/// The pipeline's tunables. The allocator it measures with is HALO's,
+/// with the same per-benchmark settings (BenchmarkSetup::Allocator).
 struct HdsParameters {
   HotStreamOptions Streams;
   CoAllocationOptions CoAllocation;
-  GroupAllocatorOptions Allocator;
 };
 
 /// HDS's profiler: records the object-level data reference trace (every

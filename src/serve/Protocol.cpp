@@ -73,14 +73,6 @@ namespace {
 /// must never let a hostile length allocate unbounded memory.
 constexpr uint64_t MaxWireCount = 1u << 16;
 
-uint64_t boundedCount(BinaryReader &R, const char *What) {
-  uint64_t N = R.varint();
-  if (N > MaxWireCount)
-    throw ProtocolError(std::string(What) + " count " + std::to_string(N) +
-                        " exceeds the protocol bound");
-  return N;
-}
-
 AllocatorKind kindFromWire(uint8_t V) {
   if (V > static_cast<uint8_t>(AllocatorKind::HaloInstrumentedOnly))
     throw ProtocolError("allocator kind " + std::to_string(V) +
@@ -175,15 +167,15 @@ PlanRequest halo::decodePlanRequest(const std::vector<uint8_t> &Payload) {
   return decoding("SubmitPlan", [&] {
     BinaryReader R(Payload);
     PlanRequest Req;
-    uint64_t N = boundedCount(R, "benchmark");
+    uint64_t N = R.count(MaxWireCount);
     Req.Benchmarks.reserve(N);
     for (uint64_t I = 0; I < N; ++I)
       Req.Benchmarks.push_back(R.str());
-    N = boundedCount(R, "machine");
+    N = R.count(MaxWireCount);
     Req.Machines.reserve(N);
     for (uint64_t I = 0; I < N; ++I)
       Req.Machines.push_back(R.str());
-    N = boundedCount(R, "kind");
+    N = R.count(MaxWireCount);
     Req.Kinds.clear();
     for (uint64_t I = 0; I < N; ++I)
       Req.Kinds.push_back(kindFromWire(R.u8()));
@@ -234,7 +226,7 @@ CellResultMsg halo::decodeCellResult(const std::vector<uint8_t> &Payload) {
     if (Trials > MaxWireCount)
       throw ProtocolError("trials out of domain");
     M.Key.Trials = static_cast<int>(Trials);
-    uint64_t N = boundedCount(R, "run");
+    uint64_t N = R.count(MaxWireCount);
     M.Runs.reserve(N);
     for (uint64_t I = 0; I < N; ++I)
       M.Runs.push_back(decodeMetrics(R));

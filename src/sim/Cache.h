@@ -106,9 +106,6 @@ public:
   uint64_t hits() const { return Hits; }
   uint64_t misses() const { return Misses; }
   uint64_t accesses() const { return Hits + Misses; }
-  double missRate() const {
-    return accesses() ? static_cast<double>(Misses) / accesses() : 0.0;
-  }
 
   const CacheConfig &config() const { return Config; }
   uint32_t numSets() const { return Sets; }

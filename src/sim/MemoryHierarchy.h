@@ -89,10 +89,7 @@ public:
   MemoryCounters counters() const;
   void reset();
 
-  const Cache &l1() const { return L1; }
-  const Cache &l2() const { return L2; }
   const Cache &l3() const { return L3; }
-  const Tlb &tlb() const { return Dtlb; }
 
 private:
   /// Fused TLB+L1 lookup: the dominant outcome — both the TLB's and the

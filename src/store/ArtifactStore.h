@@ -82,14 +82,14 @@ StoreKey traceStoreKey(const std::string &Benchmark, Scale S, uint64_t Seed,
 
 /// Key of a HALO pipeline artifact bundle: (halo tag, schema, benchmark,
 /// profile scale/seed, every profiling and grouping knob). Any knob a
-/// pipeline stage reads re-keys the entry; the allocator options, which
-/// only measurement reads, do not.
+/// pipeline stage reads re-keys the entry; the allocator options
+/// (BenchmarkSetup::Allocator), which only measurement reads, are no input.
 StoreKey haloStoreKey(const std::string &Benchmark, Scale ProfileScale,
                       uint64_t ProfileSeed, const HaloParameters &Params,
                       uint32_t Schema = StoreSchemaVersion);
 
 /// Key of an HDS pipeline artifact bundle (same shape: the stream and
-/// co-allocation knobs of HdsParameters, not its allocator options).
+/// co-allocation knobs of HdsParameters).
 StoreKey hdsStoreKey(const std::string &Benchmark, Scale ProfileScale,
                      uint64_t ProfileSeed, const HdsParameters &Params,
                      uint32_t Schema = StoreSchemaVersion);

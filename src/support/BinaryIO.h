@@ -126,6 +126,17 @@ public:
     throw SerializationError("varint longer than 64 bits");
   }
 
+  /// A varint element count: every element takes at least one byte, so a
+  /// count above \p Max or above the bytes left cannot be what the schema
+  /// wrote, and throws before a decoder sizes a container by it.
+  uint64_t count(uint64_t Max = ~uint64_t(0)) {
+    uint64_t N = varint();
+    if (N > Max || N > remaining())
+      throw SerializationError("count " + std::to_string(N) +
+                               " exceeds its bound");
+    return N;
+  }
+
   double f64() {
     uint64_t Bits = u64();
     double V;

@@ -5,21 +5,15 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
+#include <exception>
+#include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
 using namespace halo;
-
-namespace {
-
-/// The Executor whose batch the current thread is draining, if any. The
-/// batch bookkeeping (Fn/Count/Next/Working) is a per-batch singleton, so
-/// a task calling back into its own Executor must not dispatch a second
-/// batch; parallelFor consults this to run such nested loops inline.
-thread_local const Executor *ActiveExecutor = nullptr;
-
-} // namespace
 
 unsigned halo::resolveJobs(int Jobs) {
   if (Jobs > 0)
@@ -48,108 +42,53 @@ unsigned halo::resolveJobs(int Jobs) {
 
 Executor::Executor(int Jobs) : NumWorkers(resolveJobs(Jobs)) {}
 
-Executor::~Executor() {
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    Stop = true;
+void Executor::parallelFor(size_t Count,
+                           const std::function<void(size_t)> &Fn) {
+  const size_t NumThreads = std::min<size_t>(NumWorkers, Count);
+  if (NumThreads <= 1) {
+    // Serial reference path: exceptions propagate straight to the caller.
+    // A one-task batch runs here too, so a 1x1x1 plan stays one thread
+    // and keeps the C library's single-threaded fast paths.
+    for (size_t I = 0; I < Count; ++I)
+      Fn(I);
+    return;
   }
-  WorkReady.notify_all();
+  std::mutex Mutex; // Guards Next and FirstError.
+  size_t Next = 0;  // The next unclaimed index.
+  std::exception_ptr FirstError;
+  auto Fail = [&](std::exception_ptr Error) {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    if (!FirstError)
+      FirstError = std::move(Error);
+    Next = Count; // Abandon unclaimed indices; in-flight ones finish.
+  };
+  auto Drain = [&] {
+    for (;;) {
+      size_t Index;
+      {
+        std::lock_guard<std::mutex> Lock(Mutex);
+        if (Next >= Count)
+          return;
+        Index = Next++;
+      }
+      try {
+        Fn(Index);
+      } catch (...) {
+        Fail(std::current_exception());
+      }
+    }
+  };
+  std::vector<std::thread> Threads;
+  try {
+    Threads.reserve(NumThreads - 1);
+    while (Threads.size() + 1 < NumThreads)
+      Threads.emplace_back(Drain);
+  } catch (...) {
+    Fail(std::current_exception());
+  }
+  Drain();
   for (std::thread &Worker : Threads)
     Worker.join();
-}
-
-void Executor::parallelFor(size_t TaskCount,
-                           const std::function<void(size_t)> &TaskFn) {
-  if (TaskCount == 0)
-    return;
-  if (ActiveExecutor == this) {
-    // Re-entrant call from inside one of this pool's own tasks: run the
-    // nested loop inline on this thread. Same ascending order, same
-    // exception behaviour as the serial path.
-    for (size_t I = 0; I < TaskCount; ++I)
-      TaskFn(I);
-    return;
-  }
-  if (NumWorkers == 1 || TaskCount == 1) {
-    // Serial reference path: exceptions propagate straight to the caller.
-    // A one-task batch runs here too: the pool could add no parallelism.
-    for (size_t I = 0; I < TaskCount; ++I)
-      TaskFn(I);
-    return;
-  }
-  // Workers start with the first batch that can use them, so a process
-  // whose batches are all single tasks (a 1x1x1 plan) stays one thread
-  // and keeps the C library's single-threaded fast paths.
-  if (Threads.empty()) {
-    Threads.reserve(NumWorkers - 1);
-    for (unsigned J = 1; J < NumWorkers; ++J)
-      Threads.emplace_back([this] { workerMain(); });
-  }
-
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    Fn = &TaskFn;
-    Count = TaskCount;
-    Next = 0;
-    Working = Threads.size();
-    FirstError = nullptr;
-    ++Generation;
-  }
-  WorkReady.notify_all();
-
-  drainTasks();
-
-  // The caller ran out of tasks; wait for every pool thread to finish the
-  // batch (each must observe the generation once, even if it claimed no
-  // index -- that is what makes the pool reusable for the next batch).
-  std::unique_lock<std::mutex> Lock(Mutex);
-  BatchDone.wait(Lock, [this] { return Working == 0; });
-  Fn = nullptr;
   if (FirstError)
-    std::rethrow_exception(std::exchange(FirstError, nullptr));
-}
-
-void Executor::drainTasks() {
-  const Executor *Outer = ActiveExecutor;
-  ActiveExecutor = this;
-  for (;;) {
-    size_t Index;
-    {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      if (Next >= Count)
-        break;
-      Index = Next++;
-    }
-    try {
-      (*Fn)(Index);
-    } catch (...) {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      if (!FirstError)
-        FirstError = std::current_exception();
-      Next = Count; // Abandon unclaimed indices; in-flight ones finish.
-    }
-  }
-  ActiveExecutor = Outer;
-}
-
-void Executor::workerMain() {
-  uint64_t SeenGeneration = 0;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> Lock(Mutex);
-      WorkReady.wait(Lock, [&] {
-        return Stop || Generation != SeenGeneration;
-      });
-      if (Stop)
-        return;
-      SeenGeneration = Generation;
-    }
-    drainTasks();
-    {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      if (--Working > 0)
-        continue;
-    }
-    BatchDone.notify_one();
-  }
+    std::rethrow_exception(FirstError);
 }

@@ -75,10 +75,10 @@ void ContextTable::save(BinaryWriter &W) const {
 
 ContextTable ContextTable::load(BinaryReader &R) {
   ContextTable Table;
-  uint64_t Count = R.varint();
+  uint64_t Count = R.count();
   for (uint64_t I = 0; I < Count; ++I) {
     Context Frames;
-    uint64_t NumFrames = R.varint();
+    uint64_t NumFrames = R.count();
     Frames.reserve(static_cast<size_t>(NumFrames));
     for (uint64_t J = 0; J < NumFrames; ++J) {
       CallFrame F;

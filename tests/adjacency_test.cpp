@@ -66,7 +66,7 @@ TEST(AdjacencySnapshot, NeighborSpansAndWeights) {
   EXPECT_EQ(Row[1], 2u);
   EXPECT_EQ(Weights[0], 6u);
   EXPECT_EQ(Weights[1], 2u);
-  EXPECT_EQ(Adj.degree(0), 2u);
+  EXPECT_EQ(Adj.neighbors(0).size(), 2u);
 
   // Loops live in the loop array, not the neighbour rows.
   ASSERT_EQ(Adj.neighbors(1).size(), 1u);
@@ -76,7 +76,7 @@ TEST(AdjacencySnapshot, NeighborSpansAndWeights) {
 
   // Isolated node: empty span.
   EXPECT_TRUE(Adj.neighbors(3).empty());
-  EXPECT_EQ(Adj.degree(3), 0u);
+  EXPECT_EQ(Adj.neighbors(3).size(), 0u);
 }
 
 TEST(AdjacencySnapshot, AccessAndEdgeTotals) {
@@ -85,17 +85,6 @@ TEST(AdjacencySnapshot, AccessAndEdgeTotals) {
   EXPECT_EQ(Adj.numEdges(), 3u); // Two pair edges + one loop.
   EXPECT_EQ(Adj.accesses(0), 10u);
   EXPECT_EQ(Adj.accesses(1), 20u);
-}
-
-TEST(AdjacencySnapshot, DegreeOrderedIteration) {
-  AdjacencySnapshot Adj = fixture().buildAdjacency();
-  Span<uint32_t> Order = Adj.nodesByDegree();
-  ASSERT_EQ(Order.size(), 4u);
-  EXPECT_EQ(Order[0], 0u); // Node 1: degree 2.
-  // Degree-1 nodes (dense 1 and 2) in index order, isolated node last.
-  EXPECT_EQ(Order[1], 1u);
-  EXPECT_EQ(Order[2], 2u);
-  EXPECT_EQ(Order[3], 3u);
 }
 
 TEST(AdjacencySnapshot, RowsAreSortedOnRandomGraphs) {
@@ -132,38 +121,12 @@ TEST(AdjacencySnapshot, MirrorsEdgeWeights) {
   }
 }
 
-TEST(AdjacencySnapshot, ScoreMatchesGraphScore) {
-  Rng Pick(77);
-  for (uint64_t Seed = 1; Seed <= 5; ++Seed) {
-    AffinityGraph G = randomGraph(30, 0.25, Seed);
-    AdjacencySnapshot Adj = G.buildAdjacency();
-    std::vector<GraphNodeId> All = G.nodes();
-    for (int Trial = 0; Trial < 20; ++Trial) {
-      std::vector<GraphNodeId> Subset;
-      for (GraphNodeId N : All)
-        if (Pick.nextBool(0.3))
-          Subset.push_back(N);
-      EXPECT_DOUBLE_EQ(Adj.score(Subset), G.score(Subset));
-      EXPECT_EQ(Adj.subgraphWeight(Subset), G.subgraphWeight(Subset));
-    }
-    // Nodes absent from the graph still count toward the pair denominator,
-    // exactly as in AffinityGraph::score.
-    std::vector<GraphNodeId> WithGhosts = {All.empty() ? 0 : All[0], 100000,
-                                           100001};
-    EXPECT_DOUBLE_EQ(Adj.score(WithGhosts), G.score(WithGhosts));
-    EXPECT_EQ(Adj.subgraphWeight(WithGhosts), G.subgraphWeight(WithGhosts));
-  }
-}
-
 TEST(AdjacencySnapshot, EmptyGraph) {
   AffinityGraph G;
   AdjacencySnapshot Adj = G.buildAdjacency();
   EXPECT_EQ(Adj.numNodes(), 0u);
   EXPECT_EQ(Adj.numEdges(), 0u);
   EXPECT_EQ(Adj.totalAccesses(), 0u);
-  EXPECT_TRUE(Adj.nodesByDegree().empty());
-  EXPECT_DOUBLE_EQ(Adj.score({}), 0.0);
-  EXPECT_EQ(Adj.subgraphWeight({}), 0u);
 }
 
 TEST(AdjacencySnapshot, SnapshotIsFrozen) {
@@ -172,7 +135,7 @@ TEST(AdjacencySnapshot, SnapshotIsFrozen) {
   G.addEdgeWeight(1, 9, 50);
   G.addAccesses(1, 1000);
   // The snapshot still reflects the graph at freeze time.
-  EXPECT_EQ(Adj.degree(0), 2u);
+  EXPECT_EQ(Adj.neighbors(0).size(), 2u);
   EXPECT_EQ(Adj.accesses(0), 10u);
   EXPECT_EQ(Adj.totalAccesses(), 36u);
 }

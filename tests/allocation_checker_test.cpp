@@ -133,7 +133,7 @@ void runChecked(Evaluation &Eval, AllocatorKind Kind, uint64_t Seed,
     Runtime RT(Prog, Jemalloc);
     RT.setInstrumentation(&Art.Plan);
     SelectorGroupPolicy Policy(RT.groupState(), Art.CompiledSelectors);
-    GroupAllocator Halo(Jemalloc, Policy, Setup.Halo.Allocator);
+    GroupAllocator Halo(Jemalloc, Policy, Setup.Allocator);
     RT.setAllocator(Halo);
     Run(RT);
     break;
@@ -142,7 +142,7 @@ void runChecked(Evaluation &Eval, AllocatorKind Kind, uint64_t Seed,
     const HdsArtifacts &Art = Eval.hdsArtifacts();
     SiteGroupPolicy Policy(Art.SiteToGroup,
                            static_cast<uint32_t>(Art.Groups.size()));
-    GroupAllocator Hds(Jemalloc, Policy, Setup.Hds.Allocator);
+    GroupAllocator Hds(Jemalloc, Policy, Setup.Allocator);
     Runtime RT(Prog, Hds);
     Run(RT);
     break;

@@ -15,16 +15,15 @@ using namespace halo;
 
 TEST(PaperSetup, OmnetppFlags) {
   BenchmarkSetup S = paperSetup("omnetpp");
-  EXPECT_EQ(S.Halo.Allocator.ChunkSize, 128u * 1024u);
-  EXPECT_EQ(S.Halo.Allocator.MaxSpareChunks, 0u);
-  EXPECT_FALSE(S.Halo.Allocator.PurgeEmptyChunks);
-  EXPECT_EQ(S.Hds.Allocator.ChunkSize, 128u * 1024u);
+  EXPECT_EQ(S.Allocator.ChunkSize, 128u * 1024u);
+  EXPECT_EQ(S.Allocator.MaxSpareChunks, 0u);
+  EXPECT_FALSE(S.Allocator.PurgeEmptyChunks);
 }
 
 TEST(PaperSetup, XalancFlags) {
   BenchmarkSetup S = paperSetup("xalanc");
-  EXPECT_FALSE(S.Halo.Allocator.PurgeEmptyChunks);
-  EXPECT_EQ(S.Halo.Allocator.ChunkSize, 1u << 20);
+  EXPECT_FALSE(S.Allocator.PurgeEmptyChunks);
+  EXPECT_EQ(S.Allocator.ChunkSize, 1u << 20);
 }
 
 TEST(PaperSetup, RomsFlags) {
@@ -36,10 +35,30 @@ TEST(PaperSetup, DefaultsMatchSection51) {
   BenchmarkSetup S = paperSetup("health");
   EXPECT_EQ(S.Halo.Profile.AffinityDistance, 128u);
   EXPECT_DOUBLE_EQ(S.Halo.Grouping.MergeTolerance, 0.05);
-  EXPECT_EQ(S.Halo.Allocator.ChunkSize, 1u << 20);
-  EXPECT_EQ(S.Halo.Allocator.MaxGroupedSize, 4096u);
-  EXPECT_EQ(S.Halo.Allocator.MaxSpareChunks, 1u);
+  EXPECT_EQ(S.Allocator.ChunkSize, 1u << 20);
+  EXPECT_EQ(S.Allocator.MaxGroupedSize, 4096u);
+  EXPECT_EQ(S.Allocator.MaxSpareChunks, 1u);
   EXPECT_EQ(S.ProfileScale, Scale::Test);
+}
+
+TEST(PaperSetup, HaloAndHdsBothMeasureWithTheSetupsAllocator) {
+  // Hot-data-stream co-allocation shares HALO's specialised allocator and
+  // its settings (Section 5.1): the one Allocator option moves what both
+  // kinds measure, on the same bundles.
+  Evaluation Paper(paperSetup("xalanc"));
+  BenchmarkSetup Small = paperSetup("xalanc");
+  Small.Allocator.ChunkSize = 16 * 1024;
+  Evaluation Changed(std::move(Small));
+  Changed.setHaloArtifacts(Paper.haloArtifacts());
+  Changed.setHdsArtifacts(Paper.hdsArtifacts());
+  for (AllocatorKind Kind : {AllocatorKind::Halo, AllocatorKind::Hds}) {
+    SCOPED_TRACE(Kind == AllocatorKind::Halo ? "halo" : "hds");
+    RunMetrics A = Paper.measureDirect(Kind, Scale::Test, 1);
+    RunMetrics B = Changed.measureDirect(Kind, Scale::Test, 1);
+    EXPECT_GT(A.GroupedAllocs, 0u);
+    EXPECT_EQ(A.GroupedAllocs, B.GroupedAllocs);
+    EXPECT_NE(A.Frag.wastedBytes(), B.Frag.wastedBytes());
+  }
 }
 
 TEST(PaperSetup, MaxGroupsCapBindsInTheHaloArtifacts) {
@@ -65,8 +84,7 @@ TEST(PaperSetup, OmnetppChunkConfigurationChangesTheMeasurement) {
   // run measures -- chunk granularity is the allocator's resident unit.
   Evaluation Paper(paperSetup("omnetpp"));
   BenchmarkSetup Reverted = paperSetup("omnetpp");
-  Reverted.Halo.Allocator = GroupAllocatorOptions();
-  Reverted.Hds.Allocator = Reverted.Halo.Allocator;
+  Reverted.Allocator = GroupAllocatorOptions();
   Evaluation Defaults(std::move(Reverted));
 
   RunMetrics A = Paper.measureDirect(AllocatorKind::Halo, Scale::Ref, 1);
@@ -116,7 +134,7 @@ TEST(PaperSetup, XalancAlwaysReuseKeepsDirtyChunksResident) {
   // stay resident as a dirty spare, while the global defaults keep one
   // spare and purge the rest.
   auto [PaperSpares, PaperResident] =
-      churnChunks(paperSetup("xalanc").Halo.Allocator);
+      churnChunks(paperSetup("xalanc").Allocator);
   auto [DefaultSpares, DefaultResident] =
       churnChunks(GroupAllocatorOptions());
   EXPECT_GT(PaperSpares, DefaultSpares);

@@ -4,8 +4,10 @@
 // leans on: each index in [0, Count) runs exactly once, results land in
 // their own slots (so a filled vector is bit-identical to a serial
 // loop), jobs=1 degenerates to an inline serial loop on the calling
-// thread, exceptions propagate to the caller without wedging the pool,
-// and one pool serves many parallelFor batches.
+// thread, a batch runs on at most min(workers, Count) threads,
+// exceptions propagate to the caller without wedging the pool, one pool
+// serves many parallelFor batches, and a task may start a batch of its
+// own on the same pool.
 //
 //===----------------------------------------------------------------------===//
 
@@ -13,10 +15,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <mutex>
 #include <numeric>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -179,4 +184,29 @@ TEST(Executor, ReusableAcrossManyBatches) {
     Total += std::accumulate(Out.begin(), Out.end(), uint64_t(0));
   }
   EXPECT_GT(Total, 0u);
+}
+
+TEST(Executor, ABatchRunsOnAtMostMinWorkersCountThreads) {
+  Executor Pool(4);
+  for (size_t Count : {2, 3, 100}) {
+    std::mutex Mu;
+    std::set<std::thread::id> Seen;
+    Pool.parallelFor(Count, [&](size_t) {
+      std::lock_guard<std::mutex> Lock(Mu);
+      Seen.insert(std::this_thread::get_id());
+    });
+    EXPECT_LE(Seen.size(), std::min<size_t>(4, Count)) << "count " << Count;
+  }
+}
+
+TEST(Executor, NestedCallsRunTheirOwnBatch) {
+  Executor Pool(3);
+  std::vector<std::atomic<int>> Counts(4 * 8);
+  Pool.parallelFor(4, [&](size_t Outer) {
+    Pool.parallelFor(8, [&](size_t Inner) {
+      Counts[Outer * 8 + Inner].fetch_add(1);
+    });
+  });
+  for (size_t I = 0; I < Counts.size(); ++I)
+    EXPECT_EQ(Counts[I].load(), 1) << "slot " << I;
 }

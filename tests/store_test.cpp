@@ -26,6 +26,7 @@
 #include <set>
 #include <thread>
 #include <tuple>
+#include <utility>
 
 #include <dirent.h>
 #include <sys/stat.h>
@@ -208,24 +209,23 @@ TEST(StoreKeys, EveryPipelineKnobReKeys) {
   EXPECT_EQ(HdsHashes.size(), 3u);
 }
 
-TEST(StoreKeys, AllocatorOptionsDoNotReKey) {
+TEST(StoreKeys, SetupsDifferingOnlyInTheAllocatorShareKeys) {
   // Only measurement reads the allocator options: a setup that measures
-  // with other chunks (omnetpp, xalanc, --chunk-size) reuses the bundle
+  // with other chunks (omnetpp, xalanc, --chunk-size) reuses the bundles
   // profiled under the defaults.
-  GroupAllocatorOptions Changed;
-  Changed.ChunkSize /= 2;
-  Changed.SlabSize *= 2;
-  Changed.MaxGroupedSize /= 2;
-  Changed.MaxSpareChunks += 1;
-  Changed.PurgeEmptyChunks = !Changed.PurgeEmptyChunks;
-  HaloParameters Halo;
-  uint64_t HaloDefault = haloStoreKey("ft", Scale::Test, 1, Halo).Hash;
-  Halo.Allocator = Changed;
-  EXPECT_EQ(haloStoreKey("ft", Scale::Test, 1, Halo).Hash, HaloDefault);
-  HdsParameters Hds;
-  uint64_t HdsDefault = hdsStoreKey("ft", Scale::Test, 1, Hds).Hash;
-  Hds.Allocator = Changed;
-  EXPECT_EQ(hdsStoreKey("ft", Scale::Test, 1, Hds).Hash, HdsDefault);
+  BenchmarkSetup Base = paperSetup("ft");
+  BenchmarkSetup Changed = Base;
+  Changed.Allocator.ChunkSize /= 2;
+  Changed.Allocator.SlabSize *= 2;
+  Changed.Allocator.MaxGroupedSize /= 2;
+  Changed.Allocator.MaxSpareChunks += 1;
+  Changed.Allocator.PurgeEmptyChunks = !Changed.Allocator.PurgeEmptyChunks;
+  auto Keys = [](const BenchmarkSetup &S) {
+    return std::make_pair(
+        haloStoreKey(S.Name, S.ProfileScale, S.ProfileSeed, S.Halo).Hash,
+        hdsStoreKey(S.Name, S.ProfileScale, S.ProfileSeed, S.Hds).Hash);
+  };
+  EXPECT_EQ(Keys(Changed), Keys(Base));
 }
 
 TEST(StoreKeys, SchemaBumpInvalidatesExistingEntries) {
@@ -375,6 +375,52 @@ TEST(StoreCorruption, BitFlipsAndTruncationReadAsAbsent) {
   // gc removes exactly the invalid entries.
   EXPECT_EQ(Store->gc(), 2u);
   EXPECT_TRUE(Store->entries().empty());
+}
+
+TEST(StoreCorruption, HostileCountsReadAsAbsentAndPlansReprofile) {
+  // Entries whose checksum is valid but whose payload declares 2^40
+  // elements -- the frames of a HALO bundle's one context, the elements of
+  // an HDS bundle's one stream -- must read as absent instead of sizing a
+  // container by the count, so a plan over them re-profiles and
+  // republishes, bit-identically to a storeless run.
+  TempStore Store;
+  BenchmarkSetup Setup = paperSetup("ft");
+  StoreKey HaloKey =
+      haloStoreKey("ft", Setup.ProfileScale, Setup.ProfileSeed, Setup.Halo);
+  StoreKey HdsKey =
+      hdsStoreKey("ft", Setup.ProfileScale, Setup.ProfileSeed, Setup.Hds);
+  // A bundle's 8-byte magic and version, then one element holding 2^40.
+  auto Hostile = [](const BinaryWriter &Empty) {
+    BinaryWriter W;
+    W.bytes(Empty.buffer().data(), 8);
+    W.varint(1);
+    W.varint(uint64_t(1) << 40);
+    return W.take();
+  };
+  BinaryWriter EmptyHalo, EmptyHds;
+  saveHaloArtifacts(HaloArtifacts(), EmptyHalo);
+  saveHdsArtifacts(HdsArtifacts(), EmptyHds);
+  ASSERT_TRUE(Store->put(HaloKey, Hostile(EmptyHalo)));
+  ASSERT_TRUE(Store->put(HdsKey, Hostile(EmptyHds)));
+  Evaluation Eval(Setup);
+  EXPECT_FALSE(getHaloArtifacts(*Store, HaloKey, Eval.program()).has_value());
+  EXPECT_FALSE(getHdsArtifacts(*Store, HdsKey).has_value());
+
+  // The checksums hold, so the plan counts both as stored; their loads
+  // fail and the tasks fall back to profiling.
+  ExperimentPlan Plan = buildPlan({smallSpec()}, {}, &*Store);
+  EXPECT_EQ(Plan.numArtifactTasks(), 0u);
+  EXPECT_EQ(Plan.numStoredArtifacts(), 2u);
+  ResultSet Healed = runPlan(Plan, /*Jobs=*/2);
+  ExperimentPlan PlainPlan = buildPlan({smallSpec()});
+  ResultSet Plain = runPlan(PlainPlan, /*Jobs=*/1);
+  ASSERT_EQ(Healed.size(), Plain.size());
+  for (size_t C = 0; C < Plain.size(); ++C) {
+    SCOPED_TRACE("cell " + std::to_string(C));
+    expectSameRuns(Plain.cells()[C].Runs, Healed.cells()[C].Runs);
+  }
+  EXPECT_TRUE(getHaloArtifacts(*Store, HaloKey, Eval.program()).has_value());
+  EXPECT_TRUE(getHdsArtifacts(*Store, HdsKey).has_value());
 }
 
 TEST(StoreCorruption, JunkFilesListWithoutAType) {

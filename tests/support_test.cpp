@@ -1,5 +1,6 @@
-//===- tests/support_test.cpp - Rng / stats / format / dot tests -------------===//
+//===- tests/support_test.cpp - Rng, stats, format, dot, binary IO ----------===//
 
+#include "support/BinaryIO.h"
 #include "support/Dot.h"
 #include "support/Format.h"
 #include "support/Rng.h"
@@ -175,4 +176,24 @@ TEST(Dot, EmitsNodesAndEdges) {
 
 TEST(Dot, EscapesQuotes) {
   EXPECT_EQ(DotWriter::escape("a\"b\\c"), "a\\\"b\\\\c");
+}
+
+TEST(BinaryIO, CountIsBoundedByItsMaxAndTheBytesLeft) {
+  BinaryWriter W;
+  W.varint(3);
+  W.bytes("abc", 3);
+  BinaryReader Fits(W.buffer());
+  EXPECT_EQ(Fits.count(), 3u);
+  // Every element takes at least one byte, so four cannot follow.
+  BinaryWriter Long;
+  Long.varint(4);
+  Long.bytes("abc", 3);
+  BinaryReader TooMany(Long.buffer());
+  EXPECT_THROW(TooMany.count(), SerializationError);
+  BinaryReader OverMax(W.buffer());
+  EXPECT_THROW(OverMax.count(2), SerializationError);
+  BinaryWriter Huge;
+  Huge.varint(uint64_t(1) << 40);
+  BinaryReader Hostile(Huge.buffer());
+  EXPECT_THROW(Hostile.count(), SerializationError);
 }
