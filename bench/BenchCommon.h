@@ -6,8 +6,9 @@
 ///
 /// \file
 /// Helpers shared by the bench binaries: the trial count (figures and
-/// bench_grouping_scale), wall-clock medians, and the BENCH_pipeline.json
-/// row and its writer (bench_grouping_scale writes the whole file).
+/// bench_grouping_scale), wall-clock and thread-CPU medians, and the
+/// BENCH_pipeline.json row and its writer (bench_grouping_scale writes the
+/// whole file).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,8 +20,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace halo {
@@ -42,6 +45,14 @@ inline double nowMs() {
       .count();
 }
 
+/// CPU time the calling thread has used, in ms.
+inline double threadCpuMs() {
+  timespec T;
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &T);
+  return static_cast<double>(T.tv_sec) * 1e3 +
+         static_cast<double>(T.tv_nsec) / 1e6;
+}
+
 /// Runs \p Run \p Trials times and returns the median wall-clock ms.
 template <typename Fn> double medianMs(int Trials, Fn &&Run) {
   std::vector<double> Times;
@@ -55,13 +66,30 @@ template <typename Fn> double medianMs(int Trials, Fn &&Run) {
   return Times[Times.size() / 2];
 }
 
-/// One BENCH_pipeline.json row (harness wall-clock).
+/// Runs \p Run \p Trials times on the calling thread and returns the
+/// median wall-clock ms and the median CPU ms of the calling thread.
+template <typename Fn>
+std::pair<double, double> medianWallCpuMs(int Trials, Fn &&Run) {
+  std::vector<double> Wall, Cpu;
+  for (int T = 0; T < Trials; ++T) {
+    double Start = nowMs(), CpuStart = threadCpuMs();
+    Run();
+    Cpu.push_back(threadCpuMs() - CpuStart);
+    Wall.push_back(nowMs() - Start);
+  }
+  std::sort(Wall.begin(), Wall.end());
+  std::sort(Cpu.begin(), Cpu.end());
+  return {Wall[Wall.size() / 2], Cpu[Cpu.size() / 2]};
+}
+
+/// One BENCH_pipeline.json row (harness clock).
 struct BenchRow {
   std::string Bench;
   uint64_t Nodes;
   uint64_t Edges;
   double WallMs;
   int Trials;
+  double CpuMs = -1; ///< Median thread CPU ms; negative when not taken.
 };
 
 /// Writes \p Rows as a JSON array to \p Path, each closed by the
@@ -78,13 +106,16 @@ inline void writeRows(const std::string &Path,
   const unsigned Cores = std::thread::hardware_concurrency();
   for (size_t I = 0; I < Rows.size(); ++I) {
     const BenchRow &R = Rows[I];
+    char Cpu[64] = "";
+    if (R.CpuMs >= 0)
+      std::snprintf(Cpu, sizeof(Cpu), ", \"cpu_ms\": %.3f", R.CpuMs);
     std::fprintf(Out,
                  "  {\"bench\": \"%s\", \"nodes\": %llu, \"edges\": %llu, "
-                 "\"wall_ms\": %.3f, \"trials\": %d, \"host_cores\": %u, "
+                 "\"wall_ms\": %.3f%s, \"trials\": %d, \"host_cores\": %u, "
                  "\"build\": \"" HALO_BENCH_BUILD_TYPE "\"}%s\n",
                  R.Bench.c_str(), static_cast<unsigned long long>(R.Nodes),
-                 static_cast<unsigned long long>(R.Edges), R.WallMs, R.Trials,
-                 Cores, I + 1 < Rows.size() ? "," : "");
+                 static_cast<unsigned long long>(R.Edges), R.WallMs, Cpu,
+                 R.Trials, Cores, I + 1 < Rows.size() ? "," : "");
   }
   std::fputs("]\n", Out);
   std::fclose(Out);

@@ -13,14 +13,21 @@
 // = reference-trace length) and hot-stream extraction from that trace
 // (sequitur_hds_test; edges = symbols appended), plus constructing each
 // machine preset's memory hierarchy (hierarchy_setup_<preset>; nodes =
-// sets, edges = tag slots over all levels and the dTLB).
+// sets, edges = tag slots over all levels and the dTLB). Last come the
+// stages a warm plan pays for: the 33 ref cells of the warm matrix on each
+// preset (measure_ref_<preset>; nodes = cells, edges = simulated line
+// accesses; the HALO and HDS bundles are derived before timing) and the
+// 11 jemalloc ref runs with no hierarchy attached (alloc_ref_jemalloc;
+// edges = allocator calls), whose difference is the simulator's share.
 //
 // Emits a machine-readable trajectory file (default: BENCH_pipeline.json,
 // override with argv[1]) as a JSON array of rows
 //   {"bench": ..., "nodes": ..., "edges": ..., "wall_ms": ..., "trials": ...,
 //    "host_cores": ..., "build": ...}
 // so subsequent PRs can track the perf trend. wall_ms is the median across
-// trials (HALO_BENCH_TRIALS overrides the trial count).
+// trials (HALO_BENCH_TRIALS overrides the trial count). The measured-cell
+// rows run on the calling thread alone and also carry "cpu_ms", the
+// median of that thread's CPU time.
 //
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +36,7 @@
 #include "graph/Adjacency.h"
 #include "group/Grouping.h"
 #include "hds/HdsPipeline.h"
+#include "mem/SizeClassAllocator.h"
 #include "profile/AffinityQueue.h"
 #include "profile/HeapProfiler.h"
 #include "profile/LiveObjectMap.h"
@@ -39,6 +47,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -320,6 +329,63 @@ int main(int Argc, char **Argv) {
                 M.Name.c_str(), static_cast<unsigned long long>(Sets),
                 static_cast<unsigned long long>(Slots), Ms);
     if (Built == 0)
+      return 1;
+  }
+
+  //===--------------------------------------------------------------------===//
+  // Measured cells: the 33 ref cells of the warm matrix (11 benchmarks x
+  // jemalloc/hds/halo, HALO and HDS bundles derived beforehand) on each
+  // preset, and the 11 jemalloc ref runs with no hierarchy attached (the
+  // workload models, the runtime and the allocator alone).
+  //===--------------------------------------------------------------------===//
+
+  {
+    const uint64_t Seed = 100; // The paper's seed, the matrices' default.
+    std::vector<std::unique_ptr<Evaluation>> Evals;
+    for (const std::string &Name : workloadNames()) {
+      Evals.push_back(std::make_unique<Evaluation>(paperSetup(Name)));
+      Evals.back()->haloArtifacts();
+      Evals.back()->hdsArtifacts();
+    }
+    const AllocatorKind Kinds[] = {AllocatorKind::Jemalloc,
+                                   AllocatorKind::Hds, AllocatorKind::Halo};
+    for (const MachineConfig &M : machinePresets()) {
+      uint64_t Accesses = 0;
+      auto [Wall, Cpu] = medianWallCpuMs(Trials, [&] {
+        Accesses = 0;
+        for (auto &Eval : Evals)
+          for (AllocatorKind Kind : Kinds)
+            Accesses +=
+                Eval->measureDirect(M, Kind, Scale::Ref, Seed).Mem.Accesses;
+      });
+      const uint64_t Cells = Evals.size() * std::size(Kinds);
+      Rows.push_back({"measure_ref_" + M.Name, Cells, Accesses, Wall, Trials,
+                      Cpu});
+      std::printf("measure ref %-16s %llu cells %llu accesses: %.1f ms CPU\n",
+                  M.Name.c_str(), static_cast<unsigned long long>(Cells),
+                  static_cast<unsigned long long>(Accesses), Cpu);
+      if (Accesses == 0)
+        return 1;
+    }
+
+    uint64_t AllocatorCalls = 0;
+    auto [Wall, Cpu] = medianWallCpuMs(Trials, [&] {
+      AllocatorCalls = 0;
+      for (auto &Eval : Evals) {
+        std::unique_ptr<Workload> W = createWorkload(Eval->setup().Name);
+        SizeClassAllocator Jemalloc;
+        Runtime RT(Eval->program(), Jemalloc,
+                   Eval->setup().Machine.Costs);
+        W->run(RT, Scale::Ref, Seed);
+        AllocatorCalls += RT.stats().Allocs + RT.stats().Frees;
+      }
+    });
+    Rows.push_back({"alloc_ref_jemalloc", Evals.size(), AllocatorCalls, Wall,
+                    Trials, Cpu});
+    std::printf("jemalloc ref runs, no hierarchy: %llu allocator calls: "
+                "%.1f ms CPU\n",
+                static_cast<unsigned long long>(AllocatorCalls), Cpu);
+    if (AllocatorCalls == 0)
       return 1;
   }
 

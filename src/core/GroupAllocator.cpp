@@ -4,6 +4,7 @@
 
 #include "support/Bits.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace halo;
@@ -23,22 +24,32 @@ int32_t SelectorGroupPolicy::selectGroup(const AllocRequest &) const {
 }
 
 SiteGroupPolicy::SiteGroupPolicy(
-    std::unordered_map<uint32_t, uint32_t> SiteToGroup, uint32_t NumGroups)
-    : SiteToGroup(std::move(SiteToGroup)), Groups(NumGroups) {}
-
-int32_t SiteGroupPolicy::selectGroup(const AllocRequest &Request) const {
-  auto It = SiteToGroup.find(Request.ImmediateSite);
-  return It == SiteToGroup.end() ? -1 : static_cast<int32_t>(It->second);
+    std::unordered_map<uint32_t, uint32_t> Sites, uint32_t NumGroups)
+    : SiteToGroup(Sites.begin(), Sites.end()), Groups(NumGroups) {
+  std::sort(SiteToGroup.begin(), SiteToGroup.end());
 }
 
+int32_t SiteGroupPolicy::selectGroup(const AllocRequest &Request) const {
+  auto It = std::lower_bound(
+      SiteToGroup.begin(), SiteToGroup.end(), Request.ImmediateSite,
+      [](const std::pair<uint32_t, uint32_t> &P, uint32_t Site) {
+        return P.first < Site;
+      });
+  return It == SiteToGroup.end() || It->first != Request.ImmediateSite
+             ? -1
+             : static_cast<int32_t>(It->second);
+}
 
 GroupAllocator::GroupAllocator(Allocator &Backing, const GroupPolicy &Policy,
                                const GroupAllocatorOptions &Options,
                                uint64_t ArenaBase)
-    : Backing(Backing), Policy(Policy), Options(Options), Arena(ArenaBase) {
+    : Backing(Backing), Policy(Policy), Options(Options),
+      ChunkShift(log2Exact(Options.ChunkSize)), Arena(ArenaBase) {
   assert(isPowerOfTwo(Options.ChunkSize) && "chunk size must be 2^k");
   assert(Options.SlabSize % Options.ChunkSize == 0 &&
          "slab must hold whole chunks");
+  assert(Options.ChunkSize <= (uint64_t(1) << 32) &&
+         "region offsets are 32-bit");
   Cursors.resize(Policy.numGroups());
 }
 
@@ -80,12 +91,12 @@ uint64_t GroupAllocator::groupMalloc(uint32_t Group, uint64_t Size) {
   uint64_t Addr = Cur.Cursor;
   Cur.Cursor += Aligned;
 
-  ChunkHeader &Header = Chunks[chunkBase(Addr)];
+  ChunkHeader &Header = chunkOf(Addr);
   ++Header.LiveRegions;
-  Header.LiveBytes += Size;
+  Header.Regions.push_back(Region{static_cast<uint32_t>(Addr - chunkBase(Addr)),
+                                  static_cast<uint32_t>(Size)});
 
   Arena.touch(Addr, Size);
-  Regions.emplace(Addr, Size);
   GroupedLive += Size;
   ++GroupedAllocs;
   noteUsage();
@@ -106,24 +117,36 @@ uint64_t GroupAllocator::takeChunk(uint32_t Group) {
       // located with bitwise operations.
       SlabCursor = Arena.reserve(Options.SlabSize, Options.ChunkSize);
       SlabEnd = SlabCursor + Options.SlabSize;
+      Chunks.resize(((Arena.end() - 1) >> ChunkShift) -
+                    (Arena.base() >> ChunkShift) + 1);
     }
     Base = SlabCursor;
     SlabCursor += Options.ChunkSize;
   }
-  ChunkHeader &Header = Chunks[Base];
-  Header = ChunkHeader();
+  ChunkHeader &Header = chunkOf(Base);
+  assert(!Header.InUse && Header.Regions.empty() && "chunk taken twice");
+  Header.LiveRegions = 0;
   Header.Group = static_cast<int32_t>(Group);
   Header.IsCurrent = true;
+  Header.InUse = true;
+  ++ChunksInUse;
   return Base;
 }
 
 void GroupAllocator::retireChunk(uint64_t Base) {
-  auto It = Chunks.find(Base);
-  assert(It != Chunks.end() && "retiring unknown chunk");
-  It->second.IsCurrent = false;
-  if (It->second.LiveRegions != 0)
-    return; // Still holds live data; its last free will recycle it.
-  Chunks.erase(It);
+  ChunkHeader &Header = chunkOf(Base);
+  assert(Header.InUse && "retiring unknown chunk");
+  Header.IsCurrent = false;
+  if (Header.LiveRegions == 0)
+    recycleChunk(Base);
+  // Otherwise it still holds live data; its last free will recycle it.
+}
+
+void GroupAllocator::recycleChunk(uint64_t Base) {
+  ChunkHeader &Header = chunkOf(Base);
+  Header.InUse = false;
+  Header.Regions.clear();
+  --ChunksInUse;
   if (SpareChunks.size() < Options.MaxSpareChunks) {
     SpareChunks.push_back(Base);
   } else if (Options.PurgeEmptyChunks) {
@@ -135,37 +158,35 @@ void GroupAllocator::retireChunk(uint64_t Base) {
   }
 }
 
-void GroupAllocator::groupFree(uint64_t Addr) {
-  auto Region = Regions.find(Addr);
-  assert(Region != Regions.end() && "group-freeing unknown region");
-  uint64_t Size = Region->second;
-  Regions.erase(Region);
-  GroupedLive -= Size;
+size_t GroupAllocator::liveRegion(const ChunkHeader &Header,
+                                  uint64_t Addr) const {
+  if (!Header.InUse)
+    return NoRegion;
+  uint32_t Offset = static_cast<uint32_t>(Addr - chunkBase(Addr));
+  auto It = std::lower_bound(
+      Header.Regions.begin(), Header.Regions.end(), Offset,
+      [](const Region &R, uint32_t O) { return R.Offset < O; });
+  if (It == Header.Regions.end() || It->Offset != Offset || It->Size == 0)
+    return NoRegion;
+  return static_cast<size_t>(It - Header.Regions.begin());
+}
 
+void GroupAllocator::groupFree(uint64_t Addr) {
   // The chunk header is located from the region pointer by way of simple
   // bitwise operations (chunks are aligned to their size).
-  auto It = Chunks.find(chunkBase(Addr));
-  assert(It != Chunks.end() && "region without chunk header");
-  ChunkHeader &Header = It->second;
+  ChunkHeader &Header = chunkOf(Addr);
+  size_t Index = liveRegion(Header, Addr);
+  assert(Index != NoRegion && "group-freeing unknown region");
+  uint64_t Size = Header.Regions[Index].Size;
+  Header.Regions[Index].Size = 0;
+  GroupedLive -= Size;
   assert(Header.LiveRegions > 0 && "double free of grouped region");
-  --Header.LiveRegions;
-  Header.LiveBytes -= Size;
-  if (Header.LiveRegions == 0 && !Header.IsCurrent) {
-    uint64_t Base = It->first;
-    Chunks.erase(It);
-    if (SpareChunks.size() < Options.MaxSpareChunks) {
-      SpareChunks.push_back(Base);
-    } else if (Options.PurgeEmptyChunks) {
-      Arena.purge(Base, Options.ChunkSize);
-      PurgedChunks.push_back(Base);
-    } else {
-      SpareChunks.push_back(Base);
-    }
-  }
+  if (--Header.LiveRegions == 0 && !Header.IsCurrent)
+    recycleChunk(chunkBase(Addr));
 }
 
 void GroupAllocator::deallocate(uint64_t Addr) {
-  if (Regions.count(Addr)) {
+  if (Arena.inRange(Addr)) {
     groupFree(Addr);
     return;
   }
@@ -173,14 +194,18 @@ void GroupAllocator::deallocate(uint64_t Addr) {
 }
 
 bool GroupAllocator::owns(uint64_t Addr) const {
-  return Regions.count(Addr) || Backing.owns(Addr);
+  if (!Arena.inRange(Addr))
+    return Backing.owns(Addr);
+  return liveRegion(chunkOf(Addr), Addr) != NoRegion;
 }
 
 uint64_t GroupAllocator::usableSize(uint64_t Addr) const {
-  auto It = Regions.find(Addr);
-  if (It != Regions.end())
-    return It->second;
-  return Backing.usableSize(Addr);
+  if (!Arena.inRange(Addr))
+    return Backing.usableSize(Addr);
+  const ChunkHeader &Header = chunkOf(Addr);
+  size_t Index = liveRegion(Header, Addr);
+  assert(Index != NoRegion && "querying unknown address");
+  return Header.Regions[Index].Size;
 }
 
 uint64_t GroupAllocator::liveBytes() const {

@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <deque>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace halo {
@@ -76,7 +77,8 @@ public:
   uint32_t numGroups() const override { return Groups; }
 
 private:
-  std::unordered_map<uint32_t, uint32_t> SiteToGroup;
+  /// (site, group) pairs sorted by site: a binary search per request.
+  std::vector<std::pair<uint32_t, uint32_t>> SiteToGroup;
   uint32_t Groups;
 };
 
@@ -139,16 +141,30 @@ public:
   uint64_t groupedAllocations() const { return GroupedAllocs; }
   uint64_t forwardedAllocations() const { return ForwardedAllocs; }
   uint64_t groupedLiveBytes() const { return GroupedLive; }
-  uint64_t chunkCount() const { return Chunks.size(); }
+  uint64_t chunkCount() const { return ChunksInUse; }
   uint64_t spareChunkCount() const { return SpareChunks.size(); }
+  const VirtualArena &arena() const { return Arena; }
 
 private:
+  /// One region carved from a chunk: its offset from the chunk base and
+  /// the bytes requested (0 once freed).
+  struct Region {
+    uint32_t Offset;
+    uint32_t Size;
+  };
+
+  /// A chunk's header (Figure 11) plus its region records. Entries of the
+  /// chunk table exist for every chunk of every slab; InUse marks those a
+  /// group holds, from takeChunk() until the chunk is empty and retired.
   struct ChunkHeader {
     uint64_t LiveRegions = 0; ///< Incremented per allocation, decremented
                               ///< per free; zero means reusable/freeable.
-    uint64_t LiveBytes = 0;
     int32_t Group = -1;
     bool IsCurrent = false;
+    bool InUse = false;
+    /// Every region carved since the chunk was taken, in address order
+    /// (bump allocation appends), so a lookup is a binary search.
+    std::vector<Region> Regions;
   };
 
   struct GroupCursor {
@@ -160,20 +176,36 @@ private:
   void groupFree(uint64_t Addr);
   uint64_t takeChunk(uint32_t Group);
   void retireChunk(uint64_t Base);
+  /// Returns the empty, no longer current chunk at \p Base to the spare
+  /// or purged list.
+  void recycleChunk(uint64_t Base);
   uint64_t chunkBase(uint64_t Addr) const {
     return Addr & ~(Options.ChunkSize - 1);
   }
+  /// The chunk-table entry of the chunk holding \p Addr: chunks are
+  /// aligned to their size, so the header is found by arithmetic.
+  ChunkHeader &chunkOf(uint64_t Addr) {
+    return Chunks[(Addr >> ChunkShift) - (Arena.base() >> ChunkShift)];
+  }
+  const ChunkHeader &chunkOf(uint64_t Addr) const {
+    return Chunks[(Addr >> ChunkShift) - (Arena.base() >> ChunkShift)];
+  }
+  /// The index in \p Header's records of the live region starting at
+  /// \p Addr (an address in \p Header's chunk), or NoRegion.
+  size_t liveRegion(const ChunkHeader &Header, uint64_t Addr) const;
+  static constexpr size_t NoRegion = ~size_t(0);
   void noteUsage();
 
   Allocator &Backing;
   const GroupPolicy &Policy;
   GroupAllocatorOptions Options;
+  uint32_t ChunkShift; ///< log2(Options.ChunkSize).
   VirtualArena Arena;
   std::vector<GroupCursor> Cursors;
-  std::unordered_map<uint64_t, ChunkHeader> Chunks; ///< chunk base -> header.
+  std::vector<ChunkHeader> Chunks; ///< Indexed by chunk number in the arena.
+  uint64_t ChunksInUse = 0;
   std::deque<uint64_t> SpareChunks;  ///< Empty, still resident.
   std::deque<uint64_t> PurgedChunks; ///< Empty, pages dropped.
-  std::unordered_map<uint64_t, uint64_t> Regions; ///< addr -> size.
   uint64_t SlabCursor = 0;
   uint64_t SlabEnd = 0;
   uint64_t GroupedLive = 0;

@@ -8,7 +8,7 @@
 
 using namespace halo;
 
-VirtualArena::VirtualArena(uint64_t Base) : Next(Base) {
+VirtualArena::VirtualArena(uint64_t Base) : Base(Base), Next(Base) {
   assert(Base % PageSize == 0 && "arena base must be page aligned");
 }
 
@@ -24,6 +24,7 @@ uint64_t VirtualArena::reserve(uint64_t Size, uint64_t Align) {
   Next = Addr + Span;
   Regions.emplace(Addr, Span);
   Reserved += Span;
+  Resident.resize(((Next - Base) / PageSize + 63) / 64);
   return Addr;
 }
 
@@ -37,21 +38,30 @@ void VirtualArena::release(uint64_t Addr) {
 
 void VirtualArena::touch(uint64_t Addr, uint64_t Size) {
   assert(covers(Addr, Size) && "touching unreserved memory");
-  uint64_t First = Addr / PageSize;
-  uint64_t Last = (Addr + (Size ? Size : 1) - 1) / PageSize;
-  for (uint64_t Page = First; Page <= Last; ++Page)
-    ResidentPages.insert(Page);
+  uint64_t First = (Addr - Base) / PageSize;
+  uint64_t Last = (Addr - Base + (Size ? Size : 1) - 1) / PageSize;
+  for (uint64_t Page = First; Page <= Last; ++Page) {
+    uint64_t &Word = Resident[Page / 64];
+    uint64_t Bit = uint64_t(1) << (Page % 64);
+    ResidentPages += (Word & Bit) == 0;
+    Word |= Bit;
+  }
 }
 
 void VirtualArena::purge(uint64_t Addr, uint64_t Size) {
   if (Size == 0)
     return;
+  assert(covers(Addr, Size) && "purging unreserved memory");
   // Only whole pages inside the range are dropped, like madvise(DONTNEED)
   // on a partially covering range.
-  uint64_t First = (Addr + PageSize - 1) / PageSize;
-  uint64_t End = (Addr + Size) / PageSize;
-  for (uint64_t Page = First; Page < End; ++Page)
-    ResidentPages.erase(Page);
+  uint64_t First = (Addr - Base + PageSize - 1) / PageSize;
+  uint64_t End = (Addr - Base + Size) / PageSize;
+  for (uint64_t Page = First; Page < End; ++Page) {
+    uint64_t &Word = Resident[Page / 64];
+    uint64_t Bit = uint64_t(1) << (Page % 64);
+    ResidentPages -= (Word & Bit) != 0;
+    Word &= ~Bit;
+  }
 }
 
 bool VirtualArena::covers(uint64_t Addr, uint64_t Size) const {

@@ -17,7 +17,7 @@
 
 #include <cstdint>
 #include <map>
-#include <unordered_set>
+#include <vector>
 
 namespace halo {
 
@@ -25,9 +25,12 @@ namespace halo {
 ///
 /// Reservations are handed out sequentially (never recycled at the address
 /// level, like a simple mmap with MAP_NORESERVE), so every live allocation in
-/// a run has a unique address. The paper's artefact notes that running
-/// programs must be able to map at least 16 GiB of virtual memory; the
-/// simulated space is far larger than that.
+/// a run has a unique address and all of them lie in one dense range,
+/// [base(), end()). Residency is a bitmap over that range's pages, and the
+/// allocators index their own metadata by address arithmetic over it. The
+/// paper's artefact notes that running programs must be able to map at
+/// least 16 GiB of virtual memory; the simulated space is far larger than
+/// that.
 class VirtualArena {
 public:
   static constexpr uint64_t PageSize = 4096;
@@ -54,15 +57,22 @@ public:
   /// Returns true if [Addr, Addr+Size) lies inside a live reservation.
   bool covers(uint64_t Addr, uint64_t Size) const;
 
+  /// Every reservation ever made lies in [base(), end()).
+  uint64_t base() const { return Base; }
+  uint64_t end() const { return Next; }
+  bool inRange(uint64_t Addr) const { return Addr >= Base && Addr < Next; }
+
   uint64_t reservedBytes() const { return Reserved; }
-  uint64_t residentBytes() const { return ResidentPages.size() * PageSize; }
+  uint64_t residentBytes() const { return ResidentPages * PageSize; }
   uint64_t reservationCount() const { return Regions.size(); }
 
 private:
+  uint64_t Base;
   uint64_t Next;
   uint64_t Reserved = 0;
   std::map<uint64_t, uint64_t> Regions; ///< base -> size, live reservations.
-  std::unordered_set<uint64_t> ResidentPages; ///< page indices.
+  std::vector<uint64_t> Resident; ///< One bit per page of [Base, Next).
+  uint64_t ResidentPages = 0;
 };
 
 } // namespace halo

@@ -46,6 +46,8 @@ public:
   uint64_t residentBytes() const override;
   std::string name() const override { return "random-pools"; }
 
+  const VirtualArena &arena() const { return Arena; }
+
 private:
   struct Pool {
     uint64_t Cursor = 0;

@@ -2,6 +2,7 @@
 
 #include "mem/SizeClassAllocator.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace halo;
@@ -47,7 +48,33 @@ uint64_t SizeClassAllocator::allocate(const AllocRequest &Request) {
   uint64_t Size = Request.Size ? Request.Size : 1;
   uint64_t Addr = Size > MaxSmall ? allocateLarge(Size) : allocateSmall(Size);
   Live += Size;
+  ++LiveObjects;
   return Addr;
+}
+
+void SizeClassAllocator::addSpan(const Span &S, uint64_t Pages) {
+  PageSpan.resize((Arena.end() - Arena.base()) / VirtualArena::PageSize);
+  uint64_t First = (S.Base - Arena.base()) / VirtualArena::PageSize;
+  Spans.push_back(S);
+  std::fill_n(PageSpan.begin() + First, Pages,
+              static_cast<uint32_t>(Spans.size()));
+}
+
+uint32_t SizeClassAllocator::spanOf(uint64_t Addr) const {
+  if (!Arena.inRange(Addr))
+    return NoSpan;
+  // Entries hold 1 + the index, so an unmapped page's 0 wraps to NoSpan.
+  return PageSpan[(Addr - Arena.base()) / VirtualArena::PageSize] - 1;
+}
+
+uint64_t SizeClassAllocator::slotOf(const Span &S, uint64_t Addr) const {
+  // A run spans at most 64 objects of MaxSmall bytes, so 32-bit offsets.
+  uint32_t Offset = static_cast<uint32_t>(Addr - S.Base);
+  uint32_t ObjectSize = static_cast<uint32_t>(ClassSizes[S.ClassIndex]);
+  uint32_t Slot = Offset / ObjectSize;
+  if (Slot * ObjectSize != Offset || Slot >= S.Slots)
+    return NoSlot;
+  return S.FirstSlot + Slot;
 }
 
 uint64_t SizeClassAllocator::allocateSmall(uint64_t Size) {
@@ -69,46 +96,58 @@ uint64_t SizeClassAllocator::allocateSmall(uint64_t Size) {
         RunSize = VirtualArena::PageSize;
       State.RunCursor = Arena.reserve(RunSize);
       State.RunEnd = State.RunCursor + RunSize;
+      uint32_t Slots = static_cast<uint32_t>(RunSize / ObjectSize);
+      addSpan(Span{State.RunCursor, Requested.size(), 0, Index, Slots},
+              (RunSize + VirtualArena::PageSize - 1) / VirtualArena::PageSize);
+      Requested.resize(Requested.size() + Slots);
     }
     Addr = State.RunCursor;
     State.RunCursor += ObjectSize;
   }
   Arena.touch(Addr, ObjectSize);
-  Regions.emplace(Addr, RegionInfo{Index, static_cast<uint32_t>(Size)});
+  Requested[slotOf(Spans[spanOf(Addr)], Addr)] = static_cast<uint16_t>(Size);
   return Addr;
 }
 
 uint64_t SizeClassAllocator::allocateLarge(uint64_t Size) {
   uint64_t Addr = Arena.reserve(Size);
   Arena.touch(Addr, Size);
-  LargeRegions.emplace(Addr, Size);
+  addSpan(Span{Addr, 0, Size, LargeClass, 0}, 1);
   return Addr;
 }
 
 void SizeClassAllocator::deallocate(uint64_t Addr) {
-  auto Small = Regions.find(Addr);
-  if (Small != Regions.end()) {
-    Live -= Small->second.Requested;
-    Classes[Small->second.ClassIndex].FreeList.push_back(Addr);
-    Regions.erase(Small);
+  uint32_t Id = spanOf(Addr);
+  assert(Id != NoSpan && "freeing unknown address");
+  Span &S = Spans[Id];
+  --LiveObjects;
+  if (S.ClassIndex == LargeClass) {
+    assert(S.Base == Addr && S.LargeBytes && "freeing unknown address");
+    Live -= S.LargeBytes;
+    S.LargeBytes = 0;
+    Arena.release(Addr);
     return;
   }
-  auto Large = LargeRegions.find(Addr);
-  assert(Large != LargeRegions.end() && "freeing unknown address");
-  Live -= Large->second;
-  Arena.release(Addr);
-  LargeRegions.erase(Large);
+  uint64_t Slot = slotOf(S, Addr);
+  assert(Slot != NoSlot && Requested[Slot] && "freeing unknown address");
+  Live -= Requested[Slot];
+  Requested[Slot] = 0;
+  Classes[S.ClassIndex].FreeList.push_back(Addr);
 }
 
 bool SizeClassAllocator::owns(uint64_t Addr) const {
-  return Regions.count(Addr) || LargeRegions.count(Addr);
+  uint32_t Id = spanOf(Addr);
+  if (Id == NoSpan)
+    return false;
+  const Span &S = Spans[Id];
+  if (S.ClassIndex == LargeClass)
+    return S.Base == Addr && S.LargeBytes;
+  uint64_t Slot = slotOf(S, Addr);
+  return Slot != NoSlot && Requested[Slot];
 }
 
 uint64_t SizeClassAllocator::usableSize(uint64_t Addr) const {
-  auto Small = Regions.find(Addr);
-  if (Small != Regions.end())
-    return ClassSizes[Small->second.ClassIndex];
-  auto Large = LargeRegions.find(Addr);
-  assert(Large != LargeRegions.end() && "querying unknown address");
-  return Large->second;
+  assert(owns(Addr) && "querying unknown address");
+  const Span &S = Spans[spanOf(Addr)];
+  return S.ClassIndex == LargeClass ? S.LargeBytes : ClassSizes[S.ClassIndex];
 }

@@ -22,13 +22,16 @@
 #include "mem/Arena.h"
 
 #include <cstdint>
-#include <map>
-#include <unordered_map>
 #include <vector>
 
 namespace halo {
 
 /// jemalloc-like size-segregated allocator over a simulated arena.
+///
+/// Metadata is found by address arithmetic, as jemalloc finds it through
+/// its page map: a table with one entry per arena page names the span
+/// (a small run of one class, or one large allocation) the page belongs
+/// to, and each run keeps the requested size of every slot it holds.
 class SizeClassAllocator : public Allocator {
 public:
   /// Largest size handled by a size class; larger requests are page-rounded
@@ -50,7 +53,7 @@ public:
   uint64_t sizeClassFor(uint64_t Size) const;
 
   /// Number of live allocations (for tests).
-  uint64_t liveCount() const { return Regions.size() + LargeRegions.size(); }
+  uint64_t liveCount() const { return LiveObjects; }
 
   const VirtualArena &arena() const { return Arena; }
 
@@ -61,21 +64,40 @@ private:
     std::vector<uint64_t> FreeList; ///< LIFO of freed object addresses.
   };
 
-  struct RegionInfo {
-    uint32_t ClassIndex;
-    uint32_t Requested;
+  /// A small run of one size class, or one large allocation.
+  struct Span {
+    uint64_t Base;
+    uint64_t FirstSlot;  ///< Small run: its first entry in Requested.
+    uint64_t LargeBytes; ///< Large allocation: bytes requested, 0 once freed.
+    uint32_t ClassIndex; ///< Small run: its class; LargeClass if large.
+    uint32_t Slots;      ///< Small run: objects it holds.
   };
+  static constexpr uint32_t LargeClass = ~0u;
+  static_assert(MaxSmall <= UINT16_MAX, "Requested holds small sizes");
 
   uint64_t allocateSmall(uint64_t Size);
   uint64_t allocateLarge(uint64_t Size);
   uint32_t classIndexFor(uint64_t Size) const;
+  /// Records \p S, the latest reservation, and maps its first \p Pages
+  /// pages to it: every page of a small run, only the first page of a
+  /// large allocation (lookups name an object by its start address).
+  void addSpan(const Span &S, uint64_t Pages);
+  /// The index in Spans of the span whose page holds \p Addr, or NoSpan.
+  uint32_t spanOf(uint64_t Addr) const;
+  static constexpr uint32_t NoSpan = ~0u;
+  /// The index in Requested of the slot starting at \p Addr in small run
+  /// \p S, or NoSlot if no slot starts there.
+  uint64_t slotOf(const Span &S, uint64_t Addr) const;
+  static constexpr uint64_t NoSlot = ~0ull;
 
   VirtualArena Arena;
   std::vector<uint64_t> ClassSizes;
   std::vector<uint8_t> SizeToClass; ///< (Size+7)/8 - 1 -> class index.
   std::vector<ClassState> Classes;
-  std::unordered_map<uint64_t, RegionInfo> Regions;      ///< small objects.
-  std::unordered_map<uint64_t, uint64_t> LargeRegions;   ///< addr -> size.
+  std::vector<uint32_t> PageSpan; ///< Arena page -> 1 + index in Spans, or 0.
+  std::vector<Span> Spans;
+  std::vector<uint16_t> Requested; ///< Per small slot; 0 while free.
+  uint64_t LiveObjects = 0;
   uint64_t Live = 0;
 };
 

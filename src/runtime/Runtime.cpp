@@ -151,7 +151,7 @@ void Runtime::replayAccessRun(const MemAccess *Batch, size_t N,
   Stats.Loads += N - Stores;
   Stats.Stores += Stores;
   if (Memory)
-    Timing.addMemory(Memory->accessBatch(Batch, N));
+    Memory->accessBatch(Batch, N);
   for (RuntimeObserver *Obs : Observers)
     Obs->onAccessBatch(Batch, N);
 }
@@ -180,8 +180,7 @@ void Runtime::replayRange(ReplayState &St, const uint8_t *Begin,
   // Batch loop: decoding resolves every data access (the dominant event
   // shape) straight into a flat MemAccess batch -- ids become final
   // addresses at decode time -- and each batch is consumed whole by the
-  // memory hierarchy and the observers, so the TLB/L1 fast path spins in
-  // a tight loop with no call per event.
+  // memory hierarchy and the observers, with no call per event.
   //
   // How long a batch may grow is the crux. With observers attached
   // (profiling replay), every observable event must be delivered in

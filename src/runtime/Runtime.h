@@ -92,8 +92,12 @@ public:
   void setInstrumentation(const InstrumentationPlan *Plan);
 
   /// Attaches the cache hierarchy that loads/stores should exercise (null
-  /// for profiling runs where only the event stream matters).
-  void setMemory(MemoryHierarchy *Hierarchy) { Memory = Hierarchy; }
+  /// for profiling runs where only the event stream matters). Its stall
+  /// cycles become timing()'s memory cycles.
+  void setMemory(MemoryHierarchy *Hierarchy) {
+    Memory = Hierarchy;
+    Timing.setMemory(Hierarchy);
+  }
 
   void addObserver(RuntimeObserver *Observer);
 
@@ -129,18 +133,21 @@ public:
   // -- Data accesses and compute -----------------------------------------
   /// load/store are the hottest events of a run; they are inline with a
   /// branch-free-when-unobserved fast path so measurement runs (which
-  /// attach no observers) pay nothing for the observer mechanism.
+  /// attach no observers) pay nothing for the observer mechanism. The
+  /// hierarchy only queues the access's lines (its simulation is deferred
+  /// and level-major, sim/MemoryHierarchy.h); no cycles come back per
+  /// access, since the hierarchy alone owns the memory cycles.
   void load(uint64_t Addr, uint64_t Size) {
     ++Stats.Loads;
     if (Memory)
-      Timing.addMemory(Memory->access(Addr, Size));
+      Memory->access(Addr, Size);
     if (!Observers.empty())
       notifyAccess(Addr, Size, /*IsStore=*/false);
   }
   void store(uint64_t Addr, uint64_t Size) {
     ++Stats.Stores;
     if (Memory)
-      Timing.addMemory(Memory->access(Addr, Size));
+      Memory->access(Addr, Size);
     if (!Observers.empty())
       notifyAccess(Addr, Size, /*IsStore=*/true);
   }
@@ -166,9 +173,8 @@ public:
   /// fused with object-id-to-address resolution) accumulates runs of
   /// data accesses -- the dominant event shape -- into flat MemAccess
   /// blocks handed to MemoryHierarchy::accessBatch and
-  /// RuntimeObserver::onAccessBatch in one call each, so the simulator's
-  /// TLB/L1 fast path spins in a tight loop with no dispatch per event.
-  /// Counters stay bit-identical to per-event execution: batch
+  /// RuntimeObserver::onAccessBatch in one call each, with no dispatch
+  /// per event. Counters stay bit-identical to per-event execution: batch
   /// boundaries only regroup commutative additions, never reorder
   /// events against their dependencies (see the comment in replay()).
   void replay(const EventTrace &Trace);

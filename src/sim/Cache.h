@@ -50,50 +50,16 @@ public:
   /// used way dominate; one compare settles them without the scan.
   ///
   /// Defined inline (like the whole lookup path) so the simulator's per-
-  /// access work fuses into MemoryHierarchy's loops: an out-of-line call
-  /// per way scan measurably dominates the scan itself.
-  bool access(uint64_t Addr) { return mruHit(Addr) || accessSlow(Addr); }
-
-  /// Fast-path-only probe of the most-recently-used way: counts the hit
-  /// when it matches and returns true (the order is already right); on
-  /// mismatch touches nothing and returns false, in which case the caller
-  /// must finish the access with accessSlow(). MemoryHierarchy fuses the
-  /// TLB and L1 probes on its single-line fast path through this.
-  bool mruHit(uint64_t Addr) {
+  /// level passes (MemoryHierarchy's drain) fuse it into their loops: an
+  /// out-of-line call per way scan measurably dominates the scan itself.
+  bool access(uint64_t Addr) {
     auto [Set, Tag] = locate(Addr);
-    if (Tags[uint64_t(Set) * Config.Ways] == Tag) {
+    uint64_t *Begin = &Tags[uint64_t(Set) * Config.Ways];
+    if (Begin[0] == Tag) {
       ++Hits;
       return true;
     }
-    return false;
-  }
-
-  /// Completes an access whose mruHit() probe returned false. The scan
-  /// starts at the second way: calling this without that failed probe
-  /// first is a contract violation (asserted), because a tag in the first
-  /// way would be missed and inserted twice. access(Addr) is equivalent to
-  /// `mruHit(Addr) || accessSlow(Addr)`.
-  bool accessSlow(uint64_t Addr) {
-    auto [Set, Tag] = locate(Addr);
-    return scanInsert(Set, Tag);
-  }
-
-  /// Hints the host CPU to pull the set metadata \p Addr maps to into its
-  /// own caches. Semantics-free (no counter or content changes): purely a
-  /// host-side latency hint, used by the batched access path to overlap
-  /// upcoming set walks with current ones -- the large levels' tag arrays
-  /// (megabytes for an L3) are what the simulator itself stalls on.
-  void prefetchSet(uint64_t Addr) const {
-#if defined(__GNUC__) || defined(__clang__)
-    auto [Set, Tag] = locate(Addr);
-    (void)Tag;
-    const uint64_t *S = &Tags[uint64_t(Set) * Config.Ways];
-    __builtin_prefetch(S);
-    if (Config.Ways > 8) // A set spanning several host lines: pull two.
-      __builtin_prefetch(reinterpret_cast<const char *>(S) + 64);
-#else
-    (void)Addr;
-#endif
+    return scanInsert(Begin, Tag);
   }
 
   /// Returns true if the line containing \p Addr is currently cached,
@@ -133,11 +99,9 @@ private:
   /// each visited tag shifts one way back, so a hit at way I ends with
   /// ways [0, I) moved to [1, I] and the tag in front, and a miss ends
   /// with every tag shifted, the last (LRU) one dropped, and the new tag
-  /// in front.
-  bool scanInsert(uint32_t Set, uint64_t Tag) {
+  /// in front. \p Begin is the set's first way, which holds another tag.
+  bool scanInsert(uint64_t *Begin, uint64_t Tag) {
     assert(Tag != InvalidTag && "address saturates the tag space");
-    uint64_t *Begin = &Tags[uint64_t(Set) * Config.Ways];
-    assert(Begin[0] != Tag && "accessSlow() without a failed mruHit() probe");
     uint64_t Carry = Begin[0];
     for (uint32_t Way = 1; Way < Config.Ways; ++Way) {
       uint64_t Here = Begin[Way];

@@ -22,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 
 namespace halo {
 
@@ -44,12 +45,11 @@ struct HierarchyConfig {
   LatencyModel Latency;
 };
 
-/// One decoded data access: the unit of the batch interfaces. Trace
-/// replay resolves event records into runs of these and hands each run to
-/// the hierarchy (and to observers) as a block, so the per-access fast
-/// path executes in a tight loop instead of behind a call per event. The
-/// 16-byte layout keeps a 512-entry batch inside 8 KiB of buffer; a
-/// single access never spans 4 GiB, so 32 bits of size suffice.
+/// One decoded data access, the element of accessBatch(): trace replay
+/// resolves event records into runs of these and hands each run to the
+/// hierarchy (and to observers) as a block. The 16-byte layout keeps a
+/// 512-entry batch inside 8 KiB of buffer; a single access never spans
+/// 4 GiB, so 32 bits of size suffice.
 struct MemAccess {
   uint64_t Addr;
   uint32_t Size;
@@ -67,49 +67,67 @@ struct MemoryCounters {
   uint64_t StallCycles = 0;
 };
 
-/// An inclusive three-level data-cache hierarchy with a TLB.
+/// A non-inclusive three-level data-cache hierarchy with a TLB: no level
+/// back-invalidates another, L2 sees only L1's misses and L3 only L2's,
+/// so a line the L3 has evicted may still hit in L1.
+///
+/// Simulation is deferred and level-major. access() only appends the
+/// line addresses it touches to a fixed pending block; a full block, or
+/// a read of counters(), drains it as a TLB pass over every line, an L1
+/// pass that keeps the misses, an L2 pass over those and an L3 pass over
+/// the L2 misses. That is exact: each level's LRU state depends only on
+/// the ordered lines it is asked about, and nothing reads the hierarchy
+/// mid-run (allocators, realloc copy lengths and observers never consult
+/// it). Each pass is a tight loop over one level's tags instead of a walk
+/// through all four structures per access.
 class MemoryHierarchy {
 public:
   explicit MemoryHierarchy(const HierarchyConfig &Config = HierarchyConfig());
 
   /// Performs a data access of \p Size bytes at \p Addr (loads and stores
   /// are treated alike: write-allocate, no write-back traffic modelled).
-  /// Every cache line the access touches is looked up. Returns the cycles
-  /// the access cost.
-  uint64_t access(uint64_t Addr, uint64_t Size);
+  /// Every cache line the access touches is looked up, once the pending
+  /// block drains.
+  void access(uint64_t Addr, uint64_t Size) {
+    uint64_t Line = Addr & ~LineMask;
+    const uint64_t Last = (Addr + (Size ? Size : 1) - 1) & ~LineMask;
+    for (;; Line += LineMask + 1) {
+      Pending[NumPending] = Line;
+      if (++NumPending == BlockLines)
+        drain();
+      if (Line == Last)
+        return;
+    }
+  }
 
-  /// Performs every access of \p Batch in order and returns the summed
-  /// cycles -- bit-identical counters and cost to calling access() per
-  /// element. The batch form exists so replay's dominant event runs drive
-  /// the fused TLB+L1 fast path in a loop inside this TU (where
-  /// accessLine inlines) rather than through one out-of-line call per
-  /// event.
-  uint64_t accessBatch(const MemAccess *Batch, size_t N);
+  /// Performs every access of \p Batch in order, exactly as calling
+  /// access() per element.
+  void accessBatch(const MemAccess *Batch, size_t N);
 
-  MemoryCounters counters() const;
+  /// Drains the pending block and returns the counters. StallCycles is
+  /// the closed form TlbMisses * TlbMiss + L1 hits * L1Hit + L2 hits *
+  /// L2Hit + L3 hits * L3Hit + L3Misses * Memory: every line pays its TLB
+  /// miss, if any, plus the latency of the level that served it.
+  MemoryCounters counters();
   void reset();
 
   const Cache &l3() const { return L3; }
 
 private:
-  /// Fused TLB+L1 lookup: the dominant outcome — both the TLB's and the
-  /// L1's most-recently-used entries hit — resolves with two inline tag
-  /// compares and no further calls; everything else takes the out-of-line
-  /// walk. Defined in the .cpp (callers all live there) so the fast path
-  /// inlines into access() without bloating every load/store site.
-  uint64_t accessLine(uint64_t LineAddr);
+  /// Lines per pending block: 8 KiB of addresses, which stays in the host
+  /// L1 through all four passes.
+  static constexpr size_t BlockLines = 1024;
 
-  /// Completes an access whose fused fast path missed. \p TlbDone tells
-  /// whether the TLB already committed a hit on the fast path (it must be
-  /// consulted exactly once per line).
-  uint64_t accessLineSlow(uint64_t LineAddr, bool TlbDone);
-  uint64_t accessSpan(uint64_t First, uint64_t Last);
+  /// Runs the pending lines through the TLB, then L1, then L2 and L3 on
+  /// the misses of the level above.
+  void drain();
 
   HierarchyConfig Config;
   uint64_t LineMask; ///< L1.LineSize - 1 (line size is a power of two).
   Cache L1, L2, L3;
   Tlb Dtlb;
-  uint64_t Stalls = 0;
+  std::unique_ptr<uint64_t[]> Pending; ///< BlockLines line addresses.
+  size_t NumPending = 0;
 };
 
 } // namespace halo

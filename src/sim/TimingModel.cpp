@@ -2,4 +2,10 @@
 
 #include "sim/TimingModel.h"
 
-// TimingModel is header-only today; this file anchors the library.
+#include "sim/MemoryHierarchy.h"
+
+using namespace halo;
+
+uint64_t TimingModel::memoryCycles() const {
+  return Memory ? Memory->counters().StallCycles : 0;
+}

@@ -7,7 +7,7 @@
 /// \file
 /// Accumulates an execution-time estimate for a workload run: explicit
 /// compute cycles (the part of the program that is not memory-bound),
-/// memory access cycles from the cache hierarchy, small fixed costs for
+/// memory access cycles read from the cache hierarchy, small fixed costs for
 /// allocator calls, and the cost of the set/unset instructions HALO's BOLT
 /// pass inserts (so the ablation_instrumentation row of bench/figures can
 /// measure their overhead, which the paper finds to be below system
@@ -29,13 +29,20 @@ struct CostModel {
   double CyclesPerSecond = 3.3e9; ///< W-2195 nominal clock.
 };
 
-/// Cycle accumulator for one simulated run.
+class MemoryHierarchy;
+
+/// Cycle accumulator for one simulated run. Memory cycles are not counted
+/// here: the attached hierarchy owns them (its StallCycles), and every
+/// reader of memoryCycles(), totalCycles() or seconds() drains it first.
 class TimingModel {
 public:
   explicit TimingModel(const CostModel &Costs = CostModel()) : Costs(Costs) {}
 
+  /// Attaches the hierarchy whose stall cycles are this run's memory
+  /// cycles (null: none). It must outlive every later read.
+  void setMemory(MemoryHierarchy *Hierarchy) { Memory = Hierarchy; }
+
   void addCompute(uint64_t Cycles) { ComputeCycles += Cycles; }
-  void addMemory(uint64_t Cycles) { MemoryCycles += Cycles; }
   void addAllocatorCall() { AllocatorCycles += Costs.AllocCall; }
   void addInstrumentationOp() {
     InstrumentationCycles += Costs.InstrumentationOp;
@@ -43,13 +50,13 @@ public:
   }
 
   uint64_t computeCycles() const { return ComputeCycles; }
-  uint64_t memoryCycles() const { return MemoryCycles; }
+  uint64_t memoryCycles() const;
   uint64_t allocatorCycles() const { return AllocatorCycles; }
   uint64_t instrumentationCycles() const { return InstrumentationCycles; }
   uint64_t instrumentationOps() const { return InstrumentationOps; }
 
   uint64_t totalCycles() const {
-    return ComputeCycles + MemoryCycles + AllocatorCycles +
+    return ComputeCycles + memoryCycles() + AllocatorCycles +
            InstrumentationCycles;
   }
 
@@ -59,14 +66,14 @@ public:
   }
 
   void reset() {
-    ComputeCycles = MemoryCycles = AllocatorCycles = InstrumentationCycles =
+    ComputeCycles = AllocatorCycles = InstrumentationCycles =
         InstrumentationOps = 0;
   }
 
 private:
   CostModel Costs;
+  MemoryHierarchy *Memory = nullptr;
   uint64_t ComputeCycles = 0;
-  uint64_t MemoryCycles = 0;
   uint64_t AllocatorCycles = 0;
   uint64_t InstrumentationCycles = 0;
   uint64_t InstrumentationOps = 0;

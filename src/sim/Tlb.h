@@ -28,14 +28,6 @@ public:
   /// Translates the page containing \p Addr; returns true on TLB hit.
   bool access(uint64_t Addr) { return Entries.access(Addr); }
 
-  /// Most-recently-used-entry probe for the fused TLB+L1 fast path: commits
-  /// the translation on hit, touches nothing on miss (finish with
-  /// accessSlow()).
-  bool mruHit(uint64_t Addr) { return Entries.mruHit(Addr); }
-
-  /// Completes a translation whose mruHit() probe missed.
-  bool accessSlow(uint64_t Addr) { return Entries.accessSlow(Addr); }
-
   uint64_t hits() const { return Entries.hits(); }
   uint64_t misses() const { return Entries.misses(); }
   void reset() { Entries.reset(); }

@@ -20,6 +20,14 @@ inline constexpr bool isPowerOfTwo(uint64_t X) {
   return X != 0 && (X & (X - 1)) == 0;
 }
 
+/// The exponent of a power of two: X == 1 << log2Exact(X).
+inline constexpr uint32_t log2Exact(uint64_t X) {
+  uint32_t Shift = 0;
+  while ((uint64_t(1) << Shift) < X)
+    ++Shift;
+  return Shift;
+}
+
 /// Exact unsigned division by a fixed divisor via one high multiply
 /// (Granlund & Montgomery's round-up method with s = 64): quotients are
 /// bit-identical to the `/` operator for every dividend up to a bound

@@ -6,6 +6,8 @@
 //
 //   * live objects never overlap;
 //   * every allocation address is aligned to MinAlign;
+//   * every allocation lies inside a live reservation of one of the
+//     arenas of the allocator stack that served it;
 //   * every free names a live object;
 //   * every access lies inside one live object -- the property under which
 //     the recording arena's arithmetic attribution and LiveObjectMap's
@@ -14,7 +16,8 @@
 // It runs for every AllocatorKind on every workload at test scale, each
 // kind's allocator stack built the way Evaluation::measureWith builds it.
 // Planted bugs -- an allocator whose blocks overlap, one that misaligns,
-// a double free, an access running off its object -- must be caught.
+// one that hands out addresses outside its arena, a double free, an
+// access running off its object -- must be caught.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <map>
 #include <string>
@@ -43,6 +47,11 @@ public:
     uint64_t Bytes = Size ? Size : 1;
     if (Addr % MinAlign != 0)
       violation("allocation misaligned", Addr);
+    if (std::none_of(Arenas.begin(), Arenas.end(),
+                     [&](const VirtualArena *A) {
+                       return A->covers(Addr, Bytes);
+                     }))
+      violation("allocation outside the allocator stack's arenas", Addr);
     auto Next = Live.lower_bound(Addr);
     if (Next != Live.end() && Next->first < Addr + Bytes)
       violation("allocation overlaps the live object above it", Addr);
@@ -69,6 +78,8 @@ public:
     ++Accesses;
   }
 
+  /// The arenas of the allocator stack under check.
+  std::vector<const VirtualArena *> Arenas;
   /// The first few violations, for the failure message.
   std::vector<std::string> Violations;
   uint64_t Count = 0;
@@ -114,17 +125,20 @@ void runChecked(Evaluation &Eval, AllocatorKind Kind, uint64_t Seed,
   switch (Kind) {
   case AllocatorKind::Jemalloc: {
     Runtime RT(Prog, Jemalloc);
+    Checker.Arenas = {&Jemalloc.arena()};
     Run(RT);
     break;
   }
   case AllocatorKind::Ptmalloc: {
     Runtime RT(Prog, Ptmalloc);
+    Checker.Arenas = {&Ptmalloc.arena()};
     Run(RT);
     break;
   }
   case AllocatorKind::RandomPools: {
     RandomPoolAllocator Pools(Jemalloc, /*Seed=*/Seed * 11 + 3);
     Runtime RT(Prog, Pools);
+    Checker.Arenas = {&Pools.arena(), &Jemalloc.arena()};
     Run(RT);
     break;
   }
@@ -135,6 +149,7 @@ void runChecked(Evaluation &Eval, AllocatorKind Kind, uint64_t Seed,
     SelectorGroupPolicy Policy(RT.groupState(), Art.CompiledSelectors);
     GroupAllocator Halo(Jemalloc, Policy, Setup.Allocator);
     RT.setAllocator(Halo);
+    Checker.Arenas = {&Halo.arena(), &Jemalloc.arena()};
     Run(RT);
     break;
   }
@@ -144,6 +159,7 @@ void runChecked(Evaluation &Eval, AllocatorKind Kind, uint64_t Seed,
                            static_cast<uint32_t>(Art.Groups.size()));
     GroupAllocator Hds(Jemalloc, Policy, Setup.Allocator);
     Runtime RT(Prog, Hds);
+    Checker.Arenas = {&Hds.arena(), &Jemalloc.arena()};
     Run(RT);
     break;
   }
@@ -151,6 +167,7 @@ void runChecked(Evaluation &Eval, AllocatorKind Kind, uint64_t Seed,
     const HaloArtifacts &Art = Eval.haloArtifacts();
     Runtime RT(Prog, Jemalloc);
     RT.setInstrumentation(&Art.Plan);
+    Checker.Arenas = {&Jemalloc.arena()};
     Run(RT);
     break;
   }
@@ -199,7 +216,6 @@ public:
   uint64_t residentBytes() const override { return Inner.residentBytes(); }
   std::string name() const override { return "short-class"; }
 
-private:
   SizeClassAllocator Inner;
 };
 
@@ -218,16 +234,37 @@ public:
   uint64_t residentBytes() const override { return Inner.residentBytes(); }
   std::string name() const override { return "misaligned"; }
 
-private:
   SizeClassAllocator Inner;
 };
 
-/// Runs health at test scale on \p Alloc with a checker attached.
-AllocationChecker checkHealthOn(Allocator &Alloc) {
+/// A planted bug: blocks carved as usual but handed out 1 TiB past where
+/// the arena reserved them, as if offset from another arena's base.
+class StrayAllocator final : public Allocator {
+public:
+  static constexpr uint64_t Stray = uint64_t(1) << 40;
+  uint64_t allocate(const AllocRequest &Request) override {
+    return Inner.allocate(Request) + Stray;
+  }
+  void deallocate(uint64_t Addr) override { Inner.deallocate(Addr - Stray); }
+  bool owns(uint64_t Addr) const override { return Inner.owns(Addr - Stray); }
+  uint64_t usableSize(uint64_t Addr) const override {
+    return Inner.usableSize(Addr - Stray);
+  }
+  uint64_t liveBytes() const override { return Inner.liveBytes(); }
+  uint64_t residentBytes() const override { return Inner.residentBytes(); }
+  std::string name() const override { return "stray"; }
+
+  SizeClassAllocator Inner;
+};
+
+/// Runs health at test scale on \p Alloc, whose blocks must lie in
+/// \p Arena, with a checker attached.
+AllocationChecker checkHealthOn(Allocator &Alloc, const VirtualArena &Arena) {
   auto W = createWorkload("health");
   Program P;
   W->build(P);
   AllocationChecker Checker;
+  Checker.Arenas = {&Arena};
   Runtime RT(P, Alloc);
   RT.addObserver(&Checker);
   W->run(RT, Scale::Test, 7);
@@ -238,20 +275,30 @@ AllocationChecker checkHealthOn(Allocator &Alloc) {
 
 TEST(AllocationChecker, CatchesOverlappingBlocks) {
   ShortClassAllocator Broken;
-  AllocationChecker Checker = checkHealthOn(Broken);
+  AllocationChecker Checker = checkHealthOn(Broken, Broken.Inner.arena());
   ASSERT_GT(Checker.Count, 0u);
   EXPECT_NE(std::string::npos, Checker.Violations[0].find("overlaps"));
 }
 
 TEST(AllocationChecker, CatchesMisalignedBlocks) {
   MisalignedAllocator Broken;
-  AllocationChecker Checker = checkHealthOn(Broken);
+  AllocationChecker Checker = checkHealthOn(Broken, Broken.Inner.arena());
   ASSERT_GT(Checker.Count, 0u);
   EXPECT_NE(std::string::npos, Checker.Violations[0].find("misaligned"));
 }
 
+TEST(AllocationChecker, CatchesBlocksOutsideTheArena) {
+  StrayAllocator Broken;
+  AllocationChecker Checker = checkHealthOn(Broken, Broken.Inner.arena());
+  ASSERT_GT(Checker.Count, 0u);
+  EXPECT_NE(std::string::npos, Checker.Violations[0].find("outside"));
+}
+
 TEST(AllocationChecker, CatchesBadFreesAndStrayAccesses) {
+  VirtualArena Arena(4096);
+  Arena.reserve(VirtualArena::PageSize);
   AllocationChecker Checker;
+  Checker.Arenas = {&Arena};
   Checker.onAlloc(4096, 16, 0);
   Checker.onAccess(4096, 16, false); // Fine: the whole object.
   Checker.onAccess(4104, 16, true);  // Runs 8 bytes off the end.

@@ -1,9 +1,12 @@
 //===- tests/cache_test.cpp - Cache / TLB / hierarchy tests -------------------===//
 
+#include "mem/SizeClassAllocator.h"
+#include "runtime/Runtime.h"
 #include "sim/Machine.h"
 #include "sim/MemoryHierarchy.h"
 #include "sim/TimingModel.h"
 #include "support/Rng.h"
+#include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
 
@@ -178,19 +181,16 @@ TEST(Cache, MatchesListLruOracle) {
 }
 
 TEST(Tlb, MatchesListLruOracle) {
-  // Each preset's dTLB (entries x 4 KiB pages), driven through the fused
-  // probe path (mruHit, then accessSlow on a mismatch) as MemoryHierarchy
-  // drives it.
+  // Each preset's dTLB (entries x 4 KiB pages).
   for (const MachineConfig &M : machinePresets()) {
     const HierarchyConfig &H = M.Hierarchy;
     CacheConfig Geometry{uint64_t(H.TlbEntries) * 4096, H.TlbWays, 4096};
     Tlb T(H.TlbEntries, H.TlbWays);
     ListLru Oracle(Geometry);
     std::vector<uint64_t> Stream = lruStream(Geometry, 7);
-    for (size_t I = 0; I < Stream.size(); ++I) {
-      bool Hit = T.mruHit(Stream[I]) || T.accessSlow(Stream[I]);
-      ASSERT_EQ(Hit, Oracle.access(Stream[I])) << M.Name << ": access " << I;
-    }
+    for (size_t I = 0; I < Stream.size(); ++I)
+      ASSERT_EQ(T.access(Stream[I]), Oracle.access(Stream[I]))
+          << M.Name << ": access " << I;
   }
 }
 
@@ -212,11 +212,12 @@ TEST(Hierarchy, LatenciesPerLevel) {
   HierarchyConfig Cfg;
   MemoryHierarchy M(Cfg);
   // Cold access: TLB miss + memory access.
-  uint64_t Cold = M.access(0, 8);
+  M.access(0, 8);
+  uint64_t Cold = M.counters().StallCycles;
   EXPECT_EQ(Cold, Cfg.Latency.TlbMiss + Cfg.Latency.Memory);
   // Hot access: L1 hit, TLB hit.
-  uint64_t Hot = M.access(0, 8);
-  EXPECT_EQ(Hot, Cfg.Latency.L1Hit);
+  M.access(0, 8);
+  EXPECT_EQ(M.counters().StallCycles - Cold, Cfg.Latency.L1Hit);
 }
 
 TEST(Hierarchy, L2HitAfterL1Eviction) {
@@ -229,11 +230,34 @@ TEST(Hierarchy, L2HitAfterL1Eviction) {
   for (uint64_t I = 1; I <= 8; ++I)
     M.access(I * 4096, 8);
   MemoryCounters Before = M.counters();
-  uint64_t Cycles = M.access(0, 8);
+  M.access(0, 8);
   MemoryCounters After = M.counters();
   EXPECT_EQ(After.L1Misses, Before.L1Misses + 1);
   EXPECT_EQ(After.L2Misses, Before.L2Misses); // Served by L2.
-  EXPECT_EQ(Cycles, Cfg.Latency.L2Hit);
+  EXPECT_EQ(After.StallCycles - Before.StallCycles, Cfg.Latency.L2Hit);
+}
+
+TEST(Hierarchy, NonInclusiveL1KeepsALineTheL3Evicted) {
+  // Two L1 sets of two ways over a one-set, two-way L3. Line 0 fills L1
+  // set 0, L2 and L3; lines 1 and 3 (L1 set 1) then miss L1 and L2 and
+  // push line 0 out of the L3. Nothing back-invalidates L1, so line 0
+  // still hits there.
+  HierarchyConfig Cfg;
+  Cfg.L1 = CacheConfig{256, 2, 64};
+  Cfg.L2 = CacheConfig{4096, 4, 64};
+  Cfg.L3 = CacheConfig{128, 2, 64};
+  MemoryHierarchy M(Cfg);
+  for (uint64_t Line : {0, 1, 3})
+    M.access(Line * 64, 8);
+  MemoryCounters Before = M.counters();
+  EXPECT_EQ(Before.L3Misses, 3u);
+  EXPECT_FALSE(M.l3().contains(0));
+  M.access(0, 8);
+  MemoryCounters After = M.counters();
+  EXPECT_EQ(After.Accesses, 4u);
+  EXPECT_EQ(After.L1Misses, Before.L1Misses); // An L1 hit.
+  EXPECT_EQ(After.StallCycles - Before.StallCycles, Cfg.Latency.L1Hit);
+  EXPECT_FALSE(M.l3().contains(0));
 }
 
 TEST(Hierarchy, MultiLineAccessTouchesEachLine) {
@@ -274,15 +298,243 @@ TEST(Hierarchy, ResetClearsEverything) {
 
 TEST(Timing, AccumulatesAllBuckets) {
   TimingModel T;
+  MemoryHierarchy M;
+  T.setMemory(&M);
   T.addCompute(100);
-  T.addMemory(50);
+  M.access(0, 8); // The hierarchy owns the memory cycles.
   T.addAllocatorCall();
   T.addInstrumentationOp();
   CostModel Costs;
-  EXPECT_EQ(T.totalCycles(),
-            100 + 50 + Costs.AllocCall + Costs.InstrumentationOp);
+  const LatencyModel &Lat = HierarchyConfig().Latency;
+  EXPECT_EQ(T.memoryCycles(), Lat.TlbMiss + Lat.Memory);
+  EXPECT_EQ(T.totalCycles(), 100 + Lat.TlbMiss + Lat.Memory + Costs.AllocCall +
+                                 Costs.InstrumentationOp);
   EXPECT_EQ(T.instrumentationOps(), 1u);
   EXPECT_GT(T.seconds(), 0.0);
   T.reset();
+  T.setMemory(nullptr);
   EXPECT_EQ(T.totalCycles(), 0u);
 }
+
+//===----------------------------------------------------------------------===//
+// Whole-hierarchy oracle: MemoryHierarchy's deferred, level-major drain
+// against a per-access walk of obviously-correct levels.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The reference hierarchy: a per-set std::list LRU at L1, L2 and L3, each
+/// consulted only on a miss of the level above (non-inclusive: nothing
+/// back-invalidates), a page-granular LRU TLB consulted once per line, and
+/// each line's latency added as it is served.
+class HierarchyOracle {
+public:
+  explicit HierarchyOracle(const HierarchyConfig &C)
+      : Lat(C.Latency), LineSize(C.L1.LineSize), L1(C.L1), L2(C.L2),
+        L3(C.L3), Tlb(CacheConfig{uint64_t(C.TlbEntries) * 4096, C.TlbWays,
+                                  4096}) {}
+
+  void access(uint64_t Addr, uint64_t Size) {
+    uint64_t First = Addr / LineSize;
+    uint64_t Last = (Addr + std::max<uint64_t>(Size, 1) - 1) / LineSize;
+    for (uint64_t Line = First; Line <= Last; ++Line) {
+      uint64_t A = Line * LineSize;
+      ++C.Accesses;
+      if (!Tlb.access(A)) {
+        ++C.TlbMisses;
+        C.StallCycles += Lat.TlbMiss;
+      }
+      if (L1.access(A)) {
+        C.StallCycles += Lat.L1Hit;
+        continue;
+      }
+      ++C.L1Misses;
+      if (L2.access(A)) {
+        C.StallCycles += Lat.L2Hit;
+        continue;
+      }
+      ++C.L2Misses;
+      if (L3.access(A)) {
+        C.StallCycles += Lat.L3Hit;
+        continue;
+      }
+      ++C.L3Misses;
+      C.StallCycles += Lat.Memory;
+    }
+  }
+
+  const MemoryCounters &counters() const { return C; }
+
+private:
+  LatencyModel Lat;
+  uint64_t LineSize;
+  ListLru L1, L2, L3, Tlb;
+  MemoryCounters C;
+};
+
+::testing::AssertionResult sameCounters(const MemoryCounters &Got,
+                                        const MemoryCounters &Want) {
+  const std::pair<const char *, uint64_t MemoryCounters::*> Fields[] = {
+      {"Accesses", &MemoryCounters::Accesses},
+      {"L1Misses", &MemoryCounters::L1Misses},
+      {"L2Misses", &MemoryCounters::L2Misses},
+      {"L3Misses", &MemoryCounters::L3Misses},
+      {"TlbMisses", &MemoryCounters::TlbMisses},
+      {"StallCycles", &MemoryCounters::StallCycles}};
+  for (const auto &[Name, Field] : Fields)
+    if (Got.*Field != Want.*Field)
+      return ::testing::AssertionFailure()
+             << Name << " is " << Got.*Field << ", the oracle says "
+             << Want.*Field;
+  return ::testing::AssertionSuccess();
+}
+
+/// Every hierarchy the oracle covers: the four presets, one with a
+/// direct-mapped L1, a 256-way L2 and a 96-set L3, and one whose every
+/// level and TLB has a non-power-of-two set count.
+std::vector<std::pair<std::string, HierarchyConfig>> oracleHierarchies() {
+  std::vector<std::pair<std::string, HierarchyConfig>> Out;
+  for (const MachineConfig &M : machinePresets())
+    Out.push_back({M.Name, M.Hierarchy});
+  HierarchyConfig Ways;
+  Ways.L1 = CacheConfig{4 * 1024, 1, 64};
+  Ways.L2 = CacheConfig{256 * 64 * 2, 256, 64};
+  Ways.L3 = CacheConfig{96 * 12 * 64, 12, 64};
+  Ways.TlbEntries = 8;
+  Ways.TlbWays = 2;
+  Out.push_back({"1-way/256-way", Ways});
+  HierarchyConfig Odd;
+  Odd.L1 = CacheConfig{24 * 4 * 64, 4, 64};
+  Odd.L2 = CacheConfig{80 * 8 * 64, 8, 64};
+  Odd.L3 = CacheConfig{400 * 16 * 64, 16, 64};
+  Odd.TlbEntries = 12;
+  Odd.TlbWays = 3;
+  Out.push_back({"non-power-of-two sets", Odd});
+  return Out;
+}
+
+/// A seeded access stream for \p H: immediate repeats, three hot pools
+/// (one fitting L1, one a few times L1, one a few times L2, so every
+/// level serves hits), scattered cold lines, and sizes of 0 to 300 bytes
+/// at any alignment (zero-size and multi-line accesses).
+std::vector<MemAccess> hierarchyStream(const HierarchyConfig &H, uint64_t Seed,
+                                       size_t N) {
+  Rng R(Seed);
+  const uint64_t Line = H.L1.LineSize;
+  const uint64_t Pools[] = {H.L1.SizeBytes / Line / 2,
+                            H.L1.SizeBytes / Line * 4,
+                            std::min(H.L2.SizeBytes / Line * 3,
+                                     H.L3.SizeBytes / Line * 3 / 4)};
+  std::vector<MemAccess> Out;
+  for (size_t I = 0; I < N; ++I) {
+    uint64_t Roll = R.nextBelow(100);
+    if (!Out.empty() && Roll < 15) {
+      Out.push_back(Out.back());
+      continue;
+    }
+    uint64_t Addr;
+    if (Roll < 95) {
+      size_t P = Roll < 50 ? 0 : Roll < 75 ? 1 : 2;
+      Addr = (uint64_t(P + 1) << 32) + R.nextBelow(Pools[P]) * Line;
+    } else {
+      Addr = R.nextBelow(uint64_t(1) << 40);
+    }
+    Addr += R.nextBelow(Line);
+    uint64_t Size = R.nextBelow(10) == 0 ? R.nextBelow(301) : R.nextBelow(9);
+    Out.push_back(MemAccess{Addr, static_cast<uint32_t>(Size), 0});
+  }
+  return Out;
+}
+
+} // namespace
+
+TEST(HierarchyOracle, MatchesAfterEveryAccess) {
+  for (const auto &[Name, Config] : oracleHierarchies()) {
+    MemoryHierarchy M(Config);
+    HierarchyOracle Oracle(Config);
+    std::vector<MemAccess> Stream = hierarchyStream(Config, 11, 4000);
+    for (size_t I = 0; I < Stream.size(); ++I) {
+      M.access(Stream[I].Addr, Stream[I].Size);
+      Oracle.access(Stream[I].Addr, Stream[I].Size);
+      ASSERT_TRUE(sameCounters(M.counters(), Oracle.counters()))
+          << Name << ": access " << I;
+    }
+  }
+}
+
+TEST(HierarchyOracle, MatchesAtRandomCheckpoints) {
+  // Streams many pending blocks long, read back at random points (most
+  // of them mid-block), and every outcome reached on every geometry.
+  for (const auto &[Name, Config] : oracleHierarchies()) {
+    MemoryHierarchy M(Config);
+    HierarchyOracle Oracle(Config);
+    std::vector<MemAccess> Stream = hierarchyStream(Config, 23, 300000);
+    Rng Checkpoints(5);
+    size_t Next = Checkpoints.nextBelow(20000);
+    for (size_t I = 0; I < Stream.size(); ++I) {
+      if (I % 2)
+        M.access(Stream[I].Addr, Stream[I].Size);
+      else
+        M.accessBatch(&Stream[I], 1);
+      Oracle.access(Stream[I].Addr, Stream[I].Size);
+      if (I == Next || I + 1 == Stream.size()) {
+        ASSERT_TRUE(sameCounters(M.counters(), Oracle.counters()))
+            << Name << ": access " << I;
+        Next = I + 1 + Checkpoints.nextBelow(20000);
+      }
+    }
+    const MemoryCounters &C = Oracle.counters();
+    EXPECT_GT(C.Accesses, C.L1Misses) << Name << ": no L1 hits";
+    EXPECT_GT(C.L1Misses, C.L2Misses) << Name << ": no L2 hits";
+    EXPECT_GT(C.L2Misses, C.L3Misses) << Name << ": no L3 hits";
+    EXPECT_GT(C.L3Misses, 0u) << Name;
+    EXPECT_GT(C.TlbMisses, 0u) << Name;
+  }
+}
+
+namespace {
+
+/// Feeds every access of a run to the oracle.
+class OracleObserver final : public RuntimeObserver {
+public:
+  explicit OracleObserver(HierarchyOracle &Oracle) : Oracle(Oracle) {}
+  void onAccess(uint64_t Addr, uint64_t Size, bool) override {
+    Oracle.access(Addr, Size);
+  }
+
+private:
+  HierarchyOracle &Oracle;
+};
+
+class HierarchyWorkloadOracle : public ::testing::TestWithParam<std::string> {
+};
+
+} // namespace
+
+TEST_P(HierarchyWorkloadOracle, MatchesTheRefStream) {
+  // Benchmark I runs on preset I mod 4, so every preset sees workloads.
+  const std::vector<std::string> &Names = workloadNames();
+  size_t Index = std::find(Names.begin(), Names.end(), GetParam()) -
+                 Names.begin();
+  const MachineConfig &Machine =
+      machinePresets()[Index % machinePresets().size()];
+  auto W = createWorkload(GetParam());
+  Program P;
+  W->build(P);
+  MemoryHierarchy Memory(Machine.Hierarchy);
+  HierarchyOracle Oracle(Machine.Hierarchy);
+  OracleObserver Observer(Oracle);
+  SizeClassAllocator Jemalloc;
+  Runtime RT(P, Jemalloc, Machine.Costs);
+  RT.setMemory(&Memory);
+  RT.addObserver(&Observer);
+  W->run(RT, Scale::Ref, 100);
+  EXPECT_TRUE(sameCounters(Memory.counters(), Oracle.counters()))
+      << Machine.Name;
+  EXPECT_EQ(RT.timing().memoryCycles(), Oracle.counters().StallCycles);
+  EXPECT_GT(Oracle.counters().L3Misses, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBenchmarks, HierarchyWorkloadOracle,
+                         ::testing::ValuesIn(workloadNames()),
+                         [](const auto &Info) { return Info.param; });

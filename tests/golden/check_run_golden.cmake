@@ -9,9 +9,10 @@
 # only moves work between threads, must not change a byte).
 #
 # SPELLINGS is a '|'-separated list of PROGRAM argument lists, each split
-# like a shell command line. An argument @OUT@ stands for the output file
-# (the command writes its output there through --out); otherwise the
-# command's stdout is the output.
+# like a shell command line; an empty SPELLINGS runs PROGRAM once with no
+# arguments. An argument @OUT@ stands for the output file (the command
+# writes its output there through --out); otherwise the command's stdout
+# is the output.
 #
 # Invoked as:
 #   cmake -DPROGRAM=<path> -DGOLDEN=<path> -DWORK_DIR=<dir>
@@ -29,6 +30,9 @@ get_filename_component(Ext ${GOLDEN} LAST_EXT)
 get_filename_component(ProgramName ${PROGRAM} NAME)
 
 string(REPLACE "|" ";" SpellingList "${SPELLINGS}")
+if(SpellingList STREQUAL "")
+  set(SpellingList " ") # One spelling with no arguments.
+endif()
 set(Index 0)
 foreach(Spelling IN LISTS SpellingList)
   math(EXPR Index "${Index} + 1")

@@ -210,9 +210,12 @@ TEST_P(MachinePresetTest, HierarchyChargesThePresetLatencies) {
   MemoryHierarchy Mem(M.Hierarchy);
   const LatencyModel &Lat = M.Hierarchy.Latency;
   // Cold access: TLB miss + memory fill; hot repeat: L1 hit.
-  EXPECT_EQ(Mem.access(0, 8), Lat.TlbMiss + Lat.Memory);
-  EXPECT_EQ(Mem.access(0, 8), Lat.L1Hit);
+  Mem.access(0, 8);
+  uint64_t Cold = Mem.counters().StallCycles;
+  EXPECT_EQ(Cold, Lat.TlbMiss + Lat.Memory);
+  Mem.access(0, 8);
   MemoryCounters C = Mem.counters();
+  EXPECT_EQ(C.StallCycles - Cold, Lat.L1Hit);
   EXPECT_EQ(C.Accesses, 2u);
   EXPECT_EQ(C.L1Misses, 1u);
   EXPECT_EQ(C.TlbMisses, 1u);

@@ -19,8 +19,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <map>
+#include <ostream>
 #include <set>
+#include <string>
 #include <unordered_map>
 
 using namespace halo;
@@ -63,6 +66,12 @@ struct CacheGeometry {
   uint32_t Ways;
 };
 
+/// Prints a geometry for test listings; gtest's default dumps the
+/// struct's bytes, padding included, so the names changed per build.
+void PrintTo(const CacheGeometry &G, std::ostream *OS) {
+  *OS << G.Size / 1024 << " KiB, " << G.Ways << "-way";
+}
+
 class CacheGeometrySweep : public ::testing::TestWithParam<CacheGeometry> {};
 
 TEST_P(CacheGeometrySweep, HitRateInvariants) {
@@ -86,7 +95,12 @@ INSTANTIATE_TEST_SUITE_P(Geometries, CacheGeometrySweep,
                          ::testing::Values(CacheGeometry{4096, 1},
                                            CacheGeometry{8192, 2},
                                            CacheGeometry{32768, 8},
-                                           CacheGeometry{65536, 16}));
+                                           CacheGeometry{65536, 16}),
+                         [](const auto &Info) {
+                           return std::to_string(Info.param.Size / 1024) +
+                                  "KiB_" + std::to_string(Info.param.Ways) +
+                                  "w";
+                         });
 
 //===----------------------------------------------------------------------===//
 // Allocator invariants under random operation sequences.
@@ -96,15 +110,89 @@ class AllocatorFuzzSweep : public ::testing::TestWithParam<uint64_t> {};
 
 namespace {
 
-/// Runs a random alloc/free sequence and checks the live set stays
-/// disjoint and accounted.
-template <typename AllocT> void fuzzAllocator(AllocT &A, uint64_t Seed) {
+constexpr uint64_t Page = VirtualArena::PageSize;
+
+uint64_t roundUp(uint64_t X, uint64_t To) { return (X + To - 1) / To * To; }
+
+/// The pages VirtualArena::touch makes resident for [Addr, Addr + Size).
+void touchPages(std::set<uint64_t> &Pages, uint64_t Addr, uint64_t Size) {
+  for (uint64_t P = Addr / Page; P <= (Addr + Size - 1) / Page; ++P)
+    Pages.insert(P);
+}
+
+/// The pages VirtualArena::purge drops: those wholly inside the range.
+void purgePages(std::set<uint64_t> &Pages, uint64_t Addr, uint64_t Size) {
+  for (uint64_t P = roundUp(Addr, Page) / Page; P < (Addr + Size) / Page; ++P)
+    Pages.erase(P);
+}
+
+/// A request size: mostly small, sometimes up to a page, sometimes above
+/// SizeClassAllocator::MaxSmall (a large allocation of its own).
+uint64_t fuzzSize(Rng &Random) {
+  uint64_t Roll = Random.nextBelow(100);
+  if (Roll < 85)
+    return 1 + Random.nextBelow(300);
+  if (Roll < 95)
+    return 1 + Random.nextBelow(4095);
+  return SizeClassAllocator::MaxSmall + 1 + Random.nextBelow(30000);
+}
+
+/// Allocation-heavy and free-heavy phases in turn, so live sets drain and
+/// chunks and runs empty out as well as fill.
+bool fuzzAllocates(Rng &Random, int Op, bool Empty) {
+  return Empty || Random.nextBool((Op / 500) % 2 ? 0.3 : 0.7);
+}
+
+/// Map-based reference bookkeeping for SizeClassAllocator: each live
+/// object's requested and usable size by address, and the pages touched
+/// and not released since.
+struct SizeClassModel {
+  std::map<uint64_t, std::pair<uint64_t, uint64_t>> Live;
+  std::set<uint64_t> Pages;
+  uint64_t Bytes = 0;
+
+  void allocated(const SizeClassAllocator &A, uint64_t Addr, uint64_t Size) {
+    uint64_t Usable = Size > SizeClassAllocator::MaxSmall
+                          ? Size
+                          : A.sizeClassFor(Size);
+    Live[Addr] = {Size, Usable};
+    touchPages(Pages, Addr, Usable);
+    Bytes += Size;
+  }
+
+  void freed(uint64_t Addr) {
+    uint64_t Size = Live.at(Addr).first;
+    if (Size > SizeClassAllocator::MaxSmall) // Released: munmap.
+      purgePages(Pages, Addr, roundUp(Size, Page));
+    Bytes -= Size;
+    Live.erase(Addr);
+  }
+
+  /// Diffs \p A against the model, probing ownership at \p Probe (the
+  /// address the last operation named) and the next aligned address.
+  void expectMatches(const SizeClassAllocator &A, uint64_t Probe) const {
+    EXPECT_EQ(A.liveBytes(), Bytes);
+    EXPECT_EQ(A.liveCount(), Live.size());
+    EXPECT_EQ(A.residentBytes(), Pages.size() * Page);
+    for (uint64_t X : {Probe, Probe + MinAlign}) {
+      auto It = Live.find(X);
+      EXPECT_EQ(A.owns(X), It != Live.end()) << X;
+      if (It != Live.end())
+        EXPECT_EQ(A.usableSize(X), It->second.second) << X;
+    }
+  }
+};
+
+/// Runs a random alloc/free sequence, checks the live set stays disjoint
+/// and accounted, and calls \p After(Addr) after every operation.
+template <typename AllocT, typename AfterFn>
+void fuzzAllocator(AllocT &A, uint64_t Seed, AfterFn &&After) {
   Rng Random(Seed);
   std::map<uint64_t, uint64_t> Live; // addr -> size
   uint64_t LiveBytes = 0;
   for (int I = 0; I < 4000; ++I) {
-    if (Live.empty() || Random.nextBool(0.6)) {
-      uint64_t Size = 1 + Random.nextBelow(300);
+    if (fuzzAllocates(Random, I, Live.empty())) {
+      uint64_t Size = fuzzSize(Random);
       uint64_t Addr = A.allocate(AllocRequest{Size, 0});
       // No overlap with any live region.
       auto Next = Live.lower_bound(Addr);
@@ -119,13 +207,16 @@ template <typename AllocT> void fuzzAllocator(AllocT &A, uint64_t Seed) {
       EXPECT_GE(A.usableSize(Addr), Size);
       Live.emplace(Addr, Size);
       LiveBytes += Size;
+      After(Addr, Size, true);
     } else {
       auto It = Live.begin();
       std::advance(It, Random.nextBelow(Live.size()));
-      A.deallocate(It->first);
-      EXPECT_FALSE(A.owns(It->first));
+      uint64_t Addr = It->first;
+      A.deallocate(Addr);
+      EXPECT_FALSE(A.owns(Addr));
       LiveBytes -= It->second;
       Live.erase(It);
+      After(Addr, 0, false);
     }
     EXPECT_EQ(A.liveBytes(), LiveBytes);
   }
@@ -134,60 +225,197 @@ template <typename AllocT> void fuzzAllocator(AllocT &A, uint64_t Seed) {
   EXPECT_EQ(A.liveBytes(), 0u);
 }
 
+/// Map-based reference for GroupAllocator's grouped side: a bump cursor
+/// per group, chunk base -> live regions, the spare and purged lists, the
+/// group arena's resident pages and the fragmentation peak. It predicts
+/// every grouped address.
+struct GroupModel {
+  GroupAllocatorOptions O;
+  uint64_t ArenaNext = 0x40000000000ull; ///< GroupAllocator's default base.
+  uint64_t SlabCursor = 0, SlabEnd = 0;
+  std::vector<std::pair<uint64_t, uint64_t>> Cursors; ///< (cursor, end)
+  struct Chunk {
+    uint64_t LiveRegions = 0;
+    bool Current = true;
+  };
+  std::map<uint64_t, Chunk> Chunks;
+  std::deque<uint64_t> Spare, Purged;
+  std::map<uint64_t, uint64_t> Live; ///< grouped addr -> requested size.
+  std::set<uint64_t> Pages;
+  uint64_t Bytes = 0;
+  uint64_t Recycled = 0;
+  FragmentationStats Frag;
+
+  GroupModel(const GroupAllocatorOptions &O, uint32_t Groups)
+      : O(O), Cursors(Groups) {}
+
+  uint64_t take() {
+    uint64_t Base;
+    std::deque<uint64_t> &From = Spare.empty() ? Purged : Spare;
+    if (!From.empty()) {
+      Base = From.front();
+      From.pop_front();
+    } else {
+      if (SlabCursor + O.ChunkSize > SlabEnd) {
+        SlabCursor = roundUp(ArenaNext, O.ChunkSize);
+        SlabEnd = ArenaNext = SlabCursor + O.SlabSize;
+      }
+      Base = SlabCursor;
+      SlabCursor += O.ChunkSize;
+    }
+    Chunks[Base] = Chunk();
+    return Base;
+  }
+
+  void recycle(uint64_t Base) {
+    Chunks.erase(Base);
+    ++Recycled;
+    if (Spare.size() < O.MaxSpareChunks || !O.PurgeEmptyChunks) {
+      Spare.push_back(Base);
+    } else {
+      purgePages(Pages, Base, O.ChunkSize);
+      Purged.push_back(Base);
+    }
+  }
+
+  uint64_t allocate(uint32_t Group, uint64_t Size) {
+    auto &[Cursor, End] = Cursors[Group];
+    uint64_t Aligned = roundUp(Size, MinAlign);
+    if (End == 0 || Cursor + Aligned > End) {
+      if (End != 0) {
+        uint64_t Old = End - O.ChunkSize;
+        Chunks.at(Old).Current = false;
+        if (Chunks.at(Old).LiveRegions == 0)
+          recycle(Old);
+      }
+      uint64_t Base = take();
+      Cursor = Base + GroupAllocator::ChunkHeaderSize;
+      End = Base + O.ChunkSize;
+    }
+    uint64_t Addr = Cursor;
+    Cursor += Aligned;
+    ++Chunks.at(Addr & ~(O.ChunkSize - 1)).LiveRegions;
+    Live[Addr] = Size;
+    Bytes += Size;
+    touchPages(Pages, Addr, Size);
+    if (Pages.size() * Page > Frag.PeakResident) {
+      Frag.PeakResident = Pages.size() * Page;
+      Frag.LiveAtPeak = Bytes;
+    }
+    return Addr;
+  }
+
+  void free(uint64_t Addr) {
+    Bytes -= Live.at(Addr);
+    Live.erase(Addr);
+    uint64_t Base = Addr & ~(O.ChunkSize - 1);
+    Chunk &C = Chunks.at(Base);
+    if (--C.LiveRegions == 0 && !C.Current)
+      recycle(Base);
+  }
+};
+
 } // namespace
 
 TEST_P(AllocatorFuzzSweep, SizeClassAllocator) {
   SizeClassAllocator A;
-  fuzzAllocator(A, GetParam());
+  SizeClassModel Model;
+  fuzzAllocator(A, GetParam(), [&](uint64_t Addr, uint64_t Size, bool Alloc) {
+    if (Alloc)
+      Model.allocated(A, Addr, Size);
+    else
+      Model.freed(Addr);
+    Model.expectMatches(A, Addr);
+  });
 }
 
 TEST_P(AllocatorFuzzSweep, BoundaryTagAllocator) {
   BoundaryTagAllocator A;
-  fuzzAllocator(A, GetParam());
+  fuzzAllocator(A, GetParam(), [](uint64_t, uint64_t, bool) {});
 }
 
 TEST_P(AllocatorFuzzSweep, GroupAllocatorMixedTraffic) {
+  // Sites 0 and 1 are groups 0 and 1; site 2 and requests of at least
+  // MaxGroupedSize forward to the backing allocator.
   struct EvenOddPolicy : GroupPolicy {
     int32_t selectGroup(const AllocRequest &R) const override {
       return R.ImmediateSite % 3 == 2 ? -1 : int32_t(R.ImmediateSite % 3);
     }
     uint32_t numGroups() const override { return 2; }
   };
-  SizeClassAllocator Backing(0x7800000000ull);
   EvenOddPolicy Policy;
-  GroupAllocatorOptions Options;
-  Options.ChunkSize = 1 << 16;
-  Options.SlabSize = 1 << 20;
-  GroupAllocator GA(Backing, Policy, Options);
+  for (uint64_t Chunk : {uint64_t(64) << 10, uint64_t(1) << 20})
+    for (uint32_t Spares : {0u, 1u})
+      for (bool Purge : {true, false}) {
+        SCOPED_TRACE("chunk " + std::to_string(Chunk) + ", spares " +
+                     std::to_string(Spares) + ", purge " +
+                     std::to_string(Purge));
+        GroupAllocatorOptions Options;
+        Options.ChunkSize = Chunk;
+        Options.SlabSize = Chunk * 16;
+        Options.MaxSpareChunks = Spares;
+        Options.PurgeEmptyChunks = Purge;
+        SizeClassAllocator Backing(0x7800000000ull);
+        GroupAllocator GA(Backing, Policy, Options);
+        GroupModel Model(Options, 2);
+        SizeClassModel BackingModel;
 
-  Rng Random(GetParam() * 31 + 5);
-  std::map<uint64_t, uint64_t> Live;
-  uint64_t GroupedLive = 0;
-  for (int I = 0; I < 4000; ++I) {
-    if (Live.empty() || Random.nextBool(0.6)) {
-      uint64_t Size = 1 + Random.nextBelow(200);
-      uint32_t Site = static_cast<uint32_t>(Random.nextBelow(3));
-      uint64_t Addr = GA.allocate(AllocRequest{Size, Site});
-      EXPECT_TRUE(GA.owns(Addr));
-      auto Next = Live.lower_bound(Addr);
-      if (Next != Live.end()) {
-        EXPECT_LE(Addr + Size, Next->first);
+        Rng Random(GetParam() * 31 + 5);
+        std::map<uint64_t, uint32_t> Live; // addr -> site
+        for (int I = 0; I < 12000; ++I) {
+          uint64_t Addr;
+          if (fuzzAllocates(Random, I, Live.empty())) {
+            // Half the requests near the grouping limit, so even 1 MiB
+            // chunks fill, retire and drain.
+            uint64_t Size = Random.nextBool(0.5)
+                                ? fuzzSize(Random)
+                                : 1 + Random.nextBelow(Options.MaxGroupedSize);
+            uint32_t Site = static_cast<uint32_t>(Random.nextBelow(3));
+            Addr = GA.allocate(AllocRequest{Size, Site});
+            if (Site != 2 && Size < Options.MaxGroupedSize)
+              ASSERT_EQ(Addr, Model.allocate(Site, Size));
+            else
+              BackingModel.allocated(Backing, Addr, Size);
+            ASSERT_TRUE(Live.emplace(Addr, Site).second);
+            EXPECT_TRUE(GA.owns(Addr));
+          } else {
+            auto It = Live.begin();
+            std::advance(It, Random.nextBelow(Live.size()));
+            Addr = It->first;
+            GA.deallocate(Addr);
+            if (Model.Live.count(Addr))
+              Model.free(Addr);
+            else
+              BackingModel.freed(Addr);
+            Live.erase(It);
+            EXPECT_FALSE(GA.owns(Addr));
+          }
+          // The grouped side, then the backing side, then the sums.
+          for (uint64_t X : {Addr, Addr + MinAlign})
+            if (Model.Live.count(X) || !BackingModel.Live.count(X)) {
+              auto It = Model.Live.find(X);
+              ASSERT_EQ(GA.owns(X), It != Model.Live.end()) << X;
+              if (It != Model.Live.end())
+                EXPECT_EQ(GA.usableSize(X), It->second);
+            }
+          BackingModel.expectMatches(Backing, Addr);
+          ASSERT_EQ(GA.groupedLiveBytes(), Model.Bytes);
+          ASSERT_EQ(GA.liveBytes(), Model.Bytes + BackingModel.Bytes);
+          ASSERT_EQ(GA.chunkCount(), Model.Chunks.size());
+          ASSERT_EQ(GA.spareChunkCount(), Model.Spare.size());
+          ASSERT_EQ(GA.residentBytes(),
+                    (Model.Pages.size() + BackingModel.Pages.size()) * Page);
+          ASSERT_EQ(GA.fragmentation().PeakResident,
+                    Model.Frag.PeakResident);
+          ASSERT_EQ(GA.fragmentation().LiveAtPeak, Model.Frag.LiveAtPeak);
+        }
+        // The phases must drain chunks, or the recycling paths go untested.
+        EXPECT_GT(Model.Recycled, 0u);
+        for (auto &[Addr, Site] : Live)
+          GA.deallocate(Addr);
+        EXPECT_EQ(GA.liveBytes(), 0u);
+        EXPECT_EQ(GA.groupedLiveBytes(), 0u);
       }
-      Live.emplace(Addr, Size);
-      if (Site != 2)
-        GroupedLive += Size;
-    } else {
-      auto It = Live.begin();
-      std::advance(It, Random.nextBelow(Live.size()));
-      GA.deallocate(It->first);
-      Live.erase(It);
-    }
-    EXPECT_LE(GA.groupedLiveBytes(), GroupedLive);
-  }
-  for (auto &[Addr, Size] : Live)
-    GA.deallocate(Addr);
-  EXPECT_EQ(GA.liveBytes(), 0u);
-  EXPECT_EQ(GA.groupedLiveBytes(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AllocatorFuzzSweep,
