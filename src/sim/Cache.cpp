@@ -16,12 +16,9 @@ Cache::Cache(const CacheConfig &Config) : Config(Config) {
   Sets = static_cast<uint32_t>(Config.SizeBytes /
                                (uint64_t(Config.Ways) * Config.LineSize));
   assert(Sets > 0 && "cache has no sets");
-  while ((1u << LineShift) < Config.LineSize)
-    ++LineShift;
+  LineShift = log2Exact(Config.LineSize);
   if (isPowerOfTwo(Sets)) {
-    SetShift = 0;
-    while ((1u << SetShift) < Sets)
-      ++SetShift;
+    SetShift = static_cast<int32_t>(log2Exact(Sets));
   } else {
     while (((Sets >> SetP2Shift) & 1) == 0)
       ++SetP2Shift;
