@@ -6,7 +6,10 @@
 #     bench_grouping_scale: grouping at scale against the Figure 6
 #     reference, the CSR snapshot, affinity-queue and arena-lookup hot
 #     paths, the cold-plan stages on the real workloads (profile_halo_test,
-#     profile_hds_test, sequitur_hds_test) and hierarchy_setup_<preset>.
+#     profile_hds_test, sequitur_hds_test), hierarchy_setup_<preset>, and
+#     the measured cells of a warm plan: measure_ref_<preset> (33 ref
+#     cells per preset) and alloc_ref_jemalloc (the jemalloc ref runs with
+#     no hierarchy); those rows also carry "cpu_ms".
 #   BENCH_machines.json  simulated time. Rows {"bench", "machine", "kind",
 #     "wall_ms", "trials"} (+ l1d_misses / tlb_misses / speedup_percent
 #     detail fields), the halo_cli cross-machine sweep: jemalloc/hds/halo

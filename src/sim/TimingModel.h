@@ -65,6 +65,8 @@ public:
     return static_cast<double>(totalCycles()) / Costs.CyclesPerSecond;
   }
 
+  /// Clears this model's own buckets; the attached hierarchy keeps its
+  /// cycles (reset it separately).
   void reset() {
     ComputeCycles = AllocatorCycles = InstrumentationCycles =
         InstrumentationOps = 0;
