@@ -184,7 +184,8 @@ struct SizeClassModel {
 };
 
 /// Runs a random alloc/free sequence, checks the live set stays disjoint
-/// and accounted, and calls \p After(Addr) after every operation.
+/// and accounted, and calls \p After(Addr, Size, Allocated) after every
+/// operation (a free passes size 0 and false).
 template <typename AllocT, typename AfterFn>
 void fuzzAllocator(AllocT &A, uint64_t Seed, AfterFn &&After) {
   Rng Random(Seed);
