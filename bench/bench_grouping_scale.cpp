@@ -372,11 +372,10 @@ int main(int Argc, char **Argv) {
     auto [Wall, Cpu] = medianWallCpuMs(Trials, [&] {
       AllocatorCalls = 0;
       for (auto &Eval : Evals) {
-        std::unique_ptr<Workload> W = createWorkload(Eval->setup().Name);
         SizeClassAllocator Jemalloc;
         Runtime RT(Eval->program(), Jemalloc,
                    Eval->setup().Machine.Costs);
-        W->run(RT, Scale::Ref, Seed);
+        Eval->workload().run(RT, Scale::Ref, Seed);
         AllocatorCalls += RT.stats().Allocs + RT.stats().Frees;
       }
     });

@@ -26,6 +26,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -33,43 +34,48 @@ using namespace halo;
 
 namespace {
 
-/// The one measurement path of every row: \p Kinds on every benchmark in
-/// \p Benchmarks at ref scale, \p Trials trials per cell from seed 100, on
-/// the setup's machine, as one plan over every core. A benchmark named by
-/// an Evaluation in \p External is measured through it -- its setup, and
-/// any artifacts it already holds -- instead of a paperSetup() one.
-ResultSet measure(std::vector<std::string> Benchmarks,
-                  std::vector<AllocatorKind> Kinds, int Trials,
-                  const std::vector<Evaluation *> &External = {}) {
+/// \p Kinds on every benchmark in \p Benchmarks at ref scale, \p Trials
+/// trials per cell from seed 100, on the setup's machine. A spec with
+/// \p MakeSetup measures its own setups, beside any other spec's.
+ExperimentSpec spec(std::vector<std::string> Benchmarks,
+                    std::vector<AllocatorKind> Kinds, int Trials,
+                    std::function<BenchmarkSetup(const std::string &)>
+                        MakeSetup = nullptr) {
   ExperimentSpec Spec;
   Spec.Benchmarks = std::move(Benchmarks);
   Spec.Kinds = std::move(Kinds);
   Spec.Trials = Trials;
-  ExperimentPlan Plan = buildPlan({Spec}, External);
-  return runPlan(Plan);
+  Spec.MakeSetup = std::move(MakeSetup);
+  return Spec;
 }
 
-/// The per-trial runs of \p Benchmark under \p Kind in a measure() result;
-/// exits if the plan never measured that cell.
-const std::vector<RunMetrics> &runs(const ResultSet &Results,
-                                    const std::string &Benchmark,
-                                    AllocatorKind Kind) {
-  const ResultSet::Cell *Cell =
-      Results.find(Benchmark, defaultMachine().Name, Kind, Scale::Ref);
-  if (!Cell) {
-    std::fprintf(stderr, "no %s cell for %s\n", allocatorKindName(Kind),
-                 Benchmark.c_str());
+/// The one measurement path of every row: \p Specs as one plan over
+/// every core, kept with its results so a row can read each setup's cells
+/// and artifacts. Plan benchmarks are numbered in the order the specs
+/// first name them. A benchmark of a spec without MakeSetup that is named
+/// by an Evaluation in \p External is measured through it -- its setup,
+/// and any artifacts it already holds -- instead of a paperSetup() one.
+struct Measured {
+  ExperimentPlan Plan;
+  ResultSet Results;
+
+  explicit Measured(const std::vector<ExperimentSpec> &Specs,
+                    const std::vector<Evaluation *> &External = {})
+      : Plan(buildPlan(Specs, External)), Results(runPlan(Plan)) {}
+
+  /// The per-trial runs of plan benchmark \p Bench under \p Kind; exits
+  /// if the plan never measured that cell.
+  const std::vector<RunMetrics> &runs(size_t Bench, AllocatorKind Kind) {
+    for (size_t C = 0; C < Plan.cells().size(); ++C)
+      if (Plan.cells()[C].Bench == Bench && Plan.cells()[C].Kind == Kind)
+        return Results.cells()[C].Runs;
+    std::fprintf(stderr, "no %s cell for benchmark %zu\n",
+                 allocatorKindName(Kind), Bench);
     std::exit(1);
   }
-  return Cell->Runs;
-}
 
-/// HALO's speedup over jemalloc in a one-trial measure() result.
-double haloSpeedup(const ResultSet &Results, const std::string &Benchmark) {
-  return percentImprovement(
-      runs(Results, Benchmark, AllocatorKind::Jemalloc)[0].Seconds,
-      runs(Results, Benchmark, AllocatorKind::Halo)[0].Seconds);
-}
+  Evaluation &eval(size_t Bench) { return *Plan.benchmarks()[Bench].Eval; }
+};
 
 /// The title suffix of the rows that report medians over \p Trials.
 std::string mediansOf(int Trials) {
@@ -168,19 +174,24 @@ void fig12AffinityDistance() {
   Report R("Figure 12: omnetpp execution time vs affinity distance");
   R.setColumns({"affinity distance", "median time (sim s)", "vs baseline"});
   const int Trials = bench::trials();
-  double BaseTime = Evaluation::medianSeconds(
-      runs(measure({"omnetpp"}, {AllocatorKind::Jemalloc}, Trials), "omnetpp",
-           AllocatorKind::Jemalloc));
-
-  // A plan holds one setup per benchmark name, so each distance is a plan.
-  for (int Power = 3; Power <= 17; Power += 2) {
-    BenchmarkSetup Setup = paperSetup("omnetpp");
-    Setup.Halo.Profile.AffinityDistance = uint64_t(1) << Power;
-    Evaluation Eval(Setup);
-    double Time = Evaluation::medianSeconds(
-        runs(measure({"omnetpp"}, {AllocatorKind::Halo}, Trials, {&Eval}),
-             "omnetpp", AllocatorKind::Halo));
-    R.addRow({"2^" + std::to_string(Power), formatDouble(Time, 4),
+  // One plan: jemalloc on the paper's setup, then HALO at each distance
+  // (a setup each, profiled concurrently).
+  std::vector<ExperimentSpec> Specs = {
+      spec({"omnetpp"}, {AllocatorKind::Jemalloc}, Trials)};
+  for (int Power = 3; Power <= 17; Power += 2)
+    Specs.push_back(spec({"omnetpp"}, {AllocatorKind::Halo}, Trials,
+                         [Power](const std::string &Name) {
+                           BenchmarkSetup Setup = paperSetup(Name);
+                           Setup.Halo.Profile.AffinityDistance =
+                               uint64_t(1) << Power;
+                           return Setup;
+                         }));
+  Measured M(Specs);
+  double BaseTime =
+      Evaluation::medianSeconds(M.runs(0, AllocatorKind::Jemalloc));
+  for (size_t I = 1; I < Specs.size(); ++I) {
+    double Time = Evaluation::medianSeconds(M.runs(I, AllocatorKind::Halo));
+    R.addRow({"2^" + std::to_string(2 * I + 1), formatDouble(Time, 4),
               formatPercent(percentImprovement(BaseTime, Time))});
   }
   R.addRow({"baseline (jemalloc)", formatDouble(BaseTime, 4), "-"});
@@ -228,12 +239,12 @@ void comparisonFigure(const Comparison &Fig) {
   Report R(Fig.Title + mediansOf(Trials));
   R.setColumns({"benchmark", "Chilimbi et al.", "HALO", "paper HDS~",
                 "paper HALO~"});
-  ResultSet Results = measure(
+  Measured M({spec(
       workloadNames(),
       {AllocatorKind::Jemalloc, AllocatorKind::Hds, AllocatorKind::Halo},
-      Trials);
+      Trials)});
   for (const std::string &Name : workloadNames()) {
-    ComparisonRow Row = comparisonRow(Results, Name, defaultMachine().Name);
+    ComparisonRow Row = comparisonRow(M.Results, Name, defaultMachine().Name);
     PaperRow Paper = paperFigures(Name);
     R.addRow({Name, formatPercent(Row.*Fig.Hds), formatPercent(Row.*Fig.Halo),
               formatPercent(Paper.*Fig.PaperHds, 0),
@@ -253,16 +264,15 @@ void fig15RandomPools() {
   Report R("Figure 15: speedup under the random four-pool allocator" +
            mediansOf(Trials));
   R.setColumns({"benchmark", "speedup", "sensitive?"});
-  ResultSet Results = measure(
-      workloadNames(), {AllocatorKind::Jemalloc, AllocatorKind::RandomPools},
-      Trials);
-  for (const std::string &Name : workloadNames()) {
+  const std::vector<std::string> &Names = workloadNames();
+  Measured M({spec(
+      Names, {AllocatorKind::Jemalloc, AllocatorKind::RandomPools}, Trials)});
+  for (size_t I = 0; I < Names.size(); ++I) {
     double Speedup = percentImprovement(
-        Evaluation::medianSeconds(
-            runs(Results, Name, AllocatorKind::Jemalloc)),
-        Evaluation::medianSeconds(
-            runs(Results, Name, AllocatorKind::RandomPools)));
-    R.addRow({Name, formatPercent(Speedup), Speedup < -3.0 ? "yes" : "no"});
+        Evaluation::medianSeconds(M.runs(I, AllocatorKind::Jemalloc)),
+        Evaluation::medianSeconds(M.runs(I, AllocatorKind::RandomPools)));
+    R.addRow(
+        {Names[I], formatPercent(Speedup), Speedup < -3.0 ? "yes" : "no"});
   }
   R.addNote("the paper reports slowdowns of up to ~60% for the placement-"
             "sensitive benchmarks and no change for the insensitive ones "
@@ -279,10 +289,10 @@ void table1Fragmentation() {
   std::vector<std::string> Names;
   for (const PaperFragRow &Paper : PaperTable1)
     Names.push_back(Paper.Benchmark);
-  ResultSet Results = measure(Names, {AllocatorKind::Halo}, 1);
-  for (const PaperFragRow &Paper : PaperTable1) {
-    const FragmentationStats &Frag =
-        runs(Results, Paper.Benchmark, AllocatorKind::Halo)[0].Frag;
+  Measured M({spec(Names, {AllocatorKind::Halo}, 1)});
+  for (size_t I = 0; I < Names.size(); ++I) {
+    const PaperFragRow &Paper = PaperTable1[I];
+    const FragmentationStats &Frag = M.runs(I, AllocatorKind::Halo)[0].Frag;
     R.addRow({Paper.Benchmark, formatPercent(Frag.wastedPercent()),
               formatBytes(static_cast<double>(Frag.wastedBytes())),
               formatPercent(Paper.Percent), Paper.Bytes});
@@ -301,12 +311,12 @@ void baselineAllocators() {
   R.setColumns({"benchmark", "L1D miss reduction", "time improvement"});
   double MaxMiss = 0.0;
   int Wins = 0, Total = 0;
-  ResultSet Results = measure(
-      workloadNames(), {AllocatorKind::Ptmalloc, AllocatorKind::Jemalloc},
-      Trials);
-  for (const std::string &Name : workloadNames()) {
-    const auto &Pt = runs(Results, Name, AllocatorKind::Ptmalloc);
-    const auto &Je = runs(Results, Name, AllocatorKind::Jemalloc);
+  const std::vector<std::string> &Names = workloadNames();
+  Measured M({spec(
+      Names, {AllocatorKind::Ptmalloc, AllocatorKind::Jemalloc}, Trials)});
+  for (size_t I = 0; I < Names.size(); ++I) {
+    const auto &Pt = M.runs(I, AllocatorKind::Ptmalloc);
+    const auto &Je = M.runs(I, AllocatorKind::Jemalloc);
     double Miss = percentImprovement(Evaluation::medianL1Misses(Pt),
                                      Evaluation::medianL1Misses(Je));
     double Time = percentImprovement(Evaluation::medianSeconds(Pt),
@@ -314,7 +324,7 @@ void baselineAllocators() {
     MaxMiss = std::max(MaxMiss, Miss);
     ++Total;
     Wins += Miss >= 0.0;
-    R.addRow({Name, formatPercent(Miss), formatPercent(Time)});
+    R.addRow({Names[I], formatPercent(Miss), formatPercent(Time)});
   }
   R.addNote("jemalloc reduces L1D misses on " + std::to_string(Wins) + "/" +
             std::to_string(Total) + " benchmarks, by up to " +
@@ -339,27 +349,25 @@ void ablationChunkSize() {
       {128 * 1024, 1, true},  {512 * 1024, 0, false},
       {1024 * 1024, 0, false}, {1024 * 1024, 1, true}, // Global defaults.
   };
-  // No profile reads the allocator options, and jemalloc reads none of
-  // the setup: the first setup's plan profiles omnetpp and measures
-  // jemalloc, and every later setup gets that bundle and measures HALO.
-  std::deque<Evaluation> Evals; // Evaluations do not move.
-  double Jemalloc = 0;
-  for (const Config &C : Configs) {
-    BenchmarkSetup Setup = paperSetup("omnetpp");
-    Setup.Allocator.ChunkSize = C.Chunk;
-    Setup.Allocator.MaxSpareChunks = C.Spares;
-    Setup.Allocator.PurgeEmptyChunks = C.Purge;
-    bool First = Evals.empty();
-    Evaluation &Eval = Evals.emplace_back(Setup);
-    std::vector<AllocatorKind> Kinds = {AllocatorKind::Halo};
-    if (First)
-      Kinds.insert(Kinds.begin(), AllocatorKind::Jemalloc);
-    else
-      Eval.setHaloArtifacts(Evals.front().haloArtifacts());
-    ResultSet Results = measure({"omnetpp"}, Kinds, 1, {&Eval});
-    if (First)
-      Jemalloc = runs(Results, "omnetpp", AllocatorKind::Jemalloc)[0].Seconds;
-    const RunMetrics &Halo = runs(Results, "omnetpp", AllocatorKind::Halo)[0];
+  // One plan: jemalloc on the paper's setup, then HALO under each
+  // allocator setting. No profile reads the allocator options, so the six
+  // setups share one bundle and omnetpp profiles once.
+  std::vector<ExperimentSpec> Specs = {
+      spec({"omnetpp"}, {AllocatorKind::Jemalloc}, 1)};
+  for (const Config &C : Configs)
+    Specs.push_back(
+        spec({"omnetpp"}, {AllocatorKind::Halo}, 1, [C](const std::string &N) {
+          BenchmarkSetup Setup = paperSetup(N);
+          Setup.Allocator.ChunkSize = C.Chunk;
+          Setup.Allocator.MaxSpareChunks = C.Spares;
+          Setup.Allocator.PurgeEmptyChunks = C.Purge;
+          return Setup;
+        }));
+  Measured M(Specs);
+  double Jemalloc = M.runs(0, AllocatorKind::Jemalloc)[0].Seconds;
+  for (size_t I = 0; I < std::size(Configs); ++I) {
+    const Config &C = Configs[I];
+    const RunMetrics &Halo = M.runs(I + 1, AllocatorKind::Halo)[0];
     R.addRow({formatBytes(double(C.Chunk)), std::to_string(C.Spares),
               C.Purge ? "yes" : "no",
               formatPercent(percentImprovement(Jemalloc, Halo.Seconds)),
@@ -388,36 +396,31 @@ void ablationConstraints() {
       {"no co-allocatability", true, true, false},
   };
   const std::vector<std::string> Names = {"health", "omnetpp", "roms"};
-  // One plan per configuration over the three benchmarks. jemalloc reads
-  // no profile option, so only the first plan measures it.
-  std::deque<Evaluation> Evals; // Config-major; Evaluations do not move.
-  std::vector<ResultSet> Results;
-  for (const Config &C : Configs) {
-    std::vector<Evaluation *> Setups;
-    for (const std::string &Name : Names) {
-      BenchmarkSetup Setup = paperSetup(Name);
-      Setup.Halo.Profile.Dedup = C.Dedup;
-      Setup.Halo.Profile.NoDoubleCount = C.NoDouble;
-      Setup.Halo.Profile.CoAllocatability = C.CoAlloc;
-      Setups.push_back(&Evals.emplace_back(Setup));
-    }
-    std::vector<AllocatorKind> Kinds = {AllocatorKind::Halo};
-    if (Results.empty())
-      Kinds.insert(Kinds.begin(), AllocatorKind::Jemalloc);
-    Results.push_back(measure(Names, Kinds, 1, Setups));
-  }
+  // One plan: jemalloc on the paper's setups (benchmarks 0-2), then HALO
+  // under each configuration (benchmarks 3-5, 6-8, ...).
+  std::vector<ExperimentSpec> Specs = {
+      spec(Names, {AllocatorKind::Jemalloc}, 1)};
+  for (const Config &C : Configs)
+    Specs.push_back(
+        spec(Names, {AllocatorKind::Halo}, 1, [C](const std::string &N) {
+          BenchmarkSetup Setup = paperSetup(N);
+          Setup.Halo.Profile.Dedup = C.Dedup;
+          Setup.Halo.Profile.NoDoubleCount = C.NoDouble;
+          Setup.Halo.Profile.CoAllocatability = C.CoAlloc;
+          return Setup;
+        }));
+  Measured M(Specs);
   for (size_t B = 0; B < Names.size(); ++B) {
     Report R("Affinity constraint ablation: " + Names[B]);
     R.setColumns({"configuration", "groups", "edge weight", "HALO speedup"});
-    double Jemalloc =
-        runs(Results[0], Names[B], AllocatorKind::Jemalloc)[0].Seconds;
-    for (size_t I = 0; I < Results.size(); ++I) {
-      const HaloArtifacts &Art = Evals[I * Names.size() + B].haloArtifacts();
+    double Jemalloc = M.runs(B, AllocatorKind::Jemalloc)[0].Seconds;
+    for (size_t I = 0; I < std::size(Configs); ++I) {
+      const size_t Setup = (I + 1) * Names.size() + B;
+      const HaloArtifacts &Art = M.eval(Setup).haloArtifacts();
       uint64_t EdgeWeight = 0;
       for (const AffinityGraph::Edge &E : Art.Graph.edges())
         EdgeWeight += E.Weight;
-      double Halo =
-          runs(Results[I], Names[B], AllocatorKind::Halo)[0].Seconds;
+      double Halo = M.runs(Setup, AllocatorKind::Halo)[0].Seconds;
       R.addRow({Configs[I].Label, std::to_string(Art.Groups.size()),
                 std::to_string(EdgeWeight),
                 formatPercent(percentImprovement(Jemalloc, Halo))});
@@ -443,37 +446,34 @@ void ablationGrouping() {
                 "connected components", "groups"});
   const std::vector<std::string> Names = {"health", "povray", "xalanc",
                                           "omnetpp"};
-  std::deque<Evaluation> Paper, Components; // Evaluations do not move.
-  std::vector<Evaluation *> PaperEvals, ComponentEvals;
-  for (const std::string &Name : Names)
-    PaperEvals.push_back(&Paper.emplace_back(paperSetup(Name)));
-  ResultSet PaperResults =
-      measure(Names, {AllocatorKind::Jemalloc, AllocatorKind::Halo}, 1,
-              PaperEvals);
+  Measured Paper({spec(Names, {AllocatorKind::Jemalloc, AllocatorKind::Halo},
+                       1)});
 
   // The same profile regrouped into connected components, identified and
   // compiled like any bundle, in a second Evaluation per benchmark.
-  for (Evaluation *E : PaperEvals) {
-    HaloArtifacts Art = E->haloArtifacts();
-    Art.Groups = buildComponentGroups(Art.Graph, E->setup().Halo.Grouping);
+  std::deque<Evaluation> Components; // Evaluations do not move.
+  std::vector<Evaluation *> ComponentEvals;
+  for (size_t I = 0; I < Names.size(); ++I) {
+    Evaluation &E = Paper.eval(I);
+    HaloArtifacts Art = E.haloArtifacts();
+    Art.Groups = buildComponentGroups(Art.Graph, E.setup().Halo.Grouping);
     Art.Identification = identifyGroups(Art.Groups, Art.Contexts);
-    deriveSelectors(Art, E->program());
-    ComponentEvals.push_back(&Components.emplace_back(E->setup()));
+    deriveSelectors(Art, E.program());
+    ComponentEvals.push_back(&Components.emplace_back(E.setup()));
     ComponentEvals.back()->setHaloArtifacts(std::move(Art));
   }
-  ResultSet ComponentResults =
-      measure(Names, {AllocatorKind::Halo}, 1, ComponentEvals);
+  Measured Naive({spec(Names, {AllocatorKind::Halo}, 1)}, ComponentEvals);
 
   for (size_t I = 0; I < Names.size(); ++I) {
-    double Base =
-        runs(PaperResults, Names[I], AllocatorKind::Jemalloc)[0].Seconds;
-    double Naive =
-        runs(ComponentResults, Names[I], AllocatorKind::Halo)[0].Seconds;
-    R.addRow({Names[I], formatPercent(haloSpeedup(PaperResults, Names[I])),
-              std::to_string(PaperEvals[I]->haloArtifacts().Groups.size()),
-              formatPercent(percentImprovement(Base, Naive)),
-              std::to_string(
-                  ComponentEvals[I]->haloArtifacts().Groups.size())});
+    double Base = Paper.runs(I, AllocatorKind::Jemalloc)[0].Seconds;
+    auto Speedup = [&](Measured &M) {
+      return formatPercent(percentImprovement(
+          Base, M.runs(I, AllocatorKind::Halo)[0].Seconds));
+    };
+    R.addRow({Names[I], Speedup(Paper),
+              std::to_string(Paper.eval(I).haloArtifacts().Groups.size()),
+              Speedup(Naive),
+              std::to_string(Naive.eval(I).haloArtifacts().Groups.size())});
   }
   R.addNote("connected components lump weakly related contexts together, "
             "so pools mix hot and lukewarm data; the paper's density "
@@ -487,15 +487,16 @@ void ablationGrouping() {
 void ablationInstrumentation() {
   Report R("Instrumented binary without the specialised allocator");
   R.setColumns({"benchmark", "instr ops", "time overhead", "L1D misses"});
-  ResultSet Results = measure(
-      workloadNames(),
-      {AllocatorKind::Jemalloc, AllocatorKind::HaloInstrumentedOnly}, 1);
-  for (const std::string &Name : workloadNames()) {
-    const RunMetrics &Base = runs(Results, Name, AllocatorKind::Jemalloc)[0];
+  const std::vector<std::string> &Names = workloadNames();
+  Measured M({spec(
+      Names, {AllocatorKind::Jemalloc, AllocatorKind::HaloInstrumentedOnly},
+      1)});
+  for (size_t I = 0; I < Names.size(); ++I) {
+    const RunMetrics &Base = M.runs(I, AllocatorKind::Jemalloc)[0];
     const RunMetrics &Instr =
-        runs(Results, Name, AllocatorKind::HaloInstrumentedOnly)[0];
+        M.runs(I, AllocatorKind::HaloInstrumentedOnly)[0];
     double Overhead = -percentImprovement(Base.Seconds, Instr.Seconds);
-    R.addRow({Name, std::to_string(Instr.InstrumentationOps),
+    R.addRow({Names[I], std::to_string(Instr.InstrumentationOps),
               formatPercent(Overhead, 4),
               Instr.Mem.L1Misses == Base.Mem.L1Misses ? "unchanged"
                                                       : "CHANGED"});

@@ -2,8 +2,8 @@
 # One-command CI for the HALO reproduction: the tier-1 verify (Release
 # build + full ctest, including the golden_run_json and golden_matrix_json
 # byte checks) followed by the ASan+UBSan build (-DHALO_SANITIZE=ON, with
-# libstdc++'s container assertions)
-# running the same suite. Each build also smoke-tests the artifact store
+# libstdc++'s container assertions and the asserts compiled in: it undoes
+# the build type's NDEBUG) running the same suite. Each build also smoke-tests the artifact store
 # end to end through halo_cli against a per-run temp --store-dir: cold run
 # populates it with HALO/HDS bundles only (no trace entry), warm run must
 # emit byte-identical JSON and leave every entry's inode, size and mtime

@@ -102,17 +102,12 @@ const ResultSet::Cell *ResultSet::find(const std::string &Benchmark,
 //===----------------------------------------------------------------------===//
 
 size_t ExperimentPlan::numArtifactTasks() const {
-  size_t N = 0;
-  for (const Benchmark &B : Benchmarks)
-    N += (B.Halo == Source::Cold) + (B.Hds == Source::Cold);
-  return N;
+  return Bundles.size() - numStoredArtifacts();
 }
 
 size_t ExperimentPlan::numStoredArtifacts() const {
-  size_t N = 0;
-  for (const Benchmark &B : Benchmarks)
-    N += (B.Halo == Source::Stored) + (B.Hds == Source::Stored);
-  return N;
+  return std::count_if(Bundles.begin(), Bundles.end(),
+                       [](const Bundle &B) { return B.Stored; });
 }
 
 size_t ExperimentPlan::numMeasurements() const {
@@ -122,32 +117,46 @@ size_t ExperimentPlan::numMeasurements() const {
   return N;
 }
 
+/// Whether \p E already holds \p U's artifacts.
+static bool holds(const Evaluation *E, const ExperimentPlan::Bundle &U) {
+  return U.Halo ? E->hasHaloArtifacts() : E->hasHdsArtifacts();
+}
+
 ExperimentPlan halo::buildPlan(const std::vector<ExperimentSpec> &Specs,
                                const std::vector<Evaluation *> &External,
                                ArtifactStore *Store) {
   ExperimentPlan Plan;
   Plan.Store = Store;
 
-  auto FindBenchmark = [&](const std::string &Name,
-                           const ExperimentSpec &Spec) -> size_t {
+  // Benchmark B belongs to spec Owner[B] if that spec makes its own
+  // setups, and to every spec without MakeSetup if Owner[B] is
+  // Specs.size(); those share one Evaluation per name.
+  std::vector<size_t> Owner;
+  auto FindBenchmark = [&](const std::string &Name, size_t S) -> size_t {
+    const ExperimentSpec &Spec = Specs[S];
+    const size_t Key = Spec.MakeSetup ? S : Specs.size();
     for (size_t B = 0; B < Plan.Benchmarks.size(); ++B)
-      if (Plan.Benchmarks[B].Name == Name)
+      if (Owner[B] == Key && Plan.Benchmarks[B].Name == Name)
         return B;
-    ExperimentPlan::Benchmark B;
-    B.Name = Name;
-    for (Evaluation *E : External)
-      if (E && E->setup().Name == Name)
-        B.Eval = E;
-    if (!B.Eval) {
+    Evaluation *Eval = nullptr;
+    if (!Spec.MakeSetup)
+      for (Evaluation *E : External)
+        if (E && E->setup().Name == Name)
+          Eval = E;
+    if (!Eval) {
       Plan.Owned.push_back(std::make_unique<Evaluation>(
           Spec.MakeSetup ? Spec.MakeSetup(Name) : paperSetup(Name)));
-      B.Eval = Plan.Owned.back().get();
+      Eval = Plan.Owned.back().get();
     }
-    Plan.Benchmarks.push_back(std::move(B));
+    Plan.Benchmarks.push_back({Name, Eval});
+    Owner.push_back(Key);
     return Plan.Benchmarks.size() - 1;
   };
 
-  for (const ExperimentSpec &Spec : Specs) {
+  // Per benchmark, whether its cells need the HALO and the HDS bundle.
+  std::vector<std::pair<bool, bool>> Needs;
+  for (size_t S = 0; S < Specs.size(); ++S) {
+    const ExperimentSpec &Spec = Specs[S];
     // Empty machine list = one cell on the benchmark setup's own machine.
     std::vector<const MachineConfig *> Machines =
         Spec.Machines.empty()
@@ -155,8 +164,8 @@ ExperimentPlan halo::buildPlan(const std::vector<ExperimentSpec> &Specs,
             : Spec.Machines;
     const int Trials = std::max(Spec.Trials, 0);
     for (const std::string &Name : Spec.Benchmarks) {
-      size_t BI = FindBenchmark(Name, Spec);
-      ExperimentPlan::Benchmark &B = Plan.Benchmarks[BI];
+      size_t BI = FindBenchmark(Name, S);
+      Needs.resize(Plan.Benchmarks.size());
       for (const MachineConfig *M : Machines) {
         for (AllocatorKind Kind : Spec.Kinds) {
           // Identical cells collapse: the matrix is a set, not a list.
@@ -178,42 +187,51 @@ ExperimentPlan halo::buildPlan(const std::vector<ExperimentSpec> &Specs,
           C.Trials = Trials;
           C.SeedBase = Spec.SeedBase;
           Plan.Cells.push_back(C);
-          if (Kind == AllocatorKind::Halo ||
-              Kind == AllocatorKind::HaloInstrumentedOnly)
-            B.Halo = ExperimentPlan::Source::Cold;
-          else if (Kind == AllocatorKind::Hds)
-            B.Hds = ExperimentPlan::Source::Cold;
+          Needs[BI].first |= Kind == AllocatorKind::Halo ||
+                             Kind == AllocatorKind::HaloInstrumentedOnly;
+          Needs[BI].second |= Kind == AllocatorKind::Hds;
         }
       }
     }
   }
 
-  // Resolve every needed bundle's source once the needs are final. What
-  // the Evaluation already holds is Resident: no task, no store lookup,
-  // and so no republish -- Evaluation caches never evict, so it cannot go
-  // missing before runPlan. Everything else consults the store, where a
-  // hit prunes a materialise task from the DAG. contains() fully
-  // validates entries, so a truncated or bit-flipped file plans as a miss
-  // (the cold path re-profiles and re-publishes it).
-  using Source = ExperimentPlan::Source;
-  for (ExperimentPlan::Benchmark &B : Plan.Benchmarks) {
-    Evaluation &E = *B.Eval;
-    const BenchmarkSetup &Setup = E.setup();
-    auto Resolve = [&](Source &S, bool Resident, const StoreKey &Key) {
-      if (S != Source::Cold)
-        return;
-      if (Resident)
-        S = Source::Resident;
-      else if (Store && Store->contains(Key))
-        S = Source::Stored;
-    };
-    Resolve(B.Halo, E.hasHaloArtifacts(),
-            haloStoreKey(B.Name, Setup.ProfileScale, Setup.ProfileSeed,
-                         Setup.Halo));
-    Resolve(B.Hds, E.hasHdsArtifacts(),
-            hdsStoreKey(B.Name, Setup.ProfileScale, Setup.ProfileSeed,
-                        Setup.Hds));
+  // One bundle per distinct store key the cells need, listing every
+  // Evaluation that needs it: setups that share a key share one profile
+  // or load. A bundle all of them already hold is resident and dropped:
+  // no task, no store lookup, and so no republish -- Evaluation caches
+  // never evict, so it cannot go missing before runPlan. Every other one
+  // consults the store, where a hit prunes a materialise task from the
+  // DAG. contains() fully validates entries, so a truncated or
+  // bit-flipped file plans as a miss (the cold path re-profiles and
+  // re-publishes it).
+  for (size_t BI = 0; BI < Plan.Benchmarks.size(); ++BI) {
+    const ExperimentPlan::Benchmark &B = Plan.Benchmarks[BI];
+    const BenchmarkSetup &Setup = B.Eval->setup();
+    for (bool Halo : {true, false}) {
+      if (!(Halo ? Needs[BI].first : Needs[BI].second))
+        continue;
+      StoreKey Key = Halo ? haloStoreKey(B.Name, Setup.ProfileScale,
+                                         Setup.ProfileSeed, Setup.Halo)
+                          : hdsStoreKey(B.Name, Setup.ProfileScale,
+                                        Setup.ProfileSeed, Setup.Hds);
+      auto It = std::find_if(Plan.Bundles.begin(), Plan.Bundles.end(),
+                             [&](const ExperimentPlan::Bundle &U) {
+                               return U.Key.Hash == Key.Hash;
+                             });
+      if (It == Plan.Bundles.end())
+        It = Plan.Bundles.insert(It, {std::move(Key), Halo, false, {}});
+      It->Evals.push_back(B.Eval);
+    }
   }
+  auto Resident = [](const ExperimentPlan::Bundle &U) {
+    return std::all_of(U.Evals.begin(), U.Evals.end(),
+                       [&](Evaluation *E) { return holds(E, U); });
+  };
+  Plan.Bundles.erase(std::remove_if(Plan.Bundles.begin(), Plan.Bundles.end(),
+                                    Resident),
+                     Plan.Bundles.end());
+  for (ExperimentPlan::Bundle &U : Plan.Bundles)
+    U.Stored = Store && Store->contains(U.Key);
   return Plan;
 }
 
@@ -247,22 +265,14 @@ PlanExecution::PlanExecution(ExperimentPlan &PlanIn,
     CellsRemaining[C] = PC.Trials;
   }
 
-  // Stage 0: pipeline artifacts, two independent tasks per benchmark --
-  // each either a store load or a cold materialise-and-publish (a corrupt
-  // stored bundle falls back to materialising). Resident bundles cost
-  // nothing.
-  using Source = ExperimentPlan::Source;
-  for (const ExperimentPlan::Benchmark &B : Plan.Benchmarks)
-    for (bool Halo : {true, false}) {
-      Source S = Halo ? B.Halo : B.Hds;
-      if (S != Source::Stored && S != Source::Cold)
-        continue;
-      TaskData T;
-      T.B = &B;
-      T.Halo = Halo;
-      T.Stored = S == Source::Stored;
-      Tasks.push_back(T);
-    }
+  // Stage 0: pipeline artifacts, one independent task per bundle --
+  // either a store load or a cold materialise-and-publish (a corrupt
+  // stored bundle falls back to materialising).
+  for (size_t U = 0; U < Plan.Bundles.size(); ++U) {
+    TaskData T;
+    T.Bundle = U;
+    Tasks.push_back(T);
+  }
   StageEnd[0] = Tasks.size();
 
   // Stage 1: measurements, one task per (cell, trial), each a direct run
@@ -302,49 +312,42 @@ std::optional<size_t> PlanExecution::next() {
   return NextTask++;
 }
 
-void PlanExecution::runArtifact(const TaskData &Task) {
-  // A bundle that turned resident after buildPlan (a concurrent plan
-  // sharing this Evaluation got there first) was published by whoever
-  // materialised or loaded it, so it is left alone. A stored bundle loads;
-  // one that vanished or decodes corrupt since buildPlan falls back to
-  // materialising inline, so the run self-heals instead of failing. Only
-  // a bundle this task materialised is published.
+void PlanExecution::runArtifact(const ExperimentPlan::Bundle &B) {
+  // A bundle some Evaluation already holds (a concurrent plan sharing it
+  // got there first) was published by whoever materialised or loaded it,
+  // so it is only copied. A stored bundle loads; one that vanished or
+  // decodes corrupt since buildPlan falls back to materialising inline,
+  // so the run self-heals instead of failing. Only a bundle this task
+  // materialised is published. Every other Evaluation gets a copy.
   ArtifactStore *Store = Plan.Store;
-  Evaluation &E = *Task.B->Eval;
-  const BenchmarkSetup &Setup = E.setup();
-  if (Task.Halo) {
-    if (E.hasHaloArtifacts())
-      return;
-    StoreKey Key;
-    if (Store)
-      Key = haloStoreKey(Task.B->Name, Setup.ProfileScale, Setup.ProfileSeed,
-                         Setup.Halo);
-    if (Store && Task.Stored) {
-      if (std::optional<HaloArtifacts> Art =
-              getHaloArtifacts(*Store, Key, E.program())) {
-        E.setHaloArtifacts(std::move(*Art));
-        return;
-      }
-    }
-    const HaloArtifacts &Art = E.haloArtifacts();
-    if (Store)
-      putHaloArtifacts(*Store, Key, Art);
+  auto Holder = std::find_if(B.Evals.begin(), B.Evals.end(),
+                             [&](Evaluation *E) { return holds(E, B); });
+  const bool Fetch = Holder == B.Evals.end() && Store;
+  Evaluation &From = Holder != B.Evals.end() ? **Holder : *B.Evals.front();
+  if (B.Halo) {
+    std::optional<HaloArtifacts> Loaded;
+    if (Fetch && B.Stored)
+      Loaded = getHaloArtifacts(*Store, B.Key, From.program());
+    if (Loaded)
+      From.setHaloArtifacts(std::move(*Loaded));
+    const HaloArtifacts &Art = From.haloArtifacts();
+    if (Fetch && !Loaded)
+      putHaloArtifacts(*Store, B.Key, Art);
+    for (Evaluation *E : B.Evals)
+      if (E != &From)
+        E->setHaloArtifacts(Art);
   } else {
-    if (E.hasHdsArtifacts())
-      return;
-    StoreKey Key;
-    if (Store)
-      Key = hdsStoreKey(Task.B->Name, Setup.ProfileScale, Setup.ProfileSeed,
-                        Setup.Hds);
-    if (Store && Task.Stored) {
-      if (std::optional<HdsArtifacts> Art = getHdsArtifacts(*Store, Key)) {
-        E.setHdsArtifacts(std::move(*Art));
-        return;
-      }
-    }
-    const HdsArtifacts &Art = E.hdsArtifacts();
-    if (Store)
-      putHdsArtifacts(*Store, Key, Art);
+    std::optional<HdsArtifacts> Loaded;
+    if (Fetch && B.Stored)
+      Loaded = getHdsArtifacts(*Store, B.Key);
+    if (Loaded)
+      From.setHdsArtifacts(std::move(*Loaded));
+    const HdsArtifacts &Art = From.hdsArtifacts();
+    if (Fetch && !Loaded)
+      putHdsArtifacts(*Store, B.Key, Art);
+    for (Evaluation *E : B.Evals)
+      if (E != &From)
+        E->setHdsArtifacts(Art);
   }
 }
 
@@ -361,7 +364,7 @@ void PlanExecution::run(size_t Task, Executor *) {
   const TaskData &T = Tasks[Task];
   try {
     if (T.Stage == 0) {
-      runArtifact(T);
+      runArtifact(Plan.Bundles[T.Bundle]);
     } else {
       runMeasurement(T);
       bool CellDone;

@@ -11,8 +11,9 @@
 /// directly instead of going through a bespoke driver per figure.
 ///
 /// buildPlan() expands specs into a deduplicated task DAG over one
-/// Evaluation per benchmark: each benchmark's HALO/HDS pipeline artifacts
-/// materialise once (profiled by running the profile-scale input), and
+/// Evaluation per benchmark setup: each HALO/HDS pipeline artifact bundle
+/// the cells need materialises once per store key (profiled by running the
+/// profile-scale input) and is shared by every setup keying to it, and
 /// every requested (cell, trial) is then one direct run of the workload
 /// model (Evaluation::measureDirect). runPlan() executes that DAG on a
 /// single support/Executor pool in two deterministic stages (pipeline
@@ -36,6 +37,7 @@
 
 #include "eval/Evaluation.h"
 #include "eval/Report.h"
+#include "store/ArtifactStore.h"
 
 #include <cstdio>
 #include <exception>
@@ -49,7 +51,6 @@
 
 namespace halo {
 
-class ArtifactStore;
 class Executor;
 
 /// The stable spelling of \p Kind used in JSON output and CLI flags.
@@ -84,9 +85,11 @@ struct ExperimentSpec {
   /// trials and reports medians; seeds stand in for run-to-run variation.
   int Trials = 3;
   uint64_t SeedBase = 100;
-  /// Per-benchmark configuration; null means paperSetup(). The first spec
-  /// to name a benchmark decides its setup (benchmarks deduplicate by
-  /// name across specs).
+  /// Per-benchmark configuration; null means paperSetup(). A spec that
+  /// sets it owns its benchmarks: one Evaluation for each setup it makes,
+  /// and cells no other spec shares, so one plan can measure several
+  /// setups of one benchmark (a sweep is one spec per setup). Specs that
+  /// leave it null share one Evaluation per benchmark name.
   std::function<BenchmarkSetup(const std::string &)> MakeSetup;
 };
 
@@ -170,25 +173,26 @@ private:
 /// it to see what runPlan() will do; the counts are what the dedup saved.
 class ExperimentPlan {
 public:
-  /// Where the plan gets one artifact bundle its cells need, resolved at
-  /// buildPlan time. Only Stored and Cold bundles cost a task.
-  enum class Source : uint8_t {
-    None,     ///< Nothing needs it.
-    Resident, ///< The Evaluation already holds it: no task, no lookup.
-    Stored,   ///< A store hit: a load task. runPlan still self-heals if
-              ///< the entry disappears or decodes corrupt, by recomputing
-              ///< (and re-publishing) inline.
-    Cold,     ///< A task materialises it, then publishes it.
-  };
-
-  /// One benchmark's shared state: the Evaluation every cell of that
-  /// benchmark measures through (owned by the plan, or borrowed from the
-  /// caller), plus the artifact work the cells imply.
+  /// One benchmark setup: the Evaluation its cells measure through (owned
+  /// by the plan, or borrowed from the caller).
   struct Benchmark {
     std::string Name;
     Evaluation *Eval = nullptr;
-    Source Halo = Source::None; ///< The HALO artifact bundle.
-    Source Hds = Source::None;  ///< The HDS artifact bundle.
+  };
+
+  /// One HALO or HDS artifact bundle the cells need and some Evaluation
+  /// lacks, with its one task: a store load, or a materialisation that is
+  /// then published. Setups that differ only in what measurement reads
+  /// (the allocator options) share its store key, and so the bundle; the
+  /// task copies it into every Evaluation listed.
+  struct Bundle {
+    StoreKey Key;
+    bool Halo = false;   ///< The HALO bundle; else the HDS one.
+    bool Stored = false; ///< A store hit at buildPlan time: a load task.
+                         ///< runPlan still self-heals if the entry
+                         ///< disappears or decodes corrupt, by recomputing
+                         ///< (and re-publishing) inline.
+    std::vector<Evaluation *> Evals; ///< Every Evaluation that needs it.
   };
 
   /// One cell: a (benchmark, machine, kind) coordinate plus its trial
@@ -204,6 +208,7 @@ public:
 
   const std::vector<Benchmark> &benchmarks() const { return Benchmarks; }
   const std::vector<Cell> &cells() const { return Cells; }
+  const std::vector<Bundle> &bundles() const { return Bundles; }
 
   /// HALO/HDS pipeline materialisations the plan will run (store hits
   /// are loads, and resident bundles cost nothing: neither is counted).
@@ -229,19 +234,24 @@ private:
   friend class PlanExecution;
   std::vector<Benchmark> Benchmarks;
   std::vector<Cell> Cells;
+  std::vector<Bundle> Bundles;
   std::vector<std::unique_ptr<Evaluation>> Owned;
   ArtifactStore *Store = nullptr;
 };
 
-/// Expands \p Specs into a plan. Benchmarks deduplicate by name across
-/// specs (one Evaluation each); identical cells deduplicate entirely. A
-/// benchmark named by an Evaluation in \p External is measured through
-/// that caller instance instead of a plan-owned one: every artifact
-/// bundle it already holds is Resident -- no task, no store lookup, no
-/// publish -- so a plan over warm Evaluations runs measurements only.
-/// Throws std::invalid_argument for unknown benchmarks.
+/// Expands \p Specs into a plan. A spec with MakeSetup gets its own
+/// benchmarks, one Evaluation per name it lists; specs without it share
+/// one per name. Identical cells of one benchmark deduplicate entirely. A
+/// benchmark of the specs without MakeSetup that is named by an
+/// Evaluation in \p External is measured through that caller instance
+/// instead of a plan-owned one. Throws std::invalid_argument for unknown
+/// benchmarks.
 ///
-/// With \p Store, every other HALO/HDS bundle key is looked up in the
+/// Artifact work is one bundle per distinct haloStoreKey/hdsStoreKey the
+/// cells need, whichever setups need it. A bundle that every Evaluation
+/// needing it already holds is resident -- no task, no store lookup, no
+/// publish -- so a plan over warm Evaluations runs measurements only.
+/// With \p Store, every other bundle key is looked up in the
 /// content-addressed store: hits turn into load tasks (pruning the
 /// materialise work from the DAG -- a fully warm plan schedules none),
 /// misses run cold and publish their bundles for the next plan. Results
@@ -323,14 +333,12 @@ public:
 private:
   struct TaskData {
     unsigned Stage = 0;
-    const ExperimentPlan::Benchmark *B = nullptr; ///< Stage 0.
-    bool Halo = false;                            ///< Stage 0.
-    bool Stored = false;                          ///< Stage 0.
-    size_t Cell = 0;                              ///< Stage 1.
-    int Trial = 0;                                ///< Stage 1.
+    size_t Bundle = 0; ///< Stage 0.
+    size_t Cell = 0;   ///< Stage 1.
+    int Trial = 0;     ///< Stage 1.
   };
 
-  void runArtifact(const TaskData &T);
+  void runArtifact(const ExperimentPlan::Bundle &B);
   void runMeasurement(const TaskData &T);
 
   ExperimentPlan &Plan;

@@ -52,6 +52,8 @@ public:
                        return A->covers(Addr, Bytes);
                      }))
       violation("allocation outside the allocator stack's arenas", Addr);
+    if (GroupArena && GroupArena->covers(Addr, Bytes))
+      ++Grouped;
     auto Next = Live.lower_bound(Addr);
     if (Next != Live.end() && Next->first < Addr + Bytes)
       violation("allocation overlaps the live object above it", Addr);
@@ -80,6 +82,10 @@ public:
 
   /// The arenas of the allocator stack under check.
   std::vector<const VirtualArena *> Arenas;
+  /// The group allocator's arena (HALO and HDS only), and the allocations
+  /// placed in it.
+  const VirtualArena *GroupArena = nullptr;
+  uint64_t Grouped = 0;
   /// The first few violations, for the failure message.
   std::vector<std::string> Violations;
   uint64_t Count = 0;
@@ -110,16 +116,17 @@ const AllocatorKind AllKinds[] = {
 
 /// Runs \p Eval's workload at test scale under \p Kind's allocator stack,
 /// built as Evaluation::measureWith builds it, with \p Checker attached.
+/// The workload is the one built into Eval.program(): its call sites are
+/// the ones the HALO/HDS bundles name.
 void runChecked(Evaluation &Eval, AllocatorKind Kind, uint64_t Seed,
                 AllocationChecker &Checker) {
   const BenchmarkSetup &Setup = Eval.setup();
   const Program &Prog = Eval.program();
-  auto W = createWorkload(Setup.Name);
   SizeClassAllocator Jemalloc;
   BoundaryTagAllocator Ptmalloc;
   auto Run = [&](Runtime &RT) {
     RT.addObserver(&Checker);
-    W->run(RT, Scale::Test, Seed);
+    Eval.workload().run(RT, Scale::Test, Seed);
   };
 
   switch (Kind) {
@@ -150,6 +157,7 @@ void runChecked(Evaluation &Eval, AllocatorKind Kind, uint64_t Seed,
     GroupAllocator Halo(Jemalloc, Policy, Setup.Allocator);
     RT.setAllocator(Halo);
     Checker.Arenas = {&Halo.arena(), &Jemalloc.arena()};
+    Checker.GroupArena = &Halo.arena();
     Run(RT);
     break;
   }
@@ -160,6 +168,7 @@ void runChecked(Evaluation &Eval, AllocatorKind Kind, uint64_t Seed,
     GroupAllocator Hds(Jemalloc, Policy, Setup.Allocator);
     Runtime RT(Prog, Hds);
     Checker.Arenas = {&Hds.arena(), &Jemalloc.arena()};
+    Checker.GroupArena = &Hds.arena();
     Run(RT);
     break;
   }
@@ -188,6 +197,10 @@ TEST_P(AllocationCheckerTest, EveryAllocatorKindIsClean) {
     EXPECT_GT(Checker.Allocs, 0u);
     EXPECT_GT(Checker.Accesses, 0u);
     EXPECT_EQ(Checker.Count, 0u) << describe(Checker);
+    // HALO and HDS must actually group, or their stacks go unchecked.
+    if (Checker.GroupArena) {
+      EXPECT_GT(Checker.Grouped, 0u);
+    }
   }
 }
 

@@ -1,7 +1,8 @@
 //===- tests/experiment_test.cpp - Declarative experiment plans --------------===//
 //
 // The plan contract: buildPlan expands specs into a deduplicated matrix
-// (benchmarks by name, cells by full key) with two task stages (artifact
+// (benchmarks by name, or per spec for specs with MakeSetup; artifact
+// bundles by store key; cells by full key) with two task stages (artifact
 // bundles, then one direct measurement per (cell, trial)), runPlan
 // executes it bit-identically no matter how many workers ran, and every
 // cell equals a serial loop of Evaluation::measureDirect for the same
@@ -136,8 +137,12 @@ TEST(BuildPlan, DeduplicatesBenchmarksCellsAndRecordings) {
   ASSERT_EQ(Plan.benchmarks().size(), 1u);
   EXPECT_EQ(Plan.benchmarks()[0].Name, "health");
   // A fresh Evaluation and no store: both bundles materialise cold.
-  EXPECT_EQ(Plan.benchmarks()[0].Halo, ExperimentPlan::Source::Cold);
-  EXPECT_EQ(Plan.benchmarks()[0].Hds, ExperimentPlan::Source::Cold);
+  ASSERT_EQ(Plan.bundles().size(), 2u);
+  for (const ExperimentPlan::Bundle &B : Plan.bundles()) {
+    EXPECT_FALSE(B.Stored);
+    EXPECT_EQ(B.Evals,
+              std::vector<Evaluation *>{Plan.benchmarks()[0].Eval});
+  }
   // 4 cells from First, 1 new from Second (its jemalloc cell collapses).
   EXPECT_EQ(Plan.cells().size(), 5u);
   EXPECT_EQ(Plan.numArtifactTasks(), 2u);
@@ -180,6 +185,148 @@ TEST(BuildPlan, DistinctSeedBlocksStayDistinct) {
   EXPECT_EQ(Second->Key.SeedBase, 101u);
   // Seed 101 is shared by both blocks: First's trial 1 is Second's 0.
   EXPECT_EQ(First->Runs[1].Cycles, Second->Runs[0].Cycles);
+}
+
+TEST(BuildPlan, MakeSetupSpecsMeasureTheirOwnSetups) {
+  // Two setups of one benchmark in one plan: each spec's cells measure
+  // its own setup. A pipeline knob re-keys the HALO bundle, so each setup
+  // profiles once.
+  auto AtDistance = [](uint64_t Distance) {
+    return [Distance](const std::string &Name) {
+      BenchmarkSetup Setup = paperSetup(Name);
+      Setup.Halo.Profile.AffinityDistance = Distance;
+      return Setup;
+    };
+  };
+  ExperimentSpec Near;
+  Near.Benchmarks = {"health"};
+  Near.Kinds = {AllocatorKind::Halo};
+  Near.S = Scale::Test;
+  Near.Trials = 2;
+  Near.MakeSetup = AtDistance(8);
+  ExperimentSpec Far = Near;
+  Far.MakeSetup = AtDistance(4096);
+
+  ExperimentPlan Plan = buildPlan({Near, Far});
+  ASSERT_EQ(Plan.benchmarks().size(), 2u);
+  ASSERT_EQ(Plan.cells().size(), 2u);
+  EXPECT_EQ(Plan.cells()[0].Bench, 0u);
+  EXPECT_EQ(Plan.cells()[1].Bench, 1u);
+  ASSERT_EQ(Plan.bundles().size(), 2u);
+  EXPECT_EQ(Plan.numArtifactTasks(), 2u);
+  ResultSet Results = runPlan(Plan, /*Jobs=*/2);
+
+  ASSERT_EQ(Results.size(), 2u);
+  for (size_t C = 0; C < 2; ++C) {
+    SCOPED_TRACE("setup " + std::to_string(C));
+    Evaluation Oracle((C == 0 ? Near : Far).MakeSetup("health"));
+    expectSameRuns(Results.cells()[C].Runs,
+                   directRuns(Oracle, defaultMachine(), AllocatorKind::Halo,
+                              Scale::Test, 2));
+  }
+  // The two setups measure differently, so neither cell can stand in for
+  // the other.
+  EXPECT_NE(Results.cells()[0].Runs[0].Cycles,
+            Results.cells()[1].Runs[0].Cycles);
+}
+
+TEST(BuildPlan, SetupsDifferingOnlyInTheAllocatorShareBundles) {
+  // No pipeline stage reads the allocator options, so two setups that
+  // differ only there share each store key: one HALO and one HDS task,
+  // each bundle copied into both Evaluations, and each setup measured
+  // with its own allocator.
+  auto WithChunk = [](uint64_t Chunk) {
+    return [Chunk](const std::string &Name) {
+      BenchmarkSetup Setup = paperSetup(Name);
+      Setup.Allocator.ChunkSize = Chunk;
+      return Setup;
+    };
+  };
+  ExperimentSpec Paper;
+  Paper.Benchmarks = {"xalanc"};
+  Paper.Kinds = {AllocatorKind::Halo, AllocatorKind::Hds};
+  Paper.S = Scale::Test;
+  Paper.Trials = 1;
+  Paper.SeedBase = 1;
+  Paper.MakeSetup = paperSetup;
+  ExperimentSpec Small = Paper;
+  Small.MakeSetup = WithChunk(16 * 1024);
+  ExperimentSpec Same = Paper; // Identical setups share bundles too.
+  Same.MakeSetup = WithChunk(paperSetup("xalanc").Allocator.ChunkSize);
+
+  ExperimentPlan Plan = buildPlan({Paper, Small, Same});
+  ASSERT_EQ(Plan.benchmarks().size(), 3u);
+  EXPECT_EQ(Plan.cells().size(), 6u);
+  ASSERT_EQ(Plan.bundles().size(), 2u);
+  EXPECT_EQ(Plan.numArtifactTasks(), 2u);
+  std::vector<Evaluation *> All;
+  for (const ExperimentPlan::Benchmark &B : Plan.benchmarks())
+    All.push_back(B.Eval);
+  EXPECT_TRUE(Plan.bundles()[0].Halo);
+  EXPECT_FALSE(Plan.bundles()[1].Halo);
+  for (const ExperimentPlan::Bundle &B : Plan.bundles())
+    EXPECT_EQ(B.Evals, All);
+  ResultSet Results = runPlan(Plan, /*Jobs=*/2);
+
+  ASSERT_EQ(Results.size(), 6u);
+  for (size_t Setup = 0; Setup < 3; ++Setup) {
+    Evaluation Oracle(Plan.benchmarks()[Setup].Eval->setup());
+    EXPECT_TRUE(Plan.benchmarks()[Setup].Eval->hasHaloArtifacts());
+    EXPECT_TRUE(Plan.benchmarks()[Setup].Eval->hasHdsArtifacts());
+    for (size_t K = 0; K < 2; ++K) {
+      SCOPED_TRACE("setup " + std::to_string(Setup) + " kind " +
+                   std::to_string(K));
+      expectSameRuns(Results.cells()[Setup * 2 + K].Runs,
+                     directRuns(Oracle, defaultMachine(), Paper.Kinds[K],
+                                Scale::Test, 1, /*SeedBase=*/1));
+    }
+  }
+  // The small chunks move both kinds' fragmentation; the identical setup
+  // matches the paper's.
+  for (size_t K = 0; K < 2; ++K) {
+    const RunMetrics &P = Results.cells()[K].Runs[0];
+    EXPECT_NE(P.Frag.wastedBytes(),
+              Results.cells()[2 + K].Runs[0].Frag.wastedBytes());
+    EXPECT_EQ(P.Cycles, Results.cells()[4 + K].Runs[0].Cycles);
+  }
+}
+
+TEST(BuildPlan, OnlySpecsWithoutMakeSetupShareBenchmarksAndExternal) {
+  // Specs without MakeSetup share one Evaluation per name -- the caller's
+  // External one when given -- while a spec with MakeSetup gets its own,
+  // even for a name the others share.
+  Evaluation Eval(paperSetup("health"));
+  ExperimentSpec Shared;
+  Shared.Benchmarks = {"health", "ft"};
+  Shared.Kinds = {AllocatorKind::Jemalloc};
+  Shared.S = Scale::Test;
+  Shared.Trials = 1;
+  ExperimentSpec Own = Shared;
+  Own.Benchmarks = {"health"};
+  Own.MakeSetup = [](const std::string &Name) {
+    BenchmarkSetup Setup = paperSetup(Name);
+    Setup.Machine = *findMachine("mobile");
+    return Setup;
+  };
+  ExperimentSpec AlsoShared = Shared;
+  AlsoShared.Kinds = {AllocatorKind::Ptmalloc};
+
+  ExperimentPlan Plan = buildPlan({Shared, Own, AlsoShared}, {&Eval});
+  ASSERT_EQ(Plan.benchmarks().size(), 3u);
+  EXPECT_EQ(Plan.benchmarks()[0].Eval, &Eval);
+  EXPECT_EQ(Plan.benchmarks()[1].Name, "ft");
+  EXPECT_EQ(Plan.benchmarks()[2].Name, "health");
+  EXPECT_NE(Plan.benchmarks()[2].Eval, &Eval);
+  EXPECT_EQ(Plan.benchmarks()[2].Eval->setup().Machine.Name, "mobile");
+  // Shared's two cells, Own's one, and AlsoShared's two on benchmarks 0-1.
+  ASSERT_EQ(Plan.cells().size(), 5u);
+  const size_t Bench[] = {0, 1, 2, 0, 1};
+  for (size_t C = 0; C < 5; ++C)
+    EXPECT_EQ(Plan.cells()[C].Bench, Bench[C]) << "cell " << C;
+  EXPECT_TRUE(Plan.bundles().empty()); // No kind here reads a bundle.
+  ResultSet Results = runPlan(Plan, /*Jobs=*/1);
+  EXPECT_EQ(Results.cells()[0].Key.Machine, defaultMachine().Name);
+  EXPECT_EQ(Results.cells()[2].Key.Machine, "mobile");
 }
 
 TEST(BuildPlan, RejectsUnknownBenchmarks) {

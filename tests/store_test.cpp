@@ -640,6 +640,58 @@ TEST(StorePlans, ResidentValuesNeedNoTaskAndNoPublish) {
   EXPECT_TRUE(filesIn(Store.path()).empty());
 }
 
+TEST(StorePlans, SetupsSharingABundlePublishItOnceAndLoadItOnce) {
+  // Two setups that differ only in the allocator share the HALO store
+  // key: cold, one task profiles and publishes the one entry; warm, one
+  // task loads it for both, nothing is rewritten, and both setups measure
+  // as they did cold.
+  TempStore Store;
+  ExperimentSpec Paper;
+  Paper.Benchmarks = {"ft"};
+  Paper.Kinds = {AllocatorKind::Halo};
+  Paper.S = Scale::Test;
+  Paper.Trials = 1;
+  Paper.MakeSetup = paperSetup;
+  ExperimentSpec Small = Paper;
+  Small.MakeSetup = [](const std::string &Name) {
+    BenchmarkSetup Setup = paperSetup(Name);
+    Setup.Allocator.ChunkSize = 16 * 1024;
+    return Setup;
+  };
+
+  ExperimentPlan ColdPlan = buildPlan({Paper, Small}, {}, &*Store);
+  EXPECT_EQ(ColdPlan.numArtifactTasks(), 1u);
+  EXPECT_EQ(ColdPlan.numStoredArtifacts(), 0u);
+  ResultSet Cold = runPlan(ColdPlan, /*Jobs=*/2);
+  std::vector<ArtifactStore::Entry> Published = Store->entries();
+  ASSERT_EQ(Published.size(), 1u);
+  EXPECT_EQ(Published[0].Type, ArtifactType::Halo);
+  std::string File = entryFile(*Store, ColdPlan.bundles()[0].Key);
+  auto Stamp = [&] {
+    struct stat St;
+    EXPECT_EQ(0, ::stat(File.c_str(), &St));
+    return std::make_tuple(St.st_ino, St.st_size, St.st_mtim.tv_sec,
+                           St.st_mtim.tv_nsec);
+  };
+  auto Before = Stamp();
+
+  ExperimentPlan WarmPlan = buildPlan({Paper, Small}, {}, &*Store);
+  EXPECT_EQ(WarmPlan.numArtifactTasks(), 0u);
+  EXPECT_EQ(WarmPlan.numStoredArtifacts(), 1u);
+  EXPECT_EQ(PlanExecution(WarmPlan).numTasks(), 3u); // 1 load, 2 cells.
+  ResultSet Warm = runPlan(WarmPlan, /*Jobs=*/2);
+  EXPECT_EQ(Before, Stamp());
+  EXPECT_EQ(Store->entries().size(), 1u);
+  ASSERT_EQ(Warm.size(), 2u);
+  ASSERT_EQ(Cold.size(), 2u);
+  for (size_t C = 0; C < 2; ++C) {
+    SCOPED_TRACE("cell " + std::to_string(C));
+    expectSameRuns(Cold.cells()[C].Runs, Warm.cells()[C].Runs);
+  }
+  EXPECT_NE(Warm.cells()[0].Runs[0].Frag.wastedBytes(),
+            Warm.cells()[1].Runs[0].Frag.wastedBytes());
+}
+
 TEST(StorePlans, TraceEntriesOfRecordingPlansStayUntouched) {
   // A store as plans that still recorded left it: the two bundles plus
   // trace entries for the profile input and every measured seed, written
