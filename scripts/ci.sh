@@ -3,7 +3,9 @@
 # build + full ctest, including the golden_run_json and golden_matrix_json
 # byte checks) followed by the ASan+UBSan build (-DHALO_SANITIZE=ON, with
 # libstdc++'s container assertions and the asserts compiled in: it undoes
-# the build type's NDEBUG) running the same suite. Each build also smoke-tests the artifact store
+# the build type's NDEBUG) running the same suite. Both builds compile
+# every target with -Wall -Wextra as errors
+# (-DCMAKE_COMPILE_WARNING_AS_ERROR=ON). Each build also smoke-tests the artifact store
 # end to end through halo_cli against a per-run temp --store-dir: cold run
 # populates it with HALO/HDS bundles only (no trace entry), warm run must
 # emit byte-identical JSON and leave every entry's inode, size and mtime
@@ -232,7 +234,7 @@ echo "== source: benchmark/ builds and self-tests =="
 benchmark_build
 
 echo "== tier-1: Release build + ctest ($BUILD) =="
-cmake -B "$BUILD" -S "$ROOT"
+cmake -B "$BUILD" -S "$ROOT" -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build "$BUILD" -j "$(nproc)"
 ctest --test-dir "$BUILD" --output-on-failure -j "$JOBS"
 
@@ -246,7 +248,8 @@ echo "== tier-1: serve daemon smoke =="
 serve_smoke "$BUILD"
 
 echo "== sanitized: ASan+UBSan build + ctest ($SAN_BUILD) =="
-cmake -B "$SAN_BUILD" -S "$ROOT" -DHALO_SANITIZE=ON
+cmake -B "$SAN_BUILD" -S "$ROOT" -DHALO_SANITIZE=ON \
+    -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build "$SAN_BUILD" -j "$(nproc)"
 ctest --test-dir "$SAN_BUILD" --output-on-failure -j "$JOBS"
 

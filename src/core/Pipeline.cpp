@@ -110,6 +110,25 @@ HaloArtifacts halo::loadHaloArtifacts(BinaryReader &R, const Program &Prog) {
   Art.Groups = loadGroups(R);
   Art.Identification = loadIdentification(R);
   Art.ProfiledAccesses = R.varint();
+  // A checksummed bundle can still name what Prog or the bundle lacks.
+  // deriveSelectors indexes by every identified site and compiles only
+  // identified selector sites; groupsAsDot indexes by every group member.
+  std::vector<bool> Identified(Prog.numCallSites(), false);
+  for (CallSiteId Site : Art.Identification.Sites) {
+    if (Site >= Prog.numCallSites())
+      throw SerializationError("halo artifacts: unknown identified site");
+    Identified[Site] = true;
+  }
+  for (const Selector &Sel : Art.Identification.Selectors)
+    for (const Conjunction &Term : Sel.Terms)
+      for (CallSiteId Site : Term.Sites)
+        if (Site >= Prog.numCallSites() || !Identified[Site])
+          throw SerializationError("halo artifacts: unidentified selector site");
+  for (const Group &G : Art.Groups)
+    for (GraphNodeId Member : G.Members)
+      if (Member >= Art.Contexts.size())
+        throw SerializationError("halo artifacts: group member past the "
+                                 "context table");
   // Rebuild the derived members exactly as optimizeBinary does, so they
   // are identical to the saved run's.
   deriveSelectors(Art, Prog);

@@ -97,7 +97,9 @@ void saveHaloArtifacts(const HaloArtifacts &Art, BinaryWriter &W);
 
 /// Decodes a saveHaloArtifacts() stream and rebuilds the derived members
 /// against \p Prog. Throws SerializationError on bad magic/version,
-/// truncation, or internal inconsistency.
+/// truncation, or internal inconsistency: a site \p Prog lacks, a
+/// selector site that is not identified, a group member past the context
+/// table.
 HaloArtifacts loadHaloArtifacts(BinaryReader &R, const Program &Prog);
 
 } // namespace halo

@@ -108,10 +108,6 @@ void Evaluation::setHdsArtifacts(HdsArtifacts Art) {
     HdsArt = std::move(Art);
 }
 
-RunMetrics Evaluation::measure(AllocatorKind Kind, Scale S, uint64_t Seed) {
-  return measure(Setup.Machine, Kind, S, Seed);
-}
-
 RunMetrics Evaluation::measure(const MachineConfig &Machine,
                                AllocatorKind Kind, Scale S, uint64_t Seed) {
   const EventTrace &Trace = trace(S, Seed);

@@ -99,9 +99,10 @@ BenchmarkSetup paperSetup(const std::string &Benchmark);
 /// calls measureDirect() once per trial.
 ///
 /// trace(), addTrace() and measure() are the replay path: record a run
-/// once into an EventTrace and replay it under any configuration, bit-
-/// identical to direct execution (tests/trace_replay_test.cpp). No plan
-/// uses it; it stays for the per-layer benchmark driver and for
+/// once into an EventTrace and re-execute it under any configuration
+/// through Runtime::replay, which equals direct execution by construction
+/// (tests/trace_replay_test.cpp). No plan uses it; it stays for the
+/// per-layer benchmark (benchmark/halo_bench_layers.cpp) and for
 /// `halo_cli trace`.
 class Evaluation {
 public:
@@ -148,13 +149,10 @@ public:
   void setHdsArtifacts(HdsArtifacts Art);
 
   /// Replay path: measures one configuration on one input by replaying
-  /// the recording of (\p S, \p Seed) (recorded first if need be), on the
-  /// setup's machine. Bit-identical to measureDirect(). Safe to call
-  /// concurrently: the trace and artifact caches synchronise.
-  RunMetrics measure(AllocatorKind Kind, Scale S, uint64_t Seed);
-
-  /// Replay path on an explicit machine: the recorded trace is machine-
-  /// independent and replays under \p Machine's hierarchy and costs.
+  /// the recording of (\p S, \p Seed) (recorded first if need be) under
+  /// \p Machine's hierarchy and costs; the trace is machine-independent.
+  /// Replay re-executes the recorded run, so this equals measureDirect().
+  /// Safe to call concurrently: the trace and artifact caches synchronise.
   RunMetrics measure(const MachineConfig &Machine, AllocatorKind Kind,
                      Scale S, uint64_t Seed);
 

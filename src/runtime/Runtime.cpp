@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <climits>
 
 using namespace halo;
 
@@ -135,195 +134,57 @@ void Runtime::free(uint64_t Addr) {
   ++Stats.Frees;
 }
 
-/// Narrows a decoded access size into the batch encoding. No modelled
-/// access approaches 4 GiB (workload accesses are object-sized; realloc
-/// copy spans are 64 bytes), and a wrap here would silently break replay
-/// bit-identity, so debug builds assert; Release builds trade the
-/// per-event check away, relying on tests/trace_replay_test.cpp's
-/// replay-vs-direct sweeps to catch any workload that ever violates it.
-static uint32_t batchSize(uint64_t Size) {
-  assert(Size <= UINT32_MAX && "access size exceeds the batch encoding");
-  return static_cast<uint32_t>(Size);
-}
-
-void Runtime::replayAccessRun(const MemAccess *Batch, size_t N,
-                              uint64_t Stores) {
-  Stats.Loads += N - Stores;
-  Stats.Stores += Stores;
-  if (Memory)
-    Memory->accessBatch(Batch, N);
-  for (RuntimeObserver *Obs : Observers)
-    Obs->onAccessBatch(Batch, N);
-}
-
-/// Replay state (see Runtime.h).
-struct Runtime::ReplayState {
-  static constexpr size_t BatchCap = 512;
-
-  explicit ReplayState(uint32_t NumObjects, bool Strict) : Strict(Strict) {
-    // Replay-time object table: the Nth minted object's address under
-    // *this* runtime's allocator. Frees leave entries stale, exactly like
-    // a freed pointer; the recorder never emits accesses through them.
-    ObjAddr.reserve(NumObjects);
-    Batch.resize(BatchCap);
-  }
-
-  std::vector<uint64_t> ObjAddr;
-  std::vector<MemAccess> Batch;
-  size_t Run = 0;
-  uint64_t RunStores = 0;
-  const bool Strict;
-};
-
-void Runtime::replayRange(ReplayState &St, const uint8_t *Begin,
-                          const uint8_t *End) {
-  // Batch loop: decoding resolves every data access (the dominant event
-  // shape) straight into a flat MemAccess batch -- ids become final
-  // addresses at decode time -- and each batch is consumed whole by the
-  // memory hierarchy and the observers, with no call per event.
-  //
-  // How long a batch may grow is the crux. With observers attached
-  // (profiling replay), every observable event must be delivered in
-  // recording order, so any non-access record flushes the pending batch
-  // first. Unobserved (the measurement configuration), the only true
-  // ordering dependency is the hierarchy's own access sequence: calls,
-  // allocations, frees, and computes never touch the hierarchy, and their
-  // effects -- stack/group-state updates, allocator bookkeeping, counter
-  // and cycle sums -- neither read the pending accesses nor are read by
-  // them (addresses are already resolved). They therefore execute inline
-  // while the batch keeps filling. The one exception is Realloc, whose
-  // composite copy traffic drives the hierarchy through load()/store()
-  // and so must see the batch drained first. Either way every counter is
-  // bit-identical to per-event replay: batching only regroups commutative
-  // additions around events it never reorders against their dependencies.
-  constexpr size_t BatchCap = ReplayState::BatchCap;
-  std::vector<uint64_t> &ObjAddr = St.ObjAddr;
-  std::vector<MemAccess> &Batch = St.Batch;
-  size_t Run = St.Run;
-  uint64_t RunStores = St.RunStores;
-  const bool Strict = St.Strict;
-
-  auto Flush = [&] {
-    if (Run) {
-      replayAccessRun(Batch.data(), Run, RunStores);
-      Run = 0;
-      RunStores = 0;
-    }
-  };
-
-  EventTrace::Reader R(Begin, End);
-  while (!R.atEnd()) {
-    switch (R.op()) {
-    case TraceOp::Call: {
-      CallSiteId Site = static_cast<CallSiteId>(R.varint());
-      if (Strict)
-        Flush();
-      enter(Site);
-      break;
-    }
-    case TraceOp::Return:
-      if (Strict)
-        Flush();
-      leave();
-      break;
-    case TraceOp::Alloc: {
-      CallSiteId Site = static_cast<CallSiteId>(R.varint());
-      uint64_t Size = R.varint();
-      if (Strict)
-        Flush();
-      ObjAddr.push_back(malloc(Size, Site));
-      break;
-    }
-    case TraceOp::Free: {
-      uint64_t Id = R.varint();
-      if (Strict)
-        Flush();
-      free(ObjAddr[Id]);
-      break;
-    }
-    case TraceOp::Load: {
-      uint64_t Id = R.varint();
-      uint64_t Offset = R.varint();
-      Batch[Run++] =
-          MemAccess{ObjAddr[Id] + Offset,
-                    batchSize(R.varint()), 0};
-      if (Run == BatchCap)
-        Flush();
-      break;
-    }
-    case TraceOp::Store: {
-      uint64_t Id = R.varint();
-      uint64_t Offset = R.varint();
-      Batch[Run++] =
-          MemAccess{ObjAddr[Id] + Offset,
-                    batchSize(R.varint()), 1};
-      ++RunStores;
-      if (Run == BatchCap)
-        Flush();
-      break;
-    }
-    case TraceOp::LoadBase: {
-      uint64_t Addr = ObjAddr[R.varint()];
-      Batch[Run++] =
-          MemAccess{Addr, batchSize(R.varint()), 0};
-      if (Run == BatchCap)
-        Flush();
-      break;
-    }
-    case TraceOp::StoreBase: {
-      uint64_t Addr = ObjAddr[R.varint()];
-      Batch[Run++] =
-          MemAccess{Addr, batchSize(R.varint()), 1};
-      ++RunStores;
-      if (Run == BatchCap)
-        Flush();
-      break;
-    }
-    case TraceOp::LoadRaw: {
-      uint64_t Addr = R.varint();
-      Batch[Run++] =
-          MemAccess{Addr, batchSize(R.varint()), 0};
-      if (Run == BatchCap)
-        Flush();
-      break;
-    }
-    case TraceOp::StoreRaw: {
-      uint64_t Addr = R.varint();
-      Batch[Run++] =
-          MemAccess{Addr, batchSize(R.varint()), 1};
-      ++RunStores;
-      if (Run == BatchCap)
-        Flush();
-      break;
-    }
-    case TraceOp::Compute: {
-      uint64_t Cycles = R.varint();
-      if (Strict) {
-        Flush();
-        compute(Cycles);
-      } else {
-        // compute() without observers is just the cycle add.
-        Timing.addCompute(Cycles);
-      }
-      break;
-    }
-    case TraceOp::Realloc: { // old object id, site, new size.
-      uint64_t Old = R.varint();
-      CallSiteId Site = static_cast<CallSiteId>(R.varint());
-      uint64_t NewSize = R.varint();
-      Flush(); // The composite's copy traffic drives the hierarchy.
-      ObjAddr.push_back(realloc(ObjAddr[Old], NewSize, Site));
-      break;
-    }
-    }
-  }
-  St.Run = Run;
-  St.RunStores = RunStores;
-}
-
 void Runtime::replay(const EventTrace &Trace) {
-  ReplayState St(Trace.numObjects(), !Observers.empty());
-  replayRange(St, Trace.data(), Trace.data() + Trace.byteSize());
-  if (St.Run)
-    replayAccessRun(St.Batch.data(), St.Run, St.RunStores);
+  // The object table: the Nth minted object's address under this
+  // runtime's allocator. Frees leave entries stale, exactly like a freed
+  // pointer; the recorder never emits accesses through them.
+  std::vector<uint64_t> ObjAddr;
+  ObjAddr.reserve(Trace.numObjects());
+  constexpr size_t ChunkRecords = 256;
+  TraceEvent Chunk[ChunkRecords] = {};
+  EventTrace::Cursor Cur = Trace.cursor();
+  while (size_t N = Cur.fill(Chunk, ChunkRecords)) {
+    for (size_t I = 0; I < N; ++I) {
+      const TraceEvent &E = Chunk[I];
+      switch (E.Op) {
+      case TraceOp::Call:
+        enter(static_cast<CallSiteId>(E.A));
+        break;
+      case TraceOp::Return:
+        leave();
+        break;
+      case TraceOp::Alloc:
+        ObjAddr.push_back(malloc(E.B, static_cast<CallSiteId>(E.A)));
+        break;
+      case TraceOp::Free:
+        free(ObjAddr[E.A]);
+        break;
+      case TraceOp::Load:
+        load(ObjAddr[E.A] + E.B, E.C);
+        break;
+      case TraceOp::Store:
+        store(ObjAddr[E.A] + E.B, E.C);
+        break;
+      case TraceOp::LoadBase:
+        load(ObjAddr[E.A], E.B);
+        break;
+      case TraceOp::StoreBase:
+        store(ObjAddr[E.A], E.B);
+        break;
+      case TraceOp::LoadRaw:
+        load(E.A, E.B);
+        break;
+      case TraceOp::StoreRaw:
+        store(E.A, E.B);
+        break;
+      case TraceOp::Compute:
+        compute(E.A);
+        break;
+      case TraceOp::Realloc: // old object id, site, new size.
+        ObjAddr.push_back(
+            realloc(ObjAddr[E.A], E.C, static_cast<CallSiteId>(E.B)));
+        break;
+      }
+    }
+  }
 }

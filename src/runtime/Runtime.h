@@ -50,8 +50,10 @@ public:
   /// Pure-compute cycles reported through Runtime::compute (needed by trace
   /// recording; cycle totals are part of a run's metrics).
   virtual void onCompute(uint64_t Cycles);
-  /// Trace replay hands observers whole runs of consecutive data accesses
-  /// in one call. The default forwards element by element to onAccess.
+  /// Never called by the runtime: every access arrives through onAccess.
+  /// Kept only for observers that still override it
+  /// (benchmark/halo_bench_layers.cpp). The default forwards element by
+  /// element to onAccess.
   virtual void onAccessBatch(const MemAccess *Batch, size_t N);
   /// Brackets a composite realloc (Addr != 0): the primitive alloc, copy
   /// accesses, and free in between belong to the realloc. Observers that
@@ -160,23 +162,16 @@ public:
   }
 
   // -- Replay ------------------------------------------------------------
-  /// Re-executes a recorded event trace on this runtime exactly as the
-  /// recorded workload run would have: calls/returns drive instrumentation
-  /// and the group state vector, allocations go to the serving allocator
-  /// (addresses are re-derived, so any allocator works), accesses drive the
-  /// attached memory hierarchy, and composite reallocs re-derive their
-  /// allocator-dependent copy traffic. On a fresh runtime the resulting
-  /// stats, timing, and memory counters are bit-identical to direct
-  /// execution of the recorded workload under the same configuration.
-  ///
-  /// Execution is batched: decoding (inline over EventTrace::Reader,
-  /// fused with object-id-to-address resolution) accumulates runs of
-  /// data accesses -- the dominant event shape -- into flat MemAccess
-  /// blocks handed to MemoryHierarchy::accessBatch and
-  /// RuntimeObserver::onAccessBatch in one call each, with no dispatch
-  /// per event. Counters stay bit-identical to per-event execution: batch
-  /// boundaries only regroup commutative additions, never reorder
-  /// events against their dependencies (see the comment in replay()).
+  /// Re-executes a recorded event trace on this runtime: each record,
+  /// read through EventTrace::Cursor, becomes the call the recorded run
+  /// made -- enter, leave, malloc, free, load, store, compute or realloc
+  /// -- with object ids resolved to the addresses *this* runtime's
+  /// allocator returned for them. Replay is therefore direct execution of
+  /// the recorded run by construction: any allocator works, composite
+  /// reallocs re-derive their allocator-dependent copy traffic, observers
+  /// see every event in recording order, and on a fresh runtime the
+  /// stats, timing and memory counters are bit-identical to running the
+  /// workload under the same configuration.
   void replay(const EventTrace &Trace);
 
   // -- State -------------------------------------------------------------
@@ -206,17 +201,6 @@ private:
   /// Out-of-line observer dispatch for accesses, keeping load() and
   /// store() small.
   void notifyAccess(uint64_t Addr, uint64_t Size, bool IsStore);
-
-  /// Executes one run of consecutive replayed data accesses (of which
-  /// \p Stores are stores): event counters, the memory hierarchy (whole
-  /// batch), then observers (whole batch).
-  void replayAccessRun(const MemAccess *Batch, size_t N, uint64_t Stores);
-
-  /// Replay state: the object table, the pending access batch, and the
-  /// strictness policy, which replay() hands to the fused decode loop,
-  /// replayRange (defined in Runtime.cpp).
-  struct ReplayState;
-  void replayRange(ReplayState &St, const uint8_t *Begin, const uint8_t *End);
 
   const Program &Prog;
   Allocator *Alloc;

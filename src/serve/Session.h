@@ -14,7 +14,10 @@
 /// daemon); any thread may write -- the scheduler's workers stream
 /// CellResult frames while the reader answers Stats -- so send() serialises
 /// writers on a per-session mutex and writes each frame with one sendAll,
-/// keeping frames from distinct threads whole on the wire.
+/// keeping frames from distinct threads whole on the wire. Every send is
+/// bounded in time: a client that stops reading fills its socket buffer,
+/// and a sender blocked on it would hold the write lock -- and, for a
+/// PlanDone, the daemon's state mutex -- for as long as the client waits.
 ///
 /// Lock order: a sender may hold the daemon's state mutex when calling
 /// send(); nothing here calls back into the daemon, so WriteMutex is
@@ -41,22 +44,26 @@ namespace halo {
 /// and the last one out closes the socket.
 class ServeSession {
 public:
-  ServeSession(uint64_t Id, Socket Conn) : Id(Id), Conn(std::move(Conn)) {}
+  /// Takes over \p Conn and bounds every send on it (Session.cpp's
+  /// SendTimeoutMs).
+  ServeSession(uint64_t Id, Socket Conn);
 
   uint64_t id() const { return Id; }
 
   /// The reader loop's socket. Only the reader thread may read from it.
   Socket &socket() { return Conn; }
 
-  /// Sends one frame, serialised against other senders. Returns false --
-  /// and marks the session dead -- if the peer is gone; a result stream
-  /// whose client vanished must not take the daemon down with it.
+  /// Sends one frame, serialised against other senders. Returns false if
+  /// the peer is gone or the send timed out; either marks the session dead
+  /// and shuts its socket down, so the reader wakes and cancels the
+  /// session's plans. A result stream whose client vanished or stalled
+  /// must not take the daemon down with it.
   bool send(MsgType Type, const std::vector<uint8_t> &Payload);
 
   /// Convenience for the protocol's error frame.
   bool sendError(uint64_t PlanId, const std::string &Message);
 
-  /// True until the peer disconnects (or a send to it fails).
+  /// True until the peer disconnects (or a send to it fails or times out).
   bool alive() const { return Alive.load(std::memory_order_acquire); }
 
   /// Marks the session dead: subsequent send() calls drop their frames.

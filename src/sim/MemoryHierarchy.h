@@ -45,11 +45,11 @@ struct HierarchyConfig {
   LatencyModel Latency;
 };
 
-/// One decoded data access, the element of accessBatch(): trace replay
-/// resolves event records into runs of these and hands each run to the
-/// hierarchy (and to observers) as a block. The 16-byte layout keeps a
-/// 512-entry batch inside 8 KiB of buffer; a single access never spans
-/// 4 GiB, so 32 bits of size suffice.
+/// One data access, the element of MemoryHierarchy::accessBatch and
+/// RuntimeObserver::onAccessBatch. Nothing in the library builds these;
+/// they stay for code outside it (benchmark/halo_bench_layers.cpp's
+/// simulator probe). A single access never spans 4 GiB, so 32 bits of
+/// size suffice.
 struct MemAccess {
   uint64_t Addr;
   uint32_t Size;
@@ -101,7 +101,8 @@ public:
   }
 
   /// Performs every access of \p Batch in order, exactly as calling
-  /// access() per element.
+  /// access() per element. Never called by the library (the runtime calls
+  /// access()); kept only for benchmark/halo_bench_layers.cpp.
   void accessBatch(const MemAccess *Batch, size_t N);
 
   /// Drains the pending block and returns the counters. StallCycles is

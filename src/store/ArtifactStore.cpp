@@ -374,21 +374,6 @@ bool halo::putTrace(ArtifactStore &Store, const StoreKey &Key,
   return Store.put(Key, W.buffer());
 }
 
-std::optional<EventTrace> halo::getTrace(const ArtifactStore &Store,
-                                         const StoreKey &Key) {
-  std::optional<std::vector<uint8_t>> Payload = Store.get(Key);
-  if (!Payload)
-    return std::nullopt;
-  try {
-    BinaryReader R(*Payload);
-    EventTrace Trace = EventTrace::load(R);
-    R.expectEnd("event trace");
-    return Trace;
-  } catch (const SerializationError &) {
-    return std::nullopt;
-  }
-}
-
 bool halo::putHaloArtifacts(ArtifactStore &Store, const StoreKey &Key,
                             const HaloArtifacts &Art) {
   BinaryWriter W;

@@ -8,9 +8,9 @@
 /// A content-addressed on-disk store for the expensive, machine-independent
 /// half of an experiment plan: the HALO/HDS pipeline artifact bundles.
 /// Plans publish and read nothing else. The store can also hold recorded
-/// event traces (putTrace/getTrace), which only the replay path's callers
-/// write; a store populated when plans still recorded keeps its trace
-/// entries, valid and unread, beside the bundles it serves. The design
+/// event traces (putTrace), which only the replay path's callers write; a
+/// store populated when plans still recorded keeps its trace entries,
+/// valid and unread, beside the bundles it serves. The design
 /// follows Nix's libstore discipline:
 ///
 ///  * Entries are addressed by a stable content hash of their *inputs* --
@@ -162,13 +162,11 @@ private:
 // Typed helpers: serialize/deserialize + store in one call.
 //===----------------------------------------------------------------------===//
 
-/// Publishes \p Trace under \p Key (Key.Type must be Trace).
+/// Publishes \p Trace under \p Key (Key.Type must be Trace). Nothing in
+/// the library reads trace entries back; a reader decodes the payload
+/// with EventTrace::load.
 bool putTrace(ArtifactStore &Store, const StoreKey &Key,
               const EventTrace &Trace);
-
-/// Loads and decodes a trace; nullopt on miss or any decode failure.
-std::optional<EventTrace> getTrace(const ArtifactStore &Store,
-                                   const StoreKey &Key);
 
 /// Publishes \p Art under \p Key (Key.Type must be Halo).
 bool putHaloArtifacts(ArtifactStore &Store, const StoreKey &Key,

@@ -8,6 +8,7 @@
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -99,6 +100,14 @@ std::optional<Socket> Socket::accept(int TimeoutMs) {
     fail("accept");
   }
   return Socket(Conn);
+}
+
+void Socket::setSendTimeout(int TimeoutMs) {
+  timeval Tv;
+  Tv.tv_sec = TimeoutMs / 1000;
+  Tv.tv_usec = (TimeoutMs % 1000) * 1000;
+  if (::setsockopt(Fd, SOL_SOCKET, SO_SNDTIMEO, &Tv, sizeof(Tv)) != 0)
+    fail("setsockopt SO_SNDTIMEO");
 }
 
 void Socket::sendAll(const void *Data, size_t Size) {

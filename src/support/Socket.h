@@ -54,8 +54,12 @@ public:
   /// std::nullopt on timeout (the accept loop's stop-flag poll point).
   std::optional<Socket> accept(int TimeoutMs);
 
+  /// Bounds how long one send call may block on a full socket buffer.
+  void setSendTimeout(int TimeoutMs);
+
   /// Sends all \p Size bytes, restarting on EINTR, SIGPIPE suppressed.
-  /// Throws std::runtime_error if the peer is gone or the send fails.
+  /// Throws std::runtime_error if the peer is gone, the send fails, or a
+  /// send blocks past the setSendTimeout bound.
   void sendAll(const void *Data, size_t Size);
 
   /// Receives at most \p Size bytes; 0 means the peer closed cleanly.

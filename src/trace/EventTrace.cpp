@@ -12,6 +12,37 @@
 
 using namespace halo;
 
+/// Decodes the operands of one record whose tag \p Op was already
+/// consumed. Unused fields stay untouched (consumers read only the
+/// operands the op defines).
+static void decodeTraceOperands(EventTrace::Reader &R, TraceOp Op,
+                                TraceEvent &E) {
+  switch (Op) {
+  case TraceOp::Return:
+    break;
+  case TraceOp::Call:
+  case TraceOp::Free:
+  case TraceOp::Compute:
+    E.A = R.varint();
+    break;
+  case TraceOp::Alloc:
+  case TraceOp::LoadBase:
+  case TraceOp::StoreBase:
+  case TraceOp::LoadRaw:
+  case TraceOp::StoreRaw:
+    E.A = R.varint();
+    E.B = R.varint();
+    break;
+  case TraceOp::Load:
+  case TraceOp::Store:
+  case TraceOp::Realloc:
+    E.A = R.varint();
+    E.B = R.varint();
+    E.C = R.varint();
+    break;
+  }
+}
+
 size_t EventTrace::Cursor::fill(TraceEvent *Out, size_t MaxN) {
   size_t N = 0;
   while (N < MaxN && !R.atEnd()) {
@@ -107,8 +138,8 @@ void EventTrace::save(BinaryWriter &W, uint64_t BlockBytes) const {
 }
 
 EventTrace EventTrace::load(BinaryReader &R) {
-  // The trace image spans the remainder of the buffer (store entries end
-  // with the trace payload; getTrace's expectEnd holds the contract).
+  // The trace image spans the remainder of the buffer (a store entry's
+  // payload, or a whole trace file).
   const uint8_t *Image = R.cursor();
   size_t Size = R.remaining();
   TraceIndex Idx = parseTraceIndex(Image, Size);

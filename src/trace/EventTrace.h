@@ -7,13 +7,14 @@
 /// \file
 /// An allocator-independent recording of one workload run's event stream.
 ///
-/// Every `Evaluation::measure` call used to re-execute the workload model
-/// end to end, re-deriving the identical event stream for each allocator
-/// kind x trial x scale. An EventTrace captures that stream once -- as a
-/// flat, compact binary buffer of call/return/alloc/free/access/compute
-/// records -- and `Runtime::replay` re-executes it under any allocator
-/// configuration without the workload logic (the same separation of profile
-/// collection from optimisation that BOLT applies to code layout).
+/// An EventTrace captures a run's stream once -- as a flat, compact binary
+/// buffer of call/return/alloc/free/access/compute records -- and
+/// `Runtime::replay` re-executes it under any allocator configuration
+/// without the workload logic, by making each recorded call again through
+/// the runtime's own entry points (the same separation of profile
+/// collection from optimisation that BOLT applies to code layout). Plans
+/// measure by direct execution; the trace serves the replay path only
+/// (eval/Evaluation.h).
 ///
 /// Allocator independence is what makes the trace replayable: allocations
 /// are recorded as (site, size) with an implicit sequential object id, and
@@ -88,10 +89,8 @@ inline unsigned traceOperandCount(TraceOp Op) {
 
 /// One decoded trace record: the tag plus up to three operands in record
 /// order (A holds the first operand, B the second, C the third; fields
-/// beyond the record's operand count are left untouched). The fixed
-/// stride is what the batch decoder fills and the replay loop consumes --
-/// decode and execution each run over flat arrays instead of alternating
-/// per event.
+/// beyond the record's operand count are left untouched). EventTrace::Cursor
+/// fills arrays of these; Runtime::replay executes them.
 struct TraceEvent {
   TraceOp Op;
   uint64_t A;
@@ -124,7 +123,7 @@ struct TraceCounts {
 /// allocation order to the recording order.
 class EventTrace {
 public:
-  /// Sequential decoder over the buffer (the replay hot loop).
+  /// Sequential decoder over the buffer, under EventTrace::Cursor.
   class Reader {
   public:
     Reader(const uint8_t *Begin, const uint8_t *End) : P(Begin), End(End) {}
@@ -158,16 +157,10 @@ public:
     return Reader(Buffer.data(), Buffer.data() + Buffer.size());
   }
 
-  /// Raw encoded bytes (byteSize() of them): a tag byte per record followed
-  /// by its varint operands. The replay loop decodes straight from here.
-  const uint8_t *data() const { return Buffer.data(); }
-
-  /// Chunked batch decoder: decodes up to N records per fill() into a
+  /// The one record decoder: decodes up to N records per fill() into a
   /// flat fixed-stride TraceEvent buffer, so consumers iterate an array
-  /// instead of alternating decode and execution per record. (The replay
-  /// hot loop in Runtime.cpp goes one step further and fuses decoding
-  /// with address resolution; this cursor is the general-purpose form for
-  /// tools and tests.)
+  /// instead of alternating decode and execution per record. Replay, the
+  /// per-layer benchmark's decode probe and the tests all read through it.
   class Cursor {
   public:
     explicit Cursor(const EventTrace &Trace) : R(Trace.reader()) {}
@@ -233,7 +226,6 @@ public:
   uint32_t numObjects() const { return Objects; }
   /// Encoded record bytes.
   uint64_t byteSize() const { return Buffer.size(); }
-  bool empty() const { return Buffer.empty(); }
 
   // -- Serialization -----------------------------------------------------
   /// Writes the trace to \p W in the on-disk block format
@@ -277,38 +269,6 @@ private:
   TraceCounts Counts;
   ObjectId Objects = 0;
 };
-
-/// Decodes the operands of one record whose tag \p Op was already
-/// consumed. Unused fields stay untouched (consumers read only the
-/// operands the op defines). Shared by EventTrace::Cursor and the
-/// block-streaming MappedTrace::Cursor.
-inline void decodeTraceOperands(EventTrace::Reader &R, TraceOp Op,
-                                TraceEvent &E) {
-  switch (Op) {
-  case TraceOp::Return:
-    break;
-  case TraceOp::Call:
-  case TraceOp::Free:
-  case TraceOp::Compute:
-    E.A = R.varint();
-    break;
-  case TraceOp::Alloc:
-  case TraceOp::LoadBase:
-  case TraceOp::StoreBase:
-  case TraceOp::LoadRaw:
-  case TraceOp::StoreRaw:
-    E.A = R.varint();
-    E.B = R.varint();
-    break;
-  case TraceOp::Load:
-  case TraceOp::Store:
-  case TraceOp::Realloc:
-    E.A = R.varint();
-    E.B = R.varint();
-    E.C = R.varint();
-    break;
-  }
-}
 
 /// Observer that records a run into an EventTrace. The recording runtime
 /// is served by \p Arena, whose addresses encode (object id, offset), so

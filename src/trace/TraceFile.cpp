@@ -10,13 +10,9 @@
 #include "support/Lz.h"
 
 #include <cassert>
-#include <cerrno>
-#include <cstring>
-
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
+#include <fstream>
+#include <iterator>
+#include <stdexcept>
 
 using namespace halo;
 
@@ -199,105 +195,16 @@ TraceIndex halo::parseTraceIndex(const uint8_t *Data, size_t Size) {
 // MappedTrace
 //===----------------------------------------------------------------------===//
 
-MappedTrace &MappedTrace::operator=(MappedTrace &&Other) noexcept {
-  if (this != &Other) {
-    if (Map)
-      ::munmap(Map, Size);
-    Map = Other.Map;
-    Size = Other.Size;
-    Blocks = Other.Blocks;
-    Idx = std::move(Other.Idx);
-    Other.Map = nullptr;
-    Other.Size = 0;
-    Other.Blocks = nullptr;
-  }
-  return *this;
-}
-
-MappedTrace::~MappedTrace() {
-  if (Map)
-    ::munmap(Map, Size);
-}
-
 MappedTrace MappedTrace::open(const std::string &Path) {
-  int Fd = ::open(Path.c_str(), O_RDONLY);
-  if (Fd < 0)
+  std::ifstream In(Path, std::ios::binary);
+  if (!In)
     throw std::runtime_error("trace file: cannot open " + Path);
-  struct stat St;
-  if (::fstat(Fd, &St) != 0 || !S_ISREG(St.st_mode)) {
-    ::close(Fd);
-    throw std::runtime_error("trace file: cannot stat " + Path);
-  }
-  size_t Size = static_cast<size_t>(St.st_size);
-  if (Size == 0) {
-    ::close(Fd);
-    throw SerializationError("trace file: empty image");
-  }
-  void *Base = ::mmap(nullptr, Size, PROT_READ, MAP_PRIVATE, Fd, 0);
-  ::close(Fd);
-  if (Base == MAP_FAILED)
-    throw std::runtime_error("trace file: mmap failed for " + Path + ": " +
-                             std::strerror(errno));
+  std::vector<uint8_t> Image((std::istreambuf_iterator<char>(In)),
+                             std::istreambuf_iterator<char>());
+  if (In.bad())
+    throw std::runtime_error("trace file: cannot read " + Path);
+  BinaryReader R(Image);
   MappedTrace T;
-  T.Map = Base;
-  T.Size = Size;
-  ::madvise(Base, Size, MADV_SEQUENTIAL);
-  // The destructor unmaps on any validation throw below.
-  const uint8_t *Data = static_cast<const uint8_t *>(Base);
-  T.Idx = parseTraceIndex(Data, Size);
-  T.Blocks = Data + TraceHeaderBytes;
-  // One streaming pass verifies every payload byte against its block
-  // checksum, so later decodes need no re-verification. Consumed pages
-  // are dropped as the pass advances past each block (they re-fault from
-  // the page cache if decoding follows), keeping the pass itself bounded.
-  for (const TraceBlockInfo &B : T.Idx.Blocks) {
-    if (fnv1a(T.Blocks + B.FileOffset, static_cast<size_t>(B.CompBytes)) !=
-        B.Checksum)
-      badTrace("block checksum mismatch");
-    if (T.Size >= (64u << 20))
-      T.releaseBlock(static_cast<size_t>(&B - T.Idx.Blocks.data()));
-  }
+  static_cast<EventTrace &>(T) = EventTrace::load(R);
   return T;
-}
-
-void MappedTrace::decodeBlock(size_t B, std::vector<uint8_t> &Scratch) const {
-  const TraceBlockInfo &Info = Idx.Blocks[B];
-  Scratch.resize(static_cast<size_t>(Info.RawBytes));
-  const uint8_t *Payload = Blocks + Info.FileOffset;
-  if (Info.Method == 0)
-    std::memcpy(Scratch.data(), Payload, static_cast<size_t>(Info.CompBytes));
-  else
-    lz::decompress(Payload, static_cast<size_t>(Info.CompBytes),
-                   Scratch.data(), Scratch.size());
-}
-
-void MappedTrace::releaseBlock(size_t B) const {
-  const TraceBlockInfo &Info = Idx.Blocks[B];
-  uint64_t Page = static_cast<uint64_t>(::sysconf(_SC_PAGESIZE));
-  uintptr_t Begin = reinterpret_cast<uintptr_t>(Blocks + Info.FileOffset);
-  uintptr_t End = Begin + static_cast<uintptr_t>(Info.CompBytes);
-  // Only drop wholly-contained pages: the edges are shared with the
-  // neighbouring blocks (or the header/footer).
-  Begin = (Begin + Page - 1) & ~(Page - 1);
-  End &= ~(Page - 1);
-  if (Begin < End)
-    ::madvise(reinterpret_cast<void *>(Begin), End - Begin, MADV_DONTNEED);
-}
-
-size_t MappedTrace::Cursor::fill(TraceEvent *Out, size_t MaxN) {
-  size_t N = 0;
-  while (N < MaxN) {
-    if (R.atEnd()) {
-      if (NextBlock > 0)
-        T->releaseBlock(NextBlock - 1);
-      if (NextBlock == T->numBlocks())
-        break;
-      T->decodeBlock(NextBlock++, Scratch);
-      R = EventTrace::Reader(Scratch.data(), Scratch.data() + Scratch.size());
-    }
-    TraceEvent &E = Out[N++];
-    E.Op = R.op();
-    decodeTraceOperands(R, E.Op, E);
-  }
-  return N;
 }

@@ -6,10 +6,11 @@
 ///
 /// \file
 /// The serialized EventTrace format (version 2): what EventTrace::save
-/// writes, EventTrace::load reads, and the artifact store keeps as a trace
-/// entry's payload. Measurement always replays the in-RAM EventTrace; the
-/// block structure exists so a saved image is compact (each block
-/// LZ-compressed) and every byte of it is checksummed.
+/// writes, EventTrace::load -- the one reader of saved traces -- reads,
+/// and the artifact store keeps as a trace entry's payload. Replay always
+/// runs on an in-RAM EventTrace; the block structure exists so a saved
+/// image is compact (each block LZ-compressed) and every byte of it is
+/// checksummed.
 ///
 /// Layout (all multi-byte integers little-endian, varints LEB128):
 ///
@@ -100,7 +101,7 @@ struct TraceIndex {
 /// with the per-block entries, monotone first-object/first-realloc
 /// ordinals. Throws SerializationError on any mismatch. Per-block payload
 /// checksums are NOT verified here (that needs a pass over the payload
-/// bytes; EventTrace::load and MappedTrace::open each make it once).
+/// bytes, which EventTrace::load makes as it decodes each block).
 TraceIndex parseTraceIndex(const uint8_t *Data, size_t Size);
 
 /// Writes a trace image into a BinaryWriter block by block (the writer
@@ -135,68 +136,17 @@ private:
   bool Finished = false;
 };
 
-/// A read-only trace file, mmap'd: a decoder for saved images that never
-/// holds the whole decoded trace (tools and the per-layer benchmark's
-/// decode probe; measurement replays the in-RAM EventTrace). open()
-/// validates the image completely -- index structure plus every block
-/// checksum, one streaming pass -- so a MappedTrace in hand is known-good
-/// and the cursor can skip re-verification. The cursor decodes one block
-/// at a time into a reused scratch buffer and releases the consumed file
-/// pages, keeping resident memory bounded by a couple of blocks.
-class MappedTrace {
+/// A trace file read back into memory: the file's bytes decoded by
+/// EventTrace::load, so opening validates the whole image (index plus
+/// every block checksum) and a MappedTrace in hand is an EventTrace like
+/// any other -- its cursor is EventTrace::Cursor. The name is historical:
+/// nothing is mapped.
+class MappedTrace : public EventTrace {
 public:
-  MappedTrace() = default;
-  MappedTrace(MappedTrace &&Other) noexcept { *this = std::move(Other); }
-  MappedTrace &operator=(MappedTrace &&Other) noexcept;
-  MappedTrace(const MappedTrace &) = delete;
-  MappedTrace &operator=(const MappedTrace &) = delete;
-  ~MappedTrace();
-
-  /// Maps and validates the whole file at \p Path as a trace image.
+  /// Reads and decodes the whole file at \p Path as a trace image.
   /// Throws SerializationError on any validation failure and
-  /// std::runtime_error when the file cannot be opened or mapped.
+  /// std::runtime_error when the file cannot be read.
   static MappedTrace open(const std::string &Path);
-
-  uint64_t numEvents() const { return Idx.Counts.total(); }
-  uint32_t numObjects() const { return static_cast<uint32_t>(Idx.Objects); }
-  /// Total decoded (raw varint-record) bytes across all blocks.
-  uint64_t rawBytes() const { return Idx.TotalRawBytes; }
-  size_t numBlocks() const { return Idx.Blocks.size(); }
-
-  /// Block-streaming batch decoder, the MappedTrace counterpart of
-  /// EventTrace::Cursor: fill() decodes records into a flat TraceEvent
-  /// buffer, pulling blocks through one internal scratch as needed.
-  class Cursor {
-  public:
-    explicit Cursor(const MappedTrace &Trace) : T(&Trace) {}
-
-    bool atEnd() const { return R.atEnd() && NextBlock == T->numBlocks(); }
-
-    /// Decodes up to \p MaxN records into \p Out; returns how many were
-    /// decoded (0 only at the end of the trace).
-    size_t fill(TraceEvent *Out, size_t MaxN);
-
-  private:
-    const MappedTrace *T;
-    size_t NextBlock = 0;
-    std::vector<uint8_t> Scratch;
-    EventTrace::Reader R{nullptr, nullptr};
-  };
-
-  Cursor cursor() const { return Cursor(*this); }
-
-private:
-  /// Decodes block \p B into \p Scratch (resized to the block's raw
-  /// byte count).
-  void decodeBlock(size_t B, std::vector<uint8_t> &Scratch) const;
-
-  /// Tells the kernel block \p B's file pages are dead to this reader.
-  void releaseBlock(size_t B) const;
-
-  void *Map = nullptr; ///< mmap base (page aligned): the image itself.
-  size_t Size = 0;
-  const uint8_t *Blocks = nullptr; ///< Block region start (Map + 8).
-  TraceIndex Idx;
 };
 
 } // namespace halo

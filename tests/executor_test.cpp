@@ -38,8 +38,9 @@ TEST(ResolveJobs, ZeroMeansHardwareConcurrencyAndNeverLessThanOne) {
   unsigned Resolved = resolveJobs(0);
   EXPECT_GE(Resolved, 1u);
   unsigned Hw = std::thread::hardware_concurrency();
-  if (Hw > 0)
+  if (Hw > 0) {
     EXPECT_EQ(Resolved, Hw);
+  }
 }
 
 namespace {
@@ -77,8 +78,9 @@ TEST(ResolveJobs, EnvZeroMeansHardwareConcurrency) {
   ScopedHaloJobs Env("0");
   EXPECT_EQ(resolveJobs(0), resolveJobs(0));
   unsigned Hw = std::thread::hardware_concurrency();
-  if (Hw > 0)
+  if (Hw > 0) {
     EXPECT_EQ(resolveJobs(0), Hw);
+  }
   EXPECT_GE(resolveJobs(0), 1u);
 }
 

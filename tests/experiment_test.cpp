@@ -364,7 +364,7 @@ TEST(RunPlan, EveryCellMatchesTheMeasureTrialsOracle) {
   ExperimentPlan Plan = buildPlan({mixedSpec()});
   ResultSet Results = runPlan(Plan, /*Jobs=*/2);
 
-  for (const std::string &Name : {"ft", "health"}) {
+  for (const char *Name : {"ft", "health"}) {
     Evaluation Oracle(paperSetup(Name));
     for (const char *MachineName : {"xeon-w2195", "mobile"})
       for (AllocatorKind Kind :

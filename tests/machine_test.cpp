@@ -246,7 +246,8 @@ TEST(MachineMeasurement, OneTraceReplaysUnderEveryMachine) {
     // The trace is machine-independent: one recording, no re-recording.
     EXPECT_EQ(&Eval.trace(Scale::Test, 7), &Recorded);
     // The event stream is identical on every machine...
-    RunMetrics Default = Eval.measure(AllocatorKind::Jemalloc, Scale::Test, 7);
+    RunMetrics Default = Eval.measure(defaultMachine(), AllocatorKind::Jemalloc,
+                                      Scale::Test, 7);
     EXPECT_EQ(R.Events.Allocs, Default.Events.Allocs) << M.Name;
     EXPECT_EQ(R.Events.Loads, Default.Events.Loads) << M.Name;
     EXPECT_EQ(R.Events.Stores, Default.Events.Stores) << M.Name;

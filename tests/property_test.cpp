@@ -177,8 +177,9 @@ struct SizeClassModel {
     for (uint64_t X : {Probe, Probe + MinAlign}) {
       auto It = Live.find(X);
       EXPECT_EQ(A.owns(X), It != Live.end()) << X;
-      if (It != Live.end())
+      if (It != Live.end()) {
         EXPECT_EQ(A.usableSize(X), It->second.second) << X;
+      }
     }
   }
 };
@@ -396,8 +397,9 @@ TEST_P(AllocatorFuzzSweep, GroupAllocatorMixedTraffic) {
             if (Model.Live.count(X) || !BackingModel.Live.count(X)) {
               auto It = Model.Live.find(X);
               ASSERT_EQ(GA.owns(X), It != Model.Live.end()) << X;
-              if (It != Model.Live.end())
+              if (It != Model.Live.end()) {
                 EXPECT_EQ(GA.usableSize(X), It->second);
+              }
             }
           BackingModel.expectMatches(Backing, Addr);
           ASSERT_EQ(GA.groupedLiveBytes(), Model.Bytes);

@@ -9,6 +9,9 @@
 // same spec -- across machines, all allocator kinds, concurrent clients,
 // a warm artifact store, and a cancel on a neighbouring client. A warm
 // served plan runs only its measurements and leaves the store untouched.
+// A client that stops reading, or vanishes mid-stream, holds no other
+// client back: a send to it gives up after the session's send timeout
+// and its plans end cancelled.
 // Client layer, against a scripted daemon: whatever reply the client is
 // reading for, an in-flight plan's frames are kept for its wait(), and
 // wait() rejects cells the plan never promised and an Ok plan that comes
@@ -21,20 +24,25 @@
 #include "serve/Server.h"
 #include "serve/Session.h"
 #include "eval/Experiment.h"
+#include "sim/Machine.h"
 #include "support/Socket.h"
 
 #include <gtest/gtest.h>
 
 #include <dirent.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -186,6 +194,67 @@ TEST(ServeProtocol, CellResultPreservesMetricBitPatterns) {
   EXPECT_EQ(R.Cycles, D.Runs[0].Cycles);
   EXPECT_EQ(R.Mem.L1Misses, D.Runs[0].Mem.L1Misses);
   EXPECT_EQ(R.Frag.PeakResident, D.Runs[0].Frag.PeakResident);
+}
+
+/// Ends the test binary with a failure if the enclosing scope is still
+/// running after \p Seconds: a hang in the code under test becomes a
+/// failed test instead of a stuck suite.
+class Watchdog {
+public:
+  Watchdog(int Seconds, std::string What)
+      : Thread([this, Seconds, What] {
+          std::unique_lock<std::mutex> Lock(Mu);
+          if (!Cv.wait_for(Lock, std::chrono::seconds(Seconds),
+                           [this] { return Done; })) {
+            std::fprintf(stderr, "watchdog: %s still running after %d s\n",
+                         What.c_str(), Seconds);
+            std::_Exit(1);
+          }
+        }) {}
+  ~Watchdog() {
+    {
+      std::lock_guard<std::mutex> Lock(Mu);
+      Done = true;
+    }
+    Cv.notify_all();
+    Thread.join();
+  }
+
+private:
+  std::mutex Mu;
+  std::condition_variable Cv;
+  bool Done = false;
+  std::thread Thread;
+};
+
+double secondsSince(std::chrono::steady_clock::time_point Start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       Start)
+      .count();
+}
+
+TEST(ServeSession, SendToAPeerThatStopsReadingTimesOut) {
+  // A frame larger than the socket buffer, to a peer that never reads:
+  // send() must give up within the session's send timeout instead of
+  // blocking its caller -- a daemon worker holding the session's write
+  // lock -- for as long as the peer waits, and must leave the session
+  // dead with its socket shut down.
+  Watchdog Guard(60, "ServeSession::send to a stalled peer");
+  Pair P;
+  ServeSession S(1, std::move(P.A));
+  std::vector<uint8_t> Payload(4u << 20, 0x5A);
+  auto Start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(S.send(MsgType::CellResult, Payload));
+  EXPECT_LT(secondsSince(Start), 15.0);
+  EXPECT_FALSE(S.alive());
+  EXPECT_FALSE(S.send(MsgType::PlanDone, {}));
+  // The peer reads what arrived, then end-of-stream: the frame is cut.
+  std::vector<uint8_t> Buf(1u << 16);
+  size_t Received = 0;
+  while (size_t N = P.B.recvSome(Buf.data(), Buf.size()))
+    Received += N;
+  EXPECT_GT(Received, 0u);
+  EXPECT_LT(Received, Payload.size());
 }
 
 //===----------------------------------------------------------------------===//
@@ -513,6 +582,89 @@ TEST_F(ServeDaemonTest, ClientShutdownStopsTheDaemon) {
   std::string Cmd = "rm -rf '" + Dir + "'";
   (void)std::system(Cmd.c_str());
   Dir.clear();
+}
+
+/// Connects a raw session and completes the handshake.
+Socket rawSession(const std::string &SocketPath) {
+  Socket S = Socket::connectUnix(SocketPath);
+  writeFrame(S, MsgType::Hello, encodeHello(ServeProtocolVersion));
+  std::optional<Frame> Ack = readFrame(S);
+  EXPECT_TRUE(Ack && Ack->Type == MsgType::HelloAck);
+  return S;
+}
+
+/// Bytes that reached \p S and have not been read.
+int unreadBytes(const Socket &S) {
+  int N = 0;
+  EXPECT_EQ(0, ::ioctl(S.fd(), FIONREAD, &N));
+  return N;
+}
+
+/// A plan whose result stream overflows a socket buffer: 12 cells of 200
+/// cheap runs each (about 28 KiB a frame, 340 KiB in all, past Linux's
+/// default 208 KiB) and no pipeline to wait for.
+PlanRequest floodRequest() {
+  PlanRequest R;
+  R.Benchmarks = {"health"};
+  for (const MachineConfig &M : machinePresets())
+    R.Machines.push_back(M.Name);
+  R.Kinds = {AllocatorKind::Jemalloc, AllocatorKind::Ptmalloc,
+             AllocatorKind::RandomPools};
+  R.S = Scale::Test;
+  R.Trials = 200;
+  return R;
+}
+
+TEST_F(ServeDaemonTest, StalledAndVanishedClientsDoNotHoldOthersBack) {
+  Watchdog Guard(120, "a client behind a stalled one");
+  start();
+  // A submits and never reads again. Once its socket buffer is full the
+  // unread bytes stop growing: every send to A blocks from then on.
+  Socket Stalled = rawSession(SocketPath);
+  writeFrame(Stalled, MsgType::SubmitPlan, encodePlanRequest(floodRequest()));
+  int Unread = -1;
+  for (int Steady = 0; Steady < 15;) {
+    ::usleep(200000);
+    int Now = unreadBytes(Stalled);
+    Steady = Now == Unread ? Steady + 1 : 0;
+    Unread = Now;
+  }
+  EXPECT_GT(Unread, 1024); // Cells streamed before the stall.
+
+  // C disconnects mid-stream, right after its first cell.
+  {
+    Socket Vanished = rawSession(SocketPath);
+    writeFrame(Vanished, MsgType::SubmitPlan,
+               encodePlanRequest(floodRequest()));
+    std::optional<Frame> Queued = readFrame(Vanished);
+    ASSERT_TRUE(Queued && Queued->Type == MsgType::PlanQueued);
+    std::optional<Frame> Cell = readFrame(Vanished);
+    ASSERT_TRUE(Cell && Cell->Type == MsgType::CellResult);
+  }
+
+  // B is served promptly, behind neither.
+  HaloClient Client = connect();
+  PlanRequest RB;
+  RB.Benchmarks = {"health"};
+  RB.Kinds = {AllocatorKind::Jemalloc};
+  RB.S = Scale::Test;
+  RB.Trials = 1;
+  auto Start = std::chrono::steady_clock::now();
+  PlanOutcome Outcome = Client.wait(Client.submit(RB));
+  EXPECT_LT(secondsSince(Start), 15.0);
+  EXPECT_EQ(PlanStatus::Ok, Outcome.Status);
+  EXPECT_EQ(1u, Outcome.CellsReceived);
+
+  // Both abandoned plans end cancelled once their in-flight tasks return.
+  DaemonStats St = Client.stats();
+  while (St.PlansCancelled < 2 && secondsSince(Start) < 60) {
+    ::usleep(50000);
+    St = Client.stats();
+  }
+  EXPECT_EQ(3u, St.PlansSubmitted);
+  EXPECT_EQ(2u, St.PlansCancelled);
+  EXPECT_EQ(1u, St.PlansCompleted);
+  EXPECT_EQ(0u, St.PlansFailed);
 }
 
 //===----------------------------------------------------------------------===//

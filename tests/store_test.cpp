@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -252,20 +253,24 @@ TEST(StoreRoundTrip, TraceLoadsBitIdenticalAndResavesByteIdentical) {
   TempStore Store;
   StoreKey Key = traceStoreKey("ft", Scale::Test, 1);
   ASSERT_TRUE(putTrace(*Store, Key, Original));
-  std::optional<EventTrace> Loaded = getTrace(*Store, Key);
-  ASSERT_TRUE(Loaded.has_value());
+  std::optional<std::vector<uint8_t>> Stored = Store->get(Key);
+  ASSERT_TRUE(Stored.has_value());
+  BinaryReader R(*Stored);
+  EventTrace Loaded = EventTrace::load(R);
+  R.expectEnd("event trace");
 
   // The loaded trace re-serializes to exactly the stored bytes: nothing
   // about it is an approximation of the original.
   BinaryWriter Resaved;
-  Loaded->save(Resaved);
-  EXPECT_EQ(Resaved.buffer(), *Store->get(Key));
+  Loaded.save(Resaved);
+  EXPECT_EQ(Resaved.buffer(), *Stored);
 
   // And it drives a bit-identical measurement through a fresh Evaluation.
   Evaluation Warm(paperSetup("ft"));
-  Warm.addTrace(Scale::Test, 1, std::move(*Loaded));
-  RunMetrics Cold = Eval.measure(AllocatorKind::Jemalloc, Scale::Test, 1);
-  RunMetrics WarmRun = Warm.measure(AllocatorKind::Jemalloc, Scale::Test, 1);
+  Warm.addTrace(Scale::Test, 1, std::move(Loaded));
+  const MachineConfig &M = defaultMachine();
+  RunMetrics Cold = Eval.measure(M, AllocatorKind::Jemalloc, Scale::Test, 1);
+  RunMetrics WarmRun = Warm.measure(M, AllocatorKind::Jemalloc, Scale::Test, 1);
   EXPECT_EQ(Cold.Cycles, WarmRun.Cycles);
   EXPECT_EQ(Cold.Mem.L1Misses, WarmRun.Mem.L1Misses);
   EXPECT_EQ(Cold.Mem.TlbMisses, WarmRun.Mem.TlbMisses);
@@ -423,6 +428,67 @@ TEST(StoreCorruption, HostileCountsReadAsAbsentAndPlansReprofile) {
   EXPECT_TRUE(getHdsArtifacts(*Store, HdsKey).has_value());
 }
 
+TEST(StoreCorruption, BundlesNamingWhatTheProgramLacksReadAsAbsent) {
+  // Checksummed HALO entries that decode but name what the program lacks
+  // -- an identified site past its call sites, a selector site that is
+  // not identified -- must read as absent instead of indexing past the
+  // instrumentation plan or shifting by a missing bit, so a plan over
+  // them re-profiles and republishes, bit-identically to a storeless run.
+  TempStore Store;
+  ExperimentSpec Spec;
+  Spec.Benchmarks = {"ft", "health"};
+  Spec.Kinds = {AllocatorKind::Halo};
+  Spec.S = Scale::Test;
+  Spec.Trials = 2;
+  Evaluation Ft(paperSetup("ft")), Health(paperSetup("health"));
+  auto KeyOf = [](const Evaluation &E) {
+    const BenchmarkSetup &S = E.setup();
+    return haloStoreKey(S.Name, S.ProfileScale, S.ProfileSeed, S.Halo);
+  };
+
+  HaloArtifacts PastTheProgram = Ft.haloArtifacts();
+  PastTheProgram.Identification.Sites.push_back(
+      Ft.program().numCallSites() + 4096);
+  HaloArtifacts Unidentified = Health.haloArtifacts();
+  const std::vector<Selector> &Selectors =
+      Unidentified.Identification.Selectors;
+  ASSERT_FALSE(Selectors.empty());
+  ASSERT_FALSE(Selectors[0].Terms.empty());
+  ASSERT_FALSE(Selectors[0].Terms[0].Sites.empty());
+  CallSiteId Used = Selectors[0].Terms[0].Sites[0];
+  std::vector<CallSiteId> &Sites = Unidentified.Identification.Sites;
+  Sites.erase(std::remove(Sites.begin(), Sites.end(), Used), Sites.end());
+  ASSERT_TRUE(putHaloArtifacts(*Store, KeyOf(Ft), PastTheProgram));
+  ASSERT_TRUE(putHaloArtifacts(*Store, KeyOf(Health), Unidentified));
+  EXPECT_FALSE(getHaloArtifacts(*Store, KeyOf(Ft), Ft.program()).has_value());
+  EXPECT_FALSE(
+      getHaloArtifacts(*Store, KeyOf(Health), Health.program()).has_value());
+
+  // A group member past the context table is rejected the same way
+  // (groupsAsDot indexes by it).
+  HaloArtifacts PastTheContexts = Ft.haloArtifacts();
+  ASSERT_FALSE(PastTheContexts.Groups.empty());
+  PastTheContexts.Groups[0].Members.push_back(PastTheContexts.Contexts.size());
+  BinaryWriter W;
+  saveHaloArtifacts(PastTheContexts, W);
+  BinaryReader R(W.buffer());
+  EXPECT_THROW(loadHaloArtifacts(R, Ft.program()), SerializationError);
+
+  ExperimentPlan Plan = buildPlan({Spec}, {}, &*Store);
+  EXPECT_EQ(Plan.numStoredArtifacts(), 2u);
+  ResultSet Healed = runPlan(Plan, /*Jobs=*/2);
+  ExperimentPlan PlainPlan = buildPlan({Spec});
+  ResultSet Plain = runPlan(PlainPlan, /*Jobs=*/1);
+  ASSERT_EQ(Healed.size(), Plain.size());
+  for (size_t C = 0; C < Plain.size(); ++C) {
+    SCOPED_TRACE("cell " + std::to_string(C));
+    expectSameRuns(Plain.cells()[C].Runs, Healed.cells()[C].Runs);
+  }
+  EXPECT_TRUE(getHaloArtifacts(*Store, KeyOf(Ft), Ft.program()).has_value());
+  EXPECT_TRUE(
+      getHaloArtifacts(*Store, KeyOf(Health), Health.program()).has_value());
+}
+
 TEST(StoreCorruption, JunkFilesListWithoutAType) {
   // A file whose entry header does not decode has no type: listing it as
   // any artifact type would make `store ls` claim the store holds one.
@@ -501,7 +567,7 @@ TEST(StoreTraceFiles, CorruptTraceEntriesReadAsAbsent) {
 
   for (const StoreKey &Key : {Flipped, Truncated, Mismatched}) {
     SCOPED_TRACE(Key.Label);
-    EXPECT_FALSE(getTrace(*Store, Key).has_value());
+    EXPECT_FALSE(Store->get(Key).has_value());
     EXPECT_FALSE(Store->contains(Key));
   }
   // gc sweeps all three.

@@ -3,8 +3,9 @@
 // The saved-trace contract, pinned from the bottom up: the LZ block codec
 // round-trips and rejects malformed streams; save/load round-trips and
 // re-saving reproduces the bytes; the footer index describes exactly the
-// blocks; corruption of any byte is detected at open(); and the mapped
-// cursor decodes record-for-record what the in-RAM cursor decodes.
+// blocks; and a trace file opened with MappedTrace::open is a loaded
+// trace: corruption of any byte is rejected at open(), and its cursor
+// decodes record-for-record what the recording's cursor decodes.
 //
 //===----------------------------------------------------------------------===//
 
@@ -199,8 +200,9 @@ TEST(TraceFileFormat, IndexDescribesExactlyTheBlocks) {
     EXPECT_EQ(Blk.FileOffset, Comp);
     EXPECT_GT(Blk.Events, 0u);
     // Every block but the last reached the cut threshold.
-    if (B + 1 < Idx.Blocks.size())
+    if (B + 1 < Idx.Blocks.size()) {
       EXPECT_GE(Blk.RawBytes, 1024u);
+    }
     Events += Blk.Events;
     Raw += Blk.RawBytes;
     Comp += Blk.CompBytes;
@@ -253,37 +255,30 @@ TEST(TraceFileFormat, OpenRejectsEveryCorruption) {
 }
 
 //===----------------------------------------------------------------------===//
-// Mapped decode
+// Opened-file decode
 //===----------------------------------------------------------------------===//
 
 TEST(MappedTraceDecode, CursorMatchesInRamCursorAcrossBlockBoundaries) {
   EventTrace Trace = recordTrace("health", Scale::Test, 6);
+  std::vector<uint8_t> Saved = saveBytes(Trace, /*BlockBytes=*/2048);
+  ASSERT_GT(parseTraceIndex(Saved.data(), Saved.size()).Blocks.size(), 2u);
   TempFile File;
-  writeFile(File.path(), saveBytes(Trace, /*BlockBytes=*/2048));
-  MappedTrace Mapped = MappedTrace::open(File.path());
-  ASSERT_GT(Mapped.numBlocks(), 2u);
-  EXPECT_EQ(Mapped.numEvents(), Trace.numEvents());
-  EXPECT_EQ(Mapped.numObjects(), Trace.numObjects());
-  EXPECT_EQ(Mapped.rawBytes(), Trace.byteSize());
+  writeFile(File.path(), Saved);
+  MappedTrace Opened = MappedTrace::open(File.path());
+  EXPECT_EQ(Opened.numEvents(), Trace.numEvents());
+  EXPECT_EQ(Opened.numObjects(), Trace.numObjects());
+  EXPECT_EQ(Opened.byteSize(), Trace.byteSize());
 
   // Chunk sizes chosen to land fills on, before, and after block cuts.
   for (size_t ChunkSize : {1u, 13u, 4096u}) {
     SCOPED_TRACE("chunk " + std::to_string(ChunkSize));
     EventTrace::Cursor InRam = Trace.cursor();
-    MappedTrace::Cursor OnDisk = Mapped.cursor();
+    MappedTrace::Cursor OnDisk = Opened.cursor();
     std::vector<TraceEvent> A(ChunkSize), B(ChunkSize);
     uint64_t Total = 0;
     for (;;) {
       size_t NB = OnDisk.fill(B.data(), ChunkSize);
-      size_t Want = NB;
-      size_t NA = 0;
-      // The in-RAM cursor sees no block seams; match its fill sizes.
-      while (NA < Want) {
-        size_t Got = InRam.fill(A.data() + NA, Want - NA);
-        if (!Got)
-          break;
-        NA += Got;
-      }
+      size_t NA = InRam.fill(A.data(), ChunkSize);
       ASSERT_EQ(NA, NB);
       if (!NB)
         break;

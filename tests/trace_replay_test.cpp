@@ -6,9 +6,11 @@
 // under that configuration. Plans measure and profile by direct execution
 // (Evaluation::measureDirect, Evaluation::haloArtifacts); replay stays
 // for the per-layer benchmark driver, and these tests keep it equal to
-// direct execution -- including the pipelines: artifacts profiled from a
-// trace save to the same bytes as artifacts profiled from a direct run,
-// which is what keeps store entries published from traces valid.
+// direct execution -- down to every observer callback, since replay
+// re-executes the recorded run through the runtime's own entry points --
+// including the pipelines: artifacts profiled from a trace save to the
+// same bytes as artifacts profiled from a direct run, which is what keeps
+// store entries published from traces valid.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +22,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <tuple>
+#include <utility>
 
 using namespace halo;
 
@@ -82,7 +87,8 @@ TEST_P(TraceReplayTest, ReplayMatchesDirectExecutionUnderEveryAllocator) {
   Evaluation Eval(paperSetup(GetParam()));
   for (AllocatorKind Kind : AllKinds) {
     RunMetrics Direct = Eval.measureDirect(Kind, Scale::Test, 7);
-    RunMetrics Replayed = Eval.measure(Kind, Scale::Test, 7);
+    RunMetrics Replayed =
+        Eval.measure(Eval.setup().Machine, Kind, Scale::Test, 7);
     expectSameMetrics(Direct, Replayed,
                       GetParam() + " under " + kindName(Kind));
   }
@@ -273,107 +279,130 @@ TEST(TraceReplay, CursorChunkDecodeMatchesReaderDecode) {
   }
 }
 
-TEST(TraceReplay, ObservedReplayDeliversBatchesInRecordingOrder) {
-  // An observer attached to a replaying runtime must see every event in
-  // recording order, with access runs arriving through onAccessBatch.
-  // The interleaved event sequence (not just totals) is compared against
-  // a straight decode of the trace, so a dropped Strict flush -- which
-  // would reorder accesses against calls/computes while keeping every
-  // count intact -- fails here.
-  auto W = createWorkload("ft");
-  Program P;
-  W->build(P);
-  EventTrace Trace;
-  {
-    RecordingArena Arena;
-    Runtime RT(P, Arena);
-    TraceRecorder Recorder(Trace, Arena);
-    RT.addObserver(&Recorder);
-    W->run(RT, Scale::Test, 2);
+namespace {
+
+/// Every callback a runtime makes, flattened into one word stream: a tag,
+/// then the callback's arguments.
+class CallbackLog final : public RuntimeObserver {
+public:
+  std::vector<uint64_t> Seq;
+
+  void onCall(CallSiteId Site) override { log('C', Site); }
+  void onReturn(CallSiteId Site) override { log('R', Site); }
+  void onAlloc(uint64_t Addr, uint64_t Size, CallSiteId Site) override {
+    log('M', Addr, Size, Site);
+  }
+  void onFree(uint64_t Addr) override { log('F', Addr); }
+  void onAccess(uint64_t Addr, uint64_t Size, bool IsStore) override {
+    log(IsStore ? 'S' : 'L', Addr, Size);
+  }
+  void onCompute(uint64_t Cycles) override { log('P', Cycles); }
+  // A direct run never batches, so a batch in a replay shows as a
+  // difference rather than being forwarded to onAccess.
+  void onAccessBatch(const MemAccess *Batch, size_t N) override {
+    for (size_t I = 0; I < N; ++I)
+      log('A', Batch[I].Addr, Batch[I].Size, Batch[I].IsStore);
+  }
+  void onReallocBegin(uint64_t OldAddr, uint64_t NewSize,
+                      CallSiteId Site) override {
+    log('B', OldAddr, NewSize, Site);
+  }
+  void onReallocEnd(uint64_t NewAddr) override { log('E', NewAddr); }
+
+private:
+  template <typename... Ts> void log(char Tag, Ts... Args) {
+    Seq.push_back(static_cast<uint64_t>(Tag));
+    (Seq.push_back(static_cast<uint64_t>(Args)), ...);
+  }
+};
+
+/// The paths no registered model takes: growing and shrinking reallocs,
+/// calloc's zeroing stores, non-heap traffic, under a call.
+class ReallocWorkload final : public Workload {
+public:
+  std::string name() const override { return "realloc"; }
+  void build(Program &P) override {
+    FunctionId Main = P.addFunction("main");
+    FunctionId Grow = P.addFunction("grow");
+    SGrow = P.addCallSite(Main, Grow, "main>grow");
+    SMalloc = P.addMallocSite(Grow, "grow>malloc");
+  }
+  void run(Runtime &RT, Scale, uint64_t Seed) override {
+    Runtime::Scope Call(RT, SGrow);
+    uint64_t Buf = RT.calloc(4, 16, SMalloc);
+    for (uint64_t Size = 72 + Seed; Size < 20000; Size = Size * 3 / 2) {
+      Buf = RT.realloc(Buf, Size, SMalloc);
+      RT.store(Buf + Size / 2, 8);
+      RT.load(0x1000 + Size % 512, 8); // Stack traffic: recorded raw.
+      RT.compute(Size % 97);
+    }
+    Buf = RT.realloc(Buf, 40, SMalloc);
+    RT.load(Buf, 40);
+    RT.free(Buf);
   }
 
-  // One token per observable event, in delivery order; access batches
-  // flatten to one token per access (with the store flag).
-  struct SequenceObserver final : RuntimeObserver {
-    std::vector<std::pair<char, uint64_t>> Seq;
-    uint64_t Batches = 0;
-    void onCall(CallSiteId Site) override { Seq.emplace_back('C', Site); }
-    void onReturn(CallSiteId) override { Seq.emplace_back('R', 0); }
-    void onAlloc(uint64_t, uint64_t Size, CallSiteId) override {
-      Seq.emplace_back('M', Size);
-    }
-    void onFree(uint64_t) override { Seq.emplace_back('F', 0); }
-    void onCompute(uint64_t Cycles) override { Seq.emplace_back('P', Cycles); }
-    void onAccessBatch(const MemAccess *Batch, size_t N) override {
-      ++Batches;
-      for (size_t I = 0; I < N; ++I)
-        Seq.emplace_back(Batch[I].IsStore ? 'S' : 'L', Batch[I].Size);
-    }
-  };
+private:
+  CallSiteId SGrow = InvalidId, SMalloc = InvalidId;
+};
 
-  SizeClassAllocator Alloc;
+/// The callbacks of one run of \p W on a fresh runtime over a fresh
+/// \p AllocT: the direct run, or the replay of \p Trace when it is given.
+template <typename AllocT>
+std::vector<uint64_t> callbacks(const Program &P, Workload &W,
+                                const EventTrace *Trace) {
+  AllocT Alloc;
   Runtime RT(P, Alloc);
-  SequenceObserver Obs;
-  RT.addObserver(&Obs);
-  RT.replay(Trace);
+  CallbackLog Log;
+  RT.addObserver(&Log);
+  if (Trace)
+    RT.replay(*Trace);
+  else
+    W.run(RT, Scale::Test, 2);
+  return std::move(Log.Seq);
+}
 
-  // Expected sequence: the trace decoded in recording order. ft has no
-  // reallocs at this scale, so every record maps to exactly one token.
-  ASSERT_EQ(Trace.counts().Reallocs, 0u);
-  std::vector<std::pair<char, uint64_t>> Expected;
-  EventTrace::Reader R = Trace.reader();
-  while (!R.atEnd()) {
-    switch (R.op()) {
-    case TraceOp::Call:
-      Expected.emplace_back('C', R.varint());
-      break;
-    case TraceOp::Return:
-      Expected.emplace_back('R', 0);
-      break;
-    case TraceOp::Alloc:
-      R.varint(); // site
-      Expected.emplace_back('M', R.varint());
-      break;
-    case TraceOp::Free:
-      R.varint();
-      Expected.emplace_back('F', 0);
-      break;
-    case TraceOp::Load:
-      R.varint();
-      R.varint();
-      Expected.emplace_back('L', R.varint());
-      break;
-    case TraceOp::Store:
-      R.varint();
-      R.varint();
-      Expected.emplace_back('S', R.varint());
-      break;
-    case TraceOp::LoadBase:
-      R.varint();
-      Expected.emplace_back('L', R.varint());
-      break;
-    case TraceOp::StoreBase:
-      R.varint();
-      Expected.emplace_back('S', R.varint());
-      break;
-    case TraceOp::LoadRaw:
-      R.varint();
-      Expected.emplace_back('L', R.varint());
-      break;
-    case TraceOp::StoreRaw:
-      R.varint();
-      Expected.emplace_back('S', R.varint());
-      break;
-    case TraceOp::Compute:
-      Expected.emplace_back('P', R.varint());
-      break;
-    case TraceOp::Realloc:
-      FAIL() << "unexpected realloc in the ft trace";
-      break;
+template <typename AllocT>
+void expectSameCallbacks(const Program &P, Workload &W,
+                         const EventTrace &Trace) {
+  std::vector<uint64_t> Direct = callbacks<AllocT>(P, W, nullptr);
+  std::vector<uint64_t> Replayed = callbacks<AllocT>(P, W, &Trace);
+  ASSERT_FALSE(Direct.empty());
+  ASSERT_EQ(Direct.size(), Replayed.size());
+  auto Diff = std::mismatch(Direct.begin(), Direct.end(), Replayed.begin());
+  EXPECT_TRUE(Diff.first == Direct.end())
+      << "first difference at word " << Diff.first - Direct.begin();
+}
+
+} // namespace
+
+TEST(TraceReplay, ObserversSeeTheDirectRunsCallbacksOnEveryWorkload) {
+  // Replay re-executes the recorded run through the runtime's own entry
+  // points, so an observer of every hook sees exactly the callbacks --
+  // arguments and order -- of a direct run under the same allocator.
+  std::vector<std::unique_ptr<Workload>> Workloads;
+  for (const std::string &Name : workloadNames())
+    Workloads.push_back(createWorkload(Name));
+  Workloads.push_back(std::make_unique<ReallocWorkload>());
+  for (const std::unique_ptr<Workload> &W : Workloads) {
+    SCOPED_TRACE(W->name());
+    Program P;
+    W->build(P);
+    EventTrace Trace;
+    {
+      RecordingArena Arena;
+      Runtime RT(P, Arena);
+      TraceRecorder Recorder(Trace, Arena);
+      RT.addObserver(&Recorder);
+      W->run(RT, Scale::Test, 2);
     }
+    if (W->name() == "realloc") {
+      EXPECT_GT(Trace.counts().Reallocs, 2u);
+    }
+    // The boundary-tag allocator's usable sizes differ from the requested
+    // ones, so replay must re-derive each realloc's copy length.
+    expectSameCallbacks<SizeClassAllocator>(P, *W, Trace);
+    expectSameCallbacks<BoundaryTagAllocator>(P, *W, Trace);
   }
-  EXPECT_EQ(Obs.Seq, Expected);
-  EXPECT_GT(Obs.Batches, 0u);
 }
 
 TEST(TraceReplay, TraceCacheRecordsOncePerScaleAndSeed) {
