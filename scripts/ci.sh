@@ -33,14 +33,22 @@
 # wall time), so an API or behaviour change that breaks it fails here
 # rather than in a benchmark run.
 #
-# Usage: scripts/ci.sh [build-dir [sanitize-build-dir]]
-#   build dirs default to build/ and build-asan/ at the repo root;
-#   CTEST_PARALLEL overrides the ctest -j level.
+# Last, a third build compiles the suite with ThreadSanitizer (plain
+# CMAKE_CXX_FLAGS and CMAKE_EXE_LINKER_FLAGS, no benches or examples,
+# warnings as errors) and runs the concurrency suites -- the Executor,
+# plan building and running, the store's plans and racing writers, and
+# the serve daemon's sessions and lock order -- stopping at the first
+# TSan report.
+#
+# Usage: scripts/ci.sh [build-dir [sanitize-build-dir [tsan-build-dir]]]
+#   build dirs default to build/, build-asan/ and build-tsan/ at the repo
+#   root; CTEST_PARALLEL overrides the ctest -j level.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${1:-$ROOT/build}"
 SAN_BUILD="${2:-$ROOT/build-asan}"
+TSAN_BUILD="${3:-$ROOT/build-tsan}"
 JOBS="${CTEST_PARALLEL:-$(nproc)}"
 
 # Cold run, bundles-only listing, warm run, byte-compare, untouched
@@ -261,5 +269,13 @@ out_fifo_smoke "$SAN_BUILD"
 
 echo "== sanitized: serve daemon smoke =="
 serve_smoke "$SAN_BUILD"
+
+echo "== thread-sanitized: concurrency suites ($TSAN_BUILD) =="
+cmake -B "$TSAN_BUILD" -S "$ROOT" -DCMAKE_CXX_FLAGS=-fsanitize=thread \
+    -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread -DHALO_BUILD_BENCHES=OFF \
+    -DHALO_BUILD_EXAMPLES=OFF -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
+cmake --build "$TSAN_BUILD" -j "$(nproc)" --target halo_tests
+TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" "$TSAN_BUILD/halo_tests" \
+    --gtest_filter='Executor*:BuildPlan*:RunPlan*:Wrappers*:StorePlans*:StoreConcurrency*:Serve*'
 
 echo "== ci: all suites passed =="

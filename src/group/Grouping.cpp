@@ -389,34 +389,26 @@ std::vector<Group> halo::buildComponentGroups(const AffinityGraph &Input,
   return finalizeGroups(std::move(Groups), Options);
 }
 
+namespace {
+
+constexpr auto GroupsLayout = [](auto &C, auto &Groups) {
+  C.list(Groups, [](auto &C, auto &G) {
+    C.list(G.Members, IdElement);
+    C.varint(G.Weight);
+    C.varint(G.Accesses);
+  });
+};
+
+} // namespace
+
 void halo::saveGroups(const std::vector<Group> &Groups, BinaryWriter &W) {
-  W.varint(Groups.size());
-  for (const Group &G : Groups) {
-    W.varint(G.Members.size());
-    for (GraphNodeId Member : G.Members)
-      W.varint(Member);
-    W.varint(G.Weight);
-    W.varint(G.Accesses);
-  }
+  Encoder E(W);
+  GroupsLayout(E, Groups);
 }
 
 std::vector<Group> halo::loadGroups(BinaryReader &R) {
+  Decoder D(R);
   std::vector<Group> Groups;
-  uint64_t Count = R.count();
-  Groups.reserve(static_cast<size_t>(Count));
-  for (uint64_t I = 0; I < Count; ++I) {
-    Group G;
-    uint64_t Members = R.count();
-    G.Members.reserve(static_cast<size_t>(Members));
-    for (uint64_t J = 0; J < Members; ++J) {
-      uint64_t Member = R.varint();
-      if (Member > UINT32_MAX)
-        throw SerializationError("groups: member id out of range");
-      G.Members.push_back(static_cast<GraphNodeId>(Member));
-    }
-    G.Weight = R.varint();
-    G.Accesses = R.varint();
-    Groups.push_back(std::move(G));
-  }
+  GroupsLayout(D, Groups);
   return Groups;
 }

@@ -62,76 +62,40 @@ halo::optimizeBinaryHds(const Program &Prog,
 //===----------------------------------------------------------------------===//
 
 namespace {
+
 /// "HDSA": hot-data-streams artifact bundle.
 constexpr uint32_t HdsArtifactMagic = 0x41534448;
 constexpr uint32_t HdsArtifactVersion = 1;
+
+/// SiteToGroup is not written: it is siteGroupMap(Groups) by construction.
+constexpr auto HdsLayout = [](auto &C, auto &Art) {
+  C.expect(HdsArtifactMagic, "hds artifacts: magic");
+  C.expect(HdsArtifactVersion, "hds artifacts: format version");
+  C.list(Art.Analysis.Streams, [](auto &C, auto &Stream) {
+    C.list(Stream.Elements, IdElement);
+    C.varint(Stream.Frequency);
+    C.varint(Stream.Heat);
+  });
+  C.varint(Art.Analysis.TraceLength);
+  C.varint(Art.Analysis.GrammarRules);
+  C.varint(Art.Analysis.CandidateStreams);
+  C.list(Art.Groups, [](auto &C, auto &Set) {
+    C.list(Set.Sites, IdElement);
+    C.f64(Set.Benefit);
+  });
+};
+
 } // namespace
 
 void halo::saveHdsArtifacts(const HdsArtifacts &Art, BinaryWriter &W) {
-  W.u32(HdsArtifactMagic);
-  W.u32(HdsArtifactVersion);
-  W.varint(Art.Analysis.Streams.size());
-  for (const HotStream &Stream : Art.Analysis.Streams) {
-    W.varint(Stream.Elements.size());
-    for (uint32_t Element : Stream.Elements)
-      W.varint(Element);
-    W.varint(Stream.Frequency);
-    W.varint(Stream.Heat);
-  }
-  W.varint(Art.Analysis.TraceLength);
-  W.varint(Art.Analysis.GrammarRules);
-  W.varint(Art.Analysis.CandidateStreams);
-  W.varint(Art.Groups.size());
-  for (const CoAllocationSet &Set : Art.Groups) {
-    W.varint(Set.Sites.size());
-    for (uint32_t Site : Set.Sites)
-      W.varint(Site);
-    W.f64(Set.Benefit);
-  }
+  Encoder E(W);
+  HdsLayout(E, Art);
 }
 
 HdsArtifacts halo::loadHdsArtifacts(BinaryReader &R) {
-  if (R.u32() != HdsArtifactMagic)
-    throw SerializationError("hds artifacts: bad magic");
-  uint32_t Version = R.u32();
-  if (Version != HdsArtifactVersion)
-    throw SerializationError("hds artifacts: unknown format version " +
-                             std::to_string(Version));
+  Decoder D(R);
   HdsArtifacts Art;
-  uint64_t NumStreams = R.count();
-  Art.Analysis.Streams.reserve(static_cast<size_t>(NumStreams));
-  for (uint64_t I = 0; I < NumStreams; ++I) {
-    HotStream Stream;
-    uint64_t NumElements = R.count();
-    Stream.Elements.reserve(static_cast<size_t>(NumElements));
-    for (uint64_t J = 0; J < NumElements; ++J) {
-      uint64_t Element = R.varint();
-      if (Element > UINT32_MAX)
-        throw SerializationError("hds artifacts: element id out of range");
-      Stream.Elements.push_back(static_cast<uint32_t>(Element));
-    }
-    Stream.Frequency = R.varint();
-    Stream.Heat = R.varint();
-    Art.Analysis.Streams.push_back(std::move(Stream));
-  }
-  Art.Analysis.TraceLength = R.varint();
-  Art.Analysis.GrammarRules = R.varint();
-  Art.Analysis.CandidateStreams = R.varint();
-  uint64_t NumGroups = R.count();
-  Art.Groups.reserve(static_cast<size_t>(NumGroups));
-  for (uint64_t I = 0; I < NumGroups; ++I) {
-    CoAllocationSet Set;
-    uint64_t NumSites = R.count();
-    Set.Sites.reserve(static_cast<size_t>(NumSites));
-    for (uint64_t J = 0; J < NumSites; ++J) {
-      uint64_t Site = R.varint();
-      if (Site > UINT32_MAX)
-        throw SerializationError("hds artifacts: site id out of range");
-      Set.Sites.push_back(static_cast<uint32_t>(Site));
-    }
-    Set.Benefit = R.f64();
-    Art.Groups.push_back(std::move(Set));
-  }
+  HdsLayout(D, Art);
   // Derived exactly as optimizeBinaryHds derives it.
   Art.SiteToGroup = siteGroupMap(Art.Groups);
   return Art;

@@ -116,54 +116,27 @@ IdentificationResult halo::identifyGroups(const std::vector<Group> &Groups,
   return Result;
 }
 
-void halo::saveIdentification(const IdentificationResult &Result,
-                              BinaryWriter &W) {
-  W.varint(Result.Selectors.size());
-  for (const Selector &Sel : Result.Selectors) {
-    W.varint(Sel.Terms.size());
-    for (const Conjunction &Term : Sel.Terms) {
-      W.varint(Term.Sites.size());
-      for (CallSiteId Site : Term.Sites)
-        W.varint(Site);
-    }
-  }
-  W.varint(Result.Sites.size());
-  for (CallSiteId Site : Result.Sites)
-    W.varint(Site);
-}
-
 namespace {
 
-CallSiteId readSiteId(BinaryReader &R, const char *What) {
-  uint64_t Site = R.varint();
-  if (Site > UINT32_MAX)
-    throw SerializationError(std::string(What) + ": site id out of range");
-  return static_cast<CallSiteId>(Site);
-}
+constexpr auto IdentificationLayout = [](auto &C, auto &Result) {
+  C.list(Result.Selectors, [](auto &C, auto &Sel) {
+    C.list(Sel.Terms,
+           [](auto &C, auto &Term) { C.list(Term.Sites, IdElement); });
+  });
+  C.list(Result.Sites, IdElement);
+};
 
 } // namespace
 
+void halo::saveIdentification(const IdentificationResult &Result,
+                              BinaryWriter &W) {
+  Encoder E(W);
+  IdentificationLayout(E, Result);
+}
+
 IdentificationResult halo::loadIdentification(BinaryReader &R) {
+  Decoder D(R);
   IdentificationResult Result;
-  uint64_t NumSelectors = R.count();
-  Result.Selectors.reserve(static_cast<size_t>(NumSelectors));
-  for (uint64_t I = 0; I < NumSelectors; ++I) {
-    Selector Sel;
-    uint64_t NumTerms = R.count();
-    Sel.Terms.reserve(static_cast<size_t>(NumTerms));
-    for (uint64_t J = 0; J < NumTerms; ++J) {
-      Conjunction Term;
-      uint64_t NumSites = R.count();
-      Term.Sites.reserve(static_cast<size_t>(NumSites));
-      for (uint64_t K = 0; K < NumSites; ++K)
-        Term.Sites.push_back(readSiteId(R, "identification selector"));
-      Sel.Terms.push_back(std::move(Term));
-    }
-    Result.Selectors.push_back(std::move(Sel));
-  }
-  uint64_t NumSites = R.count();
-  Result.Sites.reserve(static_cast<size_t>(NumSites));
-  for (uint64_t I = 0; I < NumSites; ++I)
-    Result.Sites.push_back(readSiteId(R, "identification sites"));
+  IdentificationLayout(D, Result);
   return Result;
 }

@@ -16,9 +16,12 @@
 ///
 /// fixed ints little-endian like every other serialized artifact. The
 /// reader validates magic, type, and length (bounded by MaxFramePayload)
-/// before touching the payload, and every payload decoder is
-/// bounds-checked end to end -- a malformed or truncated frame surfaces as
-/// ProtocolError, never UB and never a daemon exit.
+/// before touching the payload. Each payload's layout is written once
+/// (Protocol.cpp) and walked by support/BinaryIO.h's Encoder and Decoder,
+/// so the decoder checks every read's bounds and every field's domain
+/// (enumerators, bounded counts and trials) and requires the last byte --
+/// a malformed or truncated frame surfaces as ProtocolError, never UB and
+/// never a daemon exit. tests/codec_test.cpp pins every payload's bytes.
 ///
 /// The conversation:
 ///
@@ -65,8 +68,9 @@ namespace halo {
 
 class Socket;
 
-/// Bumped on any frame or payload layout change; the handshake rejects a
-/// mismatch before anything else is decoded.
+/// Bumped on any frame or payload layout change (the wire pins in
+/// tests/codec_test.cpp fail first); the handshake rejects a mismatch
+/// before anything else is decoded.
 constexpr uint32_t ServeProtocolVersion = 1;
 
 /// 'HSRV' little-endian: the first four bytes of every frame.
@@ -113,8 +117,10 @@ struct Frame {
   std::vector<uint8_t> Payload;
 };
 
-/// Sends one frame (header + payload, a single sendAll).
-void writeFrame(Socket &S, MsgType Type, const std::vector<uint8_t> &Payload);
+/// Sends one frame (header + payload, a single sendAll), within
+/// \p TimeoutMs of the call when it is non-negative.
+void writeFrame(Socket &S, MsgType Type, const std::vector<uint8_t> &Payload,
+                int TimeoutMs = -1);
 
 /// Reads one frame; std::nullopt if the peer closed cleanly at a frame
 /// boundary. Throws ProtocolError on bad magic, unknown type, a length
@@ -159,7 +165,7 @@ struct DaemonStats {
 std::vector<uint8_t> encodeStatsReply(const DaemonStats &S);
 DaemonStats decodeStatsReply(const std::vector<uint8_t> &Payload);
 
-// Small payloads, spelled out so both ends share one encoding.
+// The small payloads.
 std::vector<uint8_t> encodeHello(uint32_t Version);
 uint32_t decodeHello(const std::vector<uint8_t> &Payload);
 

@@ -203,10 +203,13 @@ void HaloDaemon::readerMain(std::shared_ptr<ServeSession> S) {
   // Reader is done (clean EOF or error): suppress further sends, abandon
   // whatever this client still had queued, and let the accept loop reap.
   S->markDead();
+  std::vector<DoneFrame> Retired;
   {
     std::lock_guard<std::mutex> Lock(Mu);
-    cancelSessionPlansLocked(*S);
+    Retired = cancelSessionPlansLocked(*S);
   }
+  for (const DoneFrame &Done : Retired)
+    Done.send();
   S->markReaderDone();
 }
 
@@ -290,59 +293,69 @@ void HaloDaemon::handleSubmit(const std::shared_ptr<ServeSession> &S,
           CellsStreamed.fetch_add(1, std::memory_order_relaxed);
       });
 
+  std::optional<DoneFrame> Done;
   {
     std::lock_guard<std::mutex> Lock(Mu);
     if (ShuttingDown) {
       // The workers may already be gone; nothing will run this plan.
-      PlanDoneMsg Done;
-      Done.PlanId = PlanId;
-      Done.Status = PlanStatus::Cancelled;
-      S->send(MsgType::PlanDone, encodePlanDone(Done));
+      Done = DoneFrame{S, encodePlanDone({PlanId, PlanStatus::Cancelled, ""})};
       PlansCancelled.fetch_add(1, std::memory_order_relaxed);
-      return;
+    } else {
+      Plans.emplace(PlanId, std::move(P));
+      // A plan with no tasks at all is done on arrival.
+      Done = retireIfFinishedLocked(PlanId);
     }
-    Plans.emplace(PlanId, std::move(P));
-    // A plan with no tasks at all is done on arrival.
-    retireIfFinishedLocked(PlanId);
   }
   SchedulerCv.notify_all();
+  if (Done)
+    Done->send();
 }
 
 void HaloDaemon::handleCancel(const std::shared_ptr<ServeSession> &S,
                               uint64_t PlanId) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  auto It = Plans.find(PlanId);
-  // An id we no longer know lost the race against completion -- the
-  // client's PlanDone is already in flight. Another session's plan is not
-  // this client's to cancel.
-  if (It == Plans.end() || It->second->Owner.get() != S.get())
-    return;
-  It->second->Exec->cancel();
-  retireIfFinishedLocked(PlanId);
+  std::optional<DoneFrame> Done;
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    auto It = Plans.find(PlanId);
+    // An id we no longer know lost the race against completion -- the
+    // client's PlanDone is already in flight. Another session's plan is
+    // not this client's to cancel.
+    if (It == Plans.end() || It->second->Owner.get() != S.get())
+      return;
+    It->second->Exec->cancel();
+    Done = retireIfFinishedLocked(PlanId);
+  }
+  if (Done)
+    Done->send();
 }
 
-void HaloDaemon::cancelSessionPlansLocked(const ServeSession &S) {
+std::vector<HaloDaemon::DoneFrame>
+HaloDaemon::cancelSessionPlansLocked(const ServeSession &S) {
   std::vector<uint64_t> Owned;
   for (auto &Entry : Plans)
     if (Entry.second->Owner.get() == &S) {
       Entry.second->Exec->cancel();
       Owned.push_back(Entry.first);
     }
+  std::vector<DoneFrame> Retired;
   for (uint64_t PlanId : Owned)
-    retireIfFinishedLocked(PlanId);
+    if (std::optional<DoneFrame> Done = retireIfFinishedLocked(PlanId))
+      Retired.push_back(std::move(*Done));
+  return Retired;
 }
 
 //===----------------------------------------------------------------------===//
 // Scheduler
 //===----------------------------------------------------------------------===//
 
-void HaloDaemon::retireIfFinishedLocked(uint64_t PlanId) {
+std::optional<HaloDaemon::DoneFrame>
+HaloDaemon::retireIfFinishedLocked(uint64_t PlanId) {
   auto It = Plans.find(PlanId);
   if (It == Plans.end())
-    return;
+    return std::nullopt;
   PlanState &P = *It->second;
   if (P.Running > 0 || !P.Exec->finished())
-    return;
+    return std::nullopt;
   PlanDoneMsg Done;
   Done.PlanId = P.Id;
   if (P.Exec->failed()) {
@@ -356,11 +369,12 @@ void HaloDaemon::retireIfFinishedLocked(uint64_t PlanId) {
     Done.Status = PlanStatus::Ok;
     PlansCompleted.fetch_add(1, std::memory_order_relaxed);
   }
-  P.Owner->send(MsgType::PlanDone, encodePlanDone(Done));
+  DoneFrame Retired{P.Owner, encodePlanDone(Done)};
   Plans.erase(It);
   // A queue slot is free, and a shutdown may have just drained.
   QueueCv.notify_all();
   SchedulerCv.notify_all();
+  return Retired;
 }
 
 HaloDaemon::PlanState *HaloDaemon::claimLocked(size_t &Task) {
@@ -413,9 +427,14 @@ void HaloDaemon::workerLoop() {
 
     const uint64_t PlanId = P->Id;
     --P->Running;
-    retireIfFinishedLocked(PlanId);
+    std::optional<DoneFrame> Done = retireIfFinishedLocked(PlanId);
     // The retired task may have lifted its plan's stage barrier: idle
     // workers look again.
     SchedulerCv.notify_all();
+    if (Done) {
+      Lock.unlock();
+      Done->send();
+      Lock.lock();
+    }
   }
 }

@@ -26,7 +26,8 @@
 /// client submitting a 100-cell sweep cannot starve one running a single
 /// cell. A worker with nothing to claim sleeps until a task retires or a
 /// plan arrives. The worker that retires a plan's last task sends its
-/// PlanDone; a Cancel takes effect at the next claim, and a plan
+/// PlanDone, once it has released the daemon's mutex; a Cancel takes
+/// effect at the next claim, and a plan
 /// cancelled with nothing in flight is done at once. A warm plan -- every
 /// artifact bundle already held by the daemon's Evaluations -- runs
 /// measurements only: it schedules no load or materialise task and writes
@@ -59,6 +60,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -80,8 +82,10 @@ struct DaemonConfig {
 /// the socket path.
 ///
 /// Lock order (strict, outermost first): daemon Mu -> PlanExecution's
-/// internal mutex -> ServeSession::WriteMutex. EvalsMu is leaf-only and
-/// never held together with Mu.
+/// internal mutex. ServeSession::WriteMutex is taken with neither held:
+/// a send may wait out the session's send timeout, so a retired plan's
+/// PlanDone goes out after its retiring caller releases Mu. EvalsMu is
+/// leaf-only and never held together with Mu.
 class HaloDaemon {
 public:
   explicit HaloDaemon(DaemonConfig Config);
@@ -126,11 +130,20 @@ private:
   /// Claims the next task by the round-robin rule, or returns null with
   /// nothing claimable. Caller holds Mu.
   PlanState *claimLocked(size_t &Task);
-  /// Sends PlanDone for and erases plan \p PlanId if it is finished with
-  /// nothing in flight. Caller holds Mu.
-  void retireIfFinishedLocked(uint64_t PlanId);
-  /// Cancels every plan owned by \p S (its peer is gone). Caller holds Mu.
-  void cancelSessionPlansLocked(const ServeSession &S);
+  /// A retired plan's PlanDone, which its retiring caller sends once it
+  /// has released Mu. Every CellResult of the plan went out before the
+  /// plan could retire, so the PlanDone still follows them.
+  struct DoneFrame {
+    std::shared_ptr<ServeSession> Owner;
+    std::vector<uint8_t> Payload;
+    void send() const { Owner->send(MsgType::PlanDone, Payload); }
+  };
+  /// Erases plan \p PlanId if it is finished with nothing in flight, and
+  /// returns its PlanDone. Caller holds Mu.
+  std::optional<DoneFrame> retireIfFinishedLocked(uint64_t PlanId);
+  /// Cancels every plan owned by \p S (its peer is gone), and returns the
+  /// PlanDone of each plan that retired. Caller holds Mu.
+  std::vector<DoneFrame> cancelSessionPlansLocked(const ServeSession &S);
 
   DaemonConfig Config;
   std::unique_ptr<Executor> Pool;

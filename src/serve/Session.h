@@ -14,14 +14,16 @@
 /// daemon); any thread may write -- the scheduler's workers stream
 /// CellResult frames while the reader answers Stats -- so send() serialises
 /// writers on a per-session mutex and writes each frame with one sendAll,
-/// keeping frames from distinct threads whole on the wire. Every send is
-/// bounded in time: a client that stops reading fills its socket buffer,
-/// and a sender blocked on it would hold the write lock -- and, for a
-/// PlanDone, the daemon's state mutex -- for as long as the client waits.
+/// keeping frames from distinct threads whole on the wire. Every frame is
+/// bounded in time by one deadline (SendTimeoutMs in Session.cpp): a
+/// client that stops reading fills its socket buffer, and a sender blocked
+/// on it would hold the write lock, and the senders queued behind it, for
+/// as long as the client waits.
 ///
-/// Lock order: a sender may hold the daemon's state mutex when calling
-/// send(); nothing here calls back into the daemon, so WriteMutex is
-/// always innermost.
+/// Lock order: no sender holds the daemon's state mutex or a plan's mutex
+/// when calling send() (the daemon sends PlanDone after releasing its
+/// own), and nothing here calls back into the daemon, so WriteMutex is
+/// only ever taken alone.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,8 +46,8 @@ namespace halo {
 /// and the last one out closes the socket.
 class ServeSession {
 public:
-  /// Takes over \p Conn and bounds every send on it (Session.cpp's
-  /// SendTimeoutMs).
+  /// Takes over \p Conn; every frame sent on it has one deadline
+  /// (Session.cpp's SendTimeoutMs).
   ServeSession(uint64_t Id, Socket Conn);
 
   uint64_t id() const { return Id; }

@@ -229,6 +229,36 @@ std::vector<uint8_t> decodeEntry(const std::vector<uint8_t> &Raw,
   return Payload;
 }
 
+/// Decodes an entry's payload through its type's loader, to the last
+/// byte: a checksummed entry that can never load is as invalid as a
+/// corrupt one. A HALO bundle loads against the program of the benchmark
+/// its label ("halo/<benchmark>/...") names. Throws SerializationError.
+void loadPayload(const ArtifactStore::Entry &E,
+                 const std::vector<uint8_t> &Payload) {
+  BinaryReader R(Payload);
+  switch (*E.Type) {
+  case ArtifactType::Trace:
+    EventTrace::load(R);
+    break;
+  case ArtifactType::Hds:
+    loadHdsArtifacts(R);
+    break;
+  case ArtifactType::Halo: {
+    size_t From = E.Label.find('/') + 1; // 0 if the label has no '/'.
+    std::unique_ptr<Workload> W =
+        createWorkload(E.Label.substr(From, E.Label.find('/', From) - From));
+    if (!W)
+      throw SerializationError("halo artifacts: label '" + E.Label +
+                               "' names no benchmark");
+    Program Prog;
+    W->build(Prog);
+    loadHaloArtifacts(R, Prog);
+    break;
+  }
+  }
+  R.expectEnd(artifactTypeName(*E.Type));
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -323,12 +353,14 @@ std::vector<ArtifactStore::Entry> ArtifactStore::entries() const {
       std::vector<uint8_t> Raw;
       if (!readWholeFile(Dir + "/" + Name, Raw))
         throw SerializationError("unreadable");
-      decodeEntry(Raw, E);
+      std::vector<uint8_t> Payload = decodeEntry(Raw, E);
       // The file name must agree with the header it carries.
-      if (Name != hashHex(E.Hash) + "." + artifactTypeName(*E.Type))
+      if (Name != hashHex(E.Hash) + "." + artifactTypeName(*E.Type)) {
         E.Problem = "file name does not match entry key";
-      else
+      } else {
+        loadPayload(E, Payload);
         E.Valid = true;
+      }
     } catch (const SerializationError &Err) {
       E.Problem = Err.what();
     }

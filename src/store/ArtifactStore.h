@@ -30,7 +30,9 @@
 ///  * Every read validates the entry header and a payload checksum;
 ///    truncated or bit-flipped entries read as "absent" so callers fall
 ///    back to recomputing instead of crashing or silently measuring
-///    with garbage.
+///    with garbage. The listing (entries(), so `store ls`, `store verify`
+///    and gc) also decodes each payload, so an entry that checksums but
+///    can never load lists as invalid and gc removes it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -139,17 +141,21 @@ public:
   /// checksums it; plan building uses this to prune tasks).
   bool contains(const StoreKey &Key) const;
 
-  /// Every entry file in the store, sorted by file name, each read whole
-  /// and checksummed: the one listing behind `store ls`, `store verify`
-  /// and gc.
+  /// Every entry file in the store, sorted by file name, each read whole,
+  /// checksummed, and its payload decoded to the last byte by its type's
+  /// loader (EventTrace::load, loadHdsArtifacts, or loadHaloArtifacts
+  /// against the program of the benchmark its label names; an unknown
+  /// benchmark is invalid): the one listing behind `store ls`,
+  /// `store verify` and gc. Problem carries the failure, the loader's
+  /// included.
   std::vector<Entry> entries() const;
 
   /// Removes abandoned temp files and every entry that fails validation
-  /// -- corrupt ones, and entries written under another
-  /// StoreSchemaVersion -- and returns how many files were deleted. Valid
-  /// entries are never touched, even ones no key reaches any more (a
-  /// store's trace entries from when plans still recorded stay until
-  /// removed by hand).
+  /// -- corrupt ones, checksummed ones that do not load, and entries
+  /// written under another StoreSchemaVersion -- and returns how many
+  /// files were deleted. Valid entries are never touched, even ones no
+  /// key reaches any more (a store's trace entries from when plans still
+  /// recorded stay until removed by hand).
   size_t gc();
 
 private:

@@ -6,13 +6,23 @@
 ///
 /// \file
 /// The one binary wire format behind every serialized artifact (event
-/// traces, HALO/HDS pipeline outputs, store entries): little-endian fixed
-/// ints for headers, LEB128 varints for counts and ids, length-prefixed
-/// strings, doubles by bit pattern. BinaryWriter builds a byte buffer;
-/// BinaryReader decodes one with *every* read bounds-checked, throwing
-/// SerializationError instead of reading past the end -- a truncated or
-/// bit-flipped store entry must surface as a recoverable error the caller
-/// can fall back from (re-record / re-materialise), never as UB.
+/// traces, HALO/HDS pipeline outputs, store entries, serve payloads):
+/// little-endian fixed ints for headers, LEB128 varints for counts and ids,
+/// length-prefixed strings, doubles by bit pattern. BinaryWriter builds a
+/// byte buffer; BinaryReader decodes one with *every* read bounds-checked,
+/// throwing SerializationError instead of reading past the end -- a
+/// truncated or bit-flipped store entry must surface as a recoverable
+/// error the caller can fall back from (re-record / re-materialise), never
+/// as UB.
+///
+/// A record layout is written once, as a generic lambda
+/// `[](auto &C, auto &V) { C.u64(V.Id); C.list(V.Names, StrElement); }`
+/// that names each field in wire order. Encoder walks it over a value and
+/// appends each field; Decoder walks it over a fresh value and reads each
+/// field back with its domain check, so no layout has a mirrored decoder to
+/// keep in step. Formats with computed or optional parts (frame and store
+/// entry headers, the HALO envelope, the affinity graph, traces) use the
+/// writer and reader directly.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -189,6 +199,99 @@ private:
   const uint8_t *P;
   const uint8_t *End;
 };
+
+/// Walks a layout over a value, appending each field to a BinaryWriter.
+class Encoder {
+public:
+  explicit Encoder(BinaryWriter &W) : W(W) {}
+
+  void u32(uint32_t V) { W.u32(V); }
+  void u64(uint64_t V) { W.u64(V); }
+  void varint(uint64_t V) { W.varint(V); }
+  void f64(double V) { W.f64(V); }
+  void str(const std::string &S) { W.str(S); }
+  /// An id: a varint below 2^32.
+  void id(uint32_t V) { W.varint(V); }
+  /// An enum (or a flag) whose values run from 0 to \p Last, as one byte.
+  template <typename T> void enumeration(T V, T /*Last*/) {
+    W.u8(static_cast<uint8_t>(V));
+  }
+  /// An integer in [Min, Max], as a varint.
+  template <typename T> void bounded(T V, uint64_t /*Min*/, uint64_t /*Max*/) {
+    W.varint(static_cast<uint64_t>(V));
+  }
+  /// A fixed stamp (magic, format version) the decoder insists on.
+  void expect(uint32_t Stamp, const char * /*What*/) { W.u32(Stamp); }
+  /// A varint count, then each element through \p Element's layout.
+  template <typename T, typename ElementT>
+  void list(const std::vector<T> &V, ElementT Element) {
+    W.varint(V.size());
+    for (const T &E : V)
+      Element(*this, E);
+  }
+
+private:
+  BinaryWriter &W;
+};
+
+/// Walks a layout over a fresh value, reading each field back from a
+/// BinaryReader; a value outside its field's domain throws
+/// SerializationError, as a truncation does.
+class Decoder {
+public:
+  /// \p MaxCount bounds every list's length, on top of the bytes left.
+  explicit Decoder(BinaryReader &R, uint64_t MaxCount = ~uint64_t(0))
+      : R(R), MaxCount(MaxCount) {}
+
+  void u32(uint32_t &V) { V = R.u32(); }
+  void u64(uint64_t &V) { V = R.u64(); }
+  void varint(uint64_t &V) { V = R.varint(); }
+  void f64(double &V) { V = R.f64(); }
+  void str(std::string &S) { S = R.str(); }
+  void id(uint32_t &V) {
+    V = static_cast<uint32_t>(within(R.varint(), 0, UINT32_MAX, "id"));
+  }
+  template <typename T> void enumeration(T &V, T Last) {
+    V = static_cast<T>(
+        within(R.u8(), 0, static_cast<uint64_t>(Last), "enumerator"));
+  }
+  template <typename T> void bounded(T &V, uint64_t Min, uint64_t Max) {
+    V = static_cast<T>(within(R.varint(), Min, Max, "value"));
+  }
+  void expect(uint32_t Stamp, const char *What) {
+    uint32_t Got = R.u32();
+    if (Got != Stamp)
+      throw SerializationError(std::string(What) + " " + std::to_string(Got) +
+                               " != " + std::to_string(Stamp));
+  }
+  /// Sized through BinaryReader::count, so a hostile count throws before
+  /// anything is allocated by it.
+  template <typename T, typename ElementT>
+  void list(std::vector<T> &V, ElementT Element) {
+    uint64_t N = R.count(MaxCount);
+    V.clear();
+    V.reserve(static_cast<size_t>(N));
+    for (uint64_t I = 0; I < N; ++I)
+      Element(*this, V.emplace_back());
+  }
+
+private:
+  static uint64_t within(uint64_t V, uint64_t Min, uint64_t Max,
+                         const char *What) {
+    if (V < Min || V > Max)
+      throw SerializationError(std::string(What) + " " + std::to_string(V) +
+                               " outside [" + std::to_string(Min) + ", " +
+                               std::to_string(Max) + "]");
+    return V;
+  }
+
+  BinaryReader &R;
+  uint64_t MaxCount;
+};
+
+/// list() element layouts for the common scalar elements.
+inline constexpr auto IdElement = [](auto &C, auto &V) { C.id(V); };
+inline constexpr auto StrElement = [](auto &C, auto &V) { C.str(V); };
 
 } // namespace halo
 

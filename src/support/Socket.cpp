@@ -3,12 +3,12 @@
 #include "support/Socket.h"
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <stdexcept>
 
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -102,20 +102,32 @@ std::optional<Socket> Socket::accept(int TimeoutMs) {
   return Socket(Conn);
 }
 
-void Socket::setSendTimeout(int TimeoutMs) {
-  timeval Tv;
-  Tv.tv_sec = TimeoutMs / 1000;
-  Tv.tv_usec = (TimeoutMs % 1000) * 1000;
-  if (::setsockopt(Fd, SOL_SOCKET, SO_SNDTIMEO, &Tv, sizeof(Tv)) != 0)
-    fail("setsockopt SO_SNDTIMEO");
-}
-
-void Socket::sendAll(const void *Data, size_t Size) {
+void Socket::sendAll(const void *Data, size_t Size, int TimeoutMs) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point Deadline =
+      Clock::now() + std::chrono::milliseconds(TimeoutMs);
   const char *P = static_cast<const char *>(Data);
   while (Size > 0) {
-    ssize_t N = ::send(Fd, P, Size, MSG_NOSIGNAL);
+    if (TimeoutMs >= 0) {
+      // Wait only for what is left of the one deadline.
+      long long Left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                           Deadline - Clock::now())
+                           .count();
+      pollfd Pfd{Fd, POLLOUT, 0};
+      int Ready = ::poll(&Pfd, 1, Left > 0 ? static_cast<int>(Left) : 0);
+      if (Ready == 0)
+        throw std::runtime_error("send: timed out after " +
+                                 std::to_string(TimeoutMs) + " ms");
+      if (Ready < 0) {
+        if (errno == EINTR)
+          continue;
+        fail("poll");
+      }
+    }
+    ssize_t N = ::send(Fd, P, Size,
+                       MSG_NOSIGNAL | (TimeoutMs >= 0 ? MSG_DONTWAIT : 0));
     if (N < 0) {
-      if (errno == EINTR)
+      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)
         continue;
       fail("send");
     }

@@ -7,8 +7,9 @@
 /// \file
 /// The one socket wrapper in the tree: a move-only file-descriptor owner
 /// with the loops every byte-stream user needs written exactly once --
-/// EINTR-restarting full sends and receives, poll-based accept with a
-/// timeout (so an accept loop can observe a stop flag), and SIGPIPE
+/// EINTR-restarting full sends (optionally under one deadline) and
+/// receives, poll-based accept with a timeout (so an accept loop can
+/// observe a stop flag), and SIGPIPE
 /// suppressed on send (a peer hanging up must surface as an error return,
 /// never a process-killing signal). serve/Protocol.h frames its messages
 /// over this; nothing else in the tree opens sockets.
@@ -54,13 +55,13 @@ public:
   /// std::nullopt on timeout (the accept loop's stop-flag poll point).
   std::optional<Socket> accept(int TimeoutMs);
 
-  /// Bounds how long one send call may block on a full socket buffer.
-  void setSendTimeout(int TimeoutMs);
-
   /// Sends all \p Size bytes, restarting on EINTR, SIGPIPE suppressed.
-  /// Throws std::runtime_error if the peer is gone, the send fails, or a
-  /// send blocks past the setSendTimeout bound.
-  void sendAll(const void *Data, size_t Size);
+  /// A non-negative \p TimeoutMs gives the whole send one deadline: each
+  /// send call waits only for the time left, so a peer that stops reading
+  /// fails it at the deadline however many calls the bytes take. Throws
+  /// std::runtime_error if the peer is gone, the send fails, or the
+  /// deadline passes.
+  void sendAll(const void *Data, size_t Size, int TimeoutMs = -1);
 
   /// Receives at most \p Size bytes; 0 means the peer closed cleanly.
   size_t recvSome(void *Data, size_t Size);

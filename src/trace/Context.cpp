@@ -61,42 +61,39 @@ ContextId ContextTable::intern(const Context &Reduced) {
   return It->second;
 }
 
+namespace {
+
+/// The table as its contexts in id order: frames and allocation counts.
+constexpr auto ContextsLayout = [](auto &C, auto &Infos) {
+  C.list(Infos, [](auto &C, auto &Info) {
+    C.list(Info.Frames, [](auto &C, auto &F) {
+      C.id(F.Function);
+      C.id(F.Site);
+    });
+    C.varint(Info.Allocations);
+  });
+};
+
+} // namespace
+
 void ContextTable::save(BinaryWriter &W) const {
-  W.varint(Infos.size());
-  for (const ContextInfo &Info : Infos) {
-    W.varint(Info.Frames.size());
-    for (const CallFrame &F : Info.Frames) {
-      W.varint(F.Function);
-      W.varint(F.Site);
-    }
-    W.varint(Info.Allocations);
-  }
+  Encoder E(W);
+  ContextsLayout(E, Infos);
 }
 
 ContextTable ContextTable::load(BinaryReader &R) {
+  std::vector<ContextInfo> Decoded;
+  Decoder D(R);
+  ContextsLayout(D, Decoded);
   ContextTable Table;
-  uint64_t Count = R.count();
-  for (uint64_t I = 0; I < Count; ++I) {
-    Context Frames;
-    uint64_t NumFrames = R.count();
-    Frames.reserve(static_cast<size_t>(NumFrames));
-    for (uint64_t J = 0; J < NumFrames; ++J) {
-      CallFrame F;
-      uint64_t Function = R.varint();
-      uint64_t Site = R.varint();
-      if (Function > UINT32_MAX || Site > UINT32_MAX)
-        throw SerializationError("context table: frame id out of range");
-      F.Function = static_cast<FunctionId>(Function);
-      F.Site = static_cast<CallSiteId>(Site);
-      Frames.push_back(F);
-    }
+  for (size_t I = 0; I < Decoded.size(); ++I) {
     // Re-interning replays the original assignment order, so the id must
     // come back unchanged; a duplicate context would collapse onto an
     // earlier id and shift every later one.
-    ContextId Id = Table.intern(Frames);
+    ContextId Id = Table.intern(Decoded[I].Frames);
     if (Id != I)
       throw SerializationError("context table: duplicate context on load");
-    Table.info(Id).Allocations = R.varint();
+    Table.info(Id).Allocations = Decoded[I].Allocations;
   }
   return Table;
 }

@@ -24,6 +24,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <set>
 #include <thread>
 #include <tuple>
@@ -100,6 +101,15 @@ void expectSameRuns(const std::vector<RunMetrics> &A,
   }
 }
 
+/// A trace entry's payload that loads: an empty trace, saved. The listing
+/// decodes every payload, so a trace entry the tests expect valid must
+/// hold one.
+std::vector<uint8_t> tracePayload() {
+  BinaryWriter W;
+  EventTrace().save(W);
+  return W.take();
+}
+
 /// One-benchmark HALO+HDS spec at test scale: small enough for store
 /// round-trip tests, rich enough to exercise every artifact type.
 ExperimentSpec smallSpec() {
@@ -137,13 +147,14 @@ TEST(ArtifactStoreRaw, PutGetRoundTripsPayloads) {
 TEST(ArtifactStoreRaw, EntriesDescribeWhatLsShows) {
   TempStore Store;
   StoreKey Key = traceStoreKey("health", Scale::Ref, 100);
-  ASSERT_TRUE(Store->put(Key, std::vector<uint8_t>(17, 0xAB)));
+  std::vector<uint8_t> Payload = tracePayload();
+  ASSERT_TRUE(Store->put(Key, Payload));
   std::vector<ArtifactStore::Entry> Entries = Store->entries();
   ASSERT_EQ(Entries.size(), 1u);
   EXPECT_EQ(Entries[0].Hash, Key.Hash);
   EXPECT_EQ(Entries[0].Type, ArtifactType::Trace);
   EXPECT_EQ(Entries[0].Label, "trace/health/ref/s100");
-  EXPECT_EQ(Entries[0].PayloadSize, 17u);
+  EXPECT_EQ(Entries[0].PayloadSize, Payload.size());
   EXPECT_TRUE(Entries[0].Valid);
   EXPECT_TRUE(Entries[0].Problem.empty());
 }
@@ -428,6 +439,81 @@ TEST(StoreCorruption, HostileCountsReadAsAbsentAndPlansReprofile) {
   EXPECT_TRUE(getHdsArtifacts(*Store, HdsKey).has_value());
 }
 
+TEST(StoreCorruption, EntriesThatCannotLoadListAsInvalidAndGcRemovesThem) {
+  // Entries whose checksums hold but which no loader accepts: HALO and HDS
+  // bundles declaring 2^40 elements, a HALO bundle identifying a site past
+  // its program's call sites, and a HALO bundle whose label names no
+  // benchmark. The listing behind `store ls`, `store verify` (which exits
+  // 1 on any invalid entry) and gc decodes every payload, so each lists as
+  // invalid and names the loader's error, gc removes them, and a plan
+  // over the store re-profiles and republishes.
+  TempStore Store;
+  BenchmarkSetup Setup = paperSetup("ft");
+  StoreKey HaloKey =
+      haloStoreKey("ft", Setup.ProfileScale, Setup.ProfileSeed, Setup.Halo);
+  StoreKey HdsKey =
+      hdsStoreKey("ft", Setup.ProfileScale, Setup.ProfileSeed, Setup.Hds);
+  auto Hostile = [](const BinaryWriter &Empty) {
+    BinaryWriter W;
+    W.bytes(Empty.buffer().data(), 8);
+    W.varint(1);
+    W.varint(uint64_t(1) << 40);
+    return W.take();
+  };
+  BinaryWriter EmptyHalo, EmptyHds;
+  saveHaloArtifacts(HaloArtifacts(), EmptyHalo);
+  saveHdsArtifacts(HdsArtifacts(), EmptyHds);
+  ASSERT_TRUE(Store->put(HaloKey, Hostile(EmptyHalo)));
+  ASSERT_TRUE(Store->put(HdsKey, Hostile(EmptyHds)));
+  Evaluation Health(paperSetup("health"));
+  const BenchmarkSetup &HealthSetup = Health.setup();
+  StoreKey PastKey = haloStoreKey("health", HealthSetup.ProfileScale,
+                                  HealthSetup.ProfileSeed, HealthSetup.Halo);
+  HaloArtifacts PastTheProgram = Health.haloArtifacts();
+  PastTheProgram.Identification.Sites.push_back(
+      Health.program().numCallSites() + 4096);
+  ASSERT_TRUE(putHaloArtifacts(*Store, PastKey, PastTheProgram));
+  StoreKey UnknownKey = haloStoreKey("no-such-benchmark", Scale::Test, 1,
+                                     HaloParameters());
+  ASSERT_TRUE(putHaloArtifacts(*Store, UnknownKey, HaloArtifacts()));
+  // The same empty bundle under a benchmark that exists loads.
+  StoreKey EmptyKey =
+      haloStoreKey("health", Scale::Test, 7, HaloParameters());
+  ASSERT_TRUE(putHaloArtifacts(*Store, EmptyKey, HaloArtifacts()));
+
+  std::map<uint64_t, std::string> Expected = {
+      {HaloKey.Hash, "exceeds its bound"},
+      {HdsKey.Hash, "exceeds its bound"},
+      {PastKey.Hash, "unknown identified site"},
+      {UnknownKey.Hash, "names no benchmark"}};
+  std::vector<ArtifactStore::Entry> Listed = Store->entries();
+  ASSERT_EQ(Listed.size(), 5u);
+  for (const ArtifactStore::Entry &E : Listed) {
+    SCOPED_TRACE(E.Label);
+    if (E.Hash == EmptyKey.Hash) {
+      EXPECT_TRUE(E.Valid) << E.Problem;
+      continue;
+    }
+    EXPECT_FALSE(E.Valid);
+    EXPECT_NE(E.Problem.find(Expected[E.Hash]), std::string::npos)
+        << E.Problem;
+  }
+
+  EXPECT_EQ(Store->gc(), 4u);
+  ASSERT_EQ(Store->entries().size(), 1u);
+  ExperimentPlan Plan = buildPlan({smallSpec()}, {}, &*Store);
+  EXPECT_EQ(Plan.numStoredArtifacts(), 0u);
+  EXPECT_EQ(Plan.numArtifactTasks(), 2u);
+  runPlan(Plan, /*Jobs=*/2);
+  Listed = Store->entries();
+  ASSERT_EQ(Listed.size(), 3u);
+  for (const ArtifactStore::Entry &E : Listed)
+    EXPECT_TRUE(E.Valid) << E.Label << ": " << E.Problem;
+  Evaluation Ft(Setup);
+  EXPECT_TRUE(getHaloArtifacts(*Store, HaloKey, Ft.program()).has_value());
+  EXPECT_TRUE(getHdsArtifacts(*Store, HdsKey).has_value());
+}
+
 TEST(StoreCorruption, BundlesNamingWhatTheProgramLacksReadAsAbsent) {
   // Checksummed HALO entries that decode but name what the program lacks
   // -- an identified site past its call sites, a selector site that is
@@ -521,8 +607,8 @@ TEST(StoreCorruption, GcKeepsValidEntries) {
   TempStore Store;
   StoreKey Good = traceStoreKey("ft", Scale::Test, 1);
   StoreKey Bad = traceStoreKey("ft", Scale::Test, 2);
-  ASSERT_TRUE(Store->put(Good, std::vector<uint8_t>(32, 1)));
-  ASSERT_TRUE(Store->put(Bad, std::vector<uint8_t>(32, 2)));
+  ASSERT_TRUE(Store->put(Good, tracePayload()));
+  ASSERT_TRUE(Store->put(Bad, tracePayload()));
   flipByte(entryFile(*Store, Bad));
   EXPECT_EQ(Store->gc(), 1u);
   EXPECT_TRUE(Store->contains(Good));
@@ -584,9 +670,7 @@ TEST(StoreConcurrency, RacingWritersOfOneEntryAllSucceed) {
   StoreKey Key = traceStoreKey("ft", Scale::Test, 1);
   // Identical payloads by construction, as in the real race: every writer
   // serialized the same deterministic recording.
-  std::vector<uint8_t> Payload(4096);
-  for (size_t I = 0; I < Payload.size(); ++I)
-    Payload[I] = static_cast<uint8_t>(I * 31);
+  std::vector<uint8_t> Payload = tracePayload();
 
   std::vector<std::thread> Writers;
   std::atomic<int> Failures{0};
