@@ -9,7 +9,10 @@
 # end to end through halo_cli against a per-run temp --store-dir: cold run
 # populates it with HALO/HDS bundles only (no trace entry), warm run must
 # emit byte-identical JSON and leave every entry's inode, size and mtime
-# unchanged, verify and gc must pass. And each build smoke-tests the serve
+# unchanged, verify and gc must pass. The sanitized build then soaks the
+# codec properties (tests/codec_test.cpp: every payload and bundle layout,
+# frames and the store entry header) at HALO_CODEC_ITERATIONS=$CODEC_SOAK,
+# eight times the default instances. And each build smoke-tests the serve
 # daemon: two concurrent
 # clients against one daemon on a temp socket, each byte-identical to a
 # local run, a third client naming its machine with --machine, also
@@ -50,6 +53,7 @@ BUILD="${1:-$ROOT/build}"
 SAN_BUILD="${2:-$ROOT/build-asan}"
 TSAN_BUILD="${3:-$ROOT/build-tsan}"
 JOBS="${CTEST_PARALLEL:-$(nproc)}"
+CODEC_SOAK=256
 
 # Cold run, bundles-only listing, warm run, byte-compare, untouched
 # entries, verify, gc -- with a store directory that lives only for this
@@ -260,6 +264,10 @@ cmake -B "$SAN_BUILD" -S "$ROOT" -DHALO_SANITIZE=ON \
     -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build "$SAN_BUILD" -j "$(nproc)"
 ctest --test-dir "$SAN_BUILD" --output-on-failure -j "$JOBS"
+
+echo "== sanitized: codec property soak (HALO_CODEC_ITERATIONS=$CODEC_SOAK) =="
+HALO_CODEC_ITERATIONS="$CODEC_SOAK" "$SAN_BUILD/halo_tests" \
+    --gtest_filter='Layouts/CodecProperties.*:FrameProperties.*:StoreEntryProperties.*'
 
 echo "== sanitized: store warm/cold smoke =="
 store_smoke "$SAN_BUILD"

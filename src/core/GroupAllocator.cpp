@@ -176,11 +176,12 @@ void GroupAllocator::groupFree(uint64_t Addr) {
   // bitwise operations (chunks are aligned to their size).
   ChunkHeader &Header = chunkOf(Addr);
   size_t Index = liveRegion(Header, Addr);
-  assert(Index != NoRegion && "group-freeing unknown region");
+  if (Index == NoRegion)
+    throwNotOwned(*this, "free", Addr);
   uint64_t Size = Header.Regions[Index].Size;
   Header.Regions[Index].Size = 0;
   GroupedLive -= Size;
-  assert(Header.LiveRegions > 0 && "double free of grouped region");
+  assert(Header.LiveRegions > 0 && "a live region in a chunk with none");
   if (--Header.LiveRegions == 0 && !Header.IsCurrent)
     recycleChunk(chunkBase(Addr));
 }
@@ -204,7 +205,8 @@ uint64_t GroupAllocator::usableSize(uint64_t Addr) const {
     return Backing.usableSize(Addr);
   const ChunkHeader &Header = chunkOf(Addr);
   size_t Index = liveRegion(Header, Addr);
-  assert(Index != NoRegion && "querying unknown address");
+  if (Index == NoRegion)
+    throwNotOwned(*this, "usableSize", Addr);
   return Header.Regions[Index].Size;
 }
 

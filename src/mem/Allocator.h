@@ -48,12 +48,15 @@ public:
 
   /// Frees a previously allocated region. \p Addr must have been returned by
   /// this allocator (composite allocators route internally).
+  /// SizeClassAllocator and GroupAllocator throw std::invalid_argument
+  /// (throwNotOwned) for any other address; the others assert.
   virtual void deallocate(uint64_t Addr) = 0;
 
   /// Returns true if \p Addr was allocated (and is still live) here.
   virtual bool owns(uint64_t Addr) const = 0;
 
-  /// Returns the usable size of the live region at \p Addr.
+  /// Returns the usable size of the live region at \p Addr, under the same
+  /// precondition as deallocate().
   virtual uint64_t usableSize(uint64_t Addr) const = 0;
 
   /// Bytes requested by live allocations.
@@ -65,6 +68,14 @@ public:
   /// Human-readable allocator name for reports.
   virtual std::string name() const = 0;
 };
+
+/// Throws the std::invalid_argument of a deallocate() or usableSize()
+/// (\p Operation) of an address \p Owner does not own: one it never
+/// returned, one inside a live object, or one already freed. Misuse that
+/// crosses the allocator interface is checked in every build, on the
+/// allocator's side, rather than asserted.
+[[noreturn]] void throwNotOwned(const Allocator &Owner, const char *Operation,
+                                uint64_t Addr);
 
 } // namespace halo
 

@@ -118,18 +118,24 @@ uint64_t SizeClassAllocator::allocateLarge(uint64_t Size) {
 
 void SizeClassAllocator::deallocate(uint64_t Addr) {
   uint32_t Id = spanOf(Addr);
-  assert(Id != NoSpan && "freeing unknown address");
+  if (Id == NoSpan)
+    throwNotOwned(*this, "free", Addr);
   Span &S = Spans[Id];
-  --LiveObjects;
   if (S.ClassIndex == LargeClass) {
-    assert(S.Base == Addr && S.LargeBytes && "freeing unknown address");
+    if (S.Base != Addr || !S.LargeBytes)
+      throwNotOwned(*this, "free", Addr);
+    --LiveObjects;
     Live -= S.LargeBytes;
     S.LargeBytes = 0;
     Arena.release(Addr);
     return;
   }
+  // A freed slot's requested size is 0, so a double free stops here
+  // instead of putting the slot on the free list twice.
   uint64_t Slot = slotOf(S, Addr);
-  assert(Slot != NoSlot && Requested[Slot] && "freeing unknown address");
+  if (Slot == NoSlot || !Requested[Slot])
+    throwNotOwned(*this, "free", Addr);
+  --LiveObjects;
   Live -= Requested[Slot];
   Requested[Slot] = 0;
   Classes[S.ClassIndex].FreeList.push_back(Addr);
@@ -147,7 +153,8 @@ bool SizeClassAllocator::owns(uint64_t Addr) const {
 }
 
 uint64_t SizeClassAllocator::usableSize(uint64_t Addr) const {
-  assert(owns(Addr) && "querying unknown address");
+  if (!owns(Addr))
+    throwNotOwned(*this, "usableSize", Addr);
   const Span &S = Spans[spanOf(Addr)];
   return S.ClassIndex == LargeClass ? S.LargeBytes : ClassSizes[S.ClassIndex];
 }

@@ -28,13 +28,17 @@ Cache::Cache(const CacheConfig &Config) : Config(Config) {
     OddDiv = MagicDivider(Sets >> SetP2Shift,
                           (~0ull >> LineShift) >> SetP2Shift);
   }
+  // InvalidTag * Sets lines, each LineSize bytes, unless that passes 2^64.
+  uint64_t WaySpan = uint64_t(Sets) << LineShift;
+  AddrLimit = WaySpan > ~0ull / InvalidTag ? ~0ull : WaySpan * InvalidTag;
   Tags.assign(uint64_t(Sets) * Config.Ways, InvalidTag);
 }
 
 bool Cache::contains(uint64_t Addr) const {
+  assert(Addr < AddrLimit && "address past the level's 32-bit tag space");
   auto [Set, Tag] = locate(Addr);
-  const uint64_t *Begin = &Tags[uint64_t(Set) * Config.Ways];
-  for (const uint64_t *T = Begin; T != Begin + Config.Ways; ++T)
+  const uint32_t *Begin = &Tags[uint64_t(Set) * Config.Ways];
+  for (const uint32_t *T = Begin; T != Begin + Config.Ways; ++T)
     if (*T == Tag)
       return true;
   return false;

@@ -35,12 +35,18 @@ struct CacheConfig {
 
 /// One level of set-associative cache with true-LRU replacement.
 ///
-/// Each set keeps its tags in one flat set-major array, most recently used
-/// first: a hit or a fill moves its tag to the front, and the victim is
-/// always the last tag. That is exactly LRU with no per-way clock, and the
-/// MRU probe is one compare against the set's first tag. Empty ways hold
-/// InvalidTag; a fill always shifts one out before any live tag, so a
-/// set fills before it evicts.
+/// Each set keeps its tags in one flat set-major array of 32-bit tags,
+/// most recently used first: a hit or a fill moves its tag to the front,
+/// and the victim is always the last tag. That is exactly LRU with no
+/// per-way clock, and the MRU probe is one compare against the set's first
+/// tag. Empty ways hold InvalidTag; a fill always shifts one out before
+/// any live tag, so a set fills before it evicts.
+///
+/// A tag is the line number divided by the set count, so 32 bits bound the
+/// addresses a level can hold: every address must lie below
+/// addressLimit(), where the tag would reach InvalidTag. access() and
+/// contains() assert that precondition; MemoryHierarchy::access() checks it
+/// in every build, so no address from outside the program reaches here.
 class Cache {
 public:
   explicit Cache(const CacheConfig &Config);
@@ -48,13 +54,15 @@ public:
   /// Looks up the line containing \p Addr, inserting it on a miss (evicting
   /// the LRU way). Returns true on hit. Repeat hits on the most-recently-
   /// used way dominate; one compare settles them without the scan.
+  /// \p Addr must lie below addressLimit().
   ///
   /// Defined inline (like the whole lookup path) so the simulator's per-
   /// level passes (MemoryHierarchy's drain) fuse it into their loops: an
   /// out-of-line call per way scan measurably dominates the scan itself.
   bool access(uint64_t Addr) {
+    assert(Addr < AddrLimit && "address past the level's 32-bit tag space");
     auto [Set, Tag] = locate(Addr);
-    uint64_t *Begin = &Tags[uint64_t(Set) * Config.Ways];
+    uint32_t *Begin = &Tags[uint64_t(Set) * Config.Ways];
     if (Begin[0] == Tag) {
       ++Hits;
       return true;
@@ -63,8 +71,13 @@ public:
   }
 
   /// Returns true if the line containing \p Addr is currently cached,
-  /// without updating replacement state (for tests).
+  /// without updating replacement state (for tests). \p Addr must lie
+  /// below addressLimit().
   bool contains(uint64_t Addr) const;
+
+  /// The first address whose tag would reach InvalidTag: InvalidTag * sets
+  /// * line size, saturated at 2^64 - 1. Every address below it has a tag.
+  uint64_t addressLimit() const { return AddrLimit; }
 
   /// Drops all cached lines and resets statistics.
   void reset();
@@ -77,9 +90,9 @@ public:
   uint32_t numSets() const { return Sets; }
 
 private:
-  /// Empty-way tag marker. No simulated address reaches it: a real tag of
-  /// ~0 would need an address within a line span of 2^64.
-  static constexpr uint64_t InvalidTag = ~0ull;
+  /// Empty-way tag marker, the one 32-bit value no live tag takes: tags
+  /// of addresses below addressLimit() are smaller.
+  static constexpr uint32_t InvalidTag = UINT32_MAX;
 
   /// Set index and tag of \p Addr. Divisions on the per-access path are
   /// precomputed away: power-of-two set counts reduce to shifts, and the
@@ -87,12 +100,15 @@ private:
   /// power-of-two factor and divide by the small odd cofactor through a
   /// reciprocal multiply -- quotients bit-identical to the hardware
   /// divide, at a fraction of its latency on a path L3 lookups hit twice.
-  std::pair<uint32_t, uint64_t> locate(uint64_t Addr) const {
+  /// Below addressLimit() the tag fits in 32 bits.
+  std::pair<uint32_t, uint32_t> locate(uint64_t Addr) const {
     uint64_t Line = Addr >> LineShift;
     if (SetShift >= 0)
-      return {static_cast<uint32_t>(Line & (Sets - 1)), Line >> SetShift};
+      return {static_cast<uint32_t>(Line & (Sets - 1)),
+              static_cast<uint32_t>(Line >> SetShift)};
     uint64_t Tag = OddDiv.divide(Line >> SetP2Shift); // == Line / Sets.
-    return {static_cast<uint32_t>(Line - Tag * Sets), Tag};
+    return {static_cast<uint32_t>(Line - Tag * Sets),
+            static_cast<uint32_t>(Tag)};
   }
 
   /// The way scan after an MRU mismatch, fused with the move to front:
@@ -100,11 +116,10 @@ private:
   /// ways [0, I) moved to [1, I] and the tag in front, and a miss ends
   /// with every tag shifted, the last (LRU) one dropped, and the new tag
   /// in front. \p Begin is the set's first way, which holds another tag.
-  bool scanInsert(uint64_t *Begin, uint64_t Tag) {
-    assert(Tag != InvalidTag && "address saturates the tag space");
-    uint64_t Carry = Begin[0];
+  bool scanInsert(uint32_t *Begin, uint32_t Tag) {
+    uint32_t Carry = Begin[0];
     for (uint32_t Way = 1; Way < Config.Ways; ++Way) {
-      uint64_t Here = Begin[Way];
+      uint32_t Here = Begin[Way];
       Begin[Way] = Carry;
       if (Here == Tag) {
         Begin[0] = Tag;
@@ -124,7 +139,8 @@ private:
   int32_t SetShift = -1;  ///< log2(Sets), or -1 if Sets is not a power of 2.
   uint32_t SetP2Shift = 0; ///< Trailing zero count of a non-p2 set count.
   MagicDivider OddDiv;     ///< Divides by Sets >> SetP2Shift (odd).
-  std::vector<uint64_t> Tags; ///< Sets * Ways tags, set-major, MRU first.
+  uint64_t AddrLimit = 0;  ///< addressLimit().
+  std::vector<uint32_t> Tags; ///< Sets * Ways tags, set-major, MRU first.
   uint64_t Hits = 0;
   uint64_t Misses = 0;
 };

@@ -2,13 +2,30 @@
 
 #include "sim/MemoryHierarchy.h"
 
+#include <algorithm>
+#include <cstdio>
+#include <stdexcept>
+
 using namespace halo;
 
 MemoryHierarchy::MemoryHierarchy(const HierarchyConfig &Config)
     : Config(Config), LineMask(uint64_t(Config.L1.LineSize) - 1),
       L1(Config.L1), L2(Config.L2), L3(Config.L3),
       Dtlb(Config.TlbEntries, Config.TlbWays),
+      Limit(std::min({L1.addressLimit(), L2.addressLimit(),
+                      L3.addressLimit(), Dtlb.addressLimit()})),
       Pending(new uint64_t[BlockLines]) {}
+
+void MemoryHierarchy::rejectAccess(uint64_t Addr, uint64_t Size) const {
+  char Msg[160];
+  std::snprintf(Msg, sizeof(Msg),
+                "memory hierarchy: access of %llu bytes at 0x%llx reaches "
+                "the simulated address limit 0x%llx",
+                static_cast<unsigned long long>(Size),
+                static_cast<unsigned long long>(Addr),
+                static_cast<unsigned long long>(Limit));
+  throw std::out_of_range(Msg);
+}
 
 void MemoryHierarchy::accessBatch(const MemAccess *Batch, size_t N) {
   for (size_t I = 0; I < N; ++I)

@@ -71,6 +71,14 @@ struct MemoryCounters {
 /// back-invalidates another, L2 sees only L1's misses and L3 only L2's,
 /// so a line the L3 has evicted may still hit in L1.
 ///
+/// Every level stores 32-bit tags (sim/Cache.h), so the hierarchy can
+/// simulate only addresses below addressLimit(), the least of its levels'
+/// limits: 2^44 - 4 KiB on the xeon-w2195, skylake-desktop and server
+/// presets, 2^45 - 8 KiB on mobile, while the simulated heaps sit near
+/// 2^40-2^42. access() rejects anything reaching it with
+/// std::out_of_range, in every build, since the raw addresses of a loaded
+/// trace reach it unchecked (Runtime::replay).
+///
 /// Simulation is deferred and level-major. access() only appends the
 /// line addresses it touches to a fixed pending block; a full block, or
 /// a read of counters(), drains it as a TLB pass over every line, an L1
@@ -87,10 +95,14 @@ public:
   /// Performs a data access of \p Size bytes at \p Addr (loads and stores
   /// are treated alike: write-allocate, no write-back traffic modelled).
   /// Every cache line the access touches is looked up, once the pending
-  /// block drains.
+  /// block drains. Throws std::out_of_range, before queueing anything, if
+  /// the access's last byte reaches addressLimit() (or wraps past 2^64).
   void access(uint64_t Addr, uint64_t Size) {
+    const uint64_t LastByte = Addr + ((Size ? Size : 1) - 1);
+    if (LastByte >= Limit || LastByte < Addr)
+      rejectAccess(Addr, Size);
     uint64_t Line = Addr & ~LineMask;
-    const uint64_t Last = (Addr + (Size ? Size : 1) - 1) & ~LineMask;
+    const uint64_t Last = LastByte & ~LineMask;
     for (;; Line += LineMask + 1) {
       Pending[NumPending] = Line;
       if (++NumPending == BlockLines)
@@ -114,6 +126,10 @@ public:
 
   const Cache &l3() const { return L3; }
 
+  /// The first address some level (L1, L2, L3 or the TLB) cannot tag:
+  /// every byte an access touches must lie below it.
+  uint64_t addressLimit() const { return Limit; }
+
 private:
   /// Lines per pending block: 8 KiB of addresses, which stays in the host
   /// L1 through all four passes.
@@ -123,10 +139,16 @@ private:
   /// the misses of the level above.
   void drain();
 
+  /// Throws the std::out_of_range of an access past the limit; out of line
+  /// and cold, so only the range test stays on access()'s inline path.
+  [[noreturn, gnu::cold]] void rejectAccess(uint64_t Addr,
+                                            uint64_t Size) const;
+
   HierarchyConfig Config;
   uint64_t LineMask; ///< L1.LineSize - 1 (line size is a power of two).
   Cache L1, L2, L3;
   Tlb Dtlb;
+  uint64_t Limit; ///< addressLimit().
   std::unique_ptr<uint64_t[]> Pending; ///< BlockLines line addresses.
   size_t NumPending = 0;
 };

@@ -26,7 +26,11 @@ public:
                uint32_t PageSize = 4096);
 
   /// Translates the page containing \p Addr; returns true on TLB hit.
+  /// \p Addr must lie below addressLimit().
   bool access(uint64_t Addr) { return Entries.access(Addr); }
+
+  /// The first address whose page this TLB cannot tag (Cache::addressLimit).
+  uint64_t addressLimit() const { return Entries.addressLimit(); }
 
   uint64_t hits() const { return Entries.hits(); }
   uint64_t misses() const { return Entries.misses(); }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 using namespace halo;
@@ -102,6 +103,47 @@ TEST(SizeClass, ZeroSizeAllocationsAreDistinct) {
   uint64_t X = A.allocate(req(0));
   uint64_t Y = A.allocate(req(0));
   EXPECT_NE(X, Y);
+}
+
+TEST(SizeClass, FreeOrUsableSizeOfAnAddressItDoesNotOwnThrows) {
+  // Each of these once indexed past the span table (Spans[~0u]) or
+  // slipped through in a build without asserts.
+  SizeClassAllocator A;
+  uint64_t Small = A.allocate(req(24));
+  uint64_t Large = A.allocate(req(100000));
+  uint64_t Freed = A.allocate(req(24));
+  uint64_t FreedLarge = A.allocate(req(50000));
+  A.deallocate(Freed);
+  A.deallocate(FreedLarge);
+  const uint64_t LiveCount = A.liveCount();
+  const uint64_t LiveBytes = A.liveBytes();
+  const uint64_t NotOwned[] = {
+      0, A.arena().base() - 8, A.arena().end(), // Never allocated.
+      Small + 8, Large + 8, Large + 4096,       // Interior.
+      Freed, FreedLarge,                        // Already freed.
+  };
+  for (uint64_t Addr : NotOwned) {
+    EXPECT_THROW(A.deallocate(Addr), std::invalid_argument) << Addr;
+    EXPECT_THROW(A.usableSize(Addr), std::invalid_argument) << Addr;
+  }
+  EXPECT_EQ(A.liveCount(), LiveCount);
+  EXPECT_EQ(A.liveBytes(), LiveBytes);
+  EXPECT_EQ(A.usableSize(Small), 32u);
+  EXPECT_EQ(A.usableSize(Large), 100000u);
+}
+
+TEST(SizeClass, ADoubleFreeThrowsAndNoSlotIsHandedOutTwice) {
+  // Unchecked, a small double free put the slot on its class's free list
+  // twice, and the next two allocations of the class shared one address.
+  SizeClassAllocator A;
+  uint64_t X = A.allocate(req(24));
+  A.deallocate(X);
+  EXPECT_THROW(A.deallocate(X), std::invalid_argument);
+  uint64_t P = A.allocate(req(24));
+  uint64_t Q = A.allocate(req(24));
+  EXPECT_NE(P, Q);
+  EXPECT_EQ(A.liveCount(), 2u);
+  EXPECT_EQ(A.liveBytes(), 48u);
 }
 
 TEST(SizeClass, ManyAllocationsStayWithinReservedSpace) {

@@ -12,7 +12,9 @@
 
 #include <algorithm>
 #include <list>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace halo;
@@ -82,6 +84,26 @@ TEST(Cache, NonPowerOfTwoSetCount) {
   EXPECT_TRUE(C.access(1234567));
 }
 
+TEST(Cache, AddressLimitEndsTheThirtyTwoBitTagSpace) {
+  // The first address whose tag (line / sets) would be the empty-way
+  // marker 2^32 - 1: that many sets' worth of lines.
+  Cache L1(CacheConfig{32 * 1024, 8, 64}); // 64 sets.
+  EXPECT_EQ(L1.addressLimit(), uint64_t(UINT32_MAX) * 64 * 64);
+  Cache L3(CacheConfig{25344 * 1024, 11, 64}); // 36864 sets.
+  EXPECT_EQ(L3.addressLimit(), uint64_t(UINT32_MAX) * 36864 * 64);
+  // The last line below the limit is an ordinary line in both lookups.
+  for (Cache *C : {&L1, &L3}) {
+    uint64_t Last = C->addressLimit() - 1;
+    EXPECT_FALSE(C->access(Last));
+    EXPECT_TRUE(C->access(Last - 63));
+    EXPECT_TRUE(C->contains(Last));
+    EXPECT_FALSE(C->contains(Last - 64));
+  }
+  // Four sets of 2 GiB lines would tag past 2^64: the limit saturates.
+  EXPECT_EQ(Cache(CacheConfig{uint64_t(1) << 33, 1, 1u << 31}).addressLimit(),
+            ~0ull);
+}
+
 namespace {
 
 /// The obviously-correct LRU: one std::list of tags per set, most recent
@@ -117,8 +139,11 @@ private:
 /// A seeded stream that exercises every replacement path: a few hot sets
 /// each cycling through a pool of half again as many lines as it has
 /// ways (hits at every recency depth, then evictions), immediate repeats
-/// (the MRU probe), and scattered cold lines anywhere.
+/// (the MRU probe), and scattered cold lines anywhere below 2^40 and the
+/// level's address limit.
 std::vector<uint64_t> lruStream(const CacheConfig &C, uint64_t Seed) {
+  const uint64_t ColdBound =
+      std::min(uint64_t(1) << 40, Cache(C).addressLimit());
   Rng R(Seed);
   uint64_t Sets = C.SizeBytes / (uint64_t(C.Ways) * C.LineSize);
   std::vector<uint64_t> HotSets;
@@ -134,7 +159,7 @@ std::vector<uint64_t> lruStream(const CacheConfig &C, uint64_t Seed) {
       uint64_t Line = R.nextBelow(Pool) * Sets + HotSets[R.nextBelow(4)];
       Stream.push_back(Line * C.LineSize + R.nextBelow(C.LineSize));
     } else {
-      Stream.push_back(R.nextBelow(uint64_t(1) << 40));
+      Stream.push_back(R.nextBelow(ColdBound));
     }
   }
   return Stream;
@@ -389,20 +414,25 @@ private:
   return ::testing::AssertionSuccess();
 }
 
-/// Every hierarchy the oracle covers: the four presets, one with a
-/// direct-mapped L1, a 256-way L2 and a 96-set L3, and one whose every
-/// level and TLB has a non-power-of-two set count.
-std::vector<std::pair<std::string, HierarchyConfig>> oracleHierarchies() {
-  std::vector<std::pair<std::string, HierarchyConfig>> Out;
-  for (const MachineConfig &M : machinePresets())
-    Out.push_back({M.Name, M.Hierarchy});
+/// A direct-mapped L1, a 256-way L2 of two sets and a 96-set L3. The L2's
+/// two sets end its tag space at (2^32 - 1) * 2 lines, near 2^39.
+HierarchyConfig oneWay256Way() {
   HierarchyConfig Ways;
   Ways.L1 = CacheConfig{4 * 1024, 1, 64};
   Ways.L2 = CacheConfig{256 * 64 * 2, 256, 64};
   Ways.L3 = CacheConfig{96 * 12 * 64, 12, 64};
   Ways.TlbEntries = 8;
   Ways.TlbWays = 2;
-  Out.push_back({"1-way/256-way", Ways});
+  return Ways;
+}
+
+/// Every hierarchy the oracle covers: the four presets, oneWay256Way(),
+/// and one whose every level and TLB has a non-power-of-two set count.
+std::vector<std::pair<std::string, HierarchyConfig>> oracleHierarchies() {
+  std::vector<std::pair<std::string, HierarchyConfig>> Out;
+  for (const MachineConfig &M : machinePresets())
+    Out.push_back({M.Name, M.Hierarchy});
+  Out.push_back({"1-way/256-way", oneWay256Way()});
   HierarchyConfig Odd;
   Odd.L1 = CacheConfig{24 * 4 * 64, 4, 64};
   Odd.L2 = CacheConfig{80 * 8 * 64, 8, 64};
@@ -415,10 +445,14 @@ std::vector<std::pair<std::string, HierarchyConfig>> oracleHierarchies() {
 
 /// A seeded access stream for \p H: immediate repeats, three hot pools
 /// (one fitting L1, one a few times L1, one a few times L2, so every
-/// level serves hits), scattered cold lines, and sizes of 0 to 300 bytes
-/// at any alignment (zero-size and multi-line accesses).
+/// level serves hits), scattered cold lines below 2^40 and the
+/// hierarchy's address limit, and sizes of 0 to 300 bytes at any
+/// alignment (zero-size and multi-line accesses).
 std::vector<MemAccess> hierarchyStream(const HierarchyConfig &H, uint64_t Seed,
                                        size_t N) {
+  // A cold access starts below ColdBound + a line and spans <= 300 bytes.
+  const uint64_t ColdBound = std::min(uint64_t(1) << 40,
+                                      MemoryHierarchy(H).addressLimit() - 512);
   Rng R(Seed);
   const uint64_t Line = H.L1.LineSize;
   const uint64_t Pools[] = {H.L1.SizeBytes / Line / 2,
@@ -437,7 +471,7 @@ std::vector<MemAccess> hierarchyStream(const HierarchyConfig &H, uint64_t Seed,
       size_t P = Roll < 50 ? 0 : Roll < 75 ? 1 : 2;
       Addr = (uint64_t(P + 1) << 32) + R.nextBelow(Pools[P]) * Line;
     } else {
-      Addr = R.nextBelow(uint64_t(1) << 40);
+      Addr = R.nextBelow(ColdBound);
     }
     Addr += R.nextBelow(Line);
     uint64_t Size = R.nextBelow(10) == 0 ? R.nextBelow(301) : R.nextBelow(9);
@@ -490,6 +524,76 @@ TEST(HierarchyOracle, MatchesAtRandomCheckpoints) {
     EXPECT_GT(C.L3Misses, 0u) << Name;
     EXPECT_GT(C.TlbMisses, 0u) << Name;
   }
+}
+
+//===----------------------------------------------------------------------===//
+// The address limit: 32-bit tags bound the addresses a hierarchy simulates.
+//===----------------------------------------------------------------------===//
+
+TEST(HierarchyLimit, EveryPresetReachesPastTheSimulatedHeaps) {
+  // Each preset's least limit is its L1's: 64 sets of 64-byte lines, or
+  // 128 on mobile. The highest byte any ref cell of any allocator kind
+  // touches is 0x40000cb9e5f (2^42 + 13 MB).
+  for (const MachineConfig &M : machinePresets()) {
+    MemoryHierarchy H(M.Hierarchy);
+    const uint64_t Want =
+        M.Name == "mobile" ? (uint64_t(1) << 45) - 8192
+                           : (uint64_t(1) << 44) - 4096;
+    EXPECT_EQ(H.addressLimit(), Want) << M.Name;
+    EXPECT_GE(H.addressLimit(), (uint64_t(1) << 44) - 4096) << M.Name;
+  }
+}
+
+TEST(HierarchyLimit, TheLastByteBelowTheLimitSimulates) {
+  for (const MachineConfig &M : machinePresets()) {
+    MemoryHierarchy H(M.Hierarchy);
+    HierarchyOracle Oracle(M.Hierarchy);
+    const uint64_t Limit = H.addressLimit();
+    const std::pair<uint64_t, uint64_t> Accesses[] = {
+        {Limit - 1, 1}, {Limit - 100, 100}, {Limit - 1, 0}, {Limit - 8, 8}};
+    for (auto [Addr, Size] : Accesses) {
+      H.access(Addr, Size);
+      Oracle.access(Addr, Size);
+    }
+    // Five lines: the 100-byte access spans the last two.
+    EXPECT_EQ(H.counters().Accesses, 5u) << M.Name;
+    EXPECT_TRUE(sameCounters(H.counters(), Oracle.counters())) << M.Name;
+  }
+}
+
+TEST(HierarchyLimit, AnAccessReachingTheLimitThrowsAndChangesNothing) {
+  for (const MachineConfig &M : machinePresets()) {
+    MemoryHierarchy H(M.Hierarchy);
+    HierarchyOracle Oracle(M.Hierarchy);
+    const uint64_t Limit = H.addressLimit();
+    // Last byte at the limit, past it, and wrapping past 2^64.
+    const std::pair<uint64_t, uint64_t> Rejected[] = {
+        {Limit, 1},   {Limit, 0},          {Limit - 1, 2},
+        {0, Limit + 1}, {Limit - 64, 65},  {~0ull, 1},
+        {~0ull - 7, 16}, {0x1000, ~0ull}};
+    for (auto [Addr, Size] : Rejected) {
+      // A queued access before each rejected one: a rejection must neither
+      // queue a line nor drop the pending block.
+      H.access(0x1000, 8);
+      Oracle.access(0x1000, 8);
+      const MemoryCounters Before = H.counters();
+      EXPECT_THROW(H.access(Addr, Size), std::out_of_range)
+          << M.Name << ": " << Size << " bytes at " << Addr;
+      EXPECT_TRUE(sameCounters(H.counters(), Before)) << M.Name;
+    }
+    EXPECT_TRUE(sameCounters(H.counters(), Oracle.counters())) << M.Name;
+  }
+}
+
+TEST(HierarchyLimit, TheTwoSetL2BoundsTheOneWay256WayGeometry) {
+  // The oracle geometry whose tag space ends below 2^40: its 2-set L2.
+  MemoryHierarchy H(oneWay256Way());
+  EXPECT_EQ(H.addressLimit(), uint64_t(UINT32_MAX) * 2 * 64);
+  H.access(H.addressLimit() - 1, 1);
+  EXPECT_THROW(H.access(H.addressLimit(), 1), std::out_of_range);
+  // A cold line the oracle stream drew before the limit existed.
+  EXPECT_THROW(H.access((uint64_t(1) << 40) - 64, 8), std::out_of_range);
+  EXPECT_EQ(H.counters().Accesses, 1u);
 }
 
 namespace {

@@ -17,23 +17,46 @@
 // of each enumeration, bounded and id field decodes and the first value
 // past it throws.
 //
+// The same properties over the two hand-written decoders outside the
+// walkers: frames (readFrame over a socketpair: every strict prefix is a
+// ProtocolError except the empty one, a clean close; every flip of the
+// header is a ProtocolError or decodes as the flipped header says) and the
+// store entry header (decodeEntry through ArtifactStore::get and the
+// listing: every prefix and flip of an entry file reads as absent and
+// lists as invalid, unless the flip falls in the label's text, which no
+// checksum covers: that reads as the same payload, never another).
+//
+// HALO_CODEC_ITERATIONS sets the random instances per layout (default 32;
+// the flip properties run a quarter as many); scripts/ci.sh raises it for
+// a soak in the sanitized build.
+//
 //===----------------------------------------------------------------------===//
 
 #include "group/Grouping.h"
 #include "hds/HdsPipeline.h"
 #include "identify/Identify.h"
 #include "serve/Protocol.h"
+#include "store/ArtifactStore.h"
 #include "support/BinaryIO.h"
 #include "support/Rng.h"
+#include "support/Socket.h"
 #include "trace/Context.h"
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstdint>
+#include <cstdlib>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <optional>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 #include <typeinfo>
 #include <vector>
@@ -423,16 +446,37 @@ std::optional<Bytes> tryReencode(const Layout &L, const Bytes &B) {
 }
 
 constexpr uint64_t PropertySeed = 0xC0DEC5EEDull;
-constexpr int Instances = 32;
-/// Flips cost a decode per (position, mask), so fewer instances.
-constexpr int FlippedInstances = 8;
+
+/// Random instances per layout: $HALO_CODEC_ITERATIONS, an integer in
+/// [1, 2^20], else 32. Throws std::invalid_argument (failing the test) for
+/// any other setting, so a mistyped soak never runs the default quietly.
+int instances() {
+  const char *Env = std::getenv("HALO_CODEC_ITERATIONS");
+  if (!Env)
+    return 32;
+  char *End = nullptr;
+  errno = 0;
+  long long N = std::strtoll(Env, &End, 10);
+  if (End == Env || *End != '\0' || errno != 0 || N < 1 || N > (1 << 20))
+    throw std::invalid_argument("HALO_CODEC_ITERATIONS must be an integer "
+                                "in [1, 2^20], not '" + std::string(Env) +
+                                "'");
+  return static_cast<int>(N);
+}
+
+/// Flips cost a decode per (position, mask), so a quarter as many.
+int flippedInstances() { return std::max(1, instances() / 4); }
+
+/// Every single-byte flip applies each one-bit mask and 0xFF.
+constexpr uint8_t FlipMasks[] = {0x01, 0x02, 0x04, 0x08, 0x10,
+                                 0x20, 0x40, 0x80, 0xFF};
 
 class CodecProperties : public ::testing::TestWithParam<Layout> {};
 
 TEST_P(CodecProperties, ReencodingADecodedValueGivesTheSameBytes) {
   const Layout &L = GetParam();
   Rng R(PropertySeed);
-  for (int I = 0; I < Instances; ++I) {
+  for (int I = 0, N = instances(); I < N; ++I) {
     Bytes B = L.Random(R);
     std::optional<Bytes> Again = tryReencode(L, B);
     ASSERT_TRUE(Again) << "instance " << I << ": " << hex(B);
@@ -443,7 +487,7 @@ TEST_P(CodecProperties, ReencodingADecodedValueGivesTheSameBytes) {
 TEST_P(CodecProperties, EveryStrictPrefixAndATrailingByteThrow) {
   const Layout &L = GetParam();
   Rng R(PropertySeed + 1);
-  for (int I = 0; I < Instances; ++I) {
+  for (int I = 0, N = instances(); I < N; ++I) {
     Bytes B = L.Random(R);
     for (size_t N = 0; N < B.size(); ++N)
       EXPECT_FALSE(tryReencode(L, Bytes(B.begin(), B.begin() + N)))
@@ -459,11 +503,10 @@ TEST_P(CodecProperties, EveryStrictPrefixAndATrailingByteThrow) {
 TEST_P(CodecProperties, EveryByteFlipThrowsTheTypedErrorOrDecodes) {
   const Layout &L = GetParam();
   Rng R(PropertySeed + 2);
-  for (int I = 0; I < FlippedInstances; ++I) {
+  for (int I = 0, N = flippedInstances(); I < N; ++I) {
     Bytes B = L.Random(R);
     for (size_t P = 0; P < B.size(); ++P)
-      for (uint8_t Mask : {0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80,
-                           0xFF}) {
+      for (uint8_t Mask : FlipMasks) {
         Bytes Flipped = B;
         Flipped[P] ^= Mask;
         tryReencode(L, Flipped);
@@ -476,6 +519,191 @@ INSTANTIATE_TEST_SUITE_P(Layouts, CodecProperties,
                          [](const ::testing::TestParamInfo<Layout> &Info) {
                            return Info.param.Name;
                          });
+
+//===----------------------------------------------------------------------===//
+// Frames: readFrame over a socketpair
+//===----------------------------------------------------------------------===//
+
+/// A connected stream socket pair.
+struct SocketPair {
+  Socket A, B;
+  SocketPair() {
+    int Fds[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, Fds) != 0)
+      throw std::runtime_error("socketpair failed");
+    A = Socket(Fds[0]);
+    B = Socket(Fds[1]);
+  }
+};
+
+/// The bytes writeFrame puts on the wire for (\p Type, \p Payload).
+Bytes wireFrame(MsgType Type, const Bytes &Payload) {
+  SocketPair P;
+  writeFrame(P.A, Type, Payload);
+  P.A.close();
+  Bytes Wire;
+  uint8_t Buf[4096];
+  while (size_t N = P.B.recvSome(Buf, sizeof(Buf)))
+    Wire.insert(Wire.end(), Buf, Buf + N);
+  return Wire;
+}
+
+/// readFrame of \p Wire sent whole, followed by the sender's close.
+std::optional<Frame> readWire(const Bytes &Wire) {
+  SocketPair P;
+  P.A.sendAll(Wire.data(), Wire.size());
+  P.A.close();
+  return readFrame(P.B);
+}
+
+/// Every message type, each with a payload of 0 to 64 random bytes
+/// (readFrame never looks inside a payload).
+template <class FnT> void forEachRandomFrame(Rng &R, int Count, FnT Fn) {
+  for (int I = 0; I < Count; ++I)
+    for (uint8_t T = static_cast<uint8_t>(MsgType::Hello);
+         T <= static_cast<uint8_t>(MsgType::Error); ++T) {
+      Bytes Payload(R.nextBelow(65));
+      for (uint8_t &B : Payload)
+        B = static_cast<uint8_t>(R.next());
+      Fn(static_cast<MsgType>(T), Payload);
+    }
+}
+
+TEST(FrameProperties, EveryStrictPrefixThrowsAndOnlyTheEmptyOneIsACleanClose) {
+  Rng R(PropertySeed + 3);
+  EXPECT_FALSE(readWire({}));
+  forEachRandomFrame(R, instances(), [](MsgType Type, const Bytes &Payload) {
+    Bytes Wire = wireFrame(Type, Payload);
+    std::optional<Frame> Whole = readWire(Wire);
+    ASSERT_TRUE(Whole);
+    EXPECT_EQ(Whole->Type, Type);
+    EXPECT_EQ(Whole->Payload, Payload);
+    for (size_t N = 1; N < Wire.size(); ++N)
+      EXPECT_THROW(readWire(Bytes(Wire.begin(), Wire.begin() + N)),
+                   ProtocolError)
+          << "cut to " << N << " of " << Wire.size() << ": " << hex(Wire);
+  });
+}
+
+TEST(FrameProperties, EveryHeaderFlipThrowsOrDecodesAsTheFlippedHeaderSays) {
+  const size_t HeaderBytes = wireFrame(MsgType::Stats, {}).size();
+  ASSERT_EQ(HeaderBytes, 9u);
+  Rng R(PropertySeed + 4);
+  forEachRandomFrame(R, flippedInstances(), [&](MsgType Type,
+                                                const Bytes &Payload) {
+    const Bytes Wire = wireFrame(Type, Payload);
+    for (size_t P = 0; P < HeaderBytes; ++P)
+      for (uint8_t Mask : FlipMasks) {
+        Bytes Flipped = Wire;
+        Flipped[P] ^= Mask;
+        std::optional<Frame> F;
+        try {
+          F = readWire(Flipped);
+        } catch (const ProtocolError &) {
+          continue; // Anything but ProtocolError escapes and fails.
+        }
+        // A non-empty stream never reads as a clean close, and a frame
+        // that decodes is the flipped bytes, re-encoded: its type and
+        // length are the flipped header's, its payload the bytes after.
+        ASSERT_TRUE(F) << "flip " << int(Mask) << " at " << P;
+        ASSERT_LE(HeaderBytes + F->Payload.size(), Flipped.size());
+        EXPECT_EQ(hex(wireFrame(F->Type, F->Payload)),
+                  hex(Bytes(Flipped.begin(), Flipped.begin() + HeaderBytes +
+                                                 F->Payload.size())))
+            << "flip " << int(Mask) << " at " << P;
+      }
+  });
+}
+
+//===----------------------------------------------------------------------===//
+// The store entry header: decodeEntry through get() and the listing
+//===----------------------------------------------------------------------===//
+
+/// A store in a fresh private temp directory, removed on destruction.
+class ScratchStore {
+public:
+  ScratchStore() {
+    char Template[] = "/tmp/halo_codec_test.XXXXXX";
+    if (!::mkdtemp(Template))
+      throw std::runtime_error("mkdtemp failed");
+    Store.emplace(Template);
+  }
+  ~ScratchStore() {
+    for (const ArtifactStore::Entry &E : Store->entries())
+      ::unlink(path(E.File).c_str());
+    ::rmdir(Store->dir().c_str());
+  }
+  ArtifactStore &operator*() { return *Store; }
+  ArtifactStore *operator->() { return &*Store; }
+  std::string path(const std::string &File) const {
+    return Store->dir() + "/" + File;
+  }
+
+private:
+  std::optional<ArtifactStore> Store;
+};
+
+Bytes readBytes(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  return Bytes(std::istreambuf_iterator<char>(In), {});
+}
+
+void writeBytes(const std::string &Path, const Bytes &B) {
+  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+  Out.write(reinterpret_cast<const char *>(B.data()),
+            static_cast<std::streamsize>(B.size()));
+}
+
+TEST(StoreEntryProperties, EveryPrefixAndFlipReadsAsAbsentOrTheSamePayload) {
+  ScratchStore Store;
+  const StoreKey Key =
+      hdsStoreKey("health", Scale::Test, 1, HdsParameters());
+  Rng R(PropertySeed + 5);
+  for (int I = 0, N = flippedInstances(); I < N; ++I) {
+    BinaryWriter W;
+    saveHdsArtifacts(randomHds(R), W);
+    const Bytes Payload = W.take();
+    ASSERT_TRUE(Store->put(Key, Payload));
+    std::vector<ArtifactStore::Entry> Listed = Store->entries();
+    ASSERT_EQ(Listed.size(), 1u);
+    ASSERT_TRUE(Listed[0].Valid) << Listed[0].Problem;
+    const std::string File = Store.path(Listed[0].File);
+    const Bytes Raw = readBytes(File);
+    // The label's text, found by value rather than by the header layout.
+    const size_t LabelAt =
+        std::search(Raw.begin(), Raw.end(), Key.Label.begin(),
+                    Key.Label.end()) - Raw.begin();
+    ASSERT_LT(LabelAt, Raw.size());
+
+    // Reads \p Entry back both ways; \p Same: it may read as Payload.
+    auto Check = [&](const Bytes &Entry, bool Same, const std::string &What) {
+      writeBytes(File, Entry);
+      std::optional<Bytes> Got = Store->get(Key);
+      Listed = Store->entries();
+      ASSERT_EQ(Listed.size(), 1u) << What;
+      if (!Same) {
+        EXPECT_FALSE(Got) << What;
+        EXPECT_FALSE(Listed[0].Valid) << What;
+        return;
+      }
+      ASSERT_TRUE(Got) << What;
+      EXPECT_EQ(*Got, Payload) << What;
+      EXPECT_NE(Listed[0].Label, Key.Label) << What;
+    };
+    for (size_t Cut = 0; Cut < Raw.size(); ++Cut)
+      Check(Bytes(Raw.begin(), Raw.begin() + Cut), false,
+            "cut to " + std::to_string(Cut));
+    for (size_t P = 0; P < Raw.size(); ++P)
+      for (uint8_t Mask : FlipMasks) {
+        Bytes Flipped = Raw;
+        Flipped[P] ^= Mask;
+        bool InLabel = P >= LabelAt && P < LabelAt + Key.Label.size();
+        Check(Flipped, InLabel,
+              "flip " + std::to_string(Mask) + " at " + std::to_string(P));
+      }
+    writeBytes(File, Raw);
+  }
+}
 
 //===----------------------------------------------------------------------===//
 // Domains: the last value in, the first value out

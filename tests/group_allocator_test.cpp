@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 using namespace halo;
 
 namespace {
@@ -170,6 +172,53 @@ TEST_F(GroupAllocTest, UsableSizeAndOwnership) {
   EXPECT_EQ(GA.usableSize(A), 24u);
   GA.deallocate(A);
   EXPECT_FALSE(GA.owns(A));
+}
+
+TEST_F(GroupAllocTest, FreeOrUsableSizeOfAnAddressItDoesNotOwnThrows) {
+  // Each of these once indexed a chunk's records at NoRegion, or reached
+  // the backing allocator's unchecked lookup.
+  GroupAllocator GA(Backing, Policy, Options);
+  uint64_t A = GA.allocate(grouped(24));
+  uint64_t Freed = GA.allocate(grouped(40));
+  uint64_t Forwarded = GA.allocate(ungrouped(100));
+  GA.deallocate(Freed);
+  const uint64_t Chunk = A & ~(Options.ChunkSize - 1);
+  const uint64_t NotOwned[] = {
+      A + 8,                           // Interior of a grouped region.
+      Chunk,                           // The chunk's header.
+      Chunk + Options.ChunkSize + 64,  // A slab chunk no group holds.
+      Freed,                           // Already freed.
+      Forwarded + 8,                   // Interior of a forwarded object.
+      0x1000,                          // Neither arena.
+  };
+  const uint64_t LiveBytes = GA.liveBytes();
+  for (uint64_t Addr : NotOwned) {
+    EXPECT_THROW(GA.deallocate(Addr), std::invalid_argument) << Addr;
+    EXPECT_THROW(GA.usableSize(Addr), std::invalid_argument) << Addr;
+  }
+  EXPECT_EQ(GA.liveBytes(), LiveBytes);
+  EXPECT_EQ(GA.usableSize(A), 24u);
+  EXPECT_EQ(GA.usableSize(Forwarded), 112u);
+}
+
+TEST_F(GroupAllocTest, ADoubleFreeThrowsAndTheChunkKeepsItsLiveRegion) {
+  // A second free must not count its region out of the chunk again: the
+  // retired chunk recycles only when its last live region goes.
+  GroupAllocator GA(Backing, Policy, Options);
+  std::vector<uint64_t> Addrs;
+  uint64_t PerChunk = Options.ChunkSize / 64;
+  for (uint64_t I = 0; I < PerChunk + 4; ++I)
+    Addrs.push_back(GA.allocate(grouped(64)));
+  for (uint64_t I = 2; I < PerChunk; ++I)
+    GA.deallocate(Addrs[I]);
+  GA.deallocate(Addrs[0]);
+  EXPECT_THROW(GA.deallocate(Addrs[0]), std::invalid_argument);
+  EXPECT_EQ(GA.spareChunkCount(), 0u);
+  EXPECT_EQ(GA.chunkCount(), 2u);
+  EXPECT_EQ(GA.usableSize(Addrs[1]), 64u);
+  GA.deallocate(Addrs[1]);
+  EXPECT_EQ(GA.spareChunkCount(), 1u);
+  EXPECT_EQ(GA.chunkCount(), 1u);
 }
 
 TEST_F(GroupAllocTest, LiveBytesSpanGroupedAndForwarded) {

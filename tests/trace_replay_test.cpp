@@ -24,6 +24,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <tuple>
 #include <utility>
 
@@ -181,6 +182,36 @@ TEST(TraceReplay, ReallocCallocAndRawAccessesRoundTrip) {
                            Memory.counters().Accesses);
   };
   EXPECT_EQ(Measure(false), Measure(true));
+}
+
+TEST(TraceReplay, ARawAccessPastTheAddressLimitThrowsInsteadOfSimulating) {
+  // Raw addresses in a loaded trace reach the hierarchy with nothing but
+  // its address limit between them and the 32-bit tags. The recording run
+  // simulates no hierarchy, so nothing stops the access there.
+  const uint64_t Limit = MemoryHierarchy().addressLimit();
+  Program P;
+  EventTrace Recorded;
+  {
+    RecordingArena Arena;
+    Runtime RT(P, Arena);
+    TraceRecorder Recorder(Recorded, Arena);
+    RT.addObserver(&Recorder);
+    RT.load(0x1000, 8);
+    RT.store(Limit - 8, 16);
+    RT.load(0x2000, 8);
+  }
+  ASSERT_EQ(Recorded.counts().RawLoads + Recorded.counts().RawStores, 3u);
+  BinaryWriter W;
+  Recorded.save(W);
+  BinaryReader R(W.buffer());
+  EventTrace Loaded = EventTrace::load(R);
+
+  MemoryHierarchy Memory;
+  SizeClassAllocator Jemalloc;
+  Runtime RT(P, Jemalloc);
+  RT.setMemory(&Memory);
+  EXPECT_THROW(RT.replay(Loaded), std::out_of_range);
+  EXPECT_EQ(Memory.counters().Accesses, 1u); // Only the access before it.
 }
 
 namespace {
