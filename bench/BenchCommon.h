@@ -6,9 +6,9 @@
 ///
 /// \file
 /// Helpers shared by the bench binaries: the trial count (figures and
-/// bench_grouping_scale), wall-clock and thread-CPU medians, and the
-/// BENCH_pipeline.json row and its writer (bench_grouping_scale writes the
-/// whole file).
+/// bench_grouping_scale), wall-clock and thread-CPU medians and minima, and
+/// the BENCH_pipeline.json row and its writer (bench_grouping_scale writes
+/// the whole file).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -82,6 +82,21 @@ std::pair<double, double> medianWallCpuMs(int Trials, Fn &&Run) {
   return {Wall[Wall.size() / 2], Cpu[Cpu.size() / 2]};
 }
 
+/// Runs \p Run \p Reps times on the calling thread and returns the least
+/// wall-clock ms and the least CPU ms of the calling thread: the cost with
+/// the least interference, for a row whose runs land in separate modes.
+template <typename Fn>
+std::pair<double, double> minWallCpuMs(int Reps, Fn &&Run) {
+  double Wall = 1e300, Cpu = 1e300;
+  for (int T = 0; T < Reps; ++T) {
+    double Start = nowMs(), CpuStart = threadCpuMs();
+    Run();
+    Cpu = std::min(Cpu, threadCpuMs() - CpuStart);
+    Wall = std::min(Wall, nowMs() - Start);
+  }
+  return {Wall, Cpu};
+}
+
 /// One BENCH_pipeline.json row (harness clock).
 struct BenchRow {
   std::string Bench;
@@ -89,7 +104,9 @@ struct BenchRow {
   uint64_t Edges;
   double WallMs;
   int Trials;
-  double CpuMs = -1; ///< Median thread CPU ms; negative when not taken.
+  double CpuMs = -1; ///< Thread CPU ms; negative when not taken.
+  /// Peak resident growth in MB; negative when not taken.
+  double RssGrowthMb = -1;
 };
 
 /// Writes \p Rows as a JSON array to \p Path, each closed by the
@@ -106,15 +123,18 @@ inline void writeRows(const std::string &Path,
   const unsigned Cores = std::thread::hardware_concurrency();
   for (size_t I = 0; I < Rows.size(); ++I) {
     const BenchRow &R = Rows[I];
-    char Cpu[64] = "";
+    char Cpu[64] = "", Rss[64] = "";
     if (R.CpuMs >= 0)
       std::snprintf(Cpu, sizeof(Cpu), ", \"cpu_ms\": %.3f", R.CpuMs);
+    if (R.RssGrowthMb >= 0)
+      std::snprintf(Rss, sizeof(Rss), ", \"peak_rss_growth_mb\": %.2f",
+                    R.RssGrowthMb);
     std::fprintf(Out,
                  "  {\"bench\": \"%s\", \"nodes\": %llu, \"edges\": %llu, "
-                 "\"wall_ms\": %.3f%s, \"trials\": %d, \"host_cores\": %u, "
+                 "\"wall_ms\": %.3f%s%s, \"trials\": %d, \"host_cores\": %u, "
                  "\"build\": \"" HALO_BENCH_BUILD_TYPE "\"}%s\n",
                  R.Bench.c_str(), static_cast<unsigned long long>(R.Nodes),
-                 static_cast<unsigned long long>(R.Edges), R.WallMs, Cpu,
+                 static_cast<unsigned long long>(R.Edges), R.WallMs, Cpu, Rss,
                  R.Trials, Cores, I + 1 < Rows.size() ? "," : "");
   }
   std::fputs("]\n", Out);

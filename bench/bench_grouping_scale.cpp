@@ -11,14 +11,19 @@
 // pipelines serve them: the HALO profiling run (profile_halo_test; edges =
 // profiled macro accesses), the HDS profiling run (profile_hds_test; edges
 // = reference-trace length) and hot-stream extraction from that trace
-// (sequitur_hds_test; edges = symbols appended), plus constructing each
-// machine preset's memory hierarchy (hierarchy_setup_<preset>; nodes =
-// sets, edges = tag slots over all levels and the dTLB). Last come the
-// stages a warm plan pays for: the 33 ref cells of the warm matrix on each
-// preset (measure_ref_<preset>; nodes = cells, edges = simulated line
-// accesses; the HALO and HDS bundles are derived before timing) and the
-// 11 jemalloc ref runs with no hierarchy attached (alloc_ref_jemalloc;
-// edges = allocator calls), whose difference is the simulator's share.
+// (sequitur_hds_test; edges = symbols appended) and the peak memory of
+// the whole HDS pipeline (hds_pipeline_rss_test: each benchmark's pipeline
+// runs in a forked child, taken before any other row while this process
+// is small; "peak_rss_growth_mb" is the largest growth of a child's peak
+// resident set over the 11, wall_ms the children's summed pipeline time),
+// plus constructing each machine preset's memory hierarchy
+// (hierarchy_setup_<preset>; nodes = sets, edges = tag slots over all
+// levels and the dTLB). Last come the stages a warm plan pays for: the 33
+// ref cells of the warm matrix on each preset (measure_ref_<preset>;
+// nodes = cells, edges = simulated line accesses; the HALO and HDS bundles
+// are derived before timing) and the 11 jemalloc ref runs with no
+// hierarchy attached (alloc_ref_jemalloc; edges = allocator calls), whose
+// difference is the simulator's share.
 //
 // Emits a machine-readable trajectory file (default: BENCH_pipeline.json,
 // override with argv[1]) as a JSON array of rows
@@ -26,8 +31,14 @@
 //    "host_cores": ..., "build": ...}
 // so subsequent PRs can track the perf trend. wall_ms is the median across
 // trials (HALO_BENCH_TRIALS overrides the trial count). The measured-cell
-// rows run on the calling thread alone and also carry "cpu_ms", the
-// median of that thread's CPU time.
+// rows run on the calling thread alone and also carry "cpu_ms", that
+// thread's CPU time: the median for measure_ref_<preset>, the minimum for
+// alloc_ref_jemalloc, whose wall and CPU are the least over at least 15
+// repetitions. That row lands in one of two modes from run to run (on a
+// 4-core host one binary's median of three read either 84-86 ms or
+// 117-132 ms), so a median of a few trials cannot gate a cost on it; the
+// mode is set per process (the minimum read 84-94 or 109-115 ms), so
+// compare it over several runs of this bench.
 //
 //===----------------------------------------------------------------------===//
 
@@ -45,12 +56,19 @@
 #include "support/Rng.h"
 #include "workloads/Workload.h"
 
+#include <malloc.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
-#include <iterator>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace halo;
@@ -102,6 +120,92 @@ bool sameGroups(const std::vector<Group> &A, const std::vector<Group> &B) {
   return true;
 }
 
+/// The first figure, in MB, of the "\p Field:" line (kB) of this
+/// process's /proc/self/status; negative if there is none.
+double statusMb(const char *Field) {
+  double Mb = -1;
+  if (FILE *Status = std::fopen("/proc/self/status", "r")) {
+    char Line[256];
+    const size_t Len = std::strlen(Field);
+    while (std::fgets(Line, sizeof(Line), Status))
+      if (std::strncmp(Line, Field, Len) == 0 && Line[Len] == ':') {
+        Mb = std::strtod(Line + Len + 1, nullptr) / 1024.0;
+        break;
+      }
+    std::fclose(Status);
+  }
+  return Mb;
+}
+
+/// Runs \p Run in a forked child and returns how far it raised the child's
+/// peak resident set above its resident set at the start, in MB, and its
+/// wall-clock ms; {-1, 0} if the child failed. The parent's free heap is
+/// returned to the system first, so the child inherits no resident free
+/// memory that \p Run could reuse unseen, and a forked child's peak starts
+/// at its resident set.
+template <typename Fn> std::pair<double, double> forkedPeakGrowth(Fn &&Run) {
+  malloc_trim(0);
+  std::fflush(nullptr); // The child must not flush the parent's buffers.
+  int Fds[2];
+  if (::pipe(Fds) != 0)
+    return {-1, 0};
+  pid_t Child = ::fork();
+  if (Child == 0) {
+    // The child never returns into the caller, not even by an exception.
+    bool Sent = false;
+    try {
+      ::close(Fds[0]);
+      const double Base = statusMb("VmRSS"), Start = nowMs();
+      Run();
+      const double Result[2] = {statusMb("VmHWM") - Base, nowMs() - Start};
+      Sent = Base >= 0 &&
+             ::write(Fds[1], Result, sizeof(Result)) == sizeof(Result);
+    } catch (...) {
+    }
+    ::_exit(Sent ? 0 : 1);
+  }
+  ::close(Fds[1]);
+  double Result[2] = {-1, 0};
+  bool Got = Child > 0 &&
+             ::read(Fds[0], Result, sizeof(Result)) == sizeof(Result);
+  ::close(Fds[0]);
+  int Status = 0;
+  if (Child > 0)
+    ::waitpid(Child, &Status, 0);
+  if (!Got || !WIFEXITED(Status) || WEXITSTATUS(Status) != 0)
+    return {-1, 0};
+  return {Result[0], Result[1]};
+}
+
+/// The HDS pipeline (profiling the test input, the grammar, packing) of
+/// every benchmark, each run in a forked child: returns the largest peak
+/// resident growth (MB) and the summed wall-clock ms, or {-1, 0} if a
+/// child failed. The grammar is a cold plan's largest allocation.
+std::pair<double, double> hdsPipelinePeakGrowth() {
+  double MaxMb = 0, TotalMs = 0;
+  for (const std::string &Name : workloadNames()) {
+    std::unique_ptr<Workload> W = createWorkload(Name);
+    Program Prog;
+    W->build(Prog);
+    const BenchmarkSetup Setup = paperSetup(Name);
+    auto [Mb, Ms] = forkedPeakGrowth([&] {
+      optimizeBinaryHds(
+          Prog,
+          [&](Runtime &RT) {
+            W->run(RT, Setup.ProfileScale, Setup.ProfileSeed);
+          },
+          Setup.Hds, Setup.Machine);
+    });
+    if (Mb < 0)
+      return {-1, 0};
+    std::printf("HDS pipeline %-10s peak resident growth %5.1f MB, %.1f ms\n",
+                Name.c_str(), Mb, Ms);
+    MaxMb = std::max(MaxMb, Mb);
+    TotalMs += Ms;
+  }
+  return {MaxMb, TotalMs};
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -115,6 +219,13 @@ int main(int Argc, char **Argv) {
   }
   const int Trials = trials();
   std::vector<BenchRow> Rows;
+
+  // Taken first, while this process is small: every child inherits its
+  // heap state, and after the rows below omnetpp's pipeline read 3-3.5 MB
+  // more, which would track this bench's history, not the pipeline.
+  const std::pair<double, double> HdsPipeline = hdsPipelinePeakGrowth();
+  if (HdsPipeline.first < 0)
+    return 1;
 
   GroupingOptions Options;
   Options.MinEdgeWeight = 4;
@@ -307,6 +418,8 @@ int main(int Argc, char **Argv) {
                 SequiturMs, static_cast<unsigned long long>(TraceLength));
     if (Profiled == 0 || Streams == 0)
       return 1;
+    Rows.push_back({"hds_pipeline_rss_test", Benchmarks, TraceLength,
+                    HdsPipeline.second, 1, -1, HdsPipeline.first});
   }
 
   for (const MachineConfig &M : machinePresets()) {
@@ -369,7 +482,8 @@ int main(int Argc, char **Argv) {
     }
 
     uint64_t AllocatorCalls = 0;
-    auto [Wall, Cpu] = medianWallCpuMs(Trials, [&] {
+    const int Reps = std::max(Trials, 15);
+    auto [Wall, Cpu] = minWallCpuMs(Reps, [&] {
       AllocatorCalls = 0;
       for (auto &Eval : Evals) {
         SizeClassAllocator Jemalloc;
@@ -380,7 +494,7 @@ int main(int Argc, char **Argv) {
       }
     });
     Rows.push_back({"alloc_ref_jemalloc", Evals.size(), AllocatorCalls, Wall,
-                    Trials, Cpu});
+                    Reps, Cpu});
     std::printf("jemalloc ref runs, no hierarchy: %llu allocator calls: "
                 "%.1f ms CPU\n",
                 static_cast<unsigned long long>(AllocatorCalls), Cpu);

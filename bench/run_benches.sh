@@ -6,10 +6,15 @@
 #     bench_grouping_scale: grouping at scale against the Figure 6
 #     reference, the CSR snapshot, affinity-queue and arena-lookup hot
 #     paths, the cold-plan stages on the real workloads (profile_halo_test,
-#     profile_hds_test, sequitur_hds_test), hierarchy_setup_<preset>, and
+#     profile_hds_test, sequitur_hds_test, and hds_pipeline_rss_test, whose
+#     "peak_rss_growth_mb" is the largest peak resident growth of one HDS
+#     pipeline, each run in a forked child), hierarchy_setup_<preset>, and
 #     the measured cells of a warm plan: measure_ref_<preset> (33 ref
 #     cells per preset) and alloc_ref_jemalloc (the jemalloc ref runs with
-#     no hierarchy); those rows also carry "cpu_ms".
+#     no hierarchy); those rows also carry "cpu_ms". alloc_ref_jemalloc
+#     reports the least wall and CPU over at least 15 repetitions, not a
+#     median: its runs land in one of two modes (84-86 or 117-132 ms on a
+#     4-core host), so a median of three cannot gate a cost.
 #   BENCH_machines.json  simulated time. Rows {"bench", "machine", "kind",
 #     "wall_ms", "trials"} (+ l1d_misses / tlb_misses / speedup_percent
 #     detail fields), the halo_cli cross-machine sweep: jemalloc/hds/halo

@@ -6,14 +6,15 @@
 # the build type's NDEBUG) running the same suite. Both builds compile
 # every target with -Wall -Wextra as errors
 # (-DCMAKE_COMPILE_WARNING_AS_ERROR=ON). Each build also smoke-tests the artifact store
-# end to end through halo_cli against a per-run temp --store-dir: cold run
-# populates it with HALO/HDS bundles only (no trace entry), warm run must
-# emit byte-identical JSON and leave every entry's inode, size and mtime
-# unchanged, verify and gc must pass. The sanitized build then soaks the
-# codec properties (tests/codec_test.cpp: every payload and bundle layout,
-# frames and the store entry header) at HALO_CODEC_ITERATIONS=$CODEC_SOAK,
-# eight times the default instances. And each build smoke-tests the serve
-# daemon: two concurrent
+# end to end through halo_cli against a per-run temp --store-dir: a cold
+# health matrix of the halo and hds kinds populates it with a HALO and an
+# HDS bundle and no trace entry, the warm run must load both, emit
+# byte-identical JSON and leave every entry's inode, size and mtime
+# unchanged, verify and gc must pass. The sanitized build then soaks
+# the codec properties (tests/codec_test.cpp: every payload and bundle
+# layout, the HALO envelope, frames and the store entry header) at
+# HALO_CODEC_ITERATIONS=$CODEC_SOAK, eight times the default instances.
+# And each build smoke-tests the serve daemon: two concurrent
 # clients against one daemon on a temp socket, each byte-identical to a
 # local run, a third client naming its machine with --machine, also
 # byte-identical to a local run, a warm resubmission that must match too
@@ -66,21 +67,23 @@ store_smoke() {
   out_warm="$(mktemp)"
   listing="$(mktemp)"
   trap 'rm -rf "$store" "$out_cold" "$out_warm" "$listing"' RETURN
-  "$build/examples/halo_cli" run health --trials 2 \
-      --store-dir "$store" --out "$out_cold"
-  # Plans publish HALO/HDS bundles only: no trace entry.
+  local run=("$build/examples/halo_cli" experiments health --kinds halo,hds
+             --scale test --trials 2 --store-dir "$store")
+  "${run[@]}" --out "$out_cold"
+  # Plans publish HALO/HDS bundles only: both kinds, no trace entry.
   "$build/examples/halo_cli" store ls --store-dir "$store" --out "$listing"
-  if grep -q '"type": "trace"' "$listing"; then
-    echo "store_smoke: the cold run published a trace entry:" >&2
+  if grep -q '"type": "trace"' "$listing" ||
+     ! grep -q '"type": "halo"' "$listing" ||
+     ! grep -q '"type": "hds"' "$listing"; then
+    echo "store_smoke: the cold run did not publish HALO and HDS bundles only:" >&2
     cat "$listing" >&2
     return 1
   fi
-  # The warm run must load, not republish: a rewritten entry would show
-  # a new inode and mtime.
+  # The warm run must load both bundles, not republish: a rewritten entry
+  # would show a new inode and mtime.
   local store_before store_after
   store_before="$(stat -c '%n %i %s %y' "$store"/*)"
-  "$build/examples/halo_cli" run health --trials 2 \
-      --store-dir "$store" --out "$out_warm"
+  "${run[@]}" --out "$out_warm"
   cmp "$out_cold" "$out_warm"
   store_after="$(stat -c '%n %i %s %y' "$store"/*)"
   if [[ "$store_before" != "$store_after" ]]; then

@@ -12,308 +12,317 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 using namespace halo;
 
-/// Grammar symbol: a node of a doubly linked, guard-terminated ring.
-struct Sequitur::Symbol {
-  Symbol *Next = nullptr;
-  Symbol *Prev = nullptr;
-  Rule *Ref = nullptr;    ///< Non-null: nonterminal referencing Ref.
-  Rule *Owner = nullptr;  ///< Non-null: this is the guard of Owner.
-  uint32_t Terminal = 0;  ///< Valid for plain terminals.
-
-  bool isGuard() const { return Owner != nullptr; }
-  bool isNonTerminal() const { return Ref != nullptr; }
-};
-
-/// Grammar rule with an embedded guard node.
-struct Sequitur::Rule {
-  Symbol Guard;
-  uint32_t Id = 0;
-  uint32_t UseCount = 0;
-  bool Dead = false;
-
-  Symbol *first() const { return Guard.Next; }
-  Symbol *last() const { return Guard.Prev; }
-};
+// An occurrence's index shares its word with the two kind bits.
+static_assert((uint64_t(Sequitur::MaxSymbols - 1) << 2 | 3) <= UINT32_MAX,
+              "symbol indices leave two bits for the kinds");
 
 //===----------------------------------------------------------------------===//
 // Digram table
 //===----------------------------------------------------------------------===//
 
-Sequitur::DigramTable::DigramTable() : Slots(1024, Slot{0, 0, nullptr}) {
+Sequitur::DigramTable::DigramTable() : Slots(1024, Slot{0, 0, 0}) {
   Mask = Slots.size() - 1;
 }
 
-size_t Sequitur::DigramTable::home(uint64_t First, uint64_t Second) const {
+size_t Sequitur::DigramTable::home(uint32_t First, uint32_t Second,
+                                   uint32_t Kinds) const {
   // Terminals are dense object ids and rule ids are sequential: mix both
-  // halves through a multiply-xorshift before masking.
-  uint64_t H = (First * 0x9E3779B97F4A7C15ull) ^ Second;
+  // symbols (value << 1 | is-nonterminal) through a multiply-xorshift
+  // before masking.
+  uint64_t A = uint64_t(First) << 1 | Kinds >> 1;
+  uint64_t B = uint64_t(Second) << 1 | (Kinds & 1);
+  uint64_t H = (A * 0x9E3779B97F4A7C15ull) ^ B;
   H ^= H >> 32;
   H *= 0xD6E8FEB86659FD93ull;
   H ^= H >> 32;
   return static_cast<size_t>(H) & Mask;
 }
 
-size_t Sequitur::DigramTable::find(uint64_t First, uint64_t Second) const {
-  size_t I = home(First, Second);
-  while (Slots[I].Sym &&
-         (Slots[I].First != First || Slots[I].Second != Second))
+size_t Sequitur::DigramTable::find(DigramKey Key) const {
+  size_t I = home(Key.First, Key.Second, Key.Kinds);
+  while (Slots[I].Tagged &&
+         (Slots[I].First != Key.First || Slots[I].Second != Key.Second ||
+          (Slots[I].Tagged & 3) != Key.Kinds))
     I = (I + 1) & Mask;
   return I;
 }
 
-Sequitur::Symbol *&Sequitur::DigramTable::at(const Symbol *Sym) {
+Sequitur::DigramTable::Slot &Sequitur::DigramTable::slotFor(DigramKey Key) {
   if ((Count + 1) * 2 > Slots.size()) // Load factor at most 1/2.
     grow();
-  uint64_t First = encode(Sym), Second = encode(Sym->Next);
-  Slot &S = Slots[find(First, Second)];
-  if (!S.Sym) {
-    S.First = First;
-    S.Second = Second;
-    ++Count;
-  }
-  return S.Sym;
+  return Slots[find(Key)];
 }
 
-void Sequitur::DigramTable::eraseIfRecorded(const Symbol *Sym) {
-  size_t Hole = find(encode(Sym), encode(Sym->Next));
-  if (Slots[Hole].Sym != Sym)
+uint32_t Sequitur::DigramTable::recordIfAbsent(DigramKey Key,
+                                               uint32_t Occurrence) {
+  Slot &S = slotFor(Key);
+  if (S.Tagged)
+    return S.Tagged >> 2;
+  S = Slot{Key.First, Key.Second, Occurrence << 2 | Key.Kinds};
+  ++Count;
+  return 0;
+}
+
+void Sequitur::DigramTable::record(DigramKey Key, uint32_t Occurrence) {
+  Slot &S = slotFor(Key);
+  if (!S.Tagged)
+    ++Count;
+  S = Slot{Key.First, Key.Second, Occurrence << 2 | Key.Kinds};
+}
+
+void Sequitur::DigramTable::eraseIfRecorded(DigramKey Key,
+                                            uint32_t Occurrence) {
+  size_t Hole = find(Key);
+  if (Slots[Hole].Tagged >> 2 != Occurrence)
     return;
   for (size_t Probe = Hole;;) {
     Probe = (Probe + 1) & Mask;
-    if (!Slots[Probe].Sym)
+    const Slot &S = Slots[Probe];
+    if (!S.Tagged)
       break;
-    size_t Home = home(Slots[Probe].First, Slots[Probe].Second);
+    size_t Home = home(S.First, S.Second, S.Tagged & 3);
     // Move the probed entry into the hole unless its home lies in the
     // cyclic interval (Hole, Probe] (then it is still reachable).
     bool Reachable = Hole < Probe ? (Home > Hole && Home <= Probe)
                                   : (Home > Hole || Home <= Probe);
     if (!Reachable) {
-      Slots[Hole] = Slots[Probe];
+      Slots[Hole] = S;
       Hole = Probe;
     }
   }
-  Slots[Hole].Sym = nullptr;
+  Slots[Hole].Tagged = 0;
   --Count;
 }
 
 void Sequitur::DigramTable::grow() {
-  std::vector<Slot> Old(Slots.size() * 2, Slot{0, 0, nullptr});
+  std::vector<Slot> Old(Slots.size() * 2, Slot{0, 0, 0});
   Old.swap(Slots);
   Mask = Slots.size() - 1;
   for (const Slot &S : Old)
-    if (S.Sym)
-      Slots[find(S.First, S.Second)] = S;
+    if (S.Tagged)
+      Slots[find(DigramKey{S.First, S.Second, S.Tagged & 3})] = S;
 }
 
 //===----------------------------------------------------------------------===//
 // Grammar
 //===----------------------------------------------------------------------===//
 
-Sequitur::Sequitur() {
-  Start = newRule();
+Sequitur::Sequitur() : Symbols(1) { // Symbol 0 is null.
+  newRule();                        // Rule 0 is the start rule.
 }
 
-// Symbols live in SymbolBlocks and rules in Rules: both free themselves.
-Sequitur::~Sequitur() = default;
-
-Sequitur::Rule *Sequitur::newRule() {
-  auto R = std::make_unique<Rule>();
-  R->Id = static_cast<uint32_t>(Rules.size());
-  R->Guard.Owner = R.get();
-  R->Guard.Next = &R->Guard;
-  R->Guard.Prev = &R->Guard;
-  Rules.push_back(std::move(R));
-  return Rules.back().get();
+bool Sequitur::isGuard(uint32_t Sym) const {
+  return Symbols[Sym].K == Kind::Guard;
 }
 
-Sequitur::Symbol *Sequitur::newSymbol() {
-  constexpr size_t BlockSize = 4096;
-  Symbol *Sym;
-  if (FreeSymbols) {
-    Sym = FreeSymbols;
-    FreeSymbols = Sym->Next;
+bool Sequitur::isNonTerminal(uint32_t Sym) const {
+  return Symbols[Sym].K == Kind::NonTerminal;
+}
+
+uint32_t Sequitur::first(uint32_t R) const {
+  return Symbols[Rules[R].Guard].Next;
+}
+
+uint32_t Sequitur::last(uint32_t R) const {
+  return Symbols[Rules[R].Guard].Prev;
+}
+
+Sequitur::DigramKey Sequitur::digram(uint32_t First) const {
+  const Symbol &A = Symbols[First];
+  const Symbol &B = Symbols[A.Next];
+  assert(A.K != Kind::Guard && B.K != Kind::Guard &&
+         "guards have no digram value");
+  return DigramKey{A.Value, B.Value,
+                   uint32_t(A.K == Kind::NonTerminal) << 1 |
+                       uint32_t(B.K == Kind::NonTerminal)};
+}
+
+uint32_t Sequitur::newSymbol(Kind K, uint32_t Value) {
+  uint32_t Sym = FreeSymbols;
+  if (Sym) {
+    FreeSymbols = Symbols[Sym].Next;
   } else {
-    if (SymbolBlocks.empty() || BlockUsed == BlockSize) {
-      SymbolBlocks.push_back(std::make_unique<Symbol[]>(BlockSize));
-      BlockUsed = 0;
-    }
-    Sym = &SymbolBlocks.back()[BlockUsed++];
+    if (Symbols.size() == MaxSymbols)
+      throw std::length_error("sequitur: the grammar needs more than " +
+                              std::to_string(MaxSymbols) + " symbols");
+    Sym = static_cast<uint32_t>(Symbols.size());
+    Symbols.emplace_back();
   }
-  *Sym = Symbol();
+  Symbols[Sym] = Symbol{0, 0, Value, K};
   return Sym;
 }
 
-void Sequitur::freeSymbol(Symbol *Sym) {
-  Sym->Next = FreeSymbols;
+void Sequitur::freeSymbol(uint32_t Sym) {
+  Symbols[Sym].Next = FreeSymbols;
   FreeSymbols = Sym;
 }
 
-Sequitur::Symbol *Sequitur::newTerminal(uint32_t Terminal) {
-  Symbol *Sym = newSymbol();
-  Sym->Terminal = Terminal;
+uint32_t Sequitur::newRule() {
+  uint32_t R = static_cast<uint32_t>(Rules.size());
+  uint32_t Guard = newSymbol(Kind::Guard, R);
+  Symbols[Guard].Next = Symbols[Guard].Prev = Guard;
+  Rules.push_back(Rule{Guard, 0, false});
+  return R;
+}
+
+uint32_t Sequitur::newNonTerminal(uint32_t R) {
+  uint32_t Sym = newSymbol(Kind::NonTerminal, R);
+  ++Rules[R].UseCount;
   return Sym;
 }
 
-Sequitur::Symbol *Sequitur::newNonTerminal(Rule *R) {
-  Symbol *Sym = newSymbol();
-  Sym->Ref = R;
-  ++R->UseCount;
-  return Sym;
+uint32_t Sequitur::newCopy(uint32_t Of) {
+  const Symbol S = Symbols[Of]; // newSymbol may move Symbols.
+  return S.K == Kind::NonTerminal ? newNonTerminal(S.Value)
+                                  : newSymbol(Kind::Terminal, S.Value);
 }
 
-uint64_t Sequitur::encode(const Symbol *Sym) {
-  assert(!Sym->isGuard() && "guards have no digram value");
-  if (Sym->isNonTerminal())
-    return (uint64_t(Sym->Ref->Id) << 1) | 1;
-  return uint64_t(Sym->Terminal) << 1;
-}
-
-void Sequitur::removeDigram(Symbol *First) {
-  if (First->isGuard() || First->Next->isGuard())
+void Sequitur::removeDigram(uint32_t First) {
+  if (isGuard(First) || isGuard(Symbols[First].Next))
     return;
-  Digrams.eraseIfRecorded(First);
+  Digrams.eraseIfRecorded(digram(First), First);
 }
 
-void Sequitur::join(Symbol *Left, Symbol *Right) {
-  if (Left->Next)
+void Sequitur::join(uint32_t Left, uint32_t Right) {
+  if (Symbols[Left].Next)
     removeDigram(Left);
-  Left->Next = Right;
-  Right->Prev = Left;
+  Symbols[Left].Next = Right;
+  Symbols[Right].Prev = Left;
 }
 
-void Sequitur::insertAfter(Symbol *Pos, Symbol *Sym) {
-  join(Sym, Pos->Next);
+void Sequitur::insertAfter(uint32_t Pos, uint32_t Sym) {
+  join(Sym, Symbols[Pos].Next);
   join(Pos, Sym);
 }
 
-void Sequitur::deleteSymbol(Symbol *Sym) {
-  assert(!Sym->isGuard() && "cannot delete a guard");
-  join(Sym->Prev, Sym->Next);
+void Sequitur::deleteSymbol(uint32_t Sym) {
+  assert(!isGuard(Sym) && "cannot delete a guard");
+  join(Symbols[Sym].Prev, Symbols[Sym].Next);
   removeDigram(Sym);
-  if (Sym->isNonTerminal()) {
-    assert(Sym->Ref->UseCount > 0 && "use count underflow");
-    --Sym->Ref->UseCount;
+  if (isNonTerminal(Sym)) {
+    assert(Rules[Symbols[Sym].Value].UseCount > 0 && "use count underflow");
+    --Rules[Symbols[Sym].Value].UseCount;
   }
   freeSymbol(Sym);
 }
 
 void Sequitur::append(uint32_t Terminal) {
-  Symbol *Sym = newTerminal(Terminal);
-  insertAfter(Start->last(), Sym);
-  if (Sym->Prev != &Start->Guard)
-    check(Sym->Prev);
+  uint32_t Sym = newSymbol(Kind::Terminal, Terminal);
+  insertAfter(last(0), Sym);
+  if (Symbols[Sym].Prev != Rules[0].Guard)
+    check(Symbols[Sym].Prev);
 }
 
-bool Sequitur::check(Symbol *First) {
-  if (First->isGuard() || First->Next->isGuard())
+bool Sequitur::check(uint32_t First) {
+  if (isGuard(First) || isGuard(Symbols[First].Next))
     return false;
-  Symbol *&Recorded = Digrams.at(First);
-  if (!Recorded) {
-    Recorded = First;
+  uint32_t Found = Digrams.recordIfAbsent(digram(First), First);
+  if (!Found)
     return false;
-  }
-  Symbol *Found = Recorded;
-  if (Found->Next != First) // Non-overlapping occurrence: enforce uniqueness.
+  if (Symbols[Found].Next != First) // Non-overlapping: enforce uniqueness.
     match(First, Found);
   return true;
 }
 
-void Sequitur::match(Symbol *New, Symbol *Found) {
-  Rule *R;
-  if (Found->Prev->isGuard() && Found->Next->Next->isGuard()) {
+void Sequitur::match(uint32_t New, uint32_t Found) {
+  uint32_t R;
+  uint32_t FoundPrev = Symbols[Found].Prev;
+  if (isGuard(FoundPrev) && isGuard(Symbols[Symbols[Found].Next].Next)) {
     // The found occurrence is exactly an existing rule's body; reuse it.
-    R = Found->Prev->Owner;
+    R = Symbols[FoundPrev].Value;
     substitute(New, R);
   } else {
     // Create a new rule for the repeated digram.
     R = newRule();
-    Symbol *A = New->isNonTerminal() ? newNonTerminal(New->Ref)
-                                     : newTerminal(New->Terminal);
-    Symbol *B = New->Next->isNonTerminal() ? newNonTerminal(New->Next->Ref)
-                                           : newTerminal(New->Next->Terminal);
-    insertAfter(R->last(), A);
-    insertAfter(R->last(), B);
+    uint32_t A = newCopy(New);
+    uint32_t B = newCopy(Symbols[New].Next);
+    insertAfter(last(R), A);
+    insertAfter(last(R), B);
     substitute(Found, R);
     substitute(New, R);
-    Digrams.at(R->first()) = R->first();
+    Digrams.record(digram(first(R)), first(R));
   }
   // Rule utility: if the rule's first symbol is a nonterminal whose rule is
   // now used only once, inline it.
-  if (R->first()->isNonTerminal() && R->first()->Ref->UseCount == 1)
-    expandSoleUse(R->first());
+  uint32_t Head = first(R);
+  if (isNonTerminal(Head) && Rules[Symbols[Head].Value].UseCount == 1)
+    expandSoleUse(Head);
 }
 
-void Sequitur::substitute(Symbol *First, Rule *R) {
-  Symbol *Prev = First->Prev;
-  deleteSymbol(First->Next);
+void Sequitur::substitute(uint32_t First, uint32_t R) {
+  uint32_t Prev = Symbols[First].Prev;
+  deleteSymbol(Symbols[First].Next);
   deleteSymbol(First);
-  Symbol *NonTerm = newNonTerminal(R);
+  uint32_t NonTerm = newNonTerminal(R);
   insertAfter(Prev, NonTerm);
   if (!check(Prev))
     check(NonTerm);
 }
 
-void Sequitur::expandSoleUse(Symbol *NonTerminal) {
+void Sequitur::expandSoleUse(uint32_t NonTerminal) {
   // Only ever called on the first symbol of a rule body (see match()), so
   // the left neighbour is that rule's guard and forms no digram.
-  Rule *R = NonTerminal->Ref;
-  assert(R->UseCount == 1 && "expanding a shared rule");
-  Symbol *Left = NonTerminal->Prev;
-  Symbol *Right = NonTerminal->Next;
-  Symbol *First = R->first();
-  Symbol *Last = R->last();
-  assert(Left->isGuard() && "sole-use expansion away from a rule head");
-  assert(!First->isGuard() && "expanding an empty rule");
+  uint32_t R = Symbols[NonTerminal].Value;
+  assert(Rules[R].UseCount == 1 && "expanding a shared rule");
+  uint32_t Left = Symbols[NonTerminal].Prev;
+  uint32_t Right = Symbols[NonTerminal].Next;
+  uint32_t First = first(R);
+  uint32_t Last = last(R);
+  assert(isGuard(Left) && "sole-use expansion away from a rule head");
+  assert(!isGuard(First) && "expanding an empty rule");
 
   // Unlink the nonterminal without touching the rule's body.
   removeDigram(NonTerminal);
-  --R->UseCount;
+  --Rules[R].UseCount;
   freeSymbol(NonTerminal);
 
-  Left->Next = First;
-  First->Prev = Left;
-  Last->Next = Right;
-  Right->Prev = Last;
+  Symbols[Left].Next = First;
+  Symbols[First].Prev = Left;
+  Symbols[Last].Next = Right;
+  Symbols[Right].Prev = Last;
 
-  if (!Right->isGuard())
-    Digrams.at(Last) = Last;
+  if (!isGuard(Right))
+    Digrams.record(digram(Last), Last);
 
-  R->Dead = true;
-  R->Guard.Next = &R->Guard;
-  R->Guard.Prev = &R->Guard;
+  // The rule keeps its slot (and its guard), so the ids of the rules
+  // after it never move.
+  Rules[R].Dead = true;
+  uint32_t Guard = Rules[R].Guard;
+  Symbols[Guard].Next = Symbols[Guard].Prev = Guard;
 }
 
 uint32_t Sequitur::numRules() const {
-  uint32_t Count = 0;
-  for (const std::unique_ptr<Rule> &R : Rules)
-    if (!R->Dead)
-      ++Count;
-  return Count;
+  return static_cast<uint32_t>(
+      std::count_if(Rules.begin(), Rules.end(),
+                    [](const Rule &R) { return !R.Dead; }));
 }
 
 std::vector<Sequitur::ExtractedRule> Sequitur::extractRules() const {
   // Compact live rules to dense indices; the start rule becomes index 0.
-  std::vector<const Rule *> Live;
+  std::vector<uint32_t> Live;
   std::vector<uint32_t> DenseIndex(Rules.size(), ~0u);
-  for (const std::unique_ptr<Rule> &R : Rules) {
-    if (R->Dead)
+  for (uint32_t R = 0; R < Rules.size(); ++R) {
+    if (Rules[R].Dead)
       continue;
-    DenseIndex[R->Id] = static_cast<uint32_t>(Live.size());
-    Live.push_back(R.get());
+    DenseIndex[R] = static_cast<uint32_t>(Live.size());
+    Live.push_back(R);
   }
 
   std::vector<ExtractedRule> Out(Live.size());
   for (size_t I = 0; I < Live.size(); ++I) {
     Out[I].Id = static_cast<uint32_t>(I);
-    for (const Symbol *Sym = Live[I]->first(); !Sym->isGuard();
-         Sym = Sym->Next) {
-      if (Sym->isNonTerminal())
-        Out[I].Body.push_back(BodySymbol{true, DenseIndex[Sym->Ref->Id]});
+    for (uint32_t Sym = first(Live[I]); !isGuard(Sym);
+         Sym = Symbols[Sym].Next) {
+      if (isNonTerminal(Sym))
+        Out[I].Body.push_back(
+            BodySymbol{true, DenseIndex[Symbols[Sym].Value]});
       else
-        Out[I].Body.push_back(BodySymbol{false, Sym->Terminal});
+        Out[I].Body.push_back(BodySymbol{false, Symbols[Sym].Value});
     }
   }
 

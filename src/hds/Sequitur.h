@@ -14,9 +14,19 @@
 /// whose expansions are the candidate hot data streams.
 ///
 /// Appending is the HDS pipeline's hot loop (one call per reference-trace
-/// entry), so the digram index is a flat open-addressed table keyed on
-/// both symbols exactly, and symbols come from a free-listed pool rather
-/// than one heap allocation each.
+/// entry), and on a cold plan the grammar is the largest allocation in the
+/// process, so it lives in three flat arrays addressed by 32-bit indices:
+///  - symbols, 16 bytes each (links, value, kind); index 0 is null and
+///    freed symbols are threaded through their Next link;
+///  - rules in creation order, 12 bytes each (guard symbol, use count,
+///    dead flag); a dead rule keeps its slot, so the dense order
+///    extractRules() numbers live rules in never moves;
+///  - the digram index, an open-addressed table of 12-byte slots keyed on
+///    both symbols exactly (first value, second value, and the
+///    occurrence's index with both kind bits packed under it).
+/// Packing two kind bits under a symbol index bounds a grammar to
+/// MaxSymbols live symbols; append() throws std::length_error, in every
+/// build, rather than outgrow it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +35,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace halo {
@@ -48,12 +57,17 @@ public:
     uint64_t ExpansionLength = 0;
   };
 
+  /// Symbols a grammar can hold at once, the null index included:
+  /// terminals, nonterminals and one guard per rule ever created (freed
+  /// symbols are reused first).
+  static constexpr uint32_t MaxSymbols = 1u << 30;
+
   Sequitur();
-  ~Sequitur();
   Sequitur(const Sequitur &) = delete;
   Sequitur &operator=(const Sequitur &) = delete;
 
-  /// Appends one terminal to the input sequence.
+  /// Appends one terminal to the input sequence. Throws std::length_error
+  /// if the grammar would need more than MaxSymbols symbols.
   void append(uint32_t Terminal);
 
   /// Number of live rules, including the start rule.
@@ -71,44 +85,79 @@ public:
              uint64_t MaxLen);
 
 private:
-  struct Symbol;
-  struct Rule;
+  enum class Kind : uint8_t { Terminal, NonTerminal, Guard };
+
+  /// A grammar symbol: a node of a doubly linked, guard-terminated ring.
+  struct Symbol {
+    uint32_t Next = 0;
+    uint32_t Prev = 0;
+    /// A terminal's value, a nonterminal's rule, or a guard's own rule.
+    uint32_t Value = 0;
+    Kind K = Kind::Terminal;
+  };
+
+  /// A grammar rule: its body is the ring through its guard symbol.
+  struct Rule {
+    uint32_t Guard = 0;
+    uint32_t UseCount = 0;
+    bool Dead = false;
+  };
+  static_assert(sizeof(Symbol) == 16 && sizeof(Rule) == 12,
+                "the flat layout's record sizes");
+
+  /// A digram's exact identity: both symbols' values, and their kinds as
+  /// two bits (2: the first is a nonterminal, 1: the second is).
+  struct DigramKey {
+    uint32_t First;
+    uint32_t Second;
+    uint32_t Kinds;
+  };
 
   // Core algorithm steps (see Sequitur.cpp for the invariant machinery).
-  void join(Symbol *Left, Symbol *Right);
-  void insertAfter(Symbol *Pos, Symbol *Sym);
-  void deleteSymbol(Symbol *Sym);
-  void removeDigram(Symbol *First);
-  bool check(Symbol *First);
-  void match(Symbol *New, Symbol *Found);
-  void substitute(Symbol *First, Rule *R);
-  void expandSoleUse(Symbol *NonTerminal);
+  // A uint32_t named R is a rule index; every other one is a symbol index.
+  void join(uint32_t Left, uint32_t Right);
+  void insertAfter(uint32_t Pos, uint32_t Sym);
+  void deleteSymbol(uint32_t Sym);
+  void removeDigram(uint32_t First);
+  bool check(uint32_t First);
+  void match(uint32_t New, uint32_t Found);
+  void substitute(uint32_t First, uint32_t R);
+  void expandSoleUse(uint32_t NonTerminal);
 
-  static uint64_t encode(const Symbol *Sym);
+  bool isGuard(uint32_t Sym) const;
+  bool isNonTerminal(uint32_t Sym) const;
+  uint32_t first(uint32_t R) const;
+  uint32_t last(uint32_t R) const;
+  /// The digram starting at \p First (neither symbol a guard).
+  DigramKey digram(uint32_t First) const;
 
-  /// The digram index: (encoding of the first symbol, encoding of the
-  /// second) -> the occurrence on record. Linear probing over a
-  /// power-of-two array with backward-shift deletion, so no tombstones.
+  /// The digram index: key -> the occurrence on record (the index of its
+  /// first symbol). Linear probing over a power-of-two array with
+  /// backward-shift deletion, so no tombstones.
   class DigramTable {
   public:
     DigramTable();
-    /// The occurrence recorded for the digram starting at \p Sym,
-    /// inserting an empty (nullptr) entry when there is none --
-    /// operator[] semantics. The reference is valid until the next call.
-    Symbol *&at(const Symbol *Sym);
-    /// Drops the digram starting at \p Sym when \p Sym is its occurrence
-    /// on record.
-    void eraseIfRecorded(const Symbol *Sym);
+    /// The occurrence recorded for \p Key; if there is none, records
+    /// \p Occurrence and returns 0.
+    uint32_t recordIfAbsent(DigramKey Key, uint32_t Occurrence);
+    /// Records \p Occurrence for \p Key, replacing any on record.
+    void record(DigramKey Key, uint32_t Occurrence);
+    /// Drops \p Key when \p Occurrence is its occurrence on record.
+    void eraseIfRecorded(DigramKey Key, uint32_t Occurrence);
 
   private:
     struct Slot {
-      uint64_t First;
-      uint64_t Second;
-      Symbol *Sym; ///< nullptr: empty slot.
+      uint32_t First;
+      uint32_t Second;
+      /// Occurrence << 2 | Kinds; 0: empty slot (no occurrence is 0).
+      uint32_t Tagged;
     };
-    size_t home(uint64_t First, uint64_t Second) const;
+    size_t home(uint32_t First, uint32_t Second, uint32_t Kinds) const;
     /// The slot holding the key, or the empty slot ending its probe chain.
-    size_t find(uint64_t First, uint64_t Second) const;
+    size_t find(DigramKey Key) const;
+    /// The slot for \p Key, after growing if one more key would pass the
+    /// load factor.
+    Slot &slotFor(DigramKey Key);
     void grow();
 
     std::vector<Slot> Slots;
@@ -116,20 +165,20 @@ private:
     size_t Count = 0;
   };
 
-  Symbol *newSymbol();
-  void freeSymbol(Symbol *Sym);
-  Symbol *newTerminal(uint32_t Terminal);
-  Symbol *newNonTerminal(Rule *R);
-  Rule *newRule();
+  uint32_t newSymbol(Kind K, uint32_t Value);
+  void freeSymbol(uint32_t Sym);
+  /// A new symbol of \p Of's kind and value (a nonterminal adds a use).
+  uint32_t newCopy(uint32_t Of);
+  uint32_t newNonTerminal(uint32_t R);
+  uint32_t newRule();
 
-  std::vector<std::unique_ptr<Rule>> Rules;
+  /// Every symbol, index 0 the null one.
+  std::vector<Symbol> Symbols;
+  /// Head of the free symbols, chained through Next; 0: none.
+  uint32_t FreeSymbols = 0;
+  /// Every rule ever created, dead ones included; rule 0 is the start.
+  std::vector<Rule> Rules;
   DigramTable Digrams;
-  Rule *Start = nullptr;
-  /// Symbol pool: fixed-size blocks carved in order; freed symbols are
-  /// chained through Next and reused first.
-  std::vector<std::unique_ptr<Symbol[]>> SymbolBlocks;
-  size_t BlockUsed = 0;
-  Symbol *FreeSymbols = nullptr;
 };
 
 } // namespace halo

@@ -324,8 +324,11 @@ ArtifactStore::get(const StoreKey &Key) const {
     Entry Header;
     std::vector<uint8_t> Payload = decodeEntry(Raw, Header);
     // The name already encodes hash and type; re-checking the header binds
-    // the content to the key even if a file was renamed into place.
-    if (Header.Hash != Key.Hash || Header.Type != Key.Type)
+    // the content to the key even if a file was renamed into place. No
+    // checksum covers the label, so it is compared too: a damaged label
+    // reads as absent, and the caller recomputes and republishes.
+    if (Header.Hash != Key.Hash || Header.Type != Key.Type ||
+        Header.Label != Key.Label)
       return std::nullopt;
     return Payload;
   } catch (const SerializationError &) {

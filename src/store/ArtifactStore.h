@@ -133,8 +133,8 @@ public:
   bool put(const StoreKey &Key, const std::vector<uint8_t> &Payload);
 
   /// Reads and validates the entry for \p Key. Missing, truncated,
-  /// corrupt, or mismatched entries all return nullopt -- the caller
-  /// falls back to recomputing.
+  /// corrupt, or mismatched entries (hash, type or label) all return
+  /// nullopt -- the caller falls back to recomputing.
   std::optional<std::vector<uint8_t>> get(const StoreKey &Key) const;
 
   /// True if a fully valid entry for \p Key exists right now (reads and

@@ -2,7 +2,10 @@
 //
 // Every serve payload with a body, and the HDS, groups, identification and
 // context-table bundle layouts, are each one layout that
-// support/BinaryIO.h's Encoder and Decoder both walk.
+// support/BinaryIO.h's Encoder and Decoder both walk. The HALO envelope
+// (saveHaloArtifacts/loadHaloArtifacts) nests the last three and the
+// affinity graph behind its own header, with post-load checks against its
+// workload's Program.
 //
 // Wire pins: a fixed instance of every payload (multi-byte varints, every
 // enumerator, non-empty lists) encodes to committed bytes, and those bytes
@@ -15,16 +18,19 @@
 // payloads, SerializationError for bundles); every single-byte flip throws
 // that error or decodes, and throws nothing else; the last in-domain value
 // of each enumeration, bounded and id field decodes and the first value
-// past it throws.
+// past it throws. The HALO envelope runs the first three properties
+// against health's, povray's and xalanc's programs, over their real
+// test-scale bundles and random bundles whose ids are in range, and a
+// decoded envelope must keep every promise of the post-load checks.
 //
 // The same properties over the two hand-written decoders outside the
 // walkers: frames (readFrame over a socketpair: every strict prefix is a
 // ProtocolError except the empty one, a clean close; every flip of the
 // header is a ProtocolError or decodes as the flipped header says) and the
 // store entry header (decodeEntry through ArtifactStore::get and the
-// listing: every prefix and flip of an entry file reads as absent and
-// lists as invalid, unless the flip falls in the label's text, which no
-// checksum covers: that reads as the same payload, never another).
+// listing: every prefix and flip of an entry file reads as absent through
+// get, and lists as invalid unless the flip falls in the label's text,
+// which no checksum covers: that lists as valid under the flipped label).
 //
 // HALO_CODEC_ITERATIONS sets the random instances per layout (default 32;
 // the flip properties run a quarter as many); scripts/ci.sh raises it for
@@ -32,6 +38,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/Pipeline.h"
+#include "eval/Evaluation.h"
 #include "group/Grouping.h"
 #include "hds/HdsPipeline.h"
 #include "identify/Identify.h"
@@ -54,6 +62,8 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <map>
+#include <memory>
 #include <optional>
 #include <ostream>
 #include <stdexcept>
@@ -390,6 +400,110 @@ Layout bundle(const char *Name, T (*Random)(Rng &), SaveT Save, LoadT Load) {
           }};
 }
 
+/// A workload's evaluation (its program) and the bytes of its real
+/// test-scale HALO bundle, built once per workload on first use.
+struct HaloFixture {
+  Evaluation Eval;
+  Bytes Real;
+  explicit HaloFixture(const std::string &Name) : Eval(paperSetup(Name)) {
+    BinaryWriter W;
+    saveHaloArtifacts(Eval.haloArtifacts(), W);
+    Real = W.take();
+  }
+};
+
+const HaloFixture &haloFixture(const std::string &Name) {
+  static std::map<std::string, std::unique_ptr<HaloFixture>> Fixtures;
+  std::unique_ptr<HaloFixture> &F = Fixtures[Name];
+  if (!F)
+    F = std::make_unique<HaloFixture>(Name);
+  return *F;
+}
+
+/// A random HALO bundle whose ids are in range for \p Prog: group members
+/// index its own context table, identified sites are \p Prog's call
+/// sites, and every selector site is identified.
+HaloArtifacts randomHalo(Rng &R, const Program &Prog) {
+  HaloArtifacts A;
+  A.Contexts = randomContexts(R);
+  for (uint64_t I = 0, N = R.nextBelow(5); I < N; ++I)
+    A.Graph.addAccesses(randomId(R), R.nextBelow(1000));
+  for (uint64_t I = 0, N = R.nextBelow(5); I < N; ++I)
+    A.Graph.addEdgeWeight(randomId(R), randomId(R), 1 + R.nextBelow(1000));
+  A.Groups = randomGroups(R);
+  for (Group &G : A.Groups) {
+    if (A.Contexts.size() == 0)
+      G.Members.clear();
+    for (uint32_t &Member : G.Members)
+      Member = static_cast<uint32_t>(R.nextBelow(A.Contexts.size()));
+  }
+  for (CallSiteId Site = 0; Site < Prog.numCallSites(); ++Site)
+    if (R.nextBool(0.3))
+      A.Identification.Sites.push_back(Site);
+  const std::vector<CallSiteId> &Sites = A.Identification.Sites;
+  if (!Sites.empty()) {
+    A.Identification.Selectors.resize(R.nextBelow(4));
+    for (Selector &Sel : A.Identification.Selectors) {
+      Sel.Terms.resize(R.nextBelow(3));
+      for (Conjunction &Term : Sel.Terms)
+        for (uint64_t I = 0, N = R.nextBelow(4); I < N; ++I)
+          Term.Sites.push_back(Sites[R.nextBelow(Sites.size())]);
+    }
+  }
+  A.ProfiledAccesses = randomU64(R);
+  return A;
+}
+
+/// Throws std::logic_error unless \p Art keeps loadHaloArtifacts'
+/// promises against \p Prog (the properties' oracle for its post-load
+/// checks): identified sites are \p Prog's, selector sites are
+/// identified, group members index the context table, and the derived
+/// selectors were rebuilt.
+void expectLoadable(const HaloArtifacts &Art, const Program &Prog) {
+  std::vector<bool> Identified(Prog.numCallSites(), false);
+  for (CallSiteId Site : Art.Identification.Sites) {
+    if (Site >= Prog.numCallSites())
+      throw std::logic_error("loaded an identified site past the program");
+    Identified[Site] = true;
+  }
+  for (const Selector &Sel : Art.Identification.Selectors)
+    for (const Conjunction &Term : Sel.Terms)
+      for (CallSiteId Site : Term.Sites)
+        if (Site >= Prog.numCallSites() || !Identified[Site])
+          throw std::logic_error("loaded an unidentified selector site");
+  for (const Group &G : Art.Groups)
+    for (GraphNodeId Member : G.Members)
+      if (Member >= Art.Contexts.size())
+        throw std::logic_error("loaded a group member past the contexts");
+  if (Art.CompiledSelectors.size() != Art.Identification.Selectors.size())
+    throw std::logic_error("loaded without rebuilding the selectors");
+}
+
+/// The HALO envelope against \p Workload's program: a quarter of the
+/// instances are its real test-scale bundle, the rest random in-range
+/// bundles.
+Layout haloEnvelope(const std::string &Workload) {
+  auto Encode = [](const HaloArtifacts &Art) {
+    BinaryWriter W;
+    saveHaloArtifacts(Art, W);
+    return W.take();
+  };
+  return {"Halo_" + Workload, false,
+          [=](Rng &R) {
+            const HaloFixture &F = haloFixture(Workload);
+            return R.nextBelow(4) == 0 ? F.Real
+                                       : Encode(randomHalo(R, F.Eval.program()));
+          },
+          [=](const Bytes &B) {
+            const Program &Prog = haloFixture(Workload).Eval.program();
+            BinaryReader R(B);
+            HaloArtifacts Art = loadHaloArtifacts(R, Prog);
+            R.expectEnd("halo artifacts");
+            expectLoadable(Art, Prog);
+            return Encode(Art);
+          }};
+}
+
 uint32_t randomHello(Rng &R) { return static_cast<uint32_t>(R.next()); }
 uint64_t randomPlanId(Rng &R) { return R.next(); }
 HelloAckMsg randomHelloAck(Rng &R) {
@@ -425,6 +539,9 @@ std::vector<Layout> layouts() {
           "ContextTable", randomContexts,
           [](const ContextTable &T, BinaryWriter &W) { T.save(W); },
           ContextTable::load),
+      haloEnvelope("health"),
+      haloEnvelope("povray"),
+      haloEnvelope("xalanc"),
   };
 }
 
@@ -654,7 +771,7 @@ void writeBytes(const std::string &Path, const Bytes &B) {
             static_cast<std::streamsize>(B.size()));
 }
 
-TEST(StoreEntryProperties, EveryPrefixAndFlipReadsAsAbsentOrTheSamePayload) {
+TEST(StoreEntryProperties, EveryPrefixAndFlipReadsAsAbsentThroughGet) {
   ScratchStore Store;
   const StoreKey Key =
       hdsStoreKey("health", Scale::Test, 1, HdsParameters());
@@ -675,19 +792,21 @@ TEST(StoreEntryProperties, EveryPrefixAndFlipReadsAsAbsentOrTheSamePayload) {
                     Key.Label.end()) - Raw.begin();
     ASSERT_LT(LabelAt, Raw.size());
 
-    // Reads \p Entry back both ways; \p Same: it may read as Payload.
-    auto Check = [&](const Bytes &Entry, bool Same, const std::string &What) {
+    // Reads \p Entry back both ways: get() never returns it, and the
+    // listing shows it invalid -- unless \p InLabel, a flip inside the
+    // label's text, which no checksum covers: that lists as valid under
+    // the flipped label.
+    auto Check = [&](const Bytes &Entry, bool InLabel,
+                     const std::string &What) {
       writeBytes(File, Entry);
-      std::optional<Bytes> Got = Store->get(Key);
+      EXPECT_FALSE(Store->get(Key)) << What;
       Listed = Store->entries();
       ASSERT_EQ(Listed.size(), 1u) << What;
-      if (!Same) {
-        EXPECT_FALSE(Got) << What;
+      if (!InLabel) {
         EXPECT_FALSE(Listed[0].Valid) << What;
         return;
       }
-      ASSERT_TRUE(Got) << What;
-      EXPECT_EQ(*Got, Payload) << What;
+      EXPECT_TRUE(Listed[0].Valid) << What;
       EXPECT_NE(Listed[0].Label, Key.Label) << What;
     };
     for (size_t Cut = 0; Cut < Raw.size(); ++Cut)

@@ -226,3 +226,125 @@ TEST(Sequitur, RandomInputsKeepTheGrammarInvariants) {
       EXPECT_GE(Uses[Rule], 2u) << "seed " << Seed << ": rule " << Rule;
   }
 }
+
+namespace {
+
+/// FNV-1a over every field extractRules() reports, in order: rule ids,
+/// bodies (kind and value of each symbol), frequencies and expansion
+/// lengths. Any change to a single rule, or to the dense order the live
+/// rules are numbered in, moves it.
+uint64_t grammarDigest(const std::vector<Sequitur::ExtractedRule> &Rules) {
+  uint64_t Hash = 0xcbf29ce484222325ull;
+  auto Mix = [&](uint64_t Value) {
+    for (int Byte = 0; Byte < 8; ++Byte) {
+      Hash ^= (Value >> (8 * Byte)) & 0xFF;
+      Hash *= 0x100000001b3ull;
+    }
+  };
+  Mix(Rules.size());
+  for (const Sequitur::ExtractedRule &Rule : Rules) {
+    Mix(Rule.Id);
+    Mix(Rule.Body.size());
+    for (const Sequitur::BodySymbol &B : Rule.Body) {
+      Mix(B.IsRule);
+      Mix(B.Value);
+    }
+    Mix(Rule.Frequency);
+    Mix(Rule.ExpansionLength);
+  }
+  return Hash;
+}
+
+/// \p Length symbols drawn from \p Alphabet, with bursts that repeat a
+/// phrase from earlier in the input so that rules nest and die.
+std::vector<uint32_t> burstyInput(uint64_t Seed, size_t Length,
+                                  const std::vector<uint32_t> &Alphabet) {
+  Rng R(Seed);
+  std::vector<uint32_t> In;
+  while (In.size() < Length) {
+    if (In.size() >= 16 && R.nextBool(0.3)) {
+      size_t From = R.nextBelow(In.size() - 8);
+      for (size_t I = 0, N = 2 + R.nextBelow(7); I < N; ++I)
+        In.push_back(In[From + I]);
+    } else {
+      In.push_back(Alphabet[R.nextBelow(Alphabet.size())]);
+    }
+  }
+  In.resize(Length);
+  return In;
+}
+
+std::vector<uint32_t> range(uint32_t From, uint32_t Count) {
+  std::vector<uint32_t> Values(Count);
+  for (uint32_t I = 0; I < Count; ++I)
+    Values[I] = From + I;
+  return Values;
+}
+
+struct DigestCase {
+  const char *Name;
+  std::vector<uint32_t> Input;
+  size_t Rules;    ///< extractRules().size()
+  uint64_t Digest; ///< grammarDigest(extractRules())
+};
+
+} // namespace
+
+TEST(Sequitur, GrammarDigestsArePinned) {
+  // The expected values were taken from the pointer-linked implementation
+  // this grammar replaced. The comment on each case names planted bugs it
+  // was seen to catch.
+  const std::vector<DigestCase> Cases{
+      // Two terminals: deep, heavily rewritten grammars in which most
+      // rules die. Catches a dead rule's slot (and so its id) reused, a
+      // check() that factors overlapping digrams, and a grow() that
+      // rehashes under the old mask.
+      {"two-symbol alphabet", burstyInput(1, 6000, {1, 2}), 199,
+       0x1005d9220fc5faa7ull},
+      // 4,096 terminals: the digram index grows from 1,024 to 65,536
+      // slots. Catches erasing a digram recorded by another occurrence,
+      // and a digram key that drops the second symbol's kind bit.
+      {"large alphabet", burstyInput(2, 30000, range(0, 4096)), 3334,
+       0x68c0719e3b47e0d3ull},
+      // Terminals equal modulo 2^31, up to the top of uint32_t. Catches a
+      // digram key that keeps only 31 bits of a value; no other case does.
+      {"terminals at and above 2^31",
+       burstyInput(3, 8000,
+                   {5, 7, 9, 2147483653u, 2147483655u, 2147483657u,
+                    4294967295u}),
+       560, 0xa93e01918aaf959bull},
+      // Terminals 1..12 while rules 1..12 are live: a terminal and a
+      // nonterminal share every value. Catches a digram key that drops
+      // the second symbol's kind bit, which the two-symbol case misses.
+      {"terminals equal to live rule indices",
+       burstyInput(4, 8000, range(1, 12)), 688,
+       0x2168a21ca02afd46ull},
+      // Runs of one symbol up to 200 long: few distinct digrams, so the
+      // index stays at 1,024 slots and erases often near its end. Catches
+      // a backward shift that ignores probe chains wrapping past the last
+      // slot; no other case does.
+      {"long runs of one symbol",
+       [] {
+         Rng R(5);
+         std::vector<uint32_t> In;
+         while (In.size() < 8000)
+           In.insert(In.end(), 1 + R.nextBelow(200),
+                     static_cast<uint32_t>(R.nextBelow(3)));
+         return In;
+       }(),
+       147, 0xa0dad6082ad87dbdull},
+  };
+  for (const DigestCase &Case : Cases) {
+    Sequitur S;
+    for (uint32_t T : Case.Input)
+      S.append(T);
+    std::vector<Sequitur::ExtractedRule> Rules = S.extractRules();
+    // Every case runs, so a failure names each case that catches a bug.
+    EXPECT_TRUE(Sequitur::expandRule(Rules, 0, Case.Input.size() + 1) ==
+                Case.Input)
+        << Case.Name << ": the start rule does not expand to the input";
+    EXPECT_EQ(Rules.size(), Case.Rules) << Case.Name;
+    EXPECT_EQ(grammarDigest(Rules), Case.Digest)
+        << Case.Name << ": 0x" << std::hex << grammarDigest(Rules);
+  }
+}

@@ -393,6 +393,54 @@ TEST(StoreCorruption, BitFlipsAndTruncationReadAsAbsent) {
   EXPECT_TRUE(Store->entries().empty());
 }
 
+TEST(StoreCorruption, AFlippedLabelReadsAsAbsentAndThePlanRepublishes) {
+  // No checksum covers an entry's label, so get() compares it with the
+  // key's: an HDS bundle whose label lost a byte reads as absent, the next
+  // plan re-profiles it (one artifact task) and republishes it under its
+  // own label, and every cell equals a storeless run's.
+  TempStore Store;
+  ExperimentPlan ColdPlan = buildPlan({smallSpec()}, {}, &*Store);
+  ResultSet Cold = runPlan(ColdPlan, 2);
+  BenchmarkSetup Setup = paperSetup("ft");
+  StoreKey HdsKey =
+      hdsStoreKey("ft", Setup.ProfileScale, Setup.ProfileSeed, Setup.Hds);
+  std::optional<std::vector<uint8_t>> Published = Store->get(HdsKey);
+  ASSERT_TRUE(Published.has_value());
+  const std::string File = entryFile(*Store, HdsKey);
+  std::vector<uint8_t> Raw;
+  {
+    FILE *F = std::fopen(File.c_str(), "rb");
+    ASSERT_NE(F, nullptr);
+    for (int C; (C = std::fgetc(F)) != EOF;)
+      Raw.push_back(static_cast<uint8_t>(C));
+    std::fclose(F);
+  }
+  auto LabelAt = std::search(Raw.begin(), Raw.end(), HdsKey.Label.begin(),
+                             HdsKey.Label.end());
+  ASSERT_NE(LabelAt, Raw.end());
+  LabelAt[1] ^= 0x20; // "hds/..." -> "hDs/..."
+  {
+    FILE *F = std::fopen(File.c_str(), "wb");
+    ASSERT_NE(F, nullptr);
+    std::fwrite(Raw.data(), 1, Raw.size(), F);
+    std::fclose(F);
+  }
+  EXPECT_FALSE(Store->get(HdsKey).has_value());
+
+  ExperimentPlan Plan = buildPlan({smallSpec()}, {}, &*Store);
+  EXPECT_EQ(Plan.numArtifactTasks(), 1u);
+  ResultSet Healed = runPlan(Plan, 2);
+  EXPECT_EQ(Store->get(HdsKey), Published);
+  ExperimentPlan PlainPlan = buildPlan({smallSpec()});
+  ResultSet Plain = runPlan(PlainPlan, 1);
+  ASSERT_EQ(Healed.size(), Plain.size());
+  for (size_t C = 0; C < Plain.size(); ++C) {
+    SCOPED_TRACE("cell " + std::to_string(C));
+    expectSameRuns(Plain.cells()[C].Runs, Cold.cells()[C].Runs);
+    expectSameRuns(Plain.cells()[C].Runs, Healed.cells()[C].Runs);
+  }
+}
+
 TEST(StoreCorruption, HostileCountsReadAsAbsentAndPlansReprofile) {
   // Entries whose checksum is valid but whose payload declares 2^40
   // elements -- the frames of a HALO bundle's one context, the elements of
