@@ -407,7 +407,7 @@ int main(int Argc, char **Argv) {
     uint64_t Streams = 0;
     double SequiturMs = medianMs(Trials, [&] {
       for (const Model &M : Models)
-        Streams += findHotStreams(M.Trace, M.Setup.Hds.Streams).Streams.size();
+        Streams += findHotStreams(M.Trace).Streams.size();
     });
     Rows.push_back(
         {"sequitur_hds_test", Benchmarks, TraceLength, SequiturMs, Trials});

@@ -35,7 +35,7 @@ using namespace halo;
 namespace {
 
 /// \p Kinds on every benchmark in \p Benchmarks at ref scale, \p Trials
-/// trials per cell from seed 100, on the setup's machine. A spec with
+/// trials per cell from seed 100, on the default machine. A spec with
 /// \p MakeSetup measures its own setups, beside any other spec's.
 ExperimentSpec spec(std::vector<std::string> Benchmarks,
                     std::vector<AllocatorKind> Kinds, int Trials,

@@ -100,7 +100,8 @@ struct FlagInfo {
 };
 
 const FlagInfo Flags[] = {
-    {flag::Trials, "--trials", "N", 1, INT_MAX, "trials per cell (default 3)"},
+    {flag::Trials, "--trials", "N", 1, MaxTrials,
+     "trials per cell (default 3)"},
     {flag::Jobs, "--jobs", "N", 0, INT_MAX,
      "workers (0, the default: $HALO_JOBS, else all cores)"},
     {flag::Machine, "--machine", "NAME", 0, 0, "machine to measure"},
@@ -114,7 +115,7 @@ const FlagInfo Flags[] = {
      "artifact store (default $HALO_STORE)"},
     {flag::Socket, "--socket", "PATH", 0, 0, "the daemon's Unix socket"},
     {flag::ChunkSize, "--chunk-size", "BYTES", 1, UINT64_MAX,
-     "group allocator chunk size"},
+     "group allocator chunk size (a power of two)"},
     {flag::MaxSpareChunks, "--max-spare-chunks", "N", 0, INT_MAX,
      "empty chunks kept for reuse"},
     {flag::MaxGroups, "--max-groups", "N", 1, UINT32_MAX, "max HALO groups"},
@@ -236,6 +237,12 @@ bool writesInPlace(const std::string &Path) {
   return ::stat(Path.c_str(), &St) == 0 && !S_ISREG(St.st_mode);
 }
 
+/// The temp file of the --out document being written ("" when none), so a
+/// command that fails after opening it leaves only the previous file:
+/// discardOutput() removes it, and main calls that for a command that
+/// throws.
+std::string OpenTemp;
+
 /// Opens the --out path for one JSON document ("" = stdout). Callers
 /// open BEFORE measuring so an unwritable path fails fast instead of
 /// discarding an arbitrarily long run; the stream actually targets
@@ -245,13 +252,23 @@ bool writesInPlace(const std::string &Path) {
 FILE *openOutput(const std::string &Path) {
   if (Path.empty())
     return stdout;
-  std::string Target = writesInPlace(Path) ? Path : Path + ".tmp";
+  bool InPlace = writesInPlace(Path);
+  std::string Target = InPlace ? Path : Path + ".tmp";
   FILE *Out = std::fopen(Target.c_str(), "w");
   if (!Out) {
     std::fprintf(stderr, "halo_cli: cannot write %s\n", Path.c_str());
     std::exit(1);
   }
+  if (!InPlace)
+    OpenTemp = Target;
   return Out;
+}
+
+/// Removes the temp file openOutput() opened, if any.
+void discardOutput() {
+  if (!OpenTemp.empty())
+    std::remove(OpenTemp.c_str());
+  OpenTemp.clear();
 }
 
 /// Closes an openOutput() stream, moves the temp file into place, and
@@ -262,8 +279,6 @@ void closeOutput(FILE *Out, const std::string &Path,
                  const std::string &Detail = "") {
   if (Out == stdout)
     return;
-  bool InPlace = writesInPlace(Path);
-  std::string TmpPath = Path + ".tmp";
   // fflush surfaces an error a buffered write deferred, ferror one an
   // earlier write already hit, and fclose can still fail on its own.
   errno = 0;
@@ -274,17 +289,18 @@ void closeOutput(FILE *Out, const std::string &Path,
     Errno = errno;
   }
   if (Failed) {
-    if (!InPlace)
-      std::remove(TmpPath.c_str());
+    discardOutput();
     std::fprintf(stderr, "halo_cli: cannot write %s: %s\n", Path.c_str(),
                  Errno ? std::strerror(Errno) : "write error");
     std::exit(1);
   }
-  if (!InPlace && std::rename(TmpPath.c_str(), Path.c_str()) != 0) {
+  if (!OpenTemp.empty() && std::rename(OpenTemp.c_str(), Path.c_str()) != 0) {
+    discardOutput();
     std::fprintf(stderr, "halo_cli: cannot move %s into place\n",
                  Path.c_str());
     std::exit(1);
   }
+  OpenTemp.clear();
   std::printf("wrote %s%s\n", Path.c_str(), Detail.c_str());
 }
 
@@ -338,11 +354,20 @@ std::vector<std::string> listOf(const CliOptions &Opts, unsigned Flag,
   return Items;
 }
 
-/// Rejects a malformed --machine, --scale, --machines or --kinds value as
-/// the parser meets it, as unsignedValue does for numbers, so a repeated
-/// flag cannot hide a bad earlier value. (Names inside --machines and
-/// --kinds are checked where requestFor resolves them.)
-void checkText(const CliOptions &Opts, const FlagInfo &F) {
+/// Rejects a malformed --machine, --scale, --machines or --kinds value, and
+/// a --chunk-size the group allocator would reject, as the parser meets
+/// it, as unsignedValue does for numbers, so a repeated flag cannot hide a
+/// bad earlier value and nothing is opened or measured first. (Names
+/// inside --machines and --kinds are checked where requestFor resolves
+/// them.)
+void checkValue(const CliOptions &Opts, const FlagInfo &F) {
+  if (F.Bit == flag::ChunkSize &&
+      !validChunkSize(Opts.number(flag::ChunkSize, 0)))
+    usageError("invalid value for --chunk-size: '" +
+               std::to_string(Opts.number(flag::ChunkSize, 0)) +
+               "' (expected a power of two from " +
+               std::to_string(GroupAllocator::MinChunkSize) + " to " +
+               std::to_string(GroupAllocator::SlabSize) + ")");
   std::string Value = Opts.text(F.Bit);
   if (F.Bit == flag::Machine && !findMachine(Value))
     usageError("unknown machine '" + Value + "' for --machine (available: " +
@@ -356,7 +381,7 @@ void checkText(const CliOptions &Opts, const FlagInfo &F) {
 
 /// Where every measuring command's flags become its one PlanRequest
 /// -- its benchmarks (none = all), machines (--machines names or `all`,
-/// else the --machine preset, else the setup's default machine), kinds,
+/// else the --machine preset, else the default preset), kinds,
 /// scale, trials and seed base. A flag outside the command's row keeps
 /// its default here; commands override only the fields they fix.
 PlanRequest requestFor(const CliOptions &Opts) {
@@ -708,8 +733,7 @@ int runClientPlan(const CliOptions &Opts) {
   if (Outcome.Status != PlanStatus::Ok) {
     if (Out != stdout) {
       std::fclose(Out);
-      if (!writesInPlace(Opts.outPath()))
-        std::remove((Opts.outPath() + ".tmp").c_str());
+      discardOutput();
     }
     if (Outcome.Status == PlanStatus::Failed)
       std::fprintf(stderr, "halo_cli: plan failed: %s\n",
@@ -851,7 +875,7 @@ CliOptions parseArgs(int Argc, char **Argv) {
       Opts.Numbers[F->Bit] = Args.unsignedValue(Arg, F->Min, F->Max);
     else
       Opts.Texts[F->Bit] = Args.value(Arg);
-    checkText(Opts, *F);
+    checkValue(Opts, *F);
   }
   for (const FlagInfo &F : Flags)
     if ((Cmd.Requires & F.Bit) && !Opts.has(F.Bit))
@@ -871,6 +895,7 @@ int main(int Argc, char **Argv) {
   } catch (const std::exception &E) {
     // One catch for everything the library throws past a command:
     // connection failures, protocol errors, a malformed HALO_JOBS.
+    discardOutput();
     std::fprintf(stderr, "halo_cli: error: %s\n", E.what());
     return 1;
   }

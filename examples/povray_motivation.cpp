@@ -95,8 +95,10 @@ int main() {
               Layout(AllocatorKind::Halo).c_str());
 
   // And the measured consequence on the ref input.
-  RunMetrics Base = Eval.measureDirect(AllocatorKind::Jemalloc, Scale::Ref, 1);
-  RunMetrics Halo = Eval.measureDirect(AllocatorKind::Halo, Scale::Ref, 1);
+  const MachineConfig &M = defaultMachine();
+  RunMetrics Base =
+      Eval.measureDirect(M, AllocatorKind::Jemalloc, Scale::Ref, 1);
+  RunMetrics Halo = Eval.measureDirect(M, AllocatorKind::Halo, Scale::Ref, 1);
   std::printf("\nref input: baseline %llu L1D misses, HALO %llu "
               "(%.1f%% reduction); time %+.1f%%\n",
               (unsigned long long)Base.Mem.L1Misses,

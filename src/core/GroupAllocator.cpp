@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 using namespace halo;
 
@@ -40,16 +42,28 @@ int32_t SiteGroupPolicy::selectGroup(const AllocRequest &Request) const {
              : static_cast<int32_t>(It->second);
 }
 
+static_assert(GroupAllocator::MinChunkSize >=
+                  GroupAllocator::ChunkHeaderSize + MaxGroupedSize,
+              "the least chunk holds a header and the largest object");
+static_assert(GroupAllocator::SlabSize <= (uint64_t(1) << 32),
+              "region offsets are 32-bit");
+
+bool halo::validChunkSize(uint64_t ChunkSize) {
+  // A power of two no larger than the slab divides it into whole chunks.
+  return isPowerOfTwo(ChunkSize) && ChunkSize >= GroupAllocator::MinChunkSize &&
+         ChunkSize <= GroupAllocator::SlabSize;
+}
+
 GroupAllocator::GroupAllocator(Allocator &Backing, const GroupPolicy &Policy,
                                const GroupAllocatorOptions &Options,
                                uint64_t ArenaBase)
-    : Backing(Backing), Policy(Policy), Options(Options),
-      ChunkShift(log2Exact(Options.ChunkSize)), Arena(ArenaBase) {
-  assert(isPowerOfTwo(Options.ChunkSize) && "chunk size must be 2^k");
-  assert(Options.SlabSize % Options.ChunkSize == 0 &&
-         "slab must hold whole chunks");
-  assert(Options.ChunkSize <= (uint64_t(1) << 32) &&
-         "region offsets are 32-bit");
+    : Backing(Backing), Policy(Policy), Options(Options), Arena(ArenaBase) {
+  if (!validChunkSize(Options.ChunkSize))
+    throw std::invalid_argument(
+        "halo-group: chunk size " + std::to_string(Options.ChunkSize) +
+        " is not a power of two from " + std::to_string(MinChunkSize) +
+        " to " + std::to_string(SlabSize));
+  ChunkShift = log2Exact(Options.ChunkSize);
   Cursors.resize(Policy.numGroups());
 }
 
@@ -64,7 +78,7 @@ void GroupAllocator::noteUsage() {
 uint64_t GroupAllocator::allocate(const AllocRequest &Request) {
   uint64_t Size = Request.Size ? Request.Size : 1;
   // Grouped treatment only for small requests whose state matches a group.
-  if (Size < Options.MaxGroupedSize) {
+  if (Size < MaxGroupedSize) {
     int32_t Group = Policy.selectGroup(Request);
     if (Group >= 0)
       return groupMalloc(static_cast<uint32_t>(Group), Size);
@@ -115,8 +129,8 @@ uint64_t GroupAllocator::takeChunk(uint32_t Group) {
     if (SlabCursor + Options.ChunkSize > SlabEnd) {
       // Reserve a new demand-paged slab, chunk-aligned so headers can be
       // located with bitwise operations.
-      SlabCursor = Arena.reserve(Options.SlabSize, Options.ChunkSize);
-      SlabEnd = SlabCursor + Options.SlabSize;
+      SlabCursor = Arena.reserve(SlabSize, Options.ChunkSize);
+      SlabEnd = SlabCursor + SlabSize;
       Chunks.resize(((Arena.end() - 1) >> ChunkShift) -
                     (Arena.base() >> ChunkShift) + 1);
     }

@@ -82,13 +82,11 @@ private:
   uint32_t Groups;
 };
 
-/// Configuration of the specialised allocator (Section 5.1 defaults).
+/// Configuration of the specialised allocator (Section 5.1 defaults). Only
+/// allocations smaller than MaxGroupedSize (mem/Allocator.h) are grouped.
 struct GroupAllocatorOptions {
-  uint64_t ChunkSize = 1 << 20; ///< 1 MiB chunks (128 KiB for omnetpp).
-  uint64_t SlabSize = 64 << 20; ///< Large demand-paged slabs.
-  /// Only allocations smaller than the page size are grouped; the paper
-  /// also profiles with a maximum grouped-object size of 4 KiB.
-  uint64_t MaxGroupedSize = 4096;
+  /// 1 MiB chunks (128 KiB for omnetpp); see validChunkSize().
+  uint64_t ChunkSize = 1 << 20;
   /// Empty chunks kept resident for reuse ("a single spare chunk for reuse
   /// when purging dirty pages, as early versions of jemalloc did").
   uint32_t MaxSpareChunks = 1;
@@ -96,6 +94,10 @@ struct GroupAllocatorOptions {
   /// pages (the omnetpp/xalanc configuration).
   bool PurgeEmptyChunks = true;
 };
+
+/// Whether GroupAllocator accepts \p ChunkSize: a power of two from
+/// GroupAllocator::MinChunkSize to GroupAllocator::SlabSize.
+bool validChunkSize(uint64_t ChunkSize);
 
 /// Fragmentation accounting for Table 1: live vs resident grouped data,
 /// sampled at peak resident usage.
@@ -120,9 +122,16 @@ public:
   /// Space reserved at the front of every chunk for its header (Figure 11);
   /// regions start after it, so chunkBase(region) != region.
   static constexpr uint64_t ChunkHeaderSize = 64;
+  /// Memory is reserved in large demand-paged slabs of this size, and
+  /// chunks are carved from them.
+  static constexpr uint64_t SlabSize = uint64_t(64) << 20;
+  /// The least chunk size: the least power of two that holds a header and
+  /// the largest grouped object.
+  static constexpr uint64_t MinChunkSize = uint64_t(8) << 10;
 
   /// \p Backing serves forwarded requests; \p Policy decides membership.
-  /// Both must outlive the allocator.
+  /// Both must outlive the allocator. Throws std::invalid_argument, in
+  /// every build, for a chunk size validChunkSize() rejects.
   GroupAllocator(Allocator &Backing, const GroupPolicy &Policy,
                  const GroupAllocatorOptions &Options = GroupAllocatorOptions(),
                  uint64_t ArenaBase = 0x40000000000ull);

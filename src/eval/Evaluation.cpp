@@ -15,8 +15,7 @@ BenchmarkSetup halo::paperSetup(const std::string &Benchmark) {
   BenchmarkSetup Setup;
   Setup.Name = Benchmark;
   // Global defaults are encoded in the option structs themselves: affinity
-  // distance 128 (Fig. 12), merge tolerance 5%, 1 MiB chunks, one spare
-  // chunk, maximum grouped object size 4 KiB (Section 5.1).
+  // distance 128 (Fig. 12), 1 MiB chunks, one spare chunk (Section 5.1).
   if (Benchmark == "omnetpp") {
     Setup.Allocator.ChunkSize = 128 * 1024;
     Setup.Allocator.MaxSpareChunks = 0;
@@ -47,17 +46,16 @@ const HaloArtifacts &Evaluation::haloArtifacts() {
     HaloArt = optimizeBinary(
         Prog,
         [&](Runtime &RT) { W->run(RT, Setup.ProfileScale, Setup.ProfileSeed); },
-        Setup.Halo, Setup.Machine);
+        Setup.Halo);
   return *HaloArt;
 }
 
 const HdsArtifacts &Evaluation::hdsArtifacts() {
   std::lock_guard<std::mutex> Lock(HdsArtMutex);
   if (!HdsArt)
-    HdsArt = optimizeBinaryHds(
-        Prog,
-        [&](Runtime &RT) { W->run(RT, Setup.ProfileScale, Setup.ProfileSeed); },
-        Setup.Hds, Setup.Machine);
+    HdsArt = optimizeBinaryHds(Prog, [&](Runtime &RT) {
+      W->run(RT, Setup.ProfileScale, Setup.ProfileSeed);
+    });
   return *HdsArt;
 }
 
@@ -113,11 +111,6 @@ RunMetrics Evaluation::measure(const MachineConfig &Machine,
   const EventTrace &Trace = trace(S, Seed);
   return measureWith(Machine, Kind, Seed,
                      [&](Runtime &RT) { RT.replay(Trace); });
-}
-
-RunMetrics Evaluation::measureDirect(AllocatorKind Kind, Scale S,
-                                     uint64_t Seed) {
-  return measureDirect(Setup.Machine, Kind, S, Seed);
 }
 
 RunMetrics Evaluation::measureDirect(const MachineConfig &Machine,

@@ -61,21 +61,25 @@ struct RunMetrics {
 };
 
 /// Per-benchmark configuration: paper defaults plus the Appendix A.8 flags.
+/// It holds only what a run varies -- the name, HALO's profiling and
+/// grouping knobs, and the allocator options: twelve settable values. The
+/// rest of the pipeline's setting is constants next to the code that reads
+/// them (the node coverage, merge tolerance, maximum grouped size, slab
+/// size, and the hot-data-streams parameters).
 struct BenchmarkSetup {
   std::string Name;
   HaloParameters Halo;
+  /// Empty (see HdsParameters); kept for benchmark/halo_bench_layers.cpp.
   HdsParameters Hds;
   /// The specialised group allocator both HALO and HDS measure with:
   /// hot-data-stream co-allocation shares HALO's allocator and its
   /// per-benchmark settings (Section 5.1). No pipeline stage reads it, so
   /// it keys no store entry.
   GroupAllocatorOptions Allocator;
-  /// The simulated hardware measurements run on. Part of the measurement
-  /// key: the same benchmark measured under two machines is two different
-  /// experiments. Pipeline artifacts are machine-independent, so the
-  /// explicit-machine measureDirect() overloads sweep machines against one
-  /// Evaluation without re-profiling.
-  MachineConfig Machine = defaultMachine();
+  /// The machine the pipelines profile on, the default preset for every
+  /// setup; it changes no artifact. A plan measures each cell on the
+  /// machine its spec names (ExperimentSpec::Machines).
+  static inline const MachineConfig &Machine = defaultMachine();
   /// "Workloads are profiled on small test inputs" (Section 5.1): one run
   /// of the test input at one seed, the same for every setup.
   static constexpr Scale ProfileScale = Scale::Test;
@@ -83,9 +87,9 @@ struct BenchmarkSetup {
 };
 
 /// Returns the paper's configuration for \p Benchmark: affinity distance
-/// 128, merge tolerance 5%, 1 MiB chunks, 4 KiB max grouped size, plus the
-/// artefact's per-benchmark flags (omnetpp: 128 KiB chunks + always-reuse;
-/// xalanc: always-reuse; roms: at most 4 groups).
+/// 128 and 1 MiB chunks, plus the artefact's per-benchmark flags (omnetpp:
+/// 128 KiB chunks + always-reuse; xalanc: always-reuse; roms: at most 4
+/// groups).
 BenchmarkSetup paperSetup(const std::string &Benchmark);
 
 /// One benchmark wired up for measurement: a cache of the two pipeline
@@ -157,11 +161,9 @@ public:
                      Scale S, uint64_t Seed);
 
   /// The measurement: runs the workload model for (\p S, \p Seed) under
-  /// one configuration on the setup's machine. Safe to call concurrently.
-  RunMetrics measureDirect(AllocatorKind Kind, Scale S, uint64_t Seed);
-
-  /// Same, on an explicit machine: the artifacts are machine-independent,
-  /// so one Evaluation measures every machine of a sweep.
+  /// one configuration on \p Machine. The artifacts are
+  /// machine-independent, so one Evaluation measures every machine of a
+  /// sweep. Safe to call concurrently.
   RunMetrics measureDirect(const MachineConfig &Machine, AllocatorKind Kind,
                            Scale S, uint64_t Seed);
 

@@ -157,11 +157,12 @@ ExperimentPlan halo::buildPlan(const std::vector<ExperimentSpec> &Specs,
   std::vector<std::pair<bool, bool>> Needs;
   for (size_t S = 0; S < Specs.size(); ++S) {
     const ExperimentSpec &Spec = Specs[S];
-    // Empty machine list = one cell on the benchmark setup's own machine.
     std::vector<const MachineConfig *> Machines =
         Spec.Machines.empty()
-            ? std::vector<const MachineConfig *>{nullptr}
+            ? std::vector<const MachineConfig *>{&defaultMachine()}
             : Spec.Machines;
+    if (std::count(Machines.begin(), Machines.end(), nullptr))
+      throw std::invalid_argument("buildPlan: a null machine in a spec");
     const int Trials = std::max(Spec.Trials, 0);
     for (const std::string &Name : Spec.Benchmarks) {
       size_t BI = FindBenchmark(Name, S);
@@ -254,7 +255,7 @@ PlanExecution::PlanExecution(ExperimentPlan &PlanIn,
     const ExperimentPlan::Cell &PC = Plan.Cells[C];
     const ExperimentPlan::Benchmark &B = Plan.Benchmarks[PC.Bench];
     ResultSet::Cell &RC = Results.Cells[C];
-    RC.Machine = PC.Machine ? PC.Machine : &B.Eval->setup().Machine;
+    RC.Machine = PC.Machine;
     RC.Key.Benchmark = B.Name;
     RC.Key.Machine = RC.Machine->Name;
     RC.Key.Kind = PC.Kind;
@@ -355,9 +356,8 @@ void PlanExecution::runMeasurement(const TaskData &Task) {
   const ExperimentPlan::Cell &PC = Plan.Cells[Task.Cell];
   Evaluation &E = *Plan.Benchmarks[PC.Bench].Eval;
   uint64_t Seed = PC.SeedBase + static_cast<uint64_t>(Task.Trial);
-  const MachineConfig &M = PC.Machine ? *PC.Machine : E.setup().Machine;
   Results.Cells[Task.Cell].Runs[static_cast<size_t>(Task.Trial)] =
-      E.measureDirect(M, PC.Kind, PC.S, Seed);
+      E.measureDirect(*PC.Machine, PC.Kind, PC.S, Seed);
 }
 
 void PlanExecution::run(size_t Task, Executor *) {

@@ -74,8 +74,8 @@ std::optional<Scale> parseScale(const std::string &Name);
 /// declarative -- nothing profiles or runs until runPlan().
 struct ExperimentSpec {
   std::vector<std::string> Benchmarks;
-  /// Machines to measure under. Empty means "the benchmark setup's own
-  /// machine" (the default preset unless MakeSetup says otherwise).
+  /// Machines to measure under. Empty means {&defaultMachine()}: a spec
+  /// naming the default preset and one naming none measure the same cells.
   std::vector<const MachineConfig *> Machines;
   std::vector<AllocatorKind> Kinds = {AllocatorKind::Jemalloc,
                                       AllocatorKind::Hds,
@@ -93,6 +93,11 @@ struct ExperimentSpec {
   std::function<BenchmarkSetup(const std::string &)> MakeSetup;
 };
 
+/// The most trials one cell may ask for. The serve protocol bounds a
+/// request's Trials by it, and so does halo_cli's --trials, so a request
+/// too large for the wire fails before anything runs.
+inline constexpr int MaxTrials = 1 << 16;
+
 /// An ExperimentSpec by name: benchmark names, machine *preset* names,
 /// kinds, scale, trials, seed base. halo_cli's measuring commands build
 /// one from their flags, and a serve client sends one to the daemon
@@ -100,12 +105,13 @@ struct ExperimentSpec {
 /// MakeSetup to the caller.
 struct PlanRequest {
   std::vector<std::string> Benchmarks;
-  std::vector<std::string> Machines; ///< Preset names; empty = setup machine.
+  /// Preset names; empty means the default preset, as in ExperimentSpec.
+  std::vector<std::string> Machines;
   std::vector<AllocatorKind> Kinds = {AllocatorKind::Jemalloc,
                                       AllocatorKind::Hds,
                                       AllocatorKind::Halo};
   Scale S = Scale::Ref;
-  int Trials = 3;
+  int Trials = 3; ///< 1 to MaxTrials.
   uint64_t SeedBase = 100;
 };
 
@@ -134,10 +140,8 @@ class ResultSet {
 public:
   struct Cell {
     MeasurementKey Key;
-    /// The resolved machine, never null. For cells measured on "the
-    /// benchmark setup's machine" this points into the plan's Evaluation
-    /// -- keep the plan alive while dereferencing it (the Key strings
-    /// are copies and outlive the plan).
+    /// The machine the cell ran on, never null in a plan's results: a
+    /// preset, or a caller-owned config the spec named.
     const MachineConfig *Machine = nullptr;
     std::vector<RunMetrics> Runs;
   };
@@ -196,7 +200,7 @@ public:
   };
 
   /// One cell: a (benchmark, machine, kind) coordinate plus its trial
-  /// block. Machine == nullptr means the benchmark setup's machine.
+  /// block. Machine is never null.
   struct Cell {
     size_t Bench = 0; ///< Index into benchmarks().
     const MachineConfig *Machine = nullptr;
@@ -245,7 +249,7 @@ private:
 /// benchmark of the specs without MakeSetup that is named by an
 /// Evaluation in \p External is measured through that caller instance
 /// instead of a plan-owned one. Throws std::invalid_argument for unknown
-/// benchmarks.
+/// benchmarks and for a null entry in a spec's Machines.
 ///
 /// Artifact work is one bundle per distinct haloStoreKey/hdsStoreKey the
 /// cells need, whichever setups need it. A bundle that every Evaluation

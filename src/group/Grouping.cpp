@@ -15,8 +15,8 @@ namespace {
 
 /// The Figure 8 merge benefit m(A, B) = Sc - (1 - T) * max(Sa, Sb). Shared
 /// between the reference and incremental paths for bit-identical rounding.
-inline double benefitOf(double Sc, double Sa, double Sb, double Tolerance) {
-  return Sc - (1.0 - Tolerance) * std::max(Sa, Sb);
+inline double benefitOf(double Sc, double Sa, double Sb) {
+  return Sc - (1.0 - MergeTolerance) * std::max(Sa, Sb);
 }
 
 inline uint64_t pairCount(uint64_t NumNodes) {
@@ -43,14 +43,14 @@ std::vector<Group> finalizeGroups(std::vector<Group> Groups,
 
 double halo::mergeBenefit(const AffinityGraph &Graph,
                           const std::vector<GraphNodeId> &Members,
-                          GraphNodeId Candidate, double Tolerance) {
+                          GraphNodeId Candidate) {
   // m(A, B) = Sc - (1 - T) * max(Sa, Sb)
   double Sa = Graph.score(Members);
   double Sb = Graph.score({Candidate});
   std::vector<GraphNodeId> Union = Members;
   Union.push_back(Candidate);
   double Sc = Graph.score(Union);
-  return benefitOf(Sc, Sa, Sb, Tolerance);
+  return benefitOf(Sc, Sa, Sb);
 }
 
 std::vector<Group>
@@ -95,8 +95,7 @@ halo::buildGroupsReference(const AffinityGraph &Input,
       std::vector<GraphNodeId> Candidates(Avail.begin(), Avail.end());
       std::sort(Candidates.begin(), Candidates.end());
       for (GraphNodeId Stranger : Candidates) {
-        double Benefit =
-            mergeBenefit(Graph, G.Members, Stranger, Options.MergeTolerance);
+        double Benefit = mergeBenefit(Graph, G.Members, Stranger);
         if (Benefit > BestScore) {
           BestScore = Benefit;
           BestMatch = Stranger;
@@ -303,7 +302,7 @@ std::vector<Group> halo::buildGroups(const AffinityGraph &Input,
         double Sb = Loop > 0 ? static_cast<double>(Loop) : 0.0;
         double Sc = affinityScoreFrom(WeightSum + WeightToGroup[Cand] + Loop,
                               LoopCount + (Loop > 0 ? 1 : 0), PairsUnion);
-        double Benefit = benefitOf(Sc, Sa, Sb, Options.MergeTolerance);
+        double Benefit = benefitOf(Sc, Sa, Sb);
         if (Benefit > BestScore) {
           BestScore = Benefit;
           BestMatch = Cand;

@@ -27,14 +27,15 @@
 
 namespace halo {
 
+/// The merge tolerance T of Figure 8; "performs well at around 5%".
+inline constexpr double MergeTolerance = 0.05;
+
 /// Tuning knobs of Figure 6 plus the artefact's --max-groups flag.
 // (BinaryWriter/BinaryReader come in via graph/AffinityGraph.h's forward
 // declarations; saveGroups/loadGroups below use them.)
 struct GroupingOptions {
   /// Edges lighter than this are dropped before grouping (args.min_weight).
   uint64_t MinEdgeWeight = 2;
-  /// Merge tolerance T; "performs well at around 5%".
-  double MergeTolerance = 0.05;
   /// A finished group is kept only if its internal weight reaches
   /// gthresh * graph.accesses.
   double GroupWeightThreshold = 0.005;
@@ -55,7 +56,7 @@ struct Group {
 /// The merge benefit of adding \p Candidate to \p Members (Figure 8).
 double mergeBenefit(const AffinityGraph &Graph,
                     const std::vector<GraphNodeId> &Members,
-                    GraphNodeId Candidate, double Tolerance);
+                    GraphNodeId Candidate);
 
 /// Runs the Figure 6 grouping algorithm over \p Graph (which it copies so
 /// edge thresholding does not disturb the caller's graph). Groups are

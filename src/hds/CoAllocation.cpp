@@ -11,8 +11,7 @@ using namespace halo;
 
 std::vector<CoAllocationSet>
 halo::buildCoAllocationSets(const std::vector<HotStream> &Streams,
-                            const LiveObjectMap &Objects,
-                            const CoAllocationOptions &Options) {
+                            const LiveObjectMap &Objects) {
   // Accumulate benefit per distinct site set (many streams can suggest the
   // same grouping).
   std::map<std::vector<uint32_t>, double> BySites;
@@ -29,7 +28,7 @@ halo::buildCoAllocationSets(const std::vector<HotStream> &Streams,
       TotalSize += Rec.Size;
       // A scattered object occupies whole lines of its own.
       LinesScattered += static_cast<double>(
-          (Rec.Size + Options.CacheLineSize - 1) / Options.CacheLineSize);
+          (Rec.Size + CoAllocationLineSize - 1) / CoAllocationLineSize);
     }
     std::sort(Sites.begin(), Sites.end());
     Sites.erase(std::unique(Sites.begin(), Sites.end()), Sites.end());
@@ -41,7 +40,7 @@ halo::buildCoAllocationSets(const std::vector<HotStream> &Streams,
     // total size worth of lines (fractional -- tails are shared with
     // neighbouring occurrences).
     double LinesPacked = static_cast<double>(TotalSize) /
-                         static_cast<double>(Options.CacheLineSize);
+                         static_cast<double>(CoAllocationLineSize);
     if (LinesPacked >= LinesScattered)
       continue; // No projected benefit.
     double Benefit = static_cast<double>(Stream.Frequency) *
@@ -58,10 +57,9 @@ halo::buildCoAllocationSets(const std::vector<HotStream> &Streams,
 
 std::vector<CoAllocationSet>
 halo::packCoAllocationSets(std::vector<CoAllocationSet> Candidates,
-                           uint64_t TraceLength,
-                           const CoAllocationOptions &Options) {
+                           uint64_t TraceLength) {
   const double MinBenefit =
-      Options.MinBenefitFraction * static_cast<double>(TraceLength);
+      MinBenefitFraction * static_cast<double>(TraceLength);
   // Greedy approximation to weighted set packing: order by
   // Benefit / sqrt(|S|) and take sets disjoint from everything chosen.
   std::sort(Candidates.begin(), Candidates.end(),
@@ -76,8 +74,6 @@ halo::packCoAllocationSets(std::vector<CoAllocationSet> Candidates,
   std::vector<CoAllocationSet> Chosen;
   std::unordered_set<uint32_t> Used;
   for (CoAllocationSet &Candidate : Candidates) {
-    if (Options.MaxGroups && Chosen.size() >= Options.MaxGroups)
-      break;
     if (Candidate.Benefit < MinBenefit)
       continue; // Not profitable enough to enact.
     bool Disjoint = true;

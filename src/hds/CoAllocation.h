@@ -33,16 +33,13 @@ struct CoAllocationSet {
   double Benefit = 0.0;        ///< Projected cache-miss reduction.
 };
 
-struct CoAllocationOptions {
-  uint32_t CacheLineSize = 64;
-  /// Upper bound on chosen sets (the artefact's --max-groups); 0 = no cap.
-  uint32_t MaxGroups = 0;
-  /// Profitability floor, as a fraction of the trace length: candidate
-  /// sets projected to save fewer lines than this share of the trace are
-  /// rejected ([11] only enacts placement policies its analysis projects
-  /// to be profitable).
-  double MinBenefitFraction = 0.0005;
-};
+/// The cache line the projected miss saving counts in, in bytes.
+inline constexpr uint32_t CoAllocationLineSize = 64;
+/// Profitability floor, as a fraction of the trace length: candidate sets
+/// projected to save fewer lines than this share of the trace are rejected
+/// ([11] only enacts placement policies its analysis projects to be
+/// profitable).
+inline constexpr double MinBenefitFraction = 0.0005;
 
 /// Builds candidate co-allocation sets from \p Streams. Objects map to
 /// their immediate allocation sites through \p Objects; the benefit of a
@@ -51,8 +48,7 @@ struct CoAllocationOptions {
 /// ceil(total size / line size) lines).
 std::vector<CoAllocationSet>
 buildCoAllocationSets(const std::vector<HotStream> &Streams,
-                      const LiveObjectMap &Objects,
-                      const CoAllocationOptions &Options);
+                      const LiveObjectMap &Objects);
 
 /// Greedy weighted set packing: repeatedly picks the candidate maximising
 /// Benefit / sqrt(|Sites|) among those disjoint from the already chosen,
@@ -60,7 +56,7 @@ buildCoAllocationSets(const std::vector<HotStream> &Streams,
 /// \p TraceLength.
 std::vector<CoAllocationSet>
 packCoAllocationSets(std::vector<CoAllocationSet> Candidates,
-                     uint64_t TraceLength, const CoAllocationOptions &Options);
+                     uint64_t TraceLength);
 
 /// Flattens chosen sets into the site -> group map the runtime policy uses.
 std::unordered_map<uint32_t, uint32_t>

@@ -25,17 +25,15 @@ void ReferenceTraceRecorder::onAccess(uint64_t Addr, uint64_t, bool) {
 
 HdsArtifacts
 halo::optimizeBinaryHds(const Program &Prog, const EventTrace &Trace,
-                        const HdsParameters &Params,
-                        const MachineConfig &Machine) {
+                        const HdsParameters &, const MachineConfig &Machine) {
   return optimizeBinaryHds(
-      Prog, [&](Runtime &RT) { RT.replay(Trace); }, Params, Machine);
+      Prog, [&](Runtime &RT) { RT.replay(Trace); }, HdsParameters(), Machine);
 }
 
 HdsArtifacts
 halo::optimizeBinaryHds(const Program &Prog,
                         const std::function<void(Runtime &)> &RunWorkload,
-                        const HdsParameters &Params,
-                        const MachineConfig &Machine) {
+                        const HdsParameters &, const MachineConfig &Machine) {
   HdsArtifacts Out;
 
   // Profiling: the reference trace names objects, never addresses, so the
@@ -47,12 +45,10 @@ halo::optimizeBinaryHds(const Program &Prog,
   RT.addObserver(&Recorder);
   RunWorkload(RT);
 
-  Out.Analysis = findHotStreams(Recorder.trace(), Params.Streams);
-  std::vector<CoAllocationSet> Candidates = buildCoAllocationSets(
-      Out.Analysis.Streams, Recorder.objects(), Params.CoAllocation);
-  Out.Groups = packCoAllocationSets(std::move(Candidates),
-                                    Out.Analysis.TraceLength,
-                                    Params.CoAllocation);
+  Out.Analysis = findHotStreams(Recorder.trace());
+  Out.Groups = packCoAllocationSets(
+      buildCoAllocationSets(Out.Analysis.Streams, Recorder.objects()),
+      Out.Analysis.TraceLength);
   Out.SiteToGroup = siteGroupMap(Out.Groups);
   return Out;
 }

@@ -33,12 +33,13 @@ class EventTrace;
 class BinaryWriter;
 class BinaryReader;
 
-/// The pipeline's tunables. The allocator it measures with is HALO's,
-/// with the same per-benchmark settings (BenchmarkSetup::Allocator).
-struct HdsParameters {
-  HotStreamOptions Streams;
-  CoAllocationOptions CoAllocation;
-};
+/// The pipeline's tunables: none. Every run uses the constants of
+/// hds/HotStreams.h and hds/CoAllocation.h; the struct and the parameters
+/// taking it stay only because benchmark/halo_bench_layers.cpp passes
+/// BenchmarkSetup::Hds to optimizeBinaryHds and hdsStoreKey. The allocator
+/// HDS measures with is HALO's, with the same per-benchmark settings
+/// (BenchmarkSetup::Allocator).
+struct HdsParameters {};
 
 /// HDS's profiler: records the object-level data reference trace (every
 /// access to a live heap object, consecutive accesses to one object merged)
@@ -71,10 +72,11 @@ struct HdsArtifacts {
 /// HALO's pipeline, and derives the hot-data-streams placement
 /// policy (groups of malloc call sites). \p Machine supplies the profiling
 /// runtime's cost model; like HALO's pipeline, the artifacts depend only on
-/// the event stream, never on the machine.
+/// the event stream, never on the machine. The HdsParameters slot reads
+/// nothing (see HdsParameters).
 HdsArtifacts optimizeBinaryHds(const Program &Prog,
                                const std::function<void(Runtime &)> &RunWorkload,
-                               const HdsParameters &Params = HdsParameters(),
+                               const HdsParameters & = HdsParameters(),
                                const MachineConfig &Machine = defaultMachine());
 
 /// Same pipeline, driven by a pre-recorded event trace (see the matching
@@ -82,7 +84,7 @@ HdsArtifacts optimizeBinaryHds(const Program &Prog,
 /// same bytes as profiling the recorded run directly. Safe to run
 /// concurrently with the HALO pipeline on the same trace.
 HdsArtifacts optimizeBinaryHds(const Program &Prog, const EventTrace &Trace,
-                               const HdsParameters &Params = HdsParameters(),
+                               const HdsParameters & = HdsParameters(),
                                const MachineConfig &Machine = defaultMachine());
 
 /// Serializes \p Art (stream analysis + chosen co-allocation sets) behind a

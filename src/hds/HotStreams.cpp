@@ -6,8 +6,7 @@
 
 using namespace halo;
 
-HotStreamAnalysis halo::findHotStreams(const std::vector<uint32_t> &Trace,
-                                       const HotStreamOptions &Options) {
+HotStreamAnalysis halo::findHotStreams(const std::vector<uint32_t> &Trace) {
   HotStreamAnalysis Out;
   Out.TraceLength = Trace.size();
   if (Trace.empty())
@@ -21,17 +20,17 @@ HotStreamAnalysis halo::findHotStreams(const std::vector<uint32_t> &Trace,
   Out.GrammarRules = Rules.size();
 
   // Candidate streams: every non-start rule whose expansion fits the length
-  // band. Rules longer than MaxLength contribute their leading MaxLength
-  // elements (the stream the grammar repeats verbatim begins there); their
-  // sub-rules cover interior regularity.
+  // band. Rules longer than MaxStreamLength contribute their leading
+  // MaxStreamLength elements (the stream the grammar repeats verbatim
+  // begins there); their sub-rules cover interior regularity.
   std::vector<HotStream> Candidates;
   for (uint32_t R = 1; R < Rules.size(); ++R) {
     const Sequitur::ExtractedRule &Rule = Rules[R];
-    if (Rule.ExpansionLength < Options.MinLength || Rule.Frequency < 2)
+    if (Rule.ExpansionLength < MinStreamLength || Rule.Frequency < 2)
       continue;
     HotStream Stream;
-    Stream.Elements = Sequitur::expandRule(Rules, R, Options.MaxLength);
-    if (Stream.Elements.size() < Options.MinLength)
+    Stream.Elements = Sequitur::expandRule(Rules, R, MaxStreamLength);
+    if (Stream.Elements.size() < MinStreamLength)
       continue;
     Stream.Frequency = Rule.Frequency;
     Stream.Heat = Stream.Frequency * Stream.Elements.size();
@@ -53,7 +52,7 @@ HotStreamAnalysis halo::findHotStreams(const std::vector<uint32_t> &Trace,
   // Select until the chosen streams account for the coverage fraction of
   // the trace.
   uint64_t Target = static_cast<uint64_t>(
-      Options.Coverage * static_cast<double>(Out.TraceLength));
+      StreamCoverage * static_cast<double>(Out.TraceLength));
   uint64_t Covered = 0;
   for (HotStream &Stream : Candidates) {
     if (Covered >= Target)

@@ -31,15 +31,14 @@ struct HotStream {
   uint64_t Heat = 0;              ///< Frequency * Elements.size().
 };
 
-/// Extraction parameters (paper replication defaults).
-struct HotStreamOptions {
-  uint32_t MinLength = 2;
-  uint32_t MaxLength = 20;
-  /// Streams are selected hottest-first until they cover this fraction of
-  /// the trace ("the stream threshold set to account for 90% of all heap
-  /// accesses").
-  double Coverage = 0.9;
-};
+/// The length band of a stream, in elements (the paper's replication
+/// setup).
+inline constexpr uint32_t MinStreamLength = 2;
+inline constexpr uint32_t MaxStreamLength = 20;
+/// Streams are selected hottest-first until they cover this fraction of
+/// the trace ("the stream threshold set to account for 90% of all heap
+/// accesses").
+inline constexpr double StreamCoverage = 0.9;
 
 /// Result of extraction, including diagnostics the evaluation reports
 /// (Section 5.2 contrasts roms' >150,000 streams with HALO's 31 nodes).
@@ -51,8 +50,7 @@ struct HotStreamAnalysis {
 };
 
 /// Compresses \p Trace with SEQUITUR and extracts hot data streams.
-HotStreamAnalysis findHotStreams(const std::vector<uint32_t> &Trace,
-                                 const HotStreamOptions &Options);
+HotStreamAnalysis findHotStreams(const std::vector<uint32_t> &Trace);
 
 } // namespace halo
 

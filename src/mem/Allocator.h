@@ -36,6 +36,12 @@ struct AllocRequest {
 /// Minimum alignment for all allocations (Section 4.4 / SuperMalloc [20]).
 inline constexpr uint64_t MinAlign = 8;
 
+/// The maximum grouped-object size, 4 KiB in the evaluation (Section 5.1):
+/// the heap profiler leaves larger objects out of the affinity analysis,
+/// and the group allocator groups only smaller ones. So an object of
+/// exactly this size is profiled but never grouped.
+inline constexpr uint64_t MaxGroupedSize = 4096;
+
 /// Abstract heap allocator over the simulated address space.
 class Allocator {
 public:

@@ -55,7 +55,7 @@ void HeapProfiler::onAccess(uint64_t Addr, uint64_t Size, bool) {
   const ObjectRecord &Rec = Objects.record(Obj);
 
   // The affinity analysis only considers groupable objects.
-  if (Rec.Size > Options.MaxObjectSize)
+  if (Rec.Size > MaxGroupedSize)
     return;
 
   // Visit partners straight off the window (no candidate vector copy). A
@@ -76,6 +76,6 @@ void HeapProfiler::onAccess(uint64_t Addr, uint64_t Size, bool) {
 AffinityGraph HeapProfiler::takeGraph() {
   assert(!Taken && "takeGraph may only be called once");
   Taken = true;
-  Graph.filterColdNodes(Options.NodeCoverage);
+  Graph.filterColdNodes(NodeCoverage);
   return std::move(Graph);
 }

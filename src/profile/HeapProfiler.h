@@ -30,15 +30,12 @@
 
 namespace halo {
 
-/// Profiling configuration (defaults follow Section 5.1).
+/// Profiling configuration (defaults follow Section 5.1). Accesses to
+/// objects larger than MaxGroupedSize (mem/Allocator.h) never enter the
+/// affinity analysis.
 struct ProfileOptions {
   /// Affinity distance A in bytes (the paper selects 128 from Fig. 12).
   uint64_t AffinityDistance = 128;
-  /// Keep the hottest nodes covering this fraction of accesses.
-  double NodeCoverage = 0.9;
-  /// Maximum grouped-object size: accesses to larger objects do not enter
-  /// the affinity analysis (4 KiB in the evaluation).
-  uint64_t MaxObjectSize = 4096;
   /// Constraint toggles for the ablation_constraints row of bench/figures.
   bool Dedup = true;
   bool NoDoubleCount = true;
@@ -51,6 +48,10 @@ struct ProfileOptions {
 /// through LiveObjectMap's interval map, and builds the same graph.
 class HeapProfiler final : public RuntimeObserver {
 public:
+  /// takeGraph() keeps the hottest nodes covering this fraction of the
+  /// observed accesses.
+  static constexpr double NodeCoverage = 0.9;
+
   HeapProfiler(const Program &Prog, const ProfileOptions &Options);
 
   // RuntimeObserver interface.

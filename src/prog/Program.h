@@ -70,7 +70,6 @@ public:
     return CallSites[Id];
   }
 
-  uint32_t numFunctions() const { return Functions.size(); }
   uint32_t numCallSites() const { return CallSites.size(); }
 
   /// The built-in external, traceable allocation routine every malloc call

@@ -184,8 +184,9 @@ public:
   const RuntimeStats &stats() const { return Stats; }
 
   /// The call site at the top of the current (raw) call stack, or InvalidId
-  /// at top level. Used by the hot-data-streams allocator, which identifies
-  /// allocations by the immediate call site of the allocation procedure.
+  /// at top level. No allocator reads it: the hot-data-streams policy
+  /// identifies an allocation by AllocRequest::ImmediateSite, the malloc
+  /// call site itself.
   CallSiteId currentSite() const {
     return Stack.empty() ? InvalidId : Stack.back().Site;
   }

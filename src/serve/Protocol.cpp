@@ -80,7 +80,7 @@ constexpr auto PlanRequestLayout = [](auto &C, auto &R) {
   C.list(R.Machines, StrElement);
   C.list(R.Kinds, KindElement);
   C.enumeration(R.S, Scale::Ref);
-  C.bounded(R.Trials, 1, MaxWireCount);
+  C.bounded(R.Trials, 1, MaxTrials);
   C.u64(R.SeedBase);
 };
 
@@ -113,7 +113,7 @@ constexpr auto CellResultLayout = [](auto &C, auto &M) {
   KindElement(C, M.Key.Kind);
   C.enumeration(M.Key.S, Scale::Ref);
   C.u64(M.Key.SeedBase);
-  C.bounded(M.Key.Trials, 0, MaxWireCount);
+  C.bounded(M.Key.Trials, 0, MaxTrials);
   C.list(M.Runs, MetricsLayout);
 };
 

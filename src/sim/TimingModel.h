@@ -51,8 +51,6 @@ public:
 
   uint64_t computeCycles() const { return ComputeCycles; }
   uint64_t memoryCycles() const;
-  uint64_t allocatorCycles() const { return AllocatorCycles; }
-  uint64_t instrumentationCycles() const { return InstrumentationCycles; }
   uint64_t instrumentationOps() const { return InstrumentationOps; }
 
   uint64_t totalCycles() const {

@@ -38,14 +38,15 @@ const char *halo::artifactTypeName(ArtifactType Type) {
 
 namespace {
 
-/// Feeds the sub-option structs shared by both pipeline keys. Every field
-/// participates: any knob change must re-key the artifact. The trailing
-/// `false` stands for a retired reference-trace flag that was always off
-/// in keys; it stays so that no key moves.
+/// Feeds the profiling options shared by both pipeline keys. Every field
+/// participates: any knob change must re-key the artifact. Retired
+/// settings keep their places, so that no key moves: the node coverage
+/// and maximum object size as the constants they became, and `false` for
+/// a reference-trace flag that was always off in keys.
 void hashProfile(HashBuilder &H, const ProfileOptions &P) {
   H.u64(P.AffinityDistance)
-      .f64(P.NodeCoverage)
-      .u64(P.MaxObjectSize)
+      .f64(HeapProfiler::NodeCoverage)
+      .u64(MaxGroupedSize)
       .boolean(P.Dedup)
       .boolean(P.NoDoubleCount)
       .boolean(P.CoAllocatability)
@@ -53,11 +54,13 @@ void hashProfile(HashBuilder &H, const ProfileOptions &P) {
 }
 
 /// The allocator options' place in both pipeline keys. Keys hash the
-/// defaults there, whatever the setup measures with.
-void hashAllocator(HashBuilder &H, const GroupAllocatorOptions &A) {
+/// defaults there, whatever the setup measures with, and the slab and
+/// maximum grouped sizes as the constants they became.
+void hashAllocator(HashBuilder &H) {
+  const GroupAllocatorOptions A;
   H.u64(A.ChunkSize)
-      .u64(A.SlabSize)
-      .u64(A.MaxGroupedSize)
+      .u64(GroupAllocator::SlabSize)
+      .u64(MaxGroupedSize)
       .u32(A.MaxSpareChunks)
       .boolean(A.PurgeEmptyChunks);
 }
@@ -96,13 +99,13 @@ StoreKey halo::haloStoreKey(const std::string &Benchmark, Scale ProfileScale,
                 ProfileSeed);
   hashProfile(H, Params.Profile);
   H.u64(Params.Grouping.MinEdgeWeight)
-      .f64(Params.Grouping.MergeTolerance)
+      .f64(MergeTolerance)
       .f64(Params.Grouping.GroupWeightThreshold)
       .u32(Params.Grouping.MaxGroupMembers)
       .u32(Params.Grouping.MaxGroups);
   // Only measurement reads the allocator options, so they do not key the
   // bundle; the defaults hold their place, so default-setup keys stay put.
-  hashAllocator(H, GroupAllocatorOptions());
+  hashAllocator(H);
   Key.Hash = H.hash();
   Key.Label = "halo/" + Benchmark + "/" + scaleLabel(ProfileScale) + "/s" +
               std::to_string(ProfileSeed);
@@ -110,24 +113,21 @@ StoreKey halo::haloStoreKey(const std::string &Benchmark, Scale ProfileScale,
 }
 
 StoreKey halo::hdsStoreKey(const std::string &Benchmark, Scale ProfileScale,
-                           uint64_t ProfileSeed, const HdsParameters &Params,
+                           uint64_t ProfileSeed, const HdsParameters &,
                            uint32_t Schema) {
   StoreKey Key;
   Key.Type = ArtifactType::Hds;
   HashBuilder H =
       keyPrefix("halo.store.hds", Schema, Benchmark, ProfileScale,
                 ProfileSeed);
-  // HDS reads no profiling knob and no absolute benefit floor; the
-  // defaults and 0.0 hold their places so existing keys stay valid.
+  // HDS reads no profiling knob, and its retired settings hold their
+  // places as the constants they became, so existing keys stay valid:
+  // the profiling defaults, the stream and co-allocation constants, 0 for
+  // the set cap no run set and 0.0 for an absolute benefit floor.
   hashProfile(H, ProfileOptions());
-  H.u32(Params.Streams.MinLength)
-      .u32(Params.Streams.MaxLength)
-      .f64(Params.Streams.Coverage);
-  H.u32(Params.CoAllocation.CacheLineSize)
-      .u32(Params.CoAllocation.MaxGroups)
-      .f64(0.0)
-      .f64(Params.CoAllocation.MinBenefitFraction);
-  hashAllocator(H, GroupAllocatorOptions()); // As in haloStoreKey.
+  H.u32(MinStreamLength).u32(MaxStreamLength).f64(StreamCoverage);
+  H.u32(CoAllocationLineSize).u32(0).f64(0.0).f64(MinBenefitFraction);
+  hashAllocator(H); // As in haloStoreKey.
   Key.Hash = H.hash();
   Key.Label = "hds/" + Benchmark + "/" + scaleLabel(ProfileScale) + "/s" +
               std::to_string(ProfileSeed);

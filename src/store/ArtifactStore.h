@@ -90,10 +90,11 @@ StoreKey haloStoreKey(const std::string &Benchmark, Scale ProfileScale,
                       uint64_t ProfileSeed, const HaloParameters &Params,
                       uint32_t Schema = StoreSchemaVersion);
 
-/// Key of an HDS pipeline artifact bundle (same shape: the stream and
-/// co-allocation knobs of HdsParameters).
+/// Key of an HDS pipeline artifact bundle: (hds tag, schema, benchmark,
+/// profile scale/seed). The HdsParameters slot reads nothing (see
+/// HdsParameters), so no setup value re-keys the entry.
 StoreKey hdsStoreKey(const std::string &Benchmark, Scale ProfileScale,
-                     uint64_t ProfileSeed, const HdsParameters &Params,
+                     uint64_t ProfileSeed, const HdsParameters &,
                      uint32_t Schema = StoreSchemaVersion);
 
 /// The on-disk store: one flat directory of immutable entries named by

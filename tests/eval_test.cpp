@@ -13,6 +13,16 @@
 
 using namespace halo;
 
+namespace {
+
+/// \p E's measurement of (\p Kind, \p S, \p Seed) on the default machine.
+RunMetrics measured(Evaluation &E, AllocatorKind Kind, Scale S,
+                    uint64_t Seed) {
+  return E.measureDirect(defaultMachine(), Kind, S, Seed);
+}
+
+} // namespace
+
 TEST(PaperSetup, OmnetppFlags) {
   BenchmarkSetup S = paperSetup("omnetpp");
   EXPECT_EQ(S.Allocator.ChunkSize, 128u * 1024u);
@@ -34,11 +44,15 @@ TEST(PaperSetup, RomsFlags) {
 TEST(PaperSetup, DefaultsMatchSection51) {
   BenchmarkSetup S = paperSetup("health");
   EXPECT_EQ(S.Halo.Profile.AffinityDistance, 128u);
-  EXPECT_DOUBLE_EQ(S.Halo.Grouping.MergeTolerance, 0.05);
   EXPECT_EQ(S.Allocator.ChunkSize, 1u << 20);
-  EXPECT_EQ(S.Allocator.MaxGroupedSize, 4096u);
   EXPECT_EQ(S.Allocator.MaxSpareChunks, 1u);
   EXPECT_EQ(S.ProfileScale, Scale::Test);
+  EXPECT_EQ(&S.Machine, &defaultMachine());
+  // What no setup varies.
+  EXPECT_DOUBLE_EQ(HeapProfiler::NodeCoverage, 0.9);
+  EXPECT_DOUBLE_EQ(MergeTolerance, 0.05);
+  EXPECT_EQ(MaxGroupedSize, 4096u);
+  EXPECT_EQ(GroupAllocator::SlabSize, 64u << 20);
 }
 
 TEST(PaperSetup, HaloAndHdsBothMeasureWithTheSetupsAllocator) {
@@ -53,8 +67,8 @@ TEST(PaperSetup, HaloAndHdsBothMeasureWithTheSetupsAllocator) {
   Changed.setHdsArtifacts(Paper.hdsArtifacts());
   for (AllocatorKind Kind : {AllocatorKind::Halo, AllocatorKind::Hds}) {
     SCOPED_TRACE(Kind == AllocatorKind::Halo ? "halo" : "hds");
-    RunMetrics A = Paper.measureDirect(Kind, Scale::Test, 1);
-    RunMetrics B = Changed.measureDirect(Kind, Scale::Test, 1);
+    RunMetrics A = measured(Paper, Kind, Scale::Test, 1);
+    RunMetrics B = measured(Changed, Kind, Scale::Test, 1);
     EXPECT_GT(A.GroupedAllocs, 0u);
     EXPECT_EQ(A.GroupedAllocs, B.GroupedAllocs);
     EXPECT_NE(A.Frag.wastedBytes(), B.Frag.wastedBytes());
@@ -87,8 +101,8 @@ TEST(PaperSetup, OmnetppChunkConfigurationChangesTheMeasurement) {
   Reverted.Allocator = GroupAllocatorOptions();
   Evaluation Defaults(std::move(Reverted));
 
-  RunMetrics A = Paper.measureDirect(AllocatorKind::Halo, Scale::Ref, 1);
-  RunMetrics B = Defaults.measureDirect(AllocatorKind::Halo, Scale::Ref, 1);
+  RunMetrics A = measured(Paper, AllocatorKind::Halo, Scale::Ref, 1);
+  RunMetrics B = measured(Defaults, AllocatorKind::Halo, Scale::Ref, 1);
   // Same allocation stream either way...
   EXPECT_EQ(A.Events.Allocs, B.Events.Allocs);
   EXPECT_EQ(A.GroupedAllocs, B.GroupedAllocs);
@@ -149,7 +163,7 @@ TEST(Evaluation, UnknownBenchmarkThrowsInvalidArgument) {
 
 TEST(Evaluation, BaselineMetricsPopulated) {
   Evaluation E(paperSetup("ft"));
-  RunMetrics M = E.measureDirect(AllocatorKind::Jemalloc, Scale::Test, 1);
+  RunMetrics M = measured(E, AllocatorKind::Jemalloc, Scale::Test, 1);
   EXPECT_GT(M.Seconds, 0.0);
   EXPECT_GT(M.Cycles, 0u);
   EXPECT_GT(M.Mem.Accesses, 0u);
@@ -160,7 +174,7 @@ TEST(Evaluation, BaselineMetricsPopulated) {
 
 TEST(Evaluation, HaloRunGroupsAllocations) {
   Evaluation E(paperSetup("health"));
-  RunMetrics M = E.measureDirect(AllocatorKind::Halo, Scale::Test, 1);
+  RunMetrics M = measured(E, AllocatorKind::Halo, Scale::Test, 1);
   EXPECT_GT(M.GroupedAllocs, 0u);
   EXPECT_GT(M.ForwardedAllocs, 0u);
   EXPECT_GT(M.InstrumentationOps, 0u);
@@ -170,16 +184,16 @@ TEST(Evaluation, HaloRunGroupsAllocations) {
 TEST(Evaluation, HaloBeatsBaselineOnHealth) {
   // The paper's headline case, at test scale: HALO must reduce L1D misses.
   Evaluation E(paperSetup("health"));
-  RunMetrics Base = E.measureDirect(AllocatorKind::Jemalloc, Scale::Test, 1);
-  RunMetrics Halo = E.measureDirect(AllocatorKind::Halo, Scale::Test, 1);
+  RunMetrics Base = measured(E, AllocatorKind::Jemalloc, Scale::Test, 1);
+  RunMetrics Halo = measured(E, AllocatorKind::Halo, Scale::Test, 1);
   EXPECT_LT(Halo.Mem.L1Misses, Base.Mem.L1Misses);
 }
 
 TEST(Evaluation, InstrumentedOnlyRunCostsAlmostNothing) {
   Evaluation E(paperSetup("ft"));
-  RunMetrics Base = E.measureDirect(AllocatorKind::Jemalloc, Scale::Test, 1);
+  RunMetrics Base = measured(E, AllocatorKind::Jemalloc, Scale::Test, 1);
   RunMetrics Instr =
-      E.measureDirect(AllocatorKind::HaloInstrumentedOnly, Scale::Test, 1);
+      measured(E, AllocatorKind::HaloInstrumentedOnly, Scale::Test, 1);
   EXPECT_GT(Instr.InstrumentationOps, 0u);
   // Identical memory behaviour, tiny cycle delta (Section 5.2: noise
   // dwarfs instrumentation overhead).
@@ -191,7 +205,7 @@ TEST(Evaluation, TrialsVaryBySeed) {
   Evaluation E(paperSetup("ft"));
   std::vector<RunMetrics> Runs;
   for (uint64_t Seed = 100; Seed < 103; ++Seed)
-    Runs.push_back(E.measureDirect(AllocatorKind::Jemalloc, Scale::Test, Seed));
+    Runs.push_back(measured(E, AllocatorKind::Jemalloc, Scale::Test, Seed));
   ASSERT_EQ(Runs.size(), 3u);
   EXPECT_GT(Evaluation::medianSeconds(Runs), 0.0);
   EXPECT_GT(Evaluation::medianL1Misses(Runs), 0.0);
@@ -199,15 +213,15 @@ TEST(Evaluation, TrialsVaryBySeed) {
 
 TEST(Evaluation, RandomPoolsMeasurable) {
   Evaluation E(paperSetup("art"));
-  RunMetrics M = E.measureDirect(AllocatorKind::RandomPools, Scale::Test, 1);
+  RunMetrics M = measured(E, AllocatorKind::RandomPools, Scale::Test, 1);
   EXPECT_GT(M.Mem.L1Misses, 0u);
 }
 
 TEST(Evaluation, PtmallocWorseThanJemallocOnListWorkloads) {
   // Section 5.1: jemalloc universally outperforms ptmalloc2 as a baseline.
   Evaluation E(paperSetup("health"));
-  RunMetrics Je = E.measureDirect(AllocatorKind::Jemalloc, Scale::Test, 1);
-  RunMetrics Pt = E.measureDirect(AllocatorKind::Ptmalloc, Scale::Test, 1);
+  RunMetrics Je = measured(E, AllocatorKind::Jemalloc, Scale::Test, 1);
+  RunMetrics Pt = measured(E, AllocatorKind::Ptmalloc, Scale::Test, 1);
   EXPECT_GT(Pt.Mem.L1Misses, Je.Mem.L1Misses);
 }
 

@@ -24,7 +24,7 @@ using namespace halo;
 namespace {
 
 /// findMachine, hard-asserted: a null entry in ExperimentSpec::Machines
-/// would silently mean "the setup's machine", not the named preset.
+/// makes buildPlan throw instead of measuring the named preset.
 const MachineConfig *preset(const char *Name) {
   const MachineConfig *M = findMachine(Name);
   EXPECT_NE(M, nullptr) << Name;
@@ -303,9 +303,10 @@ TEST(BuildPlan, OnlySpecsWithoutMakeSetupShareBenchmarksAndExternal) {
   Shared.Trials = 1;
   ExperimentSpec Own = Shared;
   Own.Benchmarks = {"health"};
+  Own.Machines = {findMachine("mobile")};
   Own.MakeSetup = [](const std::string &Name) {
     BenchmarkSetup Setup = paperSetup(Name);
-    Setup.Machine = *findMachine("mobile");
+    Setup.Allocator.MaxSpareChunks = 3;
     return Setup;
   };
   ExperimentSpec AlsoShared = Shared;
@@ -317,7 +318,7 @@ TEST(BuildPlan, OnlySpecsWithoutMakeSetupShareBenchmarksAndExternal) {
   EXPECT_EQ(Plan.benchmarks()[1].Name, "ft");
   EXPECT_EQ(Plan.benchmarks()[2].Name, "health");
   EXPECT_NE(Plan.benchmarks()[2].Eval, &Eval);
-  EXPECT_EQ(Plan.benchmarks()[2].Eval->setup().Machine.Name, "mobile");
+  EXPECT_EQ(Plan.benchmarks()[2].Eval->setup().Allocator.MaxSpareChunks, 3u);
   // Shared's two cells, Own's one, and AlsoShared's two on benchmarks 0-1.
   ASSERT_EQ(Plan.cells().size(), 5u);
   const size_t Bench[] = {0, 1, 2, 0, 1};
@@ -332,6 +333,15 @@ TEST(BuildPlan, OnlySpecsWithoutMakeSetupShareBenchmarksAndExternal) {
 TEST(BuildPlan, RejectsUnknownBenchmarks) {
   ExperimentSpec Spec;
   Spec.Benchmarks = {"health", "gcc"};
+  EXPECT_THROW(buildPlan({Spec}), std::invalid_argument);
+}
+
+TEST(BuildPlan, RejectsANullMachine) {
+  // A plan cell's machine is never null: no entry stands for "some
+  // default" (an empty list means the default preset).
+  ExperimentSpec Spec;
+  Spec.Benchmarks = {"health"};
+  Spec.Machines = {preset("mobile"), nullptr};
   EXPECT_THROW(buildPlan({Spec}), std::invalid_argument);
 }
 
@@ -381,15 +391,22 @@ TEST(RunPlan, EveryCellMatchesTheMeasureTrialsOracle) {
 }
 
 TEST(RunPlan, EmptyMachineListUsesTheSetupMachine) {
+  // The setup machine is the default preset, so a spec naming that preset
+  // measures the same cell as one naming no machine.
   ExperimentSpec Spec;
   Spec.Benchmarks = {"ft"};
   Spec.Kinds = {AllocatorKind::Jemalloc};
   Spec.S = Scale::Test;
   Spec.Trials = 2;
-  ExperimentPlan Plan = buildPlan({Spec});
+  ExperimentSpec Named = Spec;
+  Named.Machines = {findMachine(defaultMachine().Name)};
+  ExperimentPlan Plan = buildPlan({Spec, Named});
+  ASSERT_EQ(Plan.cells().size(), 1u);
+  EXPECT_EQ(Plan.cells()[0].Machine, &defaultMachine());
   ResultSet Results = runPlan(Plan, /*Jobs=*/1);
 
   ASSERT_EQ(Results.size(), 1u);
+  EXPECT_EQ(Results.cells()[0].Machine, &defaultMachine());
   EXPECT_EQ(Results.cells()[0].Key.Machine, defaultMachine().Name);
   Evaluation Oracle(paperSetup("ft"));
   expectSameRuns(Results.cells()[0].Runs,
@@ -413,8 +430,8 @@ TEST(RunPlan, ExternalEvaluationBacksItsBenchmark) {
   // ...so it holds the bundle the plan materialised afterwards, and
   // measuring again through it reads that bundle.
   EXPECT_TRUE(Eval.hasHaloArtifacts());
-  RunMetrics Again =
-      Eval.measureDirect(AllocatorKind::Halo, Scale::Test, 100);
+  RunMetrics Again = Eval.measureDirect(defaultMachine(), AllocatorKind::Halo,
+                                       Scale::Test, 100);
   ASSERT_EQ(Results.cells()[0].Runs.size(), 1u);
   EXPECT_EQ(Again.Cycles, Results.cells()[0].Runs[0].Cycles);
   EXPECT_EQ(Again.Mem.L1Misses, Results.cells()[0].Runs[0].Mem.L1Misses);

@@ -15,7 +15,13 @@
 #      none) exits 1 with a usage error too;
 #   5. `store ls --out` writes valid JSON whatever the store directory
 #      holds, and a file whose entry header does not decode is not listed
-#      as a trace.
+#      as a trace;
+#   6. a value the run could not honour fails before anything is opened:
+#      a --chunk-size outside the group allocator's range (the error
+#      names the range) and a --trials above the wire's bound exit 1
+#      naming the flag and leave neither the --out file nor its .tmp; a
+#      command that throws after opening --out (a malformed HALO_JOBS)
+#      removes its .tmp, and a valid extreme chunk size runs.
 #
 # Invoked as:
 #   cmake -DHALO_CLI=<path> -DWORK_DIR=<dir> -P this_file
@@ -98,7 +104,7 @@ set(Value--seed-base 5)
 set(Value--out ${WORK_DIR}/matrix_out.json)
 set(Value--store-dir ${Store})
 set(Value--socket ${Sock})
-set(Value--chunk-size 4096)
+set(Value--chunk-size 65536)
 set(Value--max-spare-chunks 2)
 set(Value--max-groups 4)
 set(Value--affinity-distance 8)
@@ -203,5 +209,56 @@ foreach(I 0 1)
                         "type '${Type}':\n${Json}")
   endif()
 endforeach()
+
+# 6. Values checked before anything is opened, and temp files removed.
+set(Out ${WORK_DIR}/rejected.json)
+set(Failures "")
+
+# expect_no_output(<error regex> <command line>...): exit 1, an error
+# matching the regex, and neither ${Out} nor ${Out}.tmp left behind.
+function(expect_no_output Regex)
+  file(REMOVE ${Out} ${Out}.tmp)
+  execute_process(COMMAND ${ARGN} --out ${Out}
+                  OUTPUT_QUIET ERROR_VARIABLE Err RESULT_VARIABLE Rc
+                  TIMEOUT 30)
+  if(NOT Rc EQUAL 1 OR NOT Err MATCHES "error: [^\n]*${Regex}"
+     OR EXISTS ${Out} OR EXISTS ${Out}.tmp)
+    list(JOIN ARGN " " Command)
+    string(REGEX REPLACE "[\n;]" " " Err "${Err}")
+    list(APPEND Failures "${Command}: exit ${Rc}, stderr: ${Err}")
+  endif()
+  set(Failures "${Failures}" PARENT_SCOPE)
+endfunction()
+
+foreach(Size 64 3000 4096 134217728 8589934592)
+  expect_no_output("--chunk-size: '${Size}' \\(expected a power of two from 8192 to 67108864\\)"
+                   ${HALO_CLI} run health --trials 1 --chunk-size ${Size})
+endforeach()
+expect_no_output("--trials" ${HALO_CLI} run health --trials 65537)
+expect_no_output("--trials" ${HALO_CLI} experiments health --trials 65537)
+# Rejected before connecting: no daemon listens on ${Sock}.
+expect_no_output("--trials" ${HALO_CLI} client run health --socket ${Sock}
+                 --kinds jemalloc --scale test --trials 65537)
+expect_no_output("HALO_JOBS" ${CMAKE_COMMAND} -E env HALO_JOBS=x
+                 ${HALO_CLI} run health --trials 1)
+
+# The range's ends run: every grouped object fits the least chunk, and the
+# largest is the whole slab.
+foreach(Size 8192 67108864)
+  file(REMOVE ${Out})
+  execute_process(COMMAND ${HALO_CLI} experiments health --kinds halo,hds
+                          --scale test --trials 1 --chunk-size ${Size}
+                          --out ${Out}
+                  OUTPUT_QUIET ERROR_VARIABLE Err RESULT_VARIABLE Rc)
+  if(NOT Rc EQUAL 0 OR NOT EXISTS ${Out})
+    string(REGEX REPLACE "[\n;]" " " Err "${Err}")
+    list(APPEND Failures "experiments --chunk-size ${Size}: exit ${Rc}, stderr: ${Err}")
+  endif()
+endforeach()
+
+if(Failures)
+  list(JOIN Failures "\n  " Report)
+  message(FATAL_ERROR "value checks failed:\n  ${Report}")
+endif()
 
 message(STATUS "halo_cli flag and output checks passed")

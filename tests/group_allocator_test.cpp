@@ -32,7 +32,6 @@ struct GroupAllocTest : ::testing::Test {
 
   GroupAllocTest() {
     Options.ChunkSize = 1 << 16; // 64 KiB chunks for compact tests.
-    Options.SlabSize = 1 << 20;
   }
 
   AllocRequest grouped(uint64_t Size, uint32_t Site = 1) {
@@ -80,10 +79,33 @@ TEST_F(GroupAllocTest, UngroupedForwardsToBacking) {
 
 TEST_F(GroupAllocTest, OversizedRequestsForwardEvenWhenGrouped) {
   GroupAllocator GA(Backing, Policy, Options);
-  uint64_t A = GA.allocate(grouped(Options.MaxGroupedSize));
+  uint64_t A = GA.allocate(grouped(MaxGroupedSize));
   EXPECT_TRUE(Backing.owns(A));
-  uint64_t B = GA.allocate(grouped(Options.MaxGroupedSize - 8));
+  uint64_t B = GA.allocate(grouped(MaxGroupedSize - 8));
   EXPECT_FALSE(Backing.owns(B));
+}
+
+TEST_F(GroupAllocTest, ChunkSizesOutsideTheValidRangeThrow) {
+  // In every build: a power of two from a header plus the largest grouped
+  // object (8 KiB) to the slab (64 MiB). Each rejected size was once
+  // accepted: 3000 is no power of two, a 4096-byte chunk leaves a grouped
+  // object above 4032 bytes overrunning it, 2^27 is larger than its slab,
+  // and 2^33 past the 32-bit region offsets.
+  for (uint64_t Bad : {uint64_t(3000), uint64_t(4096), uint64_t(1) << 27,
+                       uint64_t(1) << 33, uint64_t(0)}) {
+    Options.ChunkSize = Bad;
+    EXPECT_FALSE(validChunkSize(Bad)) << Bad;
+    EXPECT_THROW(GroupAllocator(Backing, Policy, Options),
+                 std::invalid_argument)
+        << Bad;
+  }
+  for (uint64_t Good : {uint64_t(8) << 10, uint64_t(64) << 20}) {
+    Options.ChunkSize = Good;
+    EXPECT_TRUE(validChunkSize(Good)) << Good;
+    GroupAllocator GA(Backing, Policy, Options);
+    uint64_t A = GA.allocate(grouped(MaxGroupedSize - 1));
+    EXPECT_EQ(GA.usableSize(A), MaxGroupedSize - 1) << Good;
+  }
 }
 
 TEST_F(GroupAllocTest, ChunksAlignedToTheirSize) {

@@ -31,27 +31,31 @@ GroupingOptions lenientOptions() {
 TEST(MergeBenefit, PositiveForTightPair) {
   AffinityGraph G;
   G.addEdgeWeight(1, 2, 10);
-  EXPECT_GT(mergeBenefit(G, {1}, 2, 0.05), 0.0);
+  EXPECT_GT(mergeBenefit(G, {1}, 2), 0.0);
 }
 
 TEST(MergeBenefit, NegativeForStranger) {
   AffinityGraph G;
   G.addEdgeWeight(1, 2, 10);
   G.addAccesses(3, 100); // No edges to 1 or 2.
-  EXPECT_LT(mergeBenefit(G, {1, 2}, 3, 0.05), 0.0);
+  EXPECT_LT(mergeBenefit(G, {1, 2}, 3), 0.0);
 }
 
 TEST(MergeBenefit, ToleranceAllowsSlightlyWorseMerges) {
   // Nodes 1-2 (weight 10) and candidate 3 attached with weight 9.5-ish:
-  // merging drops density slightly; tolerance T makes it acceptable.
+  // merging drops density slightly; the 5% tolerance makes it acceptable.
   AffinityGraph G;
   G.addEdgeWeight(1, 2, 10);
   G.addEdgeWeight(2, 3, 10);
   G.addEdgeWeight(1, 3, 9);
-  // Union score: 29/3 ~ 9.667 < 10 = max(Sa, Sb): rejected at T = 0...
-  EXPECT_LT(mergeBenefit(G, {1, 2}, 3, 0.0), 0.0);
-  // ...but accepted at T = 5%.
-  EXPECT_GT(mergeBenefit(G, {1, 2}, 3, 0.05), 0.0);
+  // Union score: 29/3 ~ 9.667 < 10 = max(Sa, Sb), but above 9.5.
+  EXPECT_GT(mergeBenefit(G, {1, 2}, 3), 0.0);
+  // A weaker third edge puts the union at 27/3 = 9 < 9.5: rejected.
+  AffinityGraph Weaker;
+  Weaker.addEdgeWeight(1, 2, 10);
+  Weaker.addEdgeWeight(2, 3, 10);
+  Weaker.addEdgeWeight(1, 3, 7);
+  EXPECT_LT(mergeBenefit(Weaker, {1, 2}, 3), 0.0);
 }
 
 TEST(Grouping, PairsGroupAroundStrongestEdge) {

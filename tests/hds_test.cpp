@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace halo;
 
 namespace {
@@ -21,9 +23,7 @@ std::vector<uint32_t> repeatPattern(std::vector<uint32_t> Pattern,
 } // namespace
 
 TEST(HotStreams, FindsRepeatedPattern) {
-  HotStreamOptions Opts;
-  HotStreamAnalysis A =
-      findHotStreams(repeatPattern({1, 2, 3}, 100), Opts);
+  HotStreamAnalysis A = findHotStreams(repeatPattern({1, 2, 3}, 100));
   ASSERT_FALSE(A.Streams.empty());
   // The hottest stream covers the repeating pattern (some rotation of it).
   const HotStream &Top = A.Streams.front();
@@ -33,22 +33,26 @@ TEST(HotStreams, FindsRepeatedPattern) {
 }
 
 TEST(HotStreams, EmptyTrace) {
-  HotStreamAnalysis A = findHotStreams({}, HotStreamOptions());
+  HotStreamAnalysis A = findHotStreams({});
   EXPECT_TRUE(A.Streams.empty());
   EXPECT_EQ(A.TraceLength, 0u);
 }
 
 TEST(HotStreams, RespectsLengthBand) {
-  HotStreamOptions Opts;
-  Opts.MinLength = 2;
-  Opts.MaxLength = 5;
-  // A long repeating pattern: streams are clipped to <= 5 elements.
-  HotStreamAnalysis A = findHotStreams(
-      repeatPattern({1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 50), Opts);
+  // A repeating pattern longer than the band: streams are clipped to
+  // MaxStreamLength elements.
+  std::vector<uint32_t> Pattern;
+  for (uint32_t I = 0; I < 3 * MaxStreamLength; ++I)
+    Pattern.push_back(I);
+  HotStreamAnalysis A = findHotStreams(repeatPattern(Pattern, 50));
+  ASSERT_FALSE(A.Streams.empty());
+  size_t Longest = 0;
   for (const HotStream &S : A.Streams) {
-    EXPECT_GE(S.Elements.size(), 2u);
-    EXPECT_LE(S.Elements.size(), 5u);
+    EXPECT_GE(S.Elements.size(), MinStreamLength);
+    EXPECT_LE(S.Elements.size(), MaxStreamLength);
+    Longest = std::max(Longest, S.Elements.size());
   }
+  EXPECT_EQ(Longest, MaxStreamLength);
 }
 
 TEST(HotStreams, IrregularTraceYieldsManyWeakStreams) {
@@ -60,7 +64,7 @@ TEST(HotStreams, IrregularTraceYieldsManyWeakStreams) {
     X = X * 6364136223846793005ull + 1442695040888963407ull;
     Trace.push_back((X >> 40) % 1000);
   }
-  HotStreamAnalysis A = findHotStreams(Trace, HotStreamOptions());
+  HotStreamAnalysis A = findHotStreams(Trace);
   uint64_t Covered = 0;
   for (const HotStream &S : A.Streams)
     Covered += S.Heat;
@@ -76,9 +80,7 @@ TEST(CoAllocation, BuildsSetsFromStreamSites) {
   S.Elements = {0, 1};
   S.Frequency = 50;
   S.Heat = 100;
-  CoAllocationOptions Opts;
-  std::vector<CoAllocationSet> Sets =
-      buildCoAllocationSets({S}, Objects, Opts);
+  std::vector<CoAllocationSet> Sets = buildCoAllocationSets({S}, Objects);
   ASSERT_EQ(Sets.size(), 1u);
   EXPECT_EQ(Sets[0].Sites, (std::vector<uint32_t>{10, 11}));
   EXPECT_GT(Sets[0].Benefit, 0.0);
@@ -92,8 +94,7 @@ TEST(CoAllocation, NoBenefitNoSet) {
   S.Elements = {0};
   S.Frequency = 50;
   S.Heat = 50;
-  EXPECT_TRUE(
-      buildCoAllocationSets({S}, Objects, CoAllocationOptions()).empty());
+  EXPECT_TRUE(buildCoAllocationSets({S}, Objects).empty());
 }
 
 TEST(CoAllocation, DuplicateSetsMergeBenefit) {
@@ -106,7 +107,7 @@ TEST(CoAllocation, DuplicateSetsMergeBenefit) {
   S2.Elements = {1, 0};
   S2.Frequency = 20;
   std::vector<CoAllocationSet> Sets =
-      buildCoAllocationSets({S1, S2}, Objects, CoAllocationOptions());
+      buildCoAllocationSets({S1, S2}, Objects);
   ASSERT_EQ(Sets.size(), 1u);
   // 1.5 lines saved per occurrence (2 scattered lines vs 32/64 packed),
   // over 10 + 20 occurrences.
@@ -114,14 +115,13 @@ TEST(CoAllocation, DuplicateSetsMergeBenefit) {
 }
 
 TEST(CoAllocation, PackingKeepsDisjointSets) {
-  CoAllocationOptions Opts;
   std::vector<CoAllocationSet> Candidates = {
       {{1, 2}, 100.0}, // Strongest.
       {{2, 3}, 90.0},  // Overlaps the first: rejected.
       {{4, 5}, 50.0},  // Disjoint: chosen.
   };
   std::vector<CoAllocationSet> Chosen =
-      packCoAllocationSets(Candidates, /*TraceLength=*/0, Opts);
+      packCoAllocationSets(Candidates, /*TraceLength=*/0);
   ASSERT_EQ(Chosen.size(), 2u);
   EXPECT_EQ(Chosen[0].Sites, (std::vector<uint32_t>{1, 2}));
   EXPECT_EQ(Chosen[1].Sites, (std::vector<uint32_t>{4, 5}));
@@ -129,36 +129,25 @@ TEST(CoAllocation, PackingKeepsDisjointSets) {
 
 TEST(CoAllocation, PackingWeighsBenefitAgainstSize) {
   // w/sqrt(|S|): a huge set with mild benefit loses to a tight pair.
-  CoAllocationOptions Opts;
   std::vector<CoAllocationSet> Candidates = {
       {{1, 2, 3, 4, 5, 6, 7, 8, 9}, 120.0}, // 120/3 = 40.
       {{1, 2}, 70.0},                       // 70/1.41 ~ 49.5: wins.
   };
   std::vector<CoAllocationSet> Chosen =
-      packCoAllocationSets(Candidates, /*TraceLength=*/0, Opts);
+      packCoAllocationSets(Candidates, /*TraceLength=*/0);
   ASSERT_EQ(Chosen.size(), 1u);
   EXPECT_EQ(Chosen[0].Sites.size(), 2u);
-}
-
-TEST(CoAllocation, MaxGroupsCap) {
-  CoAllocationOptions Opts;
-  Opts.MaxGroups = 1;
-  std::vector<CoAllocationSet> Candidates = {{{1}, 10.0}, {{2}, 5.0}};
-  EXPECT_EQ(packCoAllocationSets(Candidates, /*TraceLength=*/0, Opts).size(),
-            1u);
 }
 
 TEST(CoAllocation, BenefitFloorScalesWithTheTraceLength) {
   // The floor is MinBenefitFraction of the trace length: 0.0005 * 20000
   // = 10 saved lines keeps the set worth 10 and drops the one worth 9.
-  CoAllocationOptions Opts;
   std::vector<CoAllocationSet> Candidates = {{{1}, 10.0}, {{2}, 9.0}};
   std::vector<CoAllocationSet> Chosen =
-      packCoAllocationSets(Candidates, /*TraceLength=*/20000, Opts);
+      packCoAllocationSets(Candidates, /*TraceLength=*/20000);
   ASSERT_EQ(Chosen.size(), 1u);
   EXPECT_EQ(Chosen[0].Sites, (std::vector<uint32_t>{1}));
-  EXPECT_EQ(packCoAllocationSets(Candidates, /*TraceLength=*/0, Opts).size(),
-            2u);
+  EXPECT_EQ(packCoAllocationSets(Candidates, /*TraceLength=*/0).size(), 2u);
 }
 
 TEST(CoAllocation, SiteGroupMapFlattens) {
@@ -177,7 +166,6 @@ TEST(HdsPipeline, EndToEndOnPairedAccesses) {
   CallSiteId SiteA = P.addMallocSite(Main, "main>a");
   CallSiteId SiteB = P.addMallocSite(Main, "main>b");
 
-  HdsParameters Params;
   HdsArtifacts Art = optimizeBinaryHds(
       P,
       [&](Runtime &RT) {
@@ -189,8 +177,7 @@ TEST(HdsPipeline, EndToEndOnPairedAccesses) {
             RT.load(A, 16);
             RT.load(B, 16);
           }
-      },
-      Params);
+      });
 
   EXPECT_GT(Art.Analysis.TraceLength, 0u);
   ASSERT_FALSE(Art.SiteToGroup.empty());
@@ -220,8 +207,7 @@ TEST(HdsPipeline, WrapperSiteCannotDiscriminate) {
         for (int Pass = 0; Pass < 10; ++Pass)
           for (uint64_t H : Hot)
             RT.load(H, 16);
-      },
-      HdsParameters());
+      });
 
   for (const CoAllocationSet &G : Art.Groups)
     EXPECT_EQ(G.Sites, (std::vector<uint32_t>{SMalloc}));

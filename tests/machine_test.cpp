@@ -264,27 +264,6 @@ TEST(MachineMeasurement, OneTraceReplaysUnderEveryMachine) {
   EXPECT_EQ(StallCycles.size(), machinePresets().size());
 }
 
-TEST(MachineMeasurement, SetupMachineIsTheMeasurementKey) {
-  BenchmarkSetup Setup = paperSetup("ft");
-  Setup.Machine = *findMachine("mobile");
-  Evaluation Mobile(std::move(Setup));
-  Evaluation Default(paperSetup("ft"));
-
-  RunMetrics OnMobile =
-      Mobile.measureDirect(AllocatorKind::Jemalloc, Scale::Test, 5);
-  RunMetrics OnDefault =
-      Default.measureDirect(AllocatorKind::Jemalloc, Scale::Test, 5);
-  // The implicit-machine overload must route through Setup.Machine: the
-  // same measurement via the explicit overload is bit-identical.
-  RunMetrics Explicit =
-      Mobile.measureDirect(*findMachine("mobile"), AllocatorKind::Jemalloc,
-                           Scale::Test, 5);
-  EXPECT_EQ(OnMobile.Cycles, Explicit.Cycles);
-  EXPECT_EQ(OnMobile.Mem.StallCycles, Explicit.Mem.StallCycles);
-  // And a different machine is a different experiment.
-  EXPECT_NE(OnMobile.Mem.StallCycles, OnDefault.Mem.StallCycles);
-}
-
 //===----------------------------------------------------------------------===//
 // Cross-benchmark comparisons (halo_cli plot's backing store): one plan,
 // reduced per benchmark by comparisonRow.

@@ -41,7 +41,6 @@ struct ProfilerHarness {
     SiteB = P.addMallocSite(F, "f>mallocB");
     SiteC = P.addMallocSite(Main, "main>mallocC");
     Options.AffinityDistance = 64;
-    Options.NodeCoverage = 1.0; // Keep everything unless a test filters.
   }
 };
 
@@ -254,8 +253,12 @@ TEST(Profiler, CoAllocatabilityBlocksInterveningAllocations) {
     Mid = RT.malloc(16, H.SiteA); // Context X, seq 1 -- intervenes.
     V = RT.malloc(16, H.SiteB);   // Context Y, seq 2.
   }
-  RT.load(U, 16);
-  RT.load(V, 16);
+  // Each pass adds one access per context, so both survive the cold-node
+  // filter's 90% coverage.
+  for (int Pass = 0; Pass < 2; ++Pass) {
+    RT.load(U, 16);
+    RT.load(V, 16);
+  }
   (void)Mid;
   AffinityGraph G = Prof.takeGraph();
   std::vector<GraphNodeId> N = G.nodes();
@@ -275,12 +278,14 @@ TEST(Profiler, CoAllocatabilityAllowsAdjacentAllocations) {
     U = RT.malloc(16, H.SiteA);
     V = RT.malloc(16, H.SiteB);
   }
-  RT.load(U, 16);
-  RT.load(V, 16);
+  for (int Pass = 0; Pass < 2; ++Pass) { // Two accesses per context.
+    RT.load(U, 16);
+    RT.load(V, 16);
+  }
   AffinityGraph G = Prof.takeGraph();
   std::vector<GraphNodeId> N = G.nodes();
   ASSERT_EQ(N.size(), 2u);
-  EXPECT_EQ(G.edgeWeight(N[0], N[1]), 1u);
+  EXPECT_EQ(G.edgeWeight(N[0], N[1]), 3u); // Every access after the first.
 }
 
 TEST(Profiler, CoAllocatabilityMatchesBruteForce) {
@@ -301,7 +306,6 @@ TEST(Profiler, CoAllocatabilityMatchesBruteForce) {
     SizeClassAllocator Alloc;
     ProfileOptions Options;
     Options.AffinityDistance = 16;
-    Options.NodeCoverage = 1.0;
     HeapProfiler Prof(P, Options);
     Runtime RT(P, Alloc);
     RT.addObserver(&Prof);
@@ -357,6 +361,9 @@ TEST(Profiler, CoAllocatabilityMatchesBruteForce) {
     EXPECT_EQ(Prof.totalAccesses(), MacroAccesses) << "seed " << Seed;
     AffinityGraph G = Prof.takeGraph();
     ASSERT_EQ(Prof.contexts().size(), Sites.size());
+    // Every context survives the cold-node filter, so no expected edge is
+    // missing for want of a node.
+    ASSERT_EQ(G.numNodes(), Sites.size()) << "seed " << Seed;
     for (ContextId A = 0; A < Sites.size(); ++A)
       for (ContextId B = A; B < Sites.size(); ++B) {
         uint64_t Want = Expected[{A, B}];
@@ -380,32 +387,37 @@ TEST(Profiler, CoAllocatabilityCanBeDisabled) {
     Mid = RT.malloc(16, H.SiteA);
     V = RT.malloc(16, H.SiteB);
   }
-  RT.load(U, 16);
-  RT.load(V, 16);
+  for (int Pass = 0; Pass < 2; ++Pass) { // Two accesses per context.
+    RT.load(U, 16);
+    RT.load(V, 16);
+  }
   (void)Mid;
   AffinityGraph G = Prof.takeGraph();
   std::vector<GraphNodeId> N = G.nodes();
-  EXPECT_EQ(G.edgeWeight(N[0], N[1]), 1u);
+  ASSERT_EQ(N.size(), 2u);
+  EXPECT_EQ(G.edgeWeight(N[0], N[1]), 3u);
 }
 
 TEST(Profiler, LargeObjectsExcludedFromAffinity) {
   ProfilerHarness H;
-  H.Options.MaxObjectSize = 64;
   HeapProfiler Prof(H.P, H.Options);
   Runtime RT(H.P, H.Alloc);
   RT.addObserver(&Prof);
 
-  uint64_t Big, Small;
+  uint64_t Big, Largest, Small;
   {
     Runtime::Scope S(RT, H.MainToF);
-    Big = RT.malloc(128, H.SiteA);
-    Small = RT.malloc(16, H.SiteB);
+    Big = RT.malloc(MaxGroupedSize + 1, H.SiteA);
+    Largest = RT.malloc(MaxGroupedSize, H.SiteB);
+    Small = RT.malloc(16, H.SiteC);
   }
   RT.load(Big, 64);
   RT.load(Small, 16);
-  AffinityGraph G = Prof.takeGraph();
-  // Only the small object's context accumulates accesses.
-  EXPECT_EQ(G.totalAccesses(), 1u);
+  // Only the small object counts, until an object of exactly
+  // MaxGroupedSize is accessed: the profiler keeps that one.
+  EXPECT_EQ(Prof.totalAccesses(), 1u);
+  RT.load(Largest, 64);
+  EXPECT_EQ(Prof.totalAccesses(), 2u);
 }
 
 TEST(Profiler, StackAccessesIgnored) {

@@ -260,7 +260,7 @@ struct GroupModel {
     } else {
       if (SlabCursor + O.ChunkSize > SlabEnd) {
         SlabCursor = roundUp(ArenaNext, O.ChunkSize);
-        SlabEnd = ArenaNext = SlabCursor + O.SlabSize;
+        SlabEnd = ArenaNext = SlabCursor + GroupAllocator::SlabSize;
       }
       Base = SlabCursor;
       SlabCursor += O.ChunkSize;
@@ -354,7 +354,6 @@ TEST_P(AllocatorFuzzSweep, GroupAllocatorMixedTraffic) {
                      std::to_string(Purge));
         GroupAllocatorOptions Options;
         Options.ChunkSize = Chunk;
-        Options.SlabSize = Chunk * 16;
         Options.MaxSpareChunks = Spares;
         Options.PurgeEmptyChunks = Purge;
         SizeClassAllocator Backing(0x7800000000ull);
@@ -371,10 +370,10 @@ TEST_P(AllocatorFuzzSweep, GroupAllocatorMixedTraffic) {
             // chunks fill, retire and drain.
             uint64_t Size = Random.nextBool(0.5)
                                 ? fuzzSize(Random)
-                                : 1 + Random.nextBelow(Options.MaxGroupedSize);
+                                : 1 + Random.nextBelow(MaxGroupedSize);
             uint32_t Site = static_cast<uint32_t>(Random.nextBelow(3));
             Addr = GA.allocate(AllocRequest{Size, Site});
-            if (Site != 2 && Size < Options.MaxGroupedSize)
+            if (Site != 2 && Size < MaxGroupedSize)
               ASSERT_EQ(Addr, Model.allocate(Site, Size));
             else
               BackingModel.allocated(Backing, Addr, Size);
@@ -419,6 +418,53 @@ TEST_P(AllocatorFuzzSweep, GroupAllocatorMixedTraffic) {
         EXPECT_EQ(GA.liveBytes(), 0u);
         EXPECT_EQ(GA.groupedLiveBytes(), 0u);
       }
+}
+
+TEST_P(AllocatorFuzzSweep, GroupAllocatorCrossesSlabs) {
+  // The mixed traffic never fills a 64 MiB slab. Here every object takes
+  // a least (8 KiB) chunk of its own, and a quarter of the allocations also
+  // free one, so about 9,200 chunks are live at the peak: the second
+  // slab's chunks must follow the model too.
+  struct OneGroup : GroupPolicy {
+    int32_t selectGroup(const AllocRequest &) const override { return 0; }
+    uint32_t numGroups() const override { return 1; }
+  } Policy;
+  GroupAllocatorOptions Options;
+  Options.ChunkSize = GroupAllocator::MinChunkSize;
+  SizeClassAllocator Backing(0x7800000000ull);
+  GroupAllocator GA(Backing, Policy, Options);
+  GroupModel Model(Options, 1);
+  const uint64_t PerSlab = GroupAllocator::SlabSize / Options.ChunkSize;
+  // Two objects of at least this size overrun a chunk.
+  const uint64_t Least =
+      (Options.ChunkSize - GroupAllocator::ChunkHeaderSize) / 2 + 1;
+
+  Rng Random(GetParam() * 17 + 3);
+  std::vector<uint64_t> Live;
+  auto FreeOne = [&] {
+    size_t I = Random.nextBelow(Live.size());
+    GA.deallocate(Live[I]);
+    Model.free(Live[I]);
+    Live[I] = Live.back();
+    Live.pop_back();
+  };
+  for (uint64_t I = 0; I < PerSlab * 3 / 2; ++I) {
+    uint64_t Size = Least + Random.nextBelow(MaxGroupedSize - Least);
+    uint64_t Addr = GA.allocate(AllocRequest{Size, 0});
+    ASSERT_EQ(Addr, Model.allocate(0, Size));
+    Live.push_back(Addr);
+    if (Random.nextBool(0.25))
+      FreeOne();
+    ASSERT_EQ(GA.chunkCount(), Model.Chunks.size());
+    ASSERT_EQ(GA.spareChunkCount(), Model.Spare.size());
+    ASSERT_EQ(GA.residentBytes(), Model.Pages.size() * Page);
+  }
+  EXPECT_EQ(GA.arena().reservationCount(), 2u);
+  EXPECT_GT(Model.Recycled, 0u);
+  while (!Live.empty())
+    FreeOne();
+  EXPECT_EQ(GA.groupedLiveBytes(), 0u);
+  EXPECT_EQ(GA.residentBytes(), Model.Pages.size() * Page);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AllocatorFuzzSweep,

@@ -189,36 +189,38 @@ TEST(StoreKeys, EveryTraceKeyComponentReKeys) {
 }
 
 TEST(StoreKeys, EveryPipelineKnobReKeys) {
-  const HaloParameters Base;
-  std::set<uint64_t> Hashes;
-  auto Add = [&](const HaloParameters &P) {
-    Hashes.insert(haloStoreKey("ft", Scale::Test, 1, P).Hash);
+  // buildPlan shares one bundle among the setups whose key hash matches,
+  // with or without a store, so a HALO knob the key missed would make a
+  // sweep over it measure one setup's bundle for every setup. Each of the
+  // eight knobs moves the HALO key on its own: nine hashes with the
+  // paper's (dropping `.u32(Params.Grouping.MaxGroupMembers)` from
+  // haloStoreKey leaves eight). No setup value moves the HDS key.
+  using Knob = void (*)(HaloParameters &);
+  const Knob Knobs[] = {
+      [](HaloParameters &P) { P.Profile.AffinityDistance *= 2; },
+      [](HaloParameters &P) { P.Profile.Dedup = false; },
+      [](HaloParameters &P) { P.Profile.NoDoubleCount = false; },
+      [](HaloParameters &P) { P.Profile.CoAllocatability = false; },
+      [](HaloParameters &P) { P.Grouping.MinEdgeWeight += 1; },
+      [](HaloParameters &P) { P.Grouping.GroupWeightThreshold *= 2; },
+      [](HaloParameters &P) { P.Grouping.MaxGroupMembers += 1; },
+      [](HaloParameters &P) { P.Grouping.MaxGroups = 4; },
   };
-  Add(Base);
-  HaloParameters P = Base;
-  P.Profile.AffinityDistance *= 2;
-  Add(P);
-  P = Base;
-  P.Profile.MaxObjectSize *= 2;
-  Add(P);
-  P = Base;
-  P.Grouping.MaxGroups = 4;
-  Add(P);
-  P = Base;
-  P.Grouping.MergeTolerance += 0.01;
-  Add(P);
-  EXPECT_EQ(Hashes.size(), 5u);
-
-  const HdsParameters HdsBase;
-  std::set<uint64_t> HdsHashes;
-  HdsHashes.insert(hdsStoreKey("ft", Scale::Test, 1, HdsBase).Hash);
-  HdsParameters H = HdsBase;
-  H.Streams.MaxLength += 1;
-  HdsHashes.insert(hdsStoreKey("ft", Scale::Test, 1, H).Hash);
-  H = HdsBase;
-  H.CoAllocation.CacheLineSize *= 2;
-  HdsHashes.insert(hdsStoreKey("ft", Scale::Test, 1, H).Hash);
-  EXPECT_EQ(HdsHashes.size(), 3u);
+  auto HaloHash = [](const BenchmarkSetup &S) {
+    return haloStoreKey(S.Name, S.ProfileScale, S.ProfileSeed, S.Halo).Hash;
+  };
+  auto HdsHash = [](const BenchmarkSetup &S) {
+    return hdsStoreKey(S.Name, S.ProfileScale, S.ProfileSeed, S.Hds).Hash;
+  };
+  const BenchmarkSetup Base = paperSetup("ft");
+  std::set<uint64_t> Hashes = {HaloHash(Base)};
+  for (Knob Change : Knobs) {
+    BenchmarkSetup Changed = Base;
+    Change(Changed.Halo);
+    Hashes.insert(HaloHash(Changed));
+    EXPECT_EQ(HdsHash(Changed), HdsHash(Base));
+  }
+  EXPECT_EQ(Hashes.size(), 9u);
 }
 
 TEST(StoreKeys, SetupsDifferingOnlyInTheAllocatorShareKeys) {
@@ -228,8 +230,6 @@ TEST(StoreKeys, SetupsDifferingOnlyInTheAllocatorShareKeys) {
   BenchmarkSetup Base = paperSetup("ft");
   BenchmarkSetup Changed = Base;
   Changed.Allocator.ChunkSize /= 2;
-  Changed.Allocator.SlabSize *= 2;
-  Changed.Allocator.MaxGroupedSize /= 2;
   Changed.Allocator.MaxSpareChunks += 1;
   Changed.Allocator.PurgeEmptyChunks = !Changed.Allocator.PurgeEmptyChunks;
   auto Keys = [](const BenchmarkSetup &S) {
@@ -316,8 +316,8 @@ TEST(StoreRoundTrip, PipelineArtifactsDriveBitIdenticalMeasurements) {
   // from the loaded bundles, and match the cold ones bit for bit.
   for (AllocatorKind Kind : {AllocatorKind::Halo, AllocatorKind::Hds}) {
     SCOPED_TRACE(allocatorKindName(Kind));
-    RunMetrics A = Cold.measureDirect(Kind, Scale::Test, 5);
-    RunMetrics B = Warm.measureDirect(Kind, Scale::Test, 5);
+    RunMetrics A = Cold.measureDirect(defaultMachine(), Kind, Scale::Test, 5);
+    RunMetrics B = Warm.measureDirect(defaultMachine(), Kind, Scale::Test, 5);
     EXPECT_EQ(A.Cycles, B.Cycles);
     EXPECT_EQ(A.Mem.L1Misses, B.Mem.L1Misses);
     EXPECT_EQ(A.GroupedAllocs, B.GroupedAllocs);

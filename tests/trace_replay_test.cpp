@@ -86,10 +86,10 @@ class TraceReplayTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(TraceReplayTest, ReplayMatchesDirectExecutionUnderEveryAllocator) {
   Evaluation Eval(paperSetup(GetParam()));
+  const MachineConfig &M = defaultMachine();
   for (AllocatorKind Kind : AllKinds) {
-    RunMetrics Direct = Eval.measureDirect(Kind, Scale::Test, 7);
-    RunMetrics Replayed =
-        Eval.measure(Eval.setup().Machine, Kind, Scale::Test, 7);
+    RunMetrics Direct = Eval.measureDirect(M, Kind, Scale::Test, 7);
+    RunMetrics Replayed = Eval.measure(M, Kind, Scale::Test, 7);
     expectSameMetrics(Direct, Replayed,
                       GetParam() + " under " + kindName(Kind));
   }
